@@ -138,30 +138,61 @@ def determinant(rows) -> int:
 def adjugate(rows):
     """Adjugate and determinant of a square matrix: M @ adj == det * I.
 
-    Cofactor expansion; fine for the tiny systems this package solves.
+    One fraction-free Gauss-Jordan pass on [M | I] (Bareiss, Math. Comp.
+    1968), O(n^3): every intermediate entry is a minor, so each division is
+    exact. With row-swap sign s and last pivot p it ends at [p*I | R], whence
+    det = s*p and adj = s*R. A singular M has rank-one or zero adjugate,
+    built from its two kernels in _singular_adjugate.
     """
-    m = [tuple(r) for r in rows]
+    m = [list(map(int, r)) for r in rows]
     n = len(m)
     if any(len(r) != n for r in m):
         raise ValueError("adjugate of a non-square matrix")
     if n == 0:
         return [], 1
-    if n == 1:
-        return [[1]], m[0][0]
-    adj = [[0] * n for _ in range(n)]
-    det = 0
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [m[r][c] for c in range(n) if c != j]
-                for r in range(n)
-                if r != i
-            ]
-            cof = ((-1) ** (i + j)) * determinant(minor)
-            adj[j][i] = cof
-            if j == 0:
-                det += m[i][0] * cof
-    return adj, det
+    a = [row + [1 if j == i else 0 for j in range(n)] for i, row in enumerate(m)]
+    sign = 1
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            return _singular_adjugate(m), 0
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        row_k = a[k]
+        p = row_k[k]
+        tail_k = row_k[k + 1:]
+        for i in range(n):
+            if i == k:
+                continue
+            row_i = a[i]
+            f = row_i[k]
+            row_i[k + 1:] = [(p * x - f * y) // prev for x, y in zip(row_i[k + 1:], tail_k)]
+            row_i[k] = 0
+        prev = p
+    return [[sign * e for e in row[n:]] for row in a], sign * prev
+
+
+def _singular_adjugate(m):
+    """Adjugate of a singular square matrix.
+
+    Zero below rank n-1. At rank n-1 it is c*u*v^T / (u[j0]*v[i0]), where u
+    and v span the kernels of M and M^T and c = C[i0][j0] is the cofactor at
+    any i0, j0 with v[i0], u[j0] nonzero; those cofactors are exactly the
+    nonzero ones, and every quotient is an exact integer.
+    """
+    n = len(m)
+    if rank(m) < n - 1:
+        return [[0] * n for _ in range(n)]
+    (u,) = kernel_basis(m)
+    (v,) = kernel_basis(list(zip(*m)))
+    j0 = next(j for j, e in enumerate(u) if e)
+    i0 = next(i for i, e in enumerate(v) if e)
+    minor = [[e for c, e in enumerate(row) if c != j0] for r, row in enumerate(m) if r != i0]
+    c = (-1) ** (i0 + j0) * determinant(minor)
+    den = u[j0] * v[i0]
+    return [[c * u[r] * v[s] // den for s in range(n)] for r in range(n)]
 
 
 def is_totally_unimodular(rows) -> bool:

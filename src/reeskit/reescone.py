@@ -8,9 +8,10 @@ integer normals with nonnegative leading entries and negative last entry.
 
 Facet enumeration runs an incremental double description pass on the dual
 cone (extreme rays of {y : <g, y> >= 0}), seeded from a simplicial subcone
-of n+1 independent generators, with the rank-based tightness test pruning
-non-adjacent ray pairs. A brute-force oracle over generator subsets provides
-an independent cross-check for small instances. All arithmetic is exact.
+of n+1 independent generators, with the combinatorial adjacency test of
+Fukuda and Prodon (1996) pruning non-adjacent ray pairs. A brute-force oracle
+over generator subsets provides an independent cross-check for small
+instances. All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -141,24 +142,19 @@ class ConeClassification:
         return out
 
 
-def _bits(mask: int):
-    i = 0
-    while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
-
-
 def _dual_extreme_rays(ineqs, dim: int) -> list[tuple[int, ...]]:
     """Extreme rays of {y in R^dim : <a, y> >= 0 for every row a}.
 
     The rows must span R^dim (the cone is then pointed); otherwise
     DegenerateCone. Incremental double description: seed on dim independent
     rows, whose dual simplicial cone has the adjugate columns as rays, then
-    cut with the remaining rows one at a time. A candidate pair contributes
-    a new ray only when the rows tight at both have rank dim-2, the exact
-    adjacency criterion.
+    cut with the remaining rows one at a time. A (pos, neg) pair contributes
+    a new ray only when the two rays are adjacent, decided by the
+    combinatorial test of Fukuda and Prodon, "Double description method
+    revisited" (1996): at least dim-2 processed rows are tight at both, and
+    no third ray is tight on all of them. That test is exact only while the
+    ray list holds each extreme ray exactly once, so a repeated ray is an
+    IntegrityError rather than something to dedupe.
     """
     rows = []
     seen = set()
@@ -207,7 +203,10 @@ def _dual_extreme_rays(ineqs, dim: int) -> list[tuple[int, ...]]:
         for p in pos:
             for q in neg:
                 common = masks[p] & masks[q]
-                if rank([processed[i] for i in _bits(common)]) != dim - 2:
+                if common.bit_count() < dim - 2 or any(
+                    mk & common == common and t != p and t != q
+                    for t, mk in enumerate(masks)
+                ):
                     continue
                 # positive combination vals[p]*ray_q - vals[q]*ray_p lands on <a,.>=0
                 w = tuple(
@@ -219,7 +218,9 @@ def _dual_extreme_rays(ineqs, dim: int) -> list[tuple[int, ...]]:
                 new_masks.append(common | (1 << k))
         rays, masks = new_rays, new_masks
         processed.append(a)
-    return sorted(set(rays))
+    if len(set(rays)) != len(rays):
+        raise IntegrityError("double description produced a repeated ray")
+    return sorted(rays)
 
 
 def _facet_system(dim: int, normals, generators) -> FacetSystem:

@@ -52,6 +52,21 @@ def rank_oracle(rows):
     return 0
 
 
+def adj_oracle(rows):
+    """Cofactor expansion: adj[j][i] = (-1)^(i+j) * det(M without row i, col j),
+    each minor by permutation expansion, so nothing is shared with the
+    elimination under test."""
+    k = len(rows)
+    adj = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(k):
+            minor = [
+                [rows[r][c] for c in range(k) if c != j] for r in range(k) if r != i
+            ]
+            adj[j][i] = (-1) ** (i + j) * det_oracle(minor)
+    return adj
+
+
 small_entry = st.integers(min_value=-6, max_value=6)
 
 
@@ -74,6 +89,29 @@ def square_matrices(max_dim: int = 4):
             min_size=k,
             max_size=k,
         )
+    )
+
+
+def _product(left, right):
+    return [
+        [sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left
+    ]
+
+
+def rank_deficient_matrices(max_dim: int = 6):
+    """k x k products B @ C through an inner dimension below k: rank k-1
+    when deficit is 1 and B, C are generic, rank <= k-2 otherwise."""
+    entry = st.integers(min_value=-3, max_value=3)
+
+    def build(k, deficit):
+        inner = max(k - deficit, 0)
+        return st.tuples(
+            st.lists(st.lists(entry, min_size=inner, max_size=inner), min_size=k, max_size=k),
+            st.lists(st.lists(entry, min_size=k, max_size=k), min_size=inner, max_size=inner),
+        ).map(lambda bc: _product(*bc) if inner else [[0] * k for _ in range(k)])
+
+    return st.integers(1, max_dim).flatmap(
+        lambda k: st.integers(1, k).flatmap(lambda deficit: build(k, deficit))
     )
 
 
@@ -140,14 +178,46 @@ class TestRank:
 
 class TestAdjugate:
     @settings(max_examples=100)
-    @given(square_matrices())
+    @given(st.one_of(square_matrices(), rank_deficient_matrices(4)))
     def test_product_is_det_times_identity(self, rows):
         k = len(rows)
         adj, det = adjugate(tuple(map(tuple, rows)))
-        for i in range(k):
-            for j in range(k):
-                entry = sum(rows[i][t] * adj[t][j] for t in range(k))
-                assert entry == (det if i == j else 0)
+        scalar = [[det if i == j else 0 for j in range(k)] for i in range(k)]
+        assert _product(rows, adj) == scalar
+        assert _product(adj, rows) == scalar
+
+    @settings(max_examples=100, deadline=None)
+    @given(square_matrices(6))
+    def test_matches_cofactor_oracle(self, rows):
+        adj, det = adjugate(tuple(map(tuple, rows)))
+        assert det == det_oracle(rows)
+        assert [list(r) for r in adj] == adj_oracle(rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rank_deficient_matrices())
+    def test_singular_matches_cofactor_oracle(self, rows):
+        # M @ adj == 0 holds for the zero matrix too, so only exact equality
+        # with the cofactors pins the rank-(n-1) branch
+        adj, det = adjugate(tuple(map(tuple, rows)))
+        assert det == 0
+        assert [list(r) for r in adj] == adj_oracle(rows)
+
+    def test_rank_one_deficit_examples(self):
+        # rank 1 in 2x2: adj swaps the diagonal and negates the rest
+        adj, det = adjugate(((1, 2), (2, 4)))
+        assert (det, adj) == (0, [[4, -2], [-2, 1]])
+        # rank 2 in 3x3 with a zero row: only that row's cofactors survive,
+        # so adj is zero outside column 1
+        adj, det = adjugate(((1, 2, 3), (0, 0, 0), (4, 5, 6)))
+        assert det == 0
+        assert adj == adj_oracle([[1, 2, 3], [0, 0, 0], [4, 5, 6]])
+        assert adj == [[0, 3, 0], [0, -6, 0], [0, 3, 0]]
+        # rank 1 in 3x3: every 2x2 minor vanishes
+        assert adjugate(((1, 2, 3), (2, 4, 6), (3, 6, 9))) == ([[0] * 3] * 3, 0)
+
+    def test_one_by_one(self):
+        assert adjugate(((5,),)) == ([[1]], 5)
+        assert adjugate(((0,),)) == ([[1]], 0)
 
     def test_identity(self):
         adj, det = adjugate(((1, 0), (0, 1)))

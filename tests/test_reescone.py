@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reeskit.errors import CapExceeded, DegenerateCone
-from reeskit.exactlat import dot, kernel_basis, rank
+from reeskit.jsonio import analysis_ideal, load_bundled, realize
+from reeskit.exactlat import dot, kernel_basis, primitive, rank
 from reeskit.matroid import (
     MonomialIdeal,
     basis_monomial_ideal,
@@ -107,6 +108,96 @@ class TestOracleAgreement:
         cone = basis_rees_cone(k4)  # 22 generators
         with pytest.raises(CapExceeded):
             facet_normals_oracle(cone)
+
+
+def rank_adjacency_dd(generators, dim: int) -> list[tuple[int, ...]]:
+    """Reference double description with the algebraic adjacency test.
+
+    Extreme rays of {y : <g, y> >= 0 for every generator g}. Seed rays come
+    from kernels of dim-1 seed rows, not from an adjugate, and a (pos, neg)
+    pair is adjacent iff the processed rows tight at both have rank dim-2.
+    Slower than the engine, independent of its combinatorial test, and
+    free of any generator cap.
+    """
+    rows = list(dict.fromkeys(tuple(g) for g in generators))
+    seed = []
+    for a in rows:
+        if rank(seed + [a]) > len(seed):
+            seed.append(a)
+    assert len(seed) == dim
+    rays = []
+    for j, a in enumerate(seed):
+        (base,) = kernel_basis(seed[:j] + seed[j + 1:])
+        rays.append(base if dot(a, base) > 0 else tuple(-x for x in base))
+    processed = list(seed)
+    for a in rows:
+        if a in seed:
+            continue
+        vals = [dot(a, r) for r in rays]
+        kept = [r for r, v in zip(rays, vals) if v >= 0]
+        for p, vp in zip(rays, vals):
+            for q, vq in zip(rays, vals):
+                if vp <= 0 or vq >= 0:
+                    continue
+                common = [b for b in processed if dot(b, p) == 0 == dot(b, q)]
+                if rank(common) == dim - 2:
+                    kept.append(
+                        tuple(primitive(vp * y - vq * x for x, y in zip(p, q)))
+                    )
+        rays = kept
+        processed.append(a)
+    return sorted(set(rays))
+
+
+def wheel_w4():
+    """Graphic matroid of K5 minus the disjoint edges 12 and 34."""
+    edges = tuple(e for e in combinations(range(1, 6), 2) if e not in ((1, 2), (3, 4)))
+    return graphic_matroid(5, edges)
+
+
+def bundled_cone(name: str) -> ReesCone:
+    return rees_generators(analysis_ideal(realize(load_bundled(name)).value))
+
+
+def large_random_ideal(rng: random.Random) -> MonomialIdeal:
+    n = rng.randint(2, 4)
+    q = rng.randint(13, 30)
+    vecs = set()
+    while len(vecs) < q:
+        v = tuple(rng.randint(0, 5) for _ in range(n))
+        if any(v):
+            vecs.add(v)
+    return MonomialIdeal(n, tuple(sorted(vecs)))
+
+
+class TestReferenceAboveOracleCap:
+    """Above ORACLE_CAP the subset-minor oracle is out of reach; the
+    rank-adjacency reference DD still cross-checks the engine there."""
+
+    def assert_matches_reference(self, cone: ReesCone):
+        fs = facet_normals(cone)
+        assert sorted(fs.normals()) == rank_adjacency_dd(cone.generators, cone.dim)
+
+    def test_graphic_k4(self):
+        cone = bundled_cone("graphic_k4")
+        assert len(cone.generators) > 12
+        self.assert_matches_reference(cone)
+
+    def test_veronese_3_4(self):
+        cone = bundled_cone("veronese_3_4")
+        assert len(cone.generators) > 12
+        self.assert_matches_reference(cone)
+
+    def test_wheel_w4(self):
+        cone = basis_rees_cone(wheel_w4())
+        assert len(cone.generators) == 8 + 45
+        self.assert_matches_reference(cone)
+
+    def test_random_ideals_13_to_30_generators(self):
+        rng = random.Random(0xDD13)
+        for _ in range(30):
+            ideal = large_random_ideal(rng)
+            self.assert_matches_reference(rees_generators(ideal))
 
 
 class TestFacetSystemProperties:
