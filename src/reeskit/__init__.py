@@ -20,17 +20,14 @@ from .matroid import (
     MonomialIdeal,
     basis_monomial_ideal,
     check_basis_exchange,
-    contract_element,
     enumerate_matroids,
     graphic_matroid,
-    symmetric_exchange_witness,
     uniform_matroid,
 )
 from .polymatroid import (
     PolymatroidBases,
     check_polymatroid_bases,
     divide_by_variable,
-    top_degree_subset,
     veronese_bases,
 )
 from .reescone import (
@@ -50,6 +47,7 @@ from .reescone import (
 from .semigroup import (
     EqualityReport,
     HilbertBasisResult,
+    IdealSession,
     LatticePolytope,
     NormalityCertificate,
     certify_normality_pipeline,
@@ -71,6 +69,7 @@ __all__ = [
     "EqualityReport",
     "FacetSystem",
     "HilbertBasisResult",
+    "IdealSession",
     "IntegrityError",
     "InvalidInstance",
     "LatticePolytope",
@@ -92,7 +91,6 @@ __all__ = [
     "check_basis_exchange",
     "check_polymatroid_bases",
     "classify",
-    "contract_element",
     "decomposition_check",
     "divide_by_variable",
     "ehrhart_equality_check",
@@ -105,8 +103,6 @@ __all__ = [
     "is_normal",
     "rees_generators",
     "semigroup_member",
-    "symmetric_exchange_witness",
-    "top_degree_subset",
     "uniform_matroid",
     "veronese_bases",
     "verify_basis_facet_shape",

@@ -13,15 +13,7 @@ import sys
 import time
 
 from . import jsonio
-from .errors import (
-    CapExceeded,
-    IntegrityError,
-    InvalidInstance,
-    ParseError,
-    PreconditionFailed,
-    ReesKitError,
-    TheoremCounterexample,
-)
+from .errors import CapExceeded, ParseError, ReesKitError, TheoremCounterexample
 from .matroid import basis_monomial_ideal, enumerate_matroids
 from .polymatroid import (
     PolymatroidBases,
@@ -29,23 +21,8 @@ from .polymatroid import (
     divide_by_variable,
     symmetric_exchange_violations,
 )
-from .reescone import (
-    ORACLE_CAP,
-    Verdict,
-    classify,
-    facet_normals,
-    facet_normals_oracle,
-    rees_generators,
-    verify_basis_facet_shape,
-)
-from .semigroup import (
-    DEFAULT_CAP,
-    certify_normality_pipeline,
-    decomposition_check,
-    ehrhart_equality_check,
-    hilbert_basis,
-    is_normal,
-)
+from .reescone import ORACLE_CAP, Verdict, facet_normals_oracle, verify_basis_facet_shape
+from .semigroup import DEFAULT_CAP, IdealSession
 
 CHECKS = {
     "T3.6": "quasi-ideal facet shape of basis Rees cones",
@@ -94,14 +71,38 @@ def _emit(payload, args) -> None:
         sys.stdout.write(jsonio.dumps(payload))
 
 
-def _load_valid(args):
-    instance = jsonio.load_instance(args.instance)
+def _load_ideal(instance, args, named: bool = False):
+    """The ideal a valid instance feeds into cone analysis. An invalid one
+    gets its invalid_instance document (with kind and name when named) and
+    None back; its command then exits 1."""
     outcome = jsonio.realize(instance)
-    return instance, outcome
+    if outcome.ok:
+        return jsonio.analysis_ideal(outcome.value)
+    payload = {"error": "invalid_instance", "witness": outcome.witness}
+    if named:
+        payload.update(kind=instance.kind, name=instance.name)
+    _emit(payload, args)
+    return None
+
+
+def _divisions(bases: PolymatroidBases):
+    """(i, witness) for each coordinate i some base uses: witness is None when
+    dividing by x_i leaves a polymatroid (L3.10), else the counterexample.
+    Lazy, so a caller can stop at the first witness."""
+    for i in range(1, bases.n + 1):
+        if all(v[i - 1] == 0 for v in bases.vectors):
+            continue
+        try:
+            divide_by_variable(bases, i)
+        except TheoremCounterexample as exc:
+            yield i, exc.witness
+        else:
+            yield i, None
 
 
 def cmd_validate(args) -> int:
-    instance, outcome = _load_valid(args)
+    instance = jsonio.load_instance(args.instance)
+    outcome = jsonio.realize(instance)
     if not outcome.ok:
         _emit(
             {"valid": False, "kind": instance.kind, "name": instance.name,
@@ -117,25 +118,22 @@ def cmd_validate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    instance, outcome = _load_valid(args)
-    if not outcome.ok:
-        _emit({"error": "invalid_instance", "witness": outcome.witness,
-               "kind": instance.kind, "name": instance.name}, args)
+    instance = jsonio.load_instance(args.instance)
+    ideal = _load_ideal(instance, args, named=True)
+    if ideal is None:
         return 1
-    ideal = jsonio.analysis_ideal(outcome.value)
-    cone = rees_generators(ideal)
-    fs = facet_normals(cone)
+    session = IdealSession(ideal, args.cap)
     payload = {
         "name": instance.name,
         "kind": instance.kind,
         "ideal": ideal.to_json(),
-        "generators": [list(g) for g in cone.generators],
-        "facets": fs.to_json(),
-        "classification": classify(fs).to_json(),
+        "generators": [list(g) for g in session.cone.generators],
+        "facets": session.facets.to_json(),
+        "classification": session.classification.to_json(),
     }
     try:
-        payload["hilbert"] = hilbert_basis(cone, fs, args.cap).to_json()
-        payload["normality"] = certify_normality_pipeline(ideal, args.cap).to_json()
+        payload["hilbert"] = session.hilbert.to_json()
+        payload["normality"] = session.certificate.to_json()
     except CapExceeded as exc:
         notice = {"error": "cap_exceeded", "detail": str(exc)}
         payload.setdefault("hilbert", notice)
@@ -145,13 +143,12 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_rees_facets(args) -> int:
-    instance, outcome = _load_valid(args)
-    if not outcome.ok:
-        _emit({"error": "invalid_instance", "witness": outcome.witness}, args)
+    instance = jsonio.load_instance(args.instance)
+    ideal = _load_ideal(instance, args)
+    if ideal is None:
         return 1
-    ideal = jsonio.analysis_ideal(outcome.value)
-    cone = rees_generators(ideal)
-    fs = facet_normals(cone)
+    session = IdealSession(ideal, args.cap)
+    cone, fs = session.cone, session.facets
     run_oracle = args.oracle or len(cone.generators) <= ORACLE_CAP
     payload = {
         "name": instance.name,
@@ -170,56 +167,49 @@ def cmd_rees_facets(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    instance, outcome = _load_valid(args)
-    if not outcome.ok:
-        _emit({"error": "invalid_instance", "witness": outcome.witness}, args)
+    instance = jsonio.load_instance(args.instance)
+    ideal = _load_ideal(instance, args)
+    if ideal is None:
         return 1
-    ideal = jsonio.analysis_ideal(outcome.value)
-    fs = facet_normals(rees_generators(ideal))
-    result = classify(fs)
-    _emit({"name": instance.name, "facets": fs.to_json(),
+    session = IdealSession(ideal, args.cap)
+    result = session.classification
+    _emit({"name": instance.name, "facets": session.facets.to_json(),
            "classification": result.to_json()}, args)
     return 1 if result.verdict is Verdict.NEITHER else 0
 
 
 def cmd_hilbert(args) -> int:
-    instance, outcome = _load_valid(args)
-    if not outcome.ok:
-        _emit({"error": "invalid_instance", "witness": outcome.witness}, args)
+    instance = jsonio.load_instance(args.instance)
+    ideal = _load_ideal(instance, args)
+    if ideal is None:
         return 1
-    ideal = jsonio.analysis_ideal(outcome.value)
-    cone = rees_generators(ideal)
-    fs = facet_normals(cone)
-    hb = hilbert_basis(cone, fs, args.cap)
-    _emit({"name": instance.name, "generators": [list(g) for g in cone.generators],
-           "facets": fs.to_json(), "hilbert": hb.to_json()}, args)
+    session = IdealSession(ideal, args.cap)
+    _emit({"name": instance.name, "generators": [list(g) for g in session.cone.generators],
+           "facets": session.facets.to_json(), "hilbert": session.hilbert.to_json()}, args)
     return 0
 
 
 def cmd_normality(args) -> int:
-    instance, outcome = _load_valid(args)
-    if not outcome.ok:
-        _emit({"error": "invalid_instance", "witness": outcome.witness}, args)
+    instance = jsonio.load_instance(args.instance)
+    ideal = _load_ideal(instance, args)
+    if ideal is None:
         return 1
-    ideal = jsonio.analysis_ideal(outcome.value)
-    cert = certify_normality_pipeline(ideal, args.cap)
+    cert = IdealSession(ideal, args.cap).certificate
     _emit({"name": instance.name, "certificate": cert.to_json()}, args)
     return 0 if cert.verdict == "normal" else 1
 
 
 def cmd_ehrhart_check(args) -> int:
-    instance, outcome = _load_valid(args)
-    if not outcome.ok:
-        _emit({"error": "invalid_instance", "witness": outcome.witness}, args)
+    instance = jsonio.load_instance(args.instance)
+    ideal = _load_ideal(instance, args)
+    if ideal is None:
         return 1
-    ideal = jsonio.analysis_ideal(outcome.value)
+    session = IdealSession(ideal, args.cap)
     if args.bmax is not None:
         b_max = args.bmax
     else:
-        cone = rees_generators(ideal)
-        hb = hilbert_basis(cone, facet_normals(cone), args.cap)
-        b_max = max(h[-1] for h in hb.elements)
-    report = ehrhart_equality_check(ideal.exponents, b_max)
+        b_max = max(h[-1] for h in session.hilbert.elements)
+    report = session.equality(b_max)
     _emit({"name": instance.name, "equality": report.to_json()}, args)
     return 0 if report.passed else 1
 
@@ -227,12 +217,10 @@ def cmd_ehrhart_check(args) -> int:
 def cmd_polymatroid_check(args) -> int:
     instance = jsonio.load_instance(args.instance)
     if instance.kind == "matroid":
-        outcome = jsonio.realize(instance)
-        if not outcome.ok:
-            _emit({"error": "invalid_instance", "witness": outcome.witness}, args)
+        ideal = _load_ideal(instance, args)
+        if ideal is None:
             return 1
-        vectors = basis_monomial_ideal(outcome.value).exponents
-        n = outcome.value.n
+        vectors, n = ideal.exponents, ideal.n
     else:
         vectors, n = instance.vectors, instance.n
     got = check_polymatroid_bases(n, vectors)
@@ -240,16 +228,11 @@ def cmd_polymatroid_check(args) -> int:
         _emit({"name": instance.name, "valid": False, "witness": got.to_json()}, args)
         return 1
     divisions = []
-    failures = 0
-    for i in range(1, got.n + 1):
-        if all(v[i - 1] == 0 for v in got.vectors):
-            continue
-        try:
-            divide_by_variable(got, i)
+    for i, witness in _divisions(got):
+        if witness is None:
             divisions.append({"coordinate": i, "ok": True})
-        except TheoremCounterexample as exc:
-            failures += 1
-            divisions.append({"coordinate": i, "ok": False, "witness": exc.witness})
+        else:
+            divisions.append({"coordinate": i, "ok": False, "witness": witness})
     sym = symmetric_exchange_violations(got)
     payload = {
         "name": instance.name,
@@ -261,7 +244,7 @@ def cmd_polymatroid_check(args) -> int:
         ],
     }
     _emit(payload, args)
-    return 1 if failures or sym else 0
+    return 1 if any(not d["ok"] for d in divisions) or sym else 0
 
 
 def _corpus_matroids(n_max: int, rank_filter: int | None):
@@ -279,67 +262,61 @@ def cmd_corpus(args) -> int:
     for c in wanted:
         if c not in CHECKS:
             raise ParseError(f"unknown check {c!r}; expected one of {sorted(CHECKS)}")
+    codes = sorted(wanted)
     instances = list(_corpus_matroids(args.n_max, args.rank))
-    reports = []
-    all_pass = True
-    for code in sorted(wanted):
-        failures = []
-        for name, m in instances:
+    failures = [[] for _ in codes]
+    for name, m in instances:
+        # one session per matroid: every check reads the same cone artefacts
+        session = IdealSession(basis_monomial_ideal(m), args.cap)
+        for code, found in zip(codes, failures):
             try:
-                bad = _run_check(code, m, args)
+                bad = _run_check(code, m, session, args)
             except ReesKitError as exc:
                 bad = {"error": type(exc).__name__, "detail": str(exc)}
             if bad is not None:
-                failures.append({"instance": name, "matroid": m.to_json(), **bad})
-        failures.sort(key=lambda f: f["instance"])
-        if failures:
-            all_pass = False
+                found.append({"instance": name, "matroid": m.to_json(), **bad})
+    reports = []
+    for code, found in zip(codes, failures):
+        found.sort(key=lambda f: f["instance"])
         reports.append({
             "check": code,
             "title": CHECKS[code],
             "instances": len(instances),
-            "failures": failures,
-            "status": "pass" if not failures else "fail",
+            "failures": found,
+            "status": "pass" if not found else "fail",
         })
     _emit({"n_max": args.n_max, "reports": reports}, args)
-    return 0 if all_pass else 1
+    return 1 if any(failures) else 0
 
 
-def _run_check(code: str, m, args):
+def _run_check(code: str, m, session: IdealSession, args):
     """None when the check passes on matroid m, else a failure payload."""
     if code == "T3.6":
-        report = verify_basis_facet_shape(m)
+        report = verify_basis_facet_shape(m, session.facets)
         if not report.holds:
             return {"violations": [list(v) for v in report.violations]}
         return None
-    ideal = basis_monomial_ideal(m)
     if code == "C3.9":
-        cert = is_normal(ideal, args.cap)
+        cert = session.normality
         if cert.verdict != "normal":
             return {"certificate": cert.to_json()}
         return None
     if code == "P3.7":
-        report = ehrhart_equality_check(ideal.exponents, args.bmax)
+        report = session.equality(args.bmax)
         if not report.passed:
             return {"equality": report.to_json()}
         return None
     if code == "T2.2":
-        report = decomposition_check(ideal, args.cap)
+        report = session.decomposition
         if not report.holds:
             return {"decomposition": report.to_json()}
         return None
     if code == "L3.10":
-        got = check_polymatroid_bases(m.n, ideal.exponents)
+        got = check_polymatroid_bases(m.n, session.ideal.exponents)
         if not isinstance(got, PolymatroidBases):
             return {"witness": got.to_json()}
-        for i in range(1, m.n + 1):
-            if all(v[i - 1] == 0 for v in got.vectors):
-                continue
-            try:
-                divide_by_variable(got, i)
-            except TheoremCounterexample as exc:
-                return {"witness": exc.witness}
-        return None
+        witness = next((w for _, w in _divisions(got) if w is not None), None)
+        return None if witness is None else {"witness": witness}
     raise ParseError(f"unknown check {code!r}")
 
 
@@ -428,20 +405,16 @@ def main(argv=None) -> int:
         parser.print_help(sys.stderr)
         return 2
     start = time.perf_counter()
-    fmt_args = args
     try:
         return args.handler(args)
     except ParseError as exc:
-        _emit({"error": "parse", "detail": str(exc)}, fmt_args)
+        _emit({"error": "parse", "detail": str(exc)}, args)
         return 2
     except CapExceeded as exc:
-        _emit({"error": "cap_exceeded", "detail": str(exc)}, fmt_args)
+        _emit({"error": "cap_exceeded", "detail": str(exc)}, args)
         return 3
-    except (InvalidInstance, PreconditionFailed, IntegrityError) as exc:
-        _emit({"error": type(exc).__name__, "detail": str(exc)}, fmt_args)
-        return 1
     except ReesKitError as exc:
-        _emit({"error": type(exc).__name__, "detail": str(exc)}, fmt_args)
+        _emit({"error": type(exc).__name__, "detail": str(exc)}, args)
         return 1
     finally:
         elapsed = time.perf_counter() - start

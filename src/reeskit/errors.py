@@ -47,10 +47,6 @@ class VariableAbsent(InvalidInstance):
     pass
 
 
-class ElementInNoBasis(InvalidInstance):
-    pass
-
-
 class ParseError(ReesKitError):
     """Instance file cannot be parsed into the wire format."""
 

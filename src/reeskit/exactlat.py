@@ -8,7 +8,6 @@ feed normality certificates, so approximation is not an option.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import gcd
 
 from .errors import ZeroVector
@@ -26,25 +25,6 @@ class IntVec(tuple):
     @property
     def dim(self) -> int:
         return len(self)
-
-
-class IntMat(tuple):
-    """Matrix stored as a tuple of IntVec rows of equal dimension."""
-
-    def __new__(cls, rows):
-        mat = super().__new__(cls, tuple(IntVec(r) for r in rows))
-        dims = {r.dim for r in mat}
-        if len(dims) > 1:
-            raise ValueError(f"rows of mixed dimension: {sorted(dims)}")
-        return mat
-
-    @property
-    def nrows(self) -> int:
-        return len(self)
-
-    @property
-    def ncols(self) -> int:
-        return self[0].dim if self else 0
 
 
 def dot(u, v):
@@ -193,30 +173,6 @@ def _singular_adjugate(m):
     c = (-1) ** (i0 + j0) * determinant(minor)
     den = u[j0] * v[i0]
     return [[c * u[r] * v[s] // den for s in range(n)] for r in range(n)]
-
-
-def is_totally_unimodular(rows) -> bool:
-    """True iff every square minor lies in {-1, 0, 1}.
-
-    Direct enumeration of all minors, smallest order first, with early exit
-    on the first bad one. Exponential by design; intended for desk-scale
-    generator matrices.
-    """
-    mat = [tuple(map(int, r)) for r in rows]
-    if not mat:
-        return True
-    nr, nc = len(mat), len(mat[0])
-    for row in mat:
-        for e in row:
-            if e not in (-1, 0, 1):
-                return False
-    for k in range(2, min(nr, nc) + 1):
-        for rset in combinations(range(nr), k):
-            for cset in combinations(range(nc), k):
-                sub = [[mat[i][j] for j in cset] for i in rset]
-                if determinant(sub) not in (-1, 0, 1):
-                    return False
-    return True
 
 
 def kernel_basis(rows) -> list[IntVec]:

@@ -14,12 +14,10 @@ from itertools import combinations
 from .errors import (
     BadRank,
     CapExceeded,
-    ElementInNoBasis,
     EmptyFamily,
     EmptyInput,
     IntegrityError,
     InvalidInstance,
-    PreconditionFailed,
     UnequalCardinalities,
 )
 
@@ -168,28 +166,6 @@ def _require_matroid(result, context):
     return result
 
 
-def symmetric_exchange_witness(m: Matroid, basis_a, basis_b, element: int) -> int:
-    """Smallest b2 with basis_a - element + b2 and basis_b - b2 + element both bases.
-
-    Existence is guaranteed for matroids; failing to find one means the
-    input was never a matroid, reported as IntegrityError.
-    """
-    a = tuple(sorted(set(basis_a)))
-    b = tuple(sorted(set(basis_b)))
-    bases = m.basis_sets()
-    if frozenset(a) not in bases or frozenset(b) not in bases:
-        raise PreconditionFailed("both arguments must be bases of the matroid")
-    sa, sb = set(a), set(b)
-    if element not in sa - sb:
-        raise PreconditionFailed(f"element {element} is not in basis_a minus basis_b")
-    for y in sorted(sb - sa):
-        if frozenset(sa - {element} | {y}) in bases and frozenset(sb - {y} | {element}) in bases:
-            return y
-    raise IntegrityError(
-        f"no symmetric exchange for {element} between {a} and {b}; input is not a matroid"
-    )
-
-
 def uniform_matroid(n: int, d: int) -> Matroid:
     """All d-subsets of {1..n}."""
     if n < 1:
@@ -282,14 +258,3 @@ def basis_monomial_ideal(m: Matroid) -> MonomialIdeal:
         exps.append(tuple(v))
     return MonomialIdeal(m.n, tuple(exps))
 
-
-def contract_element(m: Matroid, j: int) -> Matroid:
-    """Contract element j: bases {B - j : j in B}, rank drops by one.
-
-    Ground set stays {1..n}; j just stops appearing. Raises
-    ElementInNoBasis when j is in no basis (or out of range).
-    """
-    survivors = [tuple(e for e in b if e != j) for b in m.bases if j in b]
-    if not survivors:
-        raise ElementInNoBasis(f"element {j} occurs in no basis")
-    return _require_matroid(check_basis_exchange(m.n, survivors), "contract_element")

@@ -132,17 +132,6 @@ def divide_by_variable(f: PolymatroidBases, i: int) -> PolymatroidBases:
     return got
 
 
-def top_degree_subset(vectors):
-    """Pairs (d, sub) where sub keeps the input-order vectors of maximal modulus."""
-    vecs = [tuple(int(e) for e in v) for v in vectors]
-    if not vecs:
-        raise EmptyInput("no vectors given")
-    if any(e < 0 for v in vecs for e in v):
-        raise InvalidInstance("vectors must be nonnegative")
-    d = max(sum(v) for v in vecs)
-    return d, [v for v in vecs if sum(v) == d]
-
-
 def symmetric_exchange_violations(f: PolymatroidBases) -> list[tuple]:
     """Triples (a, c, i) where no j with a_j < c_j swaps BOTH ways.
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from itertools import combinations
 from math import gcd
 
@@ -31,6 +30,19 @@ ORACLE_CAP = 12
 
 def _unit(i: int, dim: int) -> tuple[int, ...]:
     return tuple(1 if k == i else 0 for k in range(dim))
+
+
+def _distinct_rows(rows) -> list[tuple[int, ...]]:
+    """Rows as int tuples, repeats dropped, first occurrences in input order."""
+    return list(dict.fromkeys(tuple(int(e) for e in r) for r in rows))
+
+
+def _span_projection(rows):
+    """Pivot columns of rows, and rows restricted to them: the span of rows
+    projects isomorphically onto those coordinates, so cone questions about
+    rows of any rank can be answered there in full dimension."""
+    pivots = pivot_columns(rows)
+    return pivots, [tuple(r[c] for c in pivots) for r in rows]
 
 
 def _unit_index(v) -> int | None:
@@ -156,15 +168,7 @@ def _dual_extreme_rays(ineqs, dim: int) -> list[tuple[int, ...]]:
     ray list holds each extreme ray exactly once, so a repeated ray is an
     IntegrityError rather than something to dedupe.
     """
-    rows = []
-    seen = set()
-    for a in ineqs:
-        t = tuple(int(x) for x in a)
-        if t in seen:
-            continue
-        seen.add(t)
-        rows.append(t)
-
+    rows = _distinct_rows(ineqs)
     seed = []
     for idx, a in enumerate(rows):
         if rank([rows[i] for i in seed] + [a]) > len(seed):
@@ -246,16 +250,11 @@ def _facet_system(dim: int, normals, generators) -> FacetSystem:
     return FacetSystem(dim, tuple(sorted(units)), tuple(sorted(ells)))
 
 
-@lru_cache(maxsize=None)
-def _facet_normals_cached(generators: tuple, dim: int) -> FacetSystem:
-    normals = _dual_extreme_rays(generators, dim)
-    return _facet_system(dim, normals, generators)
-
-
 def facet_normals(cone: ReesCone) -> FacetSystem:
     """Irreducible facet description via double description; DegenerateCone
     when the generators span less than the full dimension."""
-    return _facet_normals_cached(cone.generators, cone.dim)
+    normals = _dual_extreme_rays(cone.generators, cone.dim)
+    return _facet_system(cone.dim, normals, cone.generators)
 
 
 def facet_normals_oracle(cone: ReesCone, cap: int = ORACLE_CAP) -> FacetSystem:
@@ -266,12 +265,7 @@ def facet_normals_oracle(cone: ReesCone, cap: int = ORACLE_CAP) -> FacetSystem:
     whole generator set on the nonnegative side. Exponential in the
     generator count, hence the cap.
     """
-    gens = []
-    seen = set()
-    for g in cone.generators:
-        if g not in seen:
-            seen.add(g)
-            gens.append(g)
+    gens = _distinct_rows(cone.generators)
     if len(gens) > cap:
         raise CapExceeded(f"{len(gens)} generators exceed the oracle cap {cap}")
     dim = cone.dim
@@ -340,8 +334,9 @@ class ShapeReport:
         }
 
 
-def verify_basis_facet_shape(m: Matroid) -> ShapeReport:
-    fs = facet_normals(basis_rees_cone(m))
+def verify_basis_facet_shape(m: Matroid, facets: FacetSystem | None = None) -> ShapeReport:
+    """Shape audit of the facets of m's basis Rees cone (computed when not given)."""
+    fs = facets if facets is not None else facet_normals(basis_rees_cone(m))
     violations = []
     for b in fs.ell_normals:
         if any(e not in (0, 1) for e in b[:-1]) or not (-m.d <= b[-1] <= -1):
@@ -356,43 +351,12 @@ def verify_basis_facet_shape(m: Matroid) -> ShapeReport:
     return ShapeReport(m.n, m.d, fs, tuple(violations), tuple(notes))
 
 
-def rank_one_facets(n: int) -> FacetSystem:
-    """Closed-form facets for the rank-one uniform basis cone on n elements.
-
-    For n >= 2: all units plus (1,..,1,-1). For n = 1 the cone is spanned by
-    (1,0) and (1,1), and e_1 is implied by the other two inequalities, so the
-    description is {e_2, (1,-1)}. Cross-checked against the generic engine.
-    """
-    if n < 1:
-        raise DegenerateCone("need n >= 1")
-    if n == 1:
-        expected = FacetSystem(2, (2,), ((1, -1),))
-    else:
-        expected = FacetSystem(
-            n + 1,
-            tuple(range(1, n + 2)),
-            (tuple([1] * n + [-1]),),
-        )
-    m = Matroid(n, 1, tuple((i,) for i in range(1, n + 1)))
-    computed = facet_normals(basis_rees_cone(m))
-    if computed != expected:
-        raise IntegrityError(
-            f"closed-form facets {expected} disagree with the engine {computed}"
-        )
-    return expected
-
-
 def extreme_generators(cone: ReesCone, fs: FacetSystem | None = None):
     """Primitive generators lying on a rank-(dim-1) set of facets."""
     fs = fs or facet_normals(cone)
     normals = fs.normals()
     out = []
-    seen = set()
-    for g in cone.generators:
-        p = tuple(primitive(g))
-        if p in seen:
-            continue
-        seen.add(p)
+    for p in _distinct_rows(primitive(g) for g in cone.generators):
         tight = [b for b in normals if dot(b, p) == 0]
         if rank(tight) == cone.dim - 1:
             out.append(p)
@@ -406,17 +370,9 @@ def facet_tight_sets(generators) -> list[tuple]:
     after projecting to a pivot coordinate set on which the span projects
     isomorphically.
     """
-    gens = []
-    seen = set()
-    for g in generators:
-        t = tuple(int(e) for e in g)
-        if t not in seen:
-            seen.add(t)
-            gens.append(t)
-    r = rank(gens)
-    pivots = pivot_columns(gens)
-    proj = [tuple(g[c] for c in pivots) for g in gens]
-    normals = _dual_extreme_rays(proj, r)
+    gens = _distinct_rows(generators)
+    pivots, proj = _span_projection(gens)
+    normals = _dual_extreme_rays(proj, len(pivots))
     out = []
     for w in normals:
         tight = tuple(g for g, pg in zip(gens, proj) if dot(w, pg) == 0)
@@ -432,26 +388,14 @@ class ConeMembership:
     """
 
     def __init__(self, generators):
-        gens = []
-        seen = set()
-        for g in generators:
-            t = tuple(int(e) for e in g)
-            if t not in seen:
-                seen.add(t)
-                gens.append(t)
+        gens = _distinct_rows(generators)
         if not gens:
             raise DegenerateCone("no generators")
         self.dim = len(gens[0])
-        r = rank(gens)
-        if r == self.dim:
-            self._equations: tuple = ()
-            self._pivots = tuple(range(self.dim))
-            self._normals = tuple(_dual_extreme_rays(gens, self.dim))
-        else:
-            self._equations = tuple(tuple(u) for u in kernel_basis(gens))
-            self._pivots = pivot_columns(gens)
-            proj = [tuple(g[c] for c in self._pivots) for g in gens]
-            self._normals = tuple(_dual_extreme_rays(proj, r))
+        self._pivots, proj = _span_projection(gens)
+        r = len(self._pivots)
+        self._equations = tuple(tuple(u) for u in kernel_basis(gens)) if r < self.dim else ()
+        self._normals = tuple(_dual_extreme_rays(proj, r))
 
     def contains(self, point) -> bool:
         if len(point) != self.dim:

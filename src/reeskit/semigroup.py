@@ -8,12 +8,16 @@ enumerating the lattice points of each half-open fundamental parallelepiped,
 and reducing the candidates to the irreducible ones by pairwise subtraction.
 Membership in the generated subsemigroup is a memoized DP over the lifting
 budget and the coordinatewise residual. Integer arithmetic throughout.
+
+An IdealSession builds each of these artefacts for one ideal at most once
+and keeps them no longer than itself; the module-level checks are thin calls
+on a fresh session.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from itertools import product
 
 from .errors import (
@@ -25,9 +29,10 @@ from .errors import (
     PreconditionFailed,
     UnequalModuli,
 )
-from .exactlat import adjugate, determinant, dot, primitive, rank, vsub
+from .exactlat import adjugate, determinant, dot, rank, vsub
 from .matroid import MonomialIdeal
 from .reescone import (
+    ConeClassification,
     ConeMembership,
     FacetSystem,
     ReesCone,
@@ -86,6 +91,12 @@ class LatticePolytope:
     @classmethod
     def of_ideal(cls, ideal: MonomialIdeal) -> "LatticePolytope":
         return cls(ideal.n, ideal.exponents)
+
+    @cached_property
+    def lifted_membership(self) -> ConeMembership:
+        """Membership in the cone spanned by the (v, 1): a lies in the b-th
+        dilation iff (a, b) lies in it. Built on first use, once per polytope."""
+        return ConeMembership(tuple((*v, 1) for v in self.vertices))
 
 
 @dataclass(frozen=True)
@@ -158,27 +169,30 @@ def _parallelepiped_points(simplex) -> set[tuple[int, ...]]:
     return points
 
 
-def _triangulate(rays) -> tuple[tuple, ...]:
-    return _triangulate_cached(tuple(sorted(rays)))
-
-
-@lru_cache(maxsize=None)
-def _triangulate_cached(rays: tuple) -> tuple[tuple, ...]:
-    """Pulling triangulation: cone off the lex-smallest ray over every facet
-    that avoids it. The subcones cover the cone, which is all downstream
-    enumeration needs."""
+def _triangulate(rays: tuple, memo: dict, tight_sets=None) -> tuple[tuple, ...]:
+    """Pulling triangulation of the lex-sorted rays: cone off the lex-smallest
+    ray over every facet that avoids it. The subcones cover the cone, which
+    is all downstream enumeration needs. Faces recur across facets, so memo
+    (one per hilbert_basis call) keeps the result of each face seen.
+    tight_sets, when the caller already knows the facets, must equal
+    facet_tight_sets(rays)."""
+    hit = memo.get(rays)
+    if hit is not None:
+        return hit
     if not rays:
-        return ()
-    if rank(rays) == len(rays):
-        return (rays,)
-    apex = rays[0]
-    simplices = []
-    for tight in facet_tight_sets(rays):
-        if apex in tight:
-            continue
-        for sub in _triangulate_cached(tuple(sorted(tight))):
-            simplices.append(sub + (apex,))
-    return tuple(simplices)
+        simplices = ()
+    elif rank(rays) == len(rays):
+        simplices = (rays,)
+    else:
+        apex = rays[0]
+        simplices = tuple(
+            sub + (apex,)
+            for tight in (tight_sets or facet_tight_sets(rays))
+            if apex not in tight
+            for sub in _triangulate(tuple(sorted(tight)), memo)
+        )
+    memo[rays] = simplices
+    return simplices
 
 
 def hilbert_basis(
@@ -195,7 +209,11 @@ def hilbert_basis(
     """
     fs = facets if facets is not None else facet_normals(cone)
     extreme = extreme_generators(cone, fs)
-    simplices = _triangulate(extreme)
+    rays = tuple(sorted(extreme))
+    # the cone's facets are known, so its first pulling step needs no second
+    # double description; sorted normals give facet_tight_sets' order
+    tight_sets = [tuple(r for r in rays if dot(b, r) == 0) for b in sorted(fs.normals())]
+    simplices = _triangulate(rays, {}, tight_sets)
     points: set[tuple[int, ...]] = set()
     total = 0
     for s in simplices:
@@ -266,37 +284,6 @@ def semigroup_member(point, cone: ReesCone) -> bool:
     return _decompose(a, b, lifted, exact=False)
 
 
-@lru_cache(maxsize=None)
-def _ideal_geometry(ideal: MonomialIdeal):
-    cone = rees_generators(ideal)
-    return cone, facet_normals(cone)
-
-
-@lru_cache(maxsize=None)
-def _ideal_hilbert(ideal: MonomialIdeal, cap: int) -> HilbertBasisResult:
-    cone, fs = _ideal_geometry(ideal)
-    return hilbert_basis(cone, fs, cap)
-
-
-def is_normal(ideal: MonomialIdeal, cap: int = DEFAULT_CAP) -> NormalityCertificate:
-    """Direct route: normal iff every Hilbert basis element is a semigroup
-    member. Principal ideals short-circuit: their Rees cone is simplicial
-    and unimodular."""
-    if ideal.q == 1:
-        return NormalityCertificate("normal", None, "hilbert")
-    cone, fs = _ideal_geometry(ideal)
-    hb = _ideal_hilbert(ideal, cap)
-    for h in hb.elements:
-        if not semigroup_member(h, cone):
-            return NormalityCertificate("not_normal", h, "hilbert")
-    return NormalityCertificate("normal", None, "hilbert")
-
-
-@lru_cache(maxsize=None)
-def _lifted_membership(vertices: tuple) -> ConeMembership:
-    return ConeMembership(tuple((*v, 1) for v in vertices))
-
-
 def _box_points(lo, hi, total):
     """Lex-ascending integer points of prod [lo_k, hi_k], restricted to
     coordinate sum == total when total is not None."""
@@ -335,7 +322,7 @@ def ehrhart_points(poly: LatticePolytope, b: int) -> list[tuple[int, ...]]:
         raise InvalidInstance("dilation factor must be nonnegative")
     if b == 0:
         return [tuple([0] * poly.n)]
-    member = _lifted_membership(poly.vertices)
+    member = poly.lifted_membership
     lo = [b * min(v[k] for v in poly.vertices) for k in range(poly.n)]
     hi = [b * max(v[k] for v in poly.vertices) for k in range(poly.n)]
     moduli = {sum(v) for v in poly.vertices}
@@ -403,6 +390,12 @@ def ehrhart_equality_check(exponents, b_max: int) -> EqualityReport:
         raise EmptyInput("no generators given")
     if any(e < 0 for v in vecs for e in v):
         raise InvalidInstance("generators must be nonnegative")
+    degree = _common_degree(vecs, b_max)
+    return _equality_report(LatticePolytope(len(vecs[0]), tuple(vecs)), degree, b_max)
+
+
+def _common_degree(vecs, b_max: int) -> int:
+    """The one degree of the lex-sorted vecs; b_max must be nonnegative."""
     degrees = {sum(v) for v in vecs}
     if len(degrees) > 1:
         first = next(v for v in vecs if sum(v) == min(degrees))
@@ -410,12 +403,14 @@ def ehrhart_equality_check(exponents, b_max: int) -> EqualityReport:
         raise UnequalModuli(first, second)
     if b_max < 0:
         raise InvalidInstance("b_max must be nonnegative")
-    degree = degrees.pop()
-    poly = LatticePolytope(len(vecs[0]), tuple(vecs))
+    return degrees.pop()
+
+
+def _equality_report(poly: LatticePolytope, degree: int, b_max: int) -> EqualityReport:
     dilations = []
     for b in range(1, b_max + 1):
         pts = ehrhart_points(poly, b)
-        failures = [a for a in pts if not _decompose(a, b, tuple(vecs), exact=True)]
+        failures = [a for a in pts if not _decompose(a, b, poly.vertices, exact=True)]
         dilations.append(DilationCheck(b, len(pts), tuple(failures)))
     return EqualityReport(degree, b_max, tuple(dilations))
 
@@ -457,52 +452,112 @@ class DecompositionReport:
         }
 
 
+class IdealSession:
+    """Every cone artefact of one monomial ideal, each computed at most once.
+
+    The cone, its facets and classification, the Hilbert basis (within the
+    session's cap) and the lifted polytope with its membership oracle are
+    built on first use; the certificates and reports below read them. A
+    session keeps one ideal's work and nothing else, so it goes with the
+    ideal: build one per ideal and let it drop.
+    """
+
+    def __init__(self, ideal: MonomialIdeal, cap: int = DEFAULT_CAP):
+        self.ideal = ideal
+        self.cap = cap
+
+    @cached_property
+    def cone(self) -> ReesCone:
+        return rees_generators(self.ideal)
+
+    @cached_property
+    def facets(self) -> FacetSystem:
+        return facet_normals(self.cone)
+
+    @cached_property
+    def classification(self) -> ConeClassification:
+        return classify(self.facets)
+
+    @cached_property
+    def hilbert(self) -> HilbertBasisResult:
+        return hilbert_basis(self.cone, self.facets, self.cap)
+
+    @cached_property
+    def polytope(self) -> LatticePolytope:
+        return LatticePolytope.of_ideal(self.ideal)
+
+    @cached_property
+    def normality(self) -> NormalityCertificate:
+        """Direct route: normal iff every Hilbert basis element is a semigroup
+        member. Principal ideals short-circuit: their Rees cone is simplicial
+        and unimodular."""
+        if self.ideal.q > 1:
+            for h in self.hilbert.elements:
+                if not semigroup_member(h, self.cone):
+                    return NormalityCertificate("not_normal", h, "hilbert")
+        return NormalityCertificate("normal", None, "hilbert")
+
+    def equality(self, b_max: int) -> EqualityReport:
+        """ehrhart_equality_check on the generators, on this session's polytope."""
+        degree = _common_degree(self.ideal.exponents, b_max)
+        return _equality_report(self.polytope, degree, b_max)
+
+    @cached_property
+    def decomposition(self) -> DecompositionReport:
+        verdict = self.classification.verdict
+        if verdict is Verdict.NEITHER:
+            raise PreconditionFailed("decomposition check needs an ideal or quasi-ideal cone")
+        elements = self.hilbert.elements
+        member = self.polytope.lifted_membership
+        statuses = []
+        for h in elements:
+            a, b = h[:-1], h[-1]
+            if b == 0:
+                ok = sum(a) == 1 and all(e in (0, 1) for e in a)
+                statuses.append(ElementStatus(h, "unit", ok))
+            else:
+                statuses.append(ElementStatus(h, "dilation", member.contains(h)))
+        return DecompositionReport(verdict, tuple(statuses))
+
+    @cached_property
+    def certificate(self) -> NormalityCertificate:
+        """Two-route certification.
+
+        Always runs the direct Hilbert route. When the cone classifies as
+        ideal or quasi-ideal and the generators share one degree, also runs
+        the equality route: dilation equality up to the largest Hilbert
+        height plus the decomposition audit certifies the same verdict, and
+        any disagreement between the routes is a hard MethodDisagreement.
+        Method is "both" when the second route ran.
+        """
+        direct = self.normality
+        if self.ideal.q == 1:
+            return direct
+        equigenerated = len({sum(v) for v in self.ideal.exponents}) == 1
+        if self.classification.verdict is Verdict.NEITHER or not equigenerated:
+            return direct
+        equality = self.equality(max(h[-1] for h in self.hilbert.elements))
+        passed = equality.passed and self.decomposition.holds
+        quasi_verdict = "normal" if passed else "not_normal"
+        if quasi_verdict != direct.verdict:
+            raise MethodDisagreement(
+                f"hilbert route says {direct.verdict}, equality route says {quasi_verdict} "
+                f"on {self.ideal.to_json()}"
+            )
+        return NormalityCertificate(direct.verdict, direct.witness, "both")
+
+
+def is_normal(ideal: MonomialIdeal, cap: int = DEFAULT_CAP) -> NormalityCertificate:
+    """Direct route only; see IdealSession.normality."""
+    return IdealSession(ideal, cap).normality
+
+
 def decomposition_check(ideal: MonomialIdeal, cap: int = DEFAULT_CAP) -> DecompositionReport:
-    cone, fs = _ideal_geometry(ideal)
-    verdict = classify(fs).verdict
-    if verdict is Verdict.NEITHER:
-        raise PreconditionFailed("decomposition check needs an ideal or quasi-ideal cone")
-    hb = _ideal_hilbert(ideal, cap)
-    member = _lifted_membership(ideal.exponents)
-    statuses = []
-    for h in hb.elements:
-        a, b = h[:-1], h[-1]
-        if b == 0:
-            ok = sum(a) == 1 and all(e in (0, 1) for e in a)
-            statuses.append(ElementStatus(h, "unit", ok))
-        else:
-            statuses.append(ElementStatus(h, "dilation", member.contains(h)))
-    return DecompositionReport(verdict, tuple(statuses))
+    return IdealSession(ideal, cap).decomposition
 
 
 def certify_normality_pipeline(
     ideal: MonomialIdeal, cap: int = DEFAULT_CAP
 ) -> NormalityCertificate:
-    """Two-route certification.
-
-    Always runs the direct Hilbert route. When the cone classifies as ideal
-    or quasi-ideal and the generators share one degree, also runs the
-    equality route: dilation equality up to the largest Hilbert height plus
-    the decomposition audit certifies the same verdict, and any disagreement
-    between the routes is a hard MethodDisagreement. Method is "both" when
-    the second route ran.
-    """
-    direct = is_normal(ideal, cap)
-    if ideal.q == 1:
-        return direct
-    cone, fs = _ideal_geometry(ideal)
-    verdict = classify(fs).verdict
-    equigenerated = len({sum(v) for v in ideal.exponents}) == 1
-    if verdict is Verdict.NEITHER or not equigenerated:
-        return direct
-    hb = _ideal_hilbert(ideal, cap)
-    b_max = max(h[-1] for h in hb.elements)
-    equality = ehrhart_equality_check(ideal.exponents, b_max)
-    decomposition = decomposition_check(ideal, cap)
-    quasi_verdict = "normal" if equality.passed and decomposition.holds else "not_normal"
-    if quasi_verdict != direct.verdict:
-        raise MethodDisagreement(
-            f"hilbert route says {direct.verdict}, equality route says {quasi_verdict} "
-            f"on {ideal.to_json()}"
-        )
-    return NormalityCertificate(direct.verdict, direct.witness, "both")
+    """Both routes; see IdealSession.certificate."""
+    return IdealSession(ideal, cap).certificate

@@ -12,7 +12,6 @@ from reeskit.exactlat import (
     adjugate,
     determinant,
     dot,
-    is_totally_unimodular,
     kernel_basis,
     primitive,
     rank,
@@ -244,39 +243,6 @@ class TestKernel:
                 assert dot(tuple(row), b) == 0
         if basis:
             assert rank(basis) == len(basis)
-
-
-class TestTotallyUnimodular:
-    def test_positive_examples(self):
-        # interval matrix: consecutive ones in each row
-        assert is_totally_unimodular(((1, 1, 0), (0, 1, 1), (0, 0, 1)))
-        # network-style columns e1, e2, e1+e3, e2+e3
-        assert is_totally_unimodular(
-            ((1, 0, 1, 0), (0, 1, 0, 1), (0, 0, 1, 1))
-        )
-
-    def test_negative_examples(self):
-        assert not is_totally_unimodular(((2,),))
-        assert not is_totally_unimodular(((1, 1), (-1, 1)))  # det 2
-        # odd cycle vertex-edge incidence
-        assert not is_totally_unimodular(((1, 0, 1), (1, 1, 0), (0, 1, 1)))
-
-    @settings(max_examples=60)
-    @given(matrices(3))
-    def test_invariant_under_transpose(self, rows):
-        mat = tuple(map(tuple, rows))
-        transposed = tuple(zip(*rows))
-        assert is_totally_unimodular(mat) == is_totally_unimodular(transposed)
-
-    @settings(max_examples=60)
-    @given(matrices(3), st.randoms(use_true_random=False))
-    def test_invariant_under_row_permutation(self, rows, rng):
-        mat = tuple(map(tuple, rows))
-        shuffled = list(rows)
-        rng.shuffle(shuffled)
-        assert is_totally_unimodular(mat) == is_totally_unimodular(
-            tuple(map(tuple, shuffled))
-        )
 
 
 def test_dot_and_vsub():

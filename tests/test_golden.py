@@ -1,9 +1,11 @@
-"""Golden stdout: `analyze bundled:<name>` must print exactly the pinned bytes.
+"""Golden stdout: every instance command must print exactly the pinned bytes.
 
 Criterion 10 compares a run with itself, which a change to an exact kernel
-that alters the output would still pass. These sha256 digests pin the stdout
-of every bundled instance, so any such change fails here. Regenerate them
-only when a change to the report is intended.
+or to the way a command shares its work would still pass. These sha256
+digests pin the stdout (and exit code) of all eight instance commands on
+every bundled instance and on one family that is not a matroid, plus
+`corpus 4`, so any such change fails here. Regenerate them only when a
+change to a report is intended.
 """
 
 from __future__ import annotations
@@ -35,6 +37,147 @@ GOLDEN = {
 }
 
 
+INSTANCE_COMMANDS = (
+    "validate", "analyze", "rees-facets", "classify", "hilbert", "normality",
+    "ehrhart-check", "polymatroid-check",
+)
+
+# Bases {1,2} and {3,4} fail the exchange property: the invalid-instance path.
+NOT_A_MATROID = '{"n": 4, "bases": [[1, 2], [3, 4]]}\n'
+
+# (command, instance) -> (exit code, sha256 of stdout); analyze on the bundled
+# instances is pinned in GOLDEN above.
+COMMAND_GOLDEN = {
+    ("analyze", "not_a_matroid"): (1, "2778756f7e1bfe5886bc1bbded3faa0134f687051393be73ba79b16193e87e8e"),
+    ("classify", "graphic_k3"): (0, "fbbc6e1eefd442f58e0841d3894ddbded894d887d6098c3d794c22167e744462"),
+    ("classify", "graphic_k4"): (0, "efb9c3d96e3cb6b732f52da2d98819aeaa8254f3efc9bec11895adae17648861"),
+    ("classify", "ideal_mixed_neither"): (1, "0f65f9ad32bb44d698dd7b0cce5f1e95b2cf4f356dc097656a785a9628c1edd6"),
+    ("classify", "ideal_principal"): (0, "4fd7ea004857d2061f2ce3bb7527b96fe29286563cbf5c1de3d280d90c882f60"),
+    ("classify", "ideal_two_squares"): (0, "1fbcce297ae285b21a9701f2b1d5ded6f1451eeb2cd470dadde15da8b7ab43c5"),
+    ("classify", "not_a_matroid"): (1, "dca78e7fd6fc745867c6117361b2e5804c53faeafb904310aafa2f26ce83c1af"),
+    ("classify", "transversal_12_123"): (0, "1e142a16ef9123b1a55eee34e5e5990970fa6e61fceda29cd5138932b60b147e"),
+    ("classify", "u_1_1"): (0, "ea5c07df8dfe14f2b4d51f5ab5b0a561b8fdb29f7e9678cbef497c273c731f24"),
+    ("classify", "u_1_2"): (0, "6136764da249a3e4ac2e1983e95f507195b81b728c2787b2d2a66bb31b69c81e"),
+    ("classify", "u_2_3"): (0, "4899d8ff0fe5075fabd26a3a45f8ffb479506a338fe6aced930b7b8328f4a2db"),
+    ("classify", "u_2_4"): (0, "15e94efa98b5f623a8d941408139b6a703fc0b2d5aff265fe184df5acc1047aa"),
+    ("classify", "u_3_4"): (0, "d380d4688bcc5598188615f1f3fcb230bbbcda13817ecbea2c47aad21a506e97"),
+    ("classify", "u_4_4"): (0, "33215aab34bb364b23780f5a48ea321347e2869b74413508a1fe5125d0b380c3"),
+    ("classify", "veronese_2_2"): (0, "c54bee91cd9cd07c5118eb99b4a20d6c498c1e232423ed46b1c215ad1d30e7c0"),
+    ("classify", "veronese_2_3"): (0, "7e7e23f1fdcb1675d1034d55c63d075dd2984dd10b3470cc6e1214399bb28533"),
+    ("classify", "veronese_3_2"): (0, "6161fa274cdf1ff68fec0c5f66cd1febeafe7da2f09da5ffcfaaa2a15906e167"),
+    ("classify", "veronese_3_4"): (0, "7679647107fb257f4937298229a7842c391249dc6f0f28b76e0d3627a9c10804"),
+    ("ehrhart-check", "graphic_k3"): (0, "64a7d24cc967caf3d8089fe82df01cfe662d450ebde227afe8370f63046163a9"),
+    ("ehrhart-check", "graphic_k4"): (0, "a1a135417097721e6341aefe1367c02b1b4a0c1332893bd26659c23959ad88dc"),
+    ("ehrhart-check", "ideal_mixed_neither"): (1, "707e9cc3d55ed2727bf6eb42c3f2e2978bf7a2412b59efae8621b78f132abb77"),
+    ("ehrhart-check", "ideal_principal"): (0, "da62f84f623a465e6fd89593ef4a61cbb379f7f26068686f1bcdc852b67c8c22"),
+    ("ehrhart-check", "ideal_two_squares"): (1, "9999a11e247202e6b4a7d07851e1ee9830b497b2f07b7b0173f06337eea12cb4"),
+    ("ehrhart-check", "not_a_matroid"): (1, "dca78e7fd6fc745867c6117361b2e5804c53faeafb904310aafa2f26ce83c1af"),
+    ("ehrhart-check", "transversal_12_123"): (0, "210a319fff35bafcb2c8f604b06977fcd6199e204364f95288a868cc311892f1"),
+    ("ehrhart-check", "u_1_1"): (0, "51b4c8118481e4bb61612dc4d0832ad76b62be55ef2d8652a702c1cd651fe508"),
+    ("ehrhart-check", "u_1_2"): (0, "c6c2d6585ef89074161dfb6df81fc7bcf09baa992d6cca951d886a3e4242846a"),
+    ("ehrhart-check", "u_2_3"): (0, "6ae6f190ef572ae35847066251340f8dfc828ea4061c2d6be348caadeb5b4b9b"),
+    ("ehrhart-check", "u_2_4"): (0, "0f7237c63d30323c1d641323db8993be37d6a24b0b6ad733b62c8a041df3c588"),
+    ("ehrhart-check", "u_3_4"): (0, "7fa8e7aa4677490f39d24c5201f19bde1cfaedc7bee1d48a657a3c1a2bcf8198"),
+    ("ehrhart-check", "u_4_4"): (0, "f80cd42b505219166dd2f14ef461122c39b688767eecddad306f0d34ee1464bf"),
+    ("ehrhart-check", "veronese_2_2"): (0, "cd21eb7148c056ac23065ac76b6a216f83e847b5d642113b806e599360a7f839"),
+    ("ehrhart-check", "veronese_2_3"): (0, "a8ccbad09be90765110b79524402640d6ca2d263baac83882404c8fa20bedc5f"),
+    ("ehrhart-check", "veronese_3_2"): (0, "84e58fa3c35ac780269b2e6239b9127188a5af04ab6559ba0afe0afe3dccdd9f"),
+    ("ehrhart-check", "veronese_3_4"): (0, "54e83dfa1aa8322cbd05509994cb6890e800b4b68b1cb69cd068cc5e38c1324f"),
+    ("hilbert", "graphic_k3"): (0, "7e34b824d94f37b037477d7a09c28e9cb6db628c037d2e39374941bbce044bfd"),
+    ("hilbert", "graphic_k4"): (0, "0ed37da6548fc1fe9c51594e5ae53abd376faca50751ba31af68c5dbf073e6b1"),
+    ("hilbert", "ideal_mixed_neither"): (0, "fd85caa2adc4657c7247b18c34dfe428143cc1c612a5cebf3ee25b02fbbf32c0"),
+    ("hilbert", "ideal_principal"): (0, "efc1020c766bac980b71fd4f74aa4614aa9e925f9638ff1c51e7c2413b67fe17"),
+    ("hilbert", "ideal_two_squares"): (0, "7296495d7087e51e5d408925b591ed32325d2b7674e9e3487e5175d6a86ad13f"),
+    ("hilbert", "not_a_matroid"): (1, "dca78e7fd6fc745867c6117361b2e5804c53faeafb904310aafa2f26ce83c1af"),
+    ("hilbert", "transversal_12_123"): (0, "598c84f37d4900590db9240fa83c58831d1f2ef6f62d542d048eb0eec65a7e0a"),
+    ("hilbert", "u_1_1"): (0, "ce52ed4146481d2fea6b8d55928d0d53df11bb061dc850d1b412d4c7e440b7ce"),
+    ("hilbert", "u_1_2"): (0, "1e51c54e9d2f81c194aa8e11f9ecf991176ecb903d9c1353ff000f374d6f45ae"),
+    ("hilbert", "u_2_3"): (0, "e6fc3df178cdd5be740a7aea27f4887c5c1555b0c56740a297774c15519c75f9"),
+    ("hilbert", "u_2_4"): (0, "aa6fe93b8314c06e479760bde6daadc65c3982fe051e39ea803c53ec7cb56650"),
+    ("hilbert", "u_3_4"): (0, "167f997915772d491c6b04a7f43c75da1caad11645fad44f56dae23aee8e3ff9"),
+    ("hilbert", "u_4_4"): (0, "6195961df5d7eda33edf25e713cefaf7698b1daca40a9ce42ab0d580a65f00a9"),
+    ("hilbert", "veronese_2_2"): (0, "eb5127966c78c752c306e480adb861b12f2bdbb134b1ceb83a1b91f63894a90b"),
+    ("hilbert", "veronese_2_3"): (0, "82099d0e56504eb8e7fd799987cb1a1f3a8e7f627de56b23ab58d034b6bf479c"),
+    ("hilbert", "veronese_3_2"): (0, "ae0c7caccdd3f5003c5db1ecf8877f9d07cacff6c17a3e15b6a9683a40902d35"),
+    ("hilbert", "veronese_3_4"): (0, "008604bc9ca09b5f1e802c304dabd37630bbb3c0f0a6443132e442d247a172f7"),
+    ("normality", "graphic_k3"): (0, "2a0c9519168cfff82a33426cca897383ab49dd38921b603b22d67eacb95e6cae"),
+    ("normality", "graphic_k4"): (0, "4dd3596968729c2a5c2ea96af880b33474d60f11d9865b029ccfe014773d684a"),
+    ("normality", "ideal_mixed_neither"): (0, "e62d18d32e231c8a512d28add68e3ead9555471fc58525507213590277422055"),
+    ("normality", "ideal_principal"): (0, "9b8e2fff5308b1602c087383e5f158464c3ae4cb79bfb0f5b3b8dfc0f56c2696"),
+    ("normality", "ideal_two_squares"): (1, "3a418aedcb3b3f1af251ed2c8564a4d5eb5150b2de2d1fcb713d7a3e41ffc430"),
+    ("normality", "not_a_matroid"): (1, "dca78e7fd6fc745867c6117361b2e5804c53faeafb904310aafa2f26ce83c1af"),
+    ("normality", "transversal_12_123"): (0, "dc97bb6dc772a038064ab9b1caf4b9e72b896ed8d71d577f5869240a268fbd4e"),
+    ("normality", "u_1_1"): (0, "e7f0a8229e6417b3d3aed7d4bd53a8c2aac0917e4531c5b4e51932443a1e9dda"),
+    ("normality", "u_1_2"): (0, "182ee96bae62de3feb6e8a441890866937df8cf320909cb58cbbc7e8e11cba1f"),
+    ("normality", "u_2_3"): (0, "fb9757a377395cbb974b4fd56557ffafde97e90c05ec1ad9b878930e26812196"),
+    ("normality", "u_2_4"): (0, "8cc263f4ce8a8aa21bc7f2168fb9b0dcfcd4cb0dc7d2cfa3c176225ad75c9bf7"),
+    ("normality", "u_3_4"): (0, "6575208be9ef5c200d4e06de13c3a0b904060fabd34c5ab16c0b3c87db827fe1"),
+    ("normality", "u_4_4"): (0, "b58ecc2d39274278023441ee6f13f20f5a5451dfb51d35ad03c6ffdeba27c7a8"),
+    ("normality", "veronese_2_2"): (0, "bb9b1b2993de43fcfd83fab9d43f6c43a4f496524a8e0ea066ea4843bf789010"),
+    ("normality", "veronese_2_3"): (0, "9976621e884ea8d8287b8ec729120ab02602b72196d89585aaef2aa9b874151a"),
+    ("normality", "veronese_3_2"): (0, "4dac071c162fcd69bb6478fb1a33fcf2cce43ef635dd81947c1e83b8e1ccc557"),
+    ("normality", "veronese_3_4"): (0, "499ad70f7d4db997ce9a4c7f81c40c9c854945ad8b3ea5710951d3229f2a1051"),
+    ("polymatroid-check", "graphic_k3"): (0, "d10ded27b55865735d2f73fc8a412c0b45b4e8cf1913845bdf6ab6c7a821ca44"),
+    ("polymatroid-check", "graphic_k4"): (0, "416f750764346a7a02e0cef3a3887b6489a64b01dec8555ef35e40568f95c0a7"),
+    ("polymatroid-check", "ideal_mixed_neither"): (1, "2b945e88a63823ecf9be207358e14ed627a46f8e27b055ba8d0110e1eb0c2878"),
+    ("polymatroid-check", "ideal_principal"): (0, "83bb39818f5a176988341797ef04acdd1ec0eaadf37cc356a77da6d0d19e8a9b"),
+    ("polymatroid-check", "ideal_two_squares"): (1, "6447166886d48efe779e8ea0e658d307c5d548bff1e199fec4c9007f637c42f1"),
+    ("polymatroid-check", "not_a_matroid"): (1, "dca78e7fd6fc745867c6117361b2e5804c53faeafb904310aafa2f26ce83c1af"),
+    ("polymatroid-check", "transversal_12_123"): (0, "839a8d0902bd32db625485863a0ce81b66a3e709da63a7eaac33423fddd0eaf5"),
+    ("polymatroid-check", "u_1_1"): (0, "cca6e377dab4b74a7d457afc7cba858b1613eebaa9bb0288506a3acb26d6fd27"),
+    ("polymatroid-check", "u_1_2"): (0, "fa078c9e261d309359fbe1ef2dcf58690067e37d63c6e2037a5bcfbdab633610"),
+    ("polymatroid-check", "u_2_3"): (0, "c103309b78cf2a928351a349c2d3f91a266260f9eea836ced5a858093b003995"),
+    ("polymatroid-check", "u_2_4"): (0, "9e40f4bcd81902e90cf57faf13f22d98dd81d39fb8757321111c3908f1dfa603"),
+    ("polymatroid-check", "u_3_4"): (0, "6e43b4d811dc4224845fda85610d4366aa169c77c8698005ec6e8660b62d820e"),
+    ("polymatroid-check", "u_4_4"): (0, "43411883e8e322f04288afb7fc1cd417a4b076f51a9e886785dc607e6d139459"),
+    ("polymatroid-check", "veronese_2_2"): (0, "8b839bc26fe34234937006f80c67fe09e1b16a1a467b7c773a913e1f69345ca5"),
+    ("polymatroid-check", "veronese_2_3"): (0, "d512752b02433325e45e848c94239ac3ac928a8afae706c665aabf9ae62bb13b"),
+    ("polymatroid-check", "veronese_3_2"): (0, "af81585fbc0fc78acea0d40ff93079c7e5877ecd2e6ead8770c2a6c50e61b555"),
+    ("polymatroid-check", "veronese_3_4"): (0, "a2fa9dc683ff04603faa69f61dabbbeb48abb3e4cd9eaea9a5098e2c5b1ed14b"),
+    ("rees-facets", "graphic_k3"): (0, "d6214aae4e6d5b84f12f9605136f4449746299a2b291dbf3a912a35a41fe1801"),
+    ("rees-facets", "graphic_k4"): (0, "47c817218979ee71b28921080d213866db929f9a7a3b2de5dfcc3337fd5e45c9"),
+    ("rees-facets", "ideal_mixed_neither"): (0, "d23cc044c55909bab28f54d58e42acbe3590f9ab30e1693cbde28ce61bcfff29"),
+    ("rees-facets", "ideal_principal"): (0, "befde1c0adb9cefbd578e60880247c032cd5942a5ee3d33a0d993c09378c145e"),
+    ("rees-facets", "ideal_two_squares"): (0, "a8c7752ebc2b5e3a6c2333e98a8d192ffdf676befaf04f6787e1500b261c0b18"),
+    ("rees-facets", "not_a_matroid"): (1, "dca78e7fd6fc745867c6117361b2e5804c53faeafb904310aafa2f26ce83c1af"),
+    ("rees-facets", "transversal_12_123"): (0, "05338d5362309af0738aceeac731811e665028d6b3d74296df606dc458751daa"),
+    ("rees-facets", "u_1_1"): (0, "5f0076ad06f1a49690fbe2b83bfd80343f376d514d398937a7b029fc5f22a15f"),
+    ("rees-facets", "u_1_2"): (0, "9fa99c646cd2e45486ce9e4a198badcd42a4adf27abf31a17d1dc8c224058f7b"),
+    ("rees-facets", "u_2_3"): (0, "01ad1fde55686347a814470e4337048111ae4d8c158455feb6c380ec1c344e02"),
+    ("rees-facets", "u_2_4"): (0, "222c24c1bc7ed7c06c3920aa0db03507e847d3353720561e49b8fdd12b31ed25"),
+    ("rees-facets", "u_3_4"): (0, "137720f3b3ff14809e82940c81ed2b9ff9f78aa5298229fa0c273721b9849197"),
+    ("rees-facets", "u_4_4"): (0, "99b224110aa5f9d0836b4b900e9058bffcddca22fc6eda6a21113853aeb46db0"),
+    ("rees-facets", "veronese_2_2"): (0, "28101dc157ea4f2839fe23b186572601fa1583768ed855bec2e50d43c83cfd5f"),
+    ("rees-facets", "veronese_2_3"): (0, "b0132130ac5e0410a79e6930177c9e3e28e784cdf188e27049ea59706b062388"),
+    ("rees-facets", "veronese_3_2"): (0, "f9c6e1184c9b4f469f134e46e757c97d9a859891f0375d4ab88721713bece68d"),
+    ("rees-facets", "veronese_3_4"): (0, "5b06805f3820885f02d3969f3ac5ff2534c7dc68e3632fe2def96c5336d61dc4"),
+    ("validate", "graphic_k3"): (0, "d7de727c7f7336faa4d8cd31111b116324002a06e7e57c86ec80297438fad8cd"),
+    ("validate", "graphic_k4"): (0, "b8155bbe2ab47668a1c52aef77831738bc33892e13c2ec06e44aaf1d4df19739"),
+    ("validate", "ideal_mixed_neither"): (0, "9479602e62d672771baad34d72e4723e7d59e9baef101ef35ffc3fccf39e5158"),
+    ("validate", "ideal_principal"): (0, "63ad03fe5d26f09afc5dc88b179c0c83f430db691024c432b14d58193a5b815c"),
+    ("validate", "ideal_two_squares"): (0, "6e0751e658856191fd89d696f8e10ebcbf1f98df7dd2ff08dc0eb96e66f5de7d"),
+    ("validate", "not_a_matroid"): (1, "ff798d47c9ed5466107d22df397bf4774dbd9690b8b4802048e45d536131f4e9"),
+    ("validate", "transversal_12_123"): (0, "d3df913940b7ea1b9ef09d59c4120c5224f0fa808d44d015d4e099f790bf0231"),
+    ("validate", "u_1_1"): (0, "172906f6599bcc93bf58a44d9fa1dccde7679b122ec1798cd39da224d6e7f31f"),
+    ("validate", "u_1_2"): (0, "1e4465de116371c2772b24b5dd89914d882b00caeb5575738944c7a80aeaeda5"),
+    ("validate", "u_2_3"): (0, "7a169566fed90777b277d32deeb8109122a670efd9f9567b48c08c0ab58cef81"),
+    ("validate", "u_2_4"): (0, "5854a2ef9b4816f3049ad451f88fb3f8a3fe96d00d9e733566e34ba7cc2c3d9b"),
+    ("validate", "u_3_4"): (0, "e5440acd4de016d8e487a983b883035fd49b3c41d9ee0f17d66b28aa77a4ccfa"),
+    ("validate", "u_4_4"): (0, "b3ec3d1d6c010e8c794f6683f9927d9a3292d9137b812062ac0fd5ec6751295a"),
+    ("validate", "veronese_2_2"): (0, "ba9f9bb5dd908de8abaf26c2587667df9d65b3e429373968772ed0907248ac52"),
+    ("validate", "veronese_2_3"): (0, "d31db5befe50694be86e089c3c91eec424548b1d03343e9744c1e8ea69325812"),
+    ("validate", "veronese_3_2"): (0, "fea7d85feb99e1cec53947095ab5fdc4ac82c78e9d263d00e58387240f297e11"),
+    ("validate", "veronese_3_4"): (0, "a6b66aa47850da87460256491cb2e0370db27d734eee6f8ca71e15258ff2cfc7"),
+}
+CORPUS_4_GOLDEN = (0, "2c9528a6aa8e005db24fdd93d82ba8c455e6ea3b5905b9f1caabf7ace46488d8")
+
+
+def _run(capsys, argv) -> tuple[int, str]:
+    code = main(argv)
+    out = capsys.readouterr().out
+    return code, hashlib.sha256(out.encode()).hexdigest()
+
+
 def test_every_bundled_instance_is_pinned():
     assert sorted(GOLDEN) == bundled_names()
 
@@ -45,3 +188,25 @@ def test_analyze_stdout_matches_golden(capsys, name):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[name]
+
+
+def test_every_command_and_instance_is_pinned():
+    names = bundled_names() + ["not_a_matroid"]
+    expected = {(c, n) for c in INSTANCE_COMMANDS for n in names}
+    expected -= {("analyze", n) for n in bundled_names()}
+    assert set(COMMAND_GOLDEN) == expected
+
+
+@pytest.mark.parametrize("command", INSTANCE_COMMANDS)
+def test_command_stdout_matches_golden(capsys, tmp_path, command):
+    bad = tmp_path / "not_a_matroid.json"
+    bad.write_text(NOT_A_MATROID)
+    for name in bundled_names() + ["not_a_matroid"]:
+        if (command, name) not in COMMAND_GOLDEN:
+            continue
+        source = str(bad) if name == "not_a_matroid" else f"bundled:{name}"
+        assert _run(capsys, [command, source]) == COMMAND_GOLDEN[command, name], name
+
+
+def test_corpus_4_stdout_matches_golden(capsys):
+    assert _run(capsys, ["corpus", "4"]) == CORPUS_4_GOLDEN

@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 from reeskit.errors import (
     BadRank,
     CapExceeded,
-    ElementInNoBasis,
     EmptyFamily,
     EmptyInput,
     InvalidInstance,
-    PreconditionFailed,
     UnequalCardinalities,
+    VariableAbsent,
 )
 from reeskit.matroid import (
     ExchangeFailure,
@@ -22,12 +21,20 @@ from reeskit.matroid import (
     MonomialIdeal,
     basis_monomial_ideal,
     check_basis_exchange,
-    contract_element,
     enumerate_matroids,
     graphic_matroid,
-    symmetric_exchange_witness,
     uniform_matroid,
 )
+from reeskit.polymatroid import (
+    check_polymatroid_bases,
+    divide_by_variable,
+    symmetric_exchange_violations,
+)
+
+
+def basis_vectors(m: Matroid):
+    """The matroid's bases as a validated family of 0/1 vectors."""
+    return check_polymatroid_bases(m.n, basis_monomial_ideal(m).exponents)
 
 
 class TestCheckBasisExchange:
@@ -73,29 +80,14 @@ class TestCheckBasisExchange:
 
 class TestSymmetricExchange:
     def test_uniform_witness(self):
-        m = uniform_matroid(4, 2)
-        assert symmetric_exchange_witness(m, (1, 2), (3, 4), 1) == 3
-
-    def test_requires_bases(self):
-        m = uniform_matroid(3, 2)
-        with pytest.raises(PreconditionFailed):
-            symmetric_exchange_witness(m, (1, 2), (1, 1), 2)
-
-    def test_element_must_leave(self):
-        m = uniform_matroid(3, 2)
-        with pytest.raises(PreconditionFailed):
-            symmetric_exchange_witness(m, (1, 2), (2, 3), 2)
+        assert symmetric_exchange_violations(basis_vectors(uniform_matroid(4, 2))) == []
 
     def test_every_matroid_n4_has_witnesses(self):
         # symmetric exchange holds on the whole small corpus
         for n in range(1, 5):
             for d in range(1, n + 1):
                 for m in enumerate_matroids(n, d):
-                    for b1 in m.bases:
-                        for b2 in m.bases:
-                            for x in set(b1) - set(b2):
-                                y = symmetric_exchange_witness(m, b1, b2, x)
-                                assert y in set(b2) - set(b1)
+                    assert symmetric_exchange_violations(basis_vectors(m)) == []
 
 
 class TestUniform:
@@ -188,25 +180,27 @@ class TestBasisIdeal:
 
 
 class TestContract:
+    """Contracting element e is dividing the basis vectors by x_e."""
+
     def test_uniform(self):
-        c = contract_element(uniform_matroid(3, 2), 3)
-        assert c.bases == ((1,), (2,))
+        c = divide_by_variable(basis_vectors(uniform_matroid(3, 2)), 3)
+        assert c.vectors == ((0, 1, 0), (1, 0, 0))
 
     def test_element_in_no_basis(self):
-        m = Matroid(3, 1, ((1,), (2,)))
-        with pytest.raises(ElementInNoBasis):
-            contract_element(m, 3)
+        with pytest.raises(VariableAbsent):
+            divide_by_variable(basis_vectors(Matroid(3, 1, ((1,), (2,)))), 3)
 
     def test_down_to_rank_zero(self):
-        c = contract_element(uniform_matroid(2, 1), 1)
+        c = divide_by_variable(basis_vectors(uniform_matroid(2, 1)), 1)
         assert c.d == 0
 
     def test_contract_stays_matroid(self):
         for m in enumerate_matroids(4, 3):
             for e in range(1, 5):
                 if any(e in b for b in m.bases):
-                    got = contract_element(m, e)
-                    assert isinstance(got, Matroid)
+                    got = divide_by_variable(basis_vectors(m), e)
+                    supports = [tuple(i + 1 for i, x in enumerate(v) if x) for v in got.vectors]
+                    assert isinstance(check_basis_exchange(4, supports), Matroid)
 
 
 class TestMonomialIdeal:

@@ -20,7 +20,6 @@ from reeskit.polymatroid import (
     check_polymatroid_bases,
     divide_by_variable,
     symmetric_exchange_violations,
-    top_degree_subset,
     veronese_bases,
 )
 
@@ -125,17 +124,6 @@ class TestDivide:
                             continue
                         out = divide_by_variable(got, i)
                         assert isinstance(out, PolymatroidBases)
-
-
-class TestTopDegree:
-    def test_example(self):
-        d, top = top_degree_subset(((1, 0, 0), (0, 1, 1), (2, 0, 0)))
-        assert d == 2
-        assert top == [(0, 1, 1), (2, 0, 0)]
-
-    def test_empty(self):
-        with pytest.raises(EmptyInput):
-            top_degree_subset(())
 
 
 class TestSymmetricExchange:

@@ -28,7 +28,6 @@ from reeskit.reescone import (
     facet_normals,
     facet_normals_oracle,
     facet_tight_sets,
-    rank_one_facets,
     rees_generators,
     verify_basis_facet_shape,
 )
@@ -279,18 +278,15 @@ class TestClassify:
 
 class TestRankOne:
     def test_n1_special_case(self):
-        fs = rank_one_facets(1)
-        assert fs.unit_normals == (2,)
-        assert fs.ell_normals == ((1, -1),)
+        # cone of (1,0) and (1,1): e_1 is implied by the other two facets
+        fs = facet_normals(basis_rees_cone(uniform_matroid(1, 1)))
+        assert fs == FacetSystem(2, (2,), ((1, -1),))
 
     def test_closed_form_matches_engine(self):
+        # U(n,1) for n >= 2: every unit plus (1,..,1,-1)
         for n in range(2, 7):
-            fs = rank_one_facets(n)
-            assert fs.unit_normals == tuple(range(1, n + 2))
-            assert fs.ell_normals == ((1,) * n + (-1,),)
-            # engine on the one-basis-per-singleton matroid agrees
-            m = uniform_matroid(n, 1)
-            assert facet_normals(basis_rees_cone(m)) == fs
+            expected = FacetSystem(n + 1, tuple(range(1, n + 2)), ((1,) * n + (-1,),))
+            assert facet_normals(basis_rees_cone(uniform_matroid(n, 1))) == expected
 
 
 class TestShapeReport:

@@ -1,0 +1,110 @@
+"""One analysis session per ideal: each cone artefact is built once per
+session, and nothing is kept once the session is gone.
+
+The counters wrap the module attributes the session calls, so they see every
+build the CLI triggers.
+"""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from reeskit import reescone, semigroup
+from reeskit.cli import main
+from reeskit.errors import CapExceeded
+from reeskit.matroid import MonomialIdeal
+from reeskit.semigroup import (
+    IdealSession,
+    certify_normality_pipeline,
+    decomposition_check,
+    ehrhart_equality_check,
+    is_normal,
+)
+
+TWO_SQUARES = MonomialIdeal(2, ((2, 0), (0, 2)))
+VERONESE_2_2 = MonomialIdeal(2, ((2, 0), (1, 1), (0, 2)))
+
+
+def count_calls(monkeypatch, module, name) -> list:
+    """Wrap module.name; the returned list grows by one per call."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def run_json(capsys, *argv):
+    code = main(list(argv))
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_analyze_builds_one_hilbert_basis(monkeypatch, capsys):
+    calls = count_calls(monkeypatch, semigroup, "hilbert_basis")
+    code, doc = run_json(capsys, "analyze", "bundled:graphic_k4")
+    assert code == 0
+    assert doc["normality"]["method"] == "both"
+    assert len(calls) == 1
+
+
+def test_corpus_builds_one_facet_system_and_membership_per_matroid(monkeypatch, capsys):
+    facets = count_calls(monkeypatch, semigroup, "facet_normals")
+    facets_elsewhere = count_calls(monkeypatch, reescone, "facet_normals")
+    memberships = count_calls(monkeypatch, semigroup, "ConeMembership")
+    code, doc = run_json(capsys, "corpus", "4", "--rank", "2")
+    assert code == 0
+    matroids = doc["reports"][0]["instances"]
+    assert matroids > 0
+    assert len(facets) == matroids
+    assert facets_elsewhere == []
+    assert len(memberships) == matroids
+
+
+def test_nothing_outlives_a_call(monkeypatch, capsys):
+    calls = count_calls(monkeypatch, semigroup, "hilbert_basis")
+    facets = count_calls(monkeypatch, semigroup, "facet_normals")
+    first = run_json(capsys, "analyze", "bundled:graphic_k3")
+    second = run_json(capsys, "analyze", "bundled:graphic_k3")
+    assert first == second
+    assert len(calls) == 2
+    assert len(facets) == 2
+
+
+def test_equality_check_builds_one_membership_for_all_dilations(monkeypatch):
+    memberships = count_calls(monkeypatch, semigroup, "ConeMembership")
+    report = ehrhart_equality_check(VERONESE_2_2.exponents, 4)
+    assert [d.b for d in report.dilations] == [1, 2, 3, 4]
+    assert len(memberships) == 1
+
+
+class TestIdealSession:
+    def test_artefacts_are_built_once(self, monkeypatch):
+        facets = count_calls(monkeypatch, semigroup, "facet_normals")
+        hilbert = count_calls(monkeypatch, semigroup, "hilbert_basis")
+        session = IdealSession(VERONESE_2_2)
+        assert session.certificate.method == "both"
+        assert session.decomposition.holds
+        assert session.normality.verdict == "normal"
+        assert session.hilbert is session.hilbert
+        assert (len(facets), len(hilbert)) == (1, 1)
+
+    def test_public_functions_match_the_session(self):
+        for ideal in (TWO_SQUARES, VERONESE_2_2):
+            session = IdealSession(ideal)
+            assert is_normal(ideal) == session.normality
+            assert certify_normality_pipeline(ideal) == session.certificate
+            assert decomposition_check(ideal) == session.decomposition
+            assert ehrhart_equality_check(ideal.exponents, 3) == session.equality(3)
+
+    def test_cap_applies_to_the_hilbert_basis(self):
+        session = IdealSession(TWO_SQUARES, cap=1)
+        with pytest.raises(CapExceeded):
+            session.hilbert
+        with pytest.raises(CapExceeded):
+            session.certificate
