@@ -200,6 +200,8 @@ def cmd_normality(args) -> int:
 
 
 def cmd_ehrhart_check(args) -> int:
+    if args.bmax is not None and args.bmax < 0:
+        raise ParseError(f"--bmax must be nonnegative, got {args.bmax}")
     instance = jsonio.load_instance(args.instance)
     ideal = _load_ideal(instance, args)
     if ideal is None:
@@ -258,6 +260,8 @@ def _corpus_matroids(n_max: int, rank_filter: int | None):
 
 
 def cmd_corpus(args) -> int:
+    if args.bmax < 0:
+        raise ParseError(f"--bmax must be nonnegative, got {args.bmax}")
     wanted = args.checks.split(",") if args.checks else list(CHECKS)
     for c in wanted:
         if c not in CHECKS:

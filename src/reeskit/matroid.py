@@ -52,9 +52,6 @@ class Matroid:
         if list(self.bases) != sorted(set(self.bases)):
             raise InvalidInstance("bases must be distinct and lexicographically sorted")
 
-    def basis_sets(self) -> set[frozenset[int]]:
-        return {frozenset(b) for b in self.bases}
-
     def to_json(self) -> dict:
         return {"n": self.n, "bases": [list(b) for b in self.bases]}
 

@@ -7,7 +7,8 @@ semigroup is computed by triangulating the cone into simplicial subcones,
 enumerating the lattice points of each half-open fundamental parallelepiped,
 and reducing the candidates to the irreducible ones by pairwise subtraction.
 Membership in the generated subsemigroup is a memoized DP over the lifting
-budget and the coordinatewise residual. Integer arithmetic throughout.
+budget and the coordinatewise residual; dilation equality compares bP with the
+b-fold sumset of the vertices. Integer arithmetic throughout.
 
 An IdealSession builds each of these artefacts for one ideal at most once
 and keeps them no longer than itself; the module-level checks are thin calls
@@ -233,21 +234,17 @@ def hilbert_basis(
     return HilbertBasisResult(tuple(elements), len(simplices), total, len(candidates))
 
 
-def _decompose(target, budget: int, vectors, exact: bool) -> bool:
-    """Is target >= sum of exactly `budget` vectors (== when exact)?
+def _decompose(target, budget: int, vectors) -> bool:
+    """Is target >= (coordinatewise) a sum of exactly `budget` vectors?
 
     DP over (vector index, remaining budget, coordinatewise residual).
     """
-    moduli = {sum(v) for v in vectors}
-    degree = moduli.pop() if len(moduli) == 1 else None
     memo: dict = {}
 
     def rec(j: int, b: int, residual) -> bool:
         if b == 0:
-            return not exact or not any(residual)
+            return True
         if j == len(vectors):
-            return False
-        if exact and degree is not None and sum(residual) != b * degree:
             return False
         key = (j, b, residual)
         hit = memo.get(key)
@@ -281,7 +278,7 @@ def semigroup_member(point, cone: ReesCone) -> bool:
     if b < 0 or any(e < 0 for e in a):
         return False
     lifted = tuple(g[:-1] for g in cone.lifted())
-    return _decompose(a, b, lifted, exact=False)
+    return _decompose(a, b, lifted)
 
 
 def _box_points(lo, hi, total):
@@ -350,8 +347,8 @@ class DilationCheck:
 
 @dataclass(frozen=True)
 class EqualityReport:
-    """Does every lattice point of bP decompose into exactly b generators,
-    for 1 <= b <= b_max? A semidecision: silence below the bound only."""
+    """Which lattice points of bP are no sum of exactly b generators, for
+    1 <= b <= b_max? A semidecision: silence below the bound only."""
 
     degree: int
     b_max: int
@@ -384,7 +381,7 @@ class EqualityReport:
 
 def ehrhart_equality_check(exponents, b_max: int) -> EqualityReport:
     """Equal-degree generators only: compares bP's lattice points against
-    exact sums of b generators for each b up to b_max."""
+    the set of all sums of exactly b generators, for each b up to b_max."""
     vecs = sorted({tuple(int(e) for e in v) for v in exponents})
     if not vecs:
         raise EmptyInput("no generators given")
@@ -408,9 +405,11 @@ def _common_degree(vecs, b_max: int) -> int:
 
 def _equality_report(poly: LatticePolytope, degree: int, b_max: int) -> EqualityReport:
     dilations = []
+    sums = {tuple([0] * poly.n)}  # every sum of exactly b vertices, one layer kept
     for b in range(1, b_max + 1):
+        sums = {tuple(x + y for x, y in zip(s, v)) for s in sums for v in poly.vertices}
         pts = ehrhart_points(poly, b)
-        failures = [a for a in pts if not _decompose(a, b, poly.vertices, exact=True)]
+        failures = [a for a in pts if a not in sums]
         dilations.append(DilationCheck(b, len(pts), tuple(failures)))
     return EqualityReport(degree, b_max, tuple(dilations))
 

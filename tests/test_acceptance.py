@@ -2,8 +2,9 @@
 
 Run with `pytest -v tests/test_acceptance.py` (add -s to see the verdict
 lines inline). Each criterion asserts its substance and its wall-clock
-budget; later criteria deliberately reuse cached geometry from earlier
-ones, which the budgets account for.
+budget. The criteria share only the matroid lists of the module fixtures;
+each one recomputes the cone artefacts it reads, and its budget covers that
+work.
 """
 
 from __future__ import annotations

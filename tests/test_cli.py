@@ -151,6 +151,23 @@ class TestEhrhartCheck:
         assert code == 0
         assert doc["equality"]["passed"] is True
 
+    def test_negative_bmax_is_a_parse_error(self, capsys):
+        code, doc, _ = run_json(
+            capsys, "ehrhart-check", "bundled:veronese_2_3", "--bmax", "-1"
+        )
+        assert code == 2
+        assert doc["error"] == "parse"
+        assert "--bmax" in doc["detail"]
+
+    def test_many_generators_do_not_recurse(self, capsys, tmp_path):
+        # Veronese(3, 50): 1,326 generators; a per-generator recursion dies here
+        exps = [[a, b, 50 - a - b] for a in range(51) for b in range(51 - a)]
+        p = tmp_path / "veronese_3_50.json"
+        p.write_text(json.dumps({"n": 3, "exponents": exps}))
+        code, doc, _ = run_json(capsys, "ehrhart-check", str(p), "--bmax", "1")
+        assert code == 0
+        assert doc["equality"]["dilations"] == [{"b": 1, "failures": [], "points": 1326}]
+
 
 class TestPolymatroidCheck:
     def test_bundled_polymatroid(self, capsys):
@@ -200,6 +217,12 @@ class TestCorpus:
     def test_unknown_check(self, capsys):
         code, doc, _ = run_json(capsys, "corpus", "2", "--checks", "T9.9")
         assert code == 2
+
+    def test_negative_bmax_is_a_parse_error(self, capsys):
+        code, doc, _ = run_json(capsys, "corpus", "3", "--bmax", "-1")
+        assert code == 2
+        assert doc["error"] == "parse"
+        assert "--bmax" in doc["detail"]
 
 
 class TestEnumerateMatroids:

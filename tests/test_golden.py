@@ -4,13 +4,16 @@ Criterion 10 compares a run with itself, which a change to an exact kernel
 or to the way a command shares its work would still pass. These sha256
 digests pin the stdout (and exit code) of all eight instance commands on
 every bundled instance and on one family that is not a matroid, plus
-`corpus 4`, so any such change fails here. Regenerate them only when a
+`corpus 4` and `ehrhart-check` on two equal-degree files that are not
+bundled, so any such change fails here. Regenerate them only when a
 change to a report is intended.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
+import json
 
 import pytest
 
@@ -171,6 +174,34 @@ COMMAND_GOLDEN = {
 }
 CORPUS_4_GOLDEN = (0, "2c9528a6aa8e005db24fdd93d82ba8c455e6ea3b5905b9f1caabf7ace46488d8")
 
+# ehrhart-check on two equal-degree families that are not bundled: a degree-2
+# tetrahedron that fails at b = 2 and 3, and the Veronese-type polymatroid
+# {a : |a| = 6, a <= (2, 2, 2, 3)}, which passes. (kind, payload, --bmax)
+EHRHART_FILES = {
+    "tetrahedron": (
+        "ideal",
+        {"n": 4, "exponents": [[0, 0, 0, 2], [1, 1, 0, 0], [1, 0, 1, 0], [0, 1, 1, 0]]},
+        3,
+    ),
+    "veronese_type_2223": (
+        "polymatroid",
+        {
+            "n": 4,
+            "exponents": [
+                list(a)
+                for a in itertools.product(range(3), range(3), range(3), range(4))
+                if sum(a) == 6
+            ],
+            "polymatroid": True,
+        },
+        4,
+    ),
+}
+EHRHART_GOLDEN = {
+    "tetrahedron": (1, "62830ec27e7d1494e1fee2bb3844ca84dded30637680bc561bad0a803011067e"),
+    "veronese_type_2223": (0, "5c449142b26a478b873d57db98fa7e1875c03e8a6852e512aec7154284a73f68"),
+}
+
 
 def _run(capsys, argv) -> tuple[int, str]:
     code = main(argv)
@@ -210,3 +241,12 @@ def test_command_stdout_matches_golden(capsys, tmp_path, command):
 
 def test_corpus_4_stdout_matches_golden(capsys):
     assert _run(capsys, ["corpus", "4"]) == CORPUS_4_GOLDEN
+
+
+@pytest.mark.parametrize("name", sorted(EHRHART_GOLDEN))
+def test_ehrhart_check_file_matches_golden(capsys, tmp_path, name):
+    kind, payload, b_max = EHRHART_FILES[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"kind": kind, "name": name, "payload": payload}))
+    got = _run(capsys, ["ehrhart-check", str(path), "--bmax", str(b_max)])
+    assert got == EHRHART_GOLDEN[name]

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import random
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings
@@ -286,6 +286,36 @@ class TestEhrhartEquality:
         for n, d in ((2, 2), (2, 3), (3, 2)):
             report = ehrhart_equality_check(veronese_bases(n, d).vectors, 3)
             assert report.passed, (n, d)
+
+    def test_tetrahedron_fails_at_two_and_three(self):
+        tetrahedron = ((0, 0, 0, 2), (1, 1, 0, 0), (1, 0, 1, 0), (0, 1, 1, 0))
+        report = ehrhart_equality_check(tetrahedron, 3)
+        assert [d.failures for d in report.dilations] == [
+            (),
+            ((1, 1, 1, 1),),
+            ((1, 1, 1, 3), (1, 2, 2, 1), (2, 1, 2, 1), (2, 2, 1, 1)),
+        ]
+        assert report.first_witness == (2, (1, 1, 1, 1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_failures_match_brute_force_sums(self, data):
+        n = data.draw(st.integers(1, 3))
+        degree = data.draw(st.integers(1, 3))
+        degree_slice = [a for a in product(range(degree + 1), repeat=n) if sum(a) == degree]
+        vecs = data.draw(st.lists(st.sampled_from(degree_slice), min_size=1, unique=True))
+        b_max = data.draw(st.integers(0, 3))
+        report = ehrhart_equality_check(vecs, b_max)
+        poly = LatticePolytope(n, tuple(vecs))
+        assert [d.b for d in report.dilations] == list(range(1, b_max + 1))
+        for d in report.dilations:
+            pts = ehrhart_points(poly, d.b)
+            sums = {
+                tuple(map(sum, zip(*combo)))
+                for combo in combinations_with_replacement(poly.vertices, d.b)
+            }
+            assert d.points == len(pts)
+            assert list(d.failures) == [a for a in pts if a not in sums]
 
     def test_validation(self):
         with pytest.raises(EmptyInput):
