@@ -5,10 +5,12 @@ it exhausts every lattice point of the cone, i.e. when the generators are an
 integral Hilbert basis. The Hilbert basis of the full lattice-point
 semigroup is computed by triangulating the cone into simplicial subcones,
 enumerating the lattice points of each half-open fundamental parallelepiped,
-and reducing the candidates to the irreducible ones by pairwise subtraction.
-Membership in the generated subsemigroup is a memoized DP over the lifting
-budget and the coordinatewise residual; dilation equality compares bP with the
-b-fold sumset of the vertices. Integer arithmetic throughout.
+and reducing the candidates to the irreducible ones in order of degree, each
+against the irreducibles already kept, on facet values computed once per
+candidate. Membership in the generated subsemigroup is a depth-first search,
+on an explicit stack, over the lifting budget and the coordinatewise residual;
+dilation equality compares bP with the b-fold sumset of the vertices. Integer
+arithmetic throughout.
 
 An IdealSession builds each of these artefacts for one ideal at most once
 and keeps them no longer than itself; the module-level checks are thin calls
@@ -20,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
+from operator import le
 
 from .errors import (
     CapExceeded,
@@ -30,7 +33,7 @@ from .errors import (
     PreconditionFailed,
     UnequalModuli,
 )
-from .exactlat import adjugate, determinant, dot, rank, vsub
+from .exactlat import adjugate, determinant, dot, rank
 from .matroid import MonomialIdeal
 from .reescone import (
     ConeClassification,
@@ -202,18 +205,25 @@ def hilbert_basis(
     """Irreducible generating set of (lattice points of the cone, +).
 
     Candidates are the primitive extreme generators together with every
-    nonzero parallelepiped point of a covering triangulation; reduction
-    keeps h iff no other candidate c leaves h - c inside the cone. The cap
-    bounds the total parallelepiped lattice points enumerated. Uniqueness
-    comes with pointedness, which holds as the generators sit in the first
-    orthant.
+    nonzero parallelepiped point of a covering triangulation; they include
+    the Hilbert basis. Reduction follows Normaliz (Bruns and Ichim, J.
+    Algebra 2010): each candidate's values on the facet normals are computed
+    once, the candidates are walked by ascending coordinate sum, and h is
+    kept unless an element k kept before it has every facet value <= h's,
+    i.e. h - k lies in the cone. That is exact: a reducible h is reducible
+    by a Hilbert basis element x with h - x a nonzero point of the first
+    orthant, so sum(x) < sum(h) and x was kept first, while two candidates
+    of equal sum never reduce each other. The cap bounds the total
+    parallelepiped lattice points enumerated. Uniqueness comes with
+    pointedness, which holds as the generators sit in the first orthant.
     """
     fs = facets if facets is not None else facet_normals(cone)
     extreme = extreme_generators(cone, fs)
     rays = tuple(sorted(extreme))
+    normals = fs.normals()
     # the cone's facets are known, so its first pulling step needs no second
     # double description; sorted normals give facet_tight_sets' order
-    tight_sets = [tuple(r for r in rays if dot(b, r) == 0) for b in sorted(fs.normals())]
+    tight_sets = [tuple(r for r in rays if dot(b, r) == 0) for b in sorted(normals)]
     simplices = _triangulate(rays, {}, tight_sets)
     points: set[tuple[int, ...]] = set()
     total = 0
@@ -226,45 +236,47 @@ def hilbert_basis(
             )
         if vol > 1:
             points.update(_parallelepiped_points(s))
-    candidates = sorted(set(extreme) | points)
+    candidates = set(extreme) | points
     elements = []
-    for h in candidates:
-        if not any(c != h and fs.contains(vsub(h, c)) for c in candidates):
+    kept_values: list[list[int]] = []
+    for h in sorted(candidates, key=sum):
+        values = [dot(b, h) for b in normals]
+        if not any(all(map(le, k, values)) for k in kept_values):
             elements.append(h)
-    return HilbertBasisResult(tuple(elements), len(simplices), total, len(candidates))
+            kept_values.append(values)
+    return HilbertBasisResult(
+        tuple(sorted(elements)), len(simplices), total, len(candidates)
+    )
 
 
 def _decompose(target, budget: int, vectors) -> bool:
     """Is target >= (coordinatewise) a sum of exactly `budget` vectors?
 
-    DP over (vector index, remaining budget, coordinatewise residual).
+    Depth-first search over states (vector index j, remaining budget,
+    coordinatewise residual) on an explicit stack, so the depth of the
+    search does not grow the Python stack. State j chooses how many copies
+    c of vectors[j] to take; c = cmax is tried first. The answer is an
+    existence test, so a state popped again is skipped: its first visit
+    already searched everything below it without success.
     """
-    memo: dict = {}
-
-    def rec(j: int, b: int, residual) -> bool:
+    stack = [(0, budget, tuple(target))]
+    seen = set()
+    while stack:
+        state = stack.pop()
+        j, b, residual = state
         if b == 0:
             return True
-        if j == len(vectors):
-            return False
-        key = (j, b, residual)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
+        if j == len(vectors) or state in seen:
+            continue
+        seen.add(state)
         v = vectors[j]
         cmax = b
         for k, vk in enumerate(v):
             if vk:
                 cmax = min(cmax, residual[k] // vk)
-        out = False
-        for c in range(cmax, -1, -1):
-            nxt = tuple(residual[k] - c * v[k] for k in range(len(residual)))
-            if rec(j + 1, b - c, nxt):
-                out = True
-                break
-        memo[key] = out
-        return out
-
-    return rec(0, budget, tuple(target))
+        for c in range(cmax + 1):
+            stack.append((j + 1, b - c, tuple(r - c * x for r, x in zip(residual, v))))
+    return False
 
 
 def semigroup_member(point, cone: ReesCone) -> bool:

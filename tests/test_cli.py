@@ -20,6 +20,14 @@ def run_json(capsys, *argv):
     return code, json.loads(out), err
 
 
+def veronese_3_50(tmp_path) -> str:
+    """Veronese(3, 50): 1,326 generators, where a per-generator recursion dies."""
+    exps = [[a, b, 50 - a - b] for a in range(51) for b in range(51 - a)]
+    p = tmp_path / "veronese_3_50.json"
+    p.write_text(json.dumps({"n": 3, "exponents": exps}))
+    return str(p)
+
+
 class TestValidate:
     def test_bundled_ok(self, capsys):
         code, doc, _ = run_json(capsys, "validate", "bundled:u_2_3")
@@ -160,13 +168,17 @@ class TestEhrhartCheck:
         assert "--bmax" in doc["detail"]
 
     def test_many_generators_do_not_recurse(self, capsys, tmp_path):
-        # Veronese(3, 50): 1,326 generators; a per-generator recursion dies here
-        exps = [[a, b, 50 - a - b] for a in range(51) for b in range(51 - a)]
-        p = tmp_path / "veronese_3_50.json"
-        p.write_text(json.dumps({"n": 3, "exponents": exps}))
-        code, doc, _ = run_json(capsys, "ehrhart-check", str(p), "--bmax", "1")
+        code, doc, _ = run_json(
+            capsys, "ehrhart-check", veronese_3_50(tmp_path), "--bmax", "1"
+        )
         assert code == 0
         assert doc["equality"]["dilations"] == [{"b": 1, "failures": [], "points": 1326}]
+
+    def test_normality_many_generators_do_not_recurse(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "normality", veronese_3_50(tmp_path))
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["certificate"] == {"verdict": "normal", "method": "both"}
 
 
 class TestPolymatroidCheck:

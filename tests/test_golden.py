@@ -4,8 +4,9 @@ Criterion 10 compares a run with itself, which a change to an exact kernel
 or to the way a command shares its work would still pass. These sha256
 digests pin the stdout (and exit code) of all eight instance commands on
 every bundled instance and on one family that is not a matroid, plus
-`corpus 4` and `ehrhart-check` on two equal-degree files that are not
-bundled, so any such change fails here. Regenerate them only when a
+`corpus 4`, `ehrhart-check` on two equal-degree files that are not
+bundled, and `hilbert`/`normality` on three mixed-degree ideals that are not
+normal, so any such change fails here. Regenerate them only when a
 change to a report is intended.
 """
 
@@ -202,6 +203,26 @@ EHRHART_GOLDEN = {
     "veronese_type_2223": (0, "5c449142b26a478b873d57db98fa7e1875c03e8a6852e512aec7154284a73f68"),
 }
 
+# hilbert and normality on mixed-degree ideals that are not normal: the Hilbert
+# reduction over candidates of many degrees and the witness path, which the
+# bundled instances reach only through ideal_mixed_neither.
+MIXED_FILES = {
+    "mixed_n3_a": {"n": 3, "exponents": [[7, 0, 2], [0, 5, 3], [2, 3, 0], [0, 0, 9], [4, 1, 6]]},
+    "mixed_n3_b": {"n": 3, "exponents": [[13, 2, 0], [0, 11, 4], [3, 0, 15], [5, 6, 1]]},
+    "mixed_n4": {
+        "n": 4,
+        "exponents": [[9, 0, 2, 1], [0, 7, 0, 3], [1, 2, 12, 0], [0, 0, 1, 8], [4, 3, 0, 0]],
+    },
+}
+MIXED_GOLDEN = {
+    ("hilbert", "mixed_n3_a"): (0, "fe7b782dd0a1ba97a80460aeffc2de5b69e6681d141f58e56a8e2f0539df1522"),
+    ("normality", "mixed_n3_a"): (1, "e0f1f18538a0c9289cdcbae47fa9802e7f16b595b1d042cb3af11a05fa37a452"),
+    ("hilbert", "mixed_n3_b"): (0, "85b7390e307822d16a401ddffab5830c577d4474ea235c439e18c1f53f0cd47f"),
+    ("normality", "mixed_n3_b"): (1, "ce74b4d60ac0bd860da29757fd3a7372795e5262a09cdbdd53a9f9b21f18decc"),
+    ("hilbert", "mixed_n4"): (0, "f01f78edbc8d0b5f940200ff78ab42003154e10bffff2d2a9c9d7529171b4db4"),
+    ("normality", "mixed_n4"): (1, "dbba5a34b87ca1956aff76d8240711f2b0d4c1d8732a483eeb85f5441f360114"),
+}
+
 
 def _run(capsys, argv) -> tuple[int, str]:
     code = main(argv)
@@ -250,3 +271,10 @@ def test_ehrhart_check_file_matches_golden(capsys, tmp_path, name):
     path.write_text(json.dumps({"kind": kind, "name": name, "payload": payload}))
     got = _run(capsys, ["ehrhart-check", str(path), "--bmax", str(b_max)])
     assert got == EHRHART_GOLDEN[name]
+
+
+@pytest.mark.parametrize("command, name", sorted(MIXED_GOLDEN))
+def test_mixed_degree_file_matches_golden(capsys, tmp_path, command, name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"kind": "ideal", "name": name, "payload": MIXED_FILES[name]}))
+    assert _run(capsys, [command, str(path)]) == MIXED_GOLDEN[command, name]

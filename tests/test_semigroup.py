@@ -14,6 +14,7 @@ from reeskit.errors import (
     PreconditionFailed,
     UnequalModuli,
 )
+from reeskit.exactlat import determinant, vsub
 from reeskit.matroid import (
     MonomialIdeal,
     basis_monomial_ideal,
@@ -21,9 +22,11 @@ from reeskit.matroid import (
     uniform_matroid,
 )
 from reeskit.polymatroid import veronese_bases
-from reeskit.reescone import facet_normals, rees_generators
+from reeskit.reescone import extreme_generators, facet_normals, rees_generators
 from reeskit.semigroup import (
     LatticePolytope,
+    _parallelepiped_points,
+    _triangulate,
     certify_normality_pipeline,
     decomposition_check,
     ehrhart_equality_check,
@@ -66,6 +69,41 @@ def brute_irreducibles(cone):
         if not reducible:
             out.append(h)
     return sorted(out)
+
+
+def all_pairs_reduction(cone, fs):
+    """Hilbert basis by reducing every candidate against every other one.
+
+    The candidates are those of hilbert_basis: the extreme generators and the
+    parallelepiped points of the same triangulation. h is kept iff no other
+    candidate c leaves h - c in the cone. Returns (lex-sorted elements,
+    number of candidates).
+    """
+    extreme = extreme_generators(cone, fs)
+    candidates = set(extreme)
+    for s in _triangulate(tuple(sorted(extreme)), {}):
+        if abs(determinant(s)) > 1:
+            candidates |= _parallelepiped_points(s)
+    candidates = sorted(candidates)
+    elements = [
+        h
+        for h in candidates
+        if not any(c != h and fs.contains(vsub(h, c)) for c in candidates)
+    ]
+    return elements, len(candidates)
+
+
+@st.composite
+def mixed_degree_ideals(draw):
+    """n <= 4 variables, 2-6 generators with entries <= 6, not all of one degree."""
+    n = draw(st.integers(1, 4))
+    vec = st.tuples(*[st.integers(0, 6)] * n).filter(any)
+    vecs = draw(
+        st.lists(vec, min_size=2, max_size=6, unique=True).filter(
+            lambda vs: len({sum(v) for v in vs}) > 1
+        )
+    )
+    return MonomialIdeal(n, tuple(vecs))
 
 
 def combo_reachable(target, gens) -> bool:
@@ -147,6 +185,16 @@ class TestHilbertBasis:
         with pytest.raises(CapExceeded):
             hilbert_basis(rees_generators(TWO_SQUARES), None, cap=1)
 
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_degree_ideals())
+    def test_matches_all_pairs_reduction(self, ideal):
+        cone = rees_generators(ideal)
+        fs = facet_normals(cone)
+        hb = hilbert_basis(cone, fs)
+        elements, candidates = all_pairs_reduction(cone, fs)
+        assert list(hb.elements) == elements
+        assert hb.candidates == candidates
+
 
 class TestSemigroupMember:
     def test_examples(self):
@@ -173,6 +221,23 @@ class TestSemigroupMember:
         cone = rees_generators(TWO_SQUARES)
         for p in box_points((4, 4, 2)):
             assert semigroup_member(p, cone) == combo_reachable(p, cone.generators)
+
+    @pytest.mark.parametrize(
+        "gens",
+        [
+            ((0, 3), (1, 2), (2, 1), (3, 0)),
+            ((1, 0), (1, 1), (1, 2), (2, 3)),
+        ],
+    )
+    def test_agrees_with_multiset_search(self, gens):
+        # distinct choices among the first generators often leave the same
+        # budget and residual here, so a search that revisits a state is tested
+        cone = rees_generators(MonomialIdeal(2, gens))
+        for b in range(1, 5):
+            sums = [tuple(map(sum, zip(*c))) for c in combinations_with_replacement(gens, b)]
+            for a in box_points((8, 8)):
+                fits = any(all(x <= y for x, y in zip(s, a)) for s in sums)
+                assert semigroup_member((*a, b), cone) == fits, (a, b)
 
 
 class TestIsNormal:
