@@ -158,20 +158,28 @@ def _dual_extreme_rays(ineqs, dim: int) -> list[tuple[int, ...]]:
     """Extreme rays of {y in R^dim : <a, y> >= 0 for every row a}.
 
     The rows must span R^dim (the cone is then pointed); otherwise
-    DegenerateCone. Incremental double description: seed on dim independent
-    rows, whose dual simplicial cone has the adjugate columns as rays, then
-    cut with the remaining rows one at a time. A (pos, neg) pair contributes
-    a new ray only when the two rays are adjacent, decided by the
-    combinatorial test of Fukuda and Prodon, "Double description method
-    revisited" (1996): at least dim-2 processed rows are tight at both, and
-    no third ray is tight on all of them. That test is exact only while the
+    DegenerateCone. Incremental double description: seed on the first dim
+    rows independent of those kept before them, found by one incremental
+    fraction-free reduction; their dual simplicial cone has the adjugate
+    columns as rays. Then cut with the remaining rows one at a time. A (pos,
+    neg) pair contributes a new ray only when the two rays are adjacent,
+    decided by the combinatorial test of Fukuda and Prodon, "Double
+    description method revisited" (1996): at least dim-2 processed rows are
+    tight at both, and no third ray is tight on all of them. That test is exact only while the
     ray list holds each extreme ray exactly once, so a repeated ray is an
     IntegrityError rather than something to dedupe.
     """
     rows = _distinct_rows(ineqs)
     seed = []
+    echelon = []  # (pivot column, kept row reduced to 0 on earlier pivots)
     for idx, a in enumerate(rows):
-        if rank([rows[i] for i in seed] + [a]) > len(seed):
+        v = list(a)
+        for c, e in echelon:
+            if v[c]:
+                v = [e[c] * x - v[c] * y for x, y in zip(v, e)]
+        pivot = next((c for c, x in enumerate(v) if x), None)
+        if pivot is not None:
+            echelon.append((pivot, primitive(v)))
             seed.append(idx)
             if len(seed) == dim:
                 break
@@ -361,23 +369,6 @@ def extreme_generators(cone: ReesCone, fs: FacetSystem | None = None):
         if rank(tight) == cone.dim - 1:
             out.append(p)
     return tuple(out)
-
-
-def facet_tight_sets(generators) -> list[tuple]:
-    """Tight generator subsets of each codimension-one face, within the span.
-
-    Works for generator sets of any rank: membership and faces are computed
-    after projecting to a pivot coordinate set on which the span projects
-    isomorphically.
-    """
-    gens = _distinct_rows(generators)
-    pivots, proj = _span_projection(gens)
-    normals = _dual_extreme_rays(proj, len(pivots))
-    out = []
-    for w in normals:
-        tight = tuple(g for g, pg in zip(gens, proj) if dot(w, pg) == 0)
-        out.append(tight)
-    return out
 
 
 class ConeMembership:

@@ -3,14 +3,16 @@
 The semigroup generated by a Rees cone's generators is normal exactly when
 it exhausts every lattice point of the cone, i.e. when the generators are an
 integral Hilbert basis. The Hilbert basis of the full lattice-point
-semigroup is computed by triangulating the cone into simplicial subcones,
-enumerating the lattice points of each half-open fundamental parallelepiped,
-and reducing the candidates to the irreducible ones in order of degree, each
-against the irreducibles already kept, on facet values computed once per
-candidate. Membership in the generated subsemigroup is a depth-first search,
-on an explicit stack, over the lifting budget and the coordinatewise residual;
-dilation equality compares bP with the b-fold sumset of the vertices. Integer
-arithmetic throughout.
+semigroup is computed by a pulling triangulation of the cone into simplicial
+subcones, whose faces are read off the cone's facets by intersecting ray
+bitmasks, so no face below the top runs a double description of its own;
+then by enumerating the lattice points of each half-open fundamental
+parallelepiped, and reducing the candidates to the irreducible ones in order
+of degree, each against the irreducibles already kept, on facet values
+computed once per candidate. Membership in the generated subsemigroup is a
+depth-first search, on an explicit stack, over the lifting budget and the
+coordinatewise residual; dilation equality compares bP with the b-fold
+sumset of the vertices. Integer arithmetic throughout.
 
 An IdealSession builds each of these artefacts for one ideal at most once
 and keeps them no longer than itself; the module-level checks are thin calls
@@ -33,7 +35,7 @@ from .errors import (
     PreconditionFailed,
     UnequalModuli,
 )
-from .exactlat import adjugate, determinant, dot, rank
+from .exactlat import _bareiss, adjugate, determinant, dot, primitive
 from .matroid import MonomialIdeal
 from .reescone import (
     ConeClassification,
@@ -44,7 +46,6 @@ from .reescone import (
     classify,
     extreme_generators,
     facet_normals,
-    facet_tight_sets,
     rees_generators,
 )
 
@@ -173,30 +174,75 @@ def _parallelepiped_points(simplex) -> set[tuple[int, ...]]:
     return points
 
 
-def _triangulate(rays: tuple, memo: dict, tight_sets=None) -> tuple[tuple, ...]:
-    """Pulling triangulation of the lex-sorted rays: cone off the lex-smallest
-    ray over every facet that avoids it. The subcones cover the cone, which
-    is all downstream enumeration needs. Faces recur across facets, so memo
-    (one per hilbert_basis call) keeps the result of each face seen.
-    tight_sets, when the caller already knows the facets, must equal
-    facet_tight_sets(rays)."""
-    hit = memo.get(rays)
-    if hit is not None:
-        return hit
-    if not rays:
-        simplices = ()
-    elif rank(rays) == len(rays):
-        simplices = (rays,)
-    else:
-        apex = rays[0]
-        simplices = tuple(
-            sub + (apex,)
-            for tight in (tight_sets or facet_tight_sets(rays))
-            if apex not in tight
-            for sub in _triangulate(tuple(sorted(tight)), memo)
-        )
-    memo[rays] = simplices
-    return simplices
+def _pivot_projector(rows):
+    """Map a normal b to the primitive normal of the functional <b, .> on
+    span(rows), in the pivot projection of rows (the coordinates on which
+    that span projects isomorphically). With E the echelon basis of rows and
+    E_P its pivot block, that normal w solves E_P w = E b, and
+    sgn(det E_P) adj(E_P) E b is a positive multiple of it."""
+    ech, pivots, _ = _bareiss(rows)
+    basis = ech[: len(pivots)]
+    adj, det = adjugate([[row[c] for c in pivots] for row in basis])
+    sgn = 1 if det > 0 else -1
+
+    def project(b):
+        eb = [sgn * dot(row, b) for row in basis]
+        return primitive(dot(a, eb) for a in adj)
+
+    return project
+
+
+def _triangulate(rays: tuple, normals) -> tuple[tuple, ...]:
+    """Pulling triangulation of the lex-sorted extreme rays of a cone with
+    the given facet normals: cone off the lex-smallest ray of each face over
+    every facet of the face that avoids it. The subcones cover the cone,
+    which is all downstream enumeration needs.
+
+    Faces are bitmasks over the rays, and every facet G of the cone is the
+    mask of the rays it contains. The facets of a face F are the
+    inclusion-maximal proper sets among the F & G: each facet of F is a face
+    of the cone, so it is the intersection of the cone facets containing it,
+    and one of those does not contain F. A face reached at depth k has
+    dimension dim - k, so it is simplicial iff it has dim - k rays. The
+    facets of F are taken in ascending order of their primitive inner
+    normals in F's pivot projection, which fixes the simplex order and so
+    the running total a cap-exceeded message reports. Faces recur across
+    facets, so each face is triangulated once.
+    """
+    dim = len(rays[0])
+    facets = [sum(1 << i for i, r in enumerate(rays) if dot(b, r) == 0) for b in normals]
+    memo: dict[int, tuple] = {}
+
+    def pull(face: int, depth: int) -> tuple:
+        hit = memo.get(face)
+        if hit is not None:
+            return hit
+        members = [i for i in range(len(rays)) if face >> i & 1]
+        if len(members) == dim - depth:
+            simplices = (tuple(rays[i] for i in members),)
+        else:
+            apex = members[0]
+            meets: dict[int, tuple] = {}  # F & G -> the normal of one such G
+            for b, mask in zip(normals, facets):
+                meet = face & mask
+                if meet != face:
+                    meets.setdefault(meet, b)
+            pulled = [
+                (meet, b)
+                for meet, b in meets.items()
+                if not meet >> apex & 1
+                and not any(meet & other == meet and other != meet for other in meets)
+            ]
+            # the top face spans the space, so its projection is the identity
+            project = _pivot_projector([rays[i] for i in members]) if depth else tuple
+            pulled.sort(key=lambda item: project(item[1]))
+            simplices = tuple(
+                sub + (rays[apex],) for meet, _ in pulled for sub in pull(meet, depth + 1)
+            )
+        memo[face] = simplices
+        return simplices
+
+    return pull((1 << len(rays)) - 1, 0)
 
 
 def hilbert_basis(
@@ -205,7 +251,8 @@ def hilbert_basis(
     """Irreducible generating set of (lattice points of the cone, +).
 
     Candidates are the primitive extreme generators together with every
-    nonzero parallelepiped point of a covering triangulation; they include
+    nonzero parallelepiped point of the pulling triangulation, which is
+    built from the cone's facet normals alone (_triangulate); they include
     the Hilbert basis. Reduction follows Normaliz (Bruns and Ichim, J.
     Algebra 2010): each candidate's values on the facet normals are computed
     once, the candidates are walked by ascending coordinate sum, and h is
@@ -221,10 +268,7 @@ def hilbert_basis(
     extreme = extreme_generators(cone, fs)
     rays = tuple(sorted(extreme))
     normals = fs.normals()
-    # the cone's facets are known, so its first pulling step needs no second
-    # double description; sorted normals give facet_tight_sets' order
-    tight_sets = [tuple(r for r in rays if dot(b, r) == 0) for b in sorted(normals)]
-    simplices = _triangulate(rays, {}, tight_sets)
+    simplices = _triangulate(rays, normals)
     points: set[tuple[int, ...]] = set()
     total = 0
     for s in simplices:

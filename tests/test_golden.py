@@ -4,9 +4,10 @@ Criterion 10 compares a run with itself, which a change to an exact kernel
 or to the way a command shares its work would still pass. These sha256
 digests pin the stdout (and exit code) of all eight instance commands on
 every bundled instance and on one family that is not a matroid, plus
-`corpus 4`, `ehrhart-check` on two equal-degree files that are not
-bundled, and `hilbert`/`normality` on three mixed-degree ideals that are not
-normal, so any such change fails here. Regenerate them only when a
+`corpus 4` and `corpus 5`, `ehrhart-check` on two equal-degree files that
+are not bundled, `hilbert`/`normality` on three mixed-degree ideals that are
+not normal, and `hilbert` past its parallelepiped cap on three instances, so
+any such change fails here. Regenerate them only when a
 change to a report is intended.
 """
 
@@ -174,6 +175,18 @@ COMMAND_GOLDEN = {
     ("validate", "veronese_3_4"): (0, "a6b66aa47850da87460256491cb2e0370db27d734eee6f8ca71e15258ff2cfc7"),
 }
 CORPUS_4_GOLDEN = (0, "2c9528a6aa8e005db24fdd93d82ba8c455e6ea3b5905b9f1caabf7ace46488d8")
+# corpus 5 runs the five checks, and so the pulling triangulation, on all 492
+# matroids with at most 5 elements.
+CORPUS_5_GOLDEN = (0, "d6f80f6582ab44cd7eebb572dfe8b66ea63e8ac4acccd39a84fd2a232dc8cd56")
+
+# hilbert with a parallelepiped cap the triangulation crosses: the message
+# names the running total at the simplex that crossed it, so these pin the
+# order of the simplices, not only their set. (instance, --cap) -> (exit, sha256)
+CAP_GOLDEN = {
+    ("graphic_k4", 83): (3, "9c88b433bc44ff5cdc834d9ec4f95f12391ea406992b6ddcad13d152465fb8c4"),
+    ("veronese_3_4", 1): (3, "ac6c4ac09b17a3d68a13cbb451fb126720dd58532fb264e5179663baed1e27e7"),
+    ("transversal_12_123", 1): (3, "9d41b0ca23913a885b6986c9f4c4d03edf4149266bf5beab58598713a33d6dd8"),
+}
 
 # ehrhart-check on two equal-degree families that are not bundled: a degree-2
 # tetrahedron that fails at b = 2 and 3, and the Veronese-type polymatroid
@@ -262,6 +275,15 @@ def test_command_stdout_matches_golden(capsys, tmp_path, command):
 
 def test_corpus_4_stdout_matches_golden(capsys):
     assert _run(capsys, ["corpus", "4"]) == CORPUS_4_GOLDEN
+
+
+def test_corpus_5_stdout_matches_golden(capsys):
+    assert _run(capsys, ["corpus", "5"]) == CORPUS_5_GOLDEN
+
+
+@pytest.mark.parametrize("name, cap", sorted(CAP_GOLDEN))
+def test_cap_exceeded_matches_golden(capsys, name, cap):
+    assert _run(capsys, ["hilbert", f"bundled:{name}", "--cap", str(cap)]) == CAP_GOLDEN[name, cap]
 
 
 @pytest.mark.parametrize("name", sorted(EHRHART_GOLDEN))

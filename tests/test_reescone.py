@@ -27,7 +27,6 @@ from reeskit.reescone import (
     extreme_generators,
     facet_normals,
     facet_normals_oracle,
-    facet_tight_sets,
     rees_generators,
     verify_basis_facet_shape,
 )
@@ -359,12 +358,6 @@ class TestConeMembership:
         assert member.contains((2, 3, 0))
         assert not member.contains((2, 3, 1))
         assert not member.contains((-1, 0, 0))
-
-
-def test_facet_tight_sets_square_cone():
-    gens = ((1, 0), (0, 1))
-    tights = facet_tight_sets(gens)
-    assert sorted(tights) == [((0, 1),), ((1, 0),)]
 
 
 @settings(max_examples=30, deadline=None)

@@ -14,7 +14,8 @@ from reeskit.errors import (
     PreconditionFailed,
     UnequalModuli,
 )
-from reeskit.exactlat import determinant, vsub
+from reeskit.exactlat import determinant, dot, rank, vsub
+from reeskit.jsonio import analysis_ideal, bundled_names, load_bundled, realize
 from reeskit.matroid import (
     MonomialIdeal,
     basis_monomial_ideal,
@@ -22,7 +23,13 @@ from reeskit.matroid import (
     uniform_matroid,
 )
 from reeskit.polymatroid import veronese_bases
-from reeskit.reescone import extreme_generators, facet_normals, rees_generators
+from reeskit.reescone import (
+    _dual_extreme_rays,
+    _span_projection,
+    extreme_generators,
+    facet_normals,
+    rees_generators,
+)
 from reeskit.semigroup import (
     LatticePolytope,
     _parallelepiped_points,
@@ -71,17 +78,56 @@ def brute_irreducibles(cone):
     return sorted(out)
 
 
+def facet_tight_sets(generators) -> list[tuple]:
+    """Tight generator subsets of each facet of cone(generators), within its
+    span, in ascending order of their primitive normals in the pivot
+    projection: one double description per call."""
+    gens = list(dict.fromkeys(tuple(g) for g in generators))
+    pivots, proj = _span_projection(gens)
+    normals = _dual_extreme_rays(proj, len(pivots))
+    return [tuple(g for g, pg in zip(gens, proj) if dot(w, pg) == 0) for w in normals]
+
+
+def dd_triangulate(rays, memo, tight_sets=None) -> tuple[tuple, ...]:
+    """The pulling triangulation with one double description and one rank
+    per face: the oracle for _triangulate, simplex order included."""
+    hit = memo.get(rays)
+    if hit is not None:
+        return hit
+    if not rays:
+        simplices = ()
+    elif rank(rays) == len(rays):
+        simplices = (rays,)
+    else:
+        apex = rays[0]
+        simplices = tuple(
+            sub + (apex,)
+            for tight in (tight_sets or facet_tight_sets(rays))
+            if apex not in tight
+            for sub in dd_triangulate(tuple(sorted(tight)), memo)
+        )
+    memo[rays] = simplices
+    return simplices
+
+
+def dd_pulling(cone, fs):
+    """dd_triangulate of the cone's extreme rays, its top facets taken from fs."""
+    rays = tuple(sorted(extreme_generators(cone, fs)))
+    tight_sets = [tuple(r for r in rays if dot(b, r) == 0) for b in sorted(fs.normals())]
+    return dd_triangulate(rays, {}, tight_sets)
+
+
 def all_pairs_reduction(cone, fs):
     """Hilbert basis by reducing every candidate against every other one.
 
     The candidates are those of hilbert_basis: the extreme generators and the
-    parallelepiped points of the same triangulation. h is kept iff no other
-    candidate c leaves h - c in the cone. Returns (lex-sorted elements,
-    number of candidates).
+    parallelepiped points of the same triangulation, here the double
+    description oracle's. h is kept iff no other candidate c leaves h - c in
+    the cone. Returns (lex-sorted elements, number of candidates).
     """
     extreme = extreme_generators(cone, fs)
     candidates = set(extreme)
-    for s in _triangulate(tuple(sorted(extreme)), {}):
+    for s in dd_pulling(cone, fs):
         if abs(determinant(s)) > 1:
             candidates |= _parallelepiped_points(s)
     candidates = sorted(candidates)
@@ -194,6 +240,43 @@ class TestHilbertBasis:
         elements, candidates = all_pairs_reduction(cone, fs)
         assert list(hb.elements) == elements
         assert hb.candidates == candidates
+
+
+@st.composite
+def small_ideals(draw):
+    """n <= 4 variables, 1-6 distinct nonzero generators with entries <= 4."""
+    n = draw(st.integers(1, 4))
+    vec = st.tuples(*[st.integers(0, 4)] * n).filter(any)
+    vecs = draw(st.lists(vec, min_size=1, max_size=6, unique=True))
+    return MonomialIdeal(n, tuple(sorted(vecs)))
+
+
+def assert_matches_oracle(ideal):
+    cone = rees_generators(ideal)
+    fs = facet_normals(cone)
+    rays = tuple(sorted(extreme_generators(cone, fs)))
+    assert _triangulate(rays, fs.normals()) == dd_pulling(cone, fs), ideal
+
+
+class TestTriangulation:
+    def test_facet_tight_sets_square_cone(self):
+        tights = facet_tight_sets(((1, 0), (0, 1)))
+        assert sorted(tights) == [((0, 1),), ((1, 0),)]
+
+    def test_matches_oracle_on_bundled_instances(self):
+        for name in bundled_names():
+            assert_matches_oracle(analysis_ideal(realize(load_bundled(name)).value))
+
+    def test_matches_oracle_on_small_matroids(self):
+        for n in range(1, 5):
+            for d in range(1, n + 1):
+                for m in enumerate_matroids(n, d):
+                    assert_matches_oracle(basis_monomial_ideal(m))
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_ideals())
+    def test_matches_oracle_on_random_ideals(self, ideal):
+        assert_matches_oracle(ideal)
 
 
 class TestSemigroupMember:
