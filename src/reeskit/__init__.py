@@ -56,7 +56,6 @@ from .semigroup import (
     ehrhart_points,
     hilbert_basis,
     is_normal,
-    semigroup_member,
 )
 
 __version__ = "0.1.0"
@@ -102,7 +101,6 @@ __all__ = [
     "hilbert_basis",
     "is_normal",
     "rees_generators",
-    "semigroup_member",
     "uniform_matroid",
     "veronese_bases",
     "verify_basis_facet_shape",

@@ -86,9 +86,6 @@ class ReesCone:
     def dim(self) -> int:
         return self.n + 1
 
-    def lifted(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(g for g in self.generators if g[-1] == 1)
-
     def to_json(self) -> dict:
         return {"n": self.n, "generators": [list(g) for g in self.generators]}
 
@@ -360,13 +357,25 @@ def verify_basis_facet_shape(m: Matroid, facets: FacetSystem | None = None) -> S
 
 
 def extreme_generators(cone: ReesCone, fs: FacetSystem | None = None):
-    """Primitive generators lying on a rank-(dim-1) set of facets."""
+    """Primitive generators that span extreme rays, distinct, in input order.
+
+    The minimal face of a primitive generator p is cut out by the facets p
+    is tight on, and it is spanned by the generators tight on all of them.
+    So p spans an extreme ray iff no other distinct primitive generator is
+    tight on every facet p is tight on. Each facet is the bitmask of the
+    generators it contains, and p's minimal face is the meet of the masks of
+    its facets (every generator when p is tight on none).
+    """
     fs = fs or facet_normals(cone)
-    normals = fs.normals()
+    gens = _distinct_rows(primitive(g) for g in cone.generators)
+    facets = [sum(1 << j for j, g in enumerate(gens) if dot(b, g) == 0) for b in fs.normals()]
     out = []
-    for p in _distinct_rows(primitive(g) for g in cone.generators):
-        tight = [b for b in normals if dot(b, p) == 0]
-        if rank(tight) == cone.dim - 1:
+    for j, p in enumerate(gens):
+        face = (1 << len(gens)) - 1
+        for mask in facets:
+            if mask >> j & 1:
+                face &= mask
+        if face == 1 << j:
             out.append(p)
     return tuple(out)
 

@@ -9,10 +9,13 @@ bitmasks, so no face below the top runs a double description of its own;
 then by enumerating the lattice points of each half-open fundamental
 parallelepiped, and reducing the candidates to the irreducible ones in order
 of degree, each against the irreducibles already kept, on facet values
-computed once per candidate. Membership in the generated subsemigroup is a
-depth-first search, on an explicit stack, over the lifting budget and the
-coordinatewise residual; dilation equality compares bP with the b-fold
-sumset of the vertices. Integer arithmetic throughout.
+computed once per candidate. A Hilbert basis element is irreducible, so it
+lies in the subsemigroup the generators span iff it is one of them. Dilation
+equality compares bP with the b-fold sumset of the vertices: for an ideal
+generated in one degree d, a lies in bP iff (a, b) lies in the Rees cone and
+|a| = b*d, so a session reads bP off the facets it already holds and tests
+only the points of the box slice outside the sumset. Integer arithmetic
+throughout.
 
 An IdealSession builds each of these artefacts for one ideal at most once
 and keeps them no longer than itself; the module-level checks are thin calls
@@ -102,6 +105,12 @@ class LatticePolytope:
         """Membership in the cone spanned by the (v, 1): a lies in the b-th
         dilation iff (a, b) lies in it. Built on first use, once per polytope."""
         return ConeMembership(tuple((*v, 1) for v in self.vertices))
+
+    def box(self, b: int) -> tuple[list[int], list[int]]:
+        """Coordinatewise bounds of the b-th dilation."""
+        lo = [b * min(v[k] for v in self.vertices) for k in range(self.n)]
+        hi = [b * max(v[k] for v in self.vertices) for k in range(self.n)]
+        return lo, hi
 
 
 @dataclass(frozen=True)
@@ -293,53 +302,13 @@ def hilbert_basis(
     )
 
 
-def _decompose(target, budget: int, vectors) -> bool:
-    """Is target >= (coordinatewise) a sum of exactly `budget` vectors?
-
-    Depth-first search over states (vector index j, remaining budget,
-    coordinatewise residual) on an explicit stack, so the depth of the
-    search does not grow the Python stack. State j chooses how many copies
-    c of vectors[j] to take; c = cmax is tried first. The answer is an
-    existence test, so a state popped again is skipped: its first visit
-    already searched everything below it without success.
-    """
-    stack = [(0, budget, tuple(target))]
-    seen = set()
-    while stack:
-        state = stack.pop()
-        j, b, residual = state
-        if b == 0:
-            return True
-        if j == len(vectors) or state in seen:
-            continue
-        seen.add(state)
-        v = vectors[j]
-        cmax = b
-        for k, vk in enumerate(v):
-            if vk:
-                cmax = min(cmax, residual[k] // vk)
-        for c in range(cmax + 1):
-            stack.append((j + 1, b - c, tuple(r - c * x for r, x in zip(residual, v))))
-    return False
-
-
-def semigroup_member(point, cone: ReesCone) -> bool:
-    """Membership of (a, b) in the semigroup generated by the cone's
-    generators: some multiset of b lifted generators fits under a, the rest
-    is soaked up by units."""
-    p = tuple(int(e) for e in point)
-    if len(p) != cone.dim:
-        raise InvalidInstance(f"point of dimension {len(p)}, cone of {cone.dim}")
-    a, b = p[:-1], p[-1]
-    if b < 0 or any(e < 0 for e in a):
-        return False
-    lifted = tuple(g[:-1] for g in cone.lifted())
-    return _decompose(a, b, lifted)
-
-
 def _box_points(lo, hi, total):
     """Lex-ascending integer points of prod [lo_k, hi_k], restricted to
-    coordinate sum == total when total is not None."""
+    coordinate sum == total when total is not None.
+
+    On the slice, coordinate k only runs over the values that leave a sum
+    the later coordinates can still reach, so every value tried leads to a
+    point and the work is proportional to the output."""
     n = len(lo)
     suffix_lo = [0] * (n + 1)
     suffix_hi = [0] * (n + 1)
@@ -350,16 +319,15 @@ def _box_points(lo, hi, total):
 
     def rec(k: int, remaining):
         if k == n:
-            if total is None or remaining == 0:
-                yield tuple(point)
+            yield tuple(point)
             return
-        for e in range(lo[k], hi[k] + 1):
-            if total is not None:
-                rest = remaining - e
-                if rest < suffix_lo[k + 1] or rest > suffix_hi[k + 1]:
-                    continue
+        first, last = lo[k], hi[k]
+        if remaining is not None:
+            first = max(first, remaining - suffix_hi[k + 1])
+            last = min(last, remaining - suffix_lo[k + 1])
+        for e in range(first, last + 1):
             point[k] = e
-            yield from rec(k + 1, remaining - e if total is not None else remaining)
+            yield from rec(k + 1, None if remaining is None else remaining - e)
 
     yield from rec(0, total)
 
@@ -369,15 +337,15 @@ def ehrhart_points(poly: LatticePolytope, b: int) -> list[tuple[int, ...]]:
 
     Bounding-box scan; membership of a in bP is exact via the lifted cone
     spanned by (v, 1): a in bP iff (a, b) lies in it. The scan space shrinks
-    to one coordinate-sum slice when all vertices share a modulus.
+    to one coordinate-sum slice when all vertices share a modulus. The
+    equality reports do not call this; it is the general scan of any bP.
     """
     if b < 0:
         raise InvalidInstance("dilation factor must be nonnegative")
     if b == 0:
         return [tuple([0] * poly.n)]
     member = poly.lifted_membership
-    lo = [b * min(v[k] for v in poly.vertices) for k in range(poly.n)]
-    hi = [b * max(v[k] for v in poly.vertices) for k in range(poly.n)]
+    lo, hi = poly.box(b)
     moduli = {sum(v) for v in poly.vertices}
     total = b * moduli.pop() if len(moduli) == 1 else None
     out = []
@@ -437,14 +405,19 @@ class EqualityReport:
 
 def ehrhart_equality_check(exponents, b_max: int) -> EqualityReport:
     """Equal-degree generators only: compares bP's lattice points against
-    the set of all sums of exactly b generators, for each b up to b_max."""
+    the set of all sums of exactly b generators, for each b up to b_max.
+
+    Takes any nonempty list of nonnegative vectors of one degree, repeats and
+    the zero vector included, and decides membership in bP with the lifted
+    polytope's own cone."""
     vecs = sorted({tuple(int(e) for e in v) for v in exponents})
     if not vecs:
         raise EmptyInput("no generators given")
     if any(e < 0 for v in vecs for e in v):
         raise InvalidInstance("generators must be nonnegative")
     degree = _common_degree(vecs, b_max)
-    return _equality_report(LatticePolytope(len(vecs[0]), tuple(vecs)), degree, b_max)
+    poly = LatticePolytope(len(vecs[0]), tuple(vecs))
+    return _equality_report(poly, degree, b_max, poly.lifted_membership.contains)
 
 
 def _common_degree(vecs, b_max: int) -> int:
@@ -459,14 +432,30 @@ def _common_degree(vecs, b_max: int) -> int:
     return degrees.pop()
 
 
-def _equality_report(poly: LatticePolytope, degree: int, b_max: int) -> EqualityReport:
+def _equality_report(
+    poly: LatticePolytope, degree: int, b_max: int, in_dilation
+) -> EqualityReport:
+    """Dilation equality of a polytope whose vertices all have the given
+    degree; in_dilation((a, b)) decides whether a lies in bP.
+
+    The sums of exactly b vertices are grown one layer at a time, only the
+    current layer kept. Each is a lattice point of bP on the box slice of
+    coordinate sum b * degree, so it needs no test: the slice is scanned in
+    lex order, and only the points outside the sumset are asked whether they
+    lie in bP; those that do are the failures. bP has len(sums) + failures
+    lattice points.
+    """
     dilations = []
-    sums = {tuple([0] * poly.n)}  # every sum of exactly b vertices, one layer kept
+    sums = {tuple([0] * poly.n)}
     for b in range(1, b_max + 1):
         sums = {tuple(x + y for x, y in zip(s, v)) for s in sums for v in poly.vertices}
-        pts = ehrhart_points(poly, b)
-        failures = [a for a in pts if a not in sums]
-        dilations.append(DilationCheck(b, len(pts), tuple(failures)))
+        lo, hi = poly.box(b)
+        failures = tuple(
+            a
+            for a in _box_points(lo, hi, b * degree)
+            if a not in sums and in_dilation((*a, b))
+        )
+        dilations.append(DilationCheck(b, len(sums) + len(failures), failures))
     return EqualityReport(degree, b_max, tuple(dilations))
 
 
@@ -511,10 +500,13 @@ class IdealSession:
     """Every cone artefact of one monomial ideal, each computed at most once.
 
     The cone, its facets and classification, the Hilbert basis (within the
-    session's cap) and the lifted polytope with its membership oracle are
-    built on first use; the certificates and reports below read them. A
-    session keeps one ideal's work and nothing else, so it goes with the
-    ideal: build one per ideal and let it drop.
+    session's cap) and the generator polytope are built on first use; the
+    certificates and reports below read them. Dilations of the polytope are
+    read off the cone's facets when the ideal is generated in one degree,
+    which is every case the CLI reaches; only a mixed-degree ideal builds
+    the lifted polytope's own cone. A session keeps one ideal's work and
+    nothing else, so it goes with the ideal: build one per ideal and let it
+    drop.
     """
 
     def __init__(self, ideal: MonomialIdeal, cap: int = DEFAULT_CAP):
@@ -542,36 +534,58 @@ class IdealSession:
         return LatticePolytope.of_ideal(self.ideal)
 
     @cached_property
+    def degree(self) -> int | None:
+        """The one degree of the generators, or None when they have several."""
+        degrees = {sum(v) for v in self.ideal.exponents}
+        return degrees.pop() if len(degrees) == 1 else None
+
+    def in_dilation(self, point) -> bool:
+        """Is a in bP, for point = (a, b) and P the generator polytope?
+
+        In one degree d this is (a, b) in the Rees cone with |a| = b*d: write
+        (a, b) = sum mu_i (e_i, 0) + sum lam_j (v_j, 1) with mu, lam >= 0; then
+        |a| = b*d + sum mu_i, so |a| = b*d forces mu = 0 and (a, b) lies in
+        the cone of the (v, 1). Otherwise the lifted polytope's cone decides.
+        """
+        if self.degree is None:
+            return self.polytope.lifted_membership.contains(point)
+        b = point[-1]
+        return sum(point) - b == self.degree * b and self.facets.contains(point)
+
+    @cached_property
     def normality(self) -> NormalityCertificate:
-        """Direct route: normal iff every Hilbert basis element is a semigroup
-        member. Principal ideals short-circuit: their Rees cone is simplicial
-        and unimodular."""
+        """Direct route: normal iff every Hilbert basis element lies in the
+        semigroup the generators span. A Hilbert basis element is irreducible
+        among the cone's lattice points, and every generator is one of them,
+        so it lies in that semigroup iff it is a generator. The witness is the
+        lex-first element that is not. Principal ideals short-circuit: their
+        Rees cone is simplicial and unimodular."""
         if self.ideal.q > 1:
+            generators = set(self.cone.generators)
             for h in self.hilbert.elements:
-                if not semigroup_member(h, self.cone):
+                if h not in generators:
                     return NormalityCertificate("not_normal", h, "hilbert")
         return NormalityCertificate("normal", None, "hilbert")
 
     def equality(self, b_max: int) -> EqualityReport:
-        """ehrhart_equality_check on the generators, on this session's polytope."""
+        """ehrhart_equality_check on the generators, with bP read off the
+        session's facets (in_dilation)."""
         degree = _common_degree(self.ideal.exponents, b_max)
-        return _equality_report(self.polytope, degree, b_max)
+        return _equality_report(self.polytope, degree, b_max, self.in_dilation)
 
     @cached_property
     def decomposition(self) -> DecompositionReport:
         verdict = self.classification.verdict
         if verdict is Verdict.NEITHER:
             raise PreconditionFailed("decomposition check needs an ideal or quasi-ideal cone")
-        elements = self.hilbert.elements
-        member = self.polytope.lifted_membership
         statuses = []
-        for h in elements:
+        for h in self.hilbert.elements:
             a, b = h[:-1], h[-1]
             if b == 0:
                 ok = sum(a) == 1 and all(e in (0, 1) for e in a)
                 statuses.append(ElementStatus(h, "unit", ok))
             else:
-                statuses.append(ElementStatus(h, "dilation", member.contains(h)))
+                statuses.append(ElementStatus(h, "dilation", self.in_dilation(h)))
         return DecompositionReport(verdict, tuple(statuses))
 
     @cached_property
@@ -588,8 +602,7 @@ class IdealSession:
         direct = self.normality
         if self.ideal.q == 1:
             return direct
-        equigenerated = len({sum(v) for v in self.ideal.exponents}) == 1
-        if self.classification.verdict is Verdict.NEITHER or not equigenerated:
+        if self.classification.verdict is Verdict.NEITHER or self.degree is None:
             return direct
         equality = self.equality(max(h[-1] for h in self.hilbert.elements))
         passed = equality.passed and self.decomposition.holds

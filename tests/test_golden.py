@@ -6,9 +6,9 @@ digests pin the stdout (and exit code) of all eight instance commands on
 every bundled instance and on one family that is not a matroid, plus
 `corpus 4` and `corpus 5`, `ehrhart-check` on two equal-degree files that
 are not bundled, `hilbert`/`normality` on three mixed-degree ideals that are
-not normal, and `hilbert` past its parallelepiped cap on three instances, so
-any such change fails here. Regenerate them only when a
-change to a report is intended.
+not normal, `normality` on Veronese(3,50), and `hilbert` past its
+parallelepiped cap on three instances, so any such change fails here.
+Regenerate them only when a change to a report is intended.
 """
 
 from __future__ import annotations
@@ -236,6 +236,11 @@ MIXED_GOLDEN = {
     ("normality", "mixed_n4"): (1, "dbba5a34b87ca1956aff76d8240711f2b0d4c1d8732a483eeb85f5441f360114"),
 }
 
+# normality on Veronese(3,50): 1,326 generators, a normal ideal certified by
+# both routes. (exit, sha256)
+VERONESE_3_50 = {"n": 3, "exponents": [[a, b, 50 - a - b] for a in range(51) for b in range(51 - a)]}
+VERONESE_3_50_GOLDEN = (0, "882ed203f83dcd325f730db4a0555b77686747c3402696ceca814fdab6142524")
+
 
 def _run(capsys, argv) -> tuple[int, str]:
     code = main(argv)
@@ -300,3 +305,9 @@ def test_mixed_degree_file_matches_golden(capsys, tmp_path, command, name):
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps({"kind": "ideal", "name": name, "payload": MIXED_FILES[name]}))
     assert _run(capsys, [command, str(path)]) == MIXED_GOLDEN[command, name]
+
+
+def test_normality_veronese_3_50_matches_golden(capsys, tmp_path):
+    path = tmp_path / "veronese_3_50.json"
+    path.write_text(json.dumps({"kind": "ideal", "name": "veronese_3_50", "payload": VERONESE_3_50}))
+    assert _run(capsys, ["normality", str(path)]) == VERONESE_3_50_GOLDEN

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reeskit.errors import CapExceeded, DegenerateCone
-from reeskit.jsonio import analysis_ideal, load_bundled, realize
+from reeskit.jsonio import analysis_ideal, bundled_names, load_bundled, realize
 from reeskit.exactlat import dot, kernel_basis, primitive, rank
 from reeskit.matroid import (
     MonomialIdeal,
@@ -304,7 +304,59 @@ class TestShapeReport:
         assert doc["n"] == 2 and doc["d"] == 1
 
 
+def rank_extreme_generators(cone, fs):
+    """Primitive generators lying on a rank-(dim-1) set of facets: one rank
+    per generator, the oracle for extreme_generators."""
+    normals = fs.normals()
+    out = []
+    for p in dict.fromkeys(tuple(primitive(g)) for g in cone.generators):
+        if rank([b for b in normals if dot(b, p) == 0]) == cone.dim - 1:
+            out.append(p)
+    return tuple(out)
+
+
+def assert_extreme_matches_rank(ideal):
+    cone = rees_generators(ideal)
+    fs = facet_normals(cone)
+    assert extreme_generators(cone, fs) == rank_extreme_generators(cone, fs), ideal
+
+
+@st.composite
+def ideals_with_inner_generators(draw):
+    """Small ideals plus v + w for a generator v and a nonzero w: (v + w, 1)
+    is (v, 1) plus units, so it spans no extreme ray of the Rees cone."""
+    n = draw(st.integers(1, 4))
+    vec = st.tuples(*[st.integers(0, 3)] * n)
+    vecs = draw(st.lists(vec.filter(any), min_size=1, max_size=5, unique=True))
+    v = draw(st.sampled_from(vecs))
+    w = draw(vec.filter(any))
+    inner = tuple(x + y for x, y in zip(v, w))
+    return MonomialIdeal(n, tuple(sorted(set(vecs) | {inner})))
+
+
 class TestExtremeGenerators:
+    def test_matches_rank_oracle_on_bundled_instances(self):
+        for name in bundled_names():
+            assert_extreme_matches_rank(analysis_ideal(realize(load_bundled(name)).value))
+
+    def test_matches_rank_oracle_on_small_matroids(self):
+        for n in range(1, 5):
+            for d in range(1, n + 1):
+                for m in enumerate_matroids(n, d):
+                    assert_extreme_matches_rank(basis_monomial_ideal(m))
+
+    @settings(max_examples=80, deadline=None)
+    @given(ideals_with_inner_generators())
+    def test_matches_rank_oracle_with_inner_generators(self, ideal):
+        cone = rees_generators(ideal)
+        assert len(extreme_generators(cone)) < len(cone.generators)
+        assert_extreme_matches_rank(ideal)
+
+    def test_keeps_input_order(self):
+        # (1, 1, 1) is the midpoint of (2, 0, 1) and (0, 2, 1); repeats go
+        cone = ReesCone(2, ((0, 1, 0), (1, 0, 0), (2, 0, 1), (1, 1, 1), (0, 2, 1), (2, 0, 1)))
+        assert extreme_generators(cone) == ((0, 1, 0), (1, 0, 0), (2, 0, 1), (0, 2, 1))
+
     def test_roundtrip(self):
         rng = random.Random(99)
         for _ in range(20):
@@ -332,10 +384,6 @@ class TestReesConeValidation:
             facet_normals(cone)
         with pytest.raises(DegenerateCone):
             facet_normals_oracle(cone)
-
-    def test_lifted(self):
-        cone = rees_generators(TWO_SQUARES)
-        assert cone.lifted() == ((0, 2, 1), (2, 0, 1))
 
 
 class TestConeMembership:

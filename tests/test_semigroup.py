@@ -4,8 +4,9 @@ import random
 from itertools import combinations_with_replacement, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_acceptance import Budget
 
 from reeskit.errors import (
     CapExceeded,
@@ -31,7 +32,9 @@ from reeskit.reescone import (
     rees_generators,
 )
 from reeskit.semigroup import (
+    IdealSession,
     LatticePolytope,
+    _box_points,
     _parallelepiped_points,
     _triangulate,
     certify_normality_pipeline,
@@ -40,7 +43,6 @@ from reeskit.semigroup import (
     ehrhart_points,
     hilbert_basis,
     is_normal,
-    semigroup_member,
 )
 
 PRINCIPAL = MonomialIdeal(1, ((1,),))
@@ -162,6 +164,45 @@ def combo_reachable(target, gens) -> bool:
         if all(x >= 0 for x in rest) and combo_reachable(rest, gens):
             return True
     return False
+
+
+def decompose(target, budget: int, vectors) -> bool:
+    """Is target >= (coordinatewise) a sum of exactly `budget` vectors?
+
+    Depth-first search over states (vector index j, remaining budget,
+    coordinatewise residual) on an explicit stack. State j chooses how many
+    copies c of vectors[j] to take; c = cmax is tried first. A state popped
+    again is skipped: its first visit already searched everything below it.
+    """
+    stack = [(0, budget, tuple(target))]
+    seen = set()
+    while stack:
+        state = stack.pop()
+        j, b, residual = state
+        if b == 0:
+            return True
+        if j == len(vectors) or state in seen:
+            continue
+        seen.add(state)
+        v = vectors[j]
+        cmax = b
+        for k, vk in enumerate(v):
+            if vk:
+                cmax = min(cmax, residual[k] // vk)
+        for c in range(cmax + 1):
+            stack.append((j + 1, b - c, tuple(r - c * x for r, x in zip(residual, v))))
+    return False
+
+
+def semigroup_member(point, cone) -> bool:
+    """Membership of (a, b) in the semigroup the cone's generators span: some
+    multiset of b lifted generators fits under a, the rest is soaked up by
+    units. The oracle for IdealSession.normality's generator lookup."""
+    a, b = tuple(point[:-1]), point[-1]
+    if b < 0 or any(e < 0 for e in a):
+        return False
+    lifted = tuple(g[:-1] for g in cone.generators if g[-1] == 1)
+    return decompose(a, b, lifted)
 
 
 class TestHilbertBasis:
@@ -323,6 +364,18 @@ class TestSemigroupMember:
                 assert semigroup_member((*a, b), cone) == fits, (a, b)
 
 
+def assert_lookup_matches_dp(ideal):
+    """The normality verdict and witness equal those of the membership DP:
+    not normal at the lex-first Hilbert element outside the semigroup."""
+    session = IdealSession(ideal)
+    cone = session.cone
+    outside = [h for h in session.hilbert.elements if not semigroup_member(h, cone)]
+    if ideal.q == 1:
+        assert outside == [], ideal
+    want = ("not_normal", outside[0]) if outside else ("normal", None)
+    assert (session.normality.verdict, session.normality.witness) == want, ideal
+
+
 class TestIsNormal:
     def test_two_squares_witness(self):
         cert = is_normal(TWO_SQUARES)
@@ -367,6 +420,17 @@ class TestIsNormal:
             )
             assert (is_normal(ideal).verdict == "normal") == brute_normal, ideal
 
+    def test_lookup_matches_membership_dp_on_bundled_instances(self):
+        for name in bundled_names():
+            assert_lookup_matches_dp(analysis_ideal(realize(load_bundled(name)).value))
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_ideals())
+    @example(TWO_SQUARES)
+    @example(MonomialIdeal(4, ((0, 0, 0, 2), (0, 1, 1, 0), (1, 0, 1, 0), (1, 1, 0, 0))))
+    def test_lookup_matches_membership_dp(self, ideal):
+        assert_lookup_matches_dp(ideal)
+
     def test_json(self):
         assert is_normal(TWO_SQUARES).to_json() == {
             "verdict": "not_normal",
@@ -377,6 +441,28 @@ class TestIsNormal:
             "verdict": "normal",
             "method": "hilbert",
         }
+
+
+class TestBoxPoints:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_filtered_product(self, data):
+        n = data.draw(st.integers(1, 4))
+        lo = data.draw(st.lists(st.integers(-2, 3), min_size=n, max_size=n))
+        hi = [x + data.draw(st.integers(-1, 3)) for x in lo]
+        total = data.draw(st.none() | st.integers(-3, 12))
+        want = [
+            p
+            for p in product(*(range(a, b + 1) for a, b in zip(lo, hi)))
+            if total is None or sum(p) == total
+        ]
+        assert list(_box_points(lo, hi, total)) == want
+
+    def test_slice_scan_is_output_sensitive(self):
+        # a segment of 10^4 + 1 points in a box of (10^4 + 1)^2
+        poly = LatticePolytope(2, ((10**4, 0), (0, 10**4)))
+        with Budget(5.0):
+            assert len(ehrhart_points(poly, 1)) == 10**4 + 1
 
 
 class TestEhrhartPoints:

@@ -8,8 +8,11 @@ build the CLI triggers.
 from __future__ import annotations
 
 import json
+from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from reeskit import reescone, semigroup
 from reeskit.cli import main
@@ -17,6 +20,7 @@ from reeskit.errors import CapExceeded
 from reeskit.matroid import MonomialIdeal
 from reeskit.semigroup import (
     IdealSession,
+    LatticePolytope,
     certify_normality_pipeline,
     decomposition_check,
     ehrhart_equality_check,
@@ -53,7 +57,7 @@ def test_analyze_builds_one_hilbert_basis(monkeypatch, capsys):
     assert len(calls) == 1
 
 
-def test_corpus_builds_one_facet_system_and_membership_per_matroid(monkeypatch, capsys):
+def test_corpus_builds_one_facet_system_and_no_membership_per_matroid(monkeypatch, capsys):
     facets = count_calls(monkeypatch, semigroup, "facet_normals")
     facets_elsewhere = count_calls(monkeypatch, reescone, "facet_normals")
     memberships = count_calls(monkeypatch, semigroup, "ConeMembership")
@@ -63,7 +67,7 @@ def test_corpus_builds_one_facet_system_and_membership_per_matroid(monkeypatch, 
     assert matroids > 0
     assert len(facets) == matroids
     assert facets_elsewhere == []
-    assert len(memberships) == matroids
+    assert memberships == []
 
 
 def test_nothing_outlives_a_call(monkeypatch, capsys):
@@ -81,6 +85,57 @@ def test_equality_check_builds_one_membership_for_all_dilations(monkeypatch):
     report = ehrhart_equality_check(VERONESE_2_2.exponents, 4)
     assert [d.b for d in report.dilations] == [1, 2, 3, 4]
     assert len(memberships) == 1
+
+
+@st.composite
+def equigenerated_ideals(draw):
+    """n <= 4 variables, distinct generators of one degree <= 3."""
+    n = draw(st.integers(1, 4))
+    degree = draw(st.integers(1, 3))
+    slice_ = [a for a in product(range(degree + 1), repeat=n) if sum(a) == degree]
+    vecs = draw(st.lists(st.sampled_from(slice_), min_size=1, unique=True))
+    return MonomialIdeal(n, tuple(vecs))
+
+
+class TestInDilation:
+    @settings(max_examples=80, deadline=None)
+    @given(equigenerated_ideals(), st.integers(0, 3))
+    @example(TWO_SQUARES, 3)
+    @example(MonomialIdeal(4, ((0, 0, 0, 2), (0, 1, 1, 0), (1, 0, 1, 0), (1, 1, 0, 0))), 3)
+    def test_equality_matches_the_lifted_polytope(self, ideal, b_max):
+        # the module-level check decides bP with the lifted polytope's cone;
+        # the two examples are not normal, so their failures are not empty
+        assert IdealSession(ideal).equality(b_max) == ehrhart_equality_check(
+            ideal.exponents, b_max
+        )
+
+    @pytest.mark.parametrize("ideal", [TWO_SQUARES, VERONESE_2_2])
+    def test_matches_lifted_membership_on_a_box(self, ideal):
+        session = IdealSession(ideal)
+        member = LatticePolytope.of_ideal(ideal).lifted_membership
+        in_cone_off_slice = 0
+        for point in product(range(-1, 6), repeat=ideal.n + 1):
+            assert session.in_dilation(point) == member.contains(point), point
+            a, b = point[:-1], point[-1]
+            in_cone_off_slice += session.facets.contains(point) and sum(a) != session.degree * b
+        assert in_cone_off_slice > 0
+
+    def test_rejects_cone_points_off_the_slice(self):
+        session = IdealSession(TWO_SQUARES)
+        assert session.facets.contains((2, 1, 1))
+        assert not session.in_dilation((2, 1, 1))
+        assert session.in_dilation((1, 1, 1))
+
+    def test_mixed_degree_uses_the_lifted_polytope(self, monkeypatch):
+        memberships = count_calls(monkeypatch, semigroup, "ConeMembership")
+        session = IdealSession(MonomialIdeal(2, ((1, 0), (0, 2))))
+        assert session.degree is None
+        # P is the segment from (1, 0) to (0, 2), and 2P meets (1, 2)
+        assert session.in_dilation((1, 2, 2))
+        assert session.in_dilation((0, 2, 1))
+        assert not session.in_dilation((1, 1, 1))
+        assert not session.in_dilation((1, 0, 0))
+        assert len(memberships) == 1
 
 
 class TestIdealSession:
