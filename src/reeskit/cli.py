@@ -14,7 +14,7 @@ import time
 
 from . import jsonio
 from .errors import CapExceeded, ParseError, ReesKitError, TheoremCounterexample
-from .matroid import basis_monomial_ideal, enumerate_matroids
+from .matroid import ENUMERATION_CAP, basis_monomial_ideal, enumerate_matroids
 from .polymatroid import (
     PolymatroidBases,
     check_polymatroid_bases,
@@ -253,7 +253,7 @@ def _corpus_matroids(n_max: int, rank_filter: int | None):
     for n in range(1, n_max + 1):
         ranks = [rank_filter] if rank_filter is not None else range(1, n + 1)
         for d in ranks:
-            if d < 1 or d > n:
+            if d > n:
                 continue
             for idx, m in enumerate(enumerate_matroids(n, d)):
                 yield f"n{n}_d{d}_{idx:04d}", m
@@ -262,10 +262,18 @@ def _corpus_matroids(n_max: int, rank_filter: int | None):
 def cmd_corpus(args) -> int:
     if args.bmax < 0:
         raise ParseError(f"--bmax must be nonnegative, got {args.bmax}")
+    if args.n_max < 1:
+        raise ParseError(f"n_max must be at least 1, got {args.n_max}")
+    if args.rank is not None and not 1 <= args.rank <= args.n_max:
+        raise ParseError(f"--rank must lie in 1..{args.n_max}, got {args.rank}")
     wanted = args.checks.split(",") if args.checks else list(CHECKS)
     for c in wanted:
         if c not in CHECKS:
             raise ParseError(f"unknown check {c!r}; expected one of {sorted(CHECKS)}")
+    if args.n_max > ENUMERATION_CAP:
+        raise CapExceeded(
+            f"ground set size {args.n_max} exceeds the enumeration cap {ENUMERATION_CAP}"
+        )
     codes = sorted(wanted)
     instances = list(_corpus_matroids(args.n_max, args.rank))
     failures = [[] for _ in codes]

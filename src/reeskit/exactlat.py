@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from .errors import ZeroVector
 
@@ -30,7 +31,7 @@ class IntVec(tuple):
 def dot(u, v):
     if len(u) != len(v):
         raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def vsub(u, v):

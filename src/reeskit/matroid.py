@@ -220,13 +220,36 @@ def graphic_matroid(vertices: int, edges) -> Matroid:
     return _require_matroid(check_basis_exchange(len(edge_list), fam), "graphic_matroid")
 
 
+def _exchange_targets(subsets):
+    """For every ordered pair (i, j) of distinct d-subsets, the index tuples
+    of the exchange targets B_i - x + y (y in B_j \\ B_i), one per x in
+    B_i \\ B_j: the pair passes the exchange property iff each tuple holds
+    a basis."""
+    index = {s: k for k, s in enumerate(subsets)}
+    targets = {}
+    for i, b1 in enumerate(subsets):
+        for j, b2 in enumerate(subsets):
+            if i != j:
+                s1, s2 = set(b1), set(b2)
+                targets[i, j] = [
+                    tuple(index[tuple(sorted(s1 - {x} | {y}))] for y in sorted(s2 - s1))
+                    for x in sorted(s1 - s2)
+                ]
+    return targets
+
+
 def enumerate_matroids(n: int, d: int, cap: int = ENUMERATION_CAP) -> list[Matroid]:
     """Every matroid of rank d on ground set {1..n}, exhaustively.
 
-    Filters all 2^C(n,d) - 1 nonempty families through the exchange check;
-    isomorphic duplicates are kept on purpose. Output is sorted by the basis
-    tuple. The n=6, d=3 case walks a million families; everything smaller is
-    quick.
+    Backtracking over the C(n,d) d-subsets in lex order, each decided in or
+    out. A partial family is dropped as soon as two included bases B1, B2
+    and some x in B1 \\ B2 have every target B1 - x + y (y in B2 \\ B1)
+    decided out, since no completion can repair that pair. Deciding a
+    subset in re-checks only the pairs that contain it; deciding it out
+    re-checks only the included pairs that have it as a target. So a
+    nonempty leaf has no such pair and is a matroid, and each one still
+    goes through check_basis_exchange, whose verdict is final. Isomorphic
+    duplicates are kept on purpose. Output is sorted by the basis tuple.
     """
     if n < 1:
         raise InvalidInstance("ground set must have at least one element")
@@ -235,12 +258,40 @@ def enumerate_matroids(n: int, d: int, cap: int = ENUMERATION_CAP) -> list[Matro
     if d < 1 or d > n:
         raise BadRank(f"rank {d} not in 1..{n}")
     subsets = list(combinations(range(1, n + 1), d))
+    targets = _exchange_targets(subsets)
+    # watchers[t]: the pairs (i, j, target tuple) that a target t belongs to
+    watchers = [[] for _ in subsets]
+    for (i, j), per_x in targets.items():
+        for ts in per_x:
+            for t in ts:
+                watchers[t].append((i, j, ts))
+    state: list[bool | None] = [None] * len(subsets)  # in, out, or undecided
+    chosen: list[int] = []
     found = []
-    for mask in range(1, 1 << len(subsets)):
-        fam = [subsets[i] for i in range(len(subsets)) if mask >> i & 1]
-        got = check_basis_exchange(n, fam)
-        if isinstance(got, Matroid):
-            found.append(got)
+
+    def dead(ts) -> bool:
+        return all(state[t] is False for t in ts)
+
+    def walk(k: int) -> None:
+        if k == len(subsets):
+            if chosen:
+                got = check_basis_exchange(n, [subsets[i] for i in chosen])
+                if isinstance(got, Matroid):
+                    found.append(got)
+            return
+        state[k] = True
+        if not any(
+            any(map(dead, targets[k, j])) or any(map(dead, targets[j, k])) for j in chosen
+        ):
+            chosen.append(k)
+            walk(k + 1)
+            chosen.pop()
+        state[k] = False
+        if not any(state[i] and state[j] and dead(ts) for i, j, ts in watchers[k]):
+            walk(k + 1)
+        state[k] = None
+
+    walk(0)
     found.sort(key=lambda m: m.bases)
     return found
 

@@ -16,7 +16,7 @@ instances. All arithmetic is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations
 from math import gcd
@@ -114,15 +114,31 @@ class FacetSystem:
     unit_normals: ascending 1-based indices i with e_i a facet normal.
     ell_normals: lex-sorted primitive normals with nonnegative leading
     entries and last entry <= -1.
+    slack: the facet-generator value matrix, computed once per cone (as in
+    Normaliz, Bruns and Ichim, J. Algebra 2010): for each distinct primitive
+    generator g of the cone the facets were found for, the tuple of <b, g>
+    over b in normals(), in that order. It takes no part in equality, so
+    facet systems found by different routes compare equal.
     """
 
     dim: int
     unit_normals: tuple[int, ...]
     ell_normals: tuple[tuple[int, ...], ...]
+    slack: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def __post_init__(self):
+        units = tuple(_unit(i - 1, self.dim) for i in self.unit_normals)
+        object.__setattr__(self, "_normals", units + self.ell_normals)
 
     def normals(self) -> tuple[tuple[int, ...], ...]:
-        units = tuple(_unit(i - 1, self.dim) for i in self.unit_normals)
-        return units + self.ell_normals
+        """Unit normals e_i in index order, then the ell-normals."""
+        return self._normals
+
+    def tight_masks(self, gens) -> list[int]:
+        """For each normal, in normals() order, the bitmask of the positions
+        in gens (primitive generators of the cone) that it is tight on."""
+        columns = zip(*(self.slack[g] for g in gens))
+        return [sum(1 << j for j, v in enumerate(col) if v == 0) for col in columns]
 
     def contains(self, point) -> bool:
         if len(point) != self.dim:
@@ -233,17 +249,21 @@ def _dual_extreme_rays(ineqs, dim: int) -> list[tuple[int, ...]]:
 
 
 def _facet_system(dim: int, normals, generators) -> FacetSystem:
-    units, ells = [], []
+    """Check and split the normals; each normal's values on the distinct
+    primitive generators are computed once, serve every check, and are kept
+    per generator in normals() order as the system's slack."""
+    gens = _distinct_rows(primitive(g) for g in generators)
+    units, ells, columns = [], [], {}
     for b in normals:
         g_acc = 0
         for e in b:
             g_acc = gcd(g_acc, e)
         if g_acc != 1:
             raise IntegrityError(f"normal {b} is not primitive")
-        tight = [g for g in generators if dot(b, g) == 0]
-        if any(dot(b, g) < 0 for g in generators):
+        values = [dot(b, g) for g in gens]
+        if any(v < 0 for v in values):
             raise IntegrityError(f"normal {b} cuts off a generator")
-        if rank(tight) != dim - 1:
+        if rank([g for g, v in zip(gens, values) if v == 0]) != dim - 1:
             raise IntegrityError(f"normal {b} is not tight on a rank-{dim - 1} subset")
         u = _unit_index(b)
         if u is not None:
@@ -252,7 +272,12 @@ def _facet_system(dim: int, normals, generators) -> FacetSystem:
             raise IntegrityError(f"normal {b} breaks the sign pattern of a lifted cone")
         else:
             ells.append(tuple(b))
-    return FacetSystem(dim, tuple(sorted(units)), tuple(sorted(ells)))
+        columns[tuple(b)] = values
+    units.sort()
+    ells.sort()
+    order = [_unit(i - 1, dim) for i in units] + ells
+    slack = dict(zip(gens, zip(*(columns[b] for b in order))))
+    return FacetSystem(dim, tuple(units), tuple(ells), slack)
 
 
 def facet_normals(cone: ReesCone) -> FacetSystem:
@@ -363,12 +388,13 @@ def extreme_generators(cone: ReesCone, fs: FacetSystem | None = None):
     is tight on, and it is spanned by the generators tight on all of them.
     So p spans an extreme ray iff no other distinct primitive generator is
     tight on every facet p is tight on. Each facet is the bitmask of the
-    generators it contains, and p's minimal face is the meet of the masks of
-    its facets (every generator when p is tight on none).
+    generators it contains (FacetSystem.tight_masks), and p's minimal face is
+    the meet of the masks of its facets (every generator when p is tight on
+    none).
     """
     fs = fs or facet_normals(cone)
     gens = _distinct_rows(primitive(g) for g in cone.generators)
-    facets = [sum(1 << j for j, g in enumerate(gens) if dot(b, g) == 0) for b in fs.normals()]
+    facets = fs.tight_masks(gens)
     out = []
     for j, p in enumerate(gens):
         face = (1 << len(gens)) - 1

@@ -9,7 +9,8 @@ bitmasks, so no face below the top runs a double description of its own;
 then by enumerating the lattice points of each half-open fundamental
 parallelepiped, and reducing the candidates to the irreducible ones in order
 of degree, each against the irreducibles already kept, on facet values
-computed once per candidate. A Hilbert basis element is irreducible, so it
+that the facet system holds for the generators and that are computed once
+for every other candidate. A Hilbert basis element is irreducible, so it
 lies in the subsemigroup the generators span iff it is one of them. Dilation
 equality compares bP with the b-fold sumset of the vertices: for an ideal
 generated in one degree d, a lies in bP iff (a, b) lies in the Rees cone and
@@ -201,15 +202,16 @@ def _pivot_projector(rows):
     return project
 
 
-def _triangulate(rays: tuple, normals) -> tuple[tuple, ...]:
+def _triangulate(rays: tuple, fs: FacetSystem) -> tuple[tuple, ...]:
     """Pulling triangulation of the lex-sorted extreme rays of a cone with
-    the given facet normals: cone off the lex-smallest ray of each face over
+    the facet system fs: cone off the lex-smallest ray of each face over
     every facet of the face that avoids it. The subcones cover the cone,
     which is all downstream enumeration needs.
 
     Faces are bitmasks over the rays, and every facet G of the cone is the
-    mask of the rays it contains. The facets of a face F are the
-    inclusion-maximal proper sets among the F & G: each facet of F is a face
+    mask of the rays it contains (FacetSystem.tight_masks).
+    The facets of a face F are the inclusion-maximal proper sets among the
+    F & G: each facet of F is a face
     of the cone, so it is the intersection of the cone facets containing it,
     and one of those does not contain F. A face reached at depth k has
     dimension dim - k, so it is simplicial iff it has dim - k rays. The
@@ -219,7 +221,8 @@ def _triangulate(rays: tuple, normals) -> tuple[tuple, ...]:
     facets, so each face is triangulated once.
     """
     dim = len(rays[0])
-    facets = [sum(1 << i for i, r in enumerate(rays) if dot(b, r) == 0) for b in normals]
+    normals = fs.normals()
+    facets = fs.tight_masks(rays)
     memo: dict[int, tuple] = {}
 
     def pull(face: int, depth: int) -> tuple:
@@ -261,10 +264,11 @@ def hilbert_basis(
 
     Candidates are the primitive extreme generators together with every
     nonzero parallelepiped point of the pulling triangulation, which is
-    built from the cone's facet normals alone (_triangulate); they include
+    built from the cone's facet system alone (_triangulate); they include
     the Hilbert basis. Reduction follows Normaliz (Bruns and Ichim, J.
-    Algebra 2010): each candidate's values on the facet normals are computed
-    once, the candidates are walked by ascending coordinate sum, and h is
+    Algebra 2010): each candidate's values on the facet normals are read
+    from the facet system's slack when it is a generator and computed once
+    otherwise, the candidates are walked by ascending coordinate sum, and h is
     kept unless an element k kept before it has every facet value <= h's,
     i.e. h - k lies in the cone. That is exact: a reducible h is reducible
     by a Hilbert basis element x with h - x a nonzero point of the first
@@ -275,9 +279,7 @@ def hilbert_basis(
     """
     fs = facets if facets is not None else facet_normals(cone)
     extreme = extreme_generators(cone, fs)
-    rays = tuple(sorted(extreme))
-    normals = fs.normals()
-    simplices = _triangulate(rays, normals)
+    simplices = _triangulate(tuple(sorted(extreme)), fs)
     points: set[tuple[int, ...]] = set()
     total = 0
     for s in simplices:
@@ -290,10 +292,11 @@ def hilbert_basis(
         if vol > 1:
             points.update(_parallelepiped_points(s))
     candidates = set(extreme) | points
+    normals, stored = fs.normals(), fs.slack
     elements = []
-    kept_values: list[list[int]] = []
+    kept_values: list = []
     for h in sorted(candidates, key=sum):
-        values = [dot(b, h) for b in normals]
+        values = stored[h] if h in stored else [dot(b, h) for b in normals]
         if not any(all(map(le, k, values)) for k in kept_values):
             elements.append(h)
             kept_values.append(values)

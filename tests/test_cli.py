@@ -236,6 +236,39 @@ class TestCorpus:
         assert doc["error"] == "parse"
         assert "--bmax" in doc["detail"]
 
+    @pytest.mark.parametrize("n_max", ["0", "-1"])
+    def test_n_max_below_one_is_a_parse_error(self, capsys, n_max):
+        code, doc, _ = run_json(capsys, "corpus", n_max)
+        assert code == 2
+        assert doc["error"] == "parse"
+        assert "n_max" in doc["detail"]
+
+    @pytest.mark.parametrize("rank", ["0", "-2", "4"])
+    def test_rank_outside_range_is_a_parse_error(self, capsys, rank):
+        code, doc, _ = run_json(capsys, "corpus", "3", "--rank", rank)
+        assert code == 2
+        assert doc["error"] == "parse"
+        assert "--rank" in doc["detail"]
+
+    def test_above_cap_exits_three_before_enumerating(self, capsys, monkeypatch):
+        def refuse(n, d):
+            raise AssertionError(f"enumerated n={n}, d={d} past the cap")
+
+        monkeypatch.setattr("reeskit.cli.enumerate_matroids", refuse)
+        code, doc, _ = run_json(capsys, "corpus", "7")
+        assert code == 3
+        assert doc["error"] == "cap_exceeded"
+
+    def test_above_cap_exits_promptly(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "reeskit.cli", "corpus", "7"],
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert proc.returncode == 3
+        assert json.loads(proc.stdout)["error"] == "cap_exceeded"
+
 
 class TestEnumerateMatroids:
     def test_count(self, capsys):

@@ -4,7 +4,7 @@ Criterion 10 compares a run with itself, which a change to an exact kernel
 or to the way a command shares its work would still pass. These sha256
 digests pin the stdout (and exit code) of all eight instance commands on
 every bundled instance and on one family that is not a matroid, plus
-`corpus 4` and `corpus 5`, `ehrhart-check` on two equal-degree files that
+`corpus 4`, `corpus 5` and `enumerate-matroids 6 3`, `ehrhart-check` on two equal-degree files that
 are not bundled, `hilbert`/`normality` on three mixed-degree ideals that are
 not normal, `normality` on Veronese(3,50), and `hilbert` past its
 parallelepiped cap on three instances, so any such change fails here.
@@ -178,6 +178,9 @@ CORPUS_4_GOLDEN = (0, "2c9528a6aa8e005db24fdd93d82ba8c455e6ea3b5905b9f1caabf7ace
 # corpus 5 runs the five checks, and so the pulling triangulation, on all 492
 # matroids with at most 5 elements.
 CORPUS_5_GOLDEN = (0, "d6f80f6582ab44cd7eebb572dfe8b66ea63e8ac4acccd39a84fd2a232dc8cd56")
+# enumerate-matroids 6 3: all 2,053 labeled matroids of rank 3 on 6 elements,
+# the largest enumeration below the cap.
+ENUMERATE_6_3_GOLDEN = (0, "d6a92f0fb3ca13456d7495197bd25002cc1fd2f8b8e78ff6167c6f0a1d425131")
 
 # hilbert with a parallelepiped cap the triangulation crosses: the message
 # names the running total at the simplex that crossed it, so these pin the
@@ -284,6 +287,10 @@ def test_corpus_4_stdout_matches_golden(capsys):
 
 def test_corpus_5_stdout_matches_golden(capsys):
     assert _run(capsys, ["corpus", "5"]) == CORPUS_5_GOLDEN
+
+
+def test_enumerate_matroids_6_3_matches_golden(capsys):
+    assert _run(capsys, ["enumerate-matroids", "6", "3"]) == ENUMERATE_6_3_GOLDEN
 
 
 @pytest.mark.parametrize("name, cap", sorted(CAP_GOLDEN))

@@ -130,7 +130,43 @@ class TestGraphic:
             graphic_matroid(3, ())
 
 
+def filter_enumeration(n: int, d: int) -> list[Matroid]:
+    """Every nonempty family of d-subsets through check_basis_exchange: the
+    2^C(n,d) filter, the oracle for enumerate_matroids's backtracking."""
+    subsets = list(combinations(range(1, n + 1), d))
+    found = []
+    for mask in range(1, 1 << len(subsets)):
+        fam = [subsets[i] for i in range(len(subsets)) if mask >> i & 1]
+        got = check_basis_exchange(n, fam)
+        if isinstance(got, Matroid):
+            found.append(got)
+    found.sort(key=lambda m: m.bases)
+    return found
+
+
 class TestEnumerate:
+    @pytest.mark.parametrize(
+        "n, d", [(n, d) for n in range(1, 6) for d in range(1, n + 1)]
+    )
+    def test_matches_filter_oracle(self, n, d):
+        assert enumerate_matroids(n, d) == filter_enumeration(n, d)
+
+    def test_checks_each_matroid_once(self, monkeypatch):
+        # backtracking prunes every non-matroid before it reaches a leaf, so
+        # the exchange check runs once per matroid and never fails
+        verdicts = []
+
+        def counting(n, family):
+            got = check_basis_exchange(n, family)
+            verdicts.append(got)
+            return got
+
+        monkeypatch.setattr("reeskit.matroid.check_basis_exchange", counting)
+        found = enumerate_matroids(5, 2)
+        assert len(found) == 171
+        assert all(isinstance(v, Matroid) for v in verdicts)
+        assert sorted(verdicts, key=lambda m: m.bases) == found
+
     def test_known_counts(self):
         assert len(enumerate_matroids(1, 1)) == 1
         assert len(enumerate_matroids(2, 1)) == 3

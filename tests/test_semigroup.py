@@ -25,10 +25,12 @@ from reeskit.matroid import (
 )
 from reeskit.polymatroid import veronese_bases
 from reeskit.reescone import (
+    ORACLE_CAP,
     _dual_extreme_rays,
     _span_projection,
     extreme_generators,
     facet_normals,
+    facet_normals_oracle,
     rees_generators,
 )
 from reeskit.semigroup import (
@@ -272,6 +274,22 @@ class TestHilbertBasis:
         with pytest.raises(CapExceeded):
             hilbert_basis(rees_generators(TWO_SQUARES), None, cap=1)
 
+    def test_same_basis_from_the_oracle_facet_system(self):
+        # hilbert_basis reads the generators' facet values from the facet
+        # system's slack; the oracle's system carries its own
+        for name in bundled_names():
+            cone = rees_generators(analysis_ideal(realize(load_bundled(name)).value))
+            if len(cone.generators) <= ORACLE_CAP:
+                oracle = hilbert_basis(cone, facet_normals_oracle(cone))
+                assert hilbert_basis(cone, facet_normals(cone)) == oracle, name
+
+    @settings(max_examples=40, deadline=None)
+    @given(mixed_degree_ideals())
+    def test_same_basis_from_the_oracle_facet_system_on_mixed_degrees(self, ideal):
+        cone = rees_generators(ideal)
+        oracle = facet_normals_oracle(cone, cap=len(cone.generators))
+        assert hilbert_basis(cone, oracle) == hilbert_basis(cone, facet_normals(cone))
+
     @settings(max_examples=60, deadline=None)
     @given(mixed_degree_ideals())
     def test_matches_all_pairs_reduction(self, ideal):
@@ -296,7 +314,7 @@ def assert_matches_oracle(ideal):
     cone = rees_generators(ideal)
     fs = facet_normals(cone)
     rays = tuple(sorted(extreme_generators(cone, fs)))
-    assert _triangulate(rays, fs.normals()) == dd_pulling(cone, fs), ideal
+    assert _triangulate(rays, fs) == dd_pulling(cone, fs), ideal
 
 
 class TestTriangulation:
