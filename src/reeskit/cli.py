@@ -266,15 +266,15 @@ def cmd_corpus(args) -> int:
         raise ParseError(f"n_max must be at least 1, got {args.n_max}")
     if args.rank is not None and not 1 <= args.rank <= args.n_max:
         raise ParseError(f"--rank must lie in 1..{args.n_max}, got {args.rank}")
-    wanted = args.checks.split(",") if args.checks else list(CHECKS)
-    for c in wanted:
+    # each code runs once; an empty name ("", ",") is unknown, not "all"
+    codes = sorted(CHECKS if args.checks is None else set(args.checks.split(",")))
+    for c in codes:
         if c not in CHECKS:
             raise ParseError(f"unknown check {c!r}; expected one of {sorted(CHECKS)}")
     if args.n_max > ENUMERATION_CAP:
         raise CapExceeded(
             f"ground set size {args.n_max} exceeds the enumeration cap {ENUMERATION_CAP}"
         )
-    codes = sorted(wanted)
     instances = list(_corpus_matroids(args.n_max, args.rank))
     failures = [[] for _ in codes]
     for name, m in instances:
@@ -333,6 +333,10 @@ def _run_check(code: str, m, session: IdealSession, args):
 
 
 def cmd_enumerate_matroids(args) -> int:
+    if args.n < 1:
+        raise ParseError(f"n must be at least 1, got {args.n}")
+    if not 1 <= args.d <= args.n:
+        raise ParseError(f"d must lie in 1..{args.n}, got {args.d}")
     found = enumerate_matroids(args.n, args.d)
     _emit({
         "n": args.n,

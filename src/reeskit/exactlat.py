@@ -14,20 +14,6 @@ from operator import mul
 from .errors import ZeroVector
 
 
-class IntVec(tuple):
-    """Integer vector with at least one coordinate. Plain tuple underneath."""
-
-    def __new__(cls, entries):
-        vec = super().__new__(cls, tuple(int(e) for e in entries))
-        if not vec:
-            raise ValueError("a vector needs at least one entry")
-        return vec
-
-    @property
-    def dim(self) -> int:
-        return len(self)
-
-
 def dot(u, v):
     if len(u) != len(v):
         raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
@@ -38,13 +24,13 @@ def vsub(u, v):
     return tuple(a - b for a, b in zip(u, v))
 
 
-def primitive(v) -> IntVec:
+def primitive(v) -> tuple[int, ...]:
     """Divide a nonzero integer vector by the gcd of its entries.
 
     Signs are preserved; only the common positive factor is removed, so the
-    result generates the same ray.
+    result generates the same ray. The empty vector counts as zero.
     """
-    vec = IntVec(v)
+    vec = tuple(int(e) for e in v)
     g = 0
     for e in vec:
         g = gcd(g, e)
@@ -52,7 +38,7 @@ def primitive(v) -> IntVec:
         raise ZeroVector("the zero vector has no primitive form")
     if g == 1:
         return vec
-    return IntVec(e // g for e in vec)
+    return tuple(e // g for e in vec)
 
 
 def _bareiss(rows):
@@ -176,7 +162,7 @@ def _singular_adjugate(m):
     return [[c * u[r] * v[s] // den for s in range(n)] for r in range(n)]
 
 
-def kernel_basis(rows) -> list[IntVec]:
+def kernel_basis(rows) -> list[tuple[int, ...]]:
     """Primitive integer basis of the right kernel {x : M x = 0}.
 
     Gauss-Jordan over exact rationals, one basis vector per free column,

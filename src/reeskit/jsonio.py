@@ -18,9 +18,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import InvalidInstance, ParseError
-from .matroid import ExchangeFailure as BasisExchangeFailure
 from .matroid import Matroid, MonomialIdeal, check_basis_exchange
-from .polymatroid import ExchangeFailure as VectorExchangeFailure
 from .polymatroid import PolymatroidBases, check_polymatroid_bases
 
 _BIG = 1 << 53
@@ -146,20 +144,18 @@ def realize(instance: Instance) -> ValidationOutcome:
     try:
         if instance.kind == "matroid":
             got = check_basis_exchange(instance.n, instance.vectors)
-            if isinstance(got, BasisExchangeFailure):
-                return ValidationOutcome(False, witness=got.to_json())
-            return ValidationOutcome(True, value=got)
-        if instance.kind == "polymatroid":
+        elif instance.kind == "polymatroid":
             got = check_polymatroid_bases(instance.n, instance.vectors)
-            if isinstance(got, VectorExchangeFailure):
-                return ValidationOutcome(False, witness=got.to_json())
-            return ValidationOutcome(True, value=got)
-        return ValidationOutcome(True, value=MonomialIdeal(instance.n, instance.vectors))
+        else:
+            got = MonomialIdeal(instance.n, instance.vectors)
     except InvalidInstance as exc:
         return ValidationOutcome(
             False,
             witness={"error": type(exc).__name__, "detail": str(exc)},
         )
+    if isinstance(got, (Matroid, PolymatroidBases, MonomialIdeal)):
+        return ValidationOutcome(True, value=got)
+    return ValidationOutcome(False, witness=got.to_json())
 
 
 def analysis_ideal(value) -> MonomialIdeal:

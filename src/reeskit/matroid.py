@@ -2,7 +2,9 @@
 
 A matroid here is nothing more than a nonempty family of equal-size subsets
 of {1..n} satisfying the basis exchange property; validation goes through
-`check_basis_exchange` and constructors re-validate their own output.
+`check_basis_exchange` and constructors re-validate their own output. That
+check is the polymatroid one-step exchange on the bases' 0/1 indicator
+vectors (`polymatroid.first_exchange_failure`).
 Ground-set elements are 1-indexed everywhere, including JSON.
 """
 
@@ -20,6 +22,7 @@ from .errors import (
     InvalidInstance,
     UnequalCardinalities,
 )
+from .polymatroid import first_exchange_failure
 
 ENUMERATION_CAP = 6
 
@@ -127,11 +130,24 @@ def _normalize_family(n, family):
     return sorted(set(fam))
 
 
+def _indicator(n, b):
+    v = [0] * n
+    for e in b:
+        v[e - 1] = 1
+    return tuple(v)
+
+
+def _support(v):
+    return tuple(i for i, x in enumerate(v, 1) if x)
+
+
 def check_basis_exchange(n: int, family):
     """Validate the basis exchange property for a family of subsets of {1..n}.
 
-    Returns a Matroid on success, or the first ExchangeFailure triple in
-    deterministic order (lex pairs, smallest leaving element first).
+    The exchange is the polymatroid walk on the indicator vectors, listed in
+    sorted-basis order. Returns a Matroid on success, or the first
+    ExchangeFailure triple in that order (lex pairs of bases, smallest
+    leaving element first).
     """
     if n < 1:
         raise InvalidInstance("ground set must have at least one element")
@@ -142,18 +158,10 @@ def check_basis_exchange(n: int, family):
     for b in fam:
         if len(b) != d:
             raise UnequalCardinalities(fam[0], b)
-    fam_set = set(fam)
-    for b1 in fam:
-        s1 = set(b1)
-        for b2 in fam:
-            if b1 == b2:
-                continue
-            s2 = set(b2)
-            arrivals = sorted(s2 - s1)
-            for x in sorted(s1 - s2):
-                rest = s1 - {x}
-                if not any(tuple(sorted(rest | {y})) in fam_set for y in arrivals):
-                    return ExchangeFailure(b1, b2, x)
+    bad = first_exchange_failure([_indicator(n, b) for b in fam])
+    if bad is not None:
+        a, c, x = bad
+        return ExchangeFailure(_support(a), _support(c), x)
     return Matroid(n, d, tuple(fam))
 
 
@@ -298,11 +306,5 @@ def enumerate_matroids(n: int, d: int, cap: int = ENUMERATION_CAP) -> list[Matro
 
 def basis_monomial_ideal(m: Matroid) -> MonomialIdeal:
     """Squarefree ideal generated by the basis indicator monomials."""
-    exps = []
-    for b in m.bases:
-        v = [0] * m.n
-        for e in b:
-            v[e - 1] = 1
-        exps.append(tuple(v))
-    return MonomialIdeal(m.n, tuple(exps))
+    return MonomialIdeal(m.n, tuple(_indicator(m.n, b) for b in m.bases))
 

@@ -2,8 +2,10 @@
 
 Bases are integer vectors in N^n of one common modulus |a| = sum of entries,
 closed under the one-step exchange: whenever a_i > c_i some j with a_j < c_j
-repairs a - e_i + e_j back into the set. Matroid basis indicator vectors are
-the motivating special case.
+repairs a - e_i + e_j back into the set. Matroid bases are the 0/1 case
+(Herzog-Hibi, Discrete polymatroids, 2002), so `first_exchange_failure` is
+the one exchange walk: `check_polymatroid_bases` runs it on lex-sorted
+vectors and `matroid.check_basis_exchange` on basis indicator vectors.
 """
 
 from __future__ import annotations
@@ -72,6 +74,32 @@ def _normalize_vectors(n, vectors):
     return sorted(set(out))
 
 
+def first_exchange_failure(vectors):
+    """The first (a, c, i), walking `vectors` in the order given, with
+    a_i > c_i and no j with a_j < c_j putting a - e_i + e_j among them; None
+    if there is none. i is 1-indexed, and the caller's order decides which
+    witness comes first."""
+    vset = set(vectors)
+    for a in vectors:
+        coords = range(len(a))
+        for c in vectors:
+            if a == c:
+                continue
+            for i in coords:
+                if a[i] <= c[i]:
+                    continue
+                for j in coords:
+                    if a[j] < c[j]:
+                        moved = list(a)
+                        moved[i] -= 1
+                        moved[j] += 1
+                        if tuple(moved) in vset:
+                            break
+                else:
+                    return a, c, i + 1
+    return None
+
+
 def check_polymatroid_bases(n: int, vectors):
     """Validate the exchange property, returning PolymatroidBases or a witness."""
     if n < 1:
@@ -83,25 +111,9 @@ def check_polymatroid_bases(n: int, vectors):
     for v in vecs:
         if sum(v) != d:
             raise UnequalModuli(vecs[0], v)
-    vset = set(vecs)
-    for a in vecs:
-        for c in vecs:
-            if a == c:
-                continue
-            for i in range(n):
-                if a[i] <= c[i]:
-                    continue
-                ok = False
-                for j in range(n):
-                    if a[j] < c[j]:
-                        moved = list(a)
-                        moved[i] -= 1
-                        moved[j] += 1
-                        if tuple(moved) in vset:
-                            ok = True
-                            break
-                if not ok:
-                    return ExchangeFailure(a, c, i + 1)
+    bad = first_exchange_failure(vecs)
+    if bad is not None:
+        return ExchangeFailure(*bad)
     return PolymatroidBases(n, d, tuple(vecs))
 
 
@@ -146,7 +158,6 @@ def symmetric_exchange_violations(f: PolymatroidBases) -> list[tuple]:
             for i in range(f.n):
                 if a[i] <= c[i]:
                     continue
-                ok = False
                 for j in range(f.n):
                     if a[j] < c[j]:
                         am = list(a)
@@ -156,9 +167,8 @@ def symmetric_exchange_violations(f: PolymatroidBases) -> list[tuple]:
                         cm[i] += 1
                         cm[j] -= 1
                         if tuple(am) in vset and tuple(cm) in vset:
-                            ok = True
                             break
-                if not ok:
+                else:
                     bad.append((a, c, i + 1))
     return bad
 

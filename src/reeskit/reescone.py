@@ -201,7 +201,7 @@ def _dual_extreme_rays(ineqs, dim: int) -> list[tuple[int, ...]]:
 
     adj, det = adjugate([rows[i] for i in seed])
     sgn = 1 if det > 0 else -1
-    rays = [tuple(primitive(sgn * adj[i][j] for i in range(dim))) for j in range(dim)]
+    rays = [primitive(sgn * adj[i][j] for i in range(dim)) for j in range(dim)]
     # seed ray j is tight on every seed row but its own
     masks = [((1 << dim) - 1) ^ (1 << j) for j in range(dim)]
     processed = [rows[i] for i in seed]
@@ -234,10 +234,8 @@ def _dual_extreme_rays(ineqs, dim: int) -> list[tuple[int, ...]]:
                 ):
                     continue
                 # positive combination vals[p]*ray_q - vals[q]*ray_p lands on <a,.>=0
-                w = tuple(
-                    primitive(
-                        vals[p] * rays[q][i] - vals[q] * rays[p][i] for i in range(dim)
-                    )
+                w = primitive(
+                    vals[p] * rays[q][i] - vals[q] * rays[p][i] for i in range(dim)
                 )
                 new_rays.append(w)
                 new_masks.append(common | (1 << k))
@@ -311,7 +309,7 @@ def facet_normals_oracle(cone: ReesCone, cap: int = ORACLE_CAP) -> FacetSystem:
             sign = -sign
         if not any(w):
             continue
-        w = tuple(primitive(w))
+        w = primitive(w)
         values = [dot(w, g) for g in gens]
         if any(v > 0 for v in values) and any(v < 0 for v in values):
             continue

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from reeskit import cli
 from reeskit.cli import main
 
 
@@ -230,6 +231,28 @@ class TestCorpus:
         code, doc, _ = run_json(capsys, "corpus", "2", "--checks", "T9.9")
         assert code == 2
 
+    def test_repeated_check_runs_once(self, capsys, monkeypatch):
+        calls = []
+        run_check = cli._run_check
+
+        def counting(code, *rest):
+            calls.append(code)
+            return run_check(code, *rest)
+
+        monkeypatch.setattr("reeskit.cli._run_check", counting)
+        code, doc, _ = run_json(capsys, "corpus", "2", "--checks", "T3.6,T3.6")
+        assert code == 0
+        assert [r["check"] for r in doc["reports"]] == ["T3.6"]
+        # one T3.6 run per matroid: 1 + (3 + 1) on at most 2 elements
+        assert calls == ["T3.6"] * 5
+        assert doc["reports"][0]["instances"] == 5
+
+    @pytest.mark.parametrize("checks", ["", ","])
+    def test_empty_selection_is_a_parse_error(self, capsys, checks):
+        code, doc, _ = run_json(capsys, "corpus", "2", "--checks", checks)
+        assert code == 2
+        assert doc["error"] == "parse"
+
     def test_negative_bmax_is_a_parse_error(self, capsys):
         code, doc, _ = run_json(capsys, "corpus", "3", "--bmax", "-1")
         assert code == 2
@@ -280,6 +303,13 @@ class TestEnumerateMatroids:
     def test_cap(self, capsys):
         code, doc, _ = run_json(capsys, "enumerate-matroids", "8", "2")
         assert code == 3
+
+    @pytest.mark.parametrize("n, d", [("0", "1"), ("3", "4"), ("3", "0"), ("8", "9")])
+    def test_bad_sizes_are_parse_errors(self, capsys, n, d):
+        # checked before the cap, so (8, 9) is a usage error, not exit 3
+        code, doc, _ = run_json(capsys, "enumerate-matroids", n, d)
+        assert code == 2
+        assert doc["error"] == "parse"
 
 
 class TestInstances:

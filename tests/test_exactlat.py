@@ -124,6 +124,12 @@ class TestPrimitive:
     def test_zero_rejected(self):
         with pytest.raises(ZeroVector):
             primitive((0, 0, 0))
+        with pytest.raises(ZeroVector):
+            primitive(())
+
+    def test_plain_tuple(self):
+        assert type(primitive((2, 4))) is tuple
+        assert type(primitive(x for x in (1, 2))) is tuple
 
     @given(st.lists(small_entry, min_size=1, max_size=5), st.integers(1, 9))
     def test_scaling_invariant(self, v, c):

@@ -78,6 +78,36 @@ class TestCheckBasisExchange:
         assert got.d == 0
 
 
+def set_exchange_oracle(n: int, family):
+    """The set-arithmetic exchange loop check_basis_exchange once ran: lex
+    pairs of bases, smallest leaving element first. Kept as the oracle for
+    the indicator-vector walk."""
+    fam = sorted({tuple(sorted(b)) for b in family})
+    fam_set = set(fam)
+    for b1 in fam:
+        s1 = set(b1)
+        for b2 in fam:
+            if b1 == b2:
+                continue
+            s2 = set(b2)
+            arrivals = sorted(s2 - s1)
+            for x in sorted(s1 - s2):
+                rest = s1 - {x}
+                if not any(tuple(sorted(rest | {y})) in fam_set for y in arrivals):
+                    return ExchangeFailure(b1, b2, x)
+    return Matroid(n, len(fam[0]), tuple(fam))
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_matches_set_exchange_oracle(n):
+    # every nonempty family of d-subsets, witness triple included
+    for d in range(1, n + 1):
+        subsets = list(combinations(range(1, n + 1), d))
+        for mask in range(1, 1 << len(subsets)):
+            fam = [subsets[i] for i in range(len(subsets)) if mask >> i & 1]
+            assert check_basis_exchange(n, fam) == set_exchange_oracle(n, fam), fam
+
+
 class TestSymmetricExchange:
     def test_uniform_witness(self):
         assert symmetric_exchange_violations(basis_vectors(uniform_matroid(4, 2))) == []

@@ -19,6 +19,7 @@ from reeskit.polymatroid import (
     PolymatroidBases,
     check_polymatroid_bases,
     divide_by_variable,
+    first_exchange_failure,
     symmetric_exchange_violations,
     veronese_bases,
 )
@@ -139,6 +140,24 @@ class TestSymmetricExchange:
     def test_no_violations_on_transversal(self):
         got = check_polymatroid_bases(3, TRANSVERSAL)
         assert symmetric_exchange_violations(got) == []
+
+    def test_violations_on_a_gap(self):
+        # built by hand: (1,1) is missing, so neither move is possible
+        f = PolymatroidBases(2, 2, ((0, 2), (2, 0)))
+        assert symmetric_exchange_violations(f) == [
+            ((0, 2), (2, 0), 2),
+            ((2, 0), (0, 2), 1),
+        ]
+
+
+class TestFirstExchangeFailure:
+    def test_walks_in_the_order_given(self):
+        assert first_exchange_failure([(0, 2), (2, 0)]) == ((0, 2), (2, 0), 2)
+        assert first_exchange_failure([(2, 0), (0, 2)]) == ((2, 0), (0, 2), 1)
+
+    def test_none_on_bases(self):
+        assert first_exchange_failure(list(TRANSVERSAL)) is None
+        assert first_exchange_failure(list(veronese_bases(3, 3).vectors)) is None
 
 
 @settings(max_examples=60)
