@@ -422,6 +422,8 @@ def main(argv=None) -> int:
         return 2
     start = time.perf_counter()
     try:
+        if args.cap < 0:
+            raise ParseError(f"--cap must be nonnegative, got {args.cap}")
         return args.handler(args)
     except ParseError as exc:
         _emit({"error": "parse", "detail": str(exc)}, args)

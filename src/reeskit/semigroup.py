@@ -5,12 +5,16 @@ it exhausts every lattice point of the cone, i.e. when the generators are an
 integral Hilbert basis. The Hilbert basis of the full lattice-point
 semigroup is computed by a pulling triangulation of the cone into simplicial
 subcones, whose faces are read off the cone's facets by intersecting ray
-bitmasks, so no face below the top runs a double description of its own;
-then by enumerating the lattice points of each half-open fundamental
-parallelepiped, and reducing the candidates to the irreducible ones in order
-of degree, each against the irreducibles already kept, on facet values
-that the facet system holds for the generators and that are computed once
-for every other candidate. A Hilbert basis element is irreducible, so it
+bitmasks, so no face below the top runs a double description of its own.
+Each simplex comes with its normalized volume, a product of heights: the
+height of a face's apex over one of its facets, in the face's saturated
+lattice Z^dim & span(F), is <b, apex> / gcd <b, L_F> for the facet's cone
+normal b, and the recursion carries a Z-basis of each face's lattice down
+to its facets. Then the lattice points of each half-open fundamental
+parallelepiped are enumerated, and the candidates reduced to the
+irreducible ones in order of degree, each against the irreducibles already
+kept, on facet values that the facet system holds for the generators and
+that are computed once for every other candidate. A Hilbert basis element is irreducible, so it
 lies in the subsemigroup the generators span iff it is one of them. Dilation
 equality compares bP with the b-fold sumset of the vertices: for an ideal
 generated in one degree d, a lies in bP iff (a, b) lies in the Rees cone and
@@ -28,7 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from operator import le
+from math import gcd
+from operator import le, mul
 
 from .errors import (
     CapExceeded,
@@ -39,7 +44,7 @@ from .errors import (
     PreconditionFailed,
     UnequalModuli,
 )
-from .exactlat import _bareiss, adjugate, determinant, dot, primitive
+from .exactlat import _bareiss, adjugate, dot, primitive
 from .matroid import MonomialIdeal
 from .reescone import (
     ConeClassification,
@@ -155,12 +160,15 @@ def _column_hnf_diagonal(mat) -> list[int]:
     return [cols[i][i] for i in range(m)]
 
 
-def _parallelepiped_points(simplex) -> set[tuple[int, ...]]:
+def _parallelepiped_points(simplex, vol: int) -> set[tuple[int, ...]]:
     """Nonzero lattice points of {sum lam_i r_i : 0 <= lam_i < 1}.
 
     One point per coset of Z^m modulo the ray lattice: walk the diagonal box
     of a column Hermite form, then reduce each representative into the
-    half-open parallelepiped with one exact rational solve.
+    half-open parallelepiped with one exact rational solve. vol is the
+    simplex's volume from heights (_triangulate); the adjugate that gives
+    the floors yields |det| as well, and any difference from vol is an
+    IntegrityError.
     """
     m = len(simplex)
     colmat = [[simplex[j][i] for j in range(m)] for i in range(m)]
@@ -168,8 +176,8 @@ def _parallelepiped_points(simplex) -> set[tuple[int, ...]]:
     if det < 0:
         adj = [[-e for e in row] for row in adj]
         det = -det
-    if det == 0:
-        raise IntegrityError("simplex rays are dependent")
+    if det != vol:
+        raise IntegrityError(f"simplex volume {vol} from heights, {det} from the adjugate")
     diag = _column_hnf_diagonal(colmat)
     points = set()
     for x in product(*(range(d) for d in diag)):
@@ -202,11 +210,46 @@ def _pivot_projector(rows):
     return project
 
 
+def _content(basis, b) -> int:
+    """gcd of <b, L> for a Z-basis of the lattice L."""
+    return gcd(*[sum(map(mul, b, v)) for v in basis])
+
+
+def _split(basis, b):
+    """(g, sub) for a Z-basis of a saturated lattice L and an integer normal b:
+    g is the gcd of <b, L> and sub a Z-basis of L & b^perp.
+
+    Euclid on the pairs (<b, beta>, beta): the pair of least nonzero value
+    reduces the others modulo itself, which is a unimodular change of basis,
+    until one nonzero value is left; it is +-g, and the vectors whose value
+    reached 0 span the kernel."""
+    sub, live = [], []
+    for v in basis:
+        s = sum(map(mul, b, v))
+        if s:
+            live.append((s, v))
+        else:
+            sub.append(v)
+    while len(live) > 1:
+        live.sort(key=lambda pair: abs(pair[0]))
+        (p, u), rest = live[0], live[1:]
+        live = [(p, u)]
+        for s, v in rest:
+            q = s // p
+            v = tuple([x - q * y for x, y in zip(v, u)])
+            if s - q * p:
+                live.append((s - q * p, v))
+            else:
+                sub.append(v)
+    return abs(live[0][0]), sub
+
+
 def _triangulate(rays: tuple, fs: FacetSystem) -> tuple[tuple, ...]:
     """Pulling triangulation of the lex-sorted extreme rays of a cone with
-    the facet system fs: cone off the lex-smallest ray of each face over
-    every facet of the face that avoids it. The subcones cover the cone,
-    which is all downstream enumeration needs.
+    the facet system fs, as (simplex, normalized volume) pairs: cone off the
+    lex-smallest ray of each face over every facet of the face that avoids
+    it. The subcones cover the cone, which is all downstream enumeration
+    needs.
 
     Faces are bitmasks over the rays, and every facet G of the cone is the
     mask of the rays it contains (FacetSystem.tight_masks).
@@ -219,42 +262,83 @@ def _triangulate(rays: tuple, fs: FacetSystem) -> tuple[tuple, ...]:
     normals in F's pivot projection, which fixes the simplex order and so
     the running total a cap-exceeded message reports. Faces recur across
     facets, so each face is triangulated once.
+
+    Volumes come from heights (as over the triangulations of Normaliz,
+    Bruns and Ichim, J. Algebra 2010), not from determinants. A face F
+    carries a Z-basis of its saturated lattice L_F = Z^dim & span(F), the
+    identity at the top. Pulling the apex a over a facet H of F with cone
+    normal b gives |det(s + a)| = h vol(s) in L_F for each simplex s of H,
+    where h is a's height over H in L_F: b restricted to L_F is g w with w
+    H's primitive functional on L_F and g = gcd <b, L_F>, so h = <b, a> / g.
+    For a face H not yet triangulated, _split gives g and a Z-basis of L_H =
+    L_F & b^perp; for one already triangulated, _content gives g alone. A
+    simplicial face takes the same steps, its lex-first ray over the rest,
+    down to one primitive ray of volume 1; the normal for F - a is the
+    first with F & G = F - a, which exists as F - a is a facet of F.
     """
     dim = len(rays[0])
     normals = fs.normals()
     facets = fs.tight_masks(rays)
+    slack = [fs.slack[r] for r in rays]
     memo: dict[int, tuple] = {}
 
-    def pull(face: int, depth: int) -> tuple:
-        hit = memo.get(face)
-        if hit is not None:
-            return hit
+    def height(apex: int, j: int, g: int) -> int:
+        h, r = divmod(slack[apex][j], g)
+        if r:
+            raise IntegrityError(f"height {slack[apex][j]} not divisible by content {g}")
+        return h
+
+    def simplex_volume(face: int, members: list, basis) -> int:
+        vol = 1
+        for apex in members[:-1]:
+            rest = face ^ 1 << apex
+            j = next(j for j, mask in enumerate(facets) if face & mask == rest)
+            if rest & rest - 1:
+                g, basis = _split(basis, normals[j])
+            else:  # one ray is left, and its lattice basis is not needed
+                g = _content(basis, normals[j])
+            vol *= height(apex, j, g)
+            face = rest
+        return vol
+
+    def pull(face: int, depth: int, basis) -> tuple:
         members = [i for i in range(len(rays)) if face >> i & 1]
         if len(members) == dim - depth:
-            simplices = (tuple(rays[i] for i in members),)
+            simplex = tuple(rays[i] for i in members)
+            simplices = ((simplex, simplex_volume(face, members, basis)),)
         else:
             apex = members[0]
-            meets: dict[int, tuple] = {}  # F & G -> the normal of one such G
-            for b, mask in zip(normals, facets):
+            meets: dict[int, int] = {}  # F & G -> the index of one such G
+            for j, mask in enumerate(facets):
                 meet = face & mask
                 if meet != face:
-                    meets.setdefault(meet, b)
+                    meets.setdefault(meet, j)
             pulled = [
-                (meet, b)
-                for meet, b in meets.items()
+                (meet, j)
+                for meet, j in meets.items()
                 if not meet >> apex & 1
                 and not any(meet & other == meet and other != meet for other in meets)
             ]
             # the top face spans the space, so its projection is the identity
             project = _pivot_projector([rays[i] for i in members]) if depth else tuple
-            pulled.sort(key=lambda item: project(item[1]))
-            simplices = tuple(
-                sub + (rays[apex],) for meet, _ in pulled for sub in pull(meet, depth + 1)
-            )
+            pulled.sort(key=lambda item: project(normals[item[1]]))
+            out = []
+            for meet, j in pulled:
+                b = normals[j]
+                sub = memo.get(meet)
+                if sub is None:
+                    g, sub_basis = _split(basis, b)
+                    sub = pull(meet, depth + 1, sub_basis)
+                else:
+                    g = _content(basis, b)
+                h = height(apex, j, g)
+                out.extend((s + (rays[apex],), h * vol) for s, vol in sub)
+            simplices = tuple(out)
         memo[face] = simplices
         return simplices
 
-    return pull((1 << len(rays)) - 1, 0)
+    identity = [tuple(int(i == k) for k in range(dim)) for i in range(dim)]
+    return pull((1 << len(rays)) - 1, 0, identity)
 
 
 def hilbert_basis(
@@ -265,8 +349,11 @@ def hilbert_basis(
     Candidates are the primitive extreme generators together with every
     nonzero parallelepiped point of the pulling triangulation, which is
     built from the cone's facet system alone (_triangulate); they include
-    the Hilbert basis. Reduction follows Normaliz (Bruns and Ichim, J.
-    Algebra 2010): each candidate's values on the facet normals are read
+    the Hilbert basis. A simplex of volume v has v - 1 of them; v is the
+    product of the heights along the simplex's pulling chain, each a facet
+    value divided by the content of the facet normal on the face's
+    saturated lattice, so no simplex takes a determinant. Reduction follows
+    Normaliz (Bruns and Ichim, J. Algebra 2010): each candidate's values on the facet normals are read
     from the facet system's slack when it is a generator and computed once
     otherwise, the candidates are walked by ascending coordinate sum, and h is
     kept unless an element k kept before it has every facet value <= h's,
@@ -282,15 +369,14 @@ def hilbert_basis(
     simplices = _triangulate(tuple(sorted(extreme)), fs)
     points: set[tuple[int, ...]] = set()
     total = 0
-    for s in simplices:
-        vol = abs(determinant(s))
+    for s, vol in simplices:
         total += vol
         if total > cap:
             raise CapExceeded(
                 f"parallelepiped budget {cap} exceeded at {total} lattice points"
             )
         if vol > 1:
-            points.update(_parallelepiped_points(s))
+            points.update(_parallelepiped_points(s, vol))
     candidates = set(extreme) | points
     normals, stored = fs.normals(), fs.slack
     elements = []

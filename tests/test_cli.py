@@ -328,6 +328,32 @@ class TestInstances:
         assert code == 2
 
 
+class TestCapFlag:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            (name, "bundled:graphic_k4")
+            for name in ("validate", "analyze", "rees-facets", "classify", "hilbert",
+                         "normality", "ehrhart-check", "polymatroid-check")
+        ]
+        + [("corpus", "2", "--checks", "C3.9"), ("enumerate-matroids", "3", "2"),
+           ("instances",)],
+    )
+    def test_negative_cap_is_a_parse_error(self, capsys, argv):
+        code, doc, _ = run_json(capsys, *argv, "--cap", "-1")
+        assert code == 2
+        assert doc["error"] == "parse"
+        assert "--cap" in doc["detail"]
+
+    def test_zero_cap_keeps_its_meaning(self, capsys):
+        code, doc, _ = run_json(capsys, "hilbert", "bundled:ideal_two_squares", "--cap", "0")
+        assert code == 3
+        assert doc["error"] == "cap_exceeded"
+        code, doc, _ = run_json(capsys, "classify", "bundled:ideal_two_squares", "--cap", "0")
+        assert code == 0
+        assert doc["classification"]["verdict"] == "quasi_ideal"
+
+
 class TestFormatAndTrailer:
     def test_text_format(self, capsys):
         code, out, _ = run(

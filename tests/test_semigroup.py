@@ -11,6 +11,7 @@ from test_acceptance import Budget
 from reeskit.errors import (
     CapExceeded,
     EmptyInput,
+    IntegrityError,
     InvalidInstance,
     PreconditionFailed,
     UnequalModuli,
@@ -21,6 +22,7 @@ from reeskit.matroid import (
     MonomialIdeal,
     basis_monomial_ideal,
     enumerate_matroids,
+    graphic_matroid,
     uniform_matroid,
 )
 from reeskit.polymatroid import veronese_bases
@@ -132,8 +134,9 @@ def all_pairs_reduction(cone, fs):
     extreme = extreme_generators(cone, fs)
     candidates = set(extreme)
     for s in dd_pulling(cone, fs):
-        if abs(determinant(s)) > 1:
-            candidates |= _parallelepiped_points(s)
+        vol = abs(determinant(s))
+        if vol > 1:
+            candidates |= _parallelepiped_points(s, vol)
     candidates = sorted(candidates)
     elements = [
         h
@@ -311,10 +314,22 @@ def small_ideals(draw):
 
 
 def assert_matches_oracle(ideal):
+    """_triangulate gives the double description oracle's simplices in its
+    order, each with its volume from heights equal to |det|."""
     cone = rees_generators(ideal)
     fs = facet_normals(cone)
     rays = tuple(sorted(extreme_generators(cone, fs)))
-    assert _triangulate(rays, fs) == dd_pulling(cone, fs), ideal
+    triangulation = _triangulate(rays, fs)
+    assert tuple(s for s, _ in triangulation) == dd_pulling(cone, fs), ideal
+    assert [vol for _, vol in triangulation] == [
+        abs(determinant(s)) for s, _ in triangulation
+    ], ideal
+    return triangulation
+
+
+# The wheel W4: K5 without the edges 12 and 34; 2,734 simplices, 192 of
+# volume above 1.
+W4_EDGES = ((1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5), (3, 5), (4, 5))
 
 
 class TestTriangulation:
@@ -336,6 +351,25 @@ class TestTriangulation:
     @given(small_ideals())
     def test_matches_oracle_on_random_ideals(self, ideal):
         assert_matches_oracle(ideal)
+
+    def test_matches_oracle_on_the_wheel_w4(self):
+        ideal = basis_monomial_ideal(graphic_matroid(5, W4_EDGES))
+        triangulation = assert_matches_oracle(ideal)
+        assert len(triangulation) == 2734
+        assert sum(vol > 1 for _, vol in triangulation) == 192
+        assert sum(vol for _, vol in triangulation) == 2946
+
+    # MIXED reaches a face whose cone normal has content 3 on its lattice,
+    # so a height not divided by that content would be off by 3
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_degree_ideals())
+    @example(MIXED)
+    def test_matches_oracle_on_mixed_degree_ideals(self, ideal):
+        assert_matches_oracle(ideal)
+
+    def test_volume_mismatch_is_an_integrity_error(self):
+        with pytest.raises(IntegrityError):
+            _parallelepiped_points(((2, 0), (0, 1)), 3)
 
 
 class TestSemigroupMember:
