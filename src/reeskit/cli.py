@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from itertools import permutations
 
 from . import jsonio
 from .errors import CapExceeded, ParseError, ReesKitError, TheoremCounterexample
@@ -259,7 +260,45 @@ def _corpus_matroids(n_max: int, rank_filter: int | None):
                 yield f"n{n}_d{d}_{idx:04d}", m
 
 
+def _classes(instances) -> dict[int, list[int]]:
+    """Isomorphism classes of the labelled list: the index of each class's
+    first member (its representative) -> the indices of all its members.
+    A representative's orbit is its bases relabelled under every
+    permutation of 1..n, so a later member joins by lookup."""
+    orbit, classes = {}, {}
+    for i, (_, m) in enumerate(instances):
+        rep = orbit.get((m.n, m.bases))
+        if rep is None:
+            rep = i
+            for p in permutations(range(1, m.n + 1)):
+                bases = tuple(sorted(tuple(sorted(p[e - 1] for e in b)) for b in m.bases))
+                orbit[m.n, bases] = i
+        classes.setdefault(rep, []).append(i)
+    return classes
+
+
+def _check(code: str, m, session: IdealSession, args):
+    """_run_check with a ReesKitError turned into its failure payload."""
+    try:
+        return _run_check(code, m, session, args)
+    except ReesKitError as exc:
+        return {"error": type(exc).__name__, "detail": str(exc)}
+
+
 def cmd_corpus(args) -> int:
+    """Run the selected checks over every labelled matroid with n <= n_max,
+    once per isomorphism class.
+
+    A permutation of the ground set permutes the variables of the basis
+    ideal and the first n coordinates of its Rees cone, so it maps facets,
+    T3.6's family, Hilbert bases, dilations and exchange failures onto
+    themselves (the total simplex volume that --cap bounds too): a check's
+    verdict is constant on a class. Each check therefore runs on the class's
+    first labelled member only. A failure's witness or cap message may
+    depend on the labelling, so a check that fails there runs again on
+    every member, each with its own session, and the report is the one a
+    labelled sweep gives. `instances` counts labelled matroids.
+    """
     if args.bmax < 0:
         raise ParseError(f"--bmax must be nonnegative, got {args.bmax}")
     if args.n_max < 1:
@@ -277,16 +316,20 @@ def cmd_corpus(args) -> int:
         )
     instances = list(_corpus_matroids(args.n_max, args.rank))
     failures = [[] for _ in codes]
-    for name, m in instances:
-        # one session per matroid: every check reads the same cone artefacts
+    for rep, members in _classes(instances).items():
+        m = instances[rep][1]
+        # one session per representative: every check reads the same cone artefacts
         session = IdealSession(basis_monomial_ideal(m), args.cap)
         for code, found in zip(codes, failures):
-            try:
-                bad = _run_check(code, m, session, args)
-            except ReesKitError as exc:
-                bad = {"error": type(exc).__name__, "detail": str(exc)}
-            if bad is not None:
-                found.append({"instance": name, "matroid": m.to_json(), **bad})
+            bad = _check(code, m, session, args)
+            if bad is None:
+                continue
+            for i in members:
+                name, mi = instances[i]
+                got = bad if i == rep else _check(
+                    code, mi, IdealSession(basis_monomial_ideal(mi), args.cap), args)
+                if got is not None:
+                    found.append({"instance": name, "matroid": mi.to_json(), **got})
     reports = []
     for code, found in zip(codes, failures):
         found.sort(key=lambda f: f["instance"])

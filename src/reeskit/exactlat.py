@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import gcd
 from operator import mul
 
-from .errors import ZeroVector
+from .errors import IntegrityError, ZeroVector
 
 
 def dot(u, v):
@@ -103,13 +103,13 @@ def determinant(rows) -> int:
 
 
 def adjugate(rows):
-    """Adjugate and determinant of a square matrix: M @ adj == det * I.
+    """Adjugate and determinant of a nonsingular square matrix: M @ adj == det * I.
 
     One fraction-free Gauss-Jordan pass on [M | I] (Bareiss, Math. Comp.
     1968), O(n^3): every intermediate entry is a minor, so each division is
     exact. With row-swap sign s and last pivot p it ends at [p*I | R], whence
-    det = s*p and adj = s*R. A singular M has rank-one or zero adjugate,
-    built from its two kernels in _singular_adjugate.
+    det = s*p and adj = s*R. Every caller passes a nonsingular M (a DD
+    seed, a pivot block, a simplex), so a zero pivot is an IntegrityError.
     """
     m = [list(map(int, r)) for r in rows]
     n = len(m)
@@ -123,7 +123,7 @@ def adjugate(rows):
     for k in range(n):
         piv = next((i for i in range(k, n) if a[i][k]), None)
         if piv is None:
-            return _singular_adjugate(m), 0
+            raise IntegrityError(f"adjugate of a singular {n}x{n} matrix")
         if piv != k:
             a[k], a[piv] = a[piv], a[k]
             sign = -sign
@@ -139,27 +139,6 @@ def adjugate(rows):
             row_i[k] = 0
         prev = p
     return [[sign * e for e in row[n:]] for row in a], sign * prev
-
-
-def _singular_adjugate(m):
-    """Adjugate of a singular square matrix.
-
-    Zero below rank n-1. At rank n-1 it is c*u*v^T / (u[j0]*v[i0]), where u
-    and v span the kernels of M and M^T and c = C[i0][j0] is the cofactor at
-    any i0, j0 with v[i0], u[j0] nonzero; those cofactors are exactly the
-    nonzero ones, and every quotient is an exact integer.
-    """
-    n = len(m)
-    if rank(m) < n - 1:
-        return [[0] * n for _ in range(n)]
-    (u,) = kernel_basis(m)
-    (v,) = kernel_basis(list(zip(*m)))
-    j0 = next(j for j, e in enumerate(u) if e)
-    i0 = next(i for i, e in enumerate(v) if e)
-    minor = [[e for c, e in enumerate(row) if c != j0] for r, row in enumerate(m) if r != i0]
-    c = (-1) ** (i0 + j0) * determinant(minor)
-    den = u[j0] * v[i0]
-    return [[c * u[r] * v[s] // den for s in range(n)] for r in range(n)]
 
 
 def kernel_basis(rows) -> list[tuple[int, ...]]:

@@ -3,11 +3,15 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from itertools import permutations
 
 import pytest
 
-from reeskit import cli
+from reeskit import cli, jsonio
 from reeskit.cli import main
+from reeskit.errors import ReesKitError
+from reeskit.matroid import basis_monomial_ideal
+from reeskit.semigroup import IdealSession
 
 
 def run(capsys, *argv):
@@ -19,6 +23,50 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     return code, json.loads(out), err
+
+
+def labelled_corpus(*argv) -> tuple[int, str]:
+    """`corpus` as a labelled sweep: every selected check on every labelled
+    matroid, one session each. The oracle for the class sweep of
+    cmd_corpus; returns (exit code, stdout)."""
+    args = cli._build_parser().parse_args(["corpus", *argv])
+    codes = sorted(cli.CHECKS if args.checks is None else set(args.checks.split(",")))
+    instances = list(cli._corpus_matroids(args.n_max, args.rank))
+    failures = [[] for _ in codes]
+    for name, m in instances:
+        session = IdealSession(basis_monomial_ideal(m), args.cap)
+        for code, found in zip(codes, failures):
+            try:
+                bad = cli._run_check(code, m, session, args)
+            except ReesKitError as exc:
+                bad = {"error": type(exc).__name__, "detail": str(exc)}
+            if bad is not None:
+                found.append({"instance": name, "matroid": m.to_json(), **bad})
+    reports = []
+    for code, found in zip(codes, failures):
+        found.sort(key=lambda f: f["instance"])
+        reports.append({
+            "check": code,
+            "title": cli.CHECKS[code],
+            "instances": len(instances),
+            "failures": found,
+            "status": "pass" if not found else "fail",
+        })
+    out = jsonio.dumps({"n_max": args.n_max, "reports": reports})
+    return (1 if any(failures) else 0), out
+
+
+def canonical(m) -> tuple:
+    """n and the lex-least relabelling of m's bases: equal exactly on a class."""
+    return m.n, min(
+        tuple(sorted(tuple(sorted(p[e - 1] for e in b)) for b in m.bases))
+        for p in permutations(range(1, m.n + 1))
+    )
+
+
+def loops(m) -> list[int]:
+    """Elements in no basis of m."""
+    return sorted(set(range(1, m.n + 1)) - {e for b in m.bases for e in b})
 
 
 def veronese_3_50(tmp_path) -> str:
@@ -243,8 +291,9 @@ class TestCorpus:
         code, doc, _ = run_json(capsys, "corpus", "2", "--checks", "T3.6,T3.6")
         assert code == 0
         assert [r["check"] for r in doc["reports"]] == ["T3.6"]
-        # one T3.6 run per matroid: 1 + (3 + 1) on at most 2 elements
-        assert calls == ["T3.6"] * 5
+        # one T3.6 run per class: the 1 + (3 + 1) labelled matroids on at
+        # most 2 elements form 1 + (2 + 1) classes
+        assert calls == ["T3.6"] * 4
         assert doc["reports"][0]["instances"] == 5
 
     @pytest.mark.parametrize("checks", ["", ","])
@@ -291,6 +340,73 @@ class TestCorpus:
         )
         assert proc.returncode == 3
         assert json.loads(proc.stdout)["error"] == "cap_exceeded"
+
+
+class TestCorpusClasses:
+    """The class sweep prints what the labelled sweep prints."""
+
+    @pytest.mark.parametrize("n_max", ["1", "2", "3", "4", "5"])
+    @pytest.mark.parametrize("checks", [None, *sorted(cli.CHECKS)])
+    def test_matches_labelled_sweep(self, capsys, n_max, checks):
+        argv = [n_max] if checks is None else [n_max, "--checks", checks]
+        code, out, _ = run(capsys, "corpus", *argv)
+        assert (code, out) == labelled_corpus(*argv)
+
+    @pytest.mark.parametrize("argv", [
+        ("5", "--rank", "2"),
+        ("3", "--cap", "0"),
+        ("4", "--cap", "2"),
+        ("4", "--bmax", "0"),
+        ("3", "--format", "text"),
+    ])
+    def test_matches_labelled_sweep_with_options(self, capsys, argv):
+        code, out, _ = run(capsys, "corpus", *argv)
+        want_code, want = labelled_corpus(*argv)
+        if "text" in argv:
+            want = cli._render_text(jsonio.encode(json.loads(want))) + "\n"
+        assert (code, out) == (want_code, want)
+
+    def test_label_invariant_failure_reports_every_member(self, capsys, monkeypatch):
+        run_check = cli._run_check
+
+        def loops_fail(code, m, *rest):
+            if code == "T3.6" and loops(m):
+                return {"loops": loops(m)}
+            return run_check(code, m, *rest)
+
+        monkeypatch.setattr("reeskit.cli._run_check", loops_fail)
+        code, out, _ = run(capsys, "corpus", "4")
+        assert (code, out) == labelled_corpus("4")
+        assert code == 1
+        reports = {r["check"]: r for r in json.loads(out)["reports"]}
+        names = [f["instance"] for f in reports["T3.6"]["failures"]]
+        want = sorted(name for name, m in cli._corpus_matroids(4, None) if loops(m))
+        assert names == want
+        assert len(names) > len({canonical(m) for _, m in cli._corpus_matroids(4, None)
+                                 if loops(m)})
+        assert all(r["status"] == "pass" for c, r in reports.items() if c != "T3.6")
+
+    def test_passing_class_runs_each_check_once(self, capsys, monkeypatch):
+        calls = []
+        run_check = cli._run_check
+
+        def recording(code, m, *rest):
+            calls.append((code, m))
+            return run_check(code, m, *rest)
+
+        monkeypatch.setattr("reeskit.cli._run_check", recording)
+        code, doc, _ = run_json(capsys, "corpus", "4")
+        assert code == 0
+        seen, reps = set(), []
+        for _, m in cli._corpus_matroids(4, None):
+            if canonical(m) not in seen:
+                seen.add(canonical(m))
+                reps.append(m)
+        # 1 + 3 + 7 + 16 classes (OEIS A055545 less rank 0) of 1 + 4 + 15 + 67
+        # labelled matroids
+        assert (len(reps), doc["reports"][0]["instances"]) == (27, 87)
+        for c in cli.CHECKS:
+            assert [m for code, m in calls if code == c] == reps
 
 
 class TestEnumerateMatroids:

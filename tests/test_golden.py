@@ -4,7 +4,8 @@ Criterion 10 compares a run with itself, which a change to an exact kernel
 or to the way a command shares its work would still pass. These sha256
 digests pin the stdout (and exit code) of all eight instance commands on
 every bundled instance and on one family that is not a matroid, plus
-`corpus 4`, `corpus 5` and `enumerate-matroids 6 3`, `ehrhart-check` on two equal-degree files that
+`corpus 4`, `corpus 5`, `corpus 5 --rank 2`, `corpus 6`, `corpus 4 --cap 2` and
+`enumerate-matroids 6 3`, `ehrhart-check` on two equal-degree files that
 are not bundled, `hilbert`/`normality` on three mixed-degree ideals that are
 not normal, `normality` on Veronese(3,50), and `hilbert` past its
 parallelepiped cap on three instances, so any such change fails here.
@@ -178,6 +179,14 @@ CORPUS_4_GOLDEN = (0, "2c9528a6aa8e005db24fdd93d82ba8c455e6ea3b5905b9f1caabf7ace
 # corpus 5 runs the five checks, and so the pulling triangulation, on all 492
 # matroids with at most 5 elements.
 CORPUS_5_GOLDEN = (0, "d6f80f6582ab44cd7eebb572dfe8b66ea63e8ac4acccd39a84fd2a232dc8cd56")
+# corpus 5 --rank 2 (215 labelled matroids, 24 classes) and corpus 6 (4,298
+# labelled matroids, 161 classes): the class sweep must print what a sweep
+# over every labelled matroid prints.
+CORPUS_5_RANK_2_GOLDEN = (0, "95ede56a7f40b7d4c36a1ff813d91a11819f6b2c94c03a1762e4e037a9c27f81")
+CORPUS_6_GOLDEN = (0, "046ad27bc8e89068a5f2506d4dea2b2ff1b2b2e723ffc143ddcc656b8bbd5da6")
+# corpus 4 --cap 2: C3.9 and T2.2 fail on 30 labelled matroids each, so this
+# pins the failure payloads, their cap messages and their order.
+CORPUS_4_CAP_2_GOLDEN = (1, "47e37200bafad996722f13c846b48df3b03c87fd959efbe087dd5d0c35bc16c5")
 # enumerate-matroids 6 3: all 2,053 labeled matroids of rank 3 on 6 elements,
 # the largest enumeration below the cap.
 ENUMERATE_6_3_GOLDEN = (0, "d6a92f0fb3ca13456d7495197bd25002cc1fd2f8b8e78ff6167c6f0a1d425131")
@@ -287,6 +296,18 @@ def test_corpus_4_stdout_matches_golden(capsys):
 
 def test_corpus_5_stdout_matches_golden(capsys):
     assert _run(capsys, ["corpus", "5"]) == CORPUS_5_GOLDEN
+
+
+def test_corpus_5_rank_2_stdout_matches_golden(capsys):
+    assert _run(capsys, ["corpus", "5", "--rank", "2"]) == CORPUS_5_RANK_2_GOLDEN
+
+
+def test_corpus_6_stdout_matches_golden(capsys):
+    assert _run(capsys, ["corpus", "6"]) == CORPUS_6_GOLDEN
+
+
+def test_corpus_4_cap_2_stdout_matches_golden(capsys):
+    assert _run(capsys, ["corpus", "4", "--cap", "2"]) == CORPUS_4_CAP_2_GOLDEN
 
 
 def test_enumerate_matroids_6_3_matches_golden(capsys):

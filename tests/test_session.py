@@ -63,9 +63,10 @@ def test_corpus_builds_one_facet_system_and_no_membership_per_matroid(monkeypatc
     memberships = count_calls(monkeypatch, semigroup, "ConeMembership")
     code, doc = run_json(capsys, "corpus", "4", "--rank", "2")
     assert code == 0
-    matroids = doc["reports"][0]["instances"]
-    assert matroids > 0
-    assert len(facets) == matroids
+    # 44 labelled matroids of rank 2 on at most 4 elements in 1 + 3 + 7
+    # isomorphism classes: one session, so one facet system, per class
+    assert doc["reports"][0]["instances"] == 44
+    assert len(facets) == 11
     assert facets_elsewhere == []
     assert memberships == []
 
