@@ -403,8 +403,19 @@ def cmd_instances(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors (an unknown command, a missing or
+    ill-typed argument) raise ParseError after the usage line on stderr, so
+    main answers them with a JSON document like any other parse error.
+    Subcommand parsers are built with the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ParseError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="reeskit",
         description="Exact Rees-cone analysis of monomial ideals, matroids, "
         "and discrete polymatroids.",
@@ -459,9 +470,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
-    if not hasattr(args, "handler"):
-        parser.print_help(sys.stderr)
+    try:
+        args = parser.parse_args(argv)
+        if not hasattr(args, "handler"):
+            parser.print_help(sys.stderr)
+            raise ParseError("no command given")
+    except ParseError as exc:
+        _emit({"error": "parse", "detail": str(exc)}, None)
         return 2
     start = time.perf_counter()
     try:

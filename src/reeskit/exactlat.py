@@ -141,6 +141,44 @@ def adjugate(rows):
     return [[sign * e for e in row[n:]] for row in a], sign * prev
 
 
+def kernel_mod_p(rows, p: int) -> list[tuple[int, ...]]:
+    """Basis of the right kernel {x : M x = 0 (mod p)} over GF(p), p prime.
+
+    Gauss-Jordan on the residues, one basis vector per free column, free
+    columns ascending; entries lie in 0..p-1 and each vector is 1 at its
+    free column.
+    """
+    m = [[int(e) % p for e in r] for r in rows]
+    if not m:
+        return []
+    nr, nc = len(m), len(m[0])
+    pivots = []
+    r = 0
+    for c in range(nc):
+        if r == nr:
+            break
+        piv = next((i for i in range(r, nr) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = pow(m[r][c], -1, p)
+        row_r = m[r] = [e * inv % p for e in m[r]]
+        for i in range(nr):
+            f = m[i][c]
+            if i != r and f:
+                m[i] = [(a - f * b) % p for a, b in zip(m[i], row_r)]
+        pivots.append(c)
+        r += 1
+    basis = []
+    for fc in (c for c in range(nc) if c not in pivots):
+        x = [0] * nc
+        x[fc] = 1
+        for row, pc in zip(m, pivots):
+            x[pc] = -row[fc] % p
+        basis.append(tuple(x))
+    return basis
+
+
 def kernel_basis(rows) -> list[tuple[int, ...]]:
     """Primitive integer basis of the right kernel {x : M x = 0}.
 

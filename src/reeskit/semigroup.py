@@ -11,7 +11,8 @@ height of a face's apex over one of its facets, in the face's saturated
 lattice Z^dim & span(F), is <b, apex> / gcd <b, L_F> for the facet's cone
 normal b, and the recursion carries a Z-basis of each face's lattice down
 to its facets. Then the lattice points of each half-open fundamental
-parallelepiped are enumerated, and the candidates reduced to the
+parallelepiped are enumerated, as the multiples of one kernel vector mod p
+when the volume p is prime, and the candidates reduced to the
 irreducible ones in order of degree, each against the irreducibles already
 kept, on facet values that the facet system holds for the generators and
 that are computed once for every other candidate. A Hilbert basis element is irreducible, so it
@@ -31,8 +32,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
-from math import gcd
+from itertools import accumulate, product
+from math import gcd, isqrt
 from operator import le, mul
 
 from .errors import (
@@ -44,7 +45,7 @@ from .errors import (
     PreconditionFailed,
     UnequalModuli,
 )
-from .exactlat import _bareiss, adjugate, dot, primitive
+from .exactlat import _bareiss, adjugate, determinant, dot, kernel_mod_p, primitive
 from .matroid import MonomialIdeal
 from .reescone import (
     ConeClassification,
@@ -160,15 +161,15 @@ def _column_hnf_diagonal(mat) -> list[int]:
     return [cols[i][i] for i in range(m)]
 
 
-def _parallelepiped_points(simplex, vol: int) -> set[tuple[int, ...]]:
-    """Nonzero lattice points of {sum lam_i r_i : 0 <= lam_i < 1}.
+def _adjugate_points(simplex, vol: int) -> set[tuple[int, ...]]:
+    """Nonzero lattice points of {sum lam_i r_i : 0 <= lam_i < 1}, for any
+    volume.
 
     One point per coset of Z^m modulo the ray lattice: walk the diagonal box
     of a column Hermite form, then reduce each representative into the
-    half-open parallelepiped with one exact rational solve. vol is the
-    simplex's volume from heights (_triangulate); the adjugate that gives
-    the floors yields |det| as well, and any difference from vol is an
-    IntegrityError.
+    half-open parallelepiped with one exact rational solve. The adjugate
+    that gives the floors yields |det| as well, and any difference from vol
+    is an IntegrityError.
     """
     m = len(simplex)
     colmat = [[simplex[j][i] for j in range(m)] for i in range(m)]
@@ -190,6 +191,53 @@ def _parallelepiped_points(simplex, vol: int) -> set[tuple[int, ...]]:
         if any(p):
             points.add(p)
     return points
+
+
+def _kernel_points(simplex, p: int) -> set[tuple[int, ...]]:
+    """Nonzero lattice points of {sum lam_i r_i : 0 <= lam_i < 1} for a
+    simplex of prime volume p.
+
+    Z^m modulo the ray lattice L is then cyclic of order p, so any x outside
+    L with p x in L generates it, and its nonzero cosets are those of k x
+    for k = 1..p-1. Such an x is (sum c_i r_i) / p for c spanning the kernel
+    of the ray matrix over GF(p); with the coefficients c_i taken in
+    0..p-1, the point of the k-th coset is (sum (k c_i mod p) r_i) / p. A
+    kernel of another dimension, or a sum not divisible by p, is an
+    IntegrityError, and so is |det| != p: a 1-dimensional kernel shows only
+    that p divides |det|.
+    """
+    m = len(simplex)
+    colmat = [[simplex[j][i] for j in range(m)] for i in range(m)]
+    kernel = kernel_mod_p(colmat, p)
+    if len(kernel) != 1:
+        raise IntegrityError(
+            f"simplex of volume {p} has a {len(kernel)}-dimensional kernel mod {p}"
+        )
+    det = abs(determinant(colmat))
+    if det != p:
+        raise IntegrityError(f"simplex volume {p} from heights, {det} from the determinant")
+    (c,) = kernel
+    points = set()
+    for k in range(1, p):
+        lam = [k * ci % p for ci in c]
+        point = []
+        for coords in zip(*simplex):
+            q, r = divmod(sum(map(mul, lam, coords)), p)
+            if r:
+                raise IntegrityError(f"kernel vector {c} mod {p} gives no lattice point")
+            point.append(q)
+        points.add(tuple(point))
+    return points
+
+
+def _parallelepiped_points(simplex, vol: int) -> set[tuple[int, ...]]:
+    """Nonzero lattice points of {sum lam_i r_i : 0 <= lam_i < 1}, for the
+    simplex's volume vol from heights (_triangulate): by a kernel mod vol
+    when vol is prime (_kernel_points), else by the adjugate and a Hermite
+    form (_adjugate_points)."""
+    if vol > 1 and all(vol % d for d in range(2, isqrt(vol) + 1)):
+        return _kernel_points(simplex, vol)
+    return _adjugate_points(simplex, vol)
 
 
 def _pivot_projector(rows):
@@ -244,7 +292,7 @@ def _split(basis, b):
     return abs(live[0][0]), sub
 
 
-def _triangulate(rays: tuple, fs: FacetSystem) -> tuple[tuple, ...]:
+def _triangulate(rays: tuple, fs: FacetSystem, canonical: bool = False) -> tuple[tuple, ...]:
     """Pulling triangulation of the lex-sorted extreme rays of a cone with
     the facet system fs, as (simplex, normalized volume) pairs: cone off the
     lex-smallest ray of each face over every facet of the face that avoids
@@ -257,11 +305,16 @@ def _triangulate(rays: tuple, fs: FacetSystem) -> tuple[tuple, ...]:
     F & G: each facet of F is a face
     of the cone, so it is the intersection of the cone facets containing it,
     and one of those does not contain F. A face reached at depth k has
-    dimension dim - k, so it is simplicial iff it has dim - k rays. The
-    facets of F are taken in ascending order of their primitive inner
-    normals in F's pivot projection, which fixes the simplex order and so
-    the running total a cap-exceeded message reports. Faces recur across
-    facets, so each face is triangulated once.
+    dimension dim - k, so it is simplicial iff it has dim - k rays. Faces
+    recur across facets, so each face is triangulated once.
+
+    The simplices and their volumes do not depend on the order in which a
+    face's facets are taken, only their sequence does. By default they are
+    taken in the order of the cone facets that cut them out. With
+    canonical, they are taken in ascending order of their primitive inner
+    normals in F's pivot projection, which costs one adjugate per face and
+    fixes the sequence, and with it the running total a cap-exceeded
+    message reports (hilbert_basis).
 
     Volumes come from heights (as over the triangulations of Normaliz,
     Bruns and Ichim, J. Algebra 2010), not from determinants. A face F
@@ -319,9 +372,10 @@ def _triangulate(rays: tuple, fs: FacetSystem) -> tuple[tuple, ...]:
                 if not meet >> apex & 1
                 and not any(meet & other == meet and other != meet for other in meets)
             ]
-            # the top face spans the space, so its projection is the identity
-            project = _pivot_projector([rays[i] for i in members]) if depth else tuple
-            pulled.sort(key=lambda item: project(normals[item[1]]))
+            if canonical:
+                # the top face spans the space, so its projection is the identity
+                project = _pivot_projector([rays[i] for i in members]) if depth else tuple
+                pulled.sort(key=lambda item: project(normals[item[1]]))
             out = []
             for meet, j in pulled:
                 b = normals[j]
@@ -352,7 +406,13 @@ def hilbert_basis(
     the Hilbert basis. A simplex of volume v has v - 1 of them; v is the
     product of the heights along the simplex's pulling chain, each a facet
     value divided by the content of the facet normal on the face's
-    saturated lattice, so no simplex takes a determinant. Reduction follows
+    saturated lattice. The volumes are summed before any point is
+    enumerated, and the cap bounds that sum, the total parallelepiped
+    lattice points; past it, the triangulation is rebuilt in its canonical
+    order to report the running total at the first simplex over the cap.
+    Then each simplex of volume above 1 gives its points
+    (_parallelepiped_points): by a kernel mod v when v is prime, by an
+    adjugate otherwise. Reduction follows
     Normaliz (Bruns and Ichim, J. Algebra 2010): each candidate's values on the facet normals are read
     from the facet system's slack when it is a generator and computed once
     otherwise, the candidates are walked by ascending coordinate sum, and h is
@@ -360,21 +420,20 @@ def hilbert_basis(
     i.e. h - k lies in the cone. That is exact: a reducible h is reducible
     by a Hilbert basis element x with h - x a nonzero point of the first
     orthant, so sum(x) < sum(h) and x was kept first, while two candidates
-    of equal sum never reduce each other. The cap bounds the total
-    parallelepiped lattice points enumerated. Uniqueness comes with
+    of equal sum never reduce each other. Uniqueness comes with
     pointedness, which holds as the generators sit in the first orthant.
     """
     fs = facets if facets is not None else facet_normals(cone)
     extreme = extreme_generators(cone, fs)
-    simplices = _triangulate(tuple(sorted(extreme)), fs)
+    rays = tuple(sorted(extreme))
+    simplices = _triangulate(rays, fs)
+    total = sum(vol for _, vol in simplices)
+    if total > cap:
+        canonical = _triangulate(rays, fs, canonical=True)
+        reached = next(t for t in accumulate(vol for _, vol in canonical) if t > cap)
+        raise CapExceeded(f"parallelepiped budget {cap} exceeded at {reached} lattice points")
     points: set[tuple[int, ...]] = set()
-    total = 0
     for s, vol in simplices:
-        total += vol
-        if total > cap:
-            raise CapExceeded(
-                f"parallelepiped budget {cap} exceeded at {total} lattice points"
-            )
         if vol > 1:
             points.update(_parallelepiped_points(s, vol))
     candidates = set(extreme) | points

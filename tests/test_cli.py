@@ -485,14 +485,39 @@ class TestFormatAndTrailer:
         assert "wall_time_s" not in out
 
     def test_no_command_prints_help(self, capsys):
-        code, out, err = run(capsys)
+        code, doc, err = run_json(capsys)
         assert code == 2
-        assert out == ""
+        assert doc == {"error": "parse", "detail": "no command given"}
+        assert "usage: reeskit" in err
 
     def test_unknown_command_exits_two(self, capsys):
+        code, doc, err = run_json(capsys, "no-such-command")
+        assert code == 2
+        assert doc["error"] == "parse"
+        assert "invalid choice: 'no-such-command'" in doc["detail"]
+        assert "usage: reeskit" in err
+
+    @pytest.mark.parametrize(
+        "argv, detail",
+        [
+            (("analyze",), "the following arguments are required: instance"),
+            (("hilbert", "bundled:u_1_1", "--cap", "q"), "argument --cap: invalid int value: 'q'"),
+            (("corpus",), "the following arguments are required: n_max"),
+            (("validate", "bundled:u_1_1", "--format", "xml"), "argument --format: invalid choice"),
+            (("instances", "--bogus"), "unrecognized arguments: --bogus"),
+        ],
+    )
+    def test_usage_errors_print_one_json_document(self, capsys, argv, detail):
+        code, doc, _ = run_json(capsys, *argv)
+        assert code == 2
+        assert doc["error"] == "parse"
+        assert doc["detail"].startswith(detail)
+
+    def test_help_keeps_its_behaviour(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["no-such-command"])
-        assert exc.value.code == 2
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: reeskit")
 
 
 def test_console_script_installed():

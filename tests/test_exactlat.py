@@ -13,6 +13,7 @@ from reeskit.exactlat import (
     determinant,
     dot,
     kernel_basis,
+    kernel_mod_p,
     primitive,
     rank,
     vsub,
@@ -249,6 +250,38 @@ class TestKernel:
                 assert dot(tuple(row), b) == 0
         if basis:
             assert rank(basis) == len(basis)
+
+
+class TestKernelModP:
+    def test_examples(self):
+        # x + y + z = 0 mod 2 has a rank-2 kernel, free columns y and z
+        assert kernel_mod_p(((1, 1, 1),), 2) == [(1, 1, 0), (1, 0, 1)]
+        # diag(2, 3) is singular mod 2 only in its first column
+        assert kernel_mod_p(((2, 0), (0, 3)), 2) == [(1, 0)]
+        assert kernel_mod_p(((2, 0), (0, 3)), 5) == []
+        # 3x + 2y = 0 mod 5: y = x, with entries reduced into 0..4
+        assert kernel_mod_p(((3, 2),), 5) == [(1, 1)]
+        assert kernel_mod_p(((-1, 4),), 3) == [(1, 1)]
+
+    @settings(max_examples=100)
+    @given(matrices(), st.sampled_from((2, 3, 5, 7)))
+    def test_basis_spans_the_kernel(self, rows, p):
+        """The basis has entries in 0..p-1, one vector per free column, and
+        its GF(p)-span is every x with M x = 0 mod p (by enumeration)."""
+        basis = kernel_mod_p(rows, p)
+        ncols = len(rows[0])
+        assert all(0 <= e < p for b in basis for e in b)
+        kernel = {
+            x
+            for x in itertools.product(range(p), repeat=ncols)
+            if all(dot(tuple(row), x) % p == 0 for row in rows)
+        }
+        span = {
+            tuple(sum(c * b[k] for c, b in zip(coeffs, basis)) % p for k in range(ncols))
+            for coeffs in itertools.product(range(p), repeat=len(basis))
+        }
+        assert span == kernel
+        assert p ** len(basis) == len(kernel)
 
 
 def test_dot_and_vsub():

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations_with_replacement, product
+from collections import Counter
+from itertools import accumulate, combinations_with_replacement, product
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_acceptance import Budget
 
+from reeskit import semigroup
 from reeskit.errors import (
     CapExceeded,
     EmptyInput,
@@ -38,7 +40,9 @@ from reeskit.reescone import (
 from reeskit.semigroup import (
     IdealSession,
     LatticePolytope,
+    _adjugate_points,
     _box_points,
+    _kernel_points,
     _parallelepiped_points,
     _triangulate,
     certify_normality_pipeline,
@@ -313,18 +317,26 @@ def small_ideals(draw):
     return MonomialIdeal(n, tuple(sorted(vecs)))
 
 
-def assert_matches_oracle(ideal):
-    """_triangulate gives the double description oracle's simplices in its
-    order, each with its volume from heights equal to |det|."""
+def triangulations(ideal):
+    """(cone, facet system, default-order and canonical-order triangulations)."""
     cone = rees_generators(ideal)
     fs = facet_normals(cone)
     rays = tuple(sorted(extreme_generators(cone, fs)))
-    triangulation = _triangulate(rays, fs)
-    assert tuple(s for s, _ in triangulation) == dd_pulling(cone, fs), ideal
-    assert [vol for _, vol in triangulation] == [
-        abs(determinant(s)) for s, _ in triangulation
+    return cone, fs, _triangulate(rays, fs), _triangulate(rays, fs, canonical=True)
+
+
+def assert_matches_oracle(ideal):
+    """The canonical order of _triangulate gives the double description
+    oracle's simplices in its order, each with its volume from heights equal
+    to |det|; the default order gives the same (simplex, volume) pairs as a
+    multiset."""
+    cone, fs, fast, canonical = triangulations(ideal)
+    assert tuple(s for s, _ in canonical) == dd_pulling(cone, fs), ideal
+    assert [vol for _, vol in canonical] == [
+        abs(determinant(s)) for s, _ in canonical
     ], ideal
-    return triangulation
+    assert Counter(fast) == Counter(canonical), ideal
+    return canonical
 
 
 # The wheel W4: K5 without the edges 12 and 34; 2,734 simplices, 192 of
@@ -370,6 +382,89 @@ class TestTriangulation:
     def test_volume_mismatch_is_an_integrity_error(self):
         with pytest.raises(IntegrityError):
             _parallelepiped_points(((2, 0), (0, 1)), 3)
+
+    def test_cap_message_follows_the_canonical_order(self):
+        """Caps across W4's total volume: the message reports the running
+        total, in the oracle's simplex order, at the first simplex past the
+        cap, however the default order runs."""
+        ideal = basis_monomial_ideal(graphic_matroid(5, W4_EDGES))
+        cone = rees_generators(ideal)
+        fs = facet_normals(cone)
+        totals = list(accumulate(abs(determinant(s)) for s in dd_pulling(cone, fs)))
+        assert totals[-1] == 2946
+        for cap in [*range(0, 2946, 97), 2944, 2945]:
+            reached = next(t for t in totals if t > cap)
+            with pytest.raises(CapExceeded) as exc:
+                hilbert_basis(cone, fs, cap)
+            assert str(exc.value) == (
+                f"parallelepiped budget {cap} exceeded at {reached} lattice points"
+            )
+        assert hilbert_basis(cone, fs, 2946).parallelepiped_points == 2946
+
+
+def assert_kernel_route_matches(ideal):
+    """On every simplex of prime volume, the kernel mod p gives the adjugate
+    route's parallelepiped points."""
+    for s, vol in triangulations(ideal)[2]:
+        if vol > 1 and all(vol % d for d in range(2, vol)):
+            assert _kernel_points(s, vol) == _adjugate_points(s, vol), (ideal, s)
+
+
+class TestKernelPoints:
+    def test_matches_adjugate_route_on_bundled_instances(self):
+        for name in bundled_names():
+            assert_kernel_route_matches(analysis_ideal(realize(load_bundled(name)).value))
+
+    def test_matches_adjugate_route_on_small_matroids(self):
+        for n in range(1, 5):
+            for d in range(1, n + 1):
+                for m in enumerate_matroids(n, d):
+                    assert_kernel_route_matches(basis_monomial_ideal(m))
+
+    def test_matches_adjugate_route_on_the_wheel_w4(self):
+        assert_kernel_route_matches(basis_monomial_ideal(graphic_matroid(5, W4_EDGES)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_degree_ideals())
+    @example(MIXED)
+    def test_matches_adjugate_route_on_mixed_degree_ideals(self, ideal):
+        assert_kernel_route_matches(ideal)
+
+    def test_examples(self):
+        # (1, 1) / 2 is the one nonzero point of ((1, 1), (1, -1))
+        assert _kernel_points(((1, 1), (1, -1)), 2) == {(1, 0)}
+        assert _kernel_points(((1, 0, 0), (0, 1, 0), (1, 1, 3)), 3) == {
+            (1, 1, 1), (1, 1, 2)
+        }
+
+    def test_prime_volumes_take_the_kernel_route(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(semigroup, "_adjugate_points", lambda s, v: seen.append(v) or set())
+        _parallelepiped_points(((1, 1), (1, -1)), 2)
+        _parallelepiped_points(((1, 0), (0, 4)), 4)
+        assert seen == [4]
+
+    @pytest.mark.parametrize(
+        "simplex",
+        [
+            ((2, 0), (0, 2)),  # volume 4: a 2-dimensional kernel mod 2
+            ((1, 0), (0, 1)),  # volume 1: no kernel mod 2
+        ],
+    )
+    def test_kernel_of_another_dimension_is_an_integrity_error(self, simplex):
+        with pytest.raises(IntegrityError, match="dimensional kernel"):
+            _kernel_points(simplex, 2)
+
+    def test_one_dimensional_kernel_of_the_wrong_volume_is_an_integrity_error(self):
+        # diag(2, 3) has a 1-dimensional kernel mod 2, but volume 6: the
+        # kernel sees only that 2 divides the volume
+        with pytest.raises(IntegrityError, match="from the determinant"):
+            _kernel_points(((2, 0), (0, 3)), 2)
+
+    def test_sum_not_divisible_is_an_integrity_error(self, monkeypatch):
+        monkeypatch.setattr(semigroup, "kernel_mod_p", lambda rows, p: [(0, 1)])
+        with pytest.raises(IntegrityError, match="no lattice point"):
+            _kernel_points(((2, 0), (0, 1)), 2)
 
 
 class TestSemigroupMember:
