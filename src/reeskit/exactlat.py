@@ -24,6 +24,17 @@ def vsub(u, v):
     return tuple(a - b for a, b in zip(u, v))
 
 
+def packer(rows, width: int):
+    """(pack, guard): pack maps v to sum_j <rows[j], v> << (width * j), its
+    values on the rows in width-bit fields, and guard sets each field's top
+    bit. pack is linear, so exact with negative entries. For x, y packed from
+    values below 2**(width - 1), ((y | guard) - x) & guard == guard iff x <= y
+    fieldwise, as no borrow crosses a field (SWAR, Lamport, CACM 1975)."""
+    cols = [sum(e << width * j for j, e in enumerate(col)) for col in zip(*rows)]
+    guard = sum(1 << width * j + width - 1 for j in range(len(rows)))
+    return (lambda v: sum(map(mul, v, cols))), guard
+
+
 def primitive(v) -> tuple[int, ...]:
     """Divide a nonzero integer vector by the gcd of its entries.
 

@@ -12,16 +12,15 @@ lattice Z^dim & span(F), is <b, apex> / gcd <b, L_F> for the facet's cone
 normal b, and the recursion carries a Z-basis of each face's lattice down
 to its facets. Then the lattice points of each half-open fundamental
 parallelepiped are enumerated, as the multiples of one kernel vector mod p
-when the volume p is prime, and the candidates reduced to the
-irreducible ones in order of degree, each against the irreducibles already
-kept, on facet values that the facet system holds for the generators and
-that are computed once for every other candidate. A Hilbert basis element is irreducible, so it
-lies in the subsemigroup the generators span iff it is one of them. Dilation
-equality compares bP with the b-fold sumset of the vertices: for an ideal
-generated in one degree d, a lies in bP iff (a, b) lies in the Rees cone and
-|a| = b*d, so a session reads bP off the facets it already holds and tests
-only the points of the box slice outside the sumset. Integer arithmetic
-throughout.
+when the volume p is prime, and the candidates reduced to the irreducible
+ones in order of degree, each against the irreducibles already kept, on
+facet values packed into one int per candidate. A Hilbert basis element is
+irreducible, so it lies in the subsemigroup the generators span iff it is
+one of them. Dilation equality compares bP with the b-fold sumset of the
+vertices, kept as packed ints: for an ideal generated in one degree d, a
+lies in bP iff (a, b) lies in the Rees cone and |a| = b*d, so a session
+reads bP off the facets it already holds and tests only the points of the
+box slice outside the sumset. Integer arithmetic throughout.
 
 An IdealSession builds each of these artefacts for one ideal at most once
 and keeps them no longer than itself; the module-level checks are thin calls
@@ -34,7 +33,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, product
 from math import gcd, isqrt
-from operator import le, mul
+from operator import mul
 
 from .errors import (
     CapExceeded,
@@ -45,7 +44,7 @@ from .errors import (
     PreconditionFailed,
     UnequalModuli,
 )
-from .exactlat import _bareiss, adjugate, determinant, dot, kernel_mod_p, primitive
+from .exactlat import _bareiss, adjugate, determinant, dot, kernel_mod_p, packer, primitive
 from .matroid import MonomialIdeal
 from .reescone import (
     ConeClassification,
@@ -412,16 +411,19 @@ def hilbert_basis(
     order to report the running total at the first simplex over the cap.
     Then each simplex of volume above 1 gives its points
     (_parallelepiped_points): by a kernel mod v when v is prime, by an
-    adjugate otherwise. Reduction follows
-    Normaliz (Bruns and Ichim, J. Algebra 2010): each candidate's values on the facet normals are read
-    from the facet system's slack when it is a generator and computed once
-    otherwise, the candidates are walked by ascending coordinate sum, and h is
-    kept unless an element k kept before it has every facet value <= h's,
-    i.e. h - k lies in the cone. That is exact: a reducible h is reducible
-    by a Hilbert basis element x with h - x a nonzero point of the first
-    orthant, so sum(x) < sum(h) and x was kept first, while two candidates
-    of equal sum never reduce each other. Uniqueness comes with
+    adjugate otherwise. Reduction follows Normaliz (Bruns and Ichim, J.
+    Algebra 2010): the candidates are walked by ascending coordinate sum,
+    and h is kept unless an element k kept before it has every facet value
+    <= h's, i.e. h - k lies in the cone. That is exact: a reducible h is
+    reducible by a Hilbert basis element x with h - x a nonzero point of the
+    first orthant, so sum(x) < sum(h) and x was kept first, while two
+    candidates of equal sum never reduce each other. Uniqueness comes with
     pointedness, which holds as the generators sit in the first orthant.
+    Facet values are packed (exactlat.packer) in fields of W.bit_length() + 1
+    bits, so that test is one guarded subtraction: W, the largest sum of the
+    rays' values on one facet, bounds the values of every candidate, a ray or
+    sum lam_i r_i with 0 <= lam_i < 1. A key that is negative or has a guard
+    bit set is an IntegrityError.
     """
     fs = facets if facets is not None else facet_normals(cone)
     extreme = extreme_generators(cone, fs)
@@ -437,14 +439,20 @@ def hilbert_basis(
         if vol > 1:
             points.update(_parallelepiped_points(s, vol))
     candidates = set(extreme) | points
-    normals, stored = fs.normals(), fs.slack
-    elements = []
-    kept_values: list = []
+    bound = max(map(sum, zip(*(fs.slack[r] for r in rays))))
+    pack, guard = packer(fs.normals(), bound.bit_length() + 1)
+    elements, kept = [], []
     for h in sorted(candidates, key=sum):
-        values = stored[h] if h in stored else [dot(b, h) for b in normals]
-        if not any(all(map(le, k, values)) for k in kept_values):
+        x = pack(h)
+        if x < 0 or x & guard:
+            raise IntegrityError(f"candidate {list(h)} has a facet value outside 0..{bound}")
+        top = x | guard
+        for k in kept:
+            if (top - k) & guard == guard:
+                break
+        else:
             elements.append(h)
-            kept_values.append(values)
+            kept.append(x)
     return HilbertBasisResult(
         tuple(sorted(elements)), len(simplices), total, len(candidates)
     )
@@ -591,17 +599,21 @@ def _equality_report(
     coordinate sum b * degree, so it needs no test: the slice is scanned in
     lex order, and only the points outside the sumset are asked whether they
     lie in bP; those that do are the failures. bP has len(sums) + failures
-    lattice points.
+    lattice points. Points are keyed by packer, injective on every box as
+    its fields hold b_max times the largest coordinate.
     """
+    width = max(1, (b_max * max(map(max, poly.vertices))).bit_length())
+    key, _ = packer([[int(i == k) for k in range(poly.n)] for i in range(poly.n)], width)
+    vertices = {key(v) for v in poly.vertices}
     dilations = []
-    sums = {tuple([0] * poly.n)}
+    sums = {0}
     for b in range(1, b_max + 1):
-        sums = {tuple(x + y for x, y in zip(s, v)) for s in sums for v in poly.vertices}
+        sums = {s + v for s in sums for v in vertices}
         lo, hi = poly.box(b)
         failures = tuple(
             a
             for a in _box_points(lo, hi, b * degree)
-            if a not in sums and in_dilation((*a, b))
+            if key(a) not in sums and in_dilation((*a, b))
         )
         dilations.append(DilationCheck(b, len(sums) + len(failures), failures))
     return EqualityReport(degree, b_max, tuple(dilations))

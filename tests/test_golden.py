@@ -6,7 +6,7 @@ digests pin the stdout (and exit code) of all eight instance commands on
 every bundled instance and on one family that is not a matroid, plus
 `corpus 4`, `corpus 5`, `corpus 5 --rank 2`, `corpus 6`, `corpus 4 --cap 2` and
 `enumerate-matroids 6 3`, `ehrhart-check` on two equal-degree files that
-are not bundled, `hilbert`/`normality` on three mixed-degree ideals that are
+are not bundled, `hilbert`/`normality` on four mixed-degree ideals that are
 not normal, `normality` on Veronese(3,50), and `hilbert` past its
 parallelepiped cap on three instances, so any such change fails here.
 Regenerate them only when a change to a report is intended.
@@ -238,6 +238,14 @@ MIXED_FILES = {
         "n": 4,
         "exponents": [[9, 0, 2, 1], [0, 7, 0, 3], [1, 2, 12, 0], [0, 0, 1, 8], [4, 3, 0, 0]],
     },
+    # a simplex of composite volume 516, so its points come from the adjugate
+    "mixed_n3_v516": {
+        "n": 3,
+        "exponents": [
+            [7, 0, 16], [10, 8, 12], [11, 25, 7], [12, 29, 2],
+            [14, 17, 19], [16, 18, 12], [22, 5, 13], [26, 7, 5],
+        ],
+    },
 }
 MIXED_GOLDEN = {
     ("hilbert", "mixed_n3_a"): (0, "fe7b782dd0a1ba97a80460aeffc2de5b69e6681d141f58e56a8e2f0539df1522"),
@@ -246,6 +254,8 @@ MIXED_GOLDEN = {
     ("normality", "mixed_n3_b"): (1, "ce74b4d60ac0bd860da29757fd3a7372795e5262a09cdbdd53a9f9b21f18decc"),
     ("hilbert", "mixed_n4"): (0, "f01f78edbc8d0b5f940200ff78ab42003154e10bffff2d2a9c9d7529171b4db4"),
     ("normality", "mixed_n4"): (1, "dbba5a34b87ca1956aff76d8240711f2b0d4c1d8732a483eeb85f5441f360114"),
+    ("hilbert", "mixed_n3_v516"): (0, "21ed21549d6394f5839679690dc2c1278f5797a20a9a8e931e18c54050bb6741"),
+    ("normality", "mixed_n3_v516"): (1, "6b1ba7ed2bf85f7defeec9f92cd407af2a568daa019e45a24e390cf63e85bea7"),
 }
 
 # normality on Veronese(3,50): 1,326 generators, a normal ideal certified by

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from itertools import accumulate, combinations_with_replacement, product
+from operator import le
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,7 +19,7 @@ from reeskit.errors import (
     PreconditionFailed,
     UnequalModuli,
 )
-from reeskit.exactlat import determinant, dot, rank, vsub
+from reeskit.exactlat import determinant, dot, packer, rank, vsub
 from reeskit.jsonio import analysis_ideal, bundled_names, load_bundled, realize
 from reeskit.matroid import (
     MonomialIdeal,
@@ -38,10 +39,13 @@ from reeskit.reescone import (
     rees_generators,
 )
 from reeskit.semigroup import (
+    DilationCheck,
+    EqualityReport,
     IdealSession,
     LatticePolytope,
     _adjugate_points,
     _box_points,
+    _equality_report,
     _kernel_points,
     _parallelepiped_points,
     _triangulate,
@@ -56,6 +60,14 @@ from reeskit.semigroup import (
 PRINCIPAL = MonomialIdeal(1, ((1,),))
 TWO_SQUARES = MonomialIdeal(2, ((2, 0), (0, 2)))
 MIXED = MonomialIdeal(2, ((3, 0), (1, 1), (0, 3)))
+# mixed degrees, with a simplex of composite volume 516
+V516 = MonomialIdeal(
+    3,
+    (
+        (7, 0, 16), (10, 8, 12), (11, 25, 7), (12, 29, 2),
+        (14, 17, 19), (16, 18, 12), (22, 5, 13), (26, 7, 5),
+    ),
+)
 
 
 def box_points(bound):
@@ -467,6 +479,76 @@ class TestKernelPoints:
             _kernel_points(((2, 0), (0, 1)), 2)
 
 
+def reduction_oracle(cone, fs):
+    """The degree-ordered reduction on unpacked facet values: the candidates
+    of hilbert_basis, each kept unless an element kept before it is <= it in
+    every one of its dot products with the facet normals. Returns the
+    lex-sorted elements."""
+    rays = tuple(sorted(extreme_generators(cone, fs)))
+    candidates = set(rays)
+    for s, vol in _triangulate(rays, fs):
+        if vol > 1:
+            candidates |= _parallelepiped_points(s, vol)
+    normals = fs.normals()
+    elements, kept_values = [], []
+    for h in sorted(candidates, key=sum):
+        values = [dot(b, h) for b in normals]
+        if not any(all(map(le, k, values)) for k in kept_values):
+            elements.append(h)
+            kept_values.append(values)
+    return tuple(sorted(elements))
+
+
+def assert_reduction_matches(ideal):
+    cone = rees_generators(ideal)
+    fs = facet_normals(cone)
+    assert hilbert_basis(cone, fs).elements == reduction_oracle(cone, fs), ideal
+
+
+class TestPackedReduction:
+    def test_matches_oracle_on_bundled_instances(self):
+        for name in bundled_names():
+            assert_reduction_matches(analysis_ideal(realize(load_bundled(name)).value))
+
+    def test_matches_oracle_on_small_matroids(self):
+        for n in range(1, 5):
+            for d in range(1, n + 1):
+                for m in enumerate_matroids(n, d):
+                    assert_reduction_matches(basis_monomial_ideal(m))
+
+    def test_matches_oracle_on_the_wheel_w4(self):
+        assert_reduction_matches(basis_monomial_ideal(graphic_matroid(5, W4_EDGES)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_degree_ideals())
+    @example(MIXED)
+    @example(V516)
+    def test_matches_oracle_on_mixed_degree_ideals(self, ideal):
+        assert_reduction_matches(ideal)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_packed_dominance_is_componentwise_le(self, data):
+        bound = data.draw(st.one_of(st.integers(0, 40), st.integers(0, 2**80)))
+        fields = data.draw(st.integers(1, 8))
+        value = st.one_of(st.sampled_from((0, bound)), st.integers(0, bound))
+        x = data.draw(st.lists(value, min_size=fields, max_size=fields))
+        y = data.draw(st.lists(value, min_size=fields, max_size=fields))
+        identity = [[int(i == k) for k in range(fields)] for i in range(fields)]
+        pack, guard = packer(identity, bound.bit_length() + 1)
+        px, py = pack(x), pack(y)
+        assert px >= 0 and not px & guard
+        assert (((py | guard) - px) & guard == guard) == all(map(le, x, y))
+
+    # TWO_SQUARES has the facet normals e_1, e_2, e_3 and (1, 1, -2), and
+    # the sums of its extreme rays' values on them are at most 3
+    @pytest.mark.parametrize("point", [(1, -1, 0), (0, 0, 1), (-1, 3, 0), (5, 0, 0)])
+    def test_value_outside_the_bound_is_an_integrity_error(self, monkeypatch, point):
+        monkeypatch.setattr(semigroup, "_parallelepiped_points", lambda s, vol: {point})
+        with pytest.raises(IntegrityError, match="facet value outside"):
+            hilbert_basis(rees_generators(TWO_SQUARES))
+
+
 class TestSemigroupMember:
     def test_examples(self):
         cone = rees_generators(TWO_SQUARES)
@@ -705,6 +787,59 @@ class TestEhrhartEquality:
             ehrhart_equality_check(((1, 0), (1, 1)), 2)
         with pytest.raises(InvalidInstance):
             ehrhart_equality_check(((1, 0),), -1)
+
+
+def tuple_sumset_report(poly, degree, b_max, in_dilation):
+    """_equality_report with the sums of exactly b vertices kept as a set of
+    tuples and the box-slice points looked up in it as tuples."""
+    dilations = []
+    sums = {tuple([0] * poly.n)}
+    for b in range(1, b_max + 1):
+        sums = {tuple(x + y for x, y in zip(s, v)) for s in sums for v in poly.vertices}
+        lo, hi = poly.box(b)
+        failures = tuple(
+            a
+            for a in _box_points(lo, hi, b * degree)
+            if a not in sums and in_dilation((*a, b))
+        )
+        dilations.append(DilationCheck(b, len(sums) + len(failures), failures))
+    return EqualityReport(degree, b_max, tuple(dilations))
+
+
+def veronese_type(bound, degree):
+    """The vectors of the given degree below bound, coordinatewise."""
+    exponents = [a for a in product(*(range(u + 1) for u in bound)) if sum(a) == degree]
+    return MonomialIdeal(len(bound), tuple(exponents))
+
+
+def assert_sumset_matches(ideal, b_max):
+    session = IdealSession(ideal)
+    degree = session.degree
+    for in_dilation in (session.in_dilation, session.polytope.lifted_membership.contains):
+        args = (session.polytope, degree, b_max, in_dilation)
+        assert _equality_report(*args) == tuple_sumset_report(*args), ideal
+
+
+class TestPackedSumset:
+    def test_matches_tuple_sumset_on_bundled_instances(self):
+        checked = 0
+        for name in bundled_names():
+            ideal = analysis_ideal(realize(load_bundled(name)).value)
+            if len({sum(v) for v in ideal.exponents}) == 1:
+                assert_sumset_matches(ideal, 4)
+                checked += 1
+        assert checked == len(bundled_names()) - 1  # all but ideal_mixed_neither
+
+    @pytest.mark.parametrize("bound", [(2, 2, 2, 2), (2, 2, 2, 3)])
+    def test_matches_tuple_sumset_on_veronese_types(self, bound):
+        assert_sumset_matches(veronese_type(bound, 6), 4)
+
+    def test_zero_bound_and_zero_vertices(self):
+        assert ehrhart_equality_check([[2, 0], [0, 2]], 0).dilations == ()
+        assert ehrhart_equality_check([[0, 0]], 0).dilations == ()
+        report = ehrhart_equality_check([[0, 0]], 2)
+        assert report.dilations == (DilationCheck(1, 1, ()), DilationCheck(2, 1, ()))
+        assert report.degree == 0 and report.passed
 
 
 class TestDecomposition:
