@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from functools import cache
 from itertools import permutations
 
 from . import jsonio
@@ -414,7 +415,10 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built by the first main() call and
+    reused by every later one: parse_args leaves it unchanged."""
     parser = _Parser(
         prog="reeskit",
         description="Exact Rees-cone analysis of monomial ideals, matroids, "

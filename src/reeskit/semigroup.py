@@ -12,7 +12,8 @@ lattice Z^dim & span(F), is <b, apex> / gcd <b, L_F> for the facet's cone
 normal b, and the recursion carries a Z-basis of each face's lattice down
 to its facets. Then the lattice points of each half-open fundamental
 parallelepiped are enumerated, as the multiples of one kernel vector mod p
-when the volume p is prime, and the candidates reduced to the irreducible
+when the volume p is prime and by an incremental walk over the cosets of a
+Hermite box otherwise, and the candidates reduced to the irreducible
 ones in order of degree, each against the irreducibles already kept, on
 facet values packed into one int per candidate. A Hilbert basis element is
 irreducible, so it lies in the subsemigroup the generators span iff it is
@@ -31,8 +32,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, product
-from math import gcd, isqrt
+from itertools import accumulate
+from math import gcd, isqrt, prod
 from operator import mul
 
 from .errors import (
@@ -164,11 +165,16 @@ def _adjugate_points(simplex, vol: int) -> set[tuple[int, ...]]:
     """Nonzero lattice points of {sum lam_i r_i : 0 <= lam_i < 1}, for any
     volume.
 
-    One point per coset of Z^m modulo the ray lattice: walk the diagonal box
-    of a column Hermite form, then reduce each representative into the
-    half-open parallelepiped with one exact rational solve. The adjugate
-    that gives the floors yields |det| as well, and any difference from vol
-    is an IntegrityError.
+    One point per coset of Z^m modulo the ray lattice, and one coset per
+    point x of the diagonal box of a column Hermite form. x's point is
+    (sum c_i r_i) / det for c = adj x mod det, so the box is walked as an
+    odometer with no division: a step s adds a = adj s mod det to c and
+    g = (sum a_i r_i) / det, s reduced into the parallelepiped, to the point,
+    then subtracts r_i for each c_i that wrapped past det. Points are packed
+    (exactlat.packer), each coordinate offset by its least value on the
+    parallelepiped, in fields of W.bit_length() + 1 bits for W the largest
+    sum of |r_i| on one coordinate. A |det| other than vol, or a walk that
+    does not give vol - 1 distinct nonzero points, is an IntegrityError.
     """
     m = len(simplex)
     colmat = [[simplex[j][i] for j in range(m)] for i in range(m)]
@@ -179,17 +185,34 @@ def _adjugate_points(simplex, vol: int) -> set[tuple[int, ...]]:
     if det != vol:
         raise IntegrityError(f"simplex volume {vol} from heights, {det} from the adjugate")
     diag = _column_hnf_diagonal(colmat)
-    points = set()
-    for x in product(*(range(d) for d in diag)):
-        floors = [
-            sum(adj[i][k] * x[k] for k in range(m)) // det for i in range(m)
-        ]
-        p = tuple(
-            x[i] - sum(colmat[i][j] * floors[j] for j in range(m)) for i in range(m)
-        )
-        if any(p):
-            points.add(p)
-    return points
+    width = max(sum(map(abs, row)) for row in colmat).bit_length() + 1
+    pack, _ = packer([[int(i == j) for j in range(m)] for i in range(m)], width)
+    lows = [sum(min(e, 0) for e in row) for row in colmat]
+    rays, zero = [pack(r) for r in simplex], pack([-lo for lo in lows])
+    axes = [k for k in range(m) if diag[k] > 1]
+    steps = []  # advance box coordinate axes[n] and reset the later ones
+    for n, k in enumerate(axes):
+        step = [int(j == k) - (diag[j] - 1) * (j in axes[n + 1 :]) for j in range(m)]
+        a = [sum(map(mul, row, step)) % det for row in adj]
+        steps.append((a, sum(map(mul, a, rays)) // det))
+    c, x, p, seen = [0] * m, [0] * len(axes), zero, set()
+    for _ in range(prod(diag) - 1):
+        n = len(axes) - 1
+        while x[n] == diag[axes[n]] - 1:
+            x[n], n = 0, n - 1
+        x[n] += 1
+        a, g = steps[n]
+        p += g
+        for i in range(m):
+            c[i] += a[i]
+            if c[i] >= det:
+                c[i] -= det
+                p -= rays[i]
+        seen.add(p)
+    if len(seen) != det - 1 or zero in seen:
+        raise IntegrityError(f"coset walk gave {len(seen - {zero})} of {det - 1} nonzero points")
+    mask, fields = (1 << width) - 1, [(width * i, lo) for i, lo in enumerate(lows)]
+    return {tuple([(q >> shift & mask) + lo for shift, lo in fields]) for q in seen}
 
 
 def _kernel_points(simplex, p: int) -> set[tuple[int, ...]]:
@@ -232,8 +255,8 @@ def _kernel_points(simplex, p: int) -> set[tuple[int, ...]]:
 def _parallelepiped_points(simplex, vol: int) -> set[tuple[int, ...]]:
     """Nonzero lattice points of {sum lam_i r_i : 0 <= lam_i < 1}, for the
     simplex's volume vol from heights (_triangulate): by a kernel mod vol
-    when vol is prime (_kernel_points), else by the adjugate and a Hermite
-    form (_adjugate_points)."""
+    when vol is prime (_kernel_points), else by a walk over the cosets of a
+    Hermite box, O(m) additions a point (_adjugate_points)."""
     if vol > 1 and all(vol % d for d in range(2, isqrt(vol) + 1)):
         return _kernel_points(simplex, vol)
     return _adjugate_points(simplex, vol)
@@ -410,20 +433,20 @@ def hilbert_basis(
     lattice points; past it, the triangulation is rebuilt in its canonical
     order to report the running total at the first simplex over the cap.
     Then each simplex of volume above 1 gives its points
-    (_parallelepiped_points): by a kernel mod v when v is prime, by an
-    adjugate otherwise. Reduction follows Normaliz (Bruns and Ichim, J.
-    Algebra 2010): the candidates are walked by ascending coordinate sum,
-    and h is kept unless an element k kept before it has every facet value
-    <= h's, i.e. h - k lies in the cone. That is exact: a reducible h is
-    reducible by a Hilbert basis element x with h - x a nonzero point of the
-    first orthant, so sum(x) < sum(h) and x was kept first, while two
-    candidates of equal sum never reduce each other. Uniqueness comes with
-    pointedness, which holds as the generators sit in the first orthant.
-    Facet values are packed (exactlat.packer) in fields of W.bit_length() + 1
-    bits, so that test is one guarded subtraction: W, the largest sum of the
-    rays' values on one facet, bounds the values of every candidate, a ray or
-    sum lam_i r_i with 0 <= lam_i < 1. A key that is negative or has a guard
-    bit set is an IntegrityError.
+    (_parallelepiped_points): by a kernel mod v when v is prime, else by a
+    coset walk of O(m) packed additions a point. Reduction follows Normaliz
+    (Bruns and Ichim, J. Algebra 2010): candidates are walked by ascending
+    coordinate sum, and h is kept unless an element k kept before it has
+    every facet value <= h's, i.e. h - k lies in the cone. That is exact: a
+    reducible h is reducible by a Hilbert basis element x with h - x a
+    nonzero point of the first orthant, so sum(x) < sum(h) and x was kept
+    first, while two candidates of equal sum never reduce each other.
+    Uniqueness comes with pointedness, which holds as the generators sit in
+    the first orthant. Facet values are packed (exactlat.packer) in fields
+    of W.bit_length() + 1 bits, so that test is one guarded subtraction: W,
+    the largest sum of the rays' values on one facet, bounds the values of
+    every candidate, a ray or sum lam_i r_i with 0 <= lam_i < 1. A key that
+    is negative or has a guard bit set is an IntegrityError.
     """
     fs = facets if facets is not None else facet_normals(cone)
     extreme = extreme_generators(cone, fs)

@@ -1,11 +1,17 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from itertools import permutations
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reeskit import cli, jsonio
 from reeskit.cli import main
@@ -518,6 +524,133 @@ class TestFormatAndTrailer:
             main(["--help"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: reeskit")
+
+
+class TestParserReuse:
+    def test_one_parser_built_on_the_first_call(self):
+        script = (
+            "import contextlib, io\n"
+            "from reeskit import cli\n"
+            "before = cli._build_parser.cache_info().currsize\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            "    cli.main(['instances'])\n"
+            "    cli.main(['no-such-command'])\n"
+            "    cli.main(['validate', 'bundled:u_1_1'])\n"
+            "info = cli._build_parser.cache_info()\n"
+            "print(before, info.currsize, info.misses)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.split() == ["0", "1", "1"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            (),
+            ("no-such-command",),
+            ("hilbert", "bundled:u_1_1", "--cap", "q"),
+            ("corpus",),
+            ("instances", "--bogus"),
+            ("hilbert", "bundled:u_1_1", "--cap", "-1"),
+            ("validate", "bundled:u_1_1"),
+        ],
+    )
+    def test_repeated_calls_print_the_same_bytes(self, capsys, argv):
+        first = run(capsys, *argv)
+        for other in (("instances",), ("corpus",), argv):
+            run(capsys, *other)
+        again = run(capsys, *argv)
+        assert again[:2] == first[:2]
+        assert again[2].split("wall_time_s")[0] == first[2].split("wall_time_s")[0]
+
+
+# Successive main() calls in one process, as a batch caller makes them:
+# instance files that are random, malformed or truncated JSON, interleaved
+# with usage errors and valid calls.
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 5), st.text(max_size=3),
+    st.sampled_from(["3", "-1", "x", 1.5, 10**20]),
+)
+VECTORS = st.lists(st.lists(st.integers(-1, 4), max_size=4), max_size=5)
+PAYLOADS = st.fixed_dictionaries(
+    {"n": st.one_of(st.integers(-1, 4), JSON_SCALARS)},
+    optional={
+        "exponents": st.one_of(VECTORS, JSON_SCALARS, st.lists(JSON_SCALARS, max_size=3)),
+        "bases": st.one_of(VECTORS, JSON_SCALARS),
+        "polymatroid": st.one_of(st.booleans(), JSON_SCALARS),
+    },
+)
+WELL_FORMED = st.integers(1, 3).flatmap(
+    lambda n: st.one_of(
+        st.fixed_dictionaries({
+            "n": st.just(n),
+            "exponents": st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n),
+                                  min_size=1, max_size=4),
+        }, optional={"polymatroid": st.booleans()}),
+        st.fixed_dictionaries({
+            "n": st.just(n),
+            "bases": st.lists(st.sets(st.integers(1, n), min_size=1).map(sorted),
+                              min_size=1, max_size=4),
+        }),
+    )
+)
+DOCUMENTS = st.one_of(
+    PAYLOADS,
+    st.fixed_dictionaries(
+        {"payload": st.one_of(PAYLOADS, WELL_FORMED, JSON_SCALARS)},
+        optional={
+            "kind": st.one_of(st.sampled_from(["ideal", "matroid", "polymatroid", "graph"]),
+                              JSON_SCALARS, st.lists(JSON_SCALARS, max_size=2)),
+            "name": JSON_SCALARS,
+        },
+    ),
+    st.recursive(JSON_SCALARS, lambda inner: st.lists(inner, max_size=3), max_leaves=5),
+)
+TEXTS = st.one_of(
+    WELL_FORMED.map(json.dumps),
+    DOCUMENTS.map(json.dumps),
+    DOCUMENTS.map(lambda doc: json.dumps(doc)[:-1]),
+    st.text(max_size=12),
+)
+INSTANCE_COMMANDS = (
+    "validate", "classify", "hilbert", "normality", "analyze", "rees-facets",
+    "polymatroid-check", "ehrhart-check",
+)
+OTHER_CALLS = (
+    (), ("no-such-command",), ("analyze",), ("corpus",), ("instances", "--bogus"),
+    ("instances", "--show", "no_such_instance"), ("instances",), ("corpus", "0"),
+    ("corpus", "2", "--rank", "5"), ("corpus", "2", "--checks", "T3.6,XX"),
+    ("enumerate-matroids", "3", "0"), ("enumerate-matroids", "3", "2"),
+    ("validate", "{file}", "--format", "xml"), ("hilbert", "{file}", "--cap", "q"),
+    ("hilbert", "{file}", "--cap", "-1"), ("ehrhart-check", "{file}", "--bmax", "-2"),
+    ("classify", "{file}", "--no-such-flag"), ("normality", "{missing}"),
+)
+CALLS = st.one_of(
+    st.tuples(
+        st.sampled_from(INSTANCE_COMMANDS).map(lambda c: (c, "{file}")),
+        st.sampled_from(((), ("--cap", "0"), ("--cap", "6"), ("--cap", "400"))),
+    ).map(lambda pair: pair[0] + pair[1]),
+    st.sampled_from(OTHER_CALLS),
+)
+
+
+class TestMainFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(TEXTS, CALLS), min_size=1, max_size=5))
+    def test_every_call_prints_one_json_document(self, calls):
+        with tempfile.TemporaryDirectory() as tmp:
+            for i, (text, call) in enumerate(calls):
+                path = Path(tmp) / f"instance_{i}.json"
+                path.write_text(text)
+                argv = [a.format(file=path, missing=Path(tmp) / "missing.json") for a in call]
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                    code = main(argv)
+                assert code in (0, 1, 2, 3), (argv, text, code)
+                doc = json.loads(out.getvalue())
+                assert isinstance(doc, dict), (argv, text)
 
 
 def test_console_script_installed():

@@ -238,7 +238,7 @@ MIXED_FILES = {
         "n": 4,
         "exponents": [[9, 0, 2, 1], [0, 7, 0, 3], [1, 2, 12, 0], [0, 0, 1, 8], [4, 3, 0, 0]],
     },
-    # a simplex of composite volume 516, so its points come from the adjugate
+    # a simplex of composite volume 516, so its points come from the coset walk
     "mixed_n3_v516": {
         "n": 3,
         "exponents": [

@@ -6,7 +6,7 @@ from itertools import accumulate, combinations_with_replacement, product
 from operator import le
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from test_acceptance import Budget
 
@@ -19,7 +19,7 @@ from reeskit.errors import (
     PreconditionFailed,
     UnequalModuli,
 )
-from reeskit.exactlat import determinant, dot, packer, rank, vsub
+from reeskit.exactlat import adjugate, determinant, dot, packer, rank, vsub
 from reeskit.jsonio import analysis_ideal, bundled_names, load_bundled, realize
 from reeskit.matroid import (
     MonomialIdeal,
@@ -45,6 +45,7 @@ from reeskit.semigroup import (
     LatticePolytope,
     _adjugate_points,
     _box_points,
+    _column_hnf_diagonal,
     _equality_report,
     _kernel_points,
     _parallelepiped_points,
@@ -477,6 +478,96 @@ class TestKernelPoints:
         monkeypatch.setattr(semigroup, "kernel_mod_p", lambda rows, p: [(0, 1)])
         with pytest.raises(IntegrityError, match="no lattice point"):
             _kernel_points(((2, 0), (0, 1)), 2)
+
+
+def floor_points_oracle(simplex, vol):
+    """The nonzero parallelepiped points by one exact solve per coset: each
+    point x of a column Hermite form's diagonal box is reduced into the
+    parallelepiped as x - R floor(adj x / det), for R the ray matrix. The
+    oracle for the coset walk of _adjugate_points."""
+    m = len(simplex)
+    colmat = [[simplex[j][i] for j in range(m)] for i in range(m)]
+    adj, det = adjugate(colmat)
+    if det < 0:
+        adj, det = [[-e for e in row] for row in adj], -det
+    assert det == vol, (simplex, vol, det)
+    points = set()
+    for x in product(*(range(d) for d in _column_hnf_diagonal(colmat))):
+        floors = [sum(adj[i][k] * x[k] for k in range(m)) // det for i in range(m)]
+        p = tuple(x[i] - sum(colmat[i][j] * floors[j] for j in range(m)) for i in range(m))
+        if any(p):
+            points.add(p)
+    return points
+
+
+def composite(vol: int) -> bool:
+    return any(vol % d == 0 for d in range(2, vol))
+
+
+def assert_walk_matches_oracle(ideal) -> list[int]:
+    """On every simplex of composite volume, the coset walk gives the floor
+    oracle's points; returns those volumes."""
+    cone = rees_generators(ideal)
+    fs = facet_normals(cone)
+    volumes = []
+    for s, vol in _triangulate(tuple(sorted(extreme_generators(cone, fs))), fs):
+        if composite(vol):
+            assert _adjugate_points(s, vol) == floor_points_oracle(s, vol), (ideal, s)
+            volumes.append(vol)
+    return volumes
+
+
+@st.composite
+def integer_simplices(draw):
+    """m <= 4 rays with entries in -6..6, of composite |det| at most 400."""
+    m = draw(st.integers(2, 4))
+    rows = st.lists(st.integers(-6, 6), min_size=m, max_size=m)
+    simplex = draw(st.lists(rows, min_size=m, max_size=m))
+    vol = abs(determinant(simplex))
+    assume(vol <= 400 and composite(vol))
+    return tuple(map(tuple, simplex)), vol
+
+
+class TestCosetWalk:
+    def test_matches_floor_oracle_on_bundled_instances(self):
+        volumes = []
+        for name in bundled_names():
+            volumes += assert_walk_matches_oracle(
+                analysis_ideal(realize(load_bundled(name)).value)
+            )
+        assert volumes
+
+    def test_matches_floor_oracle_on_mixed_n3_v516(self):
+        assert 516 in assert_walk_matches_oracle(V516)
+
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_degree_ideals())
+    @example(MIXED)
+    @example(V516)
+    def test_matches_floor_oracle_on_mixed_degree_ideals(self, ideal):
+        assert_walk_matches_oracle(ideal)
+
+    # rays with negative entries: each coordinate's field is offset by its
+    # least value on the parallelepiped
+    @settings(max_examples=100, deadline=None)
+    @given(integer_simplices())
+    @example((((1, 1), (1, -1)), 2))
+    @example((((2, -1, 0), (1, 3, -2), (0, -1, 4)), 24))
+    def test_matches_floor_oracle_on_integer_simplices(self, case):
+        simplex, vol = case
+        assert _adjugate_points(simplex, vol) == floor_points_oracle(simplex, vol)
+
+    @pytest.mark.parametrize("box", [[4, 1], [1, 4], [2, 1], [2, 4]])
+    def test_wrong_hermite_box_is_an_integrity_error(self, monkeypatch, box):
+        # diag(2, 2) has the box [2, 2]; a box of the right product and the
+        # wrong shape, or of the wrong product, misses a coset
+        monkeypatch.setattr(semigroup, "_column_hnf_diagonal", lambda mat: box)
+        with pytest.raises(IntegrityError, match="coset walk"):
+            _adjugate_points(((2, 0), (0, 2)), 4)
+
+    def test_volume_mismatch_is_an_integrity_error(self):
+        with pytest.raises(IntegrityError, match="from the adjugate"):
+            _adjugate_points(((2, 0), (0, 2)), 6)
 
 
 def reduction_oracle(cone, fs):
