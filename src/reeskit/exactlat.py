@@ -152,13 +152,45 @@ def adjugate(rows):
     return [[sign * e for e in row[n:]] for row in a], sign * prev
 
 
+def parity_mask(row) -> int:
+    """A row of integers mod 2, as the bitmask with bit c set iff row[c] is odd."""
+    return sum((e & 1) << c for c, e in enumerate(row))
+
+
+def echelon_mod_2(masks) -> dict[int, int]:
+    """Reduced row echelon form over GF(2) of rows given as parity masks:
+    pivot column -> the one row with a 1 there, 0 at every other pivot
+    column. Its size is the rank mod 2."""
+    echelon: dict[int, int] = {}
+    for v in masks:
+        for c, w in echelon.items():
+            if v >> c & 1:
+                v ^= w
+        if v:
+            pc = (v & -v).bit_length() - 1
+            for c, w in echelon.items():
+                if w >> pc & 1:
+                    echelon[c] = w ^ v
+            echelon[pc] = v
+    return echelon
+
+
 def kernel_mod_p(rows, p: int) -> list[tuple[int, ...]]:
     """Basis of the right kernel {x : M x = 0 (mod p)} over GF(p), p prime.
 
     Gauss-Jordan on the residues, one basis vector per free column, free
     columns ascending; entries lie in 0..p-1 and each vector is 1 at its
-    free column.
+    free column. For p = 2 the rows are parity masks reduced by XOR
+    (echelon_mod_2), which gives the same basis.
     """
+    if p == 2:
+        echelon = echelon_mod_2(map(parity_mask, rows))
+        nc = len(rows[0]) if rows else 0
+        return [
+            tuple(int(c == fc) or echelon.get(c, 0) >> fc & 1 for c in range(nc))
+            for fc in range(nc)
+            if fc not in echelon
+        ]
     m = [[int(e) % p for e in r] for r in rows]
     if not m:
         return []

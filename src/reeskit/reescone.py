@@ -22,7 +22,8 @@ from itertools import combinations
 from math import gcd
 
 from .errors import CapExceeded, DegenerateCone, IntegrityError
-from .exactlat import adjugate, determinant, dot, kernel_basis, pivot_columns, primitive, rank
+from .exactlat import adjugate, determinant, dot, echelon_mod_2, kernel_basis, parity_mask
+from .exactlat import pivot_columns, primitive, rank
 from .matroid import Matroid, MonomialIdeal, basis_monomial_ideal
 
 ORACLE_CAP = 12
@@ -249,8 +250,14 @@ def _dual_extreme_rays(ineqs, dim: int) -> list[tuple[int, ...]]:
 def _facet_system(dim: int, normals, generators) -> FacetSystem:
     """Check and split the normals; each normal's values on the distinct
     primitive generators are computed once, serve every check, and are kept
-    per generator in normals() order as the system's slack."""
+    per generator in normals() order as the system's slack.
+
+    A normal b != 0 annihilates its tight set, so the tight set's rank over Q
+    is at most dim - 1, and at least its rank mod 2: a rank mod 2 of dim - 1
+    (echelon_mod_2 on parity masks) certifies the rank, and only a lower one
+    falls back to the exact rank()."""
     gens = _distinct_rows(primitive(g) for g in generators)
+    parity = [parity_mask(g) for g in gens]
     units, ells, columns = [], [], {}
     for b in normals:
         g_acc = 0
@@ -261,7 +268,10 @@ def _facet_system(dim: int, normals, generators) -> FacetSystem:
         values = [dot(b, g) for g in gens]
         if any(v < 0 for v in values):
             raise IntegrityError(f"normal {b} cuts off a generator")
-        if rank([g for g, v in zip(gens, values) if v == 0]) != dim - 1:
+        tight = [k for k, v in enumerate(values) if v == 0]
+        if len(echelon_mod_2(parity[k] for k in tight)) != dim - 1 and (
+            rank([gens[k] for k in tight]) != dim - 1
+        ):
             raise IntegrityError(f"normal {b} is not tight on a rank-{dim - 1} subset")
         u = _unit_index(b)
         if u is not None:

@@ -5,23 +5,25 @@ it exhausts every lattice point of the cone, i.e. when the generators are an
 integral Hilbert basis. The Hilbert basis of the full lattice-point
 semigroup is computed by a pulling triangulation of the cone into simplicial
 subcones, whose faces are read off the cone's facets by intersecting ray
-bitmasks, so no face below the top runs a double description of its own.
-Each simplex comes with its normalized volume, a product of heights: the
-height of a face's apex over one of its facets, in the face's saturated
-lattice Z^dim & span(F), is <b, apex> / gcd <b, L_F> for the facet's cone
-normal b, and the recursion carries a Z-basis of each face's lattice down
-to its facets. Then the lattice points of each half-open fundamental
-parallelepiped are enumerated, as the multiples of one kernel vector mod p
-when the volume p is prime and by an incremental walk over the cosets of a
-Hermite box otherwise, and the candidates reduced to the irreducible
-ones in order of degree, each against the irreducibles already kept, on
-facet values packed into one int per candidate. A Hilbert basis element is
-irreducible, so it lies in the subsemigroup the generators span iff it is
-one of them. Dilation equality compares bP with the b-fold sumset of the
-vertices, kept as packed ints: for an ideal generated in one degree d, a
-lies in bP iff (a, b) lies in the Rees cone and |a| = b*d, so a session
-reads bP off the facets it already holds and tests only the points of the
-box slice outside the sumset. Integer arithmetic throughout.
+bitmasks, so no face below the top runs a double description of its own; a
+simplex is such a bitmask too, unpacked into rays only when its volume is
+above 1. Each simplex comes with its normalized volume, a product of
+heights: the height of a face's apex over one of its facets, in the face's
+saturated lattice Z^dim & span(F), is <b, apex> / gcd <b, L_F> for the
+facet's cone normal b, and the recursion carries a Z-basis of each face's
+lattice down to its facets. Then the lattice points of each half-open
+fundamental parallelepiped are enumerated, as the multiples of one kernel
+vector mod p (by XOR on bitmask rows for p = 2) when the volume p is prime
+and by an incremental walk over the cosets of a Hermite box otherwise, and
+the candidates reduced to the irreducible ones in order of degree, each
+against the irreducibles already kept, on facet values packed into one int
+per candidate. A Hilbert basis element is irreducible, so it lies in the
+subsemigroup the generators span iff it is one of them. Dilation equality
+compares bP with the b-fold sumset of the vertices, kept as packed ints: for
+an ideal generated in one degree d, a lies in bP iff (a, b) lies in the Rees
+cone and |a| = b*d, so a session reads bP off the facets it already holds
+and tests only the points of the box slice outside the sumset. Integer
+arithmetic throughout.
 
 An IdealSession builds each of these artefacts for one ideal at most once
 and keeps them no longer than itself; the module-level checks are thin calls
@@ -316,19 +318,22 @@ def _split(basis, b):
 
 def _triangulate(rays: tuple, fs: FacetSystem, canonical: bool = False) -> tuple[tuple, ...]:
     """Pulling triangulation of the lex-sorted extreme rays of a cone with
-    the facet system fs, as (simplex, normalized volume) pairs: cone off the
-    lex-smallest ray of each face over every facet of the face that avoids
-    it. The subcones cover the cone, which is all downstream enumeration
-    needs.
+    the facet system fs, as (simplex, normalized volume) pairs, a simplex
+    being the bitmask of its rays: cone off the lex-smallest ray of each face
+    (its lowest bit) over every facet of the face that avoids it. The
+    subcones cover the cone, which is all downstream enumeration needs.
 
     Faces are bitmasks over the rays, and every facet G of the cone is the
-    mask of the rays it contains (FacetSystem.tight_masks).
-    The facets of a face F are the inclusion-maximal proper sets among the
-    F & G: each facet of F is a face
-    of the cone, so it is the intersection of the cone facets containing it,
-    and one of those does not contain F. A face reached at depth k has
-    dimension dim - k, so it is simplicial iff it has dim - k rays. Faces
-    recur across facets, so each face is triangulated once.
+    mask of the rays it contains (FacetSystem.tight_masks). The facets of a
+    face F are the inclusion-maximal proper sets among the F & G: each facet
+    of F is a face of the cone, so it is the intersection of the cone facets
+    containing it, and one of those does not contain F. A face reached at
+    depth k has dimension dim - k, so each of its facets has at least
+    dim - k - 1 rays, and so has every meet containing one: maximality is
+    tested only among the meets with that many rays. A simplicial face has
+    exactly its dim - k sets F - a left, so it needs no test of its own: its
+    lowest ray is pulled over the rest, down to the empty face. Faces recur
+    across facets, so each face is triangulated once.
 
     The simplices and their volumes do not depend on the order in which a
     face's facets are taken, only their sequence does. By default they are
@@ -346,10 +351,9 @@ def _triangulate(rays: tuple, fs: FacetSystem, canonical: bool = False) -> tuple
     where h is a's height over H in L_F: b restricted to L_F is g w with w
     H's primitive functional on L_F and g = gcd <b, L_F>, so h = <b, a> / g.
     For a face H not yet triangulated, _split gives g and a Z-basis of L_H =
-    L_F & b^perp; for one already triangulated, _content gives g alone. A
-    simplicial face takes the same steps, its lex-first ray over the rest,
-    down to one primitive ray of volume 1; the normal for F - a is the
-    first with F & G = F - a, which exists as F - a is a facet of F.
+    L_F & b^perp; for one already triangulated, _content gives g alone. The
+    empty face is one empty simplex of volume 1, so a primitive ray has
+    volume 1.
     """
     dim = len(rays[0])
     normals = fs.normals()
@@ -363,54 +367,38 @@ def _triangulate(rays: tuple, fs: FacetSystem, canonical: bool = False) -> tuple
             raise IntegrityError(f"height {slack[apex][j]} not divisible by content {g}")
         return h
 
-    def simplex_volume(face: int, members: list, basis) -> int:
-        vol = 1
-        for apex in members[:-1]:
-            rest = face ^ 1 << apex
-            j = next(j for j, mask in enumerate(facets) if face & mask == rest)
-            if rest & rest - 1:
-                g, basis = _split(basis, normals[j])
-            else:  # one ray is left, and its lattice basis is not needed
-                g = _content(basis, normals[j])
-            vol *= height(apex, j, g)
-            face = rest
-        return vol
-
     def pull(face: int, depth: int, basis) -> tuple:
-        members = [i for i in range(len(rays)) if face >> i & 1]
-        if len(members) == dim - depth:
-            simplex = tuple(rays[i] for i in members)
-            simplices = ((simplex, simplex_volume(face, members, basis)),)
-        else:
-            apex = members[0]
-            meets: dict[int, int] = {}  # F & G -> the index of one such G
-            for j, mask in enumerate(facets):
-                meet = face & mask
-                if meet != face:
-                    meets.setdefault(meet, j)
-            pulled = [
-                (meet, j)
-                for meet, j in meets.items()
-                if not meet >> apex & 1
-                and not any(meet & other == meet and other != meet for other in meets)
-            ]
-            if canonical:
-                # the top face spans the space, so its projection is the identity
-                project = _pivot_projector([rays[i] for i in members]) if depth else tuple
-                pulled.sort(key=lambda item: project(normals[item[1]]))
-            out = []
-            for meet, j in pulled:
-                b = normals[j]
-                sub = memo.get(meet)
-                if sub is None:
-                    g, sub_basis = _split(basis, b)
-                    sub = pull(meet, depth + 1, sub_basis)
-                else:
-                    g = _content(basis, b)
-                h = height(apex, j, g)
-                out.extend((s + (rays[apex],), h * vol) for s, vol in sub)
-            simplices = tuple(out)
-        memo[face] = simplices
+        if not face:
+            return ((0, 1),)
+        low = face & -face
+        apex = low.bit_length() - 1
+        meets: dict[int, int] = {}  # F & G -> the index of the first such G
+        for j, mask in enumerate(facets):
+            meet = face & mask
+            if meet != face and meet.bit_count() >= dim - depth - 1:
+                meets.setdefault(meet, j)
+        pulled = [
+            (meet, j)
+            for meet, j in meets.items()
+            if not meet & low and not any(meet | other == other != meet for other in meets)
+        ]
+        if canonical and len(pulled) > 1:
+            # the top face spans the space, so its projection is the identity
+            members = [rays[i] for i in range(len(rays)) if face >> i & 1]
+            project = _pivot_projector(members) if depth else tuple
+            pulled.sort(key=lambda item: project(normals[item[1]]))
+        out = []
+        for meet, j in pulled:
+            b = normals[j]
+            sub = memo.get(meet)
+            if sub is None:
+                g, sub_basis = _split(basis, b)
+                sub = pull(meet, depth + 1, sub_basis)
+            else:
+                g = _content(basis, b)
+            h = height(apex, j, g)
+            out.extend((s | low, h * vol) for s, vol in sub)
+        memo[face] = simplices = tuple(out)
         return simplices
 
     identity = [tuple(int(i == k) for k in range(dim)) for i in range(dim)]
@@ -424,18 +412,19 @@ def hilbert_basis(
 
     Candidates are the primitive extreme generators together with every
     nonzero parallelepiped point of the pulling triangulation, which is
-    built from the cone's facet system alone (_triangulate); they include
-    the Hilbert basis. A simplex of volume v has v - 1 of them; v is the
+    built from the cone's facet system alone on ray bitmasks (_triangulate);
+    they include the Hilbert basis. A simplex of volume v has v - 1 of them,
+    and only a simplex with v > 1 is unpacked into its rays; v is the
     product of the heights along the simplex's pulling chain, each a facet
-    value divided by the content of the facet normal on the face's
-    saturated lattice. The volumes are summed before any point is
-    enumerated, and the cap bounds that sum, the total parallelepiped
-    lattice points; past it, the triangulation is rebuilt in its canonical
-    order to report the running total at the first simplex over the cap.
-    Then each simplex of volume above 1 gives its points
-    (_parallelepiped_points): by a kernel mod v when v is prime, else by a
-    coset walk of O(m) packed additions a point. Reduction follows Normaliz
-    (Bruns and Ichim, J. Algebra 2010): candidates are walked by ascending
+    value divided by the content of the facet normal on the face's saturated
+    lattice. The volumes are summed before any point is enumerated, and the
+    cap bounds that sum, the total parallelepiped lattice points; past it,
+    the triangulation is rebuilt in its canonical order to report the
+    running total at the first simplex over the cap. Then each simplex of
+    volume above 1 gives its points (_parallelepiped_points): by a kernel
+    mod v when v is prime (XOR on bitmask rows for v = 2), else by a coset
+    walk of O(m) packed additions a point. Reduction follows Normaliz (Bruns
+    and Ichim, J. Algebra 2010): candidates are walked by ascending
     coordinate sum, and h is kept unless an element k kept before it has
     every facet value <= h's, i.e. h - k lies in the cone. That is exact: a
     reducible h is reducible by a Hilbert basis element x with h - x a
@@ -460,7 +449,8 @@ def hilbert_basis(
     points: set[tuple[int, ...]] = set()
     for s, vol in simplices:
         if vol > 1:
-            points.update(_parallelepiped_points(s, vol))
+            simplex = tuple(r for i, r in enumerate(rays) if s >> i & 1)
+            points.update(_parallelepiped_points(simplex, vol))
     candidates = set(extreme) | points
     bound = max(map(sum, zip(*(fs.slack[r] for r in rays))))
     pack, guard = packer(fs.normals(), bound.bit_length() + 1)

@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from reeskit.errors import IntegrityError, ZeroVector
@@ -282,6 +282,57 @@ class TestKernelModP:
         }
         assert span == kernel
         assert p ** len(basis) == len(kernel)
+
+
+
+def parity_matrices():
+    """1..8 rows of 1..8 columns, entries in -3..3, some rows all zero."""
+
+    def rows(nc):
+        row = st.lists(st.integers(-3, 3), min_size=nc, max_size=nc)
+        return st.lists(st.one_of(st.just([0] * nc), row), min_size=1, max_size=8)
+
+    return st.integers(1, 8).flatmap(rows)
+
+
+class TestKernelModTwo:
+    @settings(max_examples=200)
+    @given(parity_matrices())
+    @example([[0, 0, 0], [0, 0, 0]])  # rank 0: every column free
+    @example([[1, 0, 0], [-1, 3, 0], [2, -2, -1]])  # full rank, negative entries
+    @example([[-1, 2, -3, 1], [0, 0, 0, 0], [1, 1, -1, 0], [3, -3, 1, 2]])  # a zero row
+    def test_matches_brute_force(self, rows):
+        """By enumeration of GF(2)^nc: the basis spans the kernel, and it is
+        the normalised one. A free column is the highest nonzero column of
+        some kernel vector, and its basis vector is the one kernel vector
+        that is 1 there, 0 above it and 0 at every other free column."""
+        nc = len(rows[0])
+        basis = kernel_mod_p(rows, 2)
+        kernel = [
+            x
+            for x in itertools.product((0, 1), repeat=nc)
+            if all(dot(tuple(row), x) % 2 == 0 for row in rows)
+        ]
+        span = {
+            tuple(sum(c * b[k] for c, b in zip(coeffs, basis)) % 2 for k in range(nc))
+            for coeffs in itertools.product((0, 1), repeat=len(basis))
+        }
+        assert span == set(kernel)
+        assert 2 ** len(basis) == len(kernel)
+
+        def top(x):
+            return max(k for k, e in enumerate(x) if e)
+
+        free = sorted({top(x) for x in kernel if any(x)})
+        assert [top(b) for b in basis] == free
+        for fc, b in zip(free, basis):
+            assert b[fc] == 1 and all(b[f] == 0 for f in free if f != fc)
+
+    def test_rank_zero_and_full_rank(self):
+        assert kernel_mod_p([[2, -4, 0], [0, 0, 0]], 2) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        assert kernel_mod_p([[1, 1, 0], [0, -1, 1], [1, 0, 2]], 2) == []
+        # the 3-cycle: rank 3 over Q, rank 2 mod 2
+        assert kernel_mod_p([[1, 1, 0], [0, 1, 1], [1, 0, 1]], 2) == [(1, 1, 1)]
 
 
 def test_dot_and_vsub():

@@ -7,8 +7,9 @@ every bundled instance and on one family that is not a matroid, plus
 `corpus 4`, `corpus 5`, `corpus 5 --rank 2`, `corpus 6`, `corpus 4 --cap 2` and
 `enumerate-matroids 6 3`, `ehrhart-check` on two equal-degree files that
 are not bundled, `hilbert`/`normality` on four mixed-degree ideals that are
-not normal, `normality` on Veronese(3,50), and `hilbert` past its
-parallelepiped cap on three instances, so any such change fails here.
+not normal, `normality` on Veronese(3,50), `analyze`, `hilbert` and
+`normality` on the wheel W4, and `hilbert` past its parallelepiped cap on
+three instances, so any such change fails here.
 Regenerate them only when a change to a report is intended.
 """
 
@@ -258,6 +259,26 @@ MIXED_GOLDEN = {
     ("normality", "mixed_n3_v516"): (1, "6b1ba7ed2bf85f7defeec9f92cd407af2a568daa019e45a24e390cf63e85bea7"),
 }
 
+# analyze, hilbert and normality on the wheel W4 (K5 without the edges 12 and
+# 34; edges 13, 14, 15, 23, 24, 25, 35, 45 as elements 1..8): the 45 spanning
+# trees, lex-sorted. Its triangulation has 2,734 simplices, 192 of volume
+# above 1, and normality is certified by both routes. command -> (exit, sha256)
+W4_BASES = [
+    [1, 2, 3, 4], [1, 2, 3, 5], [1, 2, 3, 6], [1, 2, 4, 6], [1, 2, 4, 7], [1, 2, 4, 8],
+    [1, 2, 5, 6], [1, 2, 5, 7], [1, 2, 5, 8], [1, 2, 6, 7], [1, 2, 6, 8], [1, 3, 4, 5],
+    [1, 3, 4, 8], [1, 3, 5, 6], [1, 3, 5, 8], [1, 3, 6, 8], [1, 4, 5, 6], [1, 4, 5, 7],
+    [1, 4, 5, 8], [1, 4, 6, 8], [1, 4, 7, 8], [1, 5, 6, 7], [1, 5, 7, 8], [1, 6, 7, 8],
+    [2, 3, 4, 5], [2, 3, 4, 6], [2, 3, 4, 7], [2, 3, 5, 7], [2, 3, 6, 7], [2, 4, 5, 6],
+    [2, 4, 5, 7], [2, 4, 5, 8], [2, 4, 6, 8], [2, 4, 7, 8], [2, 5, 6, 7], [2, 5, 7, 8],
+    [2, 6, 7, 8], [3, 4, 5, 6], [3, 4, 5, 7], [3, 4, 5, 8], [3, 4, 6, 8], [3, 4, 7, 8],
+    [3, 5, 6, 7], [3, 5, 7, 8], [3, 6, 7, 8],
+]
+W4_GOLDEN = {
+    "analyze": (0, "2512564dd965aae28a8ab108c477561ab20abd2105c7f31d5136e9340d21d9e9"),
+    "hilbert": (0, "6560ea77fad792e1116c0905cc5b2e84fba7961488407e1da4a54fe85f60b8ba"),
+    "normality": (0, "3e633fcc82c1f68c439ddead7ca08bcba151c6eec9736b748211c3556636dff4"),
+}
+
 # normality on Veronese(3,50): 1,326 generators, a normal ideal certified by
 # both routes. (exit, sha256)
 VERONESE_3_50 = {"n": 3, "exponents": [[a, b, 50 - a - b] for a in range(51) for b in range(51 - a)]}
@@ -349,3 +370,11 @@ def test_normality_veronese_3_50_matches_golden(capsys, tmp_path):
     path = tmp_path / "veronese_3_50.json"
     path.write_text(json.dumps({"kind": "ideal", "name": "veronese_3_50", "payload": VERONESE_3_50}))
     assert _run(capsys, ["normality", str(path)]) == VERONESE_3_50_GOLDEN
+
+
+@pytest.mark.parametrize("command", sorted(W4_GOLDEN))
+def test_wheel_w4_matches_golden(capsys, tmp_path, command):
+    path = tmp_path / "wheel_w4.json"
+    payload = {"n": 8, "bases": W4_BASES}
+    path.write_text(json.dumps({"kind": "matroid", "name": "wheel_w4", "payload": payload}))
+    assert _run(capsys, [command, str(path)]) == W4_GOLDEN[command]

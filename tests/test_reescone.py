@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reeskit.errors import CapExceeded, DegenerateCone
+from reeskit import reescone
+from reeskit.errors import CapExceeded, DegenerateCone, IntegrityError
 from reeskit.jsonio import analysis_ideal, bundled_names, load_bundled, realize
-from reeskit.exactlat import dot, kernel_basis, primitive, rank
+from reeskit.exactlat import dot, echelon_mod_2, kernel_basis, parity_mask, primitive, rank
 from reeskit.matroid import (
     MonomialIdeal,
     basis_monomial_ideal,
@@ -254,6 +255,64 @@ def _relaxation_escapes(normals, dropped, dim: int) -> bool:
                 if all(dot(h, ray) >= 0 for h in normals) and dot(dropped, ray) < 0:
                     return True
     return False
+
+
+
+def rank_mod_2(rows) -> int:
+    return len(echelon_mod_2(map(parity_mask, rows)))
+
+
+class TestRankCertificate:
+    """_facet_system certifies a tight set of rank dim - 1 by its rank mod 2,
+    which is never above the rank over Q, and falls back to the exact rank()
+    below dim - 1."""
+
+    # the 3-cycle: rank 3 over Q but 2 mod 2, as the rows sum to 0 mod 2
+    CYCLE = ((1, 1, 0, 0), (0, 1, 1, 0), (1, 0, 1, 0))
+
+    def recorded_ranks(self, monkeypatch) -> list:
+        calls = []
+
+        def recording(rows):
+            calls.append(tuple(rows))
+            return rank(calls[-1])
+
+        monkeypatch.setattr(reescone, "rank", recording)
+        return calls
+
+    def test_low_rank_mod_2_falls_back_to_the_exact_rank(self, monkeypatch):
+        assert rank_mod_2(self.CYCLE) == 2 and rank(self.CYCLE) == 3
+        calls = self.recorded_ranks(monkeypatch)
+        fs = reescone._facet_system(4, [(0, 0, 0, 1)], (*self.CYCLE, (0, 0, 0, 1)))
+        assert fs.unit_normals == (4,)
+        assert calls == [self.CYCLE]
+
+    def test_full_rank_mod_2_needs_no_exact_rank(self, monkeypatch):
+        calls = self.recorded_ranks(monkeypatch)
+        gens = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        fs = reescone._facet_system(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], gens)
+        assert fs.unit_normals == (1, 2, 3)
+        assert calls == []
+
+    def test_rank_deficient_tight_set_is_an_integrity_error(self, monkeypatch):
+        """The sum of two facet normals that meet in a ridge is nonnegative
+        on the cone and tight on the ridge alone, whose rank is dim - 2 both
+        mod 2 and over Q."""
+        cone = rees_generators(analysis_ideal(realize(load_bundled("graphic_k4")).value))
+        normals = reescone._dual_extreme_rays(cone.generators, cone.dim)
+
+        def tight(b):
+            return [g for g in cone.generators if dot(b, g) == 0]
+
+        ridge = next(
+            primitive(x + y for x, y in zip(b, c))
+            for b, c in combinations(normals, 2)
+            if rank([g for g in tight(b) if g in tight(c)]) == cone.dim - 2
+        )
+        assert rank_mod_2(tight(ridge)) == rank(tight(ridge)) == cone.dim - 2
+        monkeypatch.setattr(reescone, "_dual_extreme_rays", lambda gens, dim: [*normals, ridge])
+        with pytest.raises(IntegrityError, match="not tight on a rank"):
+            facet_normals(cone)
 
 
 class TestClassify:
