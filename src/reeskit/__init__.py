@@ -1,6 +1,6 @@
 """Exact lattice-point machinery for Rees cones of monomial ideals.
 
-Everything is integer or Fraction arithmetic; no floats are used anywhere.
+Everything is exact integer arithmetic; no floats are used anywhere.
 Elements and coordinates are 1-indexed in all reports and wire formats.
 """
 

@@ -1,4 +1,6 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the base of its value records."""
+
+from operator import attrgetter
 
 
 class ReesKitError(Exception):
@@ -82,3 +84,50 @@ class TheoremCounterexample(ReesKitError):
         self.check = check
         self.witness = witness
         super().__init__(f"{check}: counterexample {witness!r}")
+
+
+class Record:
+    """Base of the package's frozen value records, in place of dataclasses,
+    whose import and generated code cost more start-up than most commands'
+    work. The fields are the names annotated in the class body, in order,
+    given by position or keyword; a class attribute of the same name is a
+    default. __post_init__, if the class has one, runs last and may normalise
+    through object.__setattr__. ==, hash and repr go by class and fields, less
+    those named in _uncompared. Attributes cannot be assigned or deleted."""
+
+    _uncompared = ()
+    __post_init__ = None
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._key = attrgetter(*(f for f in cls._fields if f not in cls._uncompared))
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):  # keywords, then defaults, fill the rest
+            args += tuple(kwargs.pop(f) if f in kwargs else getattr(type(self), f)
+                          for f in fields[len(args):])
+            if kwargs or len(args) > len(fields):
+                raise TypeError(f"{type(self).__name__} has the fields {fields}")
+        for name, value in zip(fields, args):  # self.__dict__ would slow every read
+            object.__setattr__(self, name, value)
+        if self.__post_init__:
+            self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        shown = (f"{f}={getattr(self, f)!r}" for f in self._fields if f not in self._uncompared)
+        return f"{type(self).__qualname__}({', '.join(shown)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

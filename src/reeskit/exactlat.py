@@ -1,13 +1,13 @@
 """Exact integer linear algebra on small dense matrices.
 
-Everything here runs on arbitrary-precision Python ints (rationals only as
-exact Fractions in back-substitution). No floating point anywhere: results
-feed normality certificates, so approximation is not an option.
+Everything here runs on arbitrary-precision Python ints, with no division
+that is not exact: the kernel basis, too, comes from a fraction-free
+elimination, so not even Fractions are needed. No floating point anywhere:
+results feed normality certificates, so approximation is not an option.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from operator import mul
 
@@ -18,10 +18,6 @@ def dot(u, v):
     if len(u) != len(v):
         raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
     return sum(map(mul, u, v))
-
-
-def vsub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
 
 
 def packer(rows, width: int):
@@ -225,39 +221,21 @@ def kernel_mod_p(rows, p: int) -> list[tuple[int, ...]]:
 def kernel_basis(rows) -> list[tuple[int, ...]]:
     """Primitive integer basis of the right kernel {x : M x = 0}.
 
-    Gauss-Jordan over exact rationals, one basis vector per free column,
-    denominators cleared at the end. Deterministic: free columns ascending.
+    One vector per free column c of the fraction-free echelon form E, free
+    columns ascending, each positive at c and 0 at the other free columns.
+    On the pivot columns P, E_P is nonsingular and x_P = -adj(E_P) E_c x_c /
+    det E_P, so x_c = |det E_P| makes every entry an integer.
     """
-    m = [[Fraction(int(e)) for e in r] for r in rows]
-    if not m:
-        return []
-    nr, nc = len(m), len(m[0])
-    pivots = []
-    r = 0
-    for c in range(nc):
-        if r == nr:
-            break
-        piv = next((i for i in range(r, nr) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [e * inv for e in m[r]]
-        for i in range(nr):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(nc) if c not in pivots]
+    ech, pivots, _ = _bareiss(rows)
+    top = ech[: len(pivots)]
+    adj, det = adjugate([[row[c] for c in pivots] for row in top])
+    nc = len(ech[0]) if ech else 0
     basis = []
-    for fc in free:
-        sol = [Fraction(0)] * nc
-        sol[fc] = Fraction(1)
-        for rr, pc in enumerate(pivots):
-            sol[pc] = -m[rr][fc]
-        denom = 1
-        for e in sol:
-            denom = denom * e.denominator // gcd(denom, e.denominator)
-        basis.append(primitive(int(e * denom) for e in sol))
+    for fc in (c for c in range(nc) if c not in pivots):
+        x = [0] * nc
+        x[fc] = abs(det)
+        column = [row[fc] for row in top]
+        for pc, a in zip(pivots, adj):
+            x[pc] = -dot(a, column) if det > 0 else dot(a, column)
+        basis.append(primitive(x))
     return basis

@@ -7,17 +7,17 @@ Wire formats, all 1-indexed:
 An instance file either wraps one of these as {"kind", "name", "payload"} or
 is a bare payload, in which case the kind is inferred and the name defaults
 to the file stem. Integers beyond 53 bits travel as decimal strings both
-ways so nothing downstream ever rounds.
+ways so nothing downstream ever rounds. Output has json.dumps's bytes at
+indent=2 with sorted keys, but dumps writes them itself, in one walk.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from importlib import resources
-from pathlib import Path
+import os
+from json.encoder import encode_basestring_ascii as _quote
 
-from .errors import InvalidInstance, ParseError
+from .errors import InvalidInstance, ParseError, Record
 from .matroid import Matroid, MonomialIdeal, check_basis_exchange
 from .polymatroid import PolymatroidBases, check_polymatroid_bases
 
@@ -57,7 +57,33 @@ def encode(obj):
 
 
 def dumps(payload) -> str:
-    return json.dumps(encode(payload), indent=2, sort_keys=True) + "\n"
+    """json.dumps(encode(payload), indent=2, sort_keys=True) + "\\n", written
+    in one walk: with an indent, json runs its pure-Python encoder, which is
+    slower. Dict keys must be strings."""
+    out: list[str] = []
+    _write(payload, out, "\n")
+    return "".join(out) + "\n"
+
+
+def _write(obj, out: list[str], pad: str) -> None:
+    """Append obj's JSON text to out; pad is a newline and obj's indent."""
+    if isinstance(obj, str):
+        out.append(_quote(obj))
+    elif isinstance(obj, int) and not isinstance(obj, bool):
+        out.append(int.__repr__(obj) if -_BIG < obj < _BIG else f'"{obj}"')
+    elif obj and isinstance(obj, (dict, list, tuple)):
+        inner = pad + "  "
+        if isinstance(obj, dict):
+            sep, close, items = "{", "}", [(_quote(k) + ": ", obj[k]) for k in sorted(obj)]
+        else:
+            sep, close, items = "[", "]", [("", v) for v in obj]
+        for key, v in items:
+            out.append(sep + inner + key)
+            _write(v, out, inner)
+            sep = ","
+        out.append(pad + close)
+    else:
+        out.append(json.dumps(obj))  # null, true, false, an empty container
 
 
 def _decode_vector_list(raw, what: str) -> list[list[int]]:
@@ -66,16 +92,14 @@ def _decode_vector_list(raw, what: str) -> list[list[int]]:
     return [[decode_int(e) for e in v] for v in raw]
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(Record):
     kind: str
     name: str
     n: int
     vectors: tuple[tuple[int, ...], ...]  # bases or exponent rows, as given
 
 
-@dataclass(frozen=True)
-class ValidationOutcome:
+class ValidationOutcome(Record):
     ok: bool
     value: object | None = None
     witness: dict | None = None
@@ -125,14 +149,13 @@ def parse_instance(text: str, default_name: str = "instance") -> Instance:
 def load_instance(source: str) -> Instance:
     """Read an instance from a filesystem path or a 'bundled:<name>' token."""
     if source.startswith("bundled:"):
-        name = source.split(":", 1)[1]
-        return parse_instance(bundled_text(name), default_name=name)
-    path = Path(source)
+        return load_bundled(source.split(":", 1)[1])
     try:
-        text = path.read_text()
+        with open(source) as f:
+            text = f.read()
     except OSError as exc:
         raise ParseError(f"cannot read {source}: {exc}") from exc
-    return parse_instance(text, default_name=path.stem)
+    return parse_instance(text, default_name=os.path.splitext(os.path.basename(source))[0])
 
 
 def realize(instance: Instance) -> ValidationOutcome:
@@ -172,11 +195,13 @@ def analysis_ideal(value) -> MonomialIdeal:
 
 
 def bundled_names() -> list[str]:
+    from importlib import resources  # here, as only bundled instances need it
     root = resources.files("reeskit").joinpath("instances")
     return sorted(p.name[: -len(".json")] for p in root.iterdir() if p.name.endswith(".json"))
 
 
 def bundled_text(name: str) -> str:
+    from importlib import resources
     ref = resources.files("reeskit").joinpath("instances").joinpath(f"{name}.json")
     try:
         return ref.read_text()

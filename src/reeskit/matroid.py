@@ -10,7 +10,6 @@ Ground-set elements are 1-indexed everywhere, including JSON.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import (
@@ -20,6 +19,7 @@ from .errors import (
     EmptyInput,
     IntegrityError,
     InvalidInstance,
+    Record,
     UnequalCardinalities,
 )
 from .polymatroid import first_exchange_failure
@@ -27,8 +27,7 @@ from .polymatroid import first_exchange_failure
 ENUMERATION_CAP = 6
 
 
-@dataclass(frozen=True)
-class Matroid:
+class Matroid(Record):
     """Matroid on {1..n} listed by its full set of bases.
 
     bases: lexicographically sorted tuple of ascending d-tuples. The
@@ -59,8 +58,7 @@ class Matroid:
         return {"n": self.n, "bases": [list(b) for b in self.bases]}
 
 
-@dataclass(frozen=True)
-class ExchangeFailure:
+class ExchangeFailure(Record):
     """Violating triple for the basis exchange property.
 
     No b2 in basis_b \\ basis_a repairs basis_a \\ {element}.
@@ -79,8 +77,7 @@ class ExchangeFailure:
         }
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(Record):
     """Monomial ideal in n variables given by exponent vectors of generators.
 
     exponents: lex-sorted tuple of distinct nonzero vectors in N^n.

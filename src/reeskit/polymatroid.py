@@ -10,21 +10,20 @@ vectors and `matroid.check_basis_exchange` on basis indicator vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 from .errors import (
     EmptyInput,
     IntegrityError,
     InvalidInstance,
+    Record,
     TheoremCounterexample,
     UnequalModuli,
     VariableAbsent,
 )
 
 
-@dataclass(frozen=True)
-class PolymatroidBases:
+class PolymatroidBases(Record):
     """Validated base set of a discrete polymatroid.
 
     vectors: lex-sorted tuple of distinct vectors in N^n, all of modulus d.
@@ -42,8 +41,7 @@ class PolymatroidBases:
         }
 
 
-@dataclass(frozen=True)
-class ExchangeFailure:
+class ExchangeFailure(Record):
     """Witness (a, c, i) that no j with a_j < c_j repairs a - e_i + e_j.
 
     The coordinate i is 1-indexed like everything else in this package.

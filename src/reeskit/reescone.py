@@ -16,12 +16,11 @@ instances. All arithmetic is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations
 from math import gcd
 
-from .errors import CapExceeded, DegenerateCone, IntegrityError
+from .errors import CapExceeded, DegenerateCone, IntegrityError, Record
 from .exactlat import adjugate, determinant, dot, echelon_mod_2, kernel_basis, parity_mask
 from .exactlat import pivot_columns, primitive, rank
 from .matroid import Matroid, MonomialIdeal, basis_monomial_ideal
@@ -54,8 +53,7 @@ def _unit_index(v) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
-class ReesCone:
+class ReesCone(Record):
     """Generators of a Rees cone: units first, then lifted exponent vectors.
 
     Generators live in dimension n+1 with last coordinate 0 (unit part) or
@@ -108,8 +106,7 @@ class Verdict(str, Enum):
     NEITHER = "neither"
 
 
-@dataclass(frozen=True)
-class FacetSystem:
+class FacetSystem(Record):
     """Irreducible inner description of a full-dimensional Rees-type cone.
 
     unit_normals: ascending 1-based indices i with e_i a facet normal.
@@ -118,16 +115,20 @@ class FacetSystem:
     slack: the facet-generator value matrix, computed once per cone (as in
     Normaliz, Bruns and Ichim, J. Algebra 2010): for each distinct primitive
     generator g of the cone the facets were found for, the tuple of <b, g>
-    over b in normals(), in that order. It takes no part in equality, so
-    facet systems found by different routes compare equal.
+    over b in normals(), in that order (empty when not given). It takes no
+    part in equality, so facet systems found by different routes compare
+    equal.
     """
 
     dim: int
     unit_normals: tuple[int, ...]
     ell_normals: tuple[tuple[int, ...], ...]
-    slack: dict = field(default_factory=dict, compare=False, repr=False)
+    slack: dict = None
+    _uncompared = ("slack",)
 
     def __post_init__(self):
+        if self.slack is None:
+            object.__setattr__(self, "slack", {})
         units = tuple(_unit(i - 1, self.dim) for i in self.unit_normals)
         object.__setattr__(self, "_normals", units + self.ell_normals)
 
@@ -156,8 +157,7 @@ class FacetSystem:
         }
 
 
-@dataclass(frozen=True)
-class ConeClassification:
+class ConeClassification(Record):
     verdict: Verdict
     offending_normal: tuple[int, ...] | None = None
 
@@ -341,8 +341,7 @@ def classify(fs: FacetSystem) -> ConeClassification:
     return ConeClassification(Verdict.QUASI_IDEAL)
 
 
-@dataclass(frozen=True)
-class ShapeReport:
+class ShapeReport(Record):
     """Facet shape audit for a matroid basis Rees cone.
 
     Expected shape: units, plus 0/1-leading normals with last entry in

@@ -32,7 +32,6 @@ on a fresh session.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from math import gcd, isqrt, prod
@@ -45,6 +44,7 @@ from .errors import (
     InvalidInstance,
     MethodDisagreement,
     PreconditionFailed,
+    Record,
     UnequalModuli,
 )
 from .exactlat import _bareiss, adjugate, determinant, dot, kernel_mod_p, packer, primitive
@@ -64,8 +64,7 @@ from .reescone import (
 DEFAULT_CAP = 10**6
 
 
-@dataclass(frozen=True)
-class HilbertBasisResult:
+class HilbertBasisResult(Record):
     """Lex-sorted irreducible generators plus how they were obtained."""
 
     elements: tuple[tuple[int, ...], ...]
@@ -88,8 +87,7 @@ class HilbertBasisResult:
         }
 
 
-@dataclass(frozen=True)
-class LatticePolytope:
+class LatticePolytope(Record):
     """Convex hull of finitely many lattice points, kept as its generators."""
 
     n: int
@@ -122,8 +120,7 @@ class LatticePolytope:
         return lo, hi
 
 
-@dataclass(frozen=True)
-class NormalityCertificate:
+class NormalityCertificate(Record):
     verdict: str  # "normal" | "not_normal"
     witness: tuple[int, ...] | None
     method: str  # "hilbert" | "quasi_ehrhart" | "both"
@@ -524,8 +521,7 @@ def ehrhart_points(poly: LatticePolytope, b: int) -> list[tuple[int, ...]]:
     return out
 
 
-@dataclass(frozen=True)
-class DilationCheck:
+class DilationCheck(Record):
     b: int
     points: int
     failures: tuple[tuple[int, ...], ...]
@@ -538,8 +534,7 @@ class DilationCheck:
         }
 
 
-@dataclass(frozen=True)
-class EqualityReport:
+class EqualityReport(Record):
     """Which lattice points of bP are no sum of exactly b generators, for
     1 <= b <= b_max? A semidecision: silence below the bound only."""
 
@@ -632,8 +627,7 @@ def _equality_report(
     return EqualityReport(degree, b_max, tuple(dilations))
 
 
-@dataclass(frozen=True)
-class ElementStatus:
+class ElementStatus(Record):
     element: tuple[int, ...]
     kind: str  # "unit" | "dilation"
     ok: bool
@@ -642,8 +636,7 @@ class ElementStatus:
         return {"element": list(self.element), "kind": self.kind, "ok": self.ok}
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
+class DecompositionReport(Record):
     """Audit that each Hilbert basis element is a unit e_i at height zero or
     lands in the dilated polytope at its height. A failure would refute the
     structural decomposition of a quasi-ideal normalization, so callers

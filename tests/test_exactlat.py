@@ -14,10 +14,14 @@ from reeskit.exactlat import (
     dot,
     kernel_basis,
     kernel_mod_p,
+    pivot_columns,
     primitive,
     rank,
-    vsub,
 )
+
+
+def vsub(u, v):
+    return tuple(a - b for a, b in zip(u, v))
 
 
 def det_oracle(rows):
@@ -250,6 +254,25 @@ class TestKernel:
                 assert dot(tuple(row), b) == 0
         if basis:
             assert rank(basis) == len(basis)
+
+    def test_normalised_examples(self):
+        # -x + 2y = 0, eliminated with a negative pivot
+        assert kernel_basis(((-1, 2),)) == [(2, 1)]
+        # 2x = 3z and 3y = -z: z = 6 clears both denominators
+        assert kernel_basis(((2, 0, -3), (0, 3, 1))) == [(9, -2, 6)]
+        assert kernel_basis(((0, 0),)) == [(1, 0), (0, 1)]
+
+    @settings(max_examples=100)
+    @given(matrices())
+    def test_basis_is_normalised(self, rows):
+        """One vector per free column, ascending: primitive, positive at its
+        free column and 0 at every other free column."""
+        free = [c for c in range(len(rows[0])) if c not in pivot_columns(rows)]
+        basis = kernel_basis(rows)
+        assert len(basis) == len(free)
+        for fc, b in zip(free, basis):
+            assert b[fc] > 0 and all(b[c] == 0 for c in free if c != fc)
+            assert primitive(b) == b
 
 
 class TestKernelModP:

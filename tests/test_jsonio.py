@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from reeskit import jsonio
 from reeskit.errors import ParseError
@@ -43,6 +45,27 @@ class TestDumps:
         assert a == b
         assert a.endswith("\n")
         assert a.index('"a"') < a.index('"b"')
+
+    @given(
+        st.recursive(
+            st.none()
+            | st.booleans()
+            | st.integers()
+            | st.sampled_from([2**53 - 1, 2**53, -(2**53) + 1, -(2**53), 3**40, -(5**30)])
+            | st.text()
+            | st.sampled_from(['"', "\\", 'a"b\\c', "\x00\x1f\t\n\x7f", "é€😀", ""]),
+            lambda inner: st.lists(inner)
+            | st.lists(inner).map(tuple)
+            | st.dictionaries(st.text(), inner),
+            max_leaves=30,
+        )
+    )
+    @example({"a": {}, "b": [], "c": (), "d": [[]], "e": {"f": [True, False, None]}})
+    def test_matches_json_dumps_of_encode(self, payload):
+        """The writer gives json.dumps's bytes for indent=2, sort_keys=True,
+        with the 53-bit rule applied in the same walk."""
+        oracle = json.dumps(jsonio.encode(payload), indent=2, sort_keys=True) + "\n"
+        assert jsonio.dumps(payload) == oracle
 
 
 class TestParseInstance:
@@ -151,3 +174,10 @@ class TestBundled:
 def test_load_instance_missing_file(tmp_path):
     with pytest.raises(ParseError):
         jsonio.load_instance(str(tmp_path / "missing.json"))
+
+
+def test_load_instance_names_bare_payload_by_file_stem(tmp_path):
+    for filename, stem in (("my.ideal.json", "my.ideal"), ("plain", "plain"), (".hidden", ".hidden")):
+        path = tmp_path / filename
+        path.write_text(json.dumps({"n": 2, "exponents": [[1, 0], [0, 1]]}))
+        assert jsonio.load_instance(str(path)).name == stem

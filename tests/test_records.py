@@ -1,0 +1,168 @@
+"""Record semantics of the value classes, and what `import reeskit.cli` loads."""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+import reeskit
+from reeskit import jsonio, matroid, polymatroid, reescone, semigroup
+from reeskit.errors import EmptyInput, InvalidInstance, Record
+from reeskit.reescone import Verdict
+
+IDEAL = matroid.MonomialIdeal(2, ((2, 0), (1, 1), (0, 2)))
+SESSION = semigroup.IdealSession(IDEAL)
+
+
+def samples() -> dict[type, Record]:
+    """One instance of every record class, most of them computed."""
+    u32 = matroid.uniform_matroid(3, 2)
+    status = semigroup.ElementStatus((1, 0, 0), "unit", True)
+    found = [
+        jsonio.load_bundled("u_1_2"),
+        jsonio.realize(jsonio.load_bundled("u_1_2")),
+        u32,
+        matroid.check_basis_exchange(4, [(1, 2), (3, 4)]),
+        IDEAL,
+        polymatroid.veronese_bases(2, 2),
+        polymatroid.check_polymatroid_bases(2, [(2, 0), (0, 2)]),
+        SESSION.cone,
+        SESSION.facets,
+        SESSION.classification,
+        reescone.verify_basis_facet_shape(u32),
+        SESSION.hilbert,
+        SESSION.polytope,
+        SESSION.normality,
+        semigroup.DilationCheck(2, 3, ((1, 1),)),
+        SESSION.equality(2),
+        status,
+        semigroup.DecompositionReport(Verdict.IDEAL, (status,)),
+    ]
+    return {type(r): r for r in found}
+
+
+SAMPLES = samples()
+
+
+def rebuilt(record: Record) -> Record:
+    return type(record)(*(getattr(record, f) for f in record._fields))
+
+
+def test_every_record_class_has_a_sample():
+    assert set(SAMPLES) == set(Record.__subclasses__())
+    assert len(SAMPLES) == 18
+
+
+@pytest.mark.parametrize("cls", sorted(SAMPLES, key=lambda c: (c.__module__, c.__name__)),
+                         ids=lambda c: f"{c.__module__.rsplit('.', 1)[-1]}.{c.__name__}")
+class TestRecordSemantics:
+    def test_fields_are_frozen(self, cls):
+        record = SAMPLES[cls]
+        for name in (*record._fields, "not_a_field"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+
+    def test_equal_fields_give_equal_records(self, cls):
+        record = SAMPLES[cls]
+        twin = rebuilt(record)
+        assert twin is not record
+        assert twin == record and not twin != record
+        assert hash(twin) == hash(record)
+        assert repr(twin) == repr(record)
+        assert repr(record).startswith(f"{cls.__name__}(")
+
+    def test_other_classes_never_compare_equal(self, cls):
+        record = SAMPLES[cls]
+        assert record != tuple(getattr(record, f) for f in record._fields)
+        assert all(other != record for other in SAMPLES.values() if other is not record)
+
+
+def test_defaults_and_keywords():
+    assert jsonio.ValidationOutcome(True) == jsonio.ValidationOutcome(True, None, None)
+    outcome = jsonio.ValidationOutcome(False, witness={"error": "x"})
+    assert (outcome.ok, outcome.value, outcome.witness) == (False, None, {"error": "x"})
+    assert reescone.ConeClassification(Verdict.IDEAL).offending_normal is None
+    assert repr(reescone.ConeClassification(Verdict.IDEAL)).endswith("offending_normal=None)")
+
+
+def test_construction_rejects_bad_field_lists():
+    with pytest.raises(TypeError):
+        jsonio.ValidationOutcome(True, None, None, None)
+    with pytest.raises(TypeError):
+        jsonio.ValidationOutcome(True, colour="red")
+    with pytest.raises(AttributeError):  # a field without default left out
+        jsonio.Instance("ideal", "x", 2)
+
+
+def test_post_init_still_validates_and_normalises():
+    with pytest.raises(InvalidInstance):
+        matroid.Matroid(3, 2, ((1, 3), (1, 2)))
+    with pytest.raises(InvalidInstance):
+        matroid.MonomialIdeal(2, ((1, 0), (0, 0)))
+    with pytest.raises(EmptyInput):
+        semigroup.LatticePolytope(2, ())
+    assert matroid.MonomialIdeal(2, [[1, 0], [0, 1]]).exponents == ((0, 1), (1, 0))
+
+
+def test_facet_slack_is_left_out_of_equality():
+    fs = SESSION.facets
+    bare = reescone.FacetSystem(fs.dim, fs.unit_normals, fs.ell_normals)
+    assert fs.slack and bare.slack == {}
+    assert bare == fs and hash(bare) == hash(fs)
+    assert "slack" not in repr(fs)
+    assert bare.normals() == fs.normals()
+
+
+def test_lifted_membership_is_cached():
+    polytope = semigroup.LatticePolytope.of_ideal(IDEAL)
+    member = polytope.lifted_membership
+    assert polytope.lifted_membership is member
+    assert member.contains((1, 1, 1)) and not member.contains((1, 0, 1))
+
+
+STARTUP_PROBE = textwrap.dedent(
+    """
+    import contextlib, io, json, sys
+    sys.path.insert(0, sys.argv[1])
+    before = set(sys.modules)
+    import reeskit.cli
+    loaded = sorted(set(sys.modules) - before)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = reeskit.cli.main(["instances", "--show", "graphic_k4"])
+    from reeskit.exactlat import kernel_basis
+    basis = kernel_basis([[1, 1, 1], [1, 2, 3]])
+    print(json.dumps({"loaded": loaded, "code": code, "out": out.getvalue(), "kernel": basis}))
+    """
+)
+
+# Stdlib modules a command does not need; importing any of them costs start-up.
+NOT_AT_STARTUP = (
+    "dataclasses", "inspect", "ast", "dis", "tokenize",
+    "fractions", "decimal", "importlib.resources", "pathlib",
+)
+
+
+def test_cli_import_leaves_out_unneeded_stdlib():
+    """In an interpreter without site (-S), which preloads nothing, importing
+    the CLI loads none of NOT_AT_STARTUP; bundled instances (which import
+    importlib.resources on use) and kernel_basis still work afterwards."""
+    root = str(Path(reeskit.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", STARTUP_PROBE, root],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert not set(NOT_AT_STARTUP) & set(report["loaded"]), report["loaded"]
+    assert "reeskit.cli" in report["loaded"]
+    assert report["code"] == 0
+    assert json.loads(report["out"])["name"] == "graphic_k4"
+    assert report["kernel"] == [[1, -2, 1]]

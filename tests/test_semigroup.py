@@ -19,7 +19,7 @@ from reeskit.errors import (
     PreconditionFailed,
     UnequalModuli,
 )
-from reeskit.exactlat import adjugate, determinant, dot, packer, rank, vsub
+from reeskit.exactlat import adjugate, determinant, dot, packer, rank
 from reeskit.jsonio import analysis_ideal, bundled_names, load_bundled, realize
 from reeskit.matroid import (
     MonomialIdeal,
@@ -69,6 +69,10 @@ V516 = MonomialIdeal(
         (14, 17, 19), (16, 18, 12), (22, 5, 13), (26, 7, 5),
     ),
 )
+
+
+def vsub(u, v):
+    return tuple(a - b for a, b in zip(u, v))
 
 
 def box_points(bound):
