@@ -32,7 +32,6 @@ from .polymatroid import (
 )
 from .reescone import (
     ConeClassification,
-    ConeMembership,
     FacetSystem,
     ReesCone,
     ShapeReport,
@@ -48,12 +47,10 @@ from .semigroup import (
     EqualityReport,
     HilbertBasisResult,
     IdealSession,
-    LatticePolytope,
     NormalityCertificate,
     certify_normality_pipeline,
     decomposition_check,
     ehrhart_equality_check,
-    ehrhart_points,
     hilbert_basis,
     is_normal,
 )
@@ -63,7 +60,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CapExceeded",
     "ConeClassification",
-    "ConeMembership",
     "DegenerateCone",
     "EqualityReport",
     "FacetSystem",
@@ -71,7 +67,6 @@ __all__ = [
     "IdealSession",
     "IntegrityError",
     "InvalidInstance",
-    "LatticePolytope",
     "Matroid",
     "MethodDisagreement",
     "MonomialIdeal",
@@ -93,7 +88,6 @@ __all__ = [
     "decomposition_check",
     "divide_by_variable",
     "ehrhart_equality_check",
-    "ehrhart_points",
     "enumerate_matroids",
     "facet_normals",
     "facet_normals_oracle",

@@ -1,9 +1,9 @@
 """Exact integer linear algebra on small dense matrices.
 
 Everything here runs on arbitrary-precision Python ints, with no division
-that is not exact: the kernel basis, too, comes from a fraction-free
-elimination, so not even Fractions are needed. No floating point anywhere:
-results feed normality certificates, so approximation is not an option.
+that is not exact: every elimination is fraction-free, so not even Fractions
+are needed. No floating point anywhere: results feed normality certificates,
+so approximation is not an option.
 """
 
 from __future__ import annotations
@@ -88,12 +88,6 @@ def _bareiss(rows):
 def rank(rows) -> int:
     _, pivots, _ = _bareiss(list(rows))
     return len(pivots)
-
-
-def pivot_columns(rows) -> tuple[int, ...]:
-    """Column indices of the leading pivots; the submatrix on them has full rank."""
-    _, pivots, _ = _bareiss(list(rows))
-    return tuple(pivots)
 
 
 def determinant(rows) -> int:
@@ -215,27 +209,4 @@ def kernel_mod_p(rows, p: int) -> list[tuple[int, ...]]:
         for row, pc in zip(m, pivots):
             x[pc] = -row[fc] % p
         basis.append(tuple(x))
-    return basis
-
-
-def kernel_basis(rows) -> list[tuple[int, ...]]:
-    """Primitive integer basis of the right kernel {x : M x = 0}.
-
-    One vector per free column c of the fraction-free echelon form E, free
-    columns ascending, each positive at c and 0 at the other free columns.
-    On the pivot columns P, E_P is nonsingular and x_P = -adj(E_P) E_c x_c /
-    det E_P, so x_c = |det E_P| makes every entry an integer.
-    """
-    ech, pivots, _ = _bareiss(rows)
-    top = ech[: len(pivots)]
-    adj, det = adjugate([[row[c] for c in pivots] for row in top])
-    nc = len(ech[0]) if ech else 0
-    basis = []
-    for fc in (c for c in range(nc) if c not in pivots):
-        x = [0] * nc
-        x[fc] = abs(det)
-        column = [row[fc] for row in top]
-        for pc, a in zip(pivots, adj):
-            x[pc] = -dot(a, column) if det > 0 else dot(a, column)
-        basis.append(primitive(x))
     return basis

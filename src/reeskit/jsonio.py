@@ -194,19 +194,21 @@ def analysis_ideal(value) -> MonomialIdeal:
     raise TypeError(f"no ideal view for {type(value).__name__}")
 
 
+INSTANCES = os.path.join(os.path.dirname(__file__), "instances")
+
+
 def bundled_names() -> list[str]:
-    from importlib import resources  # here, as only bundled instances need it
-    root = resources.files("reeskit").joinpath("instances")
-    return sorted(p.name[: -len(".json")] for p in root.iterdir() if p.name.endswith(".json"))
+    """Stems of the instance files shipped in the package's instances folder."""
+    return sorted(f[: -len(".json")] for f in os.listdir(INSTANCES) if f.endswith(".json"))
 
 
 def bundled_text(name: str) -> str:
-    from importlib import resources
-    ref = resources.files("reeskit").joinpath("instances").joinpath(f"{name}.json")
-    try:
-        return ref.read_text()
-    except (FileNotFoundError, OSError) as exc:
-        raise ParseError(f"no bundled instance named {name!r}") from exc
+    """Text of the bundled instance name. Only a name bundled_names() lists is
+    read, so no name, a relative path included, reaches another file."""
+    if name not in bundled_names():
+        raise ParseError(f"no bundled instance named {name!r}")
+    with open(os.path.join(INSTANCES, f"{name}.json"), encoding="utf-8") as f:
+        return f.read()
 
 
 def load_bundled(name: str) -> Instance:

@@ -21,8 +21,7 @@ from itertools import combinations
 from math import gcd
 
 from .errors import CapExceeded, DegenerateCone, IntegrityError, Record
-from .exactlat import adjugate, determinant, dot, echelon_mod_2, kernel_basis, parity_mask
-from .exactlat import pivot_columns, primitive, rank
+from .exactlat import adjugate, determinant, dot, echelon_mod_2, parity_mask, primitive, rank
 from .matroid import Matroid, MonomialIdeal, basis_monomial_ideal
 
 ORACLE_CAP = 12
@@ -35,14 +34,6 @@ def _unit(i: int, dim: int) -> tuple[int, ...]:
 def _distinct_rows(rows) -> list[tuple[int, ...]]:
     """Rows as int tuples, repeats dropped, first occurrences in input order."""
     return list(dict.fromkeys(tuple(int(e) for e in r) for r in rows))
-
-
-def _span_projection(rows):
-    """Pivot columns of rows, and rows restricted to them: the span of rows
-    projects isomorphically onto those coordinates, so cone questions about
-    rows of any rank can be answered there in full dimension."""
-    pivots = pivot_columns(rows)
-    return pivots, [tuple(r[c] for c in pivots) for r in rows]
 
 
 def _unit_index(v) -> int | None:
@@ -411,29 +402,3 @@ def extreme_generators(cone: ReesCone, fs: FacetSystem | None = None):
         if face == 1 << j:
             out.append(p)
     return tuple(out)
-
-
-class ConeMembership:
-    """Exact membership oracle for cone(generators), full-dimensional or not.
-
-    Equations cut out the linear span; facet inequalities are computed on a
-    pivot projection of the span. Built once, then reused for many points.
-    """
-
-    def __init__(self, generators):
-        gens = _distinct_rows(generators)
-        if not gens:
-            raise DegenerateCone("no generators")
-        self.dim = len(gens[0])
-        self._pivots, proj = _span_projection(gens)
-        r = len(self._pivots)
-        self._equations = tuple(tuple(u) for u in kernel_basis(gens)) if r < self.dim else ()
-        self._normals = tuple(_dual_extreme_rays(proj, r))
-
-    def contains(self, point) -> bool:
-        if len(point) != self.dim:
-            raise ValueError(f"point of dimension {len(point)}, cone of {self.dim}")
-        if any(dot(u, point) != 0 for u in self._equations):
-            return False
-        restricted = tuple(point[c] for c in self._pivots)
-        return all(dot(w, restricted) >= 0 for w in self._normals)

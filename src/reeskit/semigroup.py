@@ -22,8 +22,10 @@ subsemigroup the generators span iff it is one of them. Dilation equality
 compares bP with the b-fold sumset of the vertices, kept as packed ints: for
 an ideal generated in one degree d, a lies in bP iff (a, b) lies in the Rees
 cone and |a| = b*d, so a session reads bP off the facets it already holds
-and tests only the points of the box slice outside the sumset. Integer
-arithmetic throughout.
+and tests only the points of the box slice outside the sumset. An ideal of
+several degrees is padded to its top degree D first, each v to
+(v, D - |v|), so every dilation is read off the facets of a Rees cone.
+Integer arithmetic throughout.
 
 An IdealSession builds each of these artefacts for one ideal at most once
 and keeps them no longer than itself; the module-level checks are thin calls
@@ -51,7 +53,6 @@ from .exactlat import _bareiss, adjugate, determinant, dot, kernel_mod_p, packer
 from .matroid import MonomialIdeal
 from .reescone import (
     ConeClassification,
-    ConeMembership,
     FacetSystem,
     ReesCone,
     Verdict,
@@ -85,39 +86,6 @@ class HilbertBasisResult(Record):
             "elements": [list(h) for h in self.elements],
             "method": self.method(),
         }
-
-
-class LatticePolytope(Record):
-    """Convex hull of finitely many lattice points, kept as its generators."""
-
-    n: int
-    vertices: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise InvalidInstance("need at least one coordinate")
-        verts = sorted({tuple(int(e) for e in v) for v in self.vertices})
-        if not verts:
-            raise EmptyInput("a polytope needs at least one point")
-        if any(len(v) != self.n for v in verts):
-            raise InvalidInstance("points of mixed dimension")
-        object.__setattr__(self, "vertices", tuple(verts))
-
-    @classmethod
-    def of_ideal(cls, ideal: MonomialIdeal) -> "LatticePolytope":
-        return cls(ideal.n, ideal.exponents)
-
-    @cached_property
-    def lifted_membership(self) -> ConeMembership:
-        """Membership in the cone spanned by the (v, 1): a lies in the b-th
-        dilation iff (a, b) lies in it. Built on first use, once per polytope."""
-        return ConeMembership(tuple((*v, 1) for v in self.vertices))
-
-    def box(self, b: int) -> tuple[list[int], list[int]]:
-        """Coordinatewise bounds of the b-th dilation."""
-        lo = [b * min(v[k] for v in self.vertices) for k in range(self.n)]
-        hi = [b * max(v[k] for v in self.vertices) for k in range(self.n)]
-        return lo, hi
 
 
 class NormalityCertificate(Record):
@@ -498,29 +466,6 @@ def _box_points(lo, hi, total):
     yield from rec(0, total)
 
 
-def ehrhart_points(poly: LatticePolytope, b: int) -> list[tuple[int, ...]]:
-    """Lattice points of the b-th dilation, lex sorted.
-
-    Bounding-box scan; membership of a in bP is exact via the lifted cone
-    spanned by (v, 1): a in bP iff (a, b) lies in it. The scan space shrinks
-    to one coordinate-sum slice when all vertices share a modulus. The
-    equality reports do not call this; it is the general scan of any bP.
-    """
-    if b < 0:
-        raise InvalidInstance("dilation factor must be nonnegative")
-    if b == 0:
-        return [tuple([0] * poly.n)]
-    member = poly.lifted_membership
-    lo, hi = poly.box(b)
-    moduli = {sum(v) for v in poly.vertices}
-    total = b * moduli.pop() if len(moduli) == 1 else None
-    out = []
-    for a in _box_points(lo, hi, total):
-        if member.contains((*a, b)):
-            out.append(a)
-    return out
-
-
 class DilationCheck(Record):
     b: int
     points: int
@@ -572,16 +517,20 @@ def ehrhart_equality_check(exponents, b_max: int) -> EqualityReport:
     the set of all sums of exactly b generators, for each b up to b_max.
 
     Takes any nonempty list of nonnegative vectors of one degree, repeats and
-    the zero vector included, and decides membership in bP with the lifted
-    polytope's own cone."""
+    the zero vector included, and decides membership in bP with the Rees
+    cone's facets (IdealSession.equality). The zero vector alone needs no
+    cone: the box slice of each of its dilations is {0}, the sum of b zeros."""
     vecs = sorted({tuple(int(e) for e in v) for v in exponents})
     if not vecs:
         raise EmptyInput("no generators given")
     if any(e < 0 for v in vecs for e in v):
         raise InvalidInstance("generators must be nonnegative")
     degree = _common_degree(vecs, b_max)
-    poly = LatticePolytope(len(vecs[0]), tuple(vecs))
-    return _equality_report(poly, degree, b_max, poly.lifted_membership.contains)
+    if degree:
+        return IdealSession(MonomialIdeal(len(vecs[0]), tuple(vecs))).equality(b_max)
+    if len(vecs) > 1 or not vecs[0]:
+        raise InvalidInstance("zero vectors of mixed dimension, or of none")
+    return EqualityReport(0, b_max, tuple(DilationCheck(b, 1, ()) for b in range(1, b_max + 1)))
 
 
 def _common_degree(vecs, b_max: int) -> int:
@@ -596,31 +545,32 @@ def _common_degree(vecs, b_max: int) -> int:
     return degrees.pop()
 
 
-def _equality_report(
-    poly: LatticePolytope, degree: int, b_max: int, in_dilation
-) -> EqualityReport:
-    """Dilation equality of a polytope whose vertices all have the given
-    degree; in_dilation((a, b)) decides whether a lies in bP.
+def _equality_report(vertices, degree: int, b_max: int, in_dilation) -> EqualityReport:
+    """Dilation equality of the polytope P spanned by the distinct vertices,
+    all of the given degree; in_dilation((a, b)) decides whether a lies in bP.
 
     The sums of exactly b vertices are grown one layer at a time, only the
     current layer kept. Each is a lattice point of bP on the box slice of
-    coordinate sum b * degree, so it needs no test: the slice is scanned in
-    lex order, and only the points outside the sumset are asked whether they
-    lie in bP; those that do are the failures. bP has len(sums) + failures
-    lattice points. Points are keyed by packer, injective on every box as
-    its fields hold b_max times the largest coordinate.
+    coordinate sum b * degree, so it needs no test: the slice of b times the
+    vertices' coordinatewise bounds is scanned in lex order, and only the
+    points outside the sumset are asked whether they lie in bP; those that
+    do are the failures. bP has len(sums) + failures lattice points. Points
+    are keyed by packer, injective on every box as its fields hold b_max
+    times the largest coordinate.
     """
-    width = max(1, (b_max * max(map(max, poly.vertices))).bit_length())
-    key, _ = packer([[int(i == k) for k in range(poly.n)] for i in range(poly.n)], width)
-    vertices = {key(v) for v in poly.vertices}
+    n = len(vertices[0])
+    lo = [min(column) for column in zip(*vertices)]
+    hi = [max(column) for column in zip(*vertices)]
+    width = max(1, (b_max * max(hi)).bit_length())
+    key, _ = packer([[int(i == k) for k in range(n)] for i in range(n)], width)
+    keys = {key(v) for v in vertices}
     dilations = []
     sums = {0}
     for b in range(1, b_max + 1):
-        sums = {s + v for s in sums for v in vertices}
-        lo, hi = poly.box(b)
+        sums = {s + v for s in sums for v in keys}
         failures = tuple(
             a
-            for a in _box_points(lo, hi, b * degree)
+            for a in _box_points([b * x for x in lo], [b * x for x in hi], b * degree)
             if key(a) not in sums and in_dilation((*a, b))
         )
         dilations.append(DilationCheck(b, len(sums) + len(failures), failures))
@@ -665,14 +615,14 @@ class DecompositionReport(Record):
 class IdealSession:
     """Every cone artefact of one monomial ideal, each computed at most once.
 
-    The cone, its facets and classification, the Hilbert basis (within the
-    session's cap) and the generator polytope are built on first use; the
-    certificates and reports below read them. Dilations of the polytope are
-    read off the cone's facets when the ideal is generated in one degree,
-    which is every case the CLI reaches; only a mixed-degree ideal builds
-    the lifted polytope's own cone. A session keeps one ideal's work and
-    nothing else, so it goes with the ideal: build one per ideal and let it
-    drop.
+    The cone, its facets and classification and the Hilbert basis (within
+    the session's cap) are built on first use; the certificates and reports
+    below read them. Every dilation of the generator polytope is read off
+    Rees-cone facets: the session's own when the ideal is generated in one
+    degree, which is every case the CLI's equality check reaches, and those
+    of the ideal padded to one degree otherwise. A session keeps one ideal's
+    work and nothing else, so it goes with the ideal: build one per ideal
+    and let it drop.
     """
 
     def __init__(self, ideal: MonomialIdeal, cap: int = DEFAULT_CAP):
@@ -696,14 +646,18 @@ class IdealSession:
         return hilbert_basis(self.cone, self.facets, self.cap)
 
     @cached_property
-    def polytope(self) -> LatticePolytope:
-        return LatticePolytope.of_ideal(self.ideal)
-
-    @cached_property
     def degree(self) -> int | None:
         """The one degree of the generators, or None when they have several."""
         degrees = {sum(v) for v in self.ideal.exponents}
         return degrees.pop() if len(degrees) == 1 else None
+
+    @cached_property
+    def padded(self) -> "IdealSession":
+        """The session of the generators v padded to (v, D - |v|), D the top
+        degree: an ideal in n+1 variables generated in the one degree D."""
+        top = max(map(sum, self.ideal.exponents))
+        padded = tuple((*v, top - sum(v)) for v in self.ideal.exponents)
+        return IdealSession(MonomialIdeal(self.ideal.n + 1, padded), self.cap)
 
     def in_dilation(self, point) -> bool:
         """Is a in bP, for point = (a, b) and P the generator polytope?
@@ -711,10 +665,17 @@ class IdealSession:
         In one degree d this is (a, b) in the Rees cone with |a| = b*d: write
         (a, b) = sum mu_i (e_i, 0) + sum lam_j (v_j, 1) with mu, lam >= 0; then
         |a| = b*d + sum mu_i, so |a| = b*d forces mu = 0 and (a, b) lies in
-        the cone of the (v, 1). Otherwise the lifted polytope's cone decides.
+        the cone of the (v, 1). In several degrees, of which D is the top one,
+        the map x -> (x, D - |x|) is affine and injective, keeps lattice
+        points and takes P onto the padded polytope P', so a is in bP iff
+        (a, bD - |a|) is in bP', which the padded session decides in one
+        degree. A negative last entry needs no case of its own: the Rees cone
+        lies in the first orthant.
         """
         if self.degree is None:
-            return self.polytope.lifted_membership.contains(point)
+            *a, b = point
+            padded = self.padded
+            return padded.in_dilation((*a, b * padded.degree - sum(a), b))
         b = point[-1]
         return sum(point) - b == self.degree * b and self.facets.contains(point)
 
@@ -737,7 +698,7 @@ class IdealSession:
         """ehrhart_equality_check on the generators, with bP read off the
         session's facets (in_dilation)."""
         degree = _common_degree(self.ideal.exponents, b_max)
-        return _equality_report(self.polytope, degree, b_max, self.in_dilation)
+        return _equality_report(self.ideal.exponents, degree, b_max, self.in_dilation)
 
     @cached_property
     def decomposition(self) -> DecompositionReport:

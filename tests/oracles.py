@@ -1,0 +1,103 @@
+"""Reference routes the tests check the library against.
+
+None of these is on a library path: the library answers every membership
+question from a Rees cone's facets (FacetSystem.contains, through
+IdealSession.in_dilation). These routes get there another way, by a double
+description of the lifted polytope's own cone on a pivot projection of its
+span, with the span's equations from an integer kernel basis.
+"""
+
+from __future__ import annotations
+
+from reeskit.errors import DegenerateCone, InvalidInstance
+from reeskit.exactlat import _bareiss, adjugate, dot, primitive
+from reeskit.reescone import _distinct_rows, _dual_extreme_rays
+from reeskit.semigroup import _box_points
+
+
+def pivot_columns(rows) -> tuple[int, ...]:
+    """Column indices of the leading pivots; the submatrix on them has full rank."""
+    _, pivots, _ = _bareiss(list(rows))
+    return tuple(pivots)
+
+
+def kernel_basis(rows) -> list[tuple[int, ...]]:
+    """Primitive integer basis of the right kernel {x : M x = 0}.
+
+    One vector per free column c of the fraction-free echelon form E, free
+    columns ascending, each positive at c and 0 at the other free columns.
+    On the pivot columns P, E_P is nonsingular and x_P = -adj(E_P) E_c x_c /
+    det E_P, so x_c = |det E_P| makes every entry an integer.
+    """
+    ech, pivots, _ = _bareiss(rows)
+    top = ech[: len(pivots)]
+    adj, det = adjugate([[row[c] for c in pivots] for row in top])
+    nc = len(ech[0]) if ech else 0
+    basis = []
+    for fc in (c for c in range(nc) if c not in pivots):
+        x = [0] * nc
+        x[fc] = abs(det)
+        column = [row[fc] for row in top]
+        for pc, a in zip(pivots, adj):
+            x[pc] = -dot(a, column) if det > 0 else dot(a, column)
+        basis.append(primitive(x))
+    return basis
+
+
+def span_projection(rows):
+    """Pivot columns of rows, and rows restricted to them: the span of rows
+    projects isomorphically onto those coordinates, so cone questions about
+    rows of any rank can be answered there in full dimension."""
+    pivots = pivot_columns(rows)
+    return pivots, [tuple(r[c] for c in pivots) for r in rows]
+
+
+class ConeMembership:
+    """Exact membership oracle for cone(generators), full-dimensional or not.
+
+    Equations cut out the linear span; facet inequalities are computed on a
+    pivot projection of the span. Built once, then reused for many points.
+    """
+
+    def __init__(self, generators):
+        gens = _distinct_rows(generators)
+        if not gens:
+            raise DegenerateCone("no generators")
+        self.dim = len(gens[0])
+        self._pivots, proj = span_projection(gens)
+        r = len(self._pivots)
+        self._equations = tuple(tuple(u) for u in kernel_basis(gens)) if r < self.dim else ()
+        self._normals = tuple(_dual_extreme_rays(proj, r))
+
+    def contains(self, point) -> bool:
+        if len(point) != self.dim:
+            raise ValueError(f"point of dimension {len(point)}, cone of {self.dim}")
+        if any(dot(u, point) != 0 for u in self._equations):
+            return False
+        restricted = tuple(point[c] for c in self._pivots)
+        return all(dot(w, restricted) >= 0 for w in self._normals)
+
+
+def lifted_membership(vertices) -> ConeMembership:
+    """Membership in the cone spanned by the (v, 1): a lies in the b-th
+    dilation of conv(vertices) iff (a, b) lies in it."""
+    return ConeMembership(tuple((*v, 1) for v in vertices))
+
+
+def ehrhart_points(vertices, b: int) -> list[tuple[int, ...]]:
+    """Lattice points of the b-th dilation of conv(vertices), lex sorted.
+
+    Bounding-box scan, each point decided by the lifted cone. The scan space
+    shrinks to one coordinate-sum slice when all vertices share a degree.
+    """
+    if b < 0:
+        raise InvalidInstance("dilation factor must be nonnegative")
+    vertices = sorted({tuple(v) for v in vertices})
+    if b == 0:
+        return [tuple([0] * len(vertices[0]))]
+    member = lifted_membership(vertices)
+    lo = [b * min(column) for column in zip(*vertices)]
+    hi = [b * max(column) for column in zip(*vertices)]
+    degrees = {sum(v) for v in vertices}
+    total = b * degrees.pop() if len(degrees) == 1 else None
+    return [a for a in _box_points(lo, hi, total) if member.contains((*a, b))]

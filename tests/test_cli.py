@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -108,6 +109,17 @@ class TestValidate:
     def test_missing_file(self, capsys, tmp_path):
         code, doc, _ = run_json(capsys, "validate", str(tmp_path / "nope.json"))
         assert code == 2
+
+    def test_bundled_names_stay_in_the_instances_folder(self, capsys, tmp_path):
+        outside = tmp_path / "outside.json"
+        outside.write_text('{"n": 2, "bases": [[1], [2]]}')
+        escape = os.path.relpath(outside, jsonio.INSTANCES)[: -len(".json")]
+        assert os.path.exists(os.path.join(jsonio.INSTANCES, f"{escape}.json"))
+        for name in (escape, "../instances/u_2_3", "./u_2_3"):
+            code, doc, _ = run_json(capsys, "validate", f"bundled:{name}")
+            assert code == 2
+            assert doc["error"] == "parse"
+            assert doc["detail"] == f"no bundled instance named {name!r}"
 
     def test_polymatroid_instance(self, capsys):
         code, doc, _ = run_json(capsys, "validate", "bundled:transversal_12_123")

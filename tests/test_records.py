@@ -12,7 +12,7 @@ import pytest
 
 import reeskit
 from reeskit import jsonio, matroid, polymatroid, reescone, semigroup
-from reeskit.errors import EmptyInput, InvalidInstance, Record
+from reeskit.errors import InvalidInstance, Record
 from reeskit.reescone import Verdict
 
 IDEAL = matroid.MonomialIdeal(2, ((2, 0), (1, 1), (0, 2)))
@@ -36,7 +36,6 @@ def samples() -> dict[type, Record]:
         SESSION.classification,
         reescone.verify_basis_facet_shape(u32),
         SESSION.hilbert,
-        SESSION.polytope,
         SESSION.normality,
         semigroup.DilationCheck(2, 3, ((1, 1),)),
         SESSION.equality(2),
@@ -55,7 +54,7 @@ def rebuilt(record: Record) -> Record:
 
 def test_every_record_class_has_a_sample():
     assert set(SAMPLES) == set(Record.__subclasses__())
-    assert len(SAMPLES) == 18
+    assert len(SAMPLES) == 17
 
 
 @pytest.mark.parametrize("cls", sorted(SAMPLES, key=lambda c: (c.__module__, c.__name__)),
@@ -106,8 +105,6 @@ def test_post_init_still_validates_and_normalises():
         matroid.Matroid(3, 2, ((1, 3), (1, 2)))
     with pytest.raises(InvalidInstance):
         matroid.MonomialIdeal(2, ((1, 0), (0, 0)))
-    with pytest.raises(EmptyInput):
-        semigroup.LatticePolytope(2, ())
     assert matroid.MonomialIdeal(2, [[1, 0], [0, 1]]).exponents == ((0, 1), (1, 0))
 
 
@@ -120,13 +117,6 @@ def test_facet_slack_is_left_out_of_equality():
     assert bare.normals() == fs.normals()
 
 
-def test_lifted_membership_is_cached():
-    polytope = semigroup.LatticePolytope.of_ideal(IDEAL)
-    member = polytope.lifted_membership
-    assert polytope.lifted_membership is member
-    assert member.contains((1, 1, 1)) and not member.contains((1, 0, 1))
-
-
 STARTUP_PROBE = textwrap.dedent(
     """
     import contextlib, io, json, sys
@@ -137,9 +127,11 @@ STARTUP_PROBE = textwrap.dedent(
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = reeskit.cli.main(["instances", "--show", "graphic_k4"])
-    from reeskit.exactlat import kernel_basis
-    basis = kernel_basis([[1, 1, 1], [1, 2, 3]])
-    print(json.dumps({"loaded": loaded, "code": code, "out": out.getvalue(), "kernel": basis}))
+    after = sorted(set(sys.modules) - before)
+    from reeskit.exactlat import adjugate
+    adj = adjugate([[2, 1], [1, 1]])
+    print(json.dumps({"loaded": loaded, "after": after, "code": code, "out": out.getvalue(),
+                      "adjugate": adj}))
     """
 )
 
@@ -152,8 +144,9 @@ NOT_AT_STARTUP = (
 
 def test_cli_import_leaves_out_unneeded_stdlib():
     """In an interpreter without site (-S), which preloads nothing, importing
-    the CLI loads none of NOT_AT_STARTUP; bundled instances (which import
-    importlib.resources on use) and kernel_basis still work afterwards."""
+    the CLI loads none of NOT_AT_STARTUP; showing a bundled instance, read
+    from the package folder, loads neither importlib.resources nor pathlib,
+    and the exact linear algebra still works afterwards."""
     root = str(Path(reeskit.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-S", "-c", STARTUP_PROBE, root],
@@ -165,4 +158,5 @@ def test_cli_import_leaves_out_unneeded_stdlib():
     assert "reeskit.cli" in report["loaded"]
     assert report["code"] == 0
     assert json.loads(report["out"])["name"] == "graphic_k4"
-    assert report["kernel"] == [[1, -2, 1]]
+    assert not {"importlib.resources", "pathlib"} & set(report["after"]), report["after"]
+    assert report["adjugate"] == [[[1, -1], [-1, 2]], 1]

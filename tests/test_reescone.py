@@ -6,11 +6,12 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import ConeMembership, kernel_basis
 
 from reeskit import reescone
 from reeskit.errors import CapExceeded, DegenerateCone, IntegrityError
 from reeskit.jsonio import analysis_ideal, bundled_names, load_bundled, realize
-from reeskit.exactlat import dot, echelon_mod_2, kernel_basis, parity_mask, primitive, rank
+from reeskit.exactlat import dot, echelon_mod_2, parity_mask, primitive, rank
 from reeskit.matroid import (
     MonomialIdeal,
     basis_monomial_ideal,
@@ -20,7 +21,6 @@ from reeskit.matroid import (
 )
 from reeskit.reescone import (
     ORACLE_CAP,
-    ConeMembership,
     FacetSystem,
     ReesCone,
     Verdict,

@@ -8,6 +8,7 @@ from operator import le
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from oracles import ehrhart_points, lifted_membership, span_projection
 from test_acceptance import Budget
 
 from reeskit import semigroup
@@ -32,7 +33,6 @@ from reeskit.polymatroid import veronese_bases
 from reeskit.reescone import (
     ORACLE_CAP,
     _dual_extreme_rays,
-    _span_projection,
     extreme_generators,
     facet_normals,
     facet_normals_oracle,
@@ -42,7 +42,6 @@ from reeskit.semigroup import (
     DilationCheck,
     EqualityReport,
     IdealSession,
-    LatticePolytope,
     _adjugate_points,
     _box_points,
     _column_hnf_diagonal,
@@ -53,7 +52,6 @@ from reeskit.semigroup import (
     certify_normality_pipeline,
     decomposition_check,
     ehrhart_equality_check,
-    ehrhart_points,
     hilbert_basis,
     is_normal,
 )
@@ -110,7 +108,7 @@ def facet_tight_sets(generators) -> list[tuple]:
     span, in ascending order of their primitive normals in the pivot
     projection: one double description per call."""
     gens = list(dict.fromkeys(tuple(g) for g in generators))
-    pivots, proj = _span_projection(gens)
+    pivots, proj = span_projection(gens)
     normals = _dual_extreme_rays(proj, len(pivots))
     return [tuple(g for g, pg in zip(gens, proj) if dot(w, pg) == 0) for w in normals]
 
@@ -795,31 +793,30 @@ class TestBoxPoints:
 
     def test_slice_scan_is_output_sensitive(self):
         # a segment of 10^4 + 1 points in a box of (10^4 + 1)^2
-        poly = LatticePolytope(2, ((10**4, 0), (0, 10**4)))
         with Budget(5.0):
-            assert len(ehrhart_points(poly, 1)) == 10**4 + 1
+            assert len(ehrhart_points(((10**4, 0), (0, 10**4)), 1)) == 10**4 + 1
 
 
 class TestEhrhartPoints:
     def test_two_squares_dilations(self):
-        poly = LatticePolytope.of_ideal(TWO_SQUARES)
-        assert ehrhart_points(poly, 0) == [(0, 0)]
-        assert ehrhart_points(poly, 1) == [(0, 2), (1, 1), (2, 0)]
-        assert ehrhart_points(poly, 2) == [(0, 4), (1, 3), (2, 2), (3, 1), (4, 0)]
+        vertices = TWO_SQUARES.exponents
+        assert ehrhart_points(vertices, 0) == [(0, 0)]
+        assert ehrhart_points(vertices, 1) == [(0, 2), (1, 1), (2, 0)]
+        assert ehrhart_points(vertices, 2) == [(0, 4), (1, 3), (2, 2), (3, 1), (4, 0)]
 
     def test_segment_count_formula(self):
         # conv{(2,0),(0,2)} dilated by b is a segment with 2b+1 points
-        poly = LatticePolytope.of_ideal(TWO_SQUARES)
+        vertices = TWO_SQUARES.exponents
         for b in range(5):
-            assert len(ehrhart_points(poly, b)) == 2 * b + 1
+            assert len(ehrhart_points(vertices, b)) == 2 * b + 1
 
     def test_minkowski_additivity(self):
         for ideal in (TWO_SQUARES, MIXED, basis_monomial_ideal(uniform_matroid(3, 2))):
-            poly = LatticePolytope.of_ideal(ideal)
-            pts1 = set(ehrhart_points(poly, 1))
+            vertices = ideal.exponents
+            pts1 = set(ehrhart_points(vertices, 1))
             for b in (1, 2):
-                ptsb = set(ehrhart_points(poly, b))
-                nxt = set(ehrhart_points(poly, b + 1))
+                ptsb = set(ehrhart_points(vertices, b))
+                nxt = set(ehrhart_points(vertices, b + 1))
                 for p in ptsb:
                     for q in pts1:
                         assert tuple(x + y for x, y in zip(p, q)) in nxt
@@ -829,9 +826,9 @@ class TestEhrhartPoints:
         from math import comb
 
         ideal = MonomialIdeal(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-        poly = LatticePolytope.of_ideal(ideal)
+        vertices = ideal.exponents
         for b in range(4):
-            assert len(ehrhart_points(poly, b)) == comb(b + 2, 2)
+            assert len(ehrhart_points(vertices, b)) == comb(b + 2, 2)
 
 
 class TestEhrhartEquality:
@@ -875,13 +872,12 @@ class TestEhrhartEquality:
         vecs = data.draw(st.lists(st.sampled_from(degree_slice), min_size=1, unique=True))
         b_max = data.draw(st.integers(0, 3))
         report = ehrhart_equality_check(vecs, b_max)
-        poly = LatticePolytope(n, tuple(vecs))
         assert [d.b for d in report.dilations] == list(range(1, b_max + 1))
         for d in report.dilations:
-            pts = ehrhart_points(poly, d.b)
+            pts = ehrhart_points(vecs, d.b)
             sums = {
                 tuple(map(sum, zip(*combo)))
-                for combo in combinations_with_replacement(poly.vertices, d.b)
+                for combo in combinations_with_replacement(vecs, d.b)
             }
             assert d.points == len(pts)
             assert list(d.failures) == [a for a in pts if a not in sums]
@@ -895,14 +891,15 @@ class TestEhrhartEquality:
             ehrhart_equality_check(((1, 0),), -1)
 
 
-def tuple_sumset_report(poly, degree, b_max, in_dilation):
+def tuple_sumset_report(vertices, degree, b_max, in_dilation):
     """_equality_report with the sums of exactly b vertices kept as a set of
     tuples and the box-slice points looked up in it as tuples."""
     dilations = []
-    sums = {tuple([0] * poly.n)}
+    sums = {tuple([0] * len(vertices[0]))}
     for b in range(1, b_max + 1):
-        sums = {tuple(x + y for x, y in zip(s, v)) for s in sums for v in poly.vertices}
-        lo, hi = poly.box(b)
+        sums = {tuple(x + y for x, y in zip(s, v)) for s in sums for v in vertices}
+        lo = [b * min(column) for column in zip(*vertices)]
+        hi = [b * max(column) for column in zip(*vertices)]
         failures = tuple(
             a
             for a in _box_points(lo, hi, b * degree)
@@ -921,8 +918,8 @@ def veronese_type(bound, degree):
 def assert_sumset_matches(ideal, b_max):
     session = IdealSession(ideal)
     degree = session.degree
-    for in_dilation in (session.in_dilation, session.polytope.lifted_membership.contains):
-        args = (session.polytope, degree, b_max, in_dilation)
+    for in_dilation in (session.in_dilation, lifted_membership(ideal.exponents).contains):
+        args = (ideal.exponents, degree, b_max, in_dilation)
         assert _equality_report(*args) == tuple_sumset_report(*args), ideal
 
 
@@ -946,6 +943,9 @@ class TestPackedSumset:
         report = ehrhart_equality_check([[0, 0]], 2)
         assert report.dilations == (DilationCheck(1, 1, ()), DilationCheck(2, 1, ()))
         assert report.degree == 0 and report.passed
+        for zeros in ([[0, 0], [0]], [[]]):  # several dimensions, or none
+            with pytest.raises(InvalidInstance):
+                ehrhart_equality_check(zeros, 1)
 
 
 class TestDecomposition:
@@ -1035,11 +1035,3 @@ class TestPipeline:
                 == is_normal(ideal).verdict
             ), ideal
 
-
-class TestLatticePolytope:
-    def test_dedups_and_sorts(self):
-        poly = LatticePolytope(2, ((2, 0), (0, 2), (2, 0)))
-        assert poly.vertices == ((0, 2), (2, 0))
-
-    def test_of_ideal(self):
-        assert LatticePolytope.of_ideal(TWO_SQUARES).vertices == ((0, 2), (2, 0))

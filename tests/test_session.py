@@ -13,6 +13,7 @@ from itertools import product
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import lifted_membership
 
 from reeskit import reescone, semigroup
 from reeskit.cli import main
@@ -20,7 +21,6 @@ from reeskit.errors import CapExceeded
 from reeskit.matroid import MonomialIdeal
 from reeskit.semigroup import (
     IdealSession,
-    LatticePolytope,
     certify_normality_pipeline,
     decomposition_check,
     ehrhart_equality_check,
@@ -29,6 +29,7 @@ from reeskit.semigroup import (
 
 TWO_SQUARES = MonomialIdeal(2, ((2, 0), (0, 2)))
 VERONESE_2_2 = MonomialIdeal(2, ((2, 0), (1, 1), (0, 2)))
+MIXED_QUASI = MonomialIdeal(2, ((0, 2), (1, 2)))  # quasi-ideal, degrees 2 and 3
 
 
 def count_calls(monkeypatch, module, name) -> list:
@@ -60,7 +61,6 @@ def test_analyze_builds_one_hilbert_basis(monkeypatch, capsys):
 def test_corpus_builds_one_facet_system_and_no_membership_per_matroid(monkeypatch, capsys):
     facets = count_calls(monkeypatch, semigroup, "facet_normals")
     facets_elsewhere = count_calls(monkeypatch, reescone, "facet_normals")
-    memberships = count_calls(monkeypatch, semigroup, "ConeMembership")
     code, doc = run_json(capsys, "corpus", "4", "--rank", "2")
     assert code == 0
     # 44 labelled matroids of rank 2 on at most 4 elements in 1 + 3 + 7
@@ -68,7 +68,6 @@ def test_corpus_builds_one_facet_system_and_no_membership_per_matroid(monkeypatc
     assert doc["reports"][0]["instances"] == 44
     assert len(facets) == 11
     assert facets_elsewhere == []
-    assert memberships == []
 
 
 def test_nothing_outlives_a_call(monkeypatch, capsys):
@@ -82,10 +81,14 @@ def test_nothing_outlives_a_call(monkeypatch, capsys):
 
 
 def test_equality_check_builds_one_membership_for_all_dilations(monkeypatch):
-    memberships = count_calls(monkeypatch, semigroup, "ConeMembership")
-    report = ehrhart_equality_check(VERONESE_2_2.exponents, 4)
+    facets = count_calls(monkeypatch, semigroup, "facet_normals")
+    report = ehrhart_equality_check(TWO_SQUARES.exponents, 4)
     assert [d.b for d in report.dilations] == [1, 2, 3, 4]
-    assert len(memberships) == 1
+    assert [len(d.failures) for d in report.dilations] == [1, 2, 3, 4]
+    assert len(facets) == 1
+    # every slice point of a normal ideal's dilation is a sum: no cone at all
+    assert ehrhart_equality_check(VERONESE_2_2.exponents, 4).passed
+    assert len(facets) == 1
 
 
 @st.composite
@@ -98,22 +101,39 @@ def equigenerated_ideals(draw):
     return MonomialIdeal(n, tuple(vecs))
 
 
+@st.composite
+def mixed_degree_ideals(draw):
+    """n <= 3 variables, distinct nonzero generators with entries <= 3, of at
+    least two degrees."""
+    n = draw(st.integers(1, 3))
+    cube = [a for a in product(range(4), repeat=n) if any(a)]
+    vecs = draw(
+        st.lists(st.sampled_from(cube), min_size=2, max_size=6, unique=True).filter(
+            lambda vs: len({sum(v) for v in vs}) > 1
+        )
+    )
+    return MonomialIdeal(n, tuple(vecs))
+
+
 class TestInDilation:
     @settings(max_examples=80, deadline=None)
     @given(equigenerated_ideals(), st.integers(0, 3))
     @example(TWO_SQUARES, 3)
     @example(MonomialIdeal(4, ((0, 0, 0, 2), (0, 1, 1, 0), (1, 0, 1, 0), (1, 1, 0, 0))), 3)
     def test_equality_matches_the_lifted_polytope(self, ideal, b_max):
-        # the module-level check decides bP with the lifted polytope's cone;
+        # the lifted polytope's own cone decides bP on the same box slices;
         # the two examples are not normal, so their failures are not empty
-        assert IdealSession(ideal).equality(b_max) == ehrhart_equality_check(
-            ideal.exponents, b_max
-        )
+        session = IdealSession(ideal)
+        args = (ideal.exponents, session.degree, b_max)
+        member = lifted_membership(ideal.exponents)
+        report = semigroup._equality_report(*args, member.contains)
+        assert session.equality(b_max) == report
+        assert ehrhart_equality_check(ideal.exponents, b_max) == report
 
     @pytest.mark.parametrize("ideal", [TWO_SQUARES, VERONESE_2_2])
     def test_matches_lifted_membership_on_a_box(self, ideal):
         session = IdealSession(ideal)
-        member = LatticePolytope.of_ideal(ideal).lifted_membership
+        member = lifted_membership(ideal.exponents)
         in_cone_off_slice = 0
         for point in product(range(-1, 6), repeat=ideal.n + 1):
             assert session.in_dilation(point) == member.contains(point), point
@@ -128,7 +148,8 @@ class TestInDilation:
         assert session.in_dilation((1, 1, 1))
 
     def test_mixed_degree_uses_the_lifted_polytope(self, monkeypatch):
-        memberships = count_calls(monkeypatch, semigroup, "ConeMembership")
+        # lifted by x -> (x, 2 - |x|) to the segment from (1, 0, 1) to (0, 2, 0)
+        facets = count_calls(monkeypatch, semigroup, "facet_normals")
         session = IdealSession(MonomialIdeal(2, ((1, 0), (0, 2))))
         assert session.degree is None
         # P is the segment from (1, 0) to (0, 2), and 2P meets (1, 2)
@@ -136,7 +157,29 @@ class TestInDilation:
         assert session.in_dilation((0, 2, 1))
         assert not session.in_dilation((1, 1, 1))
         assert not session.in_dilation((1, 0, 0))
-        assert len(memberships) == 1
+        assert session.padded.ideal.exponents == ((0, 2, 0), (1, 0, 1))
+        assert session.padded.degree == 2
+        assert len(facets) == 1  # the padded cone's; the ideal's own is not needed
+
+    def test_mixed_degree_decomposition_builds_two_facet_systems(self, monkeypatch):
+        facets = count_calls(monkeypatch, semigroup, "facet_normals")
+        session = IdealSession(MIXED_QUASI)
+        assert session.degree is None
+        assert session.decomposition.holds
+        assert session.decomposition is session.decomposition
+        assert len(facets) == 2  # the session's own and the padded one
+
+    @settings(max_examples=40, deadline=None)
+    @given(mixed_degree_ideals())
+    @example(MonomialIdeal(2, ((1, 0), (0, 2))))
+    def test_mixed_degree_matches_the_lifted_cone_on_a_box(self, ideal):
+        """On every point (a, b) with -1 <= b <= 2 and -1 <= a_i <= 2 * 3 + 1,
+        a box around 2P, the padded session agrees with the lifted
+        polytope's own cone."""
+        session = IdealSession(ideal)
+        member = lifted_membership(ideal.exponents)
+        for point in product(*[range(-1, 8)] * ideal.n, range(-1, 3)):
+            assert session.in_dilation(point) == member.contains(point), point
 
 
 class TestIdealSession:
