@@ -164,49 +164,3 @@ def echelon_mod_2(masks) -> dict[int, int]:
             echelon[pc] = v
     return echelon
 
-
-def kernel_mod_p(rows, p: int) -> list[tuple[int, ...]]:
-    """Basis of the right kernel {x : M x = 0 (mod p)} over GF(p), p prime.
-
-    Gauss-Jordan on the residues, one basis vector per free column, free
-    columns ascending; entries lie in 0..p-1 and each vector is 1 at its
-    free column. For p = 2 the rows are parity masks reduced by XOR
-    (echelon_mod_2), which gives the same basis.
-    """
-    if p == 2:
-        echelon = echelon_mod_2(map(parity_mask, rows))
-        nc = len(rows[0]) if rows else 0
-        return [
-            tuple(int(c == fc) or echelon.get(c, 0) >> fc & 1 for c in range(nc))
-            for fc in range(nc)
-            if fc not in echelon
-        ]
-    m = [[int(e) % p for e in r] for r in rows]
-    if not m:
-        return []
-    nr, nc = len(m), len(m[0])
-    pivots = []
-    r = 0
-    for c in range(nc):
-        if r == nr:
-            break
-        piv = next((i for i in range(r, nr) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = pow(m[r][c], -1, p)
-        row_r = m[r] = [e * inv % p for e in m[r]]
-        for i in range(nr):
-            f = m[i][c]
-            if i != r and f:
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], row_r)]
-        pivots.append(c)
-        r += 1
-    basis = []
-    for fc in (c for c in range(nc) if c not in pivots):
-        x = [0] * nc
-        x[fc] = 1
-        for row, pc in zip(m, pivots):
-            x[pc] = -row[fc] % p
-        basis.append(tuple(x))
-    return basis

@@ -11,11 +11,11 @@ above 1. Each simplex comes with its normalized volume, a product of
 heights: the height of a face's apex over one of its facets, in the face's
 saturated lattice Z^dim & span(F), is <b, apex> / gcd <b, L_F> for the
 facet's cone normal b, and the recursion carries a Z-basis of each face's
-lattice down to its facets. Then the lattice points of each half-open
-fundamental parallelepiped are enumerated, as the multiples of one kernel
-vector mod p (by XOR on bitmask rows for p = 2) when the volume p is prime
-and by an incremental walk over the cosets of a Hermite box otherwise, and
-the candidates reduced to the irreducible ones in order of degree, each
+lattice down to its facets. Then one pivot walk takes the adjugate of each
+simplex of volume above 1 to the next by exchanging rays, and one coset
+closure reads the lattice points of the simplex's half-open fundamental
+parallelepiped off the adjugate's columns, whatever the volume, and
+the candidates are reduced to the irreducible ones in order of degree, each
 against the irreducibles already kept, on facet values packed into one int
 per candidate. A Hilbert basis element is irreducible, so it lies in the
 subsemigroup the generators span iff it is one of them. Dilation equality
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import accumulate
-from math import gcd, isqrt, prod
+from math import gcd
 from operator import mul
 
 from .errors import (
@@ -49,7 +49,7 @@ from .errors import (
     Record,
     UnequalModuli,
 )
-from .exactlat import _bareiss, adjugate, determinant, dot, kernel_mod_p, packer, primitive
+from .exactlat import _bareiss, adjugate, dot, packer, primitive
 from .matroid import MonomialIdeal
 from .reescone import (
     ConeClassification,
@@ -101,132 +101,115 @@ class NormalityCertificate(Record):
         return out
 
 
-def _column_hnf_diagonal(mat) -> list[int]:
-    """Diagonal of a lower-triangular column Hermite form of a nonsingular
-    square integer matrix. Column operations only, so the column lattice is
-    preserved."""
-    m = len(mat)
-    cols = [[mat[i][j] for i in range(m)] for j in range(m)]
-    for i in range(m):
-        while True:
-            js = [j for j in range(i, m) if cols[j][i] != 0]
-            j0 = min(js, key=lambda j: (abs(cols[j][i]), j))
-            if j0 != i:
-                cols[i], cols[j0] = cols[j0], cols[i]
-            p = cols[i][i]
-            done = True
-            for j in range(i + 1, m):
-                if cols[j][i]:
-                    f = cols[j][i] // p
-                    cols[j] = [a - f * b for a, b in zip(cols[j], cols[i])]
-                    if cols[j][i]:
-                        done = False
-            if done:
-                break
-        if cols[i][i] < 0:
-            cols[i] = [-e for e in cols[i]]
-    return [cols[i][i] for i in range(m)]
+def _pivot_walk(rays, simplices):
+    """(simplex, adj, det, vol) for each (mask, vol) in simplices with vol
+    above 1, in their order: the simplex's rays in slot order, R the matrix
+    with those rays as columns, det = |det R| and adj = sgn(det R) adj(R),
+    so adj R = det I.
 
-
-def _adjugate_points(simplex, vol: int) -> set[tuple[int, ...]]:
-    """Nonzero lattice points of {sum lam_i r_i : 0 <= lam_i < 1}, for any
-    volume.
-
-    One point per coset of Z^m modulo the ray lattice, and one coset per
-    point x of the diagonal box of a column Hermite form. x's point is
-    (sum c_i r_i) / det for c = adj x mod det, so the box is walked as an
-    odometer with no division: a step s adds a = adj s mod det to c and
-    g = (sum a_i r_i) / det, s reduced into the parallelepiped, to the point,
-    then subtracts r_i for each c_i that wrapped past det. Points are packed
-    (exactlat.packer), each coordinate offset by its least value on the
-    parallelepiped, in fields of W.bit_length() + 1 bits for W the largest
-    sum of |r_i| on one coordinate. A |det| other than vol, or a walk that
-    does not give vol - 1 distinct nonzero points, is an IntegrityError.
+    adjugate runs once, on the first such simplex; each later one is reached
+    by integer pivoting (the exchange of lrs, Avis 2000, after Edmonds 1967).
+    Bringing in a ray r with w = adj r over a leaving slot k with w_k != 0,
+    its sign taken as w_k's so that w_k > 0, gives the determinant w_k, keeps
+    row k of adj up to that sign and turns each other row i into
+    (w_k adj_i - w_i adj_k) / det, an exact division: a row with w_i = 0 is
+    kept when w_k = det. The slots hold ray indices, with the current simplex
+    as a bitmask. An entering ray with no leaving slot of w_k != 0, or an
+    inexact division, is an IntegrityError.
     """
-    m = len(simplex)
-    colmat = [[simplex[j][i] for j in range(m)] for i in range(m)]
-    adj, det = adjugate(colmat)
-    if det < 0:
-        adj = [[-e for e in row] for row in adj]
-        det = -det
-    if det != vol:
-        raise IntegrityError(f"simplex volume {vol} from heights, {det} from the adjugate")
-    diag = _column_hnf_diagonal(colmat)
-    width = max(sum(map(abs, row)) for row in colmat).bit_length() + 1
-    pack, _ = packer([[int(i == j) for j in range(m)] for i in range(m)], width)
-    lows = [sum(min(e, 0) for e in row) for row in colmat]
-    rays, zero = [pack(r) for r in simplex], pack([-lo for lo in lows])
-    axes = [k for k in range(m) if diag[k] > 1]
-    steps = []  # advance box coordinate axes[n] and reset the later ones
-    for n, k in enumerate(axes):
-        step = [int(j == k) - (diag[j] - 1) * (j in axes[n + 1 :]) for j in range(m)]
-        a = [sum(map(mul, row, step)) % det for row in adj]
-        steps.append((a, sum(map(mul, a, rays)) // det))
-    c, x, p, seen = [0] * m, [0] * len(axes), zero, set()
-    for _ in range(prod(diag) - 1):
-        n = len(axes) - 1
-        while x[n] == diag[axes[n]] - 1:
-            x[n], n = 0, n - 1
-        x[n] += 1
-        a, g = steps[n]
-        p += g
-        for i in range(m):
-            c[i] += a[i]
-            if c[i] >= det:
-                c[i] -= det
-                p -= rays[i]
-        seen.add(p)
-    if len(seen) != det - 1 or zero in seen:
-        raise IntegrityError(f"coset walk gave {len(seen - {zero})} of {det - 1} nonzero points")
-    mask, fields = (1 << width) - 1, [(width * i, lo) for i, lo in enumerate(lows)]
-    return {tuple([(q >> shift & mask) + lo for shift, lo in fields]) for q in seen}
+    mask = adj = det = 0
+    for target, vol in simplices:
+        if vol < 2:
+            continue
+        if not mask:
+            mask, slots = target, [i for i in range(len(rays)) if target >> i & 1]
+            adj, det = adjugate([list(coords) for coords in zip(*(rays[i] for i in slots))])
+            if det < 0:
+                adj, det = [[-e for e in row] for row in adj], -det
+        leaving, entering = mask & ~target, target & ~mask
+        while entering:
+            low = entering & -entering
+            entering ^= low
+            r = rays[low.bit_length() - 1]
+            w = [sum(map(mul, row, r)) for row in adj]
+            k = next((k for k, i in enumerate(slots) if leaving >> i & 1 and w[k]), None)
+            if k is None:
+                raise IntegrityError(f"ray {list(r)} has no leaving slot of nonzero weight")
+            leaving ^= 1 << slots[k]
+            slots[k] = low.bit_length() - 1
+            wk, pivot = w[k], adj[k]
+            kept = pivot if wk > 0 else [-e for e in pivot]
+            if wk < 0:
+                w, wk = [-e for e in w], -wk
+            rows = []
+            for i, (row, wi) in enumerate(zip(adj, w)):
+                if i == k:
+                    row = kept
+                elif wi or wk != det:
+                    num = [wk * x - wi * y for x, y in zip(row, pivot)]
+                    row = list(map(det.__rfloordiv__, num))
+                    if sum(num) != det * sum(row):  # each remainder has det's sign
+                        raise IntegrityError(f"inexact pivot division by {det}")
+                rows.append(row)
+            adj, det = rows, wk
+        mask = target
+        yield tuple(rays[i] for i in slots), adj, det, vol
 
 
-def _kernel_points(simplex, p: int) -> set[tuple[int, ...]]:
-    """Nonzero lattice points of {sum lam_i r_i : 0 <= lam_i < 1} for a
-    simplex of prime volume p.
-
-    Z^m modulo the ray lattice L is then cyclic of order p, so any x outside
-    L with p x in L generates it, and its nonzero cosets are those of k x
-    for k = 1..p-1. Such an x is (sum c_i r_i) / p for c spanning the kernel
-    of the ray matrix over GF(p); with the coefficients c_i taken in
-    0..p-1, the point of the k-th coset is (sum (k c_i mod p) r_i) / p. A
-    kernel of another dimension, or a sum not divisible by p, is an
-    IntegrityError, and so is |det| != p: a 1-dimensional kernel shows only
-    that p divides |det|.
-    """
-    m = len(simplex)
-    colmat = [[simplex[j][i] for j in range(m)] for i in range(m)]
-    kernel = kernel_mod_p(colmat, p)
-    if len(kernel) != 1:
-        raise IntegrityError(
-            f"simplex of volume {p} has a {len(kernel)}-dimensional kernel mod {p}"
-        )
-    det = abs(determinant(colmat))
-    if det != p:
-        raise IntegrityError(f"simplex volume {p} from heights, {det} from the determinant")
-    (c,) = kernel
-    points = set()
-    for k in range(1, p):
-        lam = [k * ci % p for ci in c]
-        point = []
-        for coords in zip(*simplex):
-            q, r = divmod(sum(map(mul, lam, coords)), p)
-            if r:
-                raise IntegrityError(f"kernel vector {c} mod {p} gives no lattice point")
-            point.append(q)
-        points.add(tuple(point))
-    return points
-
-
-def _parallelepiped_points(simplex, vol: int) -> set[tuple[int, ...]]:
+def _coset_points(simplex, adj, det: int, vol: int) -> set[tuple[int, ...]]:
     """Nonzero lattice points of {sum lam_i r_i : 0 <= lam_i < 1}, for the
-    simplex's volume vol from heights (_triangulate): by a kernel mod vol
-    when vol is prime (_kernel_points), else by a walk over the cosets of a
-    Hermite box, O(m) additions a point (_adjugate_points)."""
-    if vol > 1 and all(vol % d for d in range(2, isqrt(vol) + 1)):
-        return _kernel_points(simplex, vol)
-    return _adjugate_points(simplex, vol)
+    simplex's rays r_i in slot order, adj R = det I with det > 0, and vol its
+    volume from heights.
+
+    The points are (sum c_i r_i) / det for c in the group G of order det
+    that the columns of adj generate mod det. G is grown column by column:
+    the subgroup H found so far is stepped by a column a, layer after layer,
+    until a step lands back inside H. A step adds a to c and
+    g = (sum a_i r_i) / det to the point, then subtracts r_i for each c_i
+    that wrapped past det, so a point costs O(m) additions and no division.
+    Points are packed in one int, each coordinate offset by its least value
+    on the parallelepiped, in fields of W.bit_length() + 1 bits for W the
+    largest sum of |r_i| on one coordinate. det != vol, a g that is not a
+    lattice point, or a group of order other than det is an IntegrityError.
+    """
+    if det != vol:
+        raise IntegrityError(f"simplex volume {vol} from heights, {det} from the pivot walk")
+    coords = list(zip(*simplex))
+    spans = [sum(map(abs, row)) for row in coords]
+    width = max(spans).bit_length() + 1
+    weights = [1 << width * j for j in range(len(coords))]  # packer's, without its identity rows
+    rays = [sum(map(mul, r, weights)) for r in simplex]
+    lows = [(sum(row) - span) // 2 for row, span in zip(coords, spans)]  # sum of the negatives
+    zero = -sum(map(mul, lows, weights))
+    group, seen = [((0,) * len(simplex), zero)], {zero}
+    for column in zip(*adj):
+        if len(group) == det:
+            break
+        a = [e % det for e in column]
+        sums = [sum(map(mul, a, row)) for row in coords]
+        if any(map(det.__rmod__, sums)):
+            raise IntegrityError(f"adjugate column {list(column)} gives no lattice point")
+        g = sum(map(mul, map(det.__rfloordiv__, sums), weights))
+        layer = group
+        while layer:
+            stepped = []
+            for c, p in layer:
+                c = [x + y for x, y in zip(c, a)]
+                p += g
+                for i, x in enumerate(c):
+                    if x >= det:
+                        c[i] = x - det
+                        p -= rays[i]
+                if p in seen:
+                    break
+                stepped.append((c, p))
+            group += stepped
+            seen.update(p for _, p in stepped)
+            layer = stepped
+    if len(seen) != det:
+        raise IntegrityError(f"coset closure gave {len(seen)} of {det} cosets")
+    mask, fields = (1 << width) - 1, [(width * j, lo) for j, lo in enumerate(lows)]
+    return {tuple([(q >> s & mask) + lo for s, lo in fields]) for q in seen if q != zero}
 
 
 def _pivot_projector(rows):
@@ -385,11 +368,11 @@ def hilbert_basis(
     lattice. The volumes are summed before any point is enumerated, and the
     cap bounds that sum, the total parallelepiped lattice points; past it,
     the triangulation is rebuilt in its canonical order to report the
-    running total at the first simplex over the cap. Then each simplex of
-    volume above 1 gives its points (_parallelepiped_points): by a kernel
-    mod v when v is prime (XOR on bitmask rows for v = 2), else by a coset
-    walk of O(m) packed additions a point. Reduction follows Normaliz (Bruns
-    and Ichim, J. Algebra 2010): candidates are walked by ascending
+    running total at the first simplex over the cap. Then the pivot walk
+    (_pivot_walk) carries one adjugate from each simplex of volume above 1
+    to the next, and the coset closure of its columns (_coset_points) gives
+    the simplex's points, O(m) packed additions a point. Reduction follows
+    Normaliz (Bruns and Ichim, J. Algebra 2010): candidates are walked by ascending
     coordinate sum, and h is kept unless an element k kept before it has
     every facet value <= h's, i.e. h - k lies in the cone. That is exact: a
     reducible h is reducible by a Hilbert basis element x with h - x a
@@ -412,10 +395,8 @@ def hilbert_basis(
         reached = next(t for t in accumulate(vol for _, vol in canonical) if t > cap)
         raise CapExceeded(f"parallelepiped budget {cap} exceeded at {reached} lattice points")
     points: set[tuple[int, ...]] = set()
-    for s, vol in simplices:
-        if vol > 1:
-            simplex = tuple(r for i, r in enumerate(rays) if s >> i & 1)
-            points.update(_parallelepiped_points(simplex, vol))
+    for walked in _pivot_walk(rays, simplices):
+        points.update(_coset_points(*walked))
     candidates = set(extreme) | points
     bound = max(map(sum, zip(*(fs.slack[r] for r in rays))))
     pack, guard = packer(fs.normals(), bound.bit_length() + 1)

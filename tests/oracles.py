@@ -44,6 +44,34 @@ def kernel_basis(rows) -> list[tuple[int, ...]]:
     return basis
 
 
+def column_hnf_diagonal(mat) -> list[int]:
+    """Diagonal of a lower-triangular column Hermite form of a nonsingular
+    square integer matrix. Column operations only, so the column lattice is
+    preserved, and the diagonal's box has one point in each coset of Z^m
+    modulo that lattice."""
+    m = len(mat)
+    cols = [[mat[i][j] for i in range(m)] for j in range(m)]
+    for i in range(m):
+        while True:
+            js = [j for j in range(i, m) if cols[j][i] != 0]
+            j0 = min(js, key=lambda j: (abs(cols[j][i]), j))
+            if j0 != i:
+                cols[i], cols[j0] = cols[j0], cols[i]
+            p = cols[i][i]
+            done = True
+            for j in range(i + 1, m):
+                if cols[j][i]:
+                    f = cols[j][i] // p
+                    cols[j] = [a - f * b for a, b in zip(cols[j], cols[i])]
+                    if cols[j][i]:
+                        done = False
+            if done:
+                break
+        if cols[i][i] < 0:
+            cols[i] = [-e for e in cols[i]]
+    return [cols[i][i] for i in range(m)]
+
+
 def span_projection(rows):
     """Pivot columns of rows, and rows restricted to them: the span of rows
     projects isomorphically onto those coordinates, so cone questions about

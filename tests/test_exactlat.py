@@ -13,7 +13,8 @@ from reeskit.exactlat import (
     adjugate,
     determinant,
     dot,
-    kernel_mod_p,
+    echelon_mod_2,
+    parity_mask,
     primitive,
     rank,
 )
@@ -274,39 +275,6 @@ class TestKernel:
             assert primitive(b) == b
 
 
-class TestKernelModP:
-    def test_examples(self):
-        # x + y + z = 0 mod 2 has a rank-2 kernel, free columns y and z
-        assert kernel_mod_p(((1, 1, 1),), 2) == [(1, 1, 0), (1, 0, 1)]
-        # diag(2, 3) is singular mod 2 only in its first column
-        assert kernel_mod_p(((2, 0), (0, 3)), 2) == [(1, 0)]
-        assert kernel_mod_p(((2, 0), (0, 3)), 5) == []
-        # 3x + 2y = 0 mod 5: y = x, with entries reduced into 0..4
-        assert kernel_mod_p(((3, 2),), 5) == [(1, 1)]
-        assert kernel_mod_p(((-1, 4),), 3) == [(1, 1)]
-
-    @settings(max_examples=100)
-    @given(matrices(), st.sampled_from((2, 3, 5, 7)))
-    def test_basis_spans_the_kernel(self, rows, p):
-        """The basis has entries in 0..p-1, one vector per free column, and
-        its GF(p)-span is every x with M x = 0 mod p (by enumeration)."""
-        basis = kernel_mod_p(rows, p)
-        ncols = len(rows[0])
-        assert all(0 <= e < p for b in basis for e in b)
-        kernel = {
-            x
-            for x in itertools.product(range(p), repeat=ncols)
-            if all(dot(tuple(row), x) % p == 0 for row in rows)
-        }
-        span = {
-            tuple(sum(c * b[k] for c, b in zip(coeffs, basis)) % p for k in range(ncols))
-            for coeffs in itertools.product(range(p), repeat=len(basis))
-        }
-        assert span == kernel
-        assert p ** len(basis) == len(kernel)
-
-
-
 def parity_matrices():
     """1..8 rows of 1..8 columns, entries in -3..3, some rows all zero."""
 
@@ -317,6 +285,10 @@ def parity_matrices():
     return st.integers(1, 8).flatmap(rows)
 
 
+def rank_mod_2(rows) -> int:
+    return len(echelon_mod_2(map(parity_mask, rows)))
+
+
 class TestKernelModTwo:
     @settings(max_examples=200)
     @given(parity_matrices())
@@ -324,37 +296,43 @@ class TestKernelModTwo:
     @example([[1, 0, 0], [-1, 3, 0], [2, -2, -1]])  # full rank, negative entries
     @example([[-1, 2, -3, 1], [0, 0, 0, 0], [1, 1, -1, 0], [3, -3, 1, 2]])  # a zero row
     def test_matches_brute_force(self, rows):
-        """By enumeration of GF(2)^nc: the basis spans the kernel, and it is
-        the normalised one. A free column is the highest nonzero column of
-        some kernel vector, and its basis vector is the one kernel vector
-        that is 1 there, 0 above it and 0 at every other free column."""
+        """By enumeration of GF(2)^nc: the kernel mod 2 has 2**(nc - rank)
+        vectors, the echelon rows span the row space of the parity masks,
+        and each row is 1 at its pivot, its lowest bit, and 0 at every other
+        pivot."""
         nc = len(rows[0])
-        basis = kernel_mod_p(rows, 2)
+        masks = [parity_mask(row) for row in rows]
+        assert masks == [sum(1 << c for c, e in enumerate(row) if e % 2) for row in rows]
+        echelon = echelon_mod_2(masks)
         kernel = [
             x
             for x in itertools.product((0, 1), repeat=nc)
             if all(dot(tuple(row), x) % 2 == 0 for row in rows)
         ]
-        span = {
-            tuple(sum(c * b[k] for c, b in zip(coeffs, basis)) % 2 for k in range(nc))
-            for coeffs in itertools.product((0, 1), repeat=len(basis))
-        }
-        assert span == set(kernel)
-        assert 2 ** len(basis) == len(kernel)
+        assert 2 ** (nc - len(echelon)) == len(kernel)
 
-        def top(x):
-            return max(k for k, e in enumerate(x) if e)
+        def span(vectors):
+            out = {0}
+            for v in vectors:
+                out |= {u ^ v for u in out}
+            return out
 
-        free = sorted({top(x) for x in kernel if any(x)})
-        assert [top(b) for b in basis] == free
-        for fc, b in zip(free, basis):
-            assert b[fc] == 1 and all(b[f] == 0 for f in free if f != fc)
+        assert span(echelon.values()) == span(masks)
+        for pc, v in echelon.items():
+            assert (v & -v).bit_length() - 1 == pc
+            assert all(not v >> c & 1 for c in echelon if c != pc)
 
     def test_rank_zero_and_full_rank(self):
-        assert kernel_mod_p([[2, -4, 0], [0, 0, 0]], 2) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-        assert kernel_mod_p([[1, 1, 0], [0, -1, 1], [1, 0, 2]], 2) == []
+        assert echelon_mod_2([]) == {}
+        assert parity_mask([2, -4, 0]) == 0 and parity_mask([-1, 2, 3]) == 0b101
+        assert rank_mod_2([[2, -4, 0], [0, 0, 0]]) == 0
+        assert rank_mod_2([[1, 1, 0], [0, -1, 1], [1, 0, 2]]) == 3
         # the 3-cycle: rank 3 over Q, rank 2 mod 2
-        assert kernel_mod_p([[1, 1, 0], [0, 1, 1], [1, 0, 1]], 2) == [(1, 1, 1)]
+        assert rank(((1, 1, 0), (0, 1, 1), (1, 0, 1))) == 3
+        assert echelon_mod_2(map(parity_mask, [[1, 1, 0], [0, 1, 1], [1, 0, 1]])) == {
+            0: 0b101,
+            1: 0b110,
+        }
 
 
 def test_dot_and_vsub():

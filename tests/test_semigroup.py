@@ -8,7 +8,7 @@ from operator import le
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from oracles import ehrhart_points, lifted_membership, span_projection
+from oracles import column_hnf_diagonal, ehrhart_points, lifted_membership, span_projection
 from test_acceptance import Budget
 
 from reeskit import semigroup
@@ -42,12 +42,10 @@ from reeskit.semigroup import (
     DilationCheck,
     EqualityReport,
     IdealSession,
-    _adjugate_points,
     _box_points,
-    _column_hnf_diagonal,
+    _coset_points,
     _equality_report,
-    _kernel_points,
-    _parallelepiped_points,
+    _pivot_walk,
     _triangulate,
     certify_normality_pipeline,
     decomposition_check,
@@ -142,6 +140,15 @@ def dd_pulling(cone, fs):
     return dd_triangulate(rays, {}, tight_sets)
 
 
+def adjugate_points(simplex):
+    """_coset_points of a simplex given as its rays, with adjugate standing
+    in for the pivot walk."""
+    adj, det = adjugate([list(coords) for coords in zip(*simplex)])
+    if det < 0:
+        adj, det = [[-e for e in row] for row in adj], -det
+    return _coset_points(simplex, adj, det, det)
+
+
 def all_pairs_reduction(cone, fs):
     """Hilbert basis by reducing every candidate against every other one.
 
@@ -153,9 +160,8 @@ def all_pairs_reduction(cone, fs):
     extreme = extreme_generators(cone, fs)
     candidates = set(extreme)
     for s in dd_pulling(cone, fs):
-        vol = abs(determinant(s))
-        if vol > 1:
-            candidates |= _parallelepiped_points(s, vol)
+        if abs(determinant(s)) > 1:
+            candidates |= adjugate_points(s)
     candidates = sorted(candidates)
     elements = [
         h
@@ -405,8 +411,10 @@ class TestTriangulation:
         assert_matches_oracle(ideal)
 
     def test_volume_mismatch_is_an_integrity_error(self):
-        with pytest.raises(IntegrityError):
-            _parallelepiped_points(((2, 0), (0, 1)), 3)
+        # volume 3 from heights for a simplex of determinant 2
+        ((simplex, adj, det, vol),) = _pivot_walk(((2, 0), (0, 1)), [(0b11, 3)])
+        with pytest.raises(IntegrityError, match="from the pivot walk"):
+            _coset_points(simplex, adj, det, vol)
 
     def test_cap_message_follows_the_canonical_order(self):
         """Caps across W4's total volume: the message reports the running
@@ -427,76 +435,11 @@ class TestTriangulation:
         assert hilbert_basis(cone, fs, 2946).parallelepiped_points == 2946
 
 
-def assert_kernel_route_matches(ideal):
-    """On every simplex of prime volume, the kernel mod p gives the adjugate
-    route's parallelepiped points."""
-    for s, vol in triangulations(ideal)[2]:
-        if vol > 1 and all(vol % d for d in range(2, vol)):
-            assert _kernel_points(s, vol) == _adjugate_points(s, vol), (ideal, s)
-
-
-class TestKernelPoints:
-    def test_matches_adjugate_route_on_bundled_instances(self):
-        for name in bundled_names():
-            assert_kernel_route_matches(analysis_ideal(realize(load_bundled(name)).value))
-
-    def test_matches_adjugate_route_on_small_matroids(self):
-        for n in range(1, 5):
-            for d in range(1, n + 1):
-                for m in enumerate_matroids(n, d):
-                    assert_kernel_route_matches(basis_monomial_ideal(m))
-
-    def test_matches_adjugate_route_on_the_wheel_w4(self):
-        assert_kernel_route_matches(basis_monomial_ideal(graphic_matroid(5, W4_EDGES)))
-
-    @settings(max_examples=60, deadline=None)
-    @given(mixed_degree_ideals())
-    @example(MIXED)
-    def test_matches_adjugate_route_on_mixed_degree_ideals(self, ideal):
-        assert_kernel_route_matches(ideal)
-
-    def test_examples(self):
-        # (1, 1) / 2 is the one nonzero point of ((1, 1), (1, -1))
-        assert _kernel_points(((1, 1), (1, -1)), 2) == {(1, 0)}
-        assert _kernel_points(((1, 0, 0), (0, 1, 0), (1, 1, 3)), 3) == {
-            (1, 1, 1), (1, 1, 2)
-        }
-
-    def test_prime_volumes_take_the_kernel_route(self, monkeypatch):
-        seen = []
-        monkeypatch.setattr(semigroup, "_adjugate_points", lambda s, v: seen.append(v) or set())
-        _parallelepiped_points(((1, 1), (1, -1)), 2)
-        _parallelepiped_points(((1, 0), (0, 4)), 4)
-        assert seen == [4]
-
-    @pytest.mark.parametrize(
-        "simplex",
-        [
-            ((2, 0), (0, 2)),  # volume 4: a 2-dimensional kernel mod 2
-            ((1, 0), (0, 1)),  # volume 1: no kernel mod 2
-        ],
-    )
-    def test_kernel_of_another_dimension_is_an_integrity_error(self, simplex):
-        with pytest.raises(IntegrityError, match="dimensional kernel"):
-            _kernel_points(simplex, 2)
-
-    def test_one_dimensional_kernel_of_the_wrong_volume_is_an_integrity_error(self):
-        # diag(2, 3) has a 1-dimensional kernel mod 2, but volume 6: the
-        # kernel sees only that 2 divides the volume
-        with pytest.raises(IntegrityError, match="from the determinant"):
-            _kernel_points(((2, 0), (0, 3)), 2)
-
-    def test_sum_not_divisible_is_an_integrity_error(self, monkeypatch):
-        monkeypatch.setattr(semigroup, "kernel_mod_p", lambda rows, p: [(0, 1)])
-        with pytest.raises(IntegrityError, match="no lattice point"):
-            _kernel_points(((2, 0), (0, 1)), 2)
-
-
 def floor_points_oracle(simplex, vol):
     """The nonzero parallelepiped points by one exact solve per coset: each
     point x of a column Hermite form's diagonal box is reduced into the
     parallelepiped as x - R floor(adj x / det), for R the ray matrix. The
-    oracle for the coset walk of _adjugate_points."""
+    oracle for the coset closure of _coset_points."""
     m = len(simplex)
     colmat = [[simplex[j][i] for j in range(m)] for i in range(m)]
     adj, det = adjugate(colmat)
@@ -504,7 +447,7 @@ def floor_points_oracle(simplex, vol):
         adj, det = [[-e for e in row] for row in adj], -det
     assert det == vol, (simplex, vol, det)
     points = set()
-    for x in product(*(range(d) for d in _column_hnf_diagonal(colmat))):
+    for x in product(*(range(d) for d in column_hnf_diagonal(colmat))):
         floors = [sum(adj[i][k] * x[k] for k in range(m)) // det for i in range(m)]
         p = tuple(x[i] - sum(colmat[i][j] * floors[j] for j in range(m)) for i in range(m))
         if any(p):
@@ -512,33 +455,102 @@ def floor_points_oracle(simplex, vol):
     return points
 
 
-def composite(vol: int) -> bool:
-    return any(vol % d == 0 for d in range(2, vol))
-
-
-def assert_walk_matches_oracle(ideal) -> list[int]:
-    """On every simplex of composite volume, the coset walk gives the floor
-    oracle's points; returns those volumes."""
+def walked(ideal):
+    """The rays of the ideal's Rees cone, its triangulation, and what the
+    pivot walk yields over it."""
     cone = rees_generators(ideal)
     fs = facet_normals(cone)
     rays = tuple(sorted(extreme_generators(cone, fs)))
+    simplices = _triangulate(rays, fs)
+    return rays, simplices, list(_pivot_walk(rays, simplices))
+
+
+def assert_walk_matches_oracle(ideal) -> list[int]:
+    """On every simplex of volume above 1, the coset closure of the pivot
+    walk's adjugate gives the floor oracle's points; returns those volumes."""
     volumes = []
-    for s, vol in ray_simplices(rays, _triangulate(rays, fs)):
-        if composite(vol):
-            assert _adjugate_points(s, vol) == floor_points_oracle(s, vol), (ideal, s)
-            volumes.append(vol)
+    for simplex, adj, det, vol in walked(ideal)[2]:
+        assert _coset_points(simplex, adj, det, vol) == floor_points_oracle(simplex, vol), (
+            ideal,
+            simplex,
+        )
+        volumes.append(vol)
     return volumes
+
+
+def assert_walk_adjugates(ideal) -> int:
+    """The pivot walk yields each simplex of volume above 1, in the
+    triangulation's order, with adj R = det I and det its volume; returns
+    how many it yields."""
+    rays, simplices, walk = walked(ideal)
+    expected = [(s, vol) for s, vol in ray_simplices(rays, simplices) if vol > 1]
+    assert [(frozenset(s), vol) for s, _, _, vol in walk] == [
+        (frozenset(s), vol) for s, vol in expected
+    ]
+    for simplex, adj, det, vol in walk:
+        m = len(simplex)
+        assert det == vol
+        assert [[dot(row, r) for r in simplex] for row in adj] == [
+            [det * (i == j) for j in range(m)] for i in range(m)
+        ], simplex
+    return len(walk)
 
 
 @st.composite
 def integer_simplices(draw):
-    """m <= 4 rays with entries in -6..6, of composite |det| at most 400."""
+    """m <= 4 rays with entries in -6..6, of |det| from 2 to 400."""
     m = draw(st.integers(2, 4))
     rows = st.lists(st.integers(-6, 6), min_size=m, max_size=m)
     simplex = draw(st.lists(rows, min_size=m, max_size=m))
     vol = abs(determinant(simplex))
-    assume(vol <= 400 and composite(vol))
+    assume(1 < vol <= 400)
     return tuple(map(tuple, simplex)), vol
+
+
+class TestPivotWalk:
+    def test_adjugates_on_k4(self):
+        k4 = analysis_ideal(realize(load_bundled("graphic_k4")).value)
+        assert assert_walk_adjugates(k4) == 6
+
+    def test_adjugates_on_the_wheel_w4(self):
+        w4 = basis_monomial_ideal(graphic_matroid(5, W4_EDGES))
+        assert assert_walk_adjugates(w4) == 192
+
+    def test_adjugates_on_mixed_n3_v516(self):
+        assert assert_walk_adjugates(V516)
+
+    def test_one_adjugate_for_the_whole_walk(self, monkeypatch):
+        calls = []
+
+        def counted(rows):
+            calls.append(rows)
+            return adjugate(rows)
+
+        monkeypatch.setattr(semigroup, "adjugate", counted)
+        assert len(walked(basis_monomial_ideal(graphic_matroid(5, W4_EDGES)))[2]) == 192
+        assert len(calls) == 1
+
+    def test_leaving_slot_of_zero_weight_is_an_integrity_error(self):
+        # (2, 0) has weight 0 on the leaving slot of (0, 2): the target
+        # {(1, 0), (2, 0)} is singular
+        with pytest.raises(IntegrityError, match="no leaving slot"):
+            list(_pivot_walk(((1, 0), (0, 2), (2, 0)), [(0b011, 2), (0b101, 2)]))
+
+    def test_corrupted_adjugate_is_an_inexact_division(self, monkeypatch):
+        rays, simplices = ((1, 0), (1, 3), (0, 2)), [(0b011, 3), (0b101, 2)]
+        assert [adj for _, adj, _, _ in _pivot_walk(rays, simplices)] == [
+            [[3, -1], [0, 1]],
+            [[2, 0], [0, 1]],
+        ]
+
+        def corrupted(rows):
+            adj, det = adjugate(rows)
+            adj[0][0] += 1
+            return adj, det
+
+        monkeypatch.setattr(semigroup, "adjugate", corrupted)
+        with pytest.raises(IntegrityError, match="inexact pivot division"):
+            list(_pivot_walk(rays, simplices))
 
 
 class TestCosetWalk:
@@ -549,6 +561,16 @@ class TestCosetWalk:
                 analysis_ideal(realize(load_bundled(name)).value)
             )
         assert volumes
+
+    def test_matches_floor_oracle_on_small_matroids(self):
+        for n in range(1, 5):
+            for d in range(1, n + 1):
+                for m in enumerate_matroids(n, d):
+                    assert_walk_matches_oracle(basis_monomial_ideal(m))
+
+    def test_matches_floor_oracle_on_the_wheel_w4(self):
+        volumes = assert_walk_matches_oracle(basis_monomial_ideal(graphic_matroid(5, W4_EDGES)))
+        assert Counter(volumes) == {2: 172, 3: 20}
 
     def test_matches_floor_oracle_on_mixed_n3_v516(self):
         assert 516 in assert_walk_matches_oracle(V516)
@@ -565,22 +587,37 @@ class TestCosetWalk:
     @settings(max_examples=100, deadline=None)
     @given(integer_simplices())
     @example((((1, 1), (1, -1)), 2))
+    @example((((1, 0, 0), (0, 1, 0), (1, 1, 3)), 3))
     @example((((2, -1, 0), (1, 3, -2), (0, -1, 4)), 24))
     def test_matches_floor_oracle_on_integer_simplices(self, case):
         simplex, vol = case
-        assert _adjugate_points(simplex, vol) == floor_points_oracle(simplex, vol)
+        assert adjugate_points(simplex) == floor_points_oracle(simplex, vol)
 
-    @pytest.mark.parametrize("box", [[4, 1], [1, 4], [2, 1], [2, 4]])
-    def test_wrong_hermite_box_is_an_integrity_error(self, monkeypatch, box):
-        # diag(2, 2) has the box [2, 2]; a box of the right product and the
-        # wrong shape, or of the wrong product, misses a coset
-        monkeypatch.setattr(semigroup, "_column_hnf_diagonal", lambda mat: box)
-        with pytest.raises(IntegrityError, match="coset walk"):
-            _adjugate_points(((2, 0), (0, 2)), 4)
+    def test_examples(self):
+        # (1, 1) / 2 is the one nonzero point of ((1, 1), (1, -1))
+        assert adjugate_points(((1, 1), (1, -1))) == {(1, 0)}
+        assert adjugate_points(((1, 0, 0), (0, 1, 0), (1, 1, 3))) == {(1, 1, 1), (1, 1, 2)}
+
+    # diag(2, 2) has adj diag(2, 2), whose columns generate a group of order
+    # 4 mod 4; each of these generates a smaller one, so misses a coset
+    @pytest.mark.parametrize(
+        "adj", [[[2, 0], [0, 0]], [[0, 0], [0, 2]], [[2, 2], [0, 0]], [[0, 0], [0, 0]]]
+    )
+    def test_closure_missing_a_coset_is_an_integrity_error(self, adj):
+        assert _coset_points(((2, 0), (0, 2)), [[2, 0], [0, 2]], 4, 4) == {
+            (1, 0), (0, 1), (1, 1)
+        }
+        with pytest.raises(IntegrityError, match="coset closure"):
+            _coset_points(((2, 0), (0, 2)), adj, 4, 4)
+
+    def test_column_off_the_lattice_is_an_integrity_error(self):
+        # (1, 0) mod 4 steps diag(2, 2) by (1/2, 0), not a lattice point
+        with pytest.raises(IntegrityError, match="no lattice point"):
+            _coset_points(((2, 0), (0, 2)), [[1, 0], [0, 2]], 4, 4)
 
     def test_volume_mismatch_is_an_integrity_error(self):
-        with pytest.raises(IntegrityError, match="from the adjugate"):
-            _adjugate_points(((2, 0), (0, 2)), 6)
+        with pytest.raises(IntegrityError, match="from the pivot walk"):
+            _coset_points(((2, 0), (0, 2)), [[2, 0], [0, 2]], 4, 6)
 
 
 def reduction_oracle(cone, fs):
@@ -590,9 +627,8 @@ def reduction_oracle(cone, fs):
     lex-sorted elements."""
     rays = tuple(sorted(extreme_generators(cone, fs)))
     candidates = set(rays)
-    for s, vol in ray_simplices(rays, _triangulate(rays, fs)):
-        if vol > 1:
-            candidates |= _parallelepiped_points(s, vol)
+    for walk in _pivot_walk(rays, _triangulate(rays, fs)):
+        candidates |= _coset_points(*walk)
     normals = fs.normals()
     elements, kept_values = [], []
     for h in sorted(candidates, key=sum):
@@ -648,7 +684,7 @@ class TestPackedReduction:
     # the sums of its extreme rays' values on them are at most 3
     @pytest.mark.parametrize("point", [(1, -1, 0), (0, 0, 1), (-1, 3, 0), (5, 0, 0)])
     def test_value_outside_the_bound_is_an_integrity_error(self, monkeypatch, point):
-        monkeypatch.setattr(semigroup, "_parallelepiped_points", lambda s, vol: {point})
+        monkeypatch.setattr(semigroup, "_coset_points", lambda *walk: {point})
         with pytest.raises(IntegrityError, match="facet value outside"):
             hilbert_basis(rees_generators(TWO_SQUARES))
 
