@@ -264,16 +264,26 @@ def _corpus_matroids(n_max: int, rank_filter: int | None):
 def _classes(instances) -> dict[int, list[int]]:
     """Isomorphism classes of the labelled list: the index of each class's
     first member (its representative) -> the indices of all its members.
-    A representative's orbit is its bases relabelled under every
-    permutation of 1..n, so a later member joins by lookup."""
-    orbit, classes = {}, {}
+    A matroid is keyed by n and the set of its bases as bitmasks. A
+    representative's orbit is that set relabelled under every permutation of
+    1..n, each through a 2^n-entry table of subset images, so a later member
+    joins by lookup."""
+    orbit, classes, tables = {}, {}, {}
     for i, (_, m) in enumerate(instances):
-        rep = orbit.get((m.n, m.bases))
+        n = m.n
+        masks = frozenset(sum(1 << (e - 1) for e in b) for b in m.bases)
+        rep = orbit.get((n, masks))
         if rep is None:
             rep = i
-            for p in permutations(range(1, m.n + 1)):
-                bases = tuple(sorted(tuple(sorted(p[e - 1] for e in b)) for b in m.bases))
-                orbit[m.n, bases] = i
+            if n not in tables:
+                tables[n] = []
+                for p in permutations(range(n)):
+                    table = [0]
+                    for e in p:
+                        table += [t | 1 << e for t in table]
+                    tables[n].append(table)
+            for table in tables[n]:
+                orbit[n, frozenset(map(table.__getitem__, masks))] = i
         classes.setdefault(rep, []).append(i)
     return classes
 

@@ -3,8 +3,10 @@
 A matroid here is nothing more than a nonempty family of equal-size subsets
 of {1..n} satisfying the basis exchange property; validation goes through
 `check_basis_exchange` and constructors re-validate their own output. That
-check is the polymatroid one-step exchange on the bases' 0/1 indicator
-vectors (`polymatroid.first_exchange_failure`).
+check is the polymatroid one-step exchange walk on the bases' 0/1 indicator
+vectors, each basis packed straight into an int of 2-bit fields
+(`polymatroid._exchange_failures`). `enumerate_matroids` keeps its in/out
+decisions as two bitmasks over the candidate subsets.
 Ground-set elements are 1-indexed everywhere, including JSON.
 """
 
@@ -22,7 +24,7 @@ from .errors import (
     Record,
     UnequalCardinalities,
 )
-from .polymatroid import first_exchange_failure
+from .polymatroid import _exchange_failures
 
 ENUMERATION_CAP = 6
 
@@ -134,17 +136,13 @@ def _indicator(n, b):
     return tuple(v)
 
 
-def _support(v):
-    return tuple(i for i, x in enumerate(v, 1) if x)
-
-
 def check_basis_exchange(n: int, family):
     """Validate the basis exchange property for a family of subsets of {1..n}.
 
-    The exchange is the polymatroid walk on the indicator vectors, listed in
-    sorted-basis order. Returns a Matroid on success, or the first
-    ExchangeFailure triple in that order (lex pairs of bases, smallest
-    leaving element first).
+    The exchange is the polymatroid walk on the indicator vectors, each
+    packed into 2-bit fields and listed in sorted-basis order. Returns a
+    Matroid on success, or the first ExchangeFailure triple in that order
+    (lex pairs of bases, smallest leaving element first).
     """
     if n < 1:
         raise InvalidInstance("ground set must have at least one element")
@@ -155,10 +153,11 @@ def check_basis_exchange(n: int, family):
     for b in fam:
         if len(b) != d:
             raise UnequalCardinalities(fam[0], b)
-    bad = first_exchange_failure([_indicator(n, b) for b in fam])
-    if bad is not None:
-        a, c, x = bad
-        return ExchangeFailure(_support(a), _support(c), x)
+    # each basis as its indicator vector in 2-bit fields: bit 2(e-1) for e
+    unit = [0] + [1 << (2 * e) for e in range(n)]
+    packed = [sum(map(unit.__getitem__, b)) for b in fam]
+    for a, c, x in _exchange_failures(packed, 2, n):
+        return ExchangeFailure(fam[a], fam[c], x)
     return Matroid(n, d, tuple(fam))
 
 
@@ -225,36 +224,61 @@ def graphic_matroid(vertices: int, edges) -> Matroid:
     return _require_matroid(check_basis_exchange(len(edge_list), fam), "graphic_matroid")
 
 
-def _exchange_targets(subsets):
-    """For every ordered pair (i, j) of distinct d-subsets, the index tuples
-    of the exchange targets B_i - x + y (y in B_j \\ B_i), one per x in
-    B_i \\ B_j: the pair passes the exchange property iff each tuple holds
-    a basis."""
-    index = {s: k for k, s in enumerate(subsets)}
-    targets = {}
-    for i, b1 in enumerate(subsets):
-        for j, b2 in enumerate(subsets):
-            if i != j:
-                s1, s2 = set(b1), set(b2)
-                targets[i, j] = [
-                    tuple(index[tuple(sorted(s1 - {x} | {y}))] for y in sorted(s2 - s1))
-                    for x in sorted(s1 - s2)
-                ]
-    return targets
+def _bits(mask):
+    """The set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
+
+
+def _exchange_watch(subsets):
+    """The exchange targets of every ordered pair (i, j) of distinct
+    d-subsets, as index masks: for each x in B_i \\ B_j the subsets
+    B_i - x + y (y in B_j \\ B_i), one of which must be a basis. Each
+    (pair mask, target mask) is filed where the walk first sees the targets
+    all decided out with i and j in, k = max(i, j):
+    - early[k] when every target precedes k: checked as k is decided in;
+    - late[t] when the last target t follows k: checked as t is decided out.
+    A target mask holding k itself is never all out while k is in; it is
+    filed nowhere."""
+    masks = [sum(1 << e for e in s) for s in subsets]
+    index = {m: k for k, m in enumerate(masks)}
+    early = [[] for _ in masks]
+    late = [[] for _ in masks]
+    for i, b1 in enumerate(masks):
+        for j, b2 in enumerate(masks):
+            if i == j:
+                continue
+            k = max(i, j)
+            for x in _bits(b1 & ~b2):
+                ts = sum(1 << index[b1 ^ x | y] for y in _bits(b2 & ~b1))
+                if ts < 1 << k:
+                    early[k].append(((1 << i) | (1 << j), ts))
+                elif ts.bit_length() - 1 > k:
+                    late[ts.bit_length() - 1].append(((1 << i) | (1 << j), ts))
+    return early, late
+
+
+def _dead(watch, inn: int, out: int) -> bool:
+    """Whether some watched pair is in with every one of its targets out."""
+    return any(inn & pair == pair and ts & out == ts for pair, ts in watch)
 
 
 def enumerate_matroids(n: int, d: int, cap: int = ENUMERATION_CAP) -> list[Matroid]:
     """Every matroid of rank d on ground set {1..n}, exhaustively.
 
     Backtracking over the C(n,d) d-subsets in lex order, each decided in or
-    out. A partial family is dropped as soon as two included bases B1, B2
-    and some x in B1 \\ B2 have every target B1 - x + y (y in B2 \\ B1)
-    decided out, since no completion can repair that pair. Deciding a
-    subset in re-checks only the pairs that contain it; deciding it out
-    re-checks only the included pairs that have it as a target. So a
-    nonempty leaf has no such pair and is a matroid, and each one still
-    goes through check_basis_exchange, whose verdict is final. Isomorphic
-    duplicates are kept on purpose. Output is sorted by the basis tuple.
+    out; the decisions are two bitmasks over the subset indices. A partial
+    family is dropped as soon as two included bases B1, B2 and some x in
+    B1 \\ B2 have every target B1 - x + y (y in B2 \\ B1) decided out, since
+    no completion can repair that pair. With the targets as an index mask
+    ts, that is ts & out == ts. Deciding a subset in re-checks only the pairs
+    that contain it; deciding it out re-checks only the included pairs whose
+    targets it completes. So a nonempty leaf has no such pair and is a
+    matroid, and each one still goes through check_basis_exchange, whose
+    verdict is final. Isomorphic duplicates are kept on purpose. Output is
+    sorted by the basis tuple.
     """
     if n < 1:
         raise InvalidInstance("ground set must have at least one element")
@@ -263,40 +287,22 @@ def enumerate_matroids(n: int, d: int, cap: int = ENUMERATION_CAP) -> list[Matro
     if d < 1 or d > n:
         raise BadRank(f"rank {d} not in 1..{n}")
     subsets = list(combinations(range(1, n + 1), d))
-    targets = _exchange_targets(subsets)
-    # watchers[t]: the pairs (i, j, target tuple) that a target t belongs to
-    watchers = [[] for _ in subsets]
-    for (i, j), per_x in targets.items():
-        for ts in per_x:
-            for t in ts:
-                watchers[t].append((i, j, ts))
-    state: list[bool | None] = [None] * len(subsets)  # in, out, or undecided
-    chosen: list[int] = []
+    early, late = _exchange_watch(subsets)
     found = []
 
-    def dead(ts) -> bool:
-        return all(state[t] is False for t in ts)
-
-    def walk(k: int) -> None:
+    def walk(k: int, inn: int, out: int) -> None:
         if k == len(subsets):
-            if chosen:
-                got = check_basis_exchange(n, [subsets[i] for i in chosen])
+            if inn:
+                got = check_basis_exchange(n, [s for i, s in enumerate(subsets) if inn >> i & 1])
                 if isinstance(got, Matroid):
                     found.append(got)
             return
-        state[k] = True
-        if not any(
-            any(map(dead, targets[k, j])) or any(map(dead, targets[j, k])) for j in chosen
-        ):
-            chosen.append(k)
-            walk(k + 1)
-            chosen.pop()
-        state[k] = False
-        if not any(state[i] and state[j] and dead(ts) for i, j, ts in watchers[k]):
-            walk(k + 1)
-        state[k] = None
+        if not _dead(early[k], inn | 1 << k, out):
+            walk(k + 1, inn | 1 << k, out)
+        if not _dead(late[k], inn, out | 1 << k):
+            walk(k + 1, inn, out | 1 << k)
 
-    walk(0)
+    walk(0, 0, 0)
     found.sort(key=lambda m: m.bases)
     return found
 

@@ -3,9 +3,11 @@
 Bases are integer vectors in N^n of one common modulus |a| = sum of entries,
 closed under the one-step exchange: whenever a_i > c_i some j with a_j < c_j
 repairs a - e_i + e_j back into the set. Matroid bases are the 0/1 case
-(Herzog-Hibi, Discrete polymatroids, 2002), so `first_exchange_failure` is
-the one exchange walk: `check_polymatroid_bases` runs it on lex-sorted
-vectors and `matroid.check_basis_exchange` on basis indicator vectors.
+(Herzog-Hibi, Discrete polymatroids, 2002), so `_exchange_failures` is the
+one exchange walk: `check_polymatroid_bases` runs it on lex-sorted vectors,
+`matroid.check_basis_exchange` on basis indicator vectors and
+`symmetric_exchange_violations` with the reverse step required too. It
+reads each vector as one int of guarded bit fields (`_pack`).
 """
 
 from __future__ import annotations
@@ -72,29 +74,63 @@ def _normalize_vectors(n, vectors):
     return sorted(set(out))
 
 
+def _pack(vectors):
+    """The vectors as ints of w-bit fields, coordinate i in bits i*w.., and w:
+    w - 1 bits hold the largest entry, so each field's top bit is a free
+    guard and one subtraction compares every coordinate at once."""
+    w = max((max(v, default=0) for v in vectors), default=0).bit_length() + 1
+    return [sum(e << (i * w) for i, e in enumerate(v)) for v in vectors], w
+
+
+def _exchange_failures(packed, w: int, n: int, symmetric: bool = False):
+    """Index triples (a, c, i) of the packed family, pairs in the order given
+    and i ascending, where no j with a_j < c_j puts a - e_i + e_j in the
+    family (and, when symmetric, c + e_i - e_j too). i is 1-indexed.
+
+    With G the guard bits and ONES each field's unit, ((A|G) - C - ONES) & G
+    marks the i with a_i > c_i and ((C|G) - A - ONES) & G the j with
+    a_j < c_j; no field borrows from its neighbour. Which j put a - e_i + e_j
+    in the family is asked once per vector a - e_i and kept as guard bits;
+    a step that overflows or borrows sets a guard bit, so it never lands on
+    a member."""
+    members = set(packed)
+    units = [1 << (i * w) for i in range(n)]
+    ones, shift = sum(units), w - 1
+    guard = ones << shift
+    rows = [(c, c + ones, c | guard) for c in packed]
+    # v -> guard bits of the j with v + e_j (into) or v - e_j (out_of) a member
+    into, out_of = {}, {}
+    for ia, a in enumerate(packed):
+        ag, a1 = a | guard, a + ones
+        for ic, (c, c1, cg) in enumerate(rows):
+            down = (ag - c1) & guard  # zero when a == c
+            while down:
+                g = down & -down
+                down ^= g
+                moved = a - (g >> shift)
+                fit = into.get(moved)
+                if fit is None:
+                    fit = into[moved] = sum(u << shift for u in units if moved + u in members)
+                fit &= cg - a1
+                if symmetric and fit:
+                    back = c + (g >> shift)
+                    ok = out_of.get(back)
+                    if ok is None:
+                        ok = out_of[back] = sum(u << shift for u in units if back - u in members)
+                    fit &= ok
+                if not fit:
+                    yield ia, ic, g.bit_length() // w
+
+
 def first_exchange_failure(vectors):
     """The first (a, c, i), walking `vectors` in the order given, with
     a_i > c_i and no j with a_j < c_j putting a - e_i + e_j among them; None
     if there is none. i is 1-indexed, and the caller's order decides which
     witness comes first."""
-    vset = set(vectors)
-    for a in vectors:
-        coords = range(len(a))
-        for c in vectors:
-            if a == c:
-                continue
-            for i in coords:
-                if a[i] <= c[i]:
-                    continue
-                for j in coords:
-                    if a[j] < c[j]:
-                        moved = list(a)
-                        moved[i] -= 1
-                        moved[j] += 1
-                        if tuple(moved) in vset:
-                            break
-                else:
-                    return a, c, i + 1
+    packed, w = _pack(vectors)
+    n = max(map(len, vectors), default=0)
+    for ia, ic, i in _exchange_failures(packed, w, n):
+        return vectors[ia], vectors[ic], i
     return None
 
 
@@ -147,28 +183,9 @@ def symmetric_exchange_violations(f: PolymatroidBases) -> list[tuple]:
 
     A checker, not an axiom: callers decide what a nonempty list means.
     """
-    vset = set(f.vectors)
-    bad = []
-    for a in f.vectors:
-        for c in f.vectors:
-            if a == c:
-                continue
-            for i in range(f.n):
-                if a[i] <= c[i]:
-                    continue
-                for j in range(f.n):
-                    if a[j] < c[j]:
-                        am = list(a)
-                        am[i] -= 1
-                        am[j] += 1
-                        cm = list(c)
-                        cm[i] += 1
-                        cm[j] -= 1
-                        if tuple(am) in vset and tuple(cm) in vset:
-                            break
-                else:
-                    bad.append((a, c, i + 1))
-    return bad
+    v = f.vectors
+    packed, w = _pack(v)
+    return [(v[ia], v[ic], i) for ia, ic, i in _exchange_failures(packed, w, f.n, True)]
 
 
 def veronese_bases(n: int, d: int) -> PolymatroidBases:

@@ -4,7 +4,9 @@ None of these is on a library path: the library answers every membership
 question from a Rees cone's facets (FacetSystem.contains, through
 IdealSession.in_dilation). These routes get there another way, by a double
 description of the lifted polytope's own cone on a pivot projection of its
-span, with the span's equations from an integer kernel basis.
+span, with the span's equations from an integer kernel basis. The two
+exchange walks at the end loop over vector tuples, one coordinate at a
+time, where the library packs each vector into one int.
 """
 
 from __future__ import annotations
@@ -129,3 +131,58 @@ def ehrhart_points(vertices, b: int) -> list[tuple[int, ...]]:
     degrees = {sum(v) for v in vertices}
     total = b * degrees.pop() if len(degrees) == 1 else None
     return [a for a in _box_points(lo, hi, total) if member.contains((*a, b))]
+
+
+def first_exchange_failure(vectors):
+    """The first (a, c, i), walking `vectors` in the order given, with
+    a_i > c_i and no j with a_j < c_j putting a - e_i + e_j among them; None
+    if there is none. i is 1-indexed, and the caller's order decides which
+    witness comes first. A walk over tuples, the reference for the packed
+    `polymatroid.first_exchange_failure`."""
+    vset = set(vectors)
+    for a in vectors:
+        coords = range(len(a))
+        for c in vectors:
+            if a == c:
+                continue
+            for i in coords:
+                if a[i] <= c[i]:
+                    continue
+                for j in coords:
+                    if a[j] < c[j]:
+                        moved = list(a)
+                        moved[i] -= 1
+                        moved[j] += 1
+                        if tuple(moved) in vset:
+                            break
+                else:
+                    return a, c, i + 1
+    return None
+
+
+def symmetric_exchange_violations(f) -> list[tuple]:
+    """Triples (a, c, i) where no j with a_j < c_j swaps BOTH ways. A walk
+    over the tuples f.vectors, the reference for the packed
+    `polymatroid.symmetric_exchange_violations`."""
+    vset = set(f.vectors)
+    bad = []
+    for a in f.vectors:
+        for c in f.vectors:
+            if a == c:
+                continue
+            for i in range(f.n):
+                if a[i] <= c[i]:
+                    continue
+                for j in range(f.n):
+                    if a[j] < c[j]:
+                        am = list(a)
+                        am[i] -= 1
+                        am[j] += 1
+                        cm = list(c)
+                        cm[i] += 1
+                        cm[j] -= 1
+                        if tuple(am) in vset and tuple(cm) in vset:
+                            break
+                else:
+                    bad.append((a, c, i + 1))
+    return bad

@@ -370,6 +370,19 @@ class TestCorpusClasses:
         code, out, _ = run(capsys, "corpus", *argv)
         assert (code, out) == labelled_corpus(*argv)
 
+    def test_classes_group_by_canonical_form(self):
+        # one class per canonical form, keyed by its first labelled member
+        instances = list(cli._corpus_matroids(5, None))
+        want = {}
+        for i, (_, m) in enumerate(instances):
+            want.setdefault(canonical(m), []).append(i)
+        got = cli._classes(instances)
+        assert list(got.items()) == [(members[0], members) for members in want.values()]
+
+    def test_six_elements_make_161_classes(self):
+        # 1 + 3 + 7 + 16 + 37 + 97: OEIS A055545 less rank 0
+        assert len(cli._classes(list(cli._corpus_matroids(6, None)))) == 161
+
     @pytest.mark.parametrize("argv", [
         ("5", "--rank", "2"),
         ("3", "--cap", "0"),

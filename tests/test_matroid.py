@@ -5,6 +5,7 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import first_exchange_failure as tuple_first_failure
 
 from reeskit.errors import (
     BadRank,
@@ -308,3 +309,21 @@ def test_random_subfamilies_classified_consistently(n, data):
         for x in a - b
     )
     assert isinstance(got, Matroid) == holds
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_packed_check_matches_indicator_walk(n, data):
+    # rank 0 included; the family is given in any order and may repeat a basis
+    d = data.draw(st.integers(0, n))
+    subsets = list(combinations(range(1, n + 1), d))
+    fam = data.draw(st.lists(st.sampled_from(subsets), min_size=1, max_size=14))
+    got = check_basis_exchange(n, fam)
+    bases = sorted(set(fam))
+    bad = tuple_first_failure([tuple(int(e in b) for e in range(1, n + 1)) for b in bases])
+    if bad is None:
+        assert got == Matroid(n, d, tuple(bases))
+    else:
+        a, c, x = bad
+        support = [tuple(e for e, bit in enumerate(v, 1) if bit) for v in (a, c)]
+        assert got == ExchangeFailure(*support, x)

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import first_exchange_failure as tuple_first_failure
+from oracles import symmetric_exchange_violations as tuple_symmetric_violations
 
 from reeskit.errors import (
     EmptyInput,
@@ -202,3 +204,40 @@ def test_random_families_match_axiom_restatement(n, d, data):
                 if not moved_ok:
                     holds = False
     assert isinstance(got, PolymatroidBases) == holds
+
+
+@st.composite
+def walk_families(draw):
+    """(n, vectors) in a shuffled order, all of length n. Either any vectors
+    with entries up to 0, 1, 3 or 7 (field widths 1 to 4), duplicates and
+    zero vectors included, or a box-cut base set of one modulus, which
+    passes exchange, possibly with one vector dropped."""
+    n = draw(st.integers(0, 6))
+    top = draw(st.sampled_from((0, 1, 3, 7)))
+    if draw(st.booleans()):
+        vector = st.tuples(*[st.integers(0, top)] * n)
+        family = draw(st.lists(vector, min_size=1, max_size=12))
+    else:
+        n = min(n, 4)
+        d = draw(st.integers(0, 3))
+        family = [v for v in product(range(top + 1), repeat=n) if sum(v) == d] or [(0,) * n]
+        if len(family) > 1 and draw(st.booleans()):
+            family.pop(draw(st.integers(0, len(family) - 1)))
+    return n, draw(st.permutations(family))
+
+
+@settings(max_examples=300, deadline=None)
+@given(walk_families())
+def test_packed_walks_match_tuple_walks(family):
+    # same witness, same triples in the same order, in any caller order
+    n, vectors = family
+    assert first_exchange_failure(vectors) == tuple_first_failure(vectors)
+    f = PolymatroidBases(n, 0, tuple(vectors))
+    assert symmetric_exchange_violations(f) == tuple_symmetric_violations(f)
+
+
+def test_packed_walks_on_rank_zero_and_zero_vectors():
+    for vectors in ([()], [(), ()], [(0, 0, 0)], [(0, 0), (0, 0)], [(0, 1), (0, 0)]):
+        assert first_exchange_failure(vectors) == tuple_first_failure(vectors)
+        f = PolymatroidBases(len(vectors[0]), 0, tuple(vectors))
+        assert symmetric_exchange_violations(f) == tuple_symmetric_violations(f)
