@@ -12,11 +12,10 @@ import argparse
 import sys
 import time
 from functools import cache
-from itertools import permutations
 
 from . import jsonio
 from .errors import CapExceeded, ParseError, ReesKitError, TheoremCounterexample
-from .matroid import ENUMERATION_CAP, basis_monomial_ideal, enumerate_matroids
+from .matroid import ENUMERATION_CAP, basis_monomial_ideal, enumerate_matroids, matroid_classes
 from .polymatroid import (
     PolymatroidBases,
     check_polymatroid_bases,
@@ -41,28 +40,20 @@ def _scalar_list(v) -> bool:
 
 def _render_text(payload, indent: int = 0) -> str:
     pad = "  " * indent
-    lines = []
     if isinstance(payload, dict):
-        for k in sorted(payload):
-            v = payload[k]
-            if _scalar_list(v):
-                lines.append(f"{pad}{k}: [{', '.join(str(e) for e in v)}]")
-            elif isinstance(v, (dict, list)):
-                lines.append(f"{pad}{k}:")
-                lines.append(_render_text(v, indent + 1))
-            else:
-                lines.append(f"{pad}{k}: {v}")
+        items = [(f"{k}:", f"{k}: ", payload[k]) for k in sorted(payload)]
     elif isinstance(payload, list):
-        for v in payload:
-            if _scalar_list(v):
-                lines.append(f"{pad}- [{', '.join(str(e) for e in v)}]")
-            elif isinstance(v, (dict, list)):
-                lines.append(f"{pad}-")
-                lines.append(_render_text(v, indent + 1))
-            else:
-                lines.append(f"{pad}- {v}")
+        items = [("-", "- ", v) for v in payload]
     else:
-        lines.append(f"{pad}{payload}")
+        return f"{pad}{payload}"
+    lines = []
+    for head, lead, v in items:
+        if _scalar_list(v):
+            lines.append(f"{pad}{lead}[{', '.join(str(e) for e in v)}]")
+        elif isinstance(v, (dict, list)):
+            lines += [f"{pad}{head}", _render_text(v, indent + 1)]
+        else:
+            lines.append(f"{pad}{lead}{v}")
     return "\n".join(line for line in lines if line != "")
 
 
@@ -73,13 +64,13 @@ def _emit(payload, args) -> None:
         sys.stdout.write(jsonio.dumps(payload))
 
 
-def _load_ideal(instance, args, named: bool = False):
-    """The ideal a valid instance feeds into cone analysis. An invalid one
-    gets its invalid_instance document (with kind and name when named) and
-    None back; its command then exits 1."""
+def _session(instance, args, named: bool = False):
+    """An IdealSession on the ideal a valid instance feeds into cone analysis.
+    An invalid one gets its invalid_instance document (with kind and name
+    when named) and None back; its command then exits 1."""
     outcome = jsonio.realize(instance)
     if outcome.ok:
-        return jsonio.analysis_ideal(outcome.value)
+        return IdealSession(jsonio.analysis_ideal(outcome.value), args.cap)
     payload = {"error": "invalid_instance", "witness": outcome.witness}
     if named:
         payload.update(kind=instance.kind, name=instance.name)
@@ -105,30 +96,24 @@ def _divisions(bases: PolymatroidBases):
 def cmd_validate(args) -> int:
     instance = jsonio.load_instance(args.instance)
     outcome = jsonio.realize(instance)
-    if not outcome.ok:
-        _emit(
-            {"valid": False, "kind": instance.kind, "name": instance.name,
-             "witness": outcome.witness},
-            args,
-        )
-        return 1
-    value = outcome.value
-    payload = {"valid": True, "kind": instance.kind, "name": instance.name}
-    payload["normalized"] = value.to_json()
+    payload = {"valid": outcome.ok, "kind": instance.kind, "name": instance.name}
+    if outcome.ok:
+        payload["normalized"] = outcome.value.to_json()
+    else:
+        payload["witness"] = outcome.witness
     _emit(payload, args)
-    return 0
+    return 0 if outcome.ok else 1
 
 
 def cmd_analyze(args) -> int:
     instance = jsonio.load_instance(args.instance)
-    ideal = _load_ideal(instance, args, named=True)
-    if ideal is None:
+    session = _session(instance, args, named=True)
+    if session is None:
         return 1
-    session = IdealSession(ideal, args.cap)
     payload = {
         "name": instance.name,
         "kind": instance.kind,
-        "ideal": ideal.to_json(),
+        "ideal": session.ideal.to_json(),
         "generators": [list(g) for g in session.cone.generators],
         "facets": session.facets.to_json(),
         "classification": session.classification.to_json(),
@@ -146,10 +131,9 @@ def cmd_analyze(args) -> int:
 
 def cmd_rees_facets(args) -> int:
     instance = jsonio.load_instance(args.instance)
-    ideal = _load_ideal(instance, args)
-    if ideal is None:
+    session = _session(instance, args)
+    if session is None:
         return 1
-    session = IdealSession(ideal, args.cap)
     cone, fs = session.cone, session.facets
     run_oracle = args.oracle or len(cone.generators) <= ORACLE_CAP
     payload = {
@@ -170,10 +154,9 @@ def cmd_rees_facets(args) -> int:
 
 def cmd_classify(args) -> int:
     instance = jsonio.load_instance(args.instance)
-    ideal = _load_ideal(instance, args)
-    if ideal is None:
+    session = _session(instance, args)
+    if session is None:
         return 1
-    session = IdealSession(ideal, args.cap)
     result = session.classification
     _emit({"name": instance.name, "facets": session.facets.to_json(),
            "classification": result.to_json()}, args)
@@ -182,10 +165,9 @@ def cmd_classify(args) -> int:
 
 def cmd_hilbert(args) -> int:
     instance = jsonio.load_instance(args.instance)
-    ideal = _load_ideal(instance, args)
-    if ideal is None:
+    session = _session(instance, args)
+    if session is None:
         return 1
-    session = IdealSession(ideal, args.cap)
     _emit({"name": instance.name, "generators": [list(g) for g in session.cone.generators],
            "facets": session.facets.to_json(), "hilbert": session.hilbert.to_json()}, args)
     return 0
@@ -193,10 +175,10 @@ def cmd_hilbert(args) -> int:
 
 def cmd_normality(args) -> int:
     instance = jsonio.load_instance(args.instance)
-    ideal = _load_ideal(instance, args)
-    if ideal is None:
+    session = _session(instance, args)
+    if session is None:
         return 1
-    cert = IdealSession(ideal, args.cap).certificate
+    cert = session.certificate
     _emit({"name": instance.name, "certificate": cert.to_json()}, args)
     return 0 if cert.verdict == "normal" else 1
 
@@ -205,13 +187,11 @@ def cmd_ehrhart_check(args) -> int:
     if args.bmax is not None and args.bmax < 0:
         raise ParseError(f"--bmax must be nonnegative, got {args.bmax}")
     instance = jsonio.load_instance(args.instance)
-    ideal = _load_ideal(instance, args)
-    if ideal is None:
+    session = _session(instance, args)
+    if session is None:
         return 1
-    session = IdealSession(ideal, args.cap)
-    if args.bmax is not None:
-        b_max = args.bmax
-    else:
+    b_max = args.bmax
+    if b_max is None:
         b_max = max(h[-1] for h in session.hilbert.elements)
     report = session.equality(b_max)
     _emit({"name": instance.name, "equality": report.to_json()}, args)
@@ -220,23 +200,18 @@ def cmd_ehrhart_check(args) -> int:
 
 def cmd_polymatroid_check(args) -> int:
     instance = jsonio.load_instance(args.instance)
+    vectors, n = instance.vectors, instance.n
     if instance.kind == "matroid":
-        ideal = _load_ideal(instance, args)
-        if ideal is None:
+        session = _session(instance, args)
+        if session is None:
             return 1
-        vectors, n = ideal.exponents, ideal.n
-    else:
-        vectors, n = instance.vectors, instance.n
+        vectors = session.ideal.exponents
     got = check_polymatroid_bases(n, vectors)
     if not isinstance(got, PolymatroidBases):
         _emit({"name": instance.name, "valid": False, "witness": got.to_json()}, args)
         return 1
-    divisions = []
-    for i, witness in _divisions(got):
-        if witness is None:
-            divisions.append({"coordinate": i, "ok": True})
-        else:
-            divisions.append({"coordinate": i, "ok": False, "witness": witness})
+    divisions = [{"coordinate": i, "ok": w is None, **({} if w is None else {"witness": w})}
+                 for i, w in _divisions(got)]
     sym = symmetric_exchange_violations(got)
     payload = {
         "name": instance.name,
@@ -251,41 +226,17 @@ def cmd_polymatroid_check(args) -> int:
     return 1 if any(not d["ok"] for d in divisions) or sym else 0
 
 
-def _corpus_matroids(n_max: int, rank_filter: int | None):
-    for n in range(1, n_max + 1):
-        ranks = [rank_filter] if rank_filter is not None else range(1, n + 1)
-        for d in ranks:
-            if d > n:
-                continue
-            for idx, m in enumerate(enumerate_matroids(n, d)):
-                yield f"n{n}_d{d}_{idx:04d}", m
+def _corpus_pairs(n_max: int, rank_filter: int | None, n_min: int = 1) -> list:
+    """The (n, d) a corpus sweep covers, in its order."""
+    return [(n, d) for n in range(n_min, n_max + 1)
+            for d in ([rank_filter] if rank_filter is not None else range(1, n + 1)) if d <= n]
 
 
-def _classes(instances) -> dict[int, list[int]]:
-    """Isomorphism classes of the labelled list: the index of each class's
-    first member (its representative) -> the indices of all its members.
-    A matroid is keyed by n and the set of its bases as bitmasks. A
-    representative's orbit is that set relabelled under every permutation of
-    1..n, each through a 2^n-entry table of subset images, so a later member
-    joins by lookup."""
-    orbit, classes, tables = {}, {}, {}
-    for i, (_, m) in enumerate(instances):
-        n = m.n
-        masks = frozenset(sum(1 << (e - 1) for e in b) for b in m.bases)
-        rep = orbit.get((n, masks))
-        if rep is None:
-            rep = i
-            if n not in tables:
-                tables[n] = []
-                for p in permutations(range(n)):
-                    table = [0]
-                    for e in p:
-                        table += [t | 1 << e for t in table]
-                    tables[n].append(table)
-            for table in tables[n]:
-                orbit[n, frozenset(map(table.__getitem__, masks))] = i
-        classes.setdefault(rep, []).append(i)
-    return classes
+def _corpus_matroids(n_max: int, rank_filter: int | None, n_min: int = 1):
+    """(name, matroid) for every labelled matroid of a sweep from n_min up."""
+    for n, d in _corpus_pairs(n_max, rank_filter, n_min):
+        for idx, m in enumerate(enumerate_matroids(n, d)):
+            yield f"n{n}_d{d}_{idx:04d}", m
 
 
 def _check(code: str, m, session: IdealSession, args):
@@ -297,18 +248,21 @@ def _check(code: str, m, session: IdealSession, args):
 
 
 def cmd_corpus(args) -> int:
-    """Run the selected checks over every labelled matroid with n <= n_max,
-    once per isomorphism class.
+    """Run the selected checks over every matroid with n <= n_max, once per
+    isomorphism class.
 
     A permutation of the ground set permutes the variables of the basis
     ideal and the first n coordinates of its Rees cone, so it maps facets,
     T3.6's family, Hilbert bases, dilations and exchange failures onto
     themselves (the total simplex volume that --cap bounds too): a check's
-    verdict is constant on a class. Each check therefore runs on the class's
-    first labelled member only. A failure's witness or cap message may
-    depend on the labelling, so a check that fails there runs again on
-    every member, each with its own session, and the report is the one a
-    labelled sweep gives. `instances` counts labelled matroids.
+    verdict is constant on a class. The classes come from
+    `matroid_classes`, grown by single-element extension, and each check
+    runs on each class's lex-least member, in (n, d, bases) order. A
+    failure's witness or cap message may depend on the labelling, so a
+    check that fails there enumerates that (n, d)'s labelled matroids once
+    and runs again on every member of the class, each with its own session,
+    and the report is the one a labelled sweep gives. `instances` counts
+    labelled matroids: the classes' orbit sizes.
     """
     if args.bmax < 0:
         raise ParseError(f"--bmax must be nonnegative, got {args.bmax}")
@@ -325,29 +279,35 @@ def cmd_corpus(args) -> int:
         raise CapExceeded(
             f"ground set size {args.n_max} exceeds the enumeration cap {ENUMERATION_CAP}"
         )
-    instances = list(_corpus_matroids(args.n_max, args.rank))
+    pairs = _corpus_pairs(args.n_max, args.rank)
+    instances = 0
     failures = [[] for _ in codes]
-    for rep, members in _classes(instances).items():
-        m = instances[rep][1]
-        # one session per representative: every check reads the same cone artefacts
-        session = IdealSession(basis_monomial_ideal(m), args.cap)
-        for code, found in zip(codes, failures):
-            bad = _check(code, m, session, args)
-            if bad is None:
-                continue
-            for i in members:
-                name, mi = instances[i]
-                got = bad if i == rep else _check(
-                    code, mi, IdealSession(basis_monomial_ideal(mi), args.cap), args)
-                if got is not None:
-                    found.append({"instance": name, "matroid": mi.to_json(), **got})
+    for (n, d), orbit in zip(pairs, matroid_classes(pairs)):
+        instances += len(orbit)
+        labelled = None
+        for m in sorted(set(orbit.values()), key=lambda m: m.bases):
+            # one session per representative: every check reads the same cone artefacts
+            session = IdealSession(basis_monomial_ideal(m), args.cap)
+            for code, found in zip(codes, failures):
+                bad = _check(code, m, session, args)
+                if bad is None:
+                    continue
+                if labelled is None:
+                    labelled = list(_corpus_matroids(n, d, n))
+                for name, mi in labelled:
+                    if orbit[mi.bases] is not m:
+                        continue
+                    got = bad if mi == m else _check(
+                        code, mi, IdealSession(basis_monomial_ideal(mi), args.cap), args)
+                    if got is not None:
+                        found.append({"instance": name, "matroid": mi.to_json(), **got})
     reports = []
     for code, found in zip(codes, failures):
         found.sort(key=lambda f: f["instance"])
         reports.append({
             "check": code,
             "title": CHECKS[code],
-            "instances": len(instances),
+            "instances": instances,
             "failures": found,
             "status": "pass" if not found else "fail",
         })
@@ -359,24 +319,16 @@ def _run_check(code: str, m, session: IdealSession, args):
     """None when the check passes on matroid m, else a failure payload."""
     if code == "T3.6":
         report = verify_basis_facet_shape(m, session.facets)
-        if not report.holds:
-            return {"violations": [list(v) for v in report.violations]}
-        return None
+        return None if report.holds else {"violations": [list(v) for v in report.violations]}
     if code == "C3.9":
         cert = session.normality
-        if cert.verdict != "normal":
-            return {"certificate": cert.to_json()}
-        return None
+        return None if cert.verdict == "normal" else {"certificate": cert.to_json()}
     if code == "P3.7":
         report = session.equality(args.bmax)
-        if not report.passed:
-            return {"equality": report.to_json()}
-        return None
+        return None if report.passed else {"equality": report.to_json()}
     if code == "T2.2":
         report = session.decomposition
-        if not report.holds:
-            return {"decomposition": report.to_json()}
-        return None
+        return None if report.holds else {"decomposition": report.to_json()}
     if code == "L3.10":
         got = check_polymatroid_bases(m.n, session.ideal.exponents)
         if not isinstance(got, PolymatroidBases):
@@ -420,24 +372,35 @@ class _Parser(argparse.ArgumentParser):
     main answers them with a JSON document like any other parse error.
     Subcommand parsers are built with the same class."""
 
+    quiet = False  # set on a one-command parser, whose errors main re-parses
+
     def error(self, message):
-        self.print_usage(sys.stderr)
+        if not self.quiet:
+            self.print_usage(sys.stderr)
         raise ParseError(message)
 
 
-@cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process, built by the first main() call and
-    reused by every later one: parse_args leaves it unchanged."""
+COMMANDS = ("validate", "analyze", "rees-facets", "classify", "hilbert", "normality",
+            "ehrhart-check", "polymatroid-check", "corpus", "enumerate-matroids", "instances")
+
+
+def _parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command or, given `only`, a quiet one of that
+    command alone; parse_args leaves either unchanged, so each is built once
+    per process (_build_parser, _command_parser) and reused."""
     parser = _Parser(
         prog="reeskit",
         description="Exact Rees-cone analysis of monomial ideals, matroids, "
         "and discrete polymatroids.",
     )
+    parser.quiet = only is not None
     sub = parser.add_subparsers(dest="command")
 
     def add(name, handler, help_, instance=True):
+        if only not in (None, name):
+            return None
         p = sub.add_parser(name, help=help_)
+        p.quiet = parser.quiet
         p.set_defaults(handler=handler)
         if instance:
             p.add_argument(
@@ -452,43 +415,65 @@ def _build_parser() -> argparse.ArgumentParser:
     add("validate", cmd_validate, "validate an instance file")
     add("analyze", cmd_analyze, "full report: generators, facets, "
         "classification, Hilbert basis, normality")
-    p = add("rees-facets", cmd_rees_facets, "facet system of the Rees cone")
-    p.add_argument("--oracle", action="store_true",
-                   help="force the brute-force cross-check (auto below "
-                   f"{ORACLE_CAP + 1} generators)")
+    if p := add("rees-facets", cmd_rees_facets, "facet system of the Rees cone"):
+        p.add_argument("--oracle", action="store_true",
+                       help="force the brute-force cross-check (auto below "
+                       f"{ORACLE_CAP + 1} generators)")
     add("classify", cmd_classify, "ideal / quasi_ideal / neither")
     add("hilbert", cmd_hilbert, "Hilbert basis of the cone's lattice points")
     add("normality", cmd_normality, "two-route normality certificate")
-    p = add("ehrhart-check", cmd_ehrhart_check, "dilation equality up to a bound")
-    p.add_argument("--bmax", type=int, default=None,
-                   help="dilation bound (default: largest Hilbert height)")
+    if p := add("ehrhart-check", cmd_ehrhart_check, "dilation equality up to a bound"):
+        p.add_argument("--bmax", type=int, default=None,
+                       help="dilation bound (default: largest Hilbert height)")
     add("polymatroid-check", cmd_polymatroid_check,
         "validate bases, division closure, symmetric exchange")
-    p = add("corpus", cmd_corpus, "run structural checks over all matroids up "
-            "to a ground-set size", instance=False)
-    p.add_argument("n_max", type=int)
-    p.add_argument("--rank", type=int, default=None, help="restrict to one rank")
-    p.add_argument("--checks", default=None,
-                   help="comma list from " + ",".join(sorted(CHECKS)))
-    p.add_argument("--bmax", type=int, default=3,
-                   help="dilation bound for P3.7")
-    p = add("enumerate-matroids", cmd_enumerate_matroids,
-            "all matroids of one rank on a ground set", instance=False)
-    p.add_argument("n", type=int)
-    p.add_argument("d", type=int)
-    p = add("instances", cmd_instances, "list or show bundled instances",
-            instance=False)
-    p.add_argument("--show", default=None, metavar="NAME")
+    if p := add("corpus", cmd_corpus, "run structural checks over all matroids up "
+                "to a ground-set size", instance=False):
+        p.add_argument("n_max", type=int)
+        p.add_argument("--rank", type=int, default=None, help="restrict to one rank")
+        p.add_argument("--checks", default=None,
+                       help="comma list from " + ",".join(sorted(CHECKS)))
+        p.add_argument("--bmax", type=int, default=3,
+                       help="dilation bound for P3.7")
+    if p := add("enumerate-matroids", cmd_enumerate_matroids,
+                "all matroids of one rank on a ground set", instance=False):
+        p.add_argument("n", type=int)
+        p.add_argument("d", type=int)
+    if p := add("instances", cmd_instances, "list or show bundled instances",
+                instance=False):
+        p.add_argument("--show", default=None, metavar="NAME")
     return parser
 
 
-def main(argv=None) -> int:
+@cache
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built by the first call that needs it."""
+    return _parser()
+
+
+_command_parser = cache(_parser)
+
+
+def _parse(argv) -> argparse.Namespace:
+    """argv parsed by the named command's own parser, or by the full parser
+    when argv names no command or its parser rejects it: so a usage error
+    prints exactly what the full parser prints."""
+    if argv and argv[0] in COMMANDS:
+        try:
+            return _command_parser(argv[0]).parse_args(argv)
+        except ParseError:
+            pass
     parser = _build_parser()
+    args = parser.parse_args(argv)
+    if not hasattr(args, "handler"):
+        parser.print_help(sys.stderr)
+        raise ParseError("no command given")
+    return args
+
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
-        if not hasattr(args, "handler"):
-            parser.print_help(sys.stderr)
-            raise ParseError("no command given")
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except ParseError as exc:
         _emit({"error": "parse", "detail": str(exc)}, None)
         return 2

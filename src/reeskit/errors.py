@@ -114,6 +114,14 @@ class Record:
         if self.__post_init__:
             self.__post_init__()
 
+    @classmethod
+    def unchecked(cls, *args):
+        """An instance from values already valid: __post_init__ does not run."""
+        self = object.__new__(cls)
+        for name, value in zip(cls._fields, args):
+            object.__setattr__(self, name, value)
+        return self
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented

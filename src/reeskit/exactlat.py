@@ -38,9 +38,7 @@ def primitive(v) -> tuple[int, ...]:
     result generates the same ray. The empty vector counts as zero.
     """
     vec = tuple(int(e) for e in v)
-    g = 0
-    for e in vec:
-        g = gcd(g, e)
+    g = gcd(*vec)
     if g == 0:
         raise ZeroVector("the zero vector has no primitive form")
     if g == 1:
@@ -59,10 +57,7 @@ def _bareiss(rows):
     if not m or not m[0]:
         return m, [], 1
     nr, nc = len(m), len(m[0])
-    pivots = []
-    sign = 1
-    prev = 1
-    r = 0
+    pivots, sign, prev, r = [], 1, 1, 0
     for c in range(nc):
         if r == nr:
             break
@@ -119,8 +114,7 @@ def adjugate(rows):
     if n == 0:
         return [], 1
     a = [row + [1 if j == i else 0 for j in range(n)] for i, row in enumerate(m)]
-    sign = 1
-    prev = 1
+    sign, prev = 1, 1
     for k in range(n):
         piv = next((i for i in range(k, n) if a[i][k]), None)
         if piv is None:

@@ -18,7 +18,7 @@ import os
 from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import InvalidInstance, ParseError, Record
-from .matroid import Matroid, MonomialIdeal, check_basis_exchange
+from .matroid import Matroid, MonomialIdeal, basis_monomial_ideal, check_basis_exchange
 from .polymatroid import PolymatroidBases, check_polymatroid_bases
 
 _BIG = 1 << 53
@@ -186,8 +186,6 @@ def analysis_ideal(value) -> MonomialIdeal:
     if isinstance(value, MonomialIdeal):
         return value
     if isinstance(value, Matroid):
-        from .matroid import basis_monomial_ideal
-
         return basis_monomial_ideal(value)
     if isinstance(value, PolymatroidBases):
         return MonomialIdeal(value.n, value.vectors)

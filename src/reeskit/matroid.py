@@ -6,13 +6,16 @@ of {1..n} satisfying the basis exchange property; validation goes through
 check is the polymatroid one-step exchange walk on the bases' 0/1 indicator
 vectors, each basis packed straight into an int of 2-bit fields
 (`polymatroid._exchange_failures`). `enumerate_matroids` keeps its in/out
-decisions as two bitmasks over the candidate subsets.
+decisions as two bitmasks over the candidate subsets. `matroid_classes`
+lists matroids up to isomorphism, each class grown from the classes on one
+element fewer by a single-element extension (the same walk with the old
+subsets' decisions fixed) or a coloop, with its labelled count.
 Ground-set elements are 1-indexed everywhere, including JSON.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 from .errors import (
     BadRank,
@@ -129,13 +132,6 @@ def _normalize_family(n, family):
     return sorted(set(fam))
 
 
-def _indicator(n, b):
-    v = [0] * n
-    for e in b:
-        v[e - 1] = 1
-    return tuple(v)
-
-
 def check_basis_exchange(n: int, family):
     """Validate the basis exchange property for a family of subsets of {1..n}.
 
@@ -146,7 +142,7 @@ def check_basis_exchange(n: int, family):
     """
     if n < 1:
         raise InvalidInstance("ground set must have at least one element")
-    fam = _normalize_family(n, family)
+    fam = _normalize_family(n, family)  # the one validation: Matroid's would repeat it
     if not fam:
         raise EmptyFamily("the basis family is empty")
     d = len(fam[0])
@@ -158,7 +154,7 @@ def check_basis_exchange(n: int, family):
     packed = [sum(map(unit.__getitem__, b)) for b in fam]
     for a, c, x in _exchange_failures(packed, 2, n):
         return ExchangeFailure(fam[a], fam[c], x)
-    return Matroid(n, d, tuple(fam))
+    return Matroid.unchecked(n, d, tuple(fam))
 
 
 def _require_matroid(result, context):
@@ -177,24 +173,6 @@ def uniform_matroid(n: int, d: int) -> Matroid:
     return _require_matroid(check_basis_exchange(n, fam), "uniform_matroid")
 
 
-class _UnionFind:
-    def __init__(self, size):
-        self.parent = list(range(size))
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[ra] = rb
-        return True
-
-
 def graphic_matroid(vertices: int, edges) -> Matroid:
     """Matroid of maximal spanning forests; ground set = edge indices 1..|edges|.
 
@@ -211,16 +189,21 @@ def graphic_matroid(vertices: int, edges) -> Matroid:
             raise InvalidInstance(f"edge ({u},{v}) leaves the vertex range 1..{vertices}")
 
     def forest(idxs) -> bool:
-        uf = _UnionFind(vertices + 1)
+        """Whether edges idxs close no cycle: each joins two components,
+        which then merge under one label."""
+        comp = list(range(vertices + 1))
         for i in idxs:
-            u, v = edge_list[i - 1]
-            if u == v or not uf.union(u, v):
+            cu, cv = (comp[e] for e in edge_list[i - 1])
+            if cu == cv:
                 return False
+            comp = [cu if c == cv else c for c in comp]
         return True
 
-    uf = _UnionFind(vertices + 1)
-    d = sum(1 for u, v in edge_list if u != v and uf.union(u, v))
-    fam = [c for c in combinations(range(1, len(edge_list) + 1), d) if forest(c)]
+    kept = []  # a spanning forest, grown greedily: its size is the rank
+    for i in range(1, len(edge_list) + 1):
+        if forest(kept + [i]):
+            kept.append(i)
+    fam = [c for c in combinations(range(1, len(edge_list) + 1), len(kept)) if forest(c)]
     return _require_matroid(check_basis_exchange(len(edge_list), fam), "graphic_matroid")
 
 
@@ -265,6 +248,21 @@ def _dead(watch, inn: int, out: int) -> bool:
     return any(inn & pair == pair and ts & out == ts for pair, ts in watch)
 
 
+def _walk(early, late, can_in: int = -1, can_out: int = -1, k: int = 0, inn: int = 0,
+          out: int = 0):
+    """enumerate_matroids's backtracking from subset k on: every nonempty
+    in-mask over the len(early) subsets whose pairs all stay alive. Subset k
+    is decided in only if can_in has bit k, and out only if can_out has it."""
+    if k == len(early):
+        if inn:
+            yield inn
+        return
+    if can_in >> k & 1 and not _dead(early[k], inn | 1 << k, out):
+        yield from _walk(early, late, can_in, can_out, k + 1, inn | 1 << k, out)
+    if can_out >> k & 1 and not _dead(late[k], inn, out | 1 << k):
+        yield from _walk(early, late, can_in, can_out, k + 1, inn, out | 1 << k)
+
+
 def enumerate_matroids(n: int, d: int, cap: int = ENUMERATION_CAP) -> list[Matroid]:
     """Every matroid of rank d on ground set {1..n}, exhaustively.
 
@@ -287,27 +285,69 @@ def enumerate_matroids(n: int, d: int, cap: int = ENUMERATION_CAP) -> list[Matro
     if d < 1 or d > n:
         raise BadRank(f"rank {d} not in 1..{n}")
     subsets = list(combinations(range(1, n + 1), d))
-    early, late = _exchange_watch(subsets)
     found = []
-
-    def walk(k: int, inn: int, out: int) -> None:
-        if k == len(subsets):
-            if inn:
-                got = check_basis_exchange(n, [s for i, s in enumerate(subsets) if inn >> i & 1])
-                if isinstance(got, Matroid):
-                    found.append(got)
-            return
-        if not _dead(early[k], inn | 1 << k, out):
-            walk(k + 1, inn | 1 << k, out)
-        if not _dead(late[k], inn, out | 1 << k):
-            walk(k + 1, inn, out | 1 << k)
-
-    walk(0, 0, 0)
+    for inn in _walk(*_exchange_watch(subsets)):
+        got = check_basis_exchange(n, [s for i, s in enumerate(subsets) if inn >> i & 1])
+        if isinstance(got, Matroid):
+            found.append(got)
     found.sort(key=lambda m: m.bases)
     return found
 
 
+def matroid_classes(pairs: list, cap: int = ENUMERATION_CAP) -> list[dict]:
+    """The isomorphism classes of rank-d matroids on {1..n} for each (n, d)
+    in pairs, rank 0 included: a dict from every labelled member's bases to
+    its class's lex-least member. Grown by single-element extension (McKay,
+    J. Algorithms 26, 1998; Mayhew and Royle, JCTB 98, 2008), memoised per
+    (n, d) for this call only:
+    - n not a coloop: M extends M \\ n, made a representative N of rank d on
+      {1..n-1} by relabelling, so enumerate_matroids's walk runs with the
+      d-subsets avoiding n fixed in or out as N's bases;
+    - n a coloop: M is a representative of rank d - 1 with n in every basis.
+    A leaf not yet in an orbit goes through check_basis_exchange and starts
+    a class: its images under the n! relabellings are the orbit, and the
+    least image the representative.
+    """
+    for n, d in pairs:
+        if n > cap:
+            raise CapExceeded(f"ground set size {n} exceeds the enumeration cap {cap}")
+        if n < 1 or not 0 <= d <= n:
+            raise BadRank(f"no rank-{d} matroid on {n} elements")
+    memo = {}
+
+    def classes(n: int, d: int) -> dict:
+        if (n, d) in memo:
+            return memo[n, d]
+        orbit = memo[n, d] = {}
+        subsets = list(combinations(range(1, n + 1), d))
+        index = {s: k for k, s in enumerate(subsets)}
+        relabel = [[1 << index[tuple(sorted(p[e - 1] for e in s))] for s in subsets]
+                   for p in permutations(range(1, n + 1))]
+        leaves = [1] if d == 0 else []
+        if 0 < d < n:
+            early, late = _exchange_watch(subsets)
+            free = sum(1 << k for k, s in enumerate(subsets) if n in s)
+            for rep in set(classes(n - 1, d).values()):
+                fixed = sum(1 << index[b] for b in rep.bases)
+                leaves += _walk(early, late, fixed | free, ~fixed)
+        if d > 0:
+            below = [r.bases for r in set(classes(n - 1, d - 1).values())] if d > 1 else [[()]]
+            leaves += (sum(1 << index[b + (n,)] for b in bases) for bases in below)
+        for inn in leaves:
+            key = [k for k in range(len(subsets)) if inn >> k & 1]
+            fam = tuple(map(subsets.__getitem__, key))
+            if fam not in orbit and isinstance(check_basis_exchange(n, fam), Matroid):
+                images = [tuple(s for k, s in enumerate(subsets) if m >> k & 1)
+                          for m in {sum(map(t.__getitem__, key)) for t in relabel}]
+                rep = Matroid(n, d, min(images))
+                orbit.update(dict.fromkeys(images, rep))
+        return orbit
+
+    return [classes(n, d) for n, d in pairs]
+
+
 def basis_monomial_ideal(m: Matroid) -> MonomialIdeal:
     """Squarefree ideal generated by the basis indicator monomials."""
-    return MonomialIdeal(m.n, tuple(_indicator(m.n, b) for b in m.bases))
+    ground = range(1, m.n + 1)
+    return MonomialIdeal(m.n, tuple(tuple(int(e in b) for e in ground) for b in m.bases))
 

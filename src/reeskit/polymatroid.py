@@ -161,12 +161,7 @@ def divide_by_variable(f: PolymatroidBases, i: int) -> PolymatroidBases:
     """
     if i < 1 or i > f.n:
         raise InvalidInstance(f"coordinate {i} not in 1..{f.n}")
-    kept = []
-    for a in f.vectors:
-        if a[i - 1] >= 1:
-            b = list(a)
-            b[i - 1] -= 1
-            kept.append(tuple(b))
+    kept = [a[:i - 1] + (a[i - 1] - 1,) + a[i:] for a in f.vectors if a[i - 1] >= 1]
     if not kept:
         raise VariableAbsent(f"no base uses coordinate {i}")
     got = check_polymatroid_bases(f.n, kept)
@@ -192,12 +187,8 @@ def veronese_bases(n: int, d: int) -> PolymatroidBases:
     """All vectors of modulus d in N^n."""
     if n < 1 or d < 1:
         raise InvalidInstance("need n >= 1 and d >= 1")
-    vecs = []
-    for combo in combinations_with_replacement(range(n), d):
-        v = [0] * n
-        for c in combo:
-            v[c] += 1
-        vecs.append(tuple(v))
+    vecs = [tuple(map(combo.count, range(n)))
+            for combo in combinations_with_replacement(range(n), d)]
     got = check_polymatroid_bases(n, vecs)
     if isinstance(got, ExchangeFailure):
         raise IntegrityError(f"full degree-{d} family failed validation: {got.to_json()}")

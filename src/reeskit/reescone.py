@@ -136,10 +136,8 @@ class FacetSystem(Record):
     def contains(self, point) -> bool:
         if len(point) != self.dim:
             raise ValueError(f"point of dimension {len(point)}, cone of {self.dim}")
-        for i in self.unit_normals:
-            if point[i - 1] < 0:
-                return False
-        return all(dot(b, point) >= 0 for b in self.ell_normals)
+        return all(point[i - 1] >= 0 for i in self.unit_normals) and all(
+            dot(b, point) >= 0 for b in self.ell_normals)
 
     def to_json(self) -> dict:
         return {
@@ -251,10 +249,7 @@ def _facet_system(dim: int, normals, generators) -> FacetSystem:
     parity = [parity_mask(g) for g in gens]
     units, ells, columns = [], [], {}
     for b in normals:
-        g_acc = 0
-        for e in b:
-            g_acc = gcd(g_acc, e)
-        if g_acc != 1:
+        if gcd(*b) != 1:
             raise IntegrityError(f"normal {b} is not primitive")
         values = [dot(b, g) for g in gens]
         if any(v < 0 for v in values):
@@ -365,10 +360,8 @@ class ShapeReport(Record):
 def verify_basis_facet_shape(m: Matroid, facets: FacetSystem | None = None) -> ShapeReport:
     """Shape audit of the facets of m's basis Rees cone (computed when not given)."""
     fs = facets if facets is not None else facet_normals(basis_rees_cone(m))
-    violations = []
-    for b in fs.ell_normals:
-        if any(e not in (0, 1) for e in b[:-1]) or not (-m.d <= b[-1] <= -1):
-            violations.append(b)
+    violations = [b for b in fs.ell_normals
+                  if any(e not in (0, 1) for e in b[:-1]) or not (-m.d <= b[-1] <= -1)]
     notes = []
     missing = [i for i in range(1, m.n + 2) if i not in fs.unit_normals]
     if missing:

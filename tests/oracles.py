@@ -6,10 +6,14 @@ IdealSession.in_dilation). These routes get there another way, by a double
 description of the lifted polytope's own cone on a pivot projection of its
 span, with the span's equations from an integer kernel basis. The two
 exchange walks at the end loop over vector tuples, one coordinate at a
-time, where the library packs each vector into one int.
+time, where the library packs each vector into one int. `canonical` names
+a matroid's isomorphism class by trying every relabelling, where the library
+grows classes by single-element extension.
 """
 
 from __future__ import annotations
+
+from itertools import permutations
 
 from reeskit.errors import DegenerateCone, InvalidInstance
 from reeskit.exactlat import _bareiss, adjugate, dot, primitive
@@ -186,3 +190,11 @@ def symmetric_exchange_violations(f) -> list[tuple]:
                 else:
                     bad.append((a, c, i + 1))
     return bad
+
+
+def canonical(m) -> tuple:
+    """n and the lex-least relabelling of m's bases: equal exactly on a class."""
+    return m.n, min(
+        tuple(sorted(tuple(sorted(p[e - 1] for e in b)) for b in m.bases))
+        for p in permutations(range(1, m.n + 1))
+    )

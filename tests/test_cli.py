@@ -7,17 +7,17 @@ import os
 import subprocess
 import sys
 import tempfile
-from itertools import permutations
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import canonical
 
 from reeskit import cli, jsonio
 from reeskit.cli import main
 from reeskit.errors import ReesKitError
-from reeskit.matroid import basis_monomial_ideal
+from reeskit.matroid import basis_monomial_ideal, matroid_classes
 from reeskit.semigroup import IdealSession
 
 
@@ -61,14 +61,6 @@ def labelled_corpus(*argv) -> tuple[int, str]:
         })
     out = jsonio.dumps({"n_max": args.n_max, "reports": reports})
     return (1 if any(failures) else 0), out
-
-
-def canonical(m) -> tuple:
-    """n and the lex-least relabelling of m's bases: equal exactly on a class."""
-    return m.n, min(
-        tuple(sorted(tuple(sorted(p[e - 1] for e in b)) for b in m.bases))
-        for p in permutations(range(1, m.n + 1))
-    )
 
 
 def loops(m) -> list[int]:
@@ -341,10 +333,11 @@ class TestCorpus:
         assert "--rank" in doc["detail"]
 
     def test_above_cap_exits_three_before_enumerating(self, capsys, monkeypatch):
-        def refuse(n, d):
-            raise AssertionError(f"enumerated n={n}, d={d} past the cap")
+        def refuse(*args):
+            raise AssertionError(f"enumerated {args} past the cap")
 
         monkeypatch.setattr("reeskit.cli.enumerate_matroids", refuse)
+        monkeypatch.setattr("reeskit.cli.matroid_classes", refuse)
         code, doc, _ = run_json(capsys, "corpus", "7")
         assert code == 3
         assert doc["error"] == "cap_exceeded"
@@ -371,17 +364,25 @@ class TestCorpusClasses:
         assert (code, out) == labelled_corpus(*argv)
 
     def test_classes_group_by_canonical_form(self):
-        # one class per canonical form, keyed by its first labelled member
+        # one class per canonical form, represented by its first labelled member
         instances = list(cli._corpus_matroids(5, None))
         want = {}
         for i, (_, m) in enumerate(instances):
             want.setdefault(canonical(m), []).append(i)
-        got = cli._classes(instances)
-        assert list(got.items()) == [(members[0], members) for members in want.values()]
+        index = {(m.n, m.bases): i for i, (_, m) in enumerate(instances)}
+        got = {}
+        pairs = cli._corpus_pairs(5, None)
+        for (n, _), orbit in zip(pairs, matroid_classes(pairs)):
+            for bases, rep in orbit.items():
+                got.setdefault(index[n, rep.bases], []).append(index[n, bases])
+        assert sorted((rep, sorted(members)) for rep, members in got.items()) == [
+            (members[0], members) for members in want.values()]
 
     def test_six_elements_make_161_classes(self):
         # 1 + 3 + 7 + 16 + 37 + 97: OEIS A055545 less rank 0
-        assert len(cli._classes(list(cli._corpus_matroids(6, None)))) == 161
+        reps = {rep for orbit in matroid_classes(cli._corpus_pairs(6, None))
+                for rep in orbit.values()}
+        assert len(reps) == 161
 
     @pytest.mark.parametrize("argv", [
         ("5", "--rank", "2"),
@@ -589,6 +590,64 @@ class TestParserReuse:
         again = run(capsys, *argv)
         assert again[:2] == first[:2]
         assert again[2].split("wall_time_s")[0] == first[2].split("wall_time_s")[0]
+
+
+def run_any(capsys, argv) -> tuple:
+    """(exit code, stdout, stderr less the wall-time trailer) of main(argv),
+    a help request's SystemExit included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = ("exit", exc.code)
+    out, err = capsys.readouterr()
+    return code, out, err.split("wall_time_s")[0]
+
+
+ONE_COMMAND_ARGVS = [
+    ("corpus", "2"), ("corpus",), ("corpus", "x"), ("corpus", "2", "extra"),
+    ("corpus", "2", "--bogus"), ("corpus", "2", "--ra", "2"), ("corpus", "-h"),
+    ("corpus", "--help", "x"), ("corpus", "2", "--format", "xml"),
+    ("corpus", "2", "--checks"), ("corpus", "--", "2"), ("analyze",), ("analyze", "-h"),
+    ("hilbert", "bundled:u_1_1", "--cap", "q"), ("hilbert", "bundled:u_1_1", "--cap", "-1"),
+    ("validate", "bundled:u_1_1"), ("validate", "bundled:u_1_1", "extra"),
+    ("instances",), ("instances", "--bogus"), ("instances", "--show"),
+    ("instances", "-h", "--bogus"), ("enumerate-matroids", "3"),
+    ("enumerate-matroids", "3", "2", "-h"), ("rees-facets", "bundled:u_1_1", "--oracle"),
+    ("ehrhart-check", "bundled:u_1_1", "--bmax", "x"),
+    ("polymatroid-check", "bundled:u_1_1", "--format", "text"),
+]
+
+
+class TestOneCommandParser:
+    """A known command is parsed by a parser holding that command alone."""
+
+    def test_commands_are_the_full_parsers(self):
+        (sub,) = cli._build_parser()._subparsers._group_actions
+        assert tuple(sub.choices) == cli.COMMANDS
+
+    @pytest.mark.parametrize("argv", ONE_COMMAND_ARGVS)
+    def test_prints_what_the_full_parser_prints(self, capsys, monkeypatch, argv):
+        got = run_any(capsys, argv)
+        monkeypatch.setattr(cli, "COMMANDS", ())  # every argv to the full parser
+        assert got == run_any(capsys, argv)
+
+    def test_built_once_per_command_and_the_full_parser_only_on_need(self):
+        script = (
+            "import contextlib, io\n"
+            "from reeskit import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            "    cli.main(['instances'])\n"
+            "    cli.main(['enumerate-matroids', '2', '1'])\n"
+            "    cli.main(['instances'])\n"
+            "    print(cli._build_parser.cache_info().currsize,\n"
+            "          cli._command_parser.cache_info().currsize, file=sys.__stdout__)\n"
+            "    cli.main(['instances', '--bogus'])\n"
+            "    print(cli._build_parser.cache_info().currsize, file=sys.__stdout__)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", "import sys\n" + script],
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.split() == ["0", "2", "1"]
 
 
 # Successive main() calls in one process, as a batch caller makes them:

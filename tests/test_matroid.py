@@ -5,7 +5,10 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import canonical
 from oracles import first_exchange_failure as tuple_first_failure
+
+from reeskit import matroid
 
 from reeskit.errors import (
     BadRank,
@@ -24,6 +27,7 @@ from reeskit.matroid import (
     check_basis_exchange,
     enumerate_matroids,
     graphic_matroid,
+    matroid_classes,
     uniform_matroid,
 )
 from reeskit.polymatroid import (
@@ -72,6 +76,32 @@ class TestCheckBasisExchange:
     def test_unequal_sizes_rejected(self):
         with pytest.raises(UnequalCardinalities):
             check_basis_exchange(3, ((1,), (1, 2)))
+
+    @pytest.mark.parametrize("n, family, error, message", [
+        (0, [(1,)], InvalidInstance, "ground set must have at least one element"),
+        (3, [], EmptyFamily, "the basis family is empty"),
+        (3, [(1, 1)], InvalidInstance, "member (1, 1) repeats an element"),
+        (3, [(1, 4)], InvalidInstance, "element 4 outside the ground set 1..3"),
+        (3, [(0, 2)], InvalidInstance, "element 0 outside the ground set 1..3"),
+        (3, [(2, 1), (3,)], UnequalCardinalities, "members (1, 2) and (3,) have different sizes"),
+        (3, [("x",)], ValueError, "invalid literal for int() with base 10: 'x'"),
+    ])
+    def test_outside_input_keeps_its_errors(self, n, family, error, message):
+        # the one validation of a family is check_basis_exchange's own
+        with pytest.raises(error) as exc:
+            check_basis_exchange(n, family)
+        assert type(exc.value) is error and str(exc.value) == message
+
+    def test_result_is_a_valid_matroid_built_once(self, monkeypatch):
+        # Matroid's own validation does not run again on a checked family
+        got = check_basis_exchange(3, [(3, 2), (1, 2), (2, 3)])
+        assert got == Matroid(3, 2, ((1, 2), (2, 3)))
+
+        def refuse(self):
+            raise AssertionError("validated twice")
+
+        monkeypatch.setattr(Matroid, "__post_init__", refuse)
+        assert check_basis_exchange(3, [(1, 3), (1, 2)]).bases == ((1, 2), (1, 3))
 
     def test_rank_zero_single_empty_basis(self):
         got = check_basis_exchange(2, ((),))
@@ -228,6 +258,107 @@ class TestEnumerate:
                     sorted(tuple(sorted(perm[e - 1] for e in b)) for b in bases)
                 )
                 assert relabeled in found
+
+
+def index_mask(n: int, d: int, bases) -> int:
+    """bases as a mask over the lex indices of the d-subsets of {1..n}."""
+    index = {s: k for k, s in enumerate(combinations(range(1, n + 1), d))}
+    return sum(1 << index[b] for b in bases)
+
+
+def labelled(n: int, d: int) -> list[Matroid]:
+    return enumerate_matroids(n, d) if d else [Matroid(n, 0, ((),))]
+
+
+SMALL = [(n, d) for n in range(1, 7) for d in range(n + 1)]
+
+
+class TestMatroidClasses:
+    @pytest.fixture(scope="class")
+    def orbits(self):
+        return dict(zip(SMALL, matroid_classes(SMALL)))
+
+    def test_class_counts_are_oeis_a055545(self, orbits):
+        # rank 0 included; the sequence starts 1 at n = 0, the empty matroid
+        counts = [sum(len(set(orbits[n, d].values())) for d in range(n + 1))
+                  for n in range(1, 7)]
+        assert [1, *counts] == [1, 2, 4, 8, 17, 38, 98]
+        assert [len(set(orbits[6, d].values())) for d in range(7)] == [1, 6, 23, 38, 23, 6, 1]
+
+    @pytest.mark.parametrize("n, d", SMALL)
+    def test_orbits_cover_the_labelled_matroids(self, orbits, n, d):
+        # every labelled matroid exactly once, so the orbit sizes add up
+        orbit = orbits[n, d]
+        assert sorted(orbit) == [m.bases for m in labelled(n, d)]
+        assert sum(list(orbit.values()).count(r) for r in set(orbit.values())) == len(orbit)
+
+    @pytest.mark.parametrize("n, d", [(n, d) for n, d in SMALL if n <= 5])
+    def test_representatives_are_the_first_labelled_members(self, orbits, n, d):
+        # in order, the canonical forms of the labelled list in labelled order,
+        # and a member's representative is the first member of its class
+        reps = sorted(set(orbits[n, d].values()), key=lambda m: m.bases)
+        forms = dict.fromkeys(canonical(m) for m in labelled(n, d))
+        assert [(r.n, r.bases) for r in reps] == list(forms)
+        first = {}
+        for m in labelled(n, d):
+            first.setdefault(canonical(m), m)
+            assert orbits[n, d][m.bases] == first[canonical(m)]
+
+    def test_seven_elements_dual_ranks_match(self):
+        # one rank of n = 7, beside its dual rank: 37 classes of 4,012 each
+        two, five = matroid_classes([(7, 2), (7, 5)], cap=7)
+        assert (len(set(two.values())), len(two)) == (37, 4012)
+        assert (len(set(five.values())), len(five)) == (37, 4012)
+
+    def test_only_a_new_class_goes_through_the_exchange_check(self, monkeypatch):
+        verdicts = []
+
+        def counting(n, family):
+            got = check_basis_exchange(n, family)
+            verdicts.append(got)
+            return got
+
+        monkeypatch.setattr("reeskit.matroid.check_basis_exchange", counting)
+        (orbit,) = matroid_classes([(5, 2)])
+        # 13 + 7 + 4 + 3 + 3 + 1 + 2 + 1 classes at (5, 2) and the (n, d) below it
+        assert len(verdicts) == 34
+        assert all(isinstance(v, Matroid) for v in verdicts)
+        assert len({canonical(v) for v in verdicts}) == 34
+        assert len(set(orbit.values())) == 13
+
+    @pytest.mark.parametrize("n, d", [(5, 2), (6, 3)])
+    def test_extension_walks_yield_each_extension_once(self, monkeypatch, n, d):
+        # with n not a coloop, the walk from each representative N of rank d on
+        # {1..n-1} yields exactly the labelled M whose bases avoiding n are N's
+        walks = []
+        walk = matroid._walk
+
+        def recording(*args):
+            got = walk(*args)
+            if len(args) == 4 and len(args[0]) == len(list(combinations(range(n), d))):
+                walks.append((~args[3], sorted(got)))  # a walk at (n, d), not a step in one
+                return iter(walks[-1][1])
+            return got
+
+        monkeypatch.setattr("reeskit.matroid._walk", recording)
+        matroid_classes([(n, d)])
+        reps = set(matroid_classes([(n - 1, d)])[0].values())
+        assert sorted(fixed for fixed, _ in walks) == sorted(
+            index_mask(n, d, r.bases) for r in reps)
+        for fixed, leaves in walks:
+            assert leaves == sorted(
+                index_mask(n, d, m.bases) for m in enumerate_matroids(n, d)
+                if index_mask(n, d, [b for b in m.bases if n not in b]) == fixed)
+
+    def test_sizes_are_checked(self):
+        with pytest.raises(CapExceeded):
+            matroid_classes([(3, 1), (7, 2)])
+        with pytest.raises(CapExceeded):
+            matroid_classes([(9, 2)], cap=8)
+        for n, d in [(0, 0), (3, 4), (3, -1)]:
+            with pytest.raises(BadRank):
+                matroid_classes([(n, d)])
+        assert matroid_classes([]) == []
 
 
 class TestBasisIdeal:

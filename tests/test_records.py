@@ -108,6 +108,14 @@ def test_post_init_still_validates_and_normalises():
     assert matroid.MonomialIdeal(2, [[1, 0], [0, 1]]).exponents == ((0, 1), (1, 0))
 
 
+def test_unchecked_skips_post_init():
+    m = matroid.Matroid.unchecked(3, 2, ((1, 2), (1, 3)))
+    assert m == matroid.Matroid(3, 2, ((1, 2), (1, 3)))
+    assert matroid.Matroid.unchecked(3, 2, ((1, 3), (1, 2))).bases == ((1, 3), (1, 2))
+    with pytest.raises(AttributeError):
+        m.n = 4
+
+
 def test_facet_slack_is_left_out_of_equality():
     fs = SESSION.facets
     bare = reescone.FacetSystem(fs.dim, fs.unit_normals, fs.ell_normals)
