@@ -15,7 +15,8 @@ from functools import cache
 
 from . import jsonio
 from .errors import CapExceeded, ParseError, ReesKitError, TheoremCounterexample
-from .matroid import ENUMERATION_CAP, basis_monomial_ideal, enumerate_matroids, matroid_classes
+from .matroid import (ENUMERATION_CAP, Matroid, basis_monomial_ideal, enumerate_matroids,
+                      matroid_classes)
 from .polymatroid import (
     PolymatroidBases,
     check_polymatroid_bases,
@@ -226,17 +227,10 @@ def cmd_polymatroid_check(args) -> int:
     return 1 if any(not d["ok"] for d in divisions) or sym else 0
 
 
-def _corpus_pairs(n_max: int, rank_filter: int | None, n_min: int = 1) -> list:
+def _corpus_pairs(n_max: int, rank_filter: int | None) -> list:
     """The (n, d) a corpus sweep covers, in its order."""
-    return [(n, d) for n in range(n_min, n_max + 1)
+    return [(n, d) for n in range(1, n_max + 1)
             for d in ([rank_filter] if rank_filter is not None else range(1, n + 1)) if d <= n]
-
-
-def _corpus_matroids(n_max: int, rank_filter: int | None, n_min: int = 1):
-    """(name, matroid) for every labelled matroid of a sweep from n_min up."""
-    for n, d in _corpus_pairs(n_max, rank_filter, n_min):
-        for idx, m in enumerate(enumerate_matroids(n, d)):
-            yield f"n{n}_d{d}_{idx:04d}", m
 
 
 def _check(code: str, m, session: IdealSession, args):
@@ -259,10 +253,10 @@ def cmd_corpus(args) -> int:
     `matroid_classes`, grown by single-element extension, and each check
     runs on each class's lex-least member, in (n, d, bases) order. A
     failure's witness or cap message may depend on the labelling, so a
-    check that fails there enumerates that (n, d)'s labelled matroids once
-    and runs again on every member of the class, each with its own session,
-    and the report is the one a labelled sweep gives. `instances` counts
-    labelled matroids: the classes' orbit sizes.
+    check that fails there sorts that (n, d)'s orbit keys once and runs
+    again on every member of the class, each with its own session and named
+    by its position in that list, so the report is the one a labelled sweep
+    gives. `instances` counts labelled matroids: the classes' orbit sizes.
     """
     if args.bmax < 0:
         raise ParseError(f"--bmax must be nonnegative, got {args.bmax}")
@@ -284,7 +278,7 @@ def cmd_corpus(args) -> int:
     failures = [[] for _ in codes]
     for (n, d), orbit in zip(pairs, matroid_classes(pairs)):
         instances += len(orbit)
-        labelled = None
+        names = None
         for m in sorted(set(orbit.values()), key=lambda m: m.bases):
             # one session per representative: every check reads the same cone artefacts
             session = IdealSession(basis_monomial_ideal(m), args.cap)
@@ -292,11 +286,11 @@ def cmd_corpus(args) -> int:
                 bad = _check(code, m, session, args)
                 if bad is None:
                     continue
-                if labelled is None:
-                    labelled = list(_corpus_matroids(n, d, n))
-                for name, mi in labelled:
-                    if orbit[mi.bases] is not m:
+                names = names or {b: f"n{n}_d{d}_{i:04d}" for i, b in enumerate(sorted(orbit))}
+                for bases, name in names.items():
+                    if orbit[bases] is not m:
                         continue
+                    mi = Matroid.unchecked(n, d, bases)
                     got = bad if mi == m else _check(
                         code, mi, IdealSession(basis_monomial_ideal(mi), args.cap), args)
                     if got is not None:

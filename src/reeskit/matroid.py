@@ -5,11 +5,12 @@ of {1..n} satisfying the basis exchange property; validation goes through
 `check_basis_exchange` and constructors re-validate their own output. That
 check is the polymatroid one-step exchange walk on the bases' 0/1 indicator
 vectors, each basis packed straight into an int of 2-bit fields
-(`polymatroid._exchange_failures`). `enumerate_matroids` keeps its in/out
-decisions as two bitmasks over the candidate subsets. `matroid_classes`
-lists matroids up to isomorphism, each class grown from the classes on one
-element fewer by a single-element extension (the same walk with the old
-subsets' decisions fixed) or a coloop, with its labelled count.
+(`polymatroid._exchange_failures`). `matroid_classes` lists matroids up to
+isomorphism, each class grown from the classes on one element fewer by a
+single-element extension (a backtracking walk whose in/out decisions are two
+bitmasks over the d-subsets, the old subsets' decisions fixed) or a coloop,
+with every labelled member in its orbit; `enumerate_matroids` reads the
+labelled matroids off those orbits.
 Ground-set elements are 1-indexed everywhere, including JSON.
 """
 
@@ -250,7 +251,7 @@ def _dead(watch, inn: int, out: int) -> bool:
 
 def _walk(early, late, can_in: int = -1, can_out: int = -1, k: int = 0, inn: int = 0,
           out: int = 0):
-    """enumerate_matroids's backtracking from subset k on: every nonempty
+    """The extension step's backtracking from subset k on: every nonempty
     in-mask over the len(early) subsets whose pairs all stay alive. Subset k
     is decided in only if can_in has bit k, and out only if can_out has it."""
     if k == len(early):
@@ -264,18 +265,8 @@ def _walk(early, late, can_in: int = -1, can_out: int = -1, k: int = 0, inn: int
 
 
 def enumerate_matroids(n: int, d: int, cap: int = ENUMERATION_CAP) -> list[Matroid]:
-    """Every matroid of rank d on ground set {1..n}, exhaustively.
-
-    Backtracking over the C(n,d) d-subsets in lex order, each decided in or
-    out; the decisions are two bitmasks over the subset indices. A partial
-    family is dropped as soon as two included bases B1, B2 and some x in
-    B1 \\ B2 have every target B1 - x + y (y in B2 \\ B1) decided out, since
-    no completion can repair that pair. With the targets as an index mask
-    ts, that is ts & out == ts. Deciding a subset in re-checks only the pairs
-    that contain it; deciding it out re-checks only the included pairs whose
-    targets it completes. So a nonempty leaf has no such pair and is a
-    matroid, and each one still goes through check_basis_exchange, whose
-    verdict is final. Isomorphic duplicates are kept on purpose. Output is
+    """Every matroid of rank d on ground set {1..n}, labelled: the members of
+    matroid_classes's orbits, isomorphic duplicates kept on purpose. Output is
     sorted by the basis tuple.
     """
     if n < 1:
@@ -284,14 +275,7 @@ def enumerate_matroids(n: int, d: int, cap: int = ENUMERATION_CAP) -> list[Matro
         raise CapExceeded(f"ground set size {n} exceeds the enumeration cap {cap}")
     if d < 1 or d > n:
         raise BadRank(f"rank {d} not in 1..{n}")
-    subsets = list(combinations(range(1, n + 1), d))
-    found = []
-    for inn in _walk(*_exchange_watch(subsets)):
-        got = check_basis_exchange(n, [s for i, s in enumerate(subsets) if inn >> i & 1])
-        if isinstance(got, Matroid):
-            found.append(got)
-    found.sort(key=lambda m: m.bases)
-    return found
+    return [Matroid.unchecked(n, d, bases) for bases in sorted(matroid_classes([(n, d)], cap)[0])]
 
 
 def matroid_classes(pairs: list, cap: int = ENUMERATION_CAP) -> list[dict]:
@@ -301,8 +285,8 @@ def matroid_classes(pairs: list, cap: int = ENUMERATION_CAP) -> list[dict]:
     J. Algorithms 26, 1998; Mayhew and Royle, JCTB 98, 2008), memoised per
     (n, d) for this call only:
     - n not a coloop: M extends M \\ n, made a representative N of rank d on
-      {1..n-1} by relabelling, so enumerate_matroids's walk runs with the
-      d-subsets avoiding n fixed in or out as N's bases;
+      {1..n-1} by relabelling, so _walk runs with the d-subsets
+      avoiding n fixed in or out as N's bases;
     - n a coloop: M is a representative of rank d - 1 with n in every basis.
     A leaf not yet in an orbit goes through check_basis_exchange and starts
     a class: its images under the n! relabellings are the orbit, and the
@@ -321,8 +305,10 @@ def matroid_classes(pairs: list, cap: int = ENUMERATION_CAP) -> list[dict]:
         orbit = memo[n, d] = {}
         subsets = list(combinations(range(1, n + 1), d))
         index = {s: k for k, s in enumerate(subsets)}
-        relabel = [[1 << index[tuple(sorted(p[e - 1] for e in s))] for s in subsets]
-                   for p in permutations(range(1, n + 1))]
+        # each subset's image under a permutation p, from the bits 1 << p(e) summed
+        at = {sum(1 << e for e in s): 1 << k for k, s in enumerate(subsets)}
+        relabel = [[at[sum(map(bits.__getitem__, s))] for s in subsets]
+                   for bits in ([0, *(1 << e for e in p)] for p in permutations(range(1, n + 1)))]
         leaves = [1] if d == 0 else []
         if 0 < d < n:
             early, late = _exchange_watch(subsets)

@@ -8,15 +8,18 @@ span, with the span's equations from an integer kernel basis. The two
 exchange walks at the end loop over vector tuples, one coordinate at a
 time, where the library packs each vector into one int. `canonical` names
 a matroid's isomorphism class by trying every relabelling, where the library
-grows classes by single-element extension.
+grows classes by single-element extension. `labelled_walk` lists the
+labelled matroids of one rank by a backtracking walk over all the d-subsets,
+where the library reads them off the class orbits.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import combinations, permutations
 
 from reeskit.errors import DegenerateCone, InvalidInstance
 from reeskit.exactlat import _bareiss, adjugate, dot, primitive
+from reeskit.matroid import Matroid, _exchange_watch, _walk, check_basis_exchange
 from reeskit.reescone import _distinct_rows, _dual_extreme_rays
 from reeskit.semigroup import _box_points
 
@@ -198,3 +201,28 @@ def canonical(m) -> tuple:
         tuple(sorted(tuple(sorted(p[e - 1] for e in b)) for b in m.bases))
         for p in permutations(range(1, m.n + 1))
     )
+
+
+def labelled_walk(n: int, d: int) -> list:
+    """Every matroid of rank d on ground set {1..n}, exhaustively.
+
+    Backtracking over the C(n,d) d-subsets in lex order, each decided in or
+    out; the decisions are two bitmasks over the subset indices. A partial
+    family is dropped as soon as two included bases B1, B2 and some x in
+    B1 \\ B2 have every target B1 - x + y (y in B2 \\ B1) decided out, since
+    no completion can repair that pair. With the targets as an index mask
+    ts, that is ts & out == ts. Deciding a subset in re-checks only the pairs
+    that contain it; deciding it out re-checks only the included pairs whose
+    targets it completes. So a nonempty leaf has no such pair and is a
+    matroid, and each one still goes through check_basis_exchange, whose
+    verdict is final. Isomorphic duplicates are kept on purpose. Output is
+    sorted by the basis tuple. The reference for `enumerate_matroids`.
+    """
+    subsets = list(combinations(range(1, n + 1), d))
+    found = []
+    for inn in _walk(*_exchange_watch(subsets)):
+        got = check_basis_exchange(n, [s for i, s in enumerate(subsets) if inn >> i & 1])
+        if isinstance(got, Matroid):
+            found.append(got)
+    found.sort(key=lambda m: m.bases)
+    return found

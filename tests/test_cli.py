@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import canonical
+from oracles import canonical, labelled_walk
 
 from reeskit import cli, jsonio
 from reeskit.cli import main
@@ -32,13 +32,20 @@ def run_json(capsys, *argv):
     return code, json.loads(out), err
 
 
+def labelled_instances(n_max: int, rank: int | None = None) -> list:
+    """(name, matroid) for every labelled matroid of a corpus sweep, from the
+    oracle walk, each named by its position in its (n, d)'s sorted list."""
+    return [(f"n{n}_d{d}_{idx:04d}", m) for n, d in cli._corpus_pairs(n_max, rank)
+            for idx, m in enumerate(labelled_walk(n, d))]
+
+
 def labelled_corpus(*argv) -> tuple[int, str]:
     """`corpus` as a labelled sweep: every selected check on every labelled
     matroid, one session each. The oracle for the class sweep of
     cmd_corpus; returns (exit code, stdout)."""
     args = cli._build_parser().parse_args(["corpus", *argv])
     codes = sorted(cli.CHECKS if args.checks is None else set(args.checks.split(",")))
-    instances = list(cli._corpus_matroids(args.n_max, args.rank))
+    instances = labelled_instances(args.n_max, args.rank)
     failures = [[] for _ in codes]
     for name, m in instances:
         session = IdealSession(basis_monomial_ideal(m), args.cap)
@@ -365,7 +372,7 @@ class TestCorpusClasses:
 
     def test_classes_group_by_canonical_form(self):
         # one class per canonical form, represented by its first labelled member
-        instances = list(cli._corpus_matroids(5, None))
+        instances = labelled_instances(5)
         want = {}
         for i, (_, m) in enumerate(instances):
             want.setdefault(canonical(m), []).append(i)
@@ -412,9 +419,9 @@ class TestCorpusClasses:
         assert code == 1
         reports = {r["check"]: r for r in json.loads(out)["reports"]}
         names = [f["instance"] for f in reports["T3.6"]["failures"]]
-        want = sorted(name for name, m in cli._corpus_matroids(4, None) if loops(m))
+        want = sorted(name for name, m in labelled_instances(4) if loops(m))
         assert names == want
-        assert len(names) > len({canonical(m) for _, m in cli._corpus_matroids(4, None)
+        assert len(names) > len({canonical(m) for _, m in labelled_instances(4)
                                  if loops(m)})
         assert all(r["status"] == "pass" for c, r in reports.items() if c != "T3.6")
 
@@ -430,7 +437,7 @@ class TestCorpusClasses:
         code, doc, _ = run_json(capsys, "corpus", "4")
         assert code == 0
         seen, reps = set(), []
-        for _, m in cli._corpus_matroids(4, None):
+        for _, m in labelled_instances(4):
             if canonical(m) not in seen:
                 seen.add(canonical(m))
                 reps.append(m)

@@ -5,7 +5,7 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import canonical
+from oracles import canonical, labelled_walk
 from oracles import first_exchange_failure as tuple_first_failure
 
 from reeskit import matroid
@@ -193,7 +193,8 @@ class TestGraphic:
 
 def filter_enumeration(n: int, d: int) -> list[Matroid]:
     """Every nonempty family of d-subsets through check_basis_exchange: the
-    2^C(n,d) filter, the oracle for enumerate_matroids's backtracking."""
+    2^C(n,d) filter, an oracle for enumerate_matroids independent of both
+    the class orbits and the labelled walk."""
     subsets = list(combinations(range(1, n + 1), d))
     found = []
     for mask in range(1, 1 << len(subsets)):
@@ -212,9 +213,13 @@ class TestEnumerate:
     def test_matches_filter_oracle(self, n, d):
         assert enumerate_matroids(n, d) == filter_enumeration(n, d)
 
+    @pytest.mark.parametrize("n, d", [(n, d) for n in range(1, 7) for d in range(1, n + 1)])
+    def test_matches_labelled_walk(self, n, d):
+        assert enumerate_matroids(n, d) == labelled_walk(n, d)
+
     def test_checks_each_matroid_once(self, monkeypatch):
-        # backtracking prunes every non-matroid before it reaches a leaf, so
-        # the exchange check runs once per matroid and never fails
+        # the oracle walk prunes every non-matroid before it reaches a leaf,
+        # so the exchange check runs once per matroid and never fails
         verdicts = []
 
         def counting(n, family):
@@ -222,8 +227,8 @@ class TestEnumerate:
             verdicts.append(got)
             return got
 
-        monkeypatch.setattr("reeskit.matroid.check_basis_exchange", counting)
-        found = enumerate_matroids(5, 2)
+        monkeypatch.setattr("oracles.check_basis_exchange", counting)
+        found = labelled_walk(5, 2)
         assert len(found) == 171
         assert all(isinstance(v, Matroid) for v in verdicts)
         assert sorted(verdicts, key=lambda m: m.bases) == found
@@ -242,6 +247,14 @@ class TestEnumerate:
             enumerate_matroids(7, 2)
         with pytest.raises(BadRank):
             enumerate_matroids(3, 4)
+        # checked in this order, before matroid_classes, which admits rank 0
+        with pytest.raises(InvalidInstance) as got:
+            enumerate_matroids(0, 1)
+        assert type(got.value) is InvalidInstance
+        with pytest.raises(CapExceeded):
+            enumerate_matroids(7, 9)
+        with pytest.raises(BadRank, match=r"^rank 0 not in 1\.\.3$"):
+            enumerate_matroids(3, 0)
 
     def test_deterministic_order(self):
         first = enumerate_matroids(4, 2)
@@ -267,7 +280,7 @@ def index_mask(n: int, d: int, bases) -> int:
 
 
 def labelled(n: int, d: int) -> list[Matroid]:
-    return enumerate_matroids(n, d) if d else [Matroid(n, 0, ((),))]
+    return labelled_walk(n, d) if d else [Matroid(n, 0, ((),))]
 
 
 SMALL = [(n, d) for n in range(1, 7) for d in range(n + 1)]
@@ -342,12 +355,14 @@ class TestMatroidClasses:
 
         monkeypatch.setattr("reeskit.matroid._walk", recording)
         matroid_classes([(n, d)])
+        monkeypatch.undo()
         reps = set(matroid_classes([(n - 1, d)])[0].values())
         assert sorted(fixed for fixed, _ in walks) == sorted(
             index_mask(n, d, r.bases) for r in reps)
+        every = labelled_walk(n, d)
         for fixed, leaves in walks:
             assert leaves == sorted(
-                index_mask(n, d, m.bases) for m in enumerate_matroids(n, d)
+                index_mask(n, d, m.bases) for m in every
                 if index_mask(n, d, [b for b in m.bases if n not in b]) == fixed)
 
     def test_sizes_are_checked(self):
