@@ -13,19 +13,20 @@ saturated lattice Z^dim & span(F), is <b, apex> / gcd <b, L_F> for the
 facet's cone normal b, and the recursion carries a Z-basis of each face's
 lattice down to its facets. Then one pivot walk takes the adjugate of each
 simplex of volume above 1 to the next by exchanging rays, and one coset
-closure reads the lattice points of the simplex's half-open fundamental
-parallelepiped off the adjugate's columns, whatever the volume, and
+closure, on rays packed once per cone, reads the lattice points of the
+simplex's half-open fundamental parallelepiped off the adjugate's columns;
 the candidates are reduced to the irreducible ones in order of degree, each
 against the irreducibles already kept, on facet values packed into one int
 per candidate. A Hilbert basis element is irreducible, so it lies in the
 subsemigroup the generators span iff it is one of them. Dilation equality
 compares bP with the b-fold sumset of the vertices, kept as packed ints: for
 an ideal generated in one degree d, a lies in bP iff (a, b) lies in the Rees
-cone and |a| = b*d, so a session reads bP off the facets it already holds
-and tests only the points of the box slice outside the sumset. An ideal of
-several degrees is padded to its top degree D first, each v to
-(v, D - |v|), so every dilation is read off the facets of a Rees cone.
-Integer arithmetic throughout.
+cone and |a| = b*d, so bP lies on a box slice, which is counted in closed
+form first. A slice the sumset fills is bP; any other is walked as packed
+keys, and only its points outside the sumset are read off the facets the
+session already holds. An ideal of several degrees is padded to its top
+degree D first, each v to (v, D - |v|), so every dilation is read off the
+facets of a Rees cone. Integer arithmetic throughout.
 
 An IdealSession builds each of these artefacts for one ideal at most once
 and keeps them no longer than itself; the module-level checks are thin calls
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import accumulate
-from math import gcd
+from math import comb, gcd
 from operator import mul
 
 from .errors import (
@@ -156,10 +157,23 @@ def _pivot_walk(rays, simplices):
         yield tuple(rays[i] for i in slots), adj, det, vol
 
 
-def _coset_points(simplex, adj, det: int, vol: int) -> set[tuple[int, ...]]:
+def _ray_frame(rays):
+    """(width, weights, lows, packed) to pack the parallelepiped points of any
+    simplex of rays in one int each: coordinate j offset by lows[j], the sum
+    of its negative entries, in fields of W.bit_length() + 1 bits for W the
+    largest sum of |r_j| on one coordinate, and packed maps each ray to its int."""
+    coords = list(zip(*rays))
+    spans = [sum(map(abs, row)) for row in coords]
+    width = max(spans).bit_length() + 1
+    weights = [1 << width * j for j in range(len(coords))]  # packer's, without its identity rows
+    lows = [(sum(row) - span) // 2 for row, span in zip(coords, spans)]
+    return width, weights, lows, {r: sum(map(mul, r, weights)) for r in rays}
+
+
+def _coset_points(simplex, adj, det: int, vol: int, frame) -> set[tuple[int, ...]]:
     """Nonzero lattice points of {sum lam_i r_i : 0 <= lam_i < 1}, for the
-    simplex's rays r_i in slot order, adj R = det I with det > 0, and vol its
-    volume from heights.
+    simplex's rays r_i in slot order, adj R = det I with det > 0, vol its
+    volume from heights, and a _ray_frame of its rays or more to pack them.
 
     The points are (sum c_i r_i) / det for c in the group G of order det
     that the columns of adj generate mod det. G is grown column by column:
@@ -167,19 +181,14 @@ def _coset_points(simplex, adj, det: int, vol: int) -> set[tuple[int, ...]]:
     until a step lands back inside H. A step adds a to c and
     g = (sum a_i r_i) / det to the point, then subtracts r_i for each c_i
     that wrapped past det, so a point costs O(m) additions and no division.
-    Points are packed in one int, each coordinate offset by its least value
-    on the parallelepiped, in fields of W.bit_length() + 1 bits for W the
-    largest sum of |r_i| on one coordinate. det != vol, a g that is not a
-    lattice point, or a group of order other than det is an IntegrityError.
+    det != vol, a g that is not a lattice point, or a group of order other
+    than det is an IntegrityError.
     """
     if det != vol:
         raise IntegrityError(f"simplex volume {vol} from heights, {det} from the pivot walk")
+    width, weights, lows, packed = frame
     coords = list(zip(*simplex))
-    spans = [sum(map(abs, row)) for row in coords]
-    width = max(spans).bit_length() + 1
-    weights = [1 << width * j for j in range(len(coords))]  # packer's, without its identity rows
-    rays = [sum(map(mul, r, weights)) for r in simplex]
-    lows = [(sum(row) - span) // 2 for row, span in zip(coords, spans)]  # sum of the negatives
+    rays = [packed[r] for r in simplex]
     zero = -sum(map(mul, lows, weights))
     group, seen = [((0,) * len(simplex), zero)], {zero}
     for column in zip(*adj):
@@ -228,11 +237,6 @@ def _pivot_projector(rows):
         return primitive(dot(a, eb) for a in adj)
 
     return project
-
-
-def _content(basis, b) -> int:
-    """gcd of <b, L> for a Z-basis of the lattice L."""
-    return gcd(*[sum(map(mul, b, v)) for v in basis])
 
 
 def _split(basis, b):
@@ -299,9 +303,9 @@ def _triangulate(rays: tuple, fs: FacetSystem, canonical: bool = False) -> tuple
     where h is a's height over H in L_F: b restricted to L_F is g w with w
     H's primitive functional on L_F and g = gcd <b, L_F>, so h = <b, a> / g.
     For a face H not yet triangulated, _split gives g and a Z-basis of L_H =
-    L_F & b^perp; for one already triangulated, _content gives g alone. The
-    empty face is one empty simplex of volume 1, so a primitive ray has
-    volume 1.
+    L_F & b^perp; for one already triangulated, g alone, the gcd of <b, v>
+    over L_F's basis v. The empty face is one empty simplex of volume 1, so
+    a primitive ray has volume 1.
     """
     dim = len(rays[0])
     normals = fs.normals()
@@ -343,7 +347,7 @@ def _triangulate(rays: tuple, fs: FacetSystem, canonical: bool = False) -> tuple
                 g, sub_basis = _split(basis, b)
                 sub = pull(meet, depth + 1, sub_basis)
             else:
-                g = _content(basis, b)
+                g = gcd(*[sum(map(mul, b, v)) for v in basis])
             h = height(apex, j, g)
             out.extend((s | low, h * vol) for s, vol in sub)
         memo[face] = simplices = tuple(out)
@@ -371,7 +375,8 @@ def hilbert_basis(
     running total at the first simplex over the cap. Then the pivot walk
     (_pivot_walk) carries one adjugate from each simplex of volume above 1
     to the next, and the coset closure of its columns (_coset_points) gives
-    the simplex's points, O(m) packed additions a point. Reduction follows
+    the simplex's points, O(m) additions a point on the rays, packed once
+    (_ray_frame) if some volume is above 1. Reduction follows
     Normaliz (Bruns and Ichim, J. Algebra 2010): candidates are walked by ascending
     coordinate sum, and h is kept unless an element k kept before it has
     every facet value <= h's, i.e. h - k lies in the cone. That is exact: a
@@ -395,8 +400,9 @@ def hilbert_basis(
         reached = next(t for t in accumulate(vol for _, vol in canonical) if t > cap)
         raise CapExceeded(f"parallelepiped budget {cap} exceeded at {reached} lattice points")
     points: set[tuple[int, ...]] = set()
+    frame = _ray_frame(rays) if total > len(simplices) else None
     for walked in _pivot_walk(rays, simplices):
-        points.update(_coset_points(*walked))
+        points.update(_coset_points(*walked, frame))
     candidates = set(extreme) | points
     bound = max(map(sum, zip(*(fs.slack[r] for r in rays))))
     pack, guard = packer(fs.normals(), bound.bit_length() + 1)
@@ -417,34 +423,53 @@ def hilbert_basis(
     )
 
 
-def _box_points(lo, hi, total):
-    """Lex-ascending integer points of prod [lo_k, hi_k], restricted to
-    coordinate sum == total when total is not None.
+def _slice_count(lo, hi, total) -> int:
+    """Number of points of prod [lo_k, hi_k], lo <= hi, with coordinate sum
+    total: by stars and bars with upper bounds, the sum of (-1)^|J|
+    C(t - sum_J c_j + n - 1, n - 1) over the sets J that keep it >= 0, depth
+    first, for t = total - sum lo and the caps c_j = hi_j - lo_j + 1 above 1
+    (a cap of 1 fixes its coordinate). The reflection sum (c_j - 1) - t has
+    the same count, so the smaller t is taken and no J has over t / 2 members."""
+    caps = [c for x, h in zip(lo, hi) if (c := h - x + 1) > 1]
+    n, t = len(caps), total - sum(lo)
+    t = min(t, sum(caps) - n - t)
 
-    On the slice, coordinate k only runs over the values that leave a sum
-    the later coordinates can still reach, so every value tried leads to a
-    point and the work is proportional to the output."""
-    n = len(lo)
-    suffix_lo = [0] * (n + 1)
-    suffix_hi = [0] * (n + 1)
-    for k in range(n - 1, -1, -1):
-        suffix_lo[k] = suffix_lo[k + 1] + lo[k]
-        suffix_hi[k] = suffix_hi[k + 1] + hi[k]
-    point = [0] * n
+    def terms(i: int, t: int) -> int:
+        rest = (terms(j + 1, t - c) for j, c in enumerate(caps[i:], i) if c <= t)
+        return comb(t + n - 1, n - 1) - sum(rest)
 
-    def rec(k: int, remaining):
-        if k == n:
-            yield tuple(point)
+    return terms(0, t) if t > 0 else int(t == 0)
+
+
+def _slice_keys(lo, hi, total, weights):
+    """Keys sum a_k weights[k] of the points a of prod [lo_k, hi_k], lo <= hi,
+    with coordinate sum total, lazily in lex order of a, in O(n) memory.
+
+    An odometer over all but the last two coordinates carries the key and
+    the sum left; each coordinate runs only over the values that leave a sum
+    the later ones can reach, so every value leads to a point. The last
+    coordinate is forced by the sum, so the keys of one prefix step by
+    weights[-2] - weights[-1]: a range. A coordinate fixed at 0, of weight
+    0, goes in front, so that every slice has two coordinates."""
+    lo, hi, weights, n = [0, *lo], [0, *hi], [0, *weights], len(lo) + 1
+    below, above = ([*accumulate(reversed(v), initial=0)][::-1] for v in (lo, hi))
+    if not below[0] <= total <= above[0]:
+        return
+    step, point = weights[-2] - weights[-1], [0] * n
+    key, rest, k = 0, total, 0
+    while True:
+        for j in range(k, n - 2):
+            point[j] = e = max(lo[j], rest - above[j + 1])
+            key, rest = key + e * weights[j], rest - e
+        first, last = max(lo[-2], rest - hi[-1]), min(hi[-2], rest - lo[-1])
+        start = key + first * weights[-2] + (rest - first) * weights[-1]
+        yield from range(start, start + (last - first + 1) * step, step)
+        k = n - 3
+        while k >= 0 and (point[k] == hi[k] or rest == below[k + 1]):
+            key, rest, k = key - point[k] * weights[k], rest + point[k], k - 1
+        if k < 0:
             return
-        first, last = lo[k], hi[k]
-        if remaining is not None:
-            first = max(first, remaining - suffix_hi[k + 1])
-            last = min(last, remaining - suffix_lo[k + 1])
-        for e in range(first, last + 1):
-            point[k] = e
-            yield from rec(k + 1, None if remaining is None else remaining - e)
-
-    yield from rec(0, total)
+        point[k], key, rest, k = point[k] + 1, key + weights[k], rest - 1, k + 1
 
 
 class DilationCheck(Record):
@@ -531,29 +556,25 @@ def _equality_report(vertices, degree: int, b_max: int, in_dilation) -> Equality
     all of the given degree; in_dilation((a, b)) decides whether a lies in bP.
 
     The sums of exactly b vertices are grown one layer at a time, only the
-    current layer kept. Each is a lattice point of bP on the box slice of
-    coordinate sum b * degree, so it needs no test: the slice of b times the
-    vertices' coordinatewise bounds is scanned in lex order, and only the
-    points outside the sumset are asked whether they lie in bP; those that
-    do are the failures. bP has len(sums) + failures lattice points. Points
-    are keyed by packer, injective on every box as its fields hold b_max
-    times the largest coordinate.
+    current layer kept, as keys packed in fields that hold b_max times the
+    largest coordinate. Each is a point of bP on the slice of sum b * degree
+    of b times the vertices' box, never tested. When the sums fill the slice
+    (_slice_count), bP is the sumset; else the slice's keys are walked in lex
+    order (_slice_keys), and only those outside the sumset are decoded and
+    asked; the ones in bP are the failures. bP has len(sums) + failures points.
     """
     n = len(vertices[0])
-    lo = [min(column) for column in zip(*vertices)]
-    hi = [max(column) for column in zip(*vertices)]
+    lo, hi = ([f(column) for column in zip(*vertices)] for f in (min, max))
     width = max(1, (b_max * max(hi)).bit_length())
-    key, _ = packer([[int(i == k) for k in range(n)] for i in range(n)], width)
-    keys = {key(v) for v in vertices}
-    dilations = []
-    sums = {0}
+    weights, mask = [1 << width * k for k in range(n)], (1 << width) - 1
+    keys = {sum(map(mul, v, weights)) for v in vertices}
+    dilations, sums = [], {0}
     for b in range(1, b_max + 1):
         sums = {s + v for s in sums for v in keys}
-        failures = tuple(
-            a
-            for a in _box_points([b * x for x in lo], [b * x for x in hi], b * degree)
-            if key(a) not in sums and in_dilation((*a, b))
-        )
+        box = [b * x for x in lo], [b * x for x in hi], b * degree
+        walk = () if _slice_count(*box) == len(sums) else _slice_keys(*box, weights)
+        points = (tuple([q >> width * k & mask for k in range(n)]) for q in walk if q not in sums)
+        failures = tuple(a for a in points if in_dilation((*a, b)))
         dilations.append(DilationCheck(b, len(sums) + len(failures), failures))
     return EqualityReport(degree, b_max, tuple(dilations))
 

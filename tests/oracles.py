@@ -10,7 +10,9 @@ time, where the library packs each vector into one int. `canonical` names
 a matroid's isomorphism class by trying every relabelling, where the library
 grows classes by single-element extension. `labelled_walk` lists the
 labelled matroids of one rank by a backtracking walk over all the d-subsets,
-where the library reads them off the class orbits.
+where the library reads them off the class orbits. `box_slice_points`
+walks a box slice point by point as tuples, where the library counts the
+slice in closed form and walks it, when it must, as packed keys.
 """
 
 from __future__ import annotations
@@ -21,7 +23,37 @@ from reeskit.errors import DegenerateCone, InvalidInstance
 from reeskit.exactlat import _bareiss, adjugate, dot, primitive
 from reeskit.matroid import Matroid, _exchange_watch, _walk, check_basis_exchange
 from reeskit.reescone import _distinct_rows, _dual_extreme_rays
-from reeskit.semigroup import _box_points
+
+
+def box_slice_points(lo, hi, total):
+    """Lex-ascending integer points of prod [lo_k, hi_k], restricted to
+    coordinate sum == total when total is not None.
+
+    On the slice, coordinate k only runs over the values that leave a sum
+    the later coordinates can still reach, so every value tried leads to a
+    point and the work is proportional to the output. The reference for
+    `semigroup._slice_count` and `semigroup._slice_keys`."""
+    n = len(lo)
+    suffix_lo = [0] * (n + 1)
+    suffix_hi = [0] * (n + 1)
+    for k in range(n - 1, -1, -1):
+        suffix_lo[k] = suffix_lo[k + 1] + lo[k]
+        suffix_hi[k] = suffix_hi[k + 1] + hi[k]
+    point = [0] * n
+
+    def rec(k: int, remaining):
+        if k == n:
+            yield tuple(point)
+            return
+        first, last = lo[k], hi[k]
+        if remaining is not None:
+            first = max(first, remaining - suffix_hi[k + 1])
+            last = min(last, remaining - suffix_lo[k + 1])
+        for e in range(first, last + 1):
+            point[k] = e
+            yield from rec(k + 1, None if remaining is None else remaining - e)
+
+    yield from rec(0, total)
 
 
 def pivot_columns(rows) -> tuple[int, ...]:
@@ -137,7 +169,7 @@ def ehrhart_points(vertices, b: int) -> list[tuple[int, ...]]:
     hi = [b * max(column) for column in zip(*vertices)]
     degrees = {sum(v) for v in vertices}
     total = b * degrees.pop() if len(degrees) == 1 else None
-    return [a for a in _box_points(lo, hi, total) if member.contains((*a, b))]
+    return [a for a in box_slice_points(lo, hi, total) if member.contains((*a, b))]
 
 
 def first_exchange_failure(vectors):

@@ -2,13 +2,20 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from itertools import accumulate, combinations_with_replacement, product
+from itertools import accumulate, combinations_with_replacement, islice, product
+from math import comb
 from operator import le
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from oracles import column_hnf_diagonal, ehrhart_points, lifted_membership, span_projection
+from oracles import (
+    box_slice_points,
+    column_hnf_diagonal,
+    ehrhart_points,
+    lifted_membership,
+    span_projection,
+)
 from test_acceptance import Budget
 
 from reeskit import semigroup
@@ -42,10 +49,12 @@ from reeskit.semigroup import (
     DilationCheck,
     EqualityReport,
     IdealSession,
-    _box_points,
     _coset_points,
     _equality_report,
     _pivot_walk,
+    _ray_frame,
+    _slice_count,
+    _slice_keys,
     _triangulate,
     certify_normality_pipeline,
     decomposition_check,
@@ -57,6 +66,7 @@ from reeskit.semigroup import (
 PRINCIPAL = MonomialIdeal(1, ((1,),))
 TWO_SQUARES = MonomialIdeal(2, ((2, 0), (0, 2)))
 MIXED = MonomialIdeal(2, ((3, 0), (1, 1), (0, 3)))
+TETRAHEDRON = MonomialIdeal(4, ((0, 0, 0, 2), (0, 1, 1, 0), (1, 0, 1, 0), (1, 1, 0, 0)))
 # mixed degrees, with a simplex of composite volume 516
 V516 = MonomialIdeal(
     3,
@@ -140,13 +150,13 @@ def dd_pulling(cone, fs):
     return dd_triangulate(rays, {}, tight_sets)
 
 
-def adjugate_points(simplex):
+def adjugate_points(simplex, frame=None):
     """_coset_points of a simplex given as its rays, with adjugate standing
-    in for the pivot walk."""
+    in for the pivot walk, packed in the frame given or its own."""
     adj, det = adjugate([list(coords) for coords in zip(*simplex)])
     if det < 0:
         adj, det = [[-e for e in row] for row in adj], -det
-    return _coset_points(simplex, adj, det, det)
+    return _coset_points(simplex, adj, det, det, frame or _ray_frame(simplex))
 
 
 def all_pairs_reduction(cone, fs):
@@ -414,7 +424,7 @@ class TestTriangulation:
         # volume 3 from heights for a simplex of determinant 2
         ((simplex, adj, det, vol),) = _pivot_walk(((2, 0), (0, 1)), [(0b11, 3)])
         with pytest.raises(IntegrityError, match="from the pivot walk"):
-            _coset_points(simplex, adj, det, vol)
+            _coset_points(simplex, adj, det, vol, _ray_frame(simplex))
 
     def test_cap_message_follows_the_canonical_order(self):
         """Caps across W4's total volume: the message reports the running
@@ -467,13 +477,15 @@ def walked(ideal):
 
 def assert_walk_matches_oracle(ideal) -> list[int]:
     """On every simplex of volume above 1, the coset closure of the pivot
-    walk's adjugate gives the floor oracle's points; returns those volumes."""
+    walk's adjugate gives the floor oracle's points, packed in the simplex's
+    own frame or in the cone's; returns those volumes."""
     volumes = []
-    for simplex, adj, det, vol in walked(ideal)[2]:
-        assert _coset_points(simplex, adj, det, vol) == floor_points_oracle(simplex, vol), (
-            ideal,
-            simplex,
-        )
+    rays, _, walk = walked(ideal)
+    frame = _ray_frame(rays)
+    for simplex, adj, det, vol in walk:
+        want = floor_points_oracle(simplex, vol)
+        assert _coset_points(simplex, adj, det, vol, _ray_frame(simplex)) == want, (ideal, simplex)
+        assert _coset_points(simplex, adj, det, vol, frame) == want, (ideal, simplex)
         volumes.append(vol)
     return volumes
 
@@ -553,6 +565,9 @@ class TestPivotWalk:
             list(_pivot_walk(rays, simplices))
 
 
+SQUARE = ((2, 0), (0, 2))  # the simplex diag(2, 2), of volume 4
+
+
 class TestCosetWalk:
     def test_matches_floor_oracle_on_bundled_instances(self):
         volumes = []
@@ -591,7 +606,11 @@ class TestCosetWalk:
     @example((((2, -1, 0), (1, 3, -2), (0, -1, 4)), 24))
     def test_matches_floor_oracle_on_integer_simplices(self, case):
         simplex, vol = case
-        assert adjugate_points(simplex) == floor_points_oracle(simplex, vol)
+        want = floor_points_oracle(simplex, vol)
+        assert adjugate_points(simplex) == want
+        # a frame of more rays, with wider fields and lower offsets
+        negated = tuple(tuple(-e for e in r) for r in simplex)
+        assert adjugate_points(simplex, _ray_frame(simplex + negated)) == want
 
     def test_examples(self):
         # (1, 1) / 2 is the one nonzero point of ((1, 1), (1, -1))
@@ -604,20 +623,44 @@ class TestCosetWalk:
         "adj", [[[2, 0], [0, 0]], [[0, 0], [0, 2]], [[2, 2], [0, 0]], [[0, 0], [0, 0]]]
     )
     def test_closure_missing_a_coset_is_an_integrity_error(self, adj):
-        assert _coset_points(((2, 0), (0, 2)), [[2, 0], [0, 2]], 4, 4) == {
+        assert _coset_points(SQUARE, [[2, 0], [0, 2]], 4, 4, _ray_frame(SQUARE)) == {
             (1, 0), (0, 1), (1, 1)
         }
         with pytest.raises(IntegrityError, match="coset closure"):
-            _coset_points(((2, 0), (0, 2)), adj, 4, 4)
+            _coset_points(SQUARE, adj, 4, 4, _ray_frame(SQUARE))
 
     def test_column_off_the_lattice_is_an_integrity_error(self):
         # (1, 0) mod 4 steps diag(2, 2) by (1/2, 0), not a lattice point
         with pytest.raises(IntegrityError, match="no lattice point"):
-            _coset_points(((2, 0), (0, 2)), [[1, 0], [0, 2]], 4, 4)
+            _coset_points(SQUARE, [[1, 0], [0, 2]], 4, 4, _ray_frame(SQUARE))
 
     def test_volume_mismatch_is_an_integrity_error(self):
         with pytest.raises(IntegrityError, match="from the pivot walk"):
-            _coset_points(((2, 0), (0, 2)), [[2, 0], [0, 2]], 4, 6)
+            _coset_points(SQUARE, [[2, 0], [0, 2]], 4, 6, _ray_frame(SQUARE))
+
+    # the rays are packed once per cone, and not at all when every simplex
+    # is unimodular
+    @pytest.mark.parametrize(
+        "ideal, frames",
+        [
+            (TWO_SQUARES, 1),
+            (basis_monomial_ideal(graphic_matroid(5, W4_EDGES)), 1),
+            (basis_monomial_ideal(uniform_matroid(4, 2)), 0),
+            (PRINCIPAL, 0),
+        ],
+    )
+    def test_rays_are_packed_once_per_cone(self, monkeypatch, ideal, frames):
+        built = []
+
+        def frame(rays):
+            built.append(rays)
+            return _ray_frame(rays)
+
+        monkeypatch.setattr(semigroup, "_ray_frame", frame)
+        cone = rees_generators(ideal)
+        result = hilbert_basis(cone)
+        assert len(built) == frames
+        assert (result.parallelepiped_points > result.simplices) == bool(frames)
 
 
 def reduction_oracle(cone, fs):
@@ -627,8 +670,9 @@ def reduction_oracle(cone, fs):
     lex-sorted elements."""
     rays = tuple(sorted(extreme_generators(cone, fs)))
     candidates = set(rays)
+    frame = _ray_frame(rays)
     for walk in _pivot_walk(rays, _triangulate(rays, fs)):
-        candidates |= _coset_points(*walk)
+        candidates |= _coset_points(*walk, frame)
     normals = fs.normals()
     elements, kept_values = [], []
     for h in sorted(candidates, key=sum):
@@ -796,7 +840,7 @@ class TestIsNormal:
     @settings(max_examples=60, deadline=None)
     @given(small_ideals())
     @example(TWO_SQUARES)
-    @example(MonomialIdeal(4, ((0, 0, 0, 2), (0, 1, 1, 0), (1, 0, 1, 0), (1, 1, 0, 0))))
+    @example(TETRAHEDRON)
     def test_lookup_matches_membership_dp(self, ideal):
         assert_lookup_matches_dp(ideal)
 
@@ -825,12 +869,108 @@ class TestBoxPoints:
             for p in product(*(range(a, b + 1) for a, b in zip(lo, hi)))
             if total is None or sum(p) == total
         ]
-        assert list(_box_points(lo, hi, total)) == want
+        assert list(box_slice_points(lo, hi, total)) == want
 
     def test_slice_scan_is_output_sensitive(self):
         # a segment of 10^4 + 1 points in a box of (10^4 + 1)^2
         with Budget(5.0):
             assert len(ehrhart_points(((10**4, 0), (0, 10**4)), 1)) == 10**4 + 1
+
+
+def slice_packer(n: int, width: int):
+    """packer on the identity rows, and its weights 2^(width k)."""
+    pack, _ = packer([[int(i == k) for k in range(n)] for i in range(n)], width)
+    return pack, [1 << width * k for k in range(n)]
+
+
+@st.composite
+def box_slices(draw):
+    """(lo, hi, total) with lo <= hi, the total at most 3 outside the sums
+    of lo and of hi."""
+    n = draw(st.integers(1, 5))
+    lo = draw(st.lists(st.integers(-3, 4), min_size=n, max_size=n))
+    hi = [x + draw(st.integers(0, 4)) for x in lo]
+    total = draw(st.integers(sum(lo) - 3, sum(hi) + 3))
+    return lo, hi, total
+
+
+class TestSlice:
+    @settings(max_examples=300, deadline=None)
+    @given(box_slices())
+    @example(([0, 0, 0], [2, 2, 2], 3))
+    @example(([1, -2, 0, 3], [1, -2, 0, 3], 2))  # zero spans: one point
+    def test_count_matches_the_oracle(self, case):
+        assert _slice_count(*case) == len(list(box_slice_points(*case)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(box_slices(), st.integers(1, 8))
+    @example(([0, 0, 0], [2, 2, 2], 3), 3)
+    @example(([-1, 2], [3, 2], 4), 2)  # a zero span on the last coordinate
+    def test_keys_are_the_oracle_points_packed_in_order(self, case, width):
+        # packer is linear, so the keys agree as integers on any width
+        pack, weights = slice_packer(len(case[0]), width)
+        assert list(_slice_keys(*case, weights)) == list(map(pack, box_slice_points(*case)))
+
+    @pytest.mark.parametrize("total", [-1, 2, 13, 40])
+    def test_totals_outside_the_range_give_an_empty_slice(self, total):
+        lo, hi = [0, 1, 2], [3, 4, 5]  # sums 3 and 12
+        assert _slice_count(lo, hi, total) == 0
+        assert list(_slice_keys(lo, hi, total, slice_packer(3, 4)[1])) == []
+
+    def test_one_coordinate(self):
+        weights = [1]
+        for total in range(-2, 8):
+            inside = 2 <= total <= 5
+            assert _slice_count([2], [5], total) == int(inside)
+            assert list(_slice_keys([2], [5], total, weights)) == ([total] if inside else [])
+
+    def test_zero_spans(self):
+        lo = [3, 0, 2, 1]
+        pack, weights = slice_packer(4, 3)
+        assert _slice_count(lo, lo, 6) == 1
+        assert list(_slice_keys(lo, lo, 6, weights)) == [pack(lo)]
+        assert _slice_count(lo, lo, 5) == 0
+        assert list(_slice_keys(lo, lo, 7, weights)) == []
+        # one free pair among fixed coordinates
+        assert list(_slice_keys([3, 0, 2, 1], [3, 2, 2, 3], 8, weights)) == list(
+            map(pack, [(3, 0, 2, 3), (3, 1, 2, 2), (3, 2, 2, 1)])
+        )
+
+    def test_count_of_a_wide_slice_is_closed_form(self):
+        # {(10^6, 0), (0, 10^6)}: a segment of 10^6 + 1 points, counted in
+        # two terms rather than walked
+        with Budget(1.0):
+            assert _slice_count([0, 0], [10**6, 10**6], 10**6) == 10**6 + 1
+            assert _slice_count([0] * 4, [10**6] * 4, 2 * 10**6) > 10**17
+
+    def test_count_of_a_slice_near_a_corner_is_fast(self):
+        # U(23, 24)'s slice: 24 points next to the top corner of a box of
+        # 2^24, counted from the reflected total 1, not over ~2^23 sets J
+        with Budget(1.0):
+            assert _slice_count([0] * 24, [1] * 24, 23) == 24
+        assert _slice_count([0] * 12, [2] * 12, 22) == 12 + comb(12, 2)
+
+    def test_count_leaves_fixed_coordinates_out(self):
+        # 24 coordinates of span 0 around a slice of 9 points
+        with Budget(1.0):
+            assert _slice_count([0, 0] + [1] * 24, [8, 8] + [1] * 24, 32) == 9
+            assert _slice_count([0, 0] + [1] * 24, [8, 8] + [1] * 24, 41) == 0
+
+    def test_walk_is_lazy(self):
+        # more than 10^12 points; the first ones come at once
+        lo, hi, total = [0] * 6, [10**3] * 6, 3 * 10**3
+        pack, weights = slice_packer(6, 12)
+        assert _slice_count(lo, hi, total) > 10**12
+        with Budget(1.0):
+            first = list(islice(_slice_keys(lo, hi, total, weights), 1000))
+        assert first == list(map(pack, islice(box_slice_points(lo, hi, total), 1000)))
+
+    def test_walk_is_output_sensitive(self):
+        # C(43, 3) = 12341 points in a box of (10^4 + 1)^4, and a segment of
+        # 10^4 + 1 points in a box of (10^4 + 1)^2
+        with Budget(5.0):
+            assert sum(1 for _ in _slice_keys([0] * 4, [10**4] * 4, 40, [1, 2, 4, 8])) == 12341
+            assert sum(1 for _ in _slice_keys([0, 0], [10**4] * 2, 10**4, [1, 2])) == 10**4 + 1
 
 
 class TestEhrhartPoints:
@@ -890,8 +1030,7 @@ class TestEhrhartEquality:
             assert report.passed, (n, d)
 
     def test_tetrahedron_fails_at_two_and_three(self):
-        tetrahedron = ((0, 0, 0, 2), (1, 1, 0, 0), (1, 0, 1, 0), (0, 1, 1, 0))
-        report = ehrhart_equality_check(tetrahedron, 3)
+        report = ehrhart_equality_check(TETRAHEDRON.exponents, 3)
         assert [d.failures for d in report.dilations] == [
             (),
             ((1, 1, 1, 1),),
@@ -938,7 +1077,7 @@ def tuple_sumset_report(vertices, degree, b_max, in_dilation):
         hi = [b * max(column) for column in zip(*vertices)]
         failures = tuple(
             a
-            for a in _box_points(lo, hi, b * degree)
+            for a in box_slice_points(lo, hi, b * degree)
             if a not in sums and in_dilation((*a, b))
         )
         dilations.append(DilationCheck(b, len(sums) + len(failures), failures))
@@ -972,6 +1111,65 @@ class TestPackedSumset:
     @pytest.mark.parametrize("bound", [(2, 2, 2, 2), (2, 2, 2, 3)])
     def test_matches_tuple_sumset_on_veronese_types(self, bound):
         assert_sumset_matches(veronese_type(bound, 6), 4)
+
+    # the workload's ideals: every dilation's sumset fills its box slice
+    @pytest.mark.parametrize("bound", [(2, 2, 2, 2), (2, 2, 2, 3)])
+    def test_full_slices_are_never_walked(self, monkeypatch, bound):
+        def walk(*args):
+            raise AssertionError(f"walked the full slice {args}")
+
+        monkeypatch.setattr(semigroup, "_slice_keys", walk)
+        assert_sumset_matches(veronese_type(bound, 6), 4)
+
+    # not normal: the slices outside the sumset are walked, failures in lex
+    # order; the tetrahedron's first slice is walked but has no failure
+    @pytest.mark.parametrize(
+        "ideal, failures",
+        [
+            (TWO_SQUARES, [((1, 1),), ((1, 3), (3, 1)), ((1, 5), (3, 3), (5, 1))]),
+            (
+                TETRAHEDRON,
+                [(), ((1, 1, 1, 1),), ((1, 1, 1, 3), (1, 2, 2, 1), (2, 1, 2, 1), (2, 2, 1, 1))],
+            ),
+        ],
+    )
+    def test_slices_with_gaps_are_walked(self, monkeypatch, ideal, failures):
+        walked = []
+
+        def walk(lo, hi, total, weights):
+            walked.append(total)
+            return _slice_keys(lo, hi, total, weights)
+
+        monkeypatch.setattr(semigroup, "_slice_keys", walk)
+        report = ehrhart_equality_check(ideal.exponents, 3)
+        assert [d.failures for d in report.dilations] == failures
+        assert walked == [2, 4, 6]
+        args = (ideal.exponents, 2, 3, IdealSession(ideal).in_dilation)
+        assert _equality_report(*args) == tuple_sumset_report(*args)
+
+    # bP on the box slice of U(n - 1, n) sits next to the box's top corner,
+    # and a variable dividing every generator has span 0: either slice is
+    # counted in the time it takes to walk
+    def test_slice_near_a_corner_is_counted_at_once(self):
+        vertices = [[int(i != j) for i in range(24)] for j in range(24)]
+        with Budget(1.0):
+            report = ehrhart_equality_check(vertices, 1)
+            # U(7, 8) times 16 fixed variables
+            fixed = ehrhart_equality_check(vertices[:8], 2)
+        assert report.dilations == (DilationCheck(1, 24, ()),)
+        assert fixed.dilations == (DilationCheck(1, 8, ()), DilationCheck(2, 36, ()))
+
+    def test_fixed_variables_are_counted_at_once(self):
+        vertices = [v + (1,) * 24 for v in TWO_SQUARES.exponents]
+        ideal = MonomialIdeal(26, tuple(vertices))
+        with Budget(1.0):
+            report = ehrhart_equality_check(vertices, 4)
+        want = ehrhart_equality_check(TWO_SQUARES.exponents, 4)
+        assert report.degree == 26
+        for d, w in zip(report.dilations, want.dilations, strict=True):
+            assert d.points == w.points and d.failures == tuple(a + (d.b,) * 24 for a in w.failures)
+        args = (ideal.exponents, 26, 4, IdealSession(ideal).in_dilation)
+        assert _equality_report(*args) == tuple_sumset_report(*args)
 
     def test_zero_bound_and_zero_vertices(self):
         assert ehrhart_equality_check([[2, 0], [0, 2]], 0).dilations == ()
