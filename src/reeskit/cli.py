@@ -2,13 +2,15 @@
 
 Exit codes: 0 pass, 1 domain-negative result or failure witness, 2 usage or
 parse error, 3 resource cap exceeded. Stdout carries one deterministic JSON
-document (or its text rendering); wall time goes to a stderr trailer so
-byte-wise output comparison stays meaningful.
+document, or that document rendered as text; wall time goes to a stderr
+trailer so byte-wise output comparison stays meaningful. _session opens
+every instance, and main emits an invalid one's document.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
 from functools import cache
@@ -59,24 +61,34 @@ def _render_text(payload, indent: int = 0) -> str:
 
 
 def _emit(payload, args) -> None:
+    """Write payload's JSON document, or the text rendering of that document."""
+    doc = jsonio.dumps(payload)
     if getattr(args, "format", "json") == "text":
-        sys.stdout.write(_render_text(jsonio.encode(payload)) + "\n")
-    else:
-        sys.stdout.write(jsonio.dumps(payload))
+        doc = _render_text(json.loads(doc)) + "\n"
+    sys.stdout.write(doc)
 
 
-def _session(instance, args, named: bool = False):
-    """An IdealSession on the ideal a valid instance feeds into cone analysis.
-    An invalid one gets its invalid_instance document (with kind and name
-    when named) and None back; its command then exits 1."""
+class _Invalid(Exception):
+    """An instance that fails validation; args[0] is its invalid_instance
+    document, which main emits before exiting 1. Not a ReesKitError, so
+    neither corpus's _check nor main's generic branch can catch it."""
+
+
+def _session(args, named: bool = False, kinds=jsonio.KINDS):
+    """(instance, session): the instance args names, read once, and an
+    IdealSession on the ideal it feeds into cone analysis. A kind outside
+    kinds is not validated here and gets None. An invalid instance raises
+    _Invalid, its document naming kind and name when named."""
+    instance = jsonio.load_instance(args.instance)
+    if instance.kind not in kinds:
+        return instance, None
     outcome = jsonio.realize(instance)
-    if outcome.ok:
-        return IdealSession(jsonio.analysis_ideal(outcome.value), args.cap)
-    payload = {"error": "invalid_instance", "witness": outcome.witness}
-    if named:
-        payload.update(kind=instance.kind, name=instance.name)
-    _emit(payload, args)
-    return None
+    if not outcome.ok:
+        payload = {"error": "invalid_instance", "witness": outcome.witness}
+        if named:
+            payload.update(kind=instance.kind, name=instance.name)
+        raise _Invalid(payload)
+    return instance, IdealSession(jsonio.analysis_ideal(outcome.value), args.cap)
 
 
 def _divisions(bases: PolymatroidBases):
@@ -95,7 +107,7 @@ def _divisions(bases: PolymatroidBases):
 
 
 def cmd_validate(args) -> int:
-    instance = jsonio.load_instance(args.instance)
+    instance, _ = _session(args, kinds=())
     outcome = jsonio.realize(instance)
     payload = {"valid": outcome.ok, "kind": instance.kind, "name": instance.name}
     if outcome.ok:
@@ -107,10 +119,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    instance = jsonio.load_instance(args.instance)
-    session = _session(instance, args, named=True)
-    if session is None:
-        return 1
+    instance, session = _session(args, named=True)
     payload = {
         "name": instance.name,
         "kind": instance.kind,
@@ -131,10 +140,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_rees_facets(args) -> int:
-    instance = jsonio.load_instance(args.instance)
-    session = _session(instance, args)
-    if session is None:
-        return 1
+    instance, session = _session(args)
     cone, fs = session.cone, session.facets
     run_oracle = args.oracle or len(cone.generators) <= ORACLE_CAP
     payload = {
@@ -154,10 +160,7 @@ def cmd_rees_facets(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    instance = jsonio.load_instance(args.instance)
-    session = _session(instance, args)
-    if session is None:
-        return 1
+    instance, session = _session(args)
     result = session.classification
     _emit({"name": instance.name, "facets": session.facets.to_json(),
            "classification": result.to_json()}, args)
@@ -165,32 +168,21 @@ def cmd_classify(args) -> int:
 
 
 def cmd_hilbert(args) -> int:
-    instance = jsonio.load_instance(args.instance)
-    session = _session(instance, args)
-    if session is None:
-        return 1
+    instance, session = _session(args)
     _emit({"name": instance.name, "generators": [list(g) for g in session.cone.generators],
            "facets": session.facets.to_json(), "hilbert": session.hilbert.to_json()}, args)
     return 0
 
 
 def cmd_normality(args) -> int:
-    instance = jsonio.load_instance(args.instance)
-    session = _session(instance, args)
-    if session is None:
-        return 1
+    instance, session = _session(args)
     cert = session.certificate
     _emit({"name": instance.name, "certificate": cert.to_json()}, args)
     return 0 if cert.verdict == "normal" else 1
 
 
 def cmd_ehrhart_check(args) -> int:
-    if args.bmax is not None and args.bmax < 0:
-        raise ParseError(f"--bmax must be nonnegative, got {args.bmax}")
-    instance = jsonio.load_instance(args.instance)
-    session = _session(instance, args)
-    if session is None:
-        return 1
+    instance, session = _session(args)
     b_max = args.bmax
     if b_max is None:
         b_max = max(h[-1] for h in session.hilbert.elements)
@@ -200,14 +192,9 @@ def cmd_ehrhart_check(args) -> int:
 
 
 def cmd_polymatroid_check(args) -> int:
-    instance = jsonio.load_instance(args.instance)
-    vectors, n = instance.vectors, instance.n
-    if instance.kind == "matroid":
-        session = _session(instance, args)
-        if session is None:
-            return 1
-        vectors = session.ideal.exponents
-    got = check_polymatroid_bases(n, vectors)
+    instance, session = _session(args, kinds=("matroid",))
+    vectors = session.ideal.exponents if instance.kind == "matroid" else instance.vectors
+    got = check_polymatroid_bases(instance.n, vectors)
     if not isinstance(got, PolymatroidBases):
         _emit({"name": instance.name, "valid": False, "witness": got.to_json()}, args)
         return 1
@@ -258,8 +245,6 @@ def cmd_corpus(args) -> int:
     by its position in that list, so the report is the one a labelled sweep
     gives. `instances` counts labelled matroids: the classes' orbit sizes.
     """
-    if args.bmax < 0:
-        raise ParseError(f"--bmax must be nonnegative, got {args.bmax}")
     if args.n_max < 1:
         raise ParseError(f"n_max must be at least 1, got {args.n_max}")
     if args.rank is not None and not 1 <= args.rank <= args.n_max:
@@ -381,7 +366,7 @@ COMMANDS = ("validate", "analyze", "rees-facets", "classify", "hilbert", "normal
 def _parser(only: str | None = None) -> argparse.ArgumentParser:
     """The parser of every command or, given `only`, a quiet one of that
     command alone; parse_args leaves either unchanged, so each is built once
-    per process (_build_parser, _command_parser) and reused."""
+    per process, by _command_parser, and reused."""
     parser = _Parser(
         prog="reeskit",
         description="Exact Rees-cone analysis of monomial ideals, matroids, "
@@ -439,12 +424,6 @@ def _parser(only: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-@cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The parser of every command, built by the first call that needs it."""
-    return _parser()
-
-
 _command_parser = cache(_parser)
 
 
@@ -457,7 +436,7 @@ def _parse(argv) -> argparse.Namespace:
             return _command_parser(argv[0]).parse_args(argv)
         except ParseError:
             pass
-    parser = _build_parser()
+    parser = _command_parser(None)
     args = parser.parse_args(argv)
     if not hasattr(args, "handler"):
         parser.print_help(sys.stderr)
@@ -473,9 +452,14 @@ def main(argv=None) -> int:
         return 2
     start = time.perf_counter()
     try:
-        if args.cap < 0:
-            raise ParseError(f"--cap must be nonnegative, got {args.cap}")
+        for flag in ("cap", "bmax"):  # in this order, before any instance is read
+            value = getattr(args, flag, None)
+            if value is not None and value < 0:
+                raise ParseError(f"--{flag} must be nonnegative, got {value}")
         return args.handler(args)
+    except _Invalid as exc:
+        _emit(exc.args[0], args)
+        return 1
     except ParseError as exc:
         _emit({"error": "parse", "detail": str(exc)}, args)
         return 2

@@ -7,8 +7,9 @@ Wire formats, all 1-indexed:
 An instance file either wraps one of these as {"kind", "name", "payload"} or
 is a bare payload, in which case the kind is inferred and the name defaults
 to the file stem. Integers beyond 53 bits travel as decimal strings both
-ways so nothing downstream ever rounds. Output has json.dumps's bytes at
-indent=2 with sorted keys, but dumps writes them itself, in one walk.
+ways so nothing downstream ever rounds. dumps is the one writer: it gives
+json.dumps's bytes at indent=2 with sorted keys, in one walk of its own, and
+the CLI's text form is rendered from the document it writes.
 """
 
 from __future__ import annotations
@@ -26,10 +27,6 @@ _BIG = 1 << 53
 KINDS = ("matroid", "ideal", "polymatroid")
 
 
-def encode_int(x: int):
-    return x if -_BIG < x < _BIG else str(x)
-
-
 def decode_int(v) -> int:
     if isinstance(v, bool):
         raise ParseError(f"expected an integer, got {v!r}")
@@ -43,23 +40,11 @@ def decode_int(v) -> int:
     raise ParseError(f"expected an integer or decimal string, got {v!r}")
 
 
-def encode(obj):
-    """Recursively rewrite ints for the wire (53-bit rule)."""
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, int):
-        return encode_int(obj)
-    if isinstance(obj, dict):
-        return {k: encode(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [encode(v) for v in obj]
-    return obj
-
-
 def dumps(payload) -> str:
-    """json.dumps(encode(payload), indent=2, sort_keys=True) + "\\n", written
-    in one walk: with an indent, json runs its pure-Python encoder, which is
-    slower. Dict keys must be strings."""
+    """json.dumps(payload, indent=2, sort_keys=True) + "\\n" with each int
+    beyond 53 bits written as its decimal string, in one walk: with an
+    indent, json runs its pure-Python encoder, which is slower. Dict keys
+    must be strings."""
     out: list[str] = []
     _write(payload, out, "\n")
     return "".join(out) + "\n"

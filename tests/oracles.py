@@ -12,7 +12,9 @@ grows classes by single-element extension. `labelled_walk` lists the
 labelled matroids of one rank by a backtracking walk over all the d-subsets,
 where the library reads them off the class orbits. `box_slice_points`
 walks a box slice point by point as tuples, where the library counts the
-slice in closed form and walks it, when it must, as packed keys.
+slice in closed form and walks it, when it must, as packed keys. `encode`
+applies the 53-bit integer rule as a separate pass over a payload, where
+`jsonio.dumps` applies it in the same walk that writes the document.
 """
 
 from __future__ import annotations
@@ -258,3 +260,18 @@ def labelled_walk(n: int, d: int) -> list:
             found.append(got)
     found.sort(key=lambda m: m.bases)
     return found
+
+
+def encode(obj):
+    """obj for json.dumps with the 53-bit rule applied: each int outside
+    (-2^53, 2^53) becomes its decimal string, tuples become lists. The
+    reference for `jsonio.dumps`."""
+    if isinstance(obj, bool):
+        return obj
+    if isinstance(obj, int):
+        return obj if -(1 << 53) < obj < 1 << 53 else str(obj)
+    if isinstance(obj, dict):
+        return {k: encode(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [encode(v) for v in obj]
+    return obj

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 import random
+import signal
+import threading
 import time
 from itertools import combinations
 
@@ -57,15 +59,34 @@ def verdict_line(number: int, message: str) -> None:
 
 
 class Budget:
+    """Fails the test when its block runs past `seconds`. On the main thread
+    an interval timer interrupts the block at the deadline, so code that
+    regresses to exponential time fails there instead of hanging; the
+    elapsed time is checked again when the block ends. The previous SIGALRM
+    handler and timer are restored on exit."""
+
     def __init__(self, seconds: float):
         self.seconds = seconds
 
+    def _expire(self, signum, frame):
+        pytest.fail(f"budget {self.seconds}s exceeded: still running at the deadline")
+
     def __enter__(self):
+        self.armed = threading.current_thread() is threading.main_thread()
+        if self.armed:
+            self.handler = signal.signal(signal.SIGALRM, self._expire)
+            self.timer = signal.setitimer(signal.ITIMER_REAL, self.seconds)
         self.start = time.perf_counter()
         return self
 
     def __exit__(self, exc_type, exc, tb):
         self.elapsed = time.perf_counter() - self.start
+        if self.armed:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, self.handler)
+            delay, interval = self.timer
+            if delay:  # an outer timer resumes with what it had left
+                signal.setitimer(signal.ITIMER_REAL, max(delay - self.elapsed, 1e-3), interval)
         if exc_type is None:
             assert self.elapsed < self.seconds, (
                 f"budget {self.seconds}s exceeded: {self.elapsed:.1f}s"

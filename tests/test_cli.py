@@ -43,7 +43,7 @@ def labelled_corpus(*argv) -> tuple[int, str]:
     """`corpus` as a labelled sweep: every selected check on every labelled
     matroid, one session each. The oracle for the class sweep of
     cmd_corpus; returns (exit code, stdout)."""
-    args = cli._build_parser().parse_args(["corpus", *argv])
+    args = cli._command_parser(None).parse_args(["corpus", *argv])
     codes = sorted(cli.CHECKS if args.checks is None else set(args.checks.split(",")))
     instances = labelled_instances(args.n_max, args.rank)
     failures = [[] for _ in codes]
@@ -402,7 +402,7 @@ class TestCorpusClasses:
         code, out, _ = run(capsys, "corpus", *argv)
         want_code, want = labelled_corpus(*argv)
         if "text" in argv:
-            want = cli._render_text(jsonio.encode(json.loads(want))) + "\n"
+            want = cli._render_text(json.loads(want)) + "\n"
         assert (code, out) == (want_code, want)
 
     def test_label_invariant_failure_reports_every_member(self, capsys, monkeypatch):
@@ -509,6 +509,36 @@ class TestCapFlag:
         assert doc["classification"]["verdict"] == "quasi_ideal"
 
 
+BAD_MATROID = {"kind": "matroid", "name": "bad_m",
+               "payload": {"n": 4, "bases": [[1, 2], [3, 4]]}}
+EXCHANGE_FAILURE = {"basis_a": [1, 2], "basis_b": [3, 4], "element": 1,
+                    "error": "exchange_failure"}
+
+
+class TestInvalidInstance:
+    """Every command that analyses an instance reads it once and answers an
+    invalid one with the same document, through one path."""
+
+    @pytest.mark.parametrize("command", ["analyze", "rees-facets", "classify", "hilbert",
+                                         "normality", "ehrhart-check", "polymatroid-check"])
+    def test_one_document_and_one_read(self, capsys, monkeypatch, tmp_path, command):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(BAD_MATROID))
+        reads = []
+        load = jsonio.load_instance
+        monkeypatch.setattr(jsonio, "load_instance", lambda src: reads.append(src) or load(src))
+        code, out, _ = run(capsys, command, str(path))
+        want = {"error": "invalid_instance", "witness": EXCHANGE_FAILURE}
+        if command == "analyze":  # analyze alone names the instance
+            want.update(kind="matroid", name="bad_m")
+        assert (code, out) == (1, jsonio.dumps(want))
+        assert reads == [str(path)]
+
+    def test_not_caught_as_a_library_error(self):
+        # so corpus's per-check net and main's generic branch never see it
+        assert not issubclass(cli._Invalid, ReesKitError)
+
+
 class TestFormatAndTrailer:
     def test_text_format(self, capsys):
         code, out, _ = run(
@@ -517,6 +547,24 @@ class TestFormatAndTrailer:
         assert code == 0
         assert "verdict: quasi_ideal" in out
         assert "[1, 1, -2]" in out
+
+    @pytest.mark.parametrize("e", [2**53 - 1, 2**53])
+    def test_53_bit_rule_in_both_formats(self, capsys, tmp_path, e):
+        # x^e: generators (1, 0) and (e, 1), one facet normal (1, -e); an int
+        # outside (-2^53, 2^53) is its decimal string in JSON, and the text
+        # form shows the same digits either way
+        path = tmp_path / "power.json"
+        path.write_text(json.dumps({"n": 1, "exponents": [[str(e)]]}))
+        code, doc, _ = run_json(capsys, "rees-facets", str(path))
+        wire = str if e == 2**53 else int
+        assert code == 0
+        assert doc["generators"] == [[1, 0], [wire(e), 1]]
+        assert doc["facets"]["ell_normals"] == [[1, wire(-e)]]
+        code, out, _ = run(capsys, "rees-facets", str(path), "--format", "text")
+        assert code == 0
+        assert out == (f"facets:\n  ell_normals:\n    - [1, {-e}]\n  unit_normals: [2]\n"
+                       f"generators:\n  - [1, 0]\n  - [{e}, 1]\nname: power\n"
+                       "oracle_checked: True\n")
 
     def test_wall_time_on_stderr_only(self, capsys):
         _, out, err = run(capsys, "classify", "bundled:ideal_principal")
@@ -561,22 +609,25 @@ class TestFormatAndTrailer:
 
 class TestParserReuse:
     def test_one_parser_built_on_the_first_call(self):
+        # the full parser is the one entry after an unknown command, and the
+        # argv it parses later (none, unknown, rejected by a command's own
+        # parser) reuse it: only that command's parser is added
         script = (
             "import contextlib, io\n"
             "from reeskit import cli\n"
-            "before = cli._build_parser.cache_info().currsize\n"
+            "sizes = [cli._command_parser.cache_info().currsize]\n"
             "with contextlib.redirect_stdout(io.StringIO()), "
             "contextlib.redirect_stderr(io.StringIO()):\n"
-            "    cli.main(['instances'])\n"
-            "    cli.main(['no-such-command'])\n"
-            "    cli.main(['validate', 'bundled:u_1_1'])\n"
-            "info = cli._build_parser.cache_info()\n"
-            "print(before, info.currsize, info.misses)\n"
+            "    for argv in (['no-such-command'], [], ['no-such-command'],\n"
+            "                 ['instances', '--bogus']):\n"
+            "        cli.main(argv)\n"
+            "        sizes.append(cli._command_parser.cache_info().currsize)\n"
+            "print(*sizes, cli._command_parser.cache_info().misses)\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, check=True
         )
-        assert proc.stdout.split() == ["0", "1", "1"]
+        assert proc.stdout.split() == ["0", "1", "1", "1", "2", "2"]
 
     @pytest.mark.parametrize(
         "argv",
@@ -629,7 +680,7 @@ class TestOneCommandParser:
     """A known command is parsed by a parser holding that command alone."""
 
     def test_commands_are_the_full_parsers(self):
-        (sub,) = cli._build_parser()._subparsers._group_actions
+        (sub,) = cli._command_parser(None)._subparsers._group_actions
         assert tuple(sub.choices) == cli.COMMANDS
 
     @pytest.mark.parametrize("argv", ONE_COMMAND_ARGVS)
@@ -639,6 +690,8 @@ class TestOneCommandParser:
         assert got == run_any(capsys, argv)
 
     def test_built_once_per_command_and_the_full_parser_only_on_need(self):
+        # two known commands that parse: their two parsers and no full one;
+        # a rejected argv then adds the full parser, once
         script = (
             "import contextlib, io\n"
             "from reeskit import cli\n"
@@ -647,14 +700,15 @@ class TestOneCommandParser:
             "    cli.main(['instances'])\n"
             "    cli.main(['enumerate-matroids', '2', '1'])\n"
             "    cli.main(['instances'])\n"
-            "    print(cli._build_parser.cache_info().currsize,\n"
-            "          cli._command_parser.cache_info().currsize, file=sys.__stdout__)\n"
+            "    print(cli._command_parser.cache_info().currsize, file=sys.__stdout__)\n"
             "    cli.main(['instances', '--bogus'])\n"
-            "    print(cli._build_parser.cache_info().currsize, file=sys.__stdout__)\n"
+            "    cli.main(['enumerate-matroids', '2', 'x'])\n"
+            "    info = cli._command_parser.cache_info()\n"
+            "    print(info.currsize, info.misses, file=sys.__stdout__)\n"
         )
         proc = subprocess.run([sys.executable, "-c", "import sys\n" + script],
                               capture_output=True, text=True, check=True)
-        assert proc.stdout.split() == ["0", "2", "1"]
+        assert proc.stdout.split() == ["2", "3", "3"]
 
 
 # Successive main() calls in one process, as a batch caller makes them:

@@ -950,6 +950,13 @@ class TestSlice:
             assert _slice_count([0] * 24, [1] * 24, 23) == 24
         assert _slice_count([0] * 12, [2] * 12, 22) == 12 + comb(12, 2)
 
+    def test_count_of_a_thirty_coordinate_corner_slice_is_fast(self):
+        # U(29, 30)'s slice: 30 points in a box of 2^30; without the
+        # reflection the count runs for over ten minutes, and the budget
+        # stops it at its deadline
+        with Budget(1.0):
+            assert _slice_count([0] * 30, [1] * 30, 29) == 30
+
     def test_count_leaves_fixed_coordinates_out(self):
         # 24 coordinates of span 0 around a slice of 9 points
         with Budget(1.0):
