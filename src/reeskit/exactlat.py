@@ -1,9 +1,12 @@
 """Exact integer linear algebra on small dense matrices.
 
 Everything here runs on arbitrary-precision Python ints, with no division
-that is not exact: every elimination is fraction-free, so not even Fractions
-are needed. No floating point anywhere: results feed normality certificates,
-so approximation is not an option.
+that is not exact. Elimination over Q is one fraction-free Gauss-Jordan
+pass, _bareiss, so not even Fractions are needed: rank, determinant and
+adjugate read it, as do the double description's seed and the pivot
+projection of a face. Ranks mod 2 have their own echelon on bitmasks. No
+floating point anywhere: results feed normality certificates, so
+approximation is not an option.
 """
 
 from __future__ import annotations
@@ -47,17 +50,21 @@ def primitive(v) -> tuple[int, ...]:
 
 
 def _bareiss(rows):
-    """Fraction-free forward elimination.
+    """Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 1968).
 
-    Returns (echelon matrix, pivot column list, permutation sign). Every
-    intermediate entry is a minor of the input, so the interleaved exact
-    divisions never truncate.
+    Returns (matrix, pivot columns, row-swap sign, last pivot p). Each pivot
+    reduces every other row, above and below, so the matrix ends with p on
+    each pivot row's own pivot column, 0 on the other pivot columns and zero
+    rows below the rank. Every intermediate entry is a minor of the input,
+    so the interleaved exact divisions never truncate, and the pivots, their
+    columns and the sign are those of forward elimination. A row the update
+    would leave as it is (a zero factor and an unchanged pivot) is skipped.
     """
     m = [list(map(int, r)) for r in rows]
-    if not m or not m[0]:
-        return m, [], 1
-    nr, nc = len(m), len(m[0])
-    pivots, sign, prev, r = [], 1, 1, 0
+    nc = len(m[0]) if m else 0
+    if any(len(r) != nc for r in m):
+        raise ValueError("ragged rows")
+    nr, pivots, sign, prev, r = len(m), [], 1, 1, 0
     for c in range(nc):
         if r == nr:
             break
@@ -68,72 +75,46 @@ def _bareiss(rows):
             m[r], m[piv] = m[piv], m[r]
             sign = -sign
         p = m[r][c]
-        for i in range(r + 1, nr):
-            f = m[i][c]
-            row_i, row_r = m[i], m[r]
-            for j in range(c + 1, nc):
-                row_i[j] = (p * row_i[j] - f * row_r[j]) // prev
-            row_i[c] = 0
+        for i, row_i in enumerate(m):
+            f = row_i[c]
+            if i != r and (f or p != prev):
+                m[i] = [(p * x - f * y) // prev for x, y in zip(row_i, m[r])]
         prev = p
         pivots.append(c)
         r += 1
-    return m, pivots, sign
+    return m, pivots, sign, prev
 
 
 def rank(rows) -> int:
-    _, pivots, _ = _bareiss(list(rows))
-    return len(pivots)
+    return len(_bareiss(rows)[1])
 
 
 def determinant(rows) -> int:
     m = [tuple(r) for r in rows]
-    n = len(m)
-    if n == 0:
-        return 1
-    if len(m[0]) != n:
+    if any(len(r) != len(m) for r in m):
         raise ValueError("determinant of a non-square matrix")
-    ech, pivots, sign = _bareiss(m)
-    if len(pivots) < n:
-        return 0
-    return sign * ech[n - 1][n - 1]
+    _, pivots, sign, p = _bareiss(m)
+    return sign * p if len(pivots) == len(m) else 0
 
 
 def adjugate(rows):
     """Adjugate and determinant of a nonsingular square matrix: M @ adj == det * I.
 
-    One fraction-free Gauss-Jordan pass on [M | I] (Bareiss, Math. Comp.
-    1968), O(n^3): every intermediate entry is a minor, so each division is
-    exact. With row-swap sign s and last pivot p it ends at [p*I | R], whence
-    det = s*p and adj = s*R. Every caller passes a nonsingular M (a DD
-    seed, a pivot block, a simplex), so a zero pivot is an IntegrityError.
+    One _bareiss pass on [M | I], O(n^3): with row-swap sign s and last
+    pivot p it ends at [p*I | R], whence det = s*p and adj = s*R. Every
+    caller passes a nonsingular M (a DD seed, a simplex), so a pivot outside
+    M's columns is an IntegrityError.
     """
-    m = [list(map(int, r)) for r in rows]
-    n = len(m)
-    if any(len(r) != n for r in m):
+    grid = [list(r) for r in rows]
+    n = len(grid)
+    if any(len(r) != n for r in grid):
         raise ValueError("adjugate of a non-square matrix")
-    if n == 0:
-        return [], 1
-    a = [row + [1 if j == i else 0 for j in range(n)] for i, row in enumerate(m)]
-    sign, prev = 1, 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k]), None)
-        if piv is None:
-            raise IntegrityError(f"adjugate of a singular {n}x{n} matrix")
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        row_k = a[k]
-        p = row_k[k]
-        tail_k = row_k[k + 1:]
-        for i in range(n):
-            if i == k:
-                continue
-            row_i = a[i]
-            f = row_i[k]
-            row_i[k + 1:] = [(p * x - f * y) // prev for x, y in zip(row_i[k + 1:], tail_k)]
-            row_i[k] = 0
-        prev = p
-    return [[sign * e for e in row[n:]] for row in a], sign * prev
+    for i, r in enumerate(grid):
+        r += [int(j == i) for j in range(n)]
+    ech, pivots, sign, p = _bareiss(grid)
+    if pivots and pivots[-1] >= n:
+        raise IntegrityError(f"adjugate of a singular {n}x{n} matrix")
+    return [[sign * e for e in row[n:]] for row in ech], sign * p
 
 
 def parity_mask(row) -> int:

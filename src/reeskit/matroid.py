@@ -139,7 +139,8 @@ def check_basis_exchange(n: int, family):
     The exchange is the polymatroid walk on the indicator vectors, each
     packed into 2-bit fields and listed in sorted-basis order. Returns a
     Matroid on success, or the first ExchangeFailure triple in that order
-    (lex pairs of bases, smallest leaving element first).
+    (lex pairs of bases, smallest leaving element first). Only the elements
+    some basis uses get a field, so neither work nor memory grows with n.
     """
     if n < 1:
         raise InvalidInstance("ground set must have at least one element")
@@ -150,11 +151,12 @@ def check_basis_exchange(n: int, family):
     for b in fam:
         if len(b) != d:
             raise UnequalCardinalities(fam[0], b)
-    # each basis as its indicator vector in 2-bit fields: bit 2(e-1) for e
-    unit = [0] + [1 << (2 * e) for e in range(n)]
+    # each basis as its indicator vector, one 2-bit field per used element
+    ground = sorted({e for b in fam for e in b})
+    unit = {e: 1 << (2 * k) for k, e in enumerate(ground)}
     packed = [sum(map(unit.__getitem__, b)) for b in fam]
-    for a, c, x in _exchange_failures(packed, 2, n):
-        return ExchangeFailure(fam[a], fam[c], x)
+    for a, c, x in _exchange_failures(packed, 2, len(ground)):
+        return ExchangeFailure(fam[a], fam[c], ground[x - 1])
     return Matroid.unchecked(n, d, tuple(fam))
 
 

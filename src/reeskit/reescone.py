@@ -21,7 +21,8 @@ from itertools import combinations
 from math import gcd
 
 from .errors import CapExceeded, DegenerateCone, IntegrityError, Record
-from .exactlat import adjugate, determinant, dot, echelon_mod_2, parity_mask, primitive, rank
+from .exactlat import _bareiss, adjugate, determinant, dot, primitive, rank
+from .exactlat import echelon_mod_2, parity_mask
 from .matroid import Matroid, MonomialIdeal, basis_monomial_ideal
 
 ORACLE_CAP = 12
@@ -162,30 +163,19 @@ def _dual_extreme_rays(ineqs, dim: int) -> list[tuple[int, ...]]:
 
     The rows must span R^dim (the cone is then pointed); otherwise
     DegenerateCone. Incremental double description: seed on the first dim
-    rows independent of those kept before them, found by one incremental
-    fraction-free reduction; their dual simplicial cone has the adjugate
-    columns as rays. Then cut with the remaining rows one at a time. A (pos,
-    neg) pair contributes a new ray only when the two rays are adjacent,
-    decided by the combinatorial test of Fukuda and Prodon, "Double
-    description method revisited" (1996): at least dim-2 processed rows are
-    tight at both, and no third ray is tight on all of them. That test is exact only while the
-    ray list holds each extreme ray exactly once, so a repeated ray is an
-    IntegrityError rather than something to dedupe.
+    rows independent of those before them, the pivot columns of the
+    transposed rows (one _bareiss pass); their dual simplicial cone has the
+    adjugate columns as rays. Then cut with the remaining rows one at a
+    time. A (pos, neg) pair contributes a new ray only when the two rays are
+    adjacent, decided by the combinatorial test of Fukuda and Prodon,
+    "Double description method revisited" (1996): at least dim-2 processed
+    rows are tight at both, and no third ray is tight on all of them. That
+    test is exact only while the ray list holds each extreme ray exactly
+    once, so a repeated ray is an IntegrityError rather than something to
+    dedupe.
     """
     rows = _distinct_rows(ineqs)
-    seed = []
-    echelon = []  # (pivot column, kept row reduced to 0 on earlier pivots)
-    for idx, a in enumerate(rows):
-        v = list(a)
-        for c, e in echelon:
-            if v[c]:
-                v = [e[c] * x - v[c] * y for x, y in zip(v, e)]
-        pivot = next((c for c, x in enumerate(v) if x), None)
-        if pivot is not None:
-            echelon.append((pivot, primitive(v)))
-            seed.append(idx)
-            if len(seed) == dim:
-                break
+    seed = _bareiss(list(zip(*rows)))[1]
     if len(seed) < dim:
         raise DegenerateCone(f"rows span rank {len(seed)} < {dim}")
 

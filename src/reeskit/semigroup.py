@@ -224,19 +224,12 @@ def _coset_points(simplex, adj, det: int, vol: int, frame) -> set[tuple[int, ...
 def _pivot_projector(rows):
     """Map a normal b to the primitive normal of the functional <b, .> on
     span(rows), in the pivot projection of rows (the coordinates on which
-    that span projects isomorphically). With E the echelon basis of rows and
-    E_P its pivot block, that normal w solves E_P w = E b, and
-    sgn(det E_P) adj(E_P) E b is a positive multiple of it."""
-    ech, pivots, _ = _bareiss(rows)
+    that span projects isomorphically). With E the Gauss-Jordan basis of
+    rows (_bareiss) and E_P = p*I its pivot block, that normal w solves
+    E_P w = E b, so p E b = p^2 w is a positive multiple of it."""
+    ech, pivots, _, p = _bareiss(rows)
     basis = ech[: len(pivots)]
-    adj, det = adjugate([[row[c] for c in pivots] for row in basis])
-    sgn = 1 if det > 0 else -1
-
-    def project(b):
-        eb = [sgn * dot(row, b) for row in basis]
-        return primitive(dot(a, eb) for a in adj)
-
-    return project
+    return lambda b: primitive(p * dot(row, b) for row in basis)
 
 
 def _split(basis, b):
@@ -291,8 +284,8 @@ def _triangulate(rays: tuple, fs: FacetSystem, canonical: bool = False) -> tuple
     face's facets are taken, only their sequence does. By default they are
     taken in the order of the cone facets that cut them out. With
     canonical, they are taken in ascending order of their primitive inner
-    normals in F's pivot projection, which costs one adjugate per face and
-    fixes the sequence, and with it the running total a cap-exceeded
+    normals in F's pivot projection, which costs one Gauss-Jordan pass per
+    face and fixes the sequence, and with it the running total a cap-exceeded
     message reports (hilbert_basis).
 
     Volumes come from heights (as over the triangulations of Normaliz,

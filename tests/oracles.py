@@ -4,7 +4,10 @@ None of these is on a library path: the library answers every membership
 question from a Rees cone's facets (FacetSystem.contains, through
 IdealSession.in_dilation). These routes get there another way, by a double
 description of the lifted polytope's own cone on a pivot projection of its
-span, with the span's equations from an integer kernel basis. The two
+span, with the span's equations from an integer kernel basis. Pivot
+columns, kernel bases and `pivot_projector` read a forward Bareiss
+elimination of their own, where the library runs one Gauss-Jordan pass;
+`pivot_projector` also takes an adjugate of the pivot block. The two
 exchange walks at the end loop over vector tuples, one coordinate at a
 time, where the library packs each vector into one int. `canonical` names
 a matroid's isomorphism class by trying every relabelling, where the library
@@ -22,7 +25,7 @@ from __future__ import annotations
 from itertools import combinations, permutations
 
 from reeskit.errors import DegenerateCone, InvalidInstance
-from reeskit.exactlat import _bareiss, adjugate, dot, primitive
+from reeskit.exactlat import adjugate, dot, primitive
 from reeskit.matroid import Matroid, _exchange_watch, _walk, check_basis_exchange
 from reeskit.reescone import _distinct_rows, _dual_extreme_rays
 
@@ -58,10 +61,44 @@ def box_slice_points(lo, hi, total):
     yield from rec(0, total)
 
 
+def forward_bareiss(rows):
+    """Fraction-free forward elimination, the library's elimination before
+    it became Gauss-Jordan.
+
+    Returns (echelon matrix, pivot column list, permutation sign). Every
+    intermediate entry is a minor of the input, so the interleaved exact
+    divisions never truncate.
+    """
+    m = [list(map(int, r)) for r in rows]
+    if not m or not m[0]:
+        return m, [], 1
+    nr, nc = len(m), len(m[0])
+    pivots, sign, prev, r = [], 1, 1, 0
+    for c in range(nc):
+        if r == nr:
+            break
+        piv = next((i for i in range(r, nr) if m[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            sign = -sign
+        p = m[r][c]
+        for i in range(r + 1, nr):
+            f = m[i][c]
+            row_i, row_r = m[i], m[r]
+            for j in range(c + 1, nc):
+                row_i[j] = (p * row_i[j] - f * row_r[j]) // prev
+            row_i[c] = 0
+        prev = p
+        pivots.append(c)
+        r += 1
+    return m, pivots, sign
+
+
 def pivot_columns(rows) -> tuple[int, ...]:
     """Column indices of the leading pivots; the submatrix on them has full rank."""
-    _, pivots, _ = _bareiss(list(rows))
-    return tuple(pivots)
+    return tuple(forward_bareiss(rows)[1])
 
 
 def kernel_basis(rows) -> list[tuple[int, ...]]:
@@ -72,7 +109,7 @@ def kernel_basis(rows) -> list[tuple[int, ...]]:
     On the pivot columns P, E_P is nonsingular and x_P = -adj(E_P) E_c x_c /
     det E_P, so x_c = |det E_P| makes every entry an integer.
     """
-    ech, pivots, _ = _bareiss(rows)
+    ech, pivots, _ = forward_bareiss(rows)
     top = ech[: len(pivots)]
     adj, det = adjugate([[row[c] for c in pivots] for row in top])
     nc = len(ech[0]) if ech else 0
@@ -85,6 +122,24 @@ def kernel_basis(rows) -> list[tuple[int, ...]]:
             x[pc] = -dot(a, column) if det > 0 else dot(a, column)
         basis.append(primitive(x))
     return basis
+
+
+def pivot_projector(rows):
+    """The pivot projection of normals onto span(rows) from the forward
+    echelon basis E: sgn(det E_P) adj(E_P) E b is a positive multiple of the
+    primitive normal w solving E_P w = E b. The reference for
+    `semigroup._pivot_projector`, which reads w off a Gauss-Jordan basis
+    with E_P = p*I instead."""
+    ech, pivots, _ = forward_bareiss(rows)
+    basis = ech[: len(pivots)]
+    adj, det = adjugate([[row[c] for c in pivots] for row in basis])
+    sgn = 1 if det > 0 else -1
+
+    def project(b):
+        eb = [sgn * dot(row, b) for row in basis]
+        return primitive(dot(a, eb) for a in adj)
+
+    return project
 
 
 def column_hnf_diagonal(mat) -> list[int]:

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import canonical, labelled_walk
+from test_acceptance import Budget
 
 from reeskit import cli, jsonio
 from reeskit.cli import main
@@ -124,6 +125,20 @@ class TestValidate:
         code, doc, _ = run_json(capsys, "validate", "bundled:transversal_12_123")
         assert code == 0
         assert doc["normalized"]["polymatroid"] is True
+
+    @pytest.mark.parametrize("n, shown", [
+        (10**5, 10**5),
+        (123456789012345678901, "123456789012345678901"),
+    ])
+    def test_large_ground_set_is_one_document(self, capsys, tmp_path, n, shown):
+        # the exchange check packs only the elements some basis uses
+        p = tmp_path / "big.json"
+        p.write_text(json.dumps({"n": n, "bases": [[1], [2]]}))
+        with Budget(1.0):
+            code, doc, _ = run_json(capsys, "validate", str(p))
+        assert code == 0
+        assert doc == {"kind": "matroid", "name": "big", "valid": True,
+                       "normalized": {"n": shown, "bases": [[1], [2]]}}
 
 
 class TestClassify:

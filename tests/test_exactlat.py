@@ -6,10 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from oracles import kernel_basis, pivot_columns
+from oracles import forward_bareiss, kernel_basis, pivot_columns, pivot_projector
 
 from reeskit.errors import IntegrityError, ZeroVector
 from reeskit.exactlat import (
+    _bareiss,
     adjugate,
     determinant,
     dot,
@@ -18,6 +19,7 @@ from reeskit.exactlat import (
     primitive,
     rank,
 )
+from reeskit.semigroup import _pivot_projector
 
 
 def vsub(u, v):
@@ -233,6 +235,64 @@ class TestAdjugate:
         adj, det = adjugate(((1, 0), (0, 1)))
         assert det == 1
         assert [list(r) for r in adj] == [[1, 0], [0, 1]]
+
+
+class TestGaussJordan:
+    @settings(max_examples=150)
+    @given(matrices(5))
+    @example([[0, 2, 4], [0, 1, 2], [3, 0, 1]])  # a swap, then a dependent row
+    @example([[2, 1], [4, 2], [0, 0]])  # rank 1, two zero rows below it
+    def test_invariants_and_forward_pivots(self, rows):
+        """p on each pivot row's own pivot column, 0 on the other pivot
+        columns, zero rows below the rank; pivot columns, sign and last pivot
+        those of forward elimination."""
+        ech, pivots, sign, p = _bareiss(rows)
+        fwd, fwd_pivots, fwd_sign = forward_bareiss(rows)
+        assert pivots == fwd_pivots and tuple(pivots) == pivot_columns(rows)
+        assert sign == fwd_sign
+        assert p == (fwd[len(pivots) - 1][pivots[-1]] if pivots else 1)
+        assert len(pivots) == rank_oracle(rows)
+        for k, row in enumerate(ech[: len(pivots)]):
+            assert [row[c] for c in pivots] == [p if c == pivots[k] else 0 for c in pivots]
+        assert all(not any(row) for row in ech[len(pivots):])
+
+    @settings(max_examples=150)
+    @given(square_matrices(5))
+    def test_sign_times_last_pivot_is_the_determinant(self, rows):
+        _, pivots, sign, p = _bareiss(rows)
+        assert (sign * p if len(pivots) == len(rows) else 0) == det_oracle(rows)
+
+    @settings(max_examples=150)
+    @given(
+        matrices(5).flatmap(
+            lambda rows: st.tuples(
+                st.just(rows), st.lists(small_entry, min_size=len(rows[0]), max_size=len(rows[0]))
+            )
+        )
+    )
+    def test_projector_matches_the_adjugate_formula(self, case):
+        rows, b = case
+        assume(rank(rows) > 0)
+        try:
+            want = pivot_projector(rows)(b)
+        except ZeroVector:  # b is orthogonal to span(rows)
+            with pytest.raises(ZeroVector):
+                _pivot_projector(rows)(b)
+            return
+        assert _pivot_projector(rows)(b) == want
+
+    @pytest.mark.parametrize("call, rows, message", [
+        (rank, ((1, 2), (3,)), "ragged rows"),
+        (rank, ((1,), (3, 4)), "ragged rows"),
+        (determinant, ((1, 2), (3,)), "determinant of a non-square matrix"),
+        (determinant, ((1, 2, 3), (4, 5, 6)), "determinant of a non-square matrix"),
+        (adjugate, ((1, 2), (3,)), "adjugate of a non-square matrix"),
+        (adjugate, ((1, 2, 3), (4, 5, 6)), "adjugate of a non-square matrix"),
+    ])
+    def test_shape_is_checked(self, call, rows, message):
+        with pytest.raises(ValueError) as exc:
+            call(rows)
+        assert type(exc.value) is ValueError and str(exc.value) == message
 
 
 class TestKernel:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import canonical, labelled_walk
 from oracles import first_exchange_failure as tuple_first_failure
+from test_acceptance import Budget
 
 from reeskit import matroid
 
@@ -40,6 +41,17 @@ from reeskit.polymatroid import (
 def basis_vectors(m: Matroid):
     """The matroid's bases as a validated family of 0/1 vectors."""
     return check_polymatroid_bases(m.n, basis_monomial_ideal(m).exponents)
+
+
+def sparse_families():
+    """(n, family): up to 8 d-subsets of {1..n}, d <= 3 and n <= 12, so most
+    elements lie in no member."""
+    def family(n, d):
+        return st.lists(st.sets(st.integers(1, n), min_size=d, max_size=d), min_size=1, max_size=8)
+
+    return st.integers(1, 12).flatmap(
+        lambda n: st.integers(1, min(n, 3)).flatmap(lambda d: st.tuples(st.just(n), family(n, d)))
+    )
 
 
 class TestCheckBasisExchange:
@@ -107,6 +119,32 @@ class TestCheckBasisExchange:
         got = check_basis_exchange(2, ((),))
         assert isinstance(got, Matroid)
         assert got.d == 0
+
+    @pytest.mark.parametrize("family, witness", [
+        ([(2, 5), (6, 8)], ((2, 5), (6, 8), 2)),
+        ([(4, 7), (4, 9), (7, 9), (8, 9)], ((8, 9), (4, 7), 9)),
+        ([(3, 5), (3, 7), (5, 9), (7, 9)], None),
+    ])
+    def test_elements_in_no_basis(self, family, witness):
+        # 1 and every other element outside the bases lie in no field
+        got = check_basis_exchange(9, family)
+        assert got == set_exchange_oracle(9, family)
+        if witness is None:
+            assert got == Matroid(9, 2, tuple(family))
+        else:
+            assert got == ExchangeFailure(*witness)
+
+    @settings(max_examples=150)
+    @given(sparse_families())
+    def test_sparse_families_match_the_set_oracle(self, case):
+        n, family = case
+        assert check_basis_exchange(n, family) == set_exchange_oracle(n, family)
+
+    @pytest.mark.parametrize("n", [10**5, 123456789012345678901])
+    def test_large_ground_set_is_not_walked(self, n):
+        with Budget(1.0):
+            assert check_basis_exchange(n, [(2,), (1,)]) == Matroid.unchecked(n, 1, ((1,), (2,)))
+            assert check_basis_exchange(n, [(1, 2), (n - 1, n)]) == ExchangeFailure((1, 2), (n - 1, n), 1)
 
 
 def set_exchange_oracle(n: int, family):

@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import ConeMembership, kernel_basis
+from oracles import ConeMembership, kernel_basis, pivot_columns
 
 from reeskit import reescone
 from reeskit.errors import CapExceeded, DegenerateCone, IntegrityError
@@ -198,6 +198,43 @@ class TestReferenceAboveOracleCap:
         for _ in range(30):
             ideal = large_random_ideal(rng)
             self.assert_matches_reference(rees_generators(ideal))
+
+
+def inequality_systems():
+    """(dim, rows): 1..10 rows in Z^dim, dim <= 4, entries in -2..2, repeats
+    and zero rows included."""
+    def rows(dim):
+        return st.lists(st.tuples(*[st.integers(-2, 2)] * dim), min_size=1, max_size=10)
+
+    return st.integers(1, 4).flatmap(lambda dim: st.tuples(st.just(dim), rows(dim)))
+
+
+class TestSeed:
+    @settings(max_examples=150)
+    @given(inequality_systems())
+    def test_seed_is_the_first_independent_rows(self, case):
+        """The DD seed is the distinct rows, in order, that raise the rank
+        (by the forward-elimination oracle) of those kept before them."""
+        dim, rows = case
+        want = []
+        for a in dict.fromkeys(rows):
+            if len(pivot_columns(want + [a])) > len(want):
+                want.append(a)
+        seeds = []
+
+        def spy(m):  # record the seed, then stop before the cuts
+            seeds.append([tuple(r) for r in m])
+            raise LookupError("seed taken")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(reescone, "adjugate", spy)
+            if len(want) < dim:
+                with pytest.raises(DegenerateCone, match=f"rows span rank {len(want)} < {dim}"):
+                    reescone._dual_extreme_rays(rows, dim)
+                return
+            with pytest.raises(LookupError, match="seed taken"):
+                reescone._dual_extreme_rays(rows, dim)
+        assert seeds == [want]
 
 
 class TestFacetSystemProperties:
