@@ -1,5 +1,6 @@
 """Exception types shared across the toolkit, and the base of its value records."""
 
+from enum import Enum
 from operator import attrgetter
 
 
@@ -93,9 +94,17 @@ class Record:
     given by position or keyword; a class attribute of the same name is a
     default. __post_init__, if the class has one, runs last and may normalise
     through object.__setattr__. ==, hash and repr go by class and fields, less
-    those named in _uncompared. Attributes cannot be assigned or deleted."""
+    those named in _uncompared. Attributes cannot be assigned or deleted.
+
+    to_json writes the names in _json, in order, or every field when _json
+    is None; _json may also name a property or a class constant. A record
+    becomes its own to_json, an Enum its value, a tuple a list (a tuple of
+    tuples a list of lists). A name whose value is None is left out; 0,
+    False and () are kept. Class constants such as _json must be
+    unannotated, or they would become fields."""
 
     _uncompared = ()
+    _json = None
     __post_init__ = None
 
     def __init_subclass__(cls):
@@ -133,6 +142,21 @@ class Record:
     def __repr__(self):
         shown = (f"{f}={getattr(self, f)!r}" for f in self._fields if f not in self._uncompared)
         return f"{type(self).__qualname__}({', '.join(shown)})"
+
+    def to_json(self) -> dict:
+        out = {}
+        for name in self._fields if self._json is None else self._json:
+            v = getattr(self, name)
+            if v is None:
+                continue
+            if type(v) is tuple:  # one list call per row, not one call per entry
+                v = [list(e) for e in v] if v and type(v[0]) is tuple else list(v)
+            elif isinstance(v, Record):
+                v = v.to_json()
+            elif isinstance(v, Enum):
+                v = v.value
+            out[name] = v
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -44,6 +44,7 @@ class Matroid(Record):
     n: int
     d: int
     bases: tuple[tuple[int, ...], ...]
+    _json = ("n", "bases")
 
     def __post_init__(self):
         if self.n < 1:
@@ -60,9 +61,6 @@ class Matroid(Record):
         if list(self.bases) != sorted(set(self.bases)):
             raise InvalidInstance("bases must be distinct and lexicographically sorted")
 
-    def to_json(self) -> dict:
-        return {"n": self.n, "bases": [list(b) for b in self.bases]}
-
 
 class ExchangeFailure(Record):
     """Violating triple for the basis exchange property.
@@ -73,14 +71,8 @@ class ExchangeFailure(Record):
     basis_a: tuple[int, ...]
     basis_b: tuple[int, ...]
     element: int
-
-    def to_json(self) -> dict:
-        return {
-            "error": "exchange_failure",
-            "basis_a": list(self.basis_a),
-            "basis_b": list(self.basis_b),
-            "element": self.element,
-        }
+    error = "exchange_failure"
+    _json = ("error", "basis_a", "basis_b", "element")
 
 
 class MonomialIdeal(Record):
@@ -114,9 +106,6 @@ class MonomialIdeal(Record):
     @property
     def q(self) -> int:
         return len(self.exponents)
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "exponents": [list(v) for v in self.exponents]}
 
 
 def _normalize_family(n, family):

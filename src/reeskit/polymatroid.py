@@ -52,14 +52,8 @@ class ExchangeFailure(Record):
     vec_a: tuple[int, ...]
     vec_b: tuple[int, ...]
     index: int
-
-    def to_json(self) -> dict:
-        return {
-            "error": "exchange_failure",
-            "vec_a": list(self.vec_a),
-            "vec_b": list(self.vec_b),
-            "index": self.index,
-        }
+    error = "exchange_failure"
+    _json = ("error", "vec_a", "vec_b", "index")
 
 
 def _normalize_vectors(n, vectors):

@@ -77,9 +77,6 @@ class ReesCone(Record):
     def dim(self) -> int:
         return self.n + 1
 
-    def to_json(self) -> dict:
-        return {"n": self.n, "generators": [list(g) for g in self.generators]}
-
 
 def rees_generators(ideal: MonomialIdeal) -> ReesCone:
     """e_1..e_n followed by (v, 1) for each exponent vector v, in lex order."""
@@ -117,6 +114,7 @@ class FacetSystem(Record):
     ell_normals: tuple[tuple[int, ...], ...]
     slack: dict = None
     _uncompared = ("slack",)
+    _json = ("unit_normals", "ell_normals")
 
     def __post_init__(self):
         if self.slack is None:
@@ -140,22 +138,10 @@ class FacetSystem(Record):
         return all(point[i - 1] >= 0 for i in self.unit_normals) and all(
             dot(b, point) >= 0 for b in self.ell_normals)
 
-    def to_json(self) -> dict:
-        return {
-            "unit_normals": list(self.unit_normals),
-            "ell_normals": [list(b) for b in self.ell_normals],
-        }
-
 
 class ConeClassification(Record):
     verdict: Verdict
     offending_normal: tuple[int, ...] | None = None
-
-    def to_json(self) -> dict:
-        out = {"verdict": self.verdict.value}
-        if self.offending_normal is not None:
-            out["offending_normal"] = list(self.offending_normal)
-        return out
 
 
 def _dual_extreme_rays(ineqs, dim: int) -> list[tuple[int, ...]]:
@@ -184,16 +170,12 @@ def _dual_extreme_rays(ineqs, dim: int) -> list[tuple[int, ...]]:
     rays = [primitive(sgn * adj[i][j] for i in range(dim)) for j in range(dim)]
     # seed ray j is tight on every seed row but its own
     masks = [((1 << dim) - 1) ^ (1 << j) for j in range(dim)]
-    processed = [rows[i] for i in seed]
 
-    for idx, a in enumerate(rows):
-        if idx in seed:
-            continue
-        k = len(processed)
+    # bit k of a mask is the k-th row cut: the seed rows, then the rest in order
+    for k, a in enumerate((row for idx, row in enumerate(rows) if idx not in seed), dim):
         vals = [dot(a, r) for r in rays]
-        if min(vals) >= 0:
+        if min(vals, default=0) >= 0:  # no ray left (the cone is {0}) passes every row
             masks = [mk | (1 << k) if vals[t] == 0 else mk for t, mk in enumerate(masks)]
-            processed.append(a)
             continue
         pos = [t for t, v in enumerate(vals) if v > 0]
         neg = [t for t, v in enumerate(vals) if v < 0]
@@ -220,7 +202,6 @@ def _dual_extreme_rays(ineqs, dim: int) -> list[tuple[int, ...]]:
                 new_rays.append(w)
                 new_masks.append(common | (1 << k))
         rays, masks = new_rays, new_masks
-        processed.append(a)
     if len(set(rays)) != len(rays):
         raise IntegrityError("double description produced a repeated ray")
     return sorted(rays)
@@ -331,20 +312,11 @@ class ShapeReport(Record):
     facets: FacetSystem
     violations: tuple[tuple[int, ...], ...]
     notes: tuple[str, ...]
+    _json = ("n", "d", "facets", "violations", "notes", "holds")
 
     @property
     def holds(self) -> bool:
         return not self.violations
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "d": self.d,
-            "facets": self.facets.to_json(),
-            "violations": [list(v) for v in self.violations],
-            "notes": list(self.notes),
-            "holds": self.holds,
-        }
 
 
 def verify_basis_facet_shape(m: Matroid, facets: FacetSystem | None = None) -> ShapeReport:

@@ -94,13 +94,6 @@ class NormalityCertificate(Record):
     witness: tuple[int, ...] | None
     method: str  # "hilbert" | "quasi_ehrhart" | "both"
 
-    def to_json(self) -> dict:
-        out: dict = {"verdict": self.verdict}
-        if self.witness is not None:
-            out["witness"] = list(self.witness)
-        out["method"] = self.method
-        return out
-
 
 def _pivot_walk(rays, simplices):
     """(simplex, adj, det, vol) for each (mask, vol) in simplices with vol
@@ -470,13 +463,6 @@ class DilationCheck(Record):
     points: int
     failures: tuple[tuple[int, ...], ...]
 
-    def to_json(self) -> dict:
-        return {
-            "b": self.b,
-            "points": self.points,
-            "failures": [list(a) for a in self.failures],
-        }
-
 
 class EqualityReport(Record):
     """Which lattice points of bP are no sum of exactly b generators, for
@@ -576,9 +562,6 @@ class ElementStatus(Record):
     element: tuple[int, ...]
     kind: str  # "unit" | "dilation"
     ok: bool
-
-    def to_json(self) -> dict:
-        return {"element": list(self.element), "kind": self.kind, "ok": self.ok}
 
 
 class DecompositionReport(Record):

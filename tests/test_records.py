@@ -9,6 +9,7 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from oracles import record_json
 
 import reeskit
 from reeskit import jsonio, matroid, polymatroid, reescone, semigroup
@@ -81,6 +82,82 @@ class TestRecordSemantics:
         record = SAMPLES[cls]
         assert record != tuple(getattr(record, f) for f in record._fields)
         assert all(other != record for other in SAMPLES.values() if other is not record)
+
+
+# The fields of every record class; a class constant such as _json or error
+# is unannotated and so never becomes one.
+FIELDS = {
+    "jsonio.Instance": ("kind", "name", "n", "vectors"),
+    "jsonio.ValidationOutcome": ("ok", "value", "witness"),
+    "matroid.ExchangeFailure": ("basis_a", "basis_b", "element"),
+    "matroid.Matroid": ("n", "d", "bases"),
+    "matroid.MonomialIdeal": ("n", "exponents"),
+    "polymatroid.ExchangeFailure": ("vec_a", "vec_b", "index"),
+    "polymatroid.PolymatroidBases": ("n", "d", "vectors"),
+    "reescone.ConeClassification": ("verdict", "offending_normal"),
+    "reescone.FacetSystem": ("dim", "unit_normals", "ell_normals", "slack"),
+    "reescone.ReesCone": ("n", "generators"),
+    "reescone.ShapeReport": ("n", "d", "facets", "violations", "notes"),
+    "semigroup.DecompositionReport": ("verdict", "statuses"),
+    "semigroup.DilationCheck": ("b", "points", "failures"),
+    "semigroup.ElementStatus": ("element", "kind", "ok"),
+    "semigroup.EqualityReport": ("degree", "b_max", "dilations"),
+    "semigroup.HilbertBasisResult": ("elements", "simplices", "parallelepiped_points",
+                                     "candidates"),
+    "semigroup.NormalityCertificate": ("verdict", "witness", "method"),
+}
+
+
+def test_record_fields_are_the_annotated_names():
+    assert {f"{c.__module__.rsplit('.', 1)[-1]}.{c.__name__}": c._fields
+            for c in SAMPLES} == FIELDS
+    for cls in (matroid.ExchangeFailure, polymatroid.ExchangeFailure):
+        fields = ((1, 2), (3, 4), 1)
+        assert cls(*fields) == cls.unchecked(*fields)
+        assert cls(*fields).error == "exchange_failure"
+        with pytest.raises(TypeError):
+            cls(*fields, "exchange_failure")
+
+
+# The classes whose JSON is Record.to_json's rule, as against the four that
+# rename a field or add computed keys.
+RULE_CLASSES = (
+    matroid.Matroid, matroid.ExchangeFailure, matroid.MonomialIdeal,
+    polymatroid.ExchangeFailure, reescone.ReesCone, reescone.FacetSystem,
+    reescone.ConeClassification, reescone.ShapeReport, semigroup.NormalityCertificate,
+    semigroup.DilationCheck, semigroup.ElementStatus,
+)
+RULE_RECORDS = [
+    *(SAMPLES[cls] for cls in RULE_CLASSES),
+    semigroup.NormalityCertificate("normal", None, "hilbert"),
+    semigroup.NormalityCertificate("not_normal", (1, 1, 1), "both"),
+    reescone.ConeClassification(Verdict.IDEAL),
+    reescone.ConeClassification(Verdict.NEITHER, (1, 2, -3)),
+    reescone.ShapeReport(2, 1, SESSION.facets, ((2, 0, -1),), ("a note",)),
+]
+
+
+def test_only_the_rule_classes_take_record_to_json():
+    own = {c for c in SAMPLES if "to_json" in c.__dict__}
+    assert own == {semigroup.HilbertBasisResult, semigroup.EqualityReport,
+                   semigroup.DecompositionReport, polymatroid.PolymatroidBases}
+
+
+@pytest.mark.parametrize("record", RULE_RECORDS, ids=lambda r: type(r).__name__)
+def test_to_json_follows_the_field_by_field_reference(record):
+    got, want = record.to_json(), record_json(record)
+    assert got == want and list(got) == list(want)  # same key order too
+    assert jsonio.dumps(got) == jsonio.dumps(want)
+
+
+def test_to_json_leaves_out_none_only():
+    assert semigroup.ElementStatus((1, 0), "unit", False).to_json() == {
+        "element": [1, 0], "kind": "unit", "ok": False}
+    assert semigroup.DilationCheck(1, 0, ()).to_json() == {"b": 1, "points": 0, "failures": []}
+    verdict = reescone.ConeClassification(Verdict.IDEAL).to_json()
+    assert verdict == {"verdict": "ideal"} and type(verdict["verdict"]) is str  # not the enum
+    cert = semigroup.NormalityCertificate("normal", None, "hilbert").to_json()
+    assert list(cert) == ["verdict", "method"]
 
 
 def test_defaults_and_keywords():

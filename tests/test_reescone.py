@@ -237,6 +237,28 @@ class TestSeed:
         assert seeds == [want]
 
 
+class TestEmptyDual:
+    @pytest.mark.parametrize("rows, dim", [
+        ([(1,), (-1,), (0,)], 1),  # the second row empties the cone, the third finds no ray
+        ([(1, 0), (0, 1), (-1, -1)], 2),  # the last row empties the cone
+    ])
+    def test_a_cone_cut_to_the_origin_has_no_rays(self, rows, dim):
+        assert reescone._dual_extreme_rays(rows, dim) == []
+
+    @settings(max_examples=150)
+    @given(inequality_systems())
+    def test_every_ray_meets_every_row(self, case):
+        """Full-rank systems, those whose cone is {0} included, give
+        distinct primitive rays on the nonnegative side of every row."""
+        dim, rows = case
+        try:
+            rays = reescone._dual_extreme_rays(rows, dim)
+        except DegenerateCone:
+            return
+        assert len(set(rays)) == len(rays)
+        assert all(primitive(r) == r and dot(a, r) >= 0 for r in rays for a in rows)
+
+
 class TestFacetSystemProperties:
     def test_normals_are_valid_and_tight(self):
         # each normal is nonnegative on all generators and tight on a
