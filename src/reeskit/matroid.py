@@ -4,7 +4,7 @@ A matroid here is nothing more than a nonempty family of equal-size subsets
 of {1..n} satisfying the basis exchange property; validation goes through
 `check_basis_exchange` and constructors re-validate their own output. That
 check is the polymatroid one-step exchange walk on the bases' 0/1 indicator
-vectors, each basis packed straight into an int of 2-bit fields
+vectors, each basis handed to it as the map from its elements to 1
 (`polymatroid._exchange_failures`). `matroid_classes` lists matroids up to
 isomorphism, each class grown from the classes on one element fewer by a
 single-element extension (a backtracking walk whose in/out decisions are two
@@ -47,6 +47,7 @@ class Matroid(Record):
     _json = ("n", "bases")
 
     def __post_init__(self):
+        object.__setattr__(self, "bases", tuple(map(tuple, self.bases)))
         if self.n < 1:
             raise InvalidInstance("ground set must have at least one element")
         if not self.bases:
@@ -125,11 +126,11 @@ def _normalize_family(n, family):
 def check_basis_exchange(n: int, family):
     """Validate the basis exchange property for a family of subsets of {1..n}.
 
-    The exchange is the polymatroid walk on the indicator vectors, each
-    packed into 2-bit fields and listed in sorted-basis order. Returns a
-    Matroid on success, or the first ExchangeFailure triple in that order
-    (lex pairs of bases, smallest leaving element first). Only the elements
-    some basis uses get a field, so neither work nor memory grows with n.
+    The exchange is the polymatroid walk on the indicator vectors, listed
+    in sorted-basis order. Returns a Matroid on success, or the first
+    ExchangeFailure triple in that order (lex pairs of bases, smallest
+    leaving element first). The walk gives a field only to the elements
+    some basis uses, so neither its work nor its memory grows with n.
     """
     if n < 1:
         raise InvalidInstance("ground set must have at least one element")
@@ -140,12 +141,8 @@ def check_basis_exchange(n: int, family):
     for b in fam:
         if len(b) != d:
             raise UnequalCardinalities(fam[0], b)
-    # each basis as its indicator vector, one 2-bit field per used element
-    ground = sorted({e for b in fam for e in b})
-    unit = {e: 1 << (2 * k) for k, e in enumerate(ground)}
-    packed = [sum(map(unit.__getitem__, b)) for b in fam]
-    for a, c, x in _exchange_failures(packed, 2, len(ground)):
-        return ExchangeFailure(fam[a], fam[c], ground[x - 1])
+    for a, c, x in _exchange_failures([dict.fromkeys(b, 1) for b in fam]):
+        return ExchangeFailure(fam[a], fam[c], x)
     return Matroid.unchecked(n, d, tuple(fam))
 
 

@@ -5,9 +5,9 @@ closed under the one-step exchange: whenever a_i > c_i some j with a_j < c_j
 repairs a - e_i + e_j back into the set. Matroid bases are the 0/1 case
 (Herzog-Hibi, Discrete polymatroids, 2002), so `_exchange_failures` is the
 one exchange walk: `check_polymatroid_bases` runs it on lex-sorted vectors,
-`matroid.check_basis_exchange` on basis indicator vectors and
-`symmetric_exchange_violations` with the reverse step required too. It
-reads each vector as one int of guarded bit fields (`_pack`).
+`matroid.check_basis_exchange` on bases and `symmetric_exchange_violations`
+with the reverse step required too. It alone packs a family, one guarded bit
+field per coordinate some vector uses, so its work does not grow with n.
 """
 
 from __future__ import annotations
@@ -68,27 +68,26 @@ def _normalize_vectors(n, vectors):
     return sorted(set(out))
 
 
-def _pack(vectors):
-    """The vectors as ints of w-bit fields, coordinate i in bits i*w.., and w:
-    w - 1 bits hold the largest entry, so each field's top bit is a free
-    guard and one subtraction compares every coordinate at once."""
-    w = max((max(v, default=0) for v in vectors), default=0).bit_length() + 1
-    return [sum(e << (i * w) for i, e in enumerate(v)) for v in vectors], w
+def _exchange_failures(family, symmetric: bool = False):
+    """Triples (a, c, i), a and c indexing family in the order given and i
+    ascending, where a_i > c_i and no j with a_j < c_j puts a - e_i + e_j in
+    the family (and, when symmetric, c + e_i - e_j too). Each vector is a
+    map from coordinate labels to its nonzero entries, and i is a label.
 
-
-def _exchange_failures(packed, w: int, n: int, symmetric: bool = False):
-    """Index triples (a, c, i) of the packed family, pairs in the order given
-    and i ascending, where no j with a_j < c_j puts a - e_i + e_j in the
-    family (and, when symmetric, c + e_i - e_j too). i is 1-indexed.
-
-    With G the guard bits and ONES each field's unit, ((A|G) - C - ONES) & G
-    marks the i with a_i > c_i and ((C|G) - A - ONES) & G the j with
-    a_j < c_j; no field borrows from its neighbour. Which j put a - e_i + e_j
-    in the family is asked once per vector a - e_i and kept as guard bits;
-    a step that overflows or borrows sets a guard bit, so it never lands on
-    a member."""
-    members = set(packed)
-    units = [1 << (i * w) for i in range(n)]
+    Each vector is read as one int of w-bit fields, one per label some
+    vector uses, ascending; w - 1 bits hold the largest entry, so each
+    field's top bit is a free guard. A label no vector uses is 0 in all of
+    them, never an i or a j, so it needs no field. With G the guard bits and
+    ONES each field's unit, ((A|G) - C - ONES) & G marks the i with
+    a_i > c_i and ((C|G) - A - ONES) & G the j with a_j < c_j; no field
+    borrows from its neighbour. Which j put a - e_i + e_j in the family is
+    asked once per vector a - e_i and kept as guard bits; a step that
+    overflows or borrows sets a guard bit, so it never lands on a member."""
+    support = sorted({x for v in family for x in v})
+    w = max((e for v in family for e in v.values()), default=0).bit_length() + 1
+    unit = {x: 1 << (k * w) for k, x in enumerate(support)}
+    packed = [sum(e * unit[x] for x, e in v.items()) for v in family]
+    members, units = set(packed), list(unit.values())
     ones, shift = sum(units), w - 1
     guard = ones << shift
     rows = [(c, c + ones, c | guard) for c in packed]
@@ -113,7 +112,7 @@ def _exchange_failures(packed, w: int, n: int, symmetric: bool = False):
                         ok = out_of[back] = sum(u << shift for u in units if back - u in members)
                     fit &= ok
                 if not fit:
-                    yield ia, ic, g.bit_length() // w
+                    yield ia, ic, support[g.bit_length() // w - 1]
 
 
 def first_exchange_failure(vectors):
@@ -121,9 +120,8 @@ def first_exchange_failure(vectors):
     a_i > c_i and no j with a_j < c_j putting a - e_i + e_j among them; None
     if there is none. i is 1-indexed, and the caller's order decides which
     witness comes first."""
-    packed, w = _pack(vectors)
-    n = max(map(len, vectors), default=0)
-    for ia, ic, i in _exchange_failures(packed, w, n):
+    family = [{i: e for i, e in enumerate(v, 1) if e} for v in vectors]
+    for ia, ic, i in _exchange_failures(family):
         return vectors[ia], vectors[ic], i
     return None
 
@@ -173,8 +171,8 @@ def symmetric_exchange_violations(f: PolymatroidBases) -> list[tuple]:
     A checker, not an axiom: callers decide what a nonempty list means.
     """
     v = f.vectors
-    packed, w = _pack(v)
-    return [(v[ia], v[ic], i) for ia, ic, i in _exchange_failures(packed, w, f.n, True)]
+    family = [{i: e for i, e in enumerate(a, 1) if e} for a in v]
+    return [(v[ia], v[ic], i) for ia, ic, i in _exchange_failures(family, True)]
 
 
 def veronese_bases(n: int, d: int) -> PolymatroidBases:

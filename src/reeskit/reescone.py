@@ -174,9 +174,6 @@ def _dual_extreme_rays(ineqs, dim: int) -> list[tuple[int, ...]]:
     # bit k of a mask is the k-th row cut: the seed rows, then the rest in order
     for k, a in enumerate((row for idx, row in enumerate(rows) if idx not in seed), dim):
         vals = [dot(a, r) for r in rays]
-        if min(vals, default=0) >= 0:  # no ray left (the cone is {0}) passes every row
-            masks = [mk | (1 << k) if vals[t] == 0 else mk for t, mk in enumerate(masks)]
-            continue
         pos = [t for t, v in enumerate(vals) if v > 0]
         neg = [t for t, v in enumerate(vals) if v < 0]
         new_rays, new_masks = [], []

@@ -8,8 +8,9 @@ every bundled instance and on one family that is not a matroid, plus
 `enumerate-matroids 6 3`, `ehrhart-check` on two equal-degree files that
 are not bundled, `hilbert`/`normality` on four mixed-degree ideals that are
 not normal, `normality` on Veronese(3,50), `analyze`, `hilbert` and
-`normality` on the wheel W4, and `hilbert` past its parallelepiped cap on
-three instances, so any such change fails here.
+`normality` on the wheel W4, `hilbert` past its parallelepiped cap on
+three instances, and `validate`/`polymatroid-check` on two families in
+40,000 coordinates, so any such change fails here.
 Regenerate them only when a change to a report is intended.
 """
 
@@ -284,6 +285,24 @@ W4_GOLDEN = {
 VERONESE_3_50 = {"n": 3, "exponents": [[a, b, 50 - a - b] for a in range(51) for b in range(51 - a)]}
 VERONESE_3_50_GOLDEN = (0, "882ed203f83dcd325f730db4a0555b77686747c3402696ceca814fdab6142524")
 
+# validate and polymatroid-check on families that use two of 40,000
+# coordinates, so a walk that gave every coordinate a field would be slow:
+# the matroid {1}, {2} and the polymatroid 2e_1, e_1 + e_2, 2e_2.
+# (command, file name) -> (exit, sha256)
+WIDE_N = 40_000
+WIDE_GOLDEN = {
+    ("polymatroid-check", "wide_matroid_40000"): (0, "0aa7f985e7723673414e9cab683bc9294d19022cf8013110c41d4462f08c9915"),
+    ("validate", "wide_poly_40000"): (0, "23a6898cc9d5231704a049536f45a554d653920d5a6d254d211a74e953e27596"),
+    ("polymatroid-check", "wide_poly_40000"): (0, "a0b3c1294d256e93b0f56d8b3daaa7535b9f432d02eb1353d20bd7275b42b50d"),
+}
+
+
+def _wide_payload(name: str) -> dict:
+    if name == "wide_matroid_40000":
+        return {"n": WIDE_N, "bases": [[1], [2]]}
+    head = ([2, 0], [1, 1], [0, 2])
+    return {"n": WIDE_N, "exponents": [h + [0] * (WIDE_N - 2) for h in head], "polymatroid": True}
+
 
 def _run(capsys, argv) -> tuple[int, str]:
     code = main(argv)
@@ -378,3 +397,10 @@ def test_wheel_w4_matches_golden(capsys, tmp_path, command):
     payload = {"n": 8, "bases": W4_BASES}
     path.write_text(json.dumps({"kind": "matroid", "name": "wheel_w4", "payload": payload}))
     assert _run(capsys, [command, str(path)]) == W4_GOLDEN[command]
+
+
+@pytest.mark.parametrize("command, name", sorted(WIDE_GOLDEN))
+def test_wide_sparse_family_matches_golden(capsys, tmp_path, command, name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(_wide_payload(name)))
+    assert _run(capsys, [command, str(path)]) == WIDE_GOLDEN[command, name]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 from itertools import combinations, product
 from math import comb
 
@@ -241,3 +242,45 @@ def test_packed_walks_on_rank_zero_and_zero_vectors():
         assert first_exchange_failure(vectors) == tuple_first_failure(vectors)
         f = PolymatroidBases(len(vectors[0]), 0, tuple(vectors))
         assert symmetric_exchange_violations(f) == tuple_symmetric_violations(f)
+
+
+@settings(max_examples=200, deadline=None)
+@given(walk_families(), st.integers(1, 4), st.data())
+def test_unused_coordinates_leave_the_walks_unchanged(family, extra, data):
+    # all-zero coordinates get no field: the same triples, i relabelled
+    n, vectors = family
+    wide = n + extra
+    kept = sorted(data.draw(st.lists(st.integers(0, wide - 1), min_size=n, max_size=n,
+                                     unique=True)))
+
+    def widen(v):
+        out = [0] * wide
+        for k, e in zip(kept, v):
+            out[k] = e
+        return tuple(out)
+
+    def relabel(triple):
+        a, c, i = triple
+        return widen(a), widen(c), kept[i - 1] + 1
+
+    wider = [widen(v) for v in vectors]
+    first = first_exchange_failure(vectors)
+    assert first_exchange_failure(wider) == (first and relabel(first))
+    sym = symmetric_exchange_violations(PolymatroidBases(n, 0, tuple(vectors)))
+    got = symmetric_exchange_violations(PolymatroidBases(wide, 0, tuple(wider)))
+    assert got == [relabel(t) for t in sym]
+
+
+def test_wide_unit_vectors_are_walked_on_their_support():
+    # e_1 and e_2 among 20,000 coordinates: two fields, not 20,000
+    n = 20_000
+    vectors = [(1, 0) + (0,) * (n - 2), (0, 1) + (0,) * (n - 2)]
+    tracemalloc.start()
+    try:
+        got = check_polymatroid_bases(n, vectors)
+        assert symmetric_exchange_violations(got) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(got, PolymatroidBases) and got.vectors == tuple(sorted(vectors))
+    assert peak < 2_000_000, peak

@@ -185,6 +185,17 @@ def test_post_init_still_validates_and_normalises():
     assert matroid.MonomialIdeal(2, [[1, 0], [0, 1]]).exponents == ((0, 1), (1, 0))
 
 
+def test_matroid_stores_list_bases_as_tuples():
+    # a list of bases, or of lists, is the same value as the tuple form
+    base = matroid.Matroid(2, 1, ((1,), (2,)))
+    for bases in ([(1,), (2,)], [[1], [2]]):
+        m = matroid.Matroid(2, 1, bases)
+        assert m == base and hash(m) == hash(base)
+        assert m.bases == ((1,), (2,)) and m.to_json() == base.to_json()
+    with pytest.raises(InvalidInstance):
+        matroid.Matroid(3, 2, [[1, 3], [1, 2]])
+
+
 def test_unchecked_skips_post_init():
     m = matroid.Matroid.unchecked(3, 2, ((1, 2), (1, 3)))
     assert m == matroid.Matroid(3, 2, ((1, 2), (1, 3)))
