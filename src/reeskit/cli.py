@@ -71,7 +71,7 @@ def _emit(payload, args) -> None:
 class _Invalid(Exception):
     """An instance that fails validation; args[0] is its invalid_instance
     document, which main emits before exiting 1. Not a ReesKitError, so
-    neither corpus's _check nor main's generic branch can catch it."""
+    neither corpus's _failures nor main's generic branch can catch it."""
 
 
 def _session(args, named: bool = False, kinds=jsonio.KINDS):
@@ -220,12 +220,16 @@ def _corpus_pairs(n_max: int, rank_filter: int | None) -> list:
             for d in ([rank_filter] if rank_filter is not None else range(1, n + 1)) if d <= n]
 
 
-def _check(code: str, m, session: IdealSession, args):
-    """_run_check with a ReesKitError turned into its failure payload."""
-    try:
-        return _run_check(code, m, session, args)
-    except ReesKitError as exc:
-        return {"error": type(exc).__name__, "detail": str(exc)}
+def _failures(m, codes, args) -> dict:
+    """{code: failure payload} for each of codes that fails on matroid m, all
+    run on one session; a ReesKitError is its code's payload."""
+    session, found = IdealSession(basis_monomial_ideal(m), args.cap), {}
+    for code in codes:
+        try:
+            found[code] = _run_check(code, m, session, args)
+        except ReesKitError as exc:
+            found[code] = {"error": type(exc).__name__, "detail": str(exc)}
+    return {code: bad for code, bad in found.items() if bad is not None}
 
 
 def cmd_corpus(args) -> int:
@@ -238,11 +242,11 @@ def cmd_corpus(args) -> int:
     themselves (the total simplex volume that --cap bounds too): a check's
     verdict is constant on a class. The classes come from
     `matroid_classes`, grown by single-element extension, and each check
-    runs on each class's lex-least member, in (n, d, bases) order. A
-    failure's witness or cap message may depend on the labelling, so a
-    check that fails there sorts that (n, d)'s orbit keys once and runs
-    again on every member of the class, each with its own session and named
-    by its position in that list, so the report is the one a labelled sweep
+    runs on each class's lex-least member, in (n, d, bases) order, on one
+    session (_failures). A failure's witness or cap message may depend on
+    the labelling, so the checks that fail there run again, on one session
+    each, on every other member of the class, named by its position in that
+    (n, d)'s orbit keys, sorted once: the report is the one a labelled sweep
     gives. `instances` counts labelled matroids: the classes' orbit sizes.
     """
     if args.n_max < 1:
@@ -260,28 +264,21 @@ def cmd_corpus(args) -> int:
         )
     pairs = _corpus_pairs(args.n_max, args.rank)
     instances = 0
-    failures = [[] for _ in codes]
+    failures = {code: [] for code in codes}
     for (n, d), orbit in zip(pairs, matroid_classes(pairs)):
         instances += len(orbit)
         names = None
         for m in sorted(set(orbit.values()), key=lambda m: m.bases):
-            # one session per representative: every check reads the same cone artefacts
-            session = IdealSession(basis_monomial_ideal(m), args.cap)
-            for code, found in zip(codes, failures):
-                bad = _check(code, m, session, args)
-                if bad is None:
-                    continue
-                names = names or {b: f"n{n}_d{d}_{i:04d}" for i, b in enumerate(sorted(orbit))}
-                for bases, name in names.items():
-                    if orbit[bases] is not m:
-                        continue
+            if not (bad := _failures(m, codes, args)):
+                continue
+            names = names or {b: f"n{n}_d{d}_{i:04d}" for i, b in enumerate(sorted(orbit))}
+            for bases, name in names.items():
+                if orbit[bases] is m:
                     mi = Matroid.unchecked(n, d, bases)
-                    got = bad if mi == m else _check(
-                        code, mi, IdealSession(basis_monomial_ideal(mi), args.cap), args)
-                    if got is not None:
-                        found.append({"instance": name, "matroid": mi.to_json(), **got})
+                    for code, got in (bad if mi == m else _failures(mi, bad, args)).items():
+                        failures[code].append({"instance": name, "matroid": mi.to_json(), **got})
     reports = []
-    for code, found in zip(codes, failures):
+    for code, found in failures.items():
         found.sort(key=lambda f: f["instance"])
         reports.append({
             "check": code,
@@ -291,7 +288,7 @@ def cmd_corpus(args) -> int:
             "status": "pass" if not found else "fail",
         })
     _emit({"n_max": args.n_max, "reports": reports}, args)
-    return 1 if any(failures) else 0
+    return 1 if any(failures.values()) else 0
 
 
 def _run_check(code: str, m, session: IdealSession, args):

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .polymatroid import _exchange_failures
 
-ENUMERATION_CAP = 6
+ENUMERATION_CAP = 7
 
 
 class Matroid(Record):
@@ -252,21 +252,21 @@ def _walk(early, late, can_in: int = -1, can_out: int = -1, k: int = 0, inn: int
         yield from _walk(early, late, can_in, can_out, k + 1, inn, out | 1 << k)
 
 
-def enumerate_matroids(n: int, d: int, cap: int = ENUMERATION_CAP) -> list[Matroid]:
+def enumerate_matroids(n: int, d: int) -> list[Matroid]:
     """Every matroid of rank d on ground set {1..n}, labelled: the members of
     matroid_classes's orbits, isomorphic duplicates kept on purpose. Output is
     sorted by the basis tuple.
     """
     if n < 1:
         raise InvalidInstance("ground set must have at least one element")
-    if n > cap:
-        raise CapExceeded(f"ground set size {n} exceeds the enumeration cap {cap}")
+    if n > ENUMERATION_CAP:
+        raise CapExceeded(f"ground set size {n} exceeds the enumeration cap {ENUMERATION_CAP}")
     if d < 1 or d > n:
         raise BadRank(f"rank {d} not in 1..{n}")
-    return [Matroid.unchecked(n, d, bases) for bases in sorted(matroid_classes([(n, d)], cap)[0])]
+    return [Matroid.unchecked(n, d, bases) for bases in sorted(matroid_classes([(n, d)])[0])]
 
 
-def matroid_classes(pairs: list, cap: int = ENUMERATION_CAP) -> list[dict]:
+def matroid_classes(pairs: list) -> list[dict]:
     """The isomorphism classes of rank-d matroids on {1..n} for each (n, d)
     in pairs, rank 0 included: a dict from every labelled member's bases to
     its class's lex-least member. Grown by single-element extension (McKay,
@@ -281,8 +281,8 @@ def matroid_classes(pairs: list, cap: int = ENUMERATION_CAP) -> list[dict]:
     least image the representative.
     """
     for n, d in pairs:
-        if n > cap:
-            raise CapExceeded(f"ground set size {n} exceeds the enumeration cap {cap}")
+        if n > ENUMERATION_CAP:
+            raise CapExceeded(f"ground set size {n} exceeds the enumeration cap {ENUMERATION_CAP}")
         if n < 1 or not 0 <= d <= n:
             raise BadRank(f"no rank-{d} matroid on {n} elements")
     memo = {}

@@ -35,6 +35,9 @@ class PolymatroidBases(Record):
     d: int
     vectors: tuple[tuple[int, ...], ...]
 
+    def __post_init__(self):
+        object.__setattr__(self, "vectors", tuple(map(tuple, self.vectors)))
+
     def to_json(self) -> dict:
         return {
             "n": self.n,

@@ -277,9 +277,9 @@ def _triangulate(rays: tuple, fs: FacetSystem, canonical: bool = False) -> tuple
     face's facets are taken, only their sequence does. By default they are
     taken in the order of the cone facets that cut them out. With
     canonical, they are taken in ascending order of their primitive inner
-    normals in F's pivot projection, which costs one Gauss-Jordan pass per
-    face and fixes the sequence, and with it the running total a cap-exceeded
-    message reports (hilbert_basis).
+    normals in F's pivot projection (one Gauss-Jordan pass per face, over
+    L_F's Z-basis below, which spans span(F)): that fixes the sequence, and
+    with it the running total a cap-exceeded message reports (hilbert_basis).
 
     Volumes come from heights (as over the triangulations of Normaliz,
     Bruns and Ichim, J. Algebra 2010), not from determinants. A face F
@@ -322,8 +322,7 @@ def _triangulate(rays: tuple, fs: FacetSystem, canonical: bool = False) -> tuple
         ]
         if canonical and len(pulled) > 1:
             # the top face spans the space, so its projection is the identity
-            members = [rays[i] for i in range(len(rays)) if face >> i & 1]
-            project = _pivot_projector(members) if depth else tuple
+            project = _pivot_projector(basis) if depth else tuple
             pulled.sort(key=lambda item: project(normals[item[1]]))
         out = []
         for meet, j in pulled:
@@ -593,14 +592,15 @@ class DecompositionReport(Record):
 class IdealSession:
     """Every cone artefact of one monomial ideal, each computed at most once.
 
-    The cone, its facets and classification and the Hilbert basis (within
-    the session's cap) are built on first use; the certificates and reports
-    below read them. Every dilation of the generator polytope is read off
-    Rees-cone facets: the session's own when the ideal is generated in one
-    degree, which is every case the CLI's equality check reaches, and those
-    of the ideal padded to one degree otherwise. A session keeps one ideal's
-    work and nothing else, so it goes with the ideal: build one per ideal
-    and let it drop.
+    The cone, its facets and classification and the Hilbert basis are built
+    on first use; past the session's cap, each read of the Hilbert basis
+    raises again the CapExceeded of its one computation. The certificates
+    and reports below read them. Every dilation of the generator polytope is
+    read off Rees-cone facets: the session's own when the ideal is generated
+    in one degree, which is every case the CLI's equality check reaches, and
+    those of the ideal padded to one degree otherwise. A session keeps one
+    ideal's work and nothing else, so it goes with the ideal: build one per
+    ideal and let it drop.
     """
 
     def __init__(self, ideal: MonomialIdeal, cap: int = DEFAULT_CAP):
@@ -620,8 +620,17 @@ class IdealSession:
         return classify(self.facets)
 
     @cached_property
+    def _hilbert(self) -> HilbertBasisResult | CapExceeded:
+        try:
+            return hilbert_basis(self.cone, self.facets, self.cap)
+        except CapExceeded as exc:
+            return exc
+
+    @property
     def hilbert(self) -> HilbertBasisResult:
-        return hilbert_basis(self.cone, self.facets, self.cap)
+        if isinstance(got := self._hilbert, CapExceeded):
+            raise got.with_traceback(None)  # else each re-raise piles on frames
+        return got
 
     @cached_property
     def degree(self) -> int | None:

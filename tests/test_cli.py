@@ -360,13 +360,13 @@ class TestCorpus:
 
         monkeypatch.setattr("reeskit.cli.enumerate_matroids", refuse)
         monkeypatch.setattr("reeskit.cli.matroid_classes", refuse)
-        code, doc, _ = run_json(capsys, "corpus", "7")
+        code, doc, _ = run_json(capsys, "corpus", "8")
         assert code == 3
         assert doc["error"] == "cap_exceeded"
 
     def test_above_cap_exits_promptly(self):
         proc = subprocess.run(
-            [sys.executable, "-m", "reeskit.cli", "corpus", "7"],
+            [sys.executable, "-m", "reeskit.cli", "corpus", "8"],
             capture_output=True,
             text=True,
             timeout=30,

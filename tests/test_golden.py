@@ -4,13 +4,13 @@ Criterion 10 compares a run with itself, which a change to an exact kernel
 or to the way a command shares its work would still pass. These sha256
 digests pin the stdout (and exit code) of all eight instance commands on
 every bundled instance and on one family that is not a matroid, plus
-`corpus 4`, `corpus 5`, `corpus 5 --rank 2`, `corpus 6`, `corpus 4 --cap 2` and
-`enumerate-matroids 6 3`, `ehrhart-check` on two equal-degree files that
-are not bundled, `hilbert`/`normality` on four mixed-degree ideals that are
-not normal, `normality` on Veronese(3,50), `analyze`, `hilbert` and
-`normality` on the wheel W4, `hilbert` past its parallelepiped cap on
-three instances, and `validate`/`polymatroid-check` on two families in
-40,000 coordinates, so any such change fails here.
+`corpus 4`, `corpus 5`, `corpus 5 --rank 2`, `corpus 6`, `corpus 7`,
+`corpus 4 --cap 2` and `enumerate-matroids 6 3`, `ehrhart-check` on two
+equal-degree files that are not bundled, `hilbert`/`normality` on four
+mixed-degree ideals that are not normal, `normality` on Veronese(3,50),
+`analyze`, `hilbert` and `normality` on the wheel W4, `hilbert` past its
+parallelepiped cap on three instances, and `validate`/`polymatroid-check`
+on two families in 40,000 coordinates, so any such change fails here.
 Regenerate them only when a change to a report is intended.
 """
 
@@ -186,6 +186,9 @@ CORPUS_5_GOLDEN = (0, "d6f80f6582ab44cd7eebb572dfe8b66ea63e8ac4acccd39a84fd2a232
 # over every labelled matroid prints.
 CORPUS_5_RANK_2_GOLDEN = (0, "95ede56a7f40b7d4c36a1ff813d91a11819f6b2c94c03a1762e4e037a9c27f81")
 CORPUS_6_GOLDEN = (0, "046ad27bc8e89068a5f2506d4dea2b2ff1b2b2e723ffc143ddcc656b8bbd5da6")
+# corpus 7: all 79,461 labelled matroids on at most 7 elements, in 466
+# classes; the Fano plane, representable only in characteristic 2, is one.
+CORPUS_7_GOLDEN = (0, "ce4b006b56ba5237cb81a8814e2d56ff4ccb627ae7318f1bf759962aa6e92e60")
 # corpus 4 --cap 2: C3.9 and T2.2 fail on 30 labelled matroids each, so this
 # pins the failure payloads, their cap messages and their order.
 CORPUS_4_CAP_2_GOLDEN = (1, "47e37200bafad996722f13c846b48df3b03c87fd959efbe087dd5d0c35bc16c5")
@@ -354,6 +357,10 @@ def test_corpus_5_rank_2_stdout_matches_golden(capsys):
 
 def test_corpus_6_stdout_matches_golden(capsys):
     assert _run(capsys, ["corpus", "6"]) == CORPUS_6_GOLDEN
+
+
+def test_corpus_7_stdout_matches_golden(capsys):
+    assert _run(capsys, ["corpus", "7"]) == CORPUS_7_GOLDEN
 
 
 def test_corpus_4_cap_2_stdout_matches_golden(capsys):

@@ -282,7 +282,7 @@ class TestEnumerate:
 
     def test_cap(self):
         with pytest.raises(CapExceeded):
-            enumerate_matroids(7, 2)
+            enumerate_matroids(8, 2)
         with pytest.raises(BadRank):
             enumerate_matroids(3, 4)
         # checked in this order, before matroid_classes, which admits rank 0
@@ -290,7 +290,7 @@ class TestEnumerate:
             enumerate_matroids(0, 1)
         assert type(got.value) is InvalidInstance
         with pytest.raises(CapExceeded):
-            enumerate_matroids(7, 9)
+            enumerate_matroids(8, 9)
         with pytest.raises(BadRank, match=r"^rank 0 not in 1\.\.3$"):
             enumerate_matroids(3, 0)
 
@@ -357,7 +357,7 @@ class TestMatroidClasses:
 
     def test_seven_elements_dual_ranks_match(self):
         # one rank of n = 7, beside its dual rank: 37 classes of 4,012 each
-        two, five = matroid_classes([(7, 2), (7, 5)], cap=7)
+        two, five = matroid_classes([(7, 2), (7, 5)])
         assert (len(set(two.values())), len(two)) == (37, 4012)
         assert (len(set(five.values())), len(five)) == (37, 4012)
 
@@ -405,9 +405,9 @@ class TestMatroidClasses:
 
     def test_sizes_are_checked(self):
         with pytest.raises(CapExceeded):
-            matroid_classes([(3, 1), (7, 2)])
+            matroid_classes([(3, 1), (8, 2)])
         with pytest.raises(CapExceeded):
-            matroid_classes([(9, 2)], cap=8)
+            matroid_classes([(9, 2)])
         for n, d in [(0, 0), (3, 4), (3, -1)]:
             with pytest.raises(BadRank):
                 matroid_classes([(n, d)])

@@ -196,6 +196,15 @@ def test_matroid_stores_list_bases_as_tuples():
         matroid.Matroid(3, 2, [[1, 3], [1, 2]])
 
 
+def test_polymatroid_bases_store_list_vectors_as_tuples():
+    # a list of vectors, or of lists, is the same value as the tuple form
+    base = polymatroid.PolymatroidBases(2, 2, ((0, 2), (2, 0)))
+    for vectors in ([(0, 2), (2, 0)], [[0, 2], [2, 0]]):
+        bases = polymatroid.PolymatroidBases(2, 2, vectors)
+        assert bases == base and hash(bases) == hash(base)
+        assert bases.vectors == ((0, 2), (2, 0)) and bases.to_json() == base.to_json()
+
+
 def test_unchecked_skips_post_init():
     m = matroid.Matroid.unchecked(3, 2, ((1, 2), (1, 3)))
     assert m == matroid.Matroid(3, 2, ((1, 2), (1, 3)))

@@ -70,6 +70,18 @@ def test_corpus_builds_one_facet_system_and_no_membership_per_matroid(monkeypatc
     assert facets_elsewhere == []
 
 
+def test_corpus_opens_one_session_per_matroid(monkeypatch, capsys):
+    sessions = count_calls(monkeypatch, IdealSession, "__init__")
+    hilbert = count_calls(monkeypatch, semigroup, "hilbert_basis")
+    code, doc = run_json(capsys, "corpus", "4", "--cap", "2")
+    assert code == 1
+    # the 27 class representatives, and the 19 other labelled members of the
+    # classes that fail: each member is checked on one session, for the codes
+    # that failed, and a session past its cap runs hilbert_basis once
+    assert len(sessions) == 46
+    assert len(hilbert) == 46
+
+
 def test_nothing_outlives_a_call(monkeypatch, capsys):
     calls = count_calls(monkeypatch, semigroup, "hilbert_basis")
     facets = count_calls(monkeypatch, semigroup, "facet_normals")
@@ -207,3 +219,14 @@ class TestIdealSession:
             session.hilbert
         with pytest.raises(CapExceeded):
             session.certificate
+
+    def test_cap_exceeded_is_raised_again_not_recomputed(self, monkeypatch):
+        hilbert = count_calls(monkeypatch, semigroup, "hilbert_basis")
+        session = IdealSession(TWO_SQUARES, cap=1)
+        messages = []
+        for name in ("hilbert", "normality", "decomposition", "certificate", "hilbert"):
+            with pytest.raises(CapExceeded) as exc:
+                getattr(session, name)
+            messages.append(str(exc.value))
+        assert len(set(messages)) == 1
+        assert len(hilbert) == 1
