@@ -91,6 +91,13 @@ def _session(args, named: bool = False, kinds=jsonio.KINDS):
     return instance, IdealSession(jsonio.analysis_ideal(outcome.value), args.cap)
 
 
+def _matroid_bases(session: IdealSession) -> PolymatroidBases:
+    """A matroid's indicator vectors as polymatroid bases, unwalked: the
+    exchange walk that validated its bases is the one they would take."""
+    vectors = session.ideal.exponents
+    return PolymatroidBases(session.ideal.n, sum(vectors[0]), vectors)
+
+
 def _divisions(bases: PolymatroidBases):
     """(i, witness) for each coordinate i some base uses: witness is None when
     dividing by x_i leaves a polymatroid (L3.10), else the counterexample.
@@ -193,8 +200,10 @@ def cmd_ehrhart_check(args) -> int:
 
 def cmd_polymatroid_check(args) -> int:
     instance, session = _session(args, kinds=("matroid",))
-    vectors = session.ideal.exponents if instance.kind == "matroid" else instance.vectors
-    got = check_polymatroid_bases(instance.n, vectors)
+    if instance.kind == "matroid":
+        got = _matroid_bases(session)
+    else:
+        got = check_polymatroid_bases(instance.n, instance.vectors)
     if not isinstance(got, PolymatroidBases):
         _emit({"name": instance.name, "valid": False, "witness": got.to_json()}, args)
         return 1
@@ -306,10 +315,7 @@ def _run_check(code: str, m, session: IdealSession, args):
         report = session.decomposition
         return None if report.holds else {"decomposition": report.to_json()}
     if code == "L3.10":
-        got = check_polymatroid_bases(m.n, session.ideal.exponents)
-        if not isinstance(got, PolymatroidBases):
-            return {"witness": got.to_json()}
-        witness = next((w for _, w in _divisions(got) if w is not None), None)
+        witness = next((w for _, w in _divisions(_matroid_bases(session)) if w is not None), None)
         return None if witness is None else {"witness": witness}
     raise ParseError(f"unknown check {code!r}")
 

@@ -6,8 +6,10 @@ repairs a - e_i + e_j back into the set. Matroid bases are the 0/1 case
 (Herzog-Hibi, Discrete polymatroids, 2002), so `_exchange_failures` is the
 one exchange walk: `check_polymatroid_bases` runs it on lex-sorted vectors,
 `matroid.check_basis_exchange` on bases and `symmetric_exchange_violations`
-with the reverse step required too. It alone packs a family, one guarded bit
-field per coordinate some vector uses, so its work does not grow with n.
+with the reverse step required too. It reads a family as bitmasks over its
+positions, per coordinate some vector uses and value in that column, and
+tests all c against one (a, i) in a few mask operations; its work and
+memory follow the coordinates used, not n.
 """
 
 from __future__ import annotations
@@ -77,45 +79,72 @@ def _exchange_failures(family, symmetric: bool = False):
     the family (and, when symmetric, c + e_i - e_j too). Each vector is a
     map from coordinate labels to its nonzero entries, and i is a label.
 
-    Each vector is read as one int of w-bit fields, one per label some
-    vector uses, ascending; w - 1 bits hold the largest entry, so each
-    field's top bit is a free guard. A label no vector uses is 0 in all of
-    them, never an i or a j, so it needs no field. With G the guard bits and
-    ONES each field's unit, ((A|G) - C - ONES) & G marks the i with
-    a_i > c_i and ((C|G) - A - ONES) & G the j with a_j < c_j; no field
-    borrows from its neighbour. Which j put a - e_i + e_j in the family is
-    asked once per vector a - e_i and kept as guard bits; a step that
-    overflows or borrows sets a guard bit, so it never lands on a member."""
+    For each label x some vector uses and each value e in its column, two
+    bitmasks over the family's positions hold the members with c_x < e and
+    those with c_x <= e. For a and each i with a_i > 0, the failing c start
+    as those with c_i < a_i, and each j that puts a - e_i + e_j in the
+    family clears those with c_j > a_j (when symmetric, only those with
+    c + e_i - e_j in it too: a mask kept per (i, j), asked only of the c
+    with c_j > 0). a's failures are then sorted by c's position and i, the
+    order of a walk over the pairs (a, c).
+
+    Membership is asked of packed vectors: one int of w-bit fields, one per
+    label used, w - 1 bits holding the largest entry, so a step past it sets
+    a field's free top bit and never lands on a member. Which j put
+    a - e_i + e_j in the family is asked once per vector a - e_i."""
     support = sorted({x for v in family for x in v})
     w = max((e for v in family for e in v.values()), default=0).bit_length() + 1
     unit = {x: 1 << (k * w) for k, x in enumerate(support)}
-    packed = [sum(e * unit[x] for x, e in v.items()) for v in family]
-    members, units = set(packed), list(unit.values())
-    ones, shift = sum(units), w - 1
-    guard = ones << shift
-    rows = [(c, c + ones, c | guard) for c in packed]
-    # v -> guard bits of the j with v + e_j (into) or v - e_j (out_of) a member
-    into, out_of = {}, {}
-    for ia, a in enumerate(packed):
-        ag, a1 = a | guard, a + ones
-        for ic, (c, c1, cg) in enumerate(rows):
-            down = (ag - c1) & guard  # zero when a == c
-            while down:
-                g = down & -down
-                down ^= g
-                moved = a - (g >> shift)
-                fit = into.get(moved)
-                if fit is None:
-                    fit = into[moved] = sum(u << shift for u in units if moved + u in members)
-                fit &= cg - a1
-                if symmetric and fit:
-                    back = c + (g >> shift)
-                    ok = out_of.get(back)
-                    if ok is None:
-                        ok = out_of[back] = sum(u << shift for u in units if back - u in members)
-                    fit &= ok
-                if not fit:
-                    yield ia, ic, support[g.bit_length() // w - 1]
+    # x -> {e: the members with c_x == e}, then -> {e: (c_x < e, c_x <= e)};
+    # users[x]: the positions of the members with c_x > 0
+    packed, column, users = [], {x: {} for x in support}, {x: [] for x in support}
+    for p, v in enumerate(family):
+        c = 0
+        for x, e in v.items():
+            c += e * unit[x]
+            at = column[x]
+            at[e] = at.get(e, 0) | 1 << p
+            users[x].append(p)
+        packed.append(c)
+    members, everyone = set(packed), (1 << len(family)) - 1
+    for x, at in column.items():
+        at[0] = everyone ^ sum(at.values())
+        below = 0
+        for e in sorted(at):
+            at[e] = below, below | at[e]
+            below = at[e][1]
+    into, stay = {}, {}  # a - e_i -> its repairing j; (i, j) -> c with c + e_i - e_j outside
+    for ia, (a, v) in enumerate(zip(packed, family)):
+        found = []
+        for i, e in v.items():
+            fail = column[i][e][0]
+            if not fail:
+                continue
+            moved = a - unit[i]
+            fit = into.get(moved)
+            if fit is None:
+                fit = into[moved] = [j for j in support if moved + unit[j] in members]
+            for j in fit:
+                if j == i:  # would clear c_i > a_i, and each c in fail has c_i < a_i
+                    continue
+                keep = column[j][v.get(j, 0)][1]
+                if symmetric:
+                    kept = stay.get((i, j))
+                    if kept is None:
+                        step = unit[i] - unit[j]
+                        kept = stay[i, j] = everyone ^ sum(
+                            1 << p for p in users[j] if packed[p] + step in members)
+                    keep |= kept
+                fail &= keep
+                if not fail:
+                    break
+            while fail:
+                low = fail & -fail
+                fail ^= low
+                found.append((low.bit_length() - 1, i))
+        found.sort()
+        for ic, i in found:
+            yield ia, ic, i
 
 
 def first_exchange_failure(vectors):

@@ -7,11 +7,12 @@ description of the lifted polytope's own cone on a pivot projection of its
 span, with the span's equations from an integer kernel basis. Pivot
 columns, kernel bases and `pivot_projector` read a forward Bareiss
 elimination of their own, where the library runs one Gauss-Jordan pass;
-`pivot_projector` also takes an adjugate of the pivot block. The two
-exchange walks at the end loop over vector tuples, one coordinate at a
-time, where the library packs each vector into one int. `canonical` names
-a matroid's isomorphism class by trying every relabelling, where the library
-grows classes by single-element extension. `labelled_walk` lists the
+`pivot_projector` also takes an adjugate of the pivot block.
+`exchange_failures` tests one pair of vector tuples and one coordinate at a
+time, where the library sweeps bitmasks over the family's positions, two
+per coordinate and value. `canonical` names a matroid's isomorphism class
+by trying every relabelling, where the library grows classes by
+single-element extension. `labelled_walk` lists the
 labelled matroids of one rank by a backtracking walk over all the d-subsets,
 where the library reads them off the class orbits. `box_slice_points`
 walks a box slice point by point as tuples, where the library counts the
@@ -235,12 +236,12 @@ def ehrhart_points(vertices, b: int) -> list[tuple[int, ...]]:
     return [a for a in box_slice_points(lo, hi, total) if member.contains((*a, b))]
 
 
-def first_exchange_failure(vectors):
-    """The first (a, c, i), walking `vectors` in the order given, with
-    a_i > c_i and no j with a_j < c_j putting a - e_i + e_j among them; None
-    if there is none. i is 1-indexed, and the caller's order decides which
-    witness comes first. A walk over tuples, the reference for the packed
-    `polymatroid.first_exchange_failure`."""
+def exchange_failures(vectors, symmetric: bool = False):
+    """Every (a, c, i), walking the pairs (a, c) of `vectors` in the order
+    given and i ascending, with a_i > c_i and no j with a_j < c_j putting
+    a - e_i + e_j among them (and, when symmetric, c + e_i - e_j too). i is
+    1-indexed. A walk over tuples, one pair and one coordinate at a time:
+    the reference for `polymatroid._exchange_failures`."""
     vset = set(vectors)
     for a in vectors:
         coords = range(len(a))
@@ -252,42 +253,28 @@ def first_exchange_failure(vectors):
                     continue
                 for j in coords:
                     if a[j] < c[j]:
-                        moved = list(a)
-                        moved[i] -= 1
-                        moved[j] += 1
-                        if tuple(moved) in vset:
-                            break
-                else:
-                    return a, c, i + 1
-    return None
-
-
-def symmetric_exchange_violations(f) -> list[tuple]:
-    """Triples (a, c, i) where no j with a_j < c_j swaps BOTH ways. A walk
-    over the tuples f.vectors, the reference for the packed
-    `polymatroid.symmetric_exchange_violations`."""
-    vset = set(f.vectors)
-    bad = []
-    for a in f.vectors:
-        for c in f.vectors:
-            if a == c:
-                continue
-            for i in range(f.n):
-                if a[i] <= c[i]:
-                    continue
-                for j in range(f.n):
-                    if a[j] < c[j]:
                         am = list(a)
                         am[i] -= 1
                         am[j] += 1
                         cm = list(c)
                         cm[i] += 1
                         cm[j] -= 1
-                        if tuple(am) in vset and tuple(cm) in vset:
+                        if tuple(am) in vset and (not symmetric or tuple(cm) in vset):
                             break
                 else:
-                    bad.append((a, c, i + 1))
-    return bad
+                    yield a, c, i + 1
+
+
+def first_exchange_failure(vectors):
+    """The first of `exchange_failures(vectors)`, or None: the reference for
+    `polymatroid.first_exchange_failure`."""
+    return next(exchange_failures(vectors), None)
+
+
+def symmetric_exchange_violations(f) -> list[tuple]:
+    """Triples (a, c, i) where no j with a_j < c_j swaps BOTH ways: the
+    reference for `polymatroid.symmetric_exchange_violations`."""
+    return list(exchange_failures(f.vectors, True))
 
 
 def canonical(m) -> tuple:

@@ -15,10 +15,11 @@ from hypothesis import strategies as st
 from oracles import canonical, labelled_walk
 from test_acceptance import Budget
 
-from reeskit import cli, jsonio
+from reeskit import cli, jsonio, polymatroid
 from reeskit.cli import main
 from reeskit.errors import ReesKitError
-from reeskit.matroid import basis_monomial_ideal, matroid_classes
+from reeskit.matroid import basis_monomial_ideal, enumerate_matroids, matroid_classes
+from reeskit.polymatroid import check_polymatroid_bases
 from reeskit.semigroup import IdealSession
 
 
@@ -74,6 +75,19 @@ def labelled_corpus(*argv) -> tuple[int, str]:
 def loops(m) -> list[int]:
     """Elements in no basis of m."""
     return sorted(set(range(1, m.n + 1)) - {e for b in m.bases for e in b})
+
+
+def count_polymatroid_walks(monkeypatch) -> list:
+    """The families polymatroid._exchange_failures walks from here on; the
+    walks check_basis_exchange runs on matroid bases are not counted."""
+    walks, walk = [], polymatroid._exchange_failures
+
+    def counting(family, *rest):
+        walks.append(family)
+        return walk(family, *rest)
+
+    monkeypatch.setattr(polymatroid, "_exchange_failures", counting)
+    return walks
 
 
 def veronese_3_50(tmp_path) -> str:
@@ -275,6 +289,24 @@ class TestPolymatroidCheck:
         code, doc, _ = run_json(capsys, "polymatroid-check", "bundled:u_2_4")
         assert code == 0
 
+    def test_matroid_bases_are_what_the_walk_returns(self):
+        # every labelled matroid on at most 5 elements: the record built
+        # without a second walk is the one the walk returns
+        for n in range(1, 6):
+            for d in range(1, n + 1):
+                for m in enumerate_matroids(n, d):
+                    session = IdealSession(basis_monomial_ideal(m))
+                    want = check_polymatroid_bases(n, session.ideal.exponents)
+                    assert cli._matroid_bases(session) == want
+
+    def test_matroid_bases_are_walked_once(self, capsys, monkeypatch):
+        # u_2_4: check_basis_exchange validates it; then four divisions and
+        # the symmetric walk, and no second walk of its bases
+        walks = count_polymatroid_walks(monkeypatch)
+        code, doc, _ = run_json(capsys, "polymatroid-check", "bundled:u_2_4")
+        assert code == 0
+        assert len(walks) == 5
+
     def test_invalid_vectors(self, capsys, tmp_path):
         p = tmp_path / "gap.json"
         p.write_text('{"n": 2, "exponents": [[2, 0], [0, 2]], "polymatroid": true}')
@@ -461,6 +493,15 @@ class TestCorpusClasses:
         assert (len(reps), doc["reports"][0]["instances"]) == (27, 87)
         for c in cli.CHECKS:
             assert [m for code, m in calls if code == c] == reps
+
+    def test_l310_walks_each_class_once_per_division(self, capsys, monkeypatch):
+        walks = count_polymatroid_walks(monkeypatch)
+        code, doc, _ = run_json(capsys, "corpus", "4", "--checks", "L3.10")
+        assert code == 0
+        reps = {m for orbit in matroid_classes(cli._corpus_pairs(4, None))
+                for m in orbit.values()}
+        # one walk per variable some basis uses, none to revalidate the bases
+        assert len(walks) == sum(len({e for b in m.bases for e in b}) for m in reps)
 
 
 class TestEnumerateMatroids:

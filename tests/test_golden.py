@@ -8,7 +8,8 @@ every bundled instance and on one family that is not a matroid, plus
 `corpus 4 --cap 2` and `enumerate-matroids 6 3`, `ehrhart-check` on two
 equal-degree files that are not bundled, `hilbert`/`normality` on four
 mixed-degree ideals that are not normal, `normality` on Veronese(3,50),
-`analyze`, `hilbert` and `normality` on the wheel W4, `hilbert` past its
+`polymatroid-check` on Veronese(3,50) and Veronese(4,20), `analyze`,
+`hilbert` and `normality` on the wheel W4, `hilbert` past its
 parallelepiped cap on three instances, and `validate`/`polymatroid-check`
 on two families in 40,000 coordinates, so any such change fails here.
 Regenerate them only when a change to a report is intended.
@@ -21,6 +22,7 @@ import itertools
 import json
 
 import pytest
+from test_cli import veronese_3_50
 
 from reeskit.cli import main
 from reeskit.jsonio import bundled_names
@@ -288,6 +290,23 @@ W4_GOLDEN = {
 VERONESE_3_50 = {"n": 3, "exponents": [[a, b, 50 - a - b] for a in range(51) for b in range(51 - a)]}
 VERONESE_3_50_GOLDEN = (0, "882ed203f83dcd325f730db4a0555b77686747c3402696ceca814fdab6142524")
 
+# polymatroid-check on Veronese(3,50) and Veronese(4,20): 1,326 and 1,771
+# vectors, each walked with its divisions and the symmetric exchange.
+# name -> (exit, sha256)
+VERONESE_CHECK_GOLDEN = {
+    "veronese_3_50": (0, "966759f5152148835e03115019dd4bc4041820c613d8cf605d18a7ed6c02c6d1"),
+    "veronese_4_20": (0, "460dab736f44fb0d083dc92050d1a6f2830aa2072a31b0324b11c564345f29b2"),
+}
+
+
+def veronese_4_20(tmp_path) -> str:
+    exps = [[a, b, c, 20 - a - b - c]
+            for a in range(21) for b in range(21 - a) for c in range(21 - a - b)]
+    path = tmp_path / "veronese_4_20.json"
+    path.write_text(json.dumps({"n": 4, "exponents": exps}))
+    return str(path)
+
+
 # validate and polymatroid-check on families that use two of 40,000
 # coordinates, so a walk that gave every coordinate a field would be slow:
 # the matroid {1}, {2} and the polymatroid 2e_1, e_1 + e_2, 2e_2.
@@ -390,6 +409,12 @@ def test_mixed_degree_file_matches_golden(capsys, tmp_path, command, name):
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps({"kind": "ideal", "name": name, "payload": MIXED_FILES[name]}))
     assert _run(capsys, [command, str(path)]) == MIXED_GOLDEN[command, name]
+
+
+@pytest.mark.parametrize("name", sorted(VERONESE_CHECK_GOLDEN))
+def test_polymatroid_check_veronese_matches_golden(capsys, tmp_path, name):
+    path = {"veronese_3_50": veronese_3_50, "veronese_4_20": veronese_4_20}[name](tmp_path)
+    assert _run(capsys, ["polymatroid-check", path]) == VERONESE_CHECK_GOLDEN[name]
 
 
 def test_normality_veronese_3_50_matches_golden(capsys, tmp_path):

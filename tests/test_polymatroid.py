@@ -7,8 +7,10 @@ from math import comb
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import exchange_failures as tuple_exchange_failures
 from oracles import first_exchange_failure as tuple_first_failure
 from oracles import symmetric_exchange_violations as tuple_symmetric_violations
+from test_acceptance import Budget
 
 from reeskit.errors import (
     EmptyInput,
@@ -20,6 +22,7 @@ from reeskit.matroid import basis_monomial_ideal, enumerate_matroids
 from reeskit.polymatroid import (
     ExchangeFailure,
     PolymatroidBases,
+    _exchange_failures,
     check_polymatroid_bases,
     divide_by_variable,
     first_exchange_failure,
@@ -237,6 +240,38 @@ def test_packed_walks_match_tuple_walks(family):
     assert symmetric_exchange_violations(f) == tuple_symmetric_violations(f)
 
 
+@st.composite
+def gap_families(draw):
+    """(n, vectors): up to eight vectors of one modulus drawn from all of
+    them, so most moves leave the family and one (a, i) often fails
+    against several c."""
+    n, d = draw(st.integers(2, 5)), draw(st.integers(1, 4))
+    pool = veronese_bases(n, d).vectors
+    return n, draw(st.lists(st.sampled_from(pool), min_size=2, max_size=8, unique=True))
+
+
+def walk_triples(vectors):
+    """The plain walk on vectors, its positions read back as vectors."""
+    family = [{i: e for i, e in enumerate(v, 1) if e} for v in vectors]
+    return [(vectors[a], vectors[c], i) for a, c, i in _exchange_failures(family)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(walk_families(), gap_families()))
+def test_plain_walk_lists_every_failure_in_pair_order(family):
+    # every triple, not only the first, in the order of the pairs (a, c)
+    _, vectors = family
+    assert walk_triples(vectors) == list(tuple_exchange_failures(vectors))
+
+
+def test_one_coordinate_fails_against_several_vectors():
+    vectors = [(0, 1, 1), (2, 0, 0), (0, 0, 2), (0, 2, 0)]
+    got = walk_triples(vectors)
+    assert got == list(tuple_exchange_failures(vectors))
+    a = (2, 0, 0)
+    assert [t for t in got if t[0] == a] == [(a, (0, 1, 1), 1), (a, (0, 0, 2), 1), (a, (0, 2, 0), 1)]
+
+
 def test_packed_walks_on_rank_zero_and_zero_vectors():
     for vectors in ([()], [(), ()], [(0, 0, 0)], [(0, 0), (0, 0)], [(0, 1), (0, 0)]):
         assert first_exchange_failure(vectors) == tuple_first_failure(vectors)
@@ -284,3 +319,41 @@ def test_wide_unit_vectors_are_walked_on_their_support():
         tracemalloc.stop()
     assert isinstance(got, PolymatroidBases) and got.vectors == tuple(sorted(vectors))
     assert peak < 2_000_000, peak
+
+
+def test_large_families_are_walked_per_coordinate():
+    # Veronese(4,20): 1,771 vectors, 3.1 million ordered pairs a walk over
+    # pairs would test one by one
+    vectors = [(a, b, c, 20 - a - b - c)
+               for a in range(21) for b in range(21 - a) for c in range(21 - a - b)]
+    with Budget(1.0):
+        got = check_polymatroid_bases(4, vectors)
+        assert isinstance(got, PolymatroidBases) and len(got.vectors) == 1771
+        assert symmetric_exchange_violations(got) == []
+
+
+def test_unit_vectors_swap_back_within_budget():
+    # e_1, ..., e_300: each (i, j) asks which c + e_i - e_j are members of
+    # the vectors that use j, one each, not of all 300
+    n = 300
+    vectors = tuple(tuple(int(x == y) for x in range(n)) for y in reversed(range(n)))
+    with Budget(1.0):
+        assert symmetric_exchange_violations(PolymatroidBases(n, 1, vectors)) == []
+
+
+def test_huge_entries_get_no_table_per_value():
+    # entries up to 10^6 in two vectors: masks for the values present, not
+    # for every value up to the largest
+    big = 10**6
+    vectors = ((0, big), (big, 0))
+    tracemalloc.start()
+    try:
+        with Budget(1.0):
+            got = check_polymatroid_bases(2, vectors)
+            sym = symmetric_exchange_violations(PolymatroidBases(2, big, vectors))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == ExchangeFailure((0, big), (big, 0), 2)
+    assert sym == [((0, big), (big, 0), 2), ((big, 0), (0, big), 1)]
+    assert peak < 100_000, peak
