@@ -3,8 +3,9 @@
 Exit codes: 0 pass, 1 domain-negative result or failure witness, 2 usage or
 parse error, 3 resource cap exceeded. Stdout carries one deterministic JSON
 document, or that document rendered as text; wall time goes to a stderr
-trailer so byte-wise output comparison stays meaningful. _session opens
-every instance, and main emits an invalid one's document.
+trailer so byte-wise output comparison stays meaningful. Each cmd_* handler
+returns its (document, exit code) and writes nothing; main, the one writer
+of stdout, writes that document or the one of the error raised on the way.
 """
 
 from __future__ import annotations
@@ -60,17 +61,9 @@ def _render_text(payload, indent: int = 0) -> str:
     return "\n".join(line for line in lines if line != "")
 
 
-def _emit(payload, args) -> None:
-    """Write payload's JSON document, or the text rendering of that document."""
-    doc = jsonio.dumps(payload)
-    if getattr(args, "format", "json") == "text":
-        doc = _render_text(json.loads(doc)) + "\n"
-    sys.stdout.write(doc)
-
-
 class _Invalid(Exception):
     """An instance that fails validation; args[0] is its invalid_instance
-    document, which main emits before exiting 1. Not a ReesKitError, so
+    document, which main writes before exiting 1. Not a ReesKitError, so
     neither corpus's _failures nor main's generic branch can catch it."""
 
 
@@ -113,19 +106,18 @@ def _divisions(bases: PolymatroidBases):
             yield i, None
 
 
-def cmd_validate(args) -> int:
-    instance, _ = _session(args, kinds=())
+def cmd_validate(args) -> tuple[dict, int]:
+    instance = jsonio.load_instance(args.instance)
     outcome = jsonio.realize(instance)
     payload = {"valid": outcome.ok, "kind": instance.kind, "name": instance.name}
     if outcome.ok:
         payload["normalized"] = outcome.value.to_json()
     else:
         payload["witness"] = outcome.witness
-    _emit(payload, args)
-    return 0 if outcome.ok else 1
+    return payload, 0 if outcome.ok else 1
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> tuple[dict, int]:
     instance, session = _session(args, named=True)
     payload = {
         "name": instance.name,
@@ -142,71 +134,59 @@ def cmd_analyze(args) -> int:
         notice = {"error": "cap_exceeded", "detail": str(exc)}
         payload.setdefault("hilbert", notice)
         payload["normality"] = notice
-    _emit(payload, args)
-    return 0
+    return payload, 0
 
 
-def cmd_rees_facets(args) -> int:
+def cmd_rees_facets(args) -> tuple[dict, int]:
     instance, session = _session(args)
     cone, fs = session.cone, session.facets
     run_oracle = args.oracle or len(cone.generators) <= ORACLE_CAP
-    payload = {
-        "name": instance.name,
-        "generators": [list(g) for g in cone.generators],
-        "facets": fs.to_json(),
-        "oracle_checked": run_oracle,
-    }
     if run_oracle:
         oracle = facet_normals_oracle(cone, cap=max(ORACLE_CAP, len(cone.generators)))
         if oracle != fs:
-            _emit({"error": "integrity", "detail": "oracle disagrees with the engine",
-                   "facets": fs.to_json(), "oracle": oracle.to_json()}, args)
-            return 1
-    _emit(payload, args)
-    return 0
+            return {"error": "integrity", "detail": "oracle disagrees with the engine",
+                    "facets": fs.to_json(), "oracle": oracle.to_json()}, 1
+    return {"name": instance.name, "generators": [list(g) for g in cone.generators],
+            "facets": fs.to_json(), "oracle_checked": run_oracle}, 0
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> tuple[dict, int]:
     instance, session = _session(args)
     result = session.classification
-    _emit({"name": instance.name, "facets": session.facets.to_json(),
-           "classification": result.to_json()}, args)
-    return 1 if result.verdict is Verdict.NEITHER else 0
+    return ({"name": instance.name, "facets": session.facets.to_json(),
+             "classification": result.to_json()}, 1 if result.verdict is Verdict.NEITHER else 0)
 
 
-def cmd_hilbert(args) -> int:
+def cmd_hilbert(args) -> tuple[dict, int]:
     instance, session = _session(args)
-    _emit({"name": instance.name, "generators": [list(g) for g in session.cone.generators],
-           "facets": session.facets.to_json(), "hilbert": session.hilbert.to_json()}, args)
-    return 0
+    return {"name": instance.name, "generators": [list(g) for g in session.cone.generators],
+            "facets": session.facets.to_json(), "hilbert": session.hilbert.to_json()}, 0
 
 
-def cmd_normality(args) -> int:
+def cmd_normality(args) -> tuple[dict, int]:
     instance, session = _session(args)
     cert = session.certificate
-    _emit({"name": instance.name, "certificate": cert.to_json()}, args)
-    return 0 if cert.verdict == "normal" else 1
+    return ({"name": instance.name, "certificate": cert.to_json()},
+            0 if cert.verdict == "normal" else 1)
 
 
-def cmd_ehrhart_check(args) -> int:
+def cmd_ehrhart_check(args) -> tuple[dict, int]:
     instance, session = _session(args)
     b_max = args.bmax
     if b_max is None:
         b_max = max(h[-1] for h in session.hilbert.elements)
     report = session.equality(b_max)
-    _emit({"name": instance.name, "equality": report.to_json()}, args)
-    return 0 if report.passed else 1
+    return {"name": instance.name, "equality": report.to_json()}, 0 if report.passed else 1
 
 
-def cmd_polymatroid_check(args) -> int:
+def cmd_polymatroid_check(args) -> tuple[dict, int]:
     instance, session = _session(args, kinds=("matroid",))
     if instance.kind == "matroid":
         got = _matroid_bases(session)
     else:
         got = check_polymatroid_bases(instance.n, instance.vectors)
     if not isinstance(got, PolymatroidBases):
-        _emit({"name": instance.name, "valid": False, "witness": got.to_json()}, args)
-        return 1
+        return {"name": instance.name, "valid": False, "witness": got.to_json()}, 1
     divisions = [{"coordinate": i, "ok": w is None, **({} if w is None else {"witness": w})}
                  for i, w in _divisions(got)]
     sym = symmetric_exchange_violations(got)
@@ -219,8 +199,7 @@ def cmd_polymatroid_check(args) -> int:
             {"vec_a": list(a), "vec_b": list(c), "index": i} for a, c, i in sym
         ],
     }
-    _emit(payload, args)
-    return 1 if any(not d["ok"] for d in divisions) or sym else 0
+    return payload, 1 if any(not d["ok"] for d in divisions) or sym else 0
 
 
 def _corpus_pairs(n_max: int, rank_filter: int | None) -> list:
@@ -241,7 +220,7 @@ def _failures(m, codes, args) -> dict:
     return {code: bad for code, bad in found.items() if bad is not None}
 
 
-def cmd_corpus(args) -> int:
+def cmd_corpus(args) -> tuple[dict, int]:
     """Run the selected checks over every matroid with n <= n_max, once per
     isomorphism class.
 
@@ -296,8 +275,7 @@ def cmd_corpus(args) -> int:
             "failures": found,
             "status": "pass" if not found else "fail",
         })
-    _emit({"n_max": args.n_max, "reports": reports}, args)
-    return 1 if any(failures.values()) else 0
+    return {"n_max": args.n_max, "reports": reports}, 1 if any(failures.values()) else 0
 
 
 def _run_check(code: str, m, session: IdealSession, args):
@@ -320,32 +298,25 @@ def _run_check(code: str, m, session: IdealSession, args):
     raise ParseError(f"unknown check {code!r}")
 
 
-def cmd_enumerate_matroids(args) -> int:
+def cmd_enumerate_matroids(args) -> tuple[dict, int]:
     if args.n < 1:
         raise ParseError(f"n must be at least 1, got {args.n}")
     if not 1 <= args.d <= args.n:
         raise ParseError(f"d must lie in 1..{args.n}, got {args.d}")
     found = enumerate_matroids(args.n, args.d)
-    _emit({
-        "n": args.n,
-        "d": args.d,
-        "count": len(found),
-        "matroids": [m.to_json() for m in found],
-    }, args)
-    return 0
+    return {"n": args.n, "d": args.d, "count": len(found),
+            "matroids": [m.to_json() for m in found]}, 0
 
 
-def cmd_instances(args) -> int:
+def cmd_instances(args) -> tuple[dict, int]:
     if args.show:
         instance = jsonio.load_bundled(args.show)
         key = "bases" if instance.kind == "matroid" else "exponents"
         payload = {"n": instance.n, key: [list(v) for v in instance.vectors]}
         if instance.kind == "polymatroid":
             payload["polymatroid"] = True
-        _emit({"kind": instance.kind, "name": instance.name, "payload": payload}, args)
-        return 0
-    _emit({"bundled": jsonio.bundled_names()}, args)
-    return 0
+        return {"kind": instance.kind, "name": instance.name, "payload": payload}, 0
+    return {"bundled": jsonio.bundled_names()}, 0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -448,33 +419,35 @@ def _parse(argv) -> argparse.Namespace:
 
 
 def main(argv=None) -> int:
+    """Write argv's one document to stdout, this module's only write there, and
+    return its exit code; once argv parses, stderr gets the wall_time_s trailer."""
+    args = doc = None
     try:
-        args = _parse(sys.argv[1:] if argv is None else argv)
-    except ParseError as exc:
-        _emit({"error": "parse", "detail": str(exc)}, None)
-        return 2
-    start = time.perf_counter()
-    try:
-        for flag in ("cap", "bmax"):  # in this order, before any instance is read
-            value = getattr(args, flag, None)
-            if value is not None and value < 0:
-                raise ParseError(f"--{flag} must be nonnegative, got {value}")
-        return args.handler(args)
-    except _Invalid as exc:
-        _emit(exc.args[0], args)
-        return 1
-    except ParseError as exc:
-        _emit({"error": "parse", "detail": str(exc)}, args)
-        return 2
-    except CapExceeded as exc:
-        _emit({"error": "cap_exceeded", "detail": str(exc)}, args)
-        return 3
-    except ReesKitError as exc:
-        _emit({"error": type(exc).__name__, "detail": str(exc)}, args)
-        return 1
+        try:
+            args = _parse(sys.argv[1:] if argv is None else argv)
+            start = time.perf_counter()
+            for flag in ("cap", "bmax"):  # in this order, before any instance is read
+                value = getattr(args, flag, None)
+                if value is not None and value < 0:
+                    raise ParseError(f"--{flag} must be nonnegative, got {value}")
+            payload, code = args.handler(args)
+            doc = jsonio.dumps(payload)  # CapExceeded past the interpreter's digit limit
+        except _Invalid as exc:
+            payload, code = exc.args[0], 1
+        except ParseError as exc:
+            payload, code = {"error": "parse", "detail": str(exc)}, 2
+        except CapExceeded as exc:
+            payload, code = {"error": "cap_exceeded", "detail": str(exc)}, 3
+        except ReesKitError as exc:
+            payload, code = {"error": type(exc).__name__, "detail": str(exc)}, 1
+        doc = doc or jsonio.dumps(payload)  # the document of the error raised
+        if args is not None and args.format == "text":
+            doc = _render_text(json.loads(doc)) + "\n"
+        sys.stdout.write(doc)
+        return code
     finally:
-        elapsed = time.perf_counter() - start
-        print(f"wall_time_s: {elapsed:.3f}", file=sys.stderr)
+        if args is not None:
+            print(f"wall_time_s: {time.perf_counter() - start:.3f}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -6,10 +6,11 @@ Wire formats, all 1-indexed:
   polymatroid  same as ideal plus "polymatroid": true
 An instance file either wraps one of these as {"kind", "name", "payload"} or
 is a bare payload, in which case the kind is inferred and the name defaults
-to the file stem. Integers beyond 53 bits travel as decimal strings both
-ways so nothing downstream ever rounds. dumps is the one writer: it gives
-json.dumps's bytes at indent=2 with sorted keys, in one walk of its own, and
-the CLI's text form is rendered from the document it writes.
+to the file stem. Integers beyond 53 bits travel as ASCII decimal strings
+both ways so nothing downstream ever rounds, up to the interpreter's digit
+limit (4,300): past it an input is a ParseError, a result CapExceeded. dumps
+is the one writer: it gives json.dumps's bytes at indent=2 with sorted keys,
+in one walk of its own, and the CLI's text form is rendered from its document.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import json
 import os
 from json.encoder import encode_basestring_ascii as _quote
 
-from .errors import InvalidInstance, ParseError, Record
+from .errors import CapExceeded, InvalidInstance, ParseError, Record
 from .matroid import Matroid, MonomialIdeal, basis_monomial_ideal, check_basis_exchange
 from .polymatroid import PolymatroidBases, check_polymatroid_bases
 
@@ -35,8 +36,11 @@ def decode_int(v) -> int:
     if isinstance(v, str):
         s = v.strip()
         sign = s[1:] if s[:1] in "+-" else s
-        if sign.isdigit():
-            return int(s)
+        if sign.isascii() and sign.isdigit():
+            try:
+                return int(s)
+            except ValueError as exc:  # past the interpreter's digit limit
+                raise ParseError(f"decimal string too long: {exc}") from exc
     raise ParseError(f"expected an integer or decimal string, got {v!r}")
 
 
@@ -46,7 +50,10 @@ def dumps(payload) -> str:
     indent, json runs its pure-Python encoder, which is slower. Dict keys
     must be strings."""
     out: list[str] = []
-    _write(payload, out, "\n")
+    try:
+        _write(payload, out, "\n")
+    except ValueError as exc:  # an int past the interpreter's digit limit
+        raise CapExceeded(f"a result integer is too long to write: {exc}") from exc
     return "".join(out) + "\n"
 
 
@@ -103,7 +110,7 @@ def _payload_kind(payload: dict) -> str:
 def parse_instance(text: str, default_name: str = "instance") -> Instance:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, digit limit, depth
         raise ParseError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("instance document must be a JSON object")
@@ -136,9 +143,9 @@ def load_instance(source: str) -> Instance:
     if source.startswith("bundled:"):
         return load_bundled(source.split(":", 1)[1])
     try:
-        with open(source) as f:
+        with open(source, encoding="utf-8") as f:
             text = f.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {source}: {exc}") from exc
     return parse_instance(text, default_name=os.path.splitext(os.path.basename(source))[0])
 

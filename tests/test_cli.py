@@ -595,6 +595,65 @@ class TestInvalidInstance:
         assert not issubclass(cli._Invalid, ReesKitError)
 
 
+DIGIT_LIMITED = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                   reason="the interpreter has no int digit limit")
+
+
+class TestMalformedInput:
+    """An input the decoder or the writer cannot take ends in one document."""
+
+    @pytest.mark.parametrize("command, text, code, error", [
+        pytest.param("validate", '{"n": %s, "bases": [[1]]}' % ("1" * 5000), 2, "parse",
+                     marks=DIGIT_LIMITED, id="5000-digit-literal"),
+        pytest.param("validate", "[" * 100000 + "]" * 100000, 2, "parse", id="deep-nesting"),
+        pytest.param("validate", b'{"n": 1, "bases": [[1]], "name": "\xff"}', 2, "parse",
+                     id="non-utf-8"),
+        # the l-normal's last entry, -ab, has about 6,000 digits
+        pytest.param("classify", json.dumps({"n": 2, "exponents": [
+            [str(10**3000 + 1), "0"], ["0", str(10**3000 + 3)]]}), 3, "cap_exceeded",
+            marks=DIGIT_LIMITED, id="oversized-result"),
+    ])
+    def test_one_document(self, capsys, tmp_path, command, text, code, error):
+        path = tmp_path / "malformed.json"
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text, encoding="utf-8")
+        got, doc, err = run_json(capsys, command, str(path))
+        assert (got, doc["error"], sorted(doc)) == (code, error, ["detail", "error"])
+        assert err.count("wall_time_s") == 1
+
+
+class TestHandlers:
+    ARGV = [
+        ["validate", "bundled:u_2_3"],
+        ["analyze", "bundled:graphic_k3"],
+        ["rees-facets", "bundled:ideal_two_squares"],
+        ["classify", "bundled:ideal_mixed_neither"],
+        ["hilbert", "bundled:ideal_two_squares"],
+        ["normality", "bundled:ideal_two_squares"],
+        ["ehrhart-check", "bundled:veronese_2_3"],
+        ["polymatroid-check", "bundled:transversal_12_123"],
+        ["corpus", "3"],
+        ["enumerate-matroids", "3", "2"],
+        ["instances"],
+    ]
+
+    def test_every_command_is_covered(self):
+        assert sorted(argv[0] for argv in self.ARGV) == sorted(cli.COMMANDS)
+
+    @pytest.mark.parametrize("argv", ARGV, ids=lambda argv: argv[0])
+    def test_returns_its_document_and_writes_nothing(self, capsys, argv):
+        args = cli._parse(argv)
+        got = args.handler(args)
+        assert capsys.readouterr().out == ""
+        assert isinstance(got, tuple) and len(got) == 2
+        doc, code = got
+        assert isinstance(doc, dict) and type(code) is int
+        assert main(argv) == code
+        assert capsys.readouterr().out == jsonio.dumps(doc)
+
+
 class TestFormatAndTrailer:
     def test_text_format(self, capsys):
         code, out, _ = run(

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 from hypothesis import example, given
@@ -28,7 +29,10 @@ class TestIntCoding:
         assert jsonio.decode_int("-5") == -5
 
     def test_decode_rejects_junk(self):
-        for junk in (True, "abc", "1.5", None, []):
+        # only ASCII digits: int() would take "²" (and fail) or "２", "٣" (as 2, 3);
+        # past the interpreter's digit limit, where it has one, int() fails too
+        too_long = ("1" * 5000,) if hasattr(sys, "get_int_max_str_digits") else ()
+        for junk in (True, "abc", "1.5", None, [], "²", "２", "٣", *too_long):
             with pytest.raises(ParseError):
                 jsonio.decode_int(junk)
 
