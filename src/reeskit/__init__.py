@@ -48,11 +48,7 @@ from .semigroup import (
     HilbertBasisResult,
     IdealSession,
     NormalityCertificate,
-    certify_normality_pipeline,
-    decomposition_check,
-    ehrhart_equality_check,
     hilbert_basis,
-    is_normal,
 )
 
 __version__ = "0.1.0"
@@ -81,19 +77,15 @@ __all__ = [
     "Verdict",
     "basis_monomial_ideal",
     "basis_rees_cone",
-    "certify_normality_pipeline",
     "check_basis_exchange",
     "check_polymatroid_bases",
     "classify",
-    "decomposition_check",
     "divide_by_variable",
-    "ehrhart_equality_check",
     "enumerate_matroids",
     "facet_normals",
     "facet_normals_oracle",
     "graphic_matroid",
     "hilbert_basis",
-    "is_normal",
     "rees_generators",
     "uniform_matroid",
     "veronese_bases",

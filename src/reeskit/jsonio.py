@@ -24,6 +24,8 @@ from .matroid import Matroid, MonomialIdeal, basis_monomial_ideal, check_basis_e
 from .polymatroid import PolymatroidBases, check_polymatroid_bases
 
 _BIG = 1 << 53
+_TOO_LONG = ("is past the interpreter's digit limit: 4,300 digits, unless the "
+             "PYTHONINTMAXSTRDIGITS environment variable sets another")
 
 KINDS = ("matroid", "ideal", "polymatroid")
 
@@ -39,8 +41,8 @@ def decode_int(v) -> int:
         if sign.isascii() and sign.isdigit():
             try:
                 return int(s)
-            except ValueError as exc:  # past the interpreter's digit limit
-                raise ParseError(f"decimal string too long: {exc}") from exc
+            except ValueError as exc:
+                raise ParseError(f"decimal string {_TOO_LONG}") from exc
     raise ParseError(f"expected an integer or decimal string, got {v!r}")
 
 
@@ -52,8 +54,8 @@ def dumps(payload) -> str:
     out: list[str] = []
     try:
         _write(payload, out, "\n")
-    except ValueError as exc:  # an int past the interpreter's digit limit
-        raise CapExceeded(f"a result integer is too long to write: {exc}") from exc
+    except ValueError as exc:
+        raise CapExceeded(f"a result integer {_TOO_LONG}") from exc
     return "".join(out) + "\n"
 
 
@@ -110,8 +112,10 @@ def _payload_kind(payload: dict) -> str:
 def parse_instance(text: str, default_name: str = "instance") -> Instance:
     try:
         doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # JSONDecodeError, digit limit, depth
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"not valid JSON: {exc}") from exc
+    except ValueError as exc:  # a literal past the digit limit
+        raise ParseError(f"an integer literal {_TOO_LONG}") from exc
     if not isinstance(doc, dict):
         raise ParseError("instance document must be a JSON object")
     if "payload" in doc:

@@ -316,22 +316,21 @@ class ShapeReport(Record):
         return not self.violations
 
 
-def verify_basis_facet_shape(m: Matroid, facets: FacetSystem | None = None) -> ShapeReport:
-    """Shape audit of the facets of m's basis Rees cone (computed when not given)."""
-    fs = facets if facets is not None else facet_normals(basis_rees_cone(m))
-    violations = [b for b in fs.ell_normals
+def verify_basis_facet_shape(m: Matroid, facets: FacetSystem) -> ShapeReport:
+    """Shape audit of the facets of m's basis Rees cone."""
+    violations = [b for b in facets.ell_normals
                   if any(e not in (0, 1) for e in b[:-1]) or not (-m.d <= b[-1] <= -1)]
     notes = []
-    missing = [i for i in range(1, m.n + 2) if i not in fs.unit_normals]
+    missing = [i for i in range(1, m.n + 2) if i not in facets.unit_normals]
     if missing:
         notes.append(
             "coordinate units absent from the facet list: "
             + ", ".join(f"e_{i}" for i in missing)
         )
-    return ShapeReport(m.n, m.d, fs, tuple(violations), tuple(notes))
+    return ShapeReport(m.n, m.d, facets, tuple(violations), tuple(notes))
 
 
-def extreme_generators(cone: ReesCone, fs: FacetSystem | None = None):
+def extreme_generators(cone: ReesCone, fs: FacetSystem):
     """Primitive generators that span extreme rays, distinct, in input order.
 
     The minimal face of a primitive generator p is cut out by the facets p
@@ -342,7 +341,6 @@ def extreme_generators(cone: ReesCone, fs: FacetSystem | None = None):
     the meet of the masks of its facets (every generator when p is tight on
     none).
     """
-    fs = fs or facet_normals(cone)
     gens = _distinct_rows(primitive(g) for g in cone.generators)
     facets = fs.tight_masks(gens)
     out = []

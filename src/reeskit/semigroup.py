@@ -29,8 +29,7 @@ degree D first, each v to (v, D - |v|), so every dilation is read off the
 facets of a Rees cone. Integer arithmetic throughout.
 
 An IdealSession builds each of these artefacts for one ideal at most once
-and keeps them no longer than itself; the module-level checks are thin calls
-on a fresh session.
+and keeps them no longer than itself; every check of an ideal is read off one.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ from operator import mul
 
 from .errors import (
     CapExceeded,
-    EmptyInput,
     IntegrityError,
     InvalidInstance,
     MethodDisagreement,
@@ -343,7 +341,7 @@ def _triangulate(rays: tuple, fs: FacetSystem, canonical: bool = False) -> tuple
 
 
 def hilbert_basis(
-    cone: ReesCone, facets: FacetSystem | None = None, cap: int = DEFAULT_CAP
+    cone: ReesCone, facets: FacetSystem, cap: int = DEFAULT_CAP
 ) -> HilbertBasisResult:
     """Irreducible generating set of (lattice points of the cone, +).
 
@@ -375,13 +373,12 @@ def hilbert_basis(
     every candidate, a ray or sum lam_i r_i with 0 <= lam_i < 1. A key that
     is negative or has a guard bit set is an IntegrityError.
     """
-    fs = facets if facets is not None else facet_normals(cone)
-    extreme = extreme_generators(cone, fs)
+    extreme = extreme_generators(cone, facets)
     rays = tuple(sorted(extreme))
-    simplices = _triangulate(rays, fs)
+    simplices = _triangulate(rays, facets)
     total = sum(vol for _, vol in simplices)
     if total > cap:
-        canonical = _triangulate(rays, fs, canonical=True)
+        canonical = _triangulate(rays, facets, canonical=True)
         reached = next(t for t in accumulate(vol for _, vol in canonical) if t > cap)
         raise CapExceeded(f"parallelepiped budget {cap} exceeded at {reached} lattice points")
     points: set[tuple[int, ...]] = set()
@@ -389,8 +386,8 @@ def hilbert_basis(
     for walked in _pivot_walk(rays, simplices):
         points.update(_coset_points(*walked, frame))
     candidates = set(extreme) | points
-    bound = max(map(sum, zip(*(fs.slack[r] for r in rays))))
-    pack, guard = packer(fs.normals(), bound.bit_length() + 1)
+    bound = max(map(sum, zip(*(facets.slack[r] for r in rays))))
+    pack, guard = packer(facets.normals(), bound.bit_length() + 1)
     elements, kept = [], []
     for h in sorted(candidates, key=sum):
         x = pack(h)
@@ -494,39 +491,6 @@ class EqualityReport(Record):
         if w is not None:
             out["first_witness"] = {"b": w[0], "point": list(w[1])}
         return out
-
-
-def ehrhart_equality_check(exponents, b_max: int) -> EqualityReport:
-    """Equal-degree generators only: compares bP's lattice points against
-    the set of all sums of exactly b generators, for each b up to b_max.
-
-    Takes any nonempty list of nonnegative vectors of one degree, repeats and
-    the zero vector included, and decides membership in bP with the Rees
-    cone's facets (IdealSession.equality). The zero vector alone needs no
-    cone: the box slice of each of its dilations is {0}, the sum of b zeros."""
-    vecs = sorted({tuple(int(e) for e in v) for v in exponents})
-    if not vecs:
-        raise EmptyInput("no generators given")
-    if any(e < 0 for v in vecs for e in v):
-        raise InvalidInstance("generators must be nonnegative")
-    degree = _common_degree(vecs, b_max)
-    if degree:
-        return IdealSession(MonomialIdeal(len(vecs[0]), tuple(vecs))).equality(b_max)
-    if len(vecs) > 1 or not vecs[0]:
-        raise InvalidInstance("zero vectors of mixed dimension, or of none")
-    return EqualityReport(0, b_max, tuple(DilationCheck(b, 1, ()) for b in range(1, b_max + 1)))
-
-
-def _common_degree(vecs, b_max: int) -> int:
-    """The one degree of the lex-sorted vecs; b_max must be nonnegative."""
-    degrees = {sum(v) for v in vecs}
-    if len(degrees) > 1:
-        first = next(v for v in vecs if sum(v) == min(degrees))
-        second = next(v for v in vecs if sum(v) == max(degrees))
-        raise UnequalModuli(first, second)
-    if b_max < 0:
-        raise InvalidInstance("b_max must be nonnegative")
-    return degrees.pop()
 
 
 def _equality_report(vertices, degree: int, b_max: int, in_dilation) -> EqualityReport:
@@ -682,10 +646,18 @@ class IdealSession:
         return NormalityCertificate("normal", None, "hilbert")
 
     def equality(self, b_max: int) -> EqualityReport:
-        """ehrhart_equality_check on the generators, with bP read off the
-        session's facets (in_dilation)."""
-        degree = _common_degree(self.ideal.exponents, b_max)
-        return _equality_report(self.ideal.exponents, degree, b_max, self.in_dilation)
+        """Which lattice points of bP are no sum of exactly b generators, for
+        1 <= b <= b_max, with bP read off the session's facets (in_dilation).
+        The generators must share one degree: else UnequalModuli names the
+        lex-first of least degree and of greatest degree."""
+        vecs = self.ideal.exponents
+        if self.degree is None:
+            degrees = [sum(v) for v in vecs]
+            first, second = (vecs[degrees.index(f(degrees))] for f in (min, max))
+            raise UnequalModuli(first, second)
+        if b_max < 0:
+            raise InvalidInstance("b_max must be nonnegative")
+        return _equality_report(vecs, self.degree, b_max, self.in_dilation)
 
     @cached_property
     def decomposition(self) -> DecompositionReport:
@@ -727,19 +699,3 @@ class IdealSession:
                 f"on {self.ideal.to_json()}"
             )
         return NormalityCertificate(direct.verdict, direct.witness, "both")
-
-
-def is_normal(ideal: MonomialIdeal, cap: int = DEFAULT_CAP) -> NormalityCertificate:
-    """Direct route only; see IdealSession.normality."""
-    return IdealSession(ideal, cap).normality
-
-
-def decomposition_check(ideal: MonomialIdeal, cap: int = DEFAULT_CAP) -> DecompositionReport:
-    return IdealSession(ideal, cap).decomposition
-
-
-def certify_normality_pipeline(
-    ideal: MonomialIdeal, cap: int = DEFAULT_CAP
-) -> NormalityCertificate:
-    """Both routes; see IdealSession.certificate."""
-    return IdealSession(ideal, cap).certificate

@@ -43,12 +43,7 @@ from reeskit.reescone import (
     rees_generators,
     verify_basis_facet_shape,
 )
-from reeskit.semigroup import (
-    certify_normality_pipeline,
-    decomposition_check,
-    ehrhart_equality_check,
-    is_normal,
-)
+from reeskit.semigroup import IdealSession
 
 TWO_SQUARES = MonomialIdeal(2, ((2, 0), (0, 2)))
 MIXED = MonomialIdeal(2, ((3, 0), (1, 1), (0, 3)))
@@ -153,7 +148,7 @@ def test_criterion_02_oracle_agreement():
 def test_criterion_03_facet_shape_over_corpus(corpus5):
     with Budget(300.0):
         for name, m in corpus5:
-            report = verify_basis_facet_shape(m)
+            report = verify_basis_facet_shape(m, facet_normals(basis_rees_cone(m)))
             assert report.holds, (name, report.to_json())
             got = classify(report.facets)
             assert got.verdict is not Verdict.NEITHER, name
@@ -166,12 +161,12 @@ def test_criterion_03_facet_shape_over_corpus(corpus5):
 def test_criterion_04_basis_ideals_normal(corpus5, k4):
     with Budget(600.0):
         for name, m in corpus5:
-            cert = is_normal(basis_monomial_ideal(m))
+            cert = IdealSession(basis_monomial_ideal(m)).normality
             assert cert.verdict == "normal", (name, cert.to_json())
-        cert = is_normal(basis_monomial_ideal(k4))
+        cert = IdealSession(basis_monomial_ideal(k4)).normality
         assert cert.verdict == "normal"
     verdict_line(
-        4, f"is_normal certifies all {len(corpus5)} corpus basis ideals and "
+        4, f"the direct route certifies all {len(corpus5)} corpus basis ideals and "
         "the 16-tree graphic instance"
     )
 
@@ -179,7 +174,7 @@ def test_criterion_04_basis_ideals_normal(corpus5, k4):
 def test_criterion_05_dilation_equality(corpus5):
     with Budget(300.0):
         for name, m in corpus5:
-            report = ehrhart_equality_check(basis_monomial_ideal(m).exponents, 3)
+            report = IdealSession(basis_monomial_ideal(m)).equality(3)
             assert report.passed, (name, report.to_json())
     verdict_line(
         5, f"dilation counts match semigroup reach up to b=3 on all "
@@ -189,7 +184,7 @@ def test_criterion_05_dilation_equality(corpus5):
 
 def test_criterion_06_decomposition(corpus5):
     with Budget(60.0):
-        report = decomposition_check(TWO_SQUARES)
+        report = IdealSession(TWO_SQUARES).decomposition
         assert report.holds, "the non-normal control must still decompose"
         checked = 1
         for name in bundled_names():
@@ -197,7 +192,7 @@ def test_criterion_06_decomposition(corpus5):
             fs = facet_normals(rees_generators(ideal))
             if classify(fs).verdict is Verdict.NEITHER:
                 continue
-            report = decomposition_check(ideal)
+            report = IdealSession(ideal).decomposition
             assert report.holds, (name, report.to_json())
             checked += 1
     verdict_line(
@@ -208,7 +203,7 @@ def test_criterion_06_decomposition(corpus5):
 
 def test_criterion_07_negative_controls():
     with Budget(1.0):
-        cert = is_normal(TWO_SQUARES)
+        cert = IdealSession(TWO_SQUARES).normality
         assert cert.verdict == "not_normal"
         assert cert.witness == (1, 1, 1)
         got = classify(facet_normals(rees_generators(MIXED)))
@@ -230,10 +225,10 @@ def test_criterion_08_pipeline_agreement(corpus5):
             if classify(fs).verdict is Verdict.NEITHER:
                 continue
             try:
-                cert = certify_normality_pipeline(ideal)
+                cert = IdealSession(ideal).certificate
             except MethodDisagreement as exc:
                 pytest.fail(f"route disagreement: {exc}")
-            assert cert.verdict == is_normal(ideal).verdict
+            assert cert.verdict == IdealSession(ideal).normality.verdict
             compared += 1
     verdict_line(
         8, f"equality route agrees with the direct route on {compared} "
@@ -264,13 +259,13 @@ def test_criterion_09_polymatroid_suite(corpus5):
         for n in range(1, 4):
             for d in range(1, 5):
                 vb = veronese_bases(n, d)
-                assert is_normal(MonomialIdeal(n, vb.vectors)).verdict == "normal"
+                assert IdealSession(MonomialIdeal(n, vb.vectors)).normality.verdict == "normal"
                 normal_checked += 1
         for name in bundled_names():
             value = realize(load_bundled(name)).value
             if hasattr(value, "bases"):
                 ideal = basis_monomial_ideal(value)
-                assert is_normal(ideal).verdict == "normal", name
+                assert IdealSession(ideal).normality.verdict == "normal", name
                 normal_checked += 1
     verdict_line(
         9, f"{divisions} variable divisions re-validate; {normal_checked} "

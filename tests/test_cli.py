@@ -605,6 +605,8 @@ class TestMalformedInput:
     @pytest.mark.parametrize("command, text, code, error", [
         pytest.param("validate", '{"n": %s, "bases": [[1]]}' % ("1" * 5000), 2, "parse",
                      marks=DIGIT_LIMITED, id="5000-digit-literal"),
+        pytest.param("validate", '{"n": "%s", "bases": [[1]]}' % ("1" * 5000), 2, "parse",
+                     marks=DIGIT_LIMITED, id="5000-digit-string"),
         pytest.param("validate", "[" * 100000 + "]" * 100000, 2, "parse", id="deep-nesting"),
         pytest.param("validate", b'{"n": 1, "bases": [[1]], "name": "\xff"}', 2, "parse",
                      id="non-utf-8"),
@@ -613,7 +615,7 @@ class TestMalformedInput:
             [str(10**3000 + 1), "0"], ["0", str(10**3000 + 3)]]}), 3, "cap_exceeded",
             marks=DIGIT_LIMITED, id="oversized-result"),
     ])
-    def test_one_document(self, capsys, tmp_path, command, text, code, error):
+    def test_one_document(self, request, capsys, tmp_path, command, text, code, error):
         path = tmp_path / "malformed.json"
         if isinstance(text, bytes):
             path.write_bytes(text)
@@ -622,6 +624,11 @@ class TestMalformedInput:
         got, doc, err = run_json(capsys, command, str(path))
         assert (got, doc["error"], sorted(doc)) == (code, error, ["detail", "error"])
         assert err.count("wall_time_s") == 1
+        if request.node.callspec.id in ("5000-digit-literal", "5000-digit-string",
+                                        "oversized-result"):
+            # a CLI user can set the environment variable, not call the function
+            assert "PYTHONINTMAXSTRDIGITS" in doc["detail"]
+            assert "sys.set_int_max_str_digits" not in doc["detail"]
 
 
 class TestHandlers:

@@ -237,7 +237,8 @@ EHRHART_GOLDEN = {
 
 # hilbert and normality on mixed-degree ideals that are not normal: the Hilbert
 # reduction over candidates of many degrees and the witness path, which the
-# bundled instances reach only through ideal_mixed_neither.
+# bundled instances reach only through ideal_mixed_neither; ehrhart-check on
+# them is the UnequalModuli document (exit 1).
 MIXED_FILES = {
     "mixed_n3_a": {"n": 3, "exponents": [[7, 0, 2], [0, 5, 3], [2, 3, 0], [0, 0, 9], [4, 1, 6]]},
     "mixed_n3_b": {"n": 3, "exponents": [[13, 2, 0], [0, 11, 4], [3, 0, 15], [5, 6, 1]]},
@@ -263,6 +264,10 @@ MIXED_GOLDEN = {
     ("normality", "mixed_n4"): (1, "dbba5a34b87ca1956aff76d8240711f2b0d4c1d8732a483eeb85f5441f360114"),
     ("hilbert", "mixed_n3_v516"): (0, "21ed21549d6394f5839679690dc2c1278f5797a20a9a8e931e18c54050bb6741"),
     ("normality", "mixed_n3_v516"): (1, "6b1ba7ed2bf85f7defeec9f92cd407af2a568daa019e45a24e390cf63e85bea7"),
+    ("ehrhart-check", "mixed_n3_a"): (1, "46286642e9c4b62427be501ebec7aad08bb532cfda3032f8aaac67d484d4bc29"),
+    ("ehrhart-check", "mixed_n3_b"): (1, "239fdd982199f7e98f41a47143a5f30a71eb576ad34bb98eb4d293ac9030426a"),
+    ("ehrhart-check", "mixed_n4"): (1, "c3df0643e87c761c39f508030d659b0fe1f23f159a6d5a25f285f6c54a4a2b93"),
+    ("ehrhart-check", "mixed_n3_v516"): (1, "2d492e969eb9519dda9c6a0384a3ebf4dfd4eda038a6a925bba3c3cca87b6bcf"),
 }
 
 # analyze, hilbert and normality on the wheel W4 (K5 without the edges 12 and

@@ -35,7 +35,9 @@ def samples() -> dict[type, Record]:
         SESSION.cone,
         SESSION.facets,
         SESSION.classification,
-        reescone.verify_basis_facet_shape(u32),
+        reescone.verify_basis_facet_shape(
+            u32, reescone.facet_normals(reescone.basis_rees_cone(u32))
+        ),
         SESSION.hilbert,
         SESSION.normality,
         semigroup.DilationCheck(2, 3, ((1, 1),)),

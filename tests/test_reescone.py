@@ -412,12 +412,13 @@ class TestShapeReport:
         for n in range(1, 5):
             for d in range(1, n + 1):
                 for m in enumerate_matroids(n, d):
-                    rep = verify_basis_facet_shape(m)
+                    rep = verify_basis_facet_shape(m, facet_normals(basis_rees_cone(m)))
                     assert rep.holds, (m, rep.to_json())
                     assert rep.violations == ()
 
     def test_json(self):
-        rep = verify_basis_facet_shape(uniform_matroid(2, 1))
+        m = uniform_matroid(2, 1)
+        rep = verify_basis_facet_shape(m, facet_normals(basis_rees_cone(m)))
         doc = rep.to_json()
         assert doc["holds"] is True
         assert doc["n"] == 2 and doc["d"] == 1
@@ -468,13 +469,14 @@ class TestExtremeGenerators:
     @given(ideals_with_inner_generators())
     def test_matches_rank_oracle_with_inner_generators(self, ideal):
         cone = rees_generators(ideal)
-        assert len(extreme_generators(cone)) < len(cone.generators)
+        assert len(extreme_generators(cone, facet_normals(cone))) < len(cone.generators)
         assert_extreme_matches_rank(ideal)
 
     def test_keeps_input_order(self):
         # (1, 1, 1) is the midpoint of (2, 0, 1) and (0, 2, 1); repeats go
         cone = ReesCone(2, ((0, 1, 0), (1, 0, 0), (2, 0, 1), (1, 1, 1), (0, 2, 1), (2, 0, 1)))
-        assert extreme_generators(cone) == ((0, 1, 0), (1, 0, 0), (2, 0, 1), (0, 2, 1))
+        extreme = extreme_generators(cone, facet_normals(cone))
+        assert extreme == ((0, 1, 0), (1, 0, 0), (2, 0, 1), (0, 2, 1))
 
     def test_roundtrip(self):
         rng = random.Random(99)

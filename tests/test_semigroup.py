@@ -21,7 +21,6 @@ from test_acceptance import Budget
 from reeskit import semigroup
 from reeskit.errors import (
     CapExceeded,
-    EmptyInput,
     IntegrityError,
     InvalidInstance,
     PreconditionFailed,
@@ -56,11 +55,7 @@ from reeskit.semigroup import (
     _slice_count,
     _slice_keys,
     _triangulate,
-    certify_normality_pipeline,
-    decomposition_check,
-    ehrhart_equality_check,
     hilbert_basis,
-    is_normal,
 )
 
 PRINCIPAL = MonomialIdeal(1, ((1,),))
@@ -309,8 +304,9 @@ class TestHilbertBasis:
                     ), (h, other)
 
     def test_cap(self):
+        cone = rees_generators(TWO_SQUARES)
         with pytest.raises(CapExceeded):
-            hilbert_basis(rees_generators(TWO_SQUARES), None, cap=1)
+            hilbert_basis(cone, facet_normals(cone), cap=1)
 
     def test_same_basis_from_the_oracle_facet_system(self):
         # hilbert_basis reads the generators' facet values from the facet
@@ -658,7 +654,7 @@ class TestCosetWalk:
 
         monkeypatch.setattr(semigroup, "_ray_frame", frame)
         cone = rees_generators(ideal)
-        result = hilbert_basis(cone)
+        result = hilbert_basis(cone, facet_normals(cone))
         assert len(built) == frames
         assert (result.parallelepiped_points > result.simplices) == bool(frames)
 
@@ -729,8 +725,9 @@ class TestPackedReduction:
     @pytest.mark.parametrize("point", [(1, -1, 0), (0, 0, 1), (-1, 3, 0), (5, 0, 0)])
     def test_value_outside_the_bound_is_an_integrity_error(self, monkeypatch, point):
         monkeypatch.setattr(semigroup, "_coset_points", lambda *walk: {point})
+        cone = rees_generators(TWO_SQUARES)
         with pytest.raises(IntegrityError, match="facet value outside"):
-            hilbert_basis(rees_generators(TWO_SQUARES))
+            hilbert_basis(cone, facet_normals(cone))
 
 
 class TestSemigroupMember:
@@ -791,25 +788,25 @@ def assert_lookup_matches_dp(ideal):
 
 class TestIsNormal:
     def test_two_squares_witness(self):
-        cert = is_normal(TWO_SQUARES)
+        cert = IdealSession(TWO_SQUARES).normality
         assert cert.verdict == "not_normal"
         assert cert.witness == (1, 1, 1)
         assert cert.method == "hilbert"
 
     def test_witness_self_verifies(self):
         # in the cone but not reachable from the generators
-        cert = is_normal(TWO_SQUARES)
+        cert = IdealSession(TWO_SQUARES).normality
         cone = rees_generators(TWO_SQUARES)
         fs = facet_normals(cone)
         assert fs.contains(cert.witness)
         assert not combo_reachable(cert.witness, cone.generators)
 
     def test_normal_examples(self):
-        assert is_normal(PRINCIPAL).verdict == "normal"
-        assert is_normal(MIXED).verdict == "normal"
-        assert is_normal(MonomialIdeal(2, ((1, 0), (0, 2)))).verdict == "normal"
+        assert IdealSession(PRINCIPAL).normality.verdict == "normal"
+        assert IdealSession(MIXED).normality.verdict == "normal"
+        assert IdealSession(MonomialIdeal(2, ((1, 0), (0, 2)))).normality.verdict == "normal"
         m = uniform_matroid(3, 2)
-        assert is_normal(basis_monomial_ideal(m)).verdict == "normal"
+        assert IdealSession(basis_monomial_ideal(m)).normality.verdict == "normal"
 
     def test_agrees_with_definition_on_small_ideals(self):
         # normal iff every cone lattice point in the probe box is reachable
@@ -831,7 +828,7 @@ class TestIsNormal:
                 for p in box_points(bound)
                 if fs.contains(p)
             )
-            assert (is_normal(ideal).verdict == "normal") == brute_normal, ideal
+            assert (IdealSession(ideal).normality.verdict == "normal") == brute_normal, ideal
 
     def test_lookup_matches_membership_dp_on_bundled_instances(self):
         for name in bundled_names():
@@ -845,12 +842,12 @@ class TestIsNormal:
         assert_lookup_matches_dp(ideal)
 
     def test_json(self):
-        assert is_normal(TWO_SQUARES).to_json() == {
+        assert IdealSession(TWO_SQUARES).normality.to_json() == {
             "verdict": "not_normal",
             "witness": [1, 1, 1],
             "method": "hilbert",
         }
-        assert is_normal(PRINCIPAL).to_json() == {
+        assert IdealSession(PRINCIPAL).normality.to_json() == {
             "verdict": "normal",
             "method": "hilbert",
         }
@@ -1016,12 +1013,12 @@ class TestEhrhartPoints:
 
 class TestEhrhartEquality:
     def test_two_squares_fails_at_one(self):
-        report = ehrhart_equality_check(TWO_SQUARES.exponents, 3)
+        report = IdealSession(TWO_SQUARES).equality(3)
         assert not report.passed
         assert report.first_witness == (1, (1, 1))
 
     def test_report_json(self):
-        doc = ehrhart_equality_check(TWO_SQUARES.exponents, 1).to_json()
+        doc = IdealSession(TWO_SQUARES).equality(1).to_json()
         assert doc["passed"] is False
         assert doc["first_witness"] == {"b": 1, "point": [1, 1]}
         assert doc["dilations"] == [
@@ -1030,14 +1027,14 @@ class TestEhrhartEquality:
 
     def test_passes_on_normal_families(self):
         for m in enumerate_matroids(3, 2):
-            report = ehrhart_equality_check(basis_monomial_ideal(m).exponents, 3)
+            report = IdealSession(basis_monomial_ideal(m)).equality(3)
             assert report.passed, m
         for n, d in ((2, 2), (2, 3), (3, 2)):
-            report = ehrhart_equality_check(veronese_bases(n, d).vectors, 3)
+            report = IdealSession(MonomialIdeal(n, veronese_bases(n, d).vectors)).equality(3)
             assert report.passed, (n, d)
 
     def test_tetrahedron_fails_at_two_and_three(self):
-        report = ehrhart_equality_check(TETRAHEDRON.exponents, 3)
+        report = IdealSession(TETRAHEDRON).equality(3)
         assert [d.failures for d in report.dilations] == [
             (),
             ((1, 1, 1, 1),),
@@ -1053,7 +1050,7 @@ class TestEhrhartEquality:
         degree_slice = [a for a in product(range(degree + 1), repeat=n) if sum(a) == degree]
         vecs = data.draw(st.lists(st.sampled_from(degree_slice), min_size=1, unique=True))
         b_max = data.draw(st.integers(0, 3))
-        report = ehrhart_equality_check(vecs, b_max)
+        report = IdealSession(MonomialIdeal(n, tuple(vecs))).equality(b_max)
         assert [d.b for d in report.dilations] == list(range(1, b_max + 1))
         for d in report.dilations:
             pts = ehrhart_points(vecs, d.b)
@@ -1065,12 +1062,14 @@ class TestEhrhartEquality:
             assert list(d.failures) == [a for a in pts if a not in sums]
 
     def test_validation(self):
-        with pytest.raises(EmptyInput):
-            ehrhart_equality_check((), 2)
-        with pytest.raises(UnequalModuli):
-            ehrhart_equality_check(((1, 0), (1, 1)), 2)
-        with pytest.raises(InvalidInstance):
-            ehrhart_equality_check(((1, 0),), -1)
+        # the lex-first generator of least degree, then of greatest degree,
+        # whatever the bound
+        for b_max in (2, -1):
+            with pytest.raises(UnequalModuli) as exc:
+                IdealSession(MonomialIdeal(2, ((2, 1), (1, 1), (0, 3), (1, 0)))).equality(b_max)
+            assert (exc.value.first, exc.value.second) == ((1, 0), (0, 3))
+        with pytest.raises(InvalidInstance, match="b_max must be nonnegative"):
+            IdealSession(MonomialIdeal(2, ((1, 0),))).equality(-1)
 
 
 def tuple_sumset_report(vertices, degree, b_max, in_dilation):
@@ -1148,7 +1147,7 @@ class TestPackedSumset:
             return _slice_keys(lo, hi, total, weights)
 
         monkeypatch.setattr(semigroup, "_slice_keys", walk)
-        report = ehrhart_equality_check(ideal.exponents, 3)
+        report = IdealSession(ideal).equality(3)
         assert [d.failures for d in report.dilations] == failures
         assert walked == [2, 4, 6]
         args = (ideal.exponents, 2, 3, IdealSession(ideal).in_dilation)
@@ -1160,9 +1159,9 @@ class TestPackedSumset:
     def test_slice_near_a_corner_is_counted_at_once(self):
         vertices = [[int(i != j) for i in range(24)] for j in range(24)]
         with Budget(1.0):
-            report = ehrhart_equality_check(vertices, 1)
+            report = IdealSession(MonomialIdeal(24, tuple(map(tuple, vertices)))).equality(1)
             # U(7, 8) times 16 fixed variables
-            fixed = ehrhart_equality_check(vertices[:8], 2)
+            fixed = IdealSession(MonomialIdeal(24, tuple(map(tuple, vertices[:8])))).equality(2)
         assert report.dilations == (DilationCheck(1, 24, ()),)
         assert fixed.dilations == (DilationCheck(1, 8, ()), DilationCheck(2, 36, ()))
 
@@ -1170,28 +1169,21 @@ class TestPackedSumset:
         vertices = [v + (1,) * 24 for v in TWO_SQUARES.exponents]
         ideal = MonomialIdeal(26, tuple(vertices))
         with Budget(1.0):
-            report = ehrhart_equality_check(vertices, 4)
-        want = ehrhart_equality_check(TWO_SQUARES.exponents, 4)
+            report = IdealSession(ideal).equality(4)
+        want = IdealSession(TWO_SQUARES).equality(4)
         assert report.degree == 26
         for d, w in zip(report.dilations, want.dilations, strict=True):
             assert d.points == w.points and d.failures == tuple(a + (d.b,) * 24 for a in w.failures)
         args = (ideal.exponents, 26, 4, IdealSession(ideal).in_dilation)
         assert _equality_report(*args) == tuple_sumset_report(*args)
 
-    def test_zero_bound_and_zero_vertices(self):
-        assert ehrhart_equality_check([[2, 0], [0, 2]], 0).dilations == ()
-        assert ehrhart_equality_check([[0, 0]], 0).dilations == ()
-        report = ehrhart_equality_check([[0, 0]], 2)
-        assert report.dilations == (DilationCheck(1, 1, ()), DilationCheck(2, 1, ()))
-        assert report.degree == 0 and report.passed
-        for zeros in ([[0, 0], [0]], [[]]):  # several dimensions, or none
-            with pytest.raises(InvalidInstance):
-                ehrhart_equality_check(zeros, 1)
+    def test_zero_bound(self):
+        assert IdealSession(TWO_SQUARES).equality(0).dilations == ()
 
 
 class TestDecomposition:
     def test_two_squares_holds_despite_non_normality(self):
-        report = decomposition_check(TWO_SQUARES)
+        report = IdealSession(TWO_SQUARES).decomposition
         assert report.holds
         assert report.violations == ()
         kinds = {tuple(s["element"]): s["kind"] for s in report.to_json()["elements"]}
@@ -1202,17 +1194,17 @@ class TestDecomposition:
         for n in range(1, 5):
             for d in range(1, n + 1):
                 for m in enumerate_matroids(n, d):
-                    report = decomposition_check(basis_monomial_ideal(m))
+                    report = IdealSession(basis_monomial_ideal(m)).decomposition
                     assert report.holds, m
 
     def test_rejects_neither_cone(self):
         with pytest.raises(PreconditionFailed):
-            decomposition_check(MIXED)
+            IdealSession(MIXED).decomposition
 
     def test_dilation_claims_verified_independently(self):
         # every claimed height-b element really is a sum of b generator
         # points of the polytope, via plain search over b-tuples
-        report = decomposition_check(basis_monomial_ideal(uniform_matroid(3, 2)))
+        report = IdealSession(basis_monomial_ideal(uniform_matroid(3, 2))).decomposition
         gens = basis_monomial_ideal(uniform_matroid(3, 2)).exponents
         for status in report.statuses:
             if status.kind != "dilation":
@@ -1227,19 +1219,19 @@ class TestDecomposition:
 
 class TestPipeline:
     def test_two_squares_runs_both_routes(self):
-        cert = certify_normality_pipeline(TWO_SQUARES)
+        cert = IdealSession(TWO_SQUARES).certificate
         assert cert.verdict == "not_normal"
         assert cert.witness == (1, 1, 1)
         assert cert.method == "both"
 
     def test_principal_short_circuit(self):
-        cert = certify_normality_pipeline(PRINCIPAL)
+        cert = IdealSession(PRINCIPAL).certificate
         assert cert.verdict == "normal"
         assert cert.method == "hilbert"
 
     def test_neither_falls_back_to_direct(self):
         # classification neither: only the direct route applies
-        cert = certify_normality_pipeline(MonomialIdeal(2, ((1, 0), (0, 2))))
+        cert = IdealSession(MonomialIdeal(2, ((1, 0), (0, 2)))).certificate
         assert cert.verdict == "normal"
         assert cert.method == "hilbert"
 
@@ -1248,7 +1240,7 @@ class TestPipeline:
         # normal); everything else must exercise both routes
         for m in enumerate_matroids(4, 2):
             ideal = basis_monomial_ideal(m)
-            cert = certify_normality_pipeline(ideal)
+            cert = IdealSession(ideal).certificate
             assert cert.verdict == "normal"
             expected = "hilbert" if ideal.q == 1 else "both"
             assert cert.method == expected, m
@@ -1272,7 +1264,7 @@ class TestPipeline:
                 continue
             ideal = MonomialIdeal(n, tuple(sorted(vecs)))
             assert (
-                certify_normality_pipeline(ideal).verdict
-                == is_normal(ideal).verdict
+                IdealSession(ideal).certificate.verdict
+                == IdealSession(ideal).normality.verdict
             ), ideal
 

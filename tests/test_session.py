@@ -19,13 +19,7 @@ from reeskit import reescone, semigroup
 from reeskit.cli import main
 from reeskit.errors import CapExceeded
 from reeskit.matroid import MonomialIdeal
-from reeskit.semigroup import (
-    IdealSession,
-    certify_normality_pipeline,
-    decomposition_check,
-    ehrhart_equality_check,
-    is_normal,
-)
+from reeskit.semigroup import IdealSession
 
 TWO_SQUARES = MonomialIdeal(2, ((2, 0), (0, 2)))
 VERONESE_2_2 = MonomialIdeal(2, ((2, 0), (1, 1), (0, 2)))
@@ -94,12 +88,12 @@ def test_nothing_outlives_a_call(monkeypatch, capsys):
 
 def test_equality_check_builds_one_membership_for_all_dilations(monkeypatch):
     facets = count_calls(monkeypatch, semigroup, "facet_normals")
-    report = ehrhart_equality_check(TWO_SQUARES.exponents, 4)
+    report = IdealSession(TWO_SQUARES).equality(4)
     assert [d.b for d in report.dilations] == [1, 2, 3, 4]
     assert [len(d.failures) for d in report.dilations] == [1, 2, 3, 4]
     assert len(facets) == 1
     # every slice point of a normal ideal's dilation is a sum: no cone at all
-    assert ehrhart_equality_check(VERONESE_2_2.exponents, 4).passed
+    assert IdealSession(VERONESE_2_2).equality(4).passed
     assert len(facets) == 1
 
 
@@ -140,7 +134,6 @@ class TestInDilation:
         member = lifted_membership(ideal.exponents)
         report = semigroup._equality_report(*args, member.contains)
         assert session.equality(b_max) == report
-        assert ehrhart_equality_check(ideal.exponents, b_max) == report
 
     @pytest.mark.parametrize("ideal", [TWO_SQUARES, VERONESE_2_2])
     def test_matches_lifted_membership_on_a_box(self, ideal):
@@ -204,14 +197,6 @@ class TestIdealSession:
         assert session.normality.verdict == "normal"
         assert session.hilbert is session.hilbert
         assert (len(facets), len(hilbert)) == (1, 1)
-
-    def test_public_functions_match_the_session(self):
-        for ideal in (TWO_SQUARES, VERONESE_2_2):
-            session = IdealSession(ideal)
-            assert is_normal(ideal) == session.normality
-            assert certify_normality_pipeline(ideal) == session.certificate
-            assert decomposition_check(ideal) == session.decomposition
-            assert ehrhart_equality_check(ideal.exponents, 3) == session.equality(3)
 
     def test_cap_applies_to_the_hilbert_basis(self):
         session = IdealSession(TWO_SQUARES, cap=1)
