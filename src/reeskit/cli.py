@@ -172,10 +172,7 @@ def cmd_normality(args) -> tuple[dict, int]:
 
 def cmd_ehrhart_check(args) -> tuple[dict, int]:
     instance, session = _session(args)
-    b_max = args.bmax
-    if b_max is None:
-        b_max = max(h[-1] for h in session.hilbert.elements)
-    report = session.equality(b_max)
+    report = session.equality(args.bmax)
     return {"name": instance.name, "equality": report.to_json()}, 0 if report.passed else 1
 
 

@@ -3,10 +3,9 @@
 Everything here runs on arbitrary-precision Python ints, with no division
 that is not exact. Elimination over Q is one fraction-free Gauss-Jordan
 pass, _bareiss, so not even Fractions are needed: rank, determinant and
-adjugate read it, as do the double description's seed and the pivot
-projection of a face. Ranks mod 2 have their own echelon on bitmasks. No
-floating point anywhere: results feed normality certificates, so
-approximation is not an option.
+adjugate read it, as does the double description's seed. Ranks mod 2 have
+their own echelon on bitmasks. No floating point anywhere: results feed
+normality certificates, so approximation is not an option.
 """
 
 from __future__ import annotations

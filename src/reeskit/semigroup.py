@@ -48,7 +48,7 @@ from .errors import (
     Record,
     UnequalModuli,
 )
-from .exactlat import _bareiss, adjugate, dot, packer, primitive
+from .exactlat import adjugate, packer
 from .matroid import MonomialIdeal
 from .reescone import (
     ConeClassification,
@@ -212,17 +212,6 @@ def _coset_points(simplex, adj, det: int, vol: int, frame) -> set[tuple[int, ...
     return {tuple([(q >> s & mask) + lo for s, lo in fields]) for q in seen if q != zero}
 
 
-def _pivot_projector(rows):
-    """Map a normal b to the primitive normal of the functional <b, .> on
-    span(rows), in the pivot projection of rows (the coordinates on which
-    that span projects isomorphically). With E the Gauss-Jordan basis of
-    rows (_bareiss) and E_P = p*I its pivot block, that normal w solves
-    E_P w = E b, so p E b = p^2 w is a positive multiple of it."""
-    ech, pivots, _, p = _bareiss(rows)
-    basis = ech[: len(pivots)]
-    return lambda b: primitive(p * dot(row, b) for row in basis)
-
-
 def _split(basis, b):
     """(g, sub) for a Z-basis of a saturated lattice L and an integer normal b:
     g is the gcd of <b, L> and sub a Z-basis of L & b^perp.
@@ -252,7 +241,7 @@ def _split(basis, b):
     return abs(live[0][0]), sub
 
 
-def _triangulate(rays: tuple, fs: FacetSystem, canonical: bool = False) -> tuple[tuple, ...]:
+def _triangulate(rays: tuple, fs: FacetSystem) -> tuple[tuple, ...]:
     """Pulling triangulation of the lex-sorted extreme rays of a cone with
     the facet system fs, as (simplex, normalized volume) pairs, a simplex
     being the bitmask of its rays: cone off the lex-smallest ray of each face
@@ -269,15 +258,9 @@ def _triangulate(rays: tuple, fs: FacetSystem, canonical: bool = False) -> tuple
     tested only among the meets with that many rays. A simplicial face has
     exactly its dim - k sets F - a left, so it needs no test of its own: its
     lowest ray is pulled over the rest, down to the empty face. Faces recur
-    across facets, so each face is triangulated once.
-
-    The simplices and their volumes do not depend on the order in which a
-    face's facets are taken, only their sequence does. By default they are
-    taken in the order of the cone facets that cut them out. With
-    canonical, they are taken in ascending order of their primitive inner
-    normals in F's pivot projection (one Gauss-Jordan pass per face, over
-    L_F's Z-basis below, which spans span(F)): that fixes the sequence, and
-    with it the running total a cap-exceeded message reports (hilbert_basis).
+    across facets, so each face is triangulated once. A face's facets are
+    taken in the order of the cone facets that first cut them out, so the
+    sequence of simplices, like their set, is fixed by rays and fs.
 
     Volumes come from heights (as over the triangulations of Normaliz,
     Bruns and Ichim, J. Algebra 2010), not from determinants. A face F
@@ -318,10 +301,6 @@ def _triangulate(rays: tuple, fs: FacetSystem, canonical: bool = False) -> tuple
             for meet, j in meets.items()
             if not meet & low and not any(meet | other == other != meet for other in meets)
         ]
-        if canonical and len(pulled) > 1:
-            # the top face spans the space, so its projection is the identity
-            project = _pivot_projector(basis) if depth else tuple
-            pulled.sort(key=lambda item: project(normals[item[1]]))
         out = []
         for meet, j in pulled:
             b = normals[j]
@@ -346,40 +325,33 @@ def hilbert_basis(
     """Irreducible generating set of (lattice points of the cone, +).
 
     Candidates are the primitive extreme generators together with every
-    nonzero parallelepiped point of the pulling triangulation, which is
-    built from the cone's facet system alone on ray bitmasks (_triangulate);
-    they include the Hilbert basis. A simplex of volume v has v - 1 of them,
-    and only a simplex with v > 1 is unpacked into its rays; v is the
-    product of the heights along the simplex's pulling chain, each a facet
-    value divided by the content of the facet normal on the face's saturated
-    lattice. The volumes are summed before any point is enumerated, and the
-    cap bounds that sum, the total parallelepiped lattice points; past it,
-    the triangulation is rebuilt in its canonical order to report the
-    running total at the first simplex over the cap. Then the pivot walk
-    (_pivot_walk) carries one adjugate from each simplex of volume above 1
-    to the next, and the coset closure of its columns (_coset_points) gives
-    the simplex's points, O(m) additions a point on the rays, packed once
-    (_ray_frame) if some volume is above 1. Reduction follows
-    Normaliz (Bruns and Ichim, J. Algebra 2010): candidates are walked by ascending
-    coordinate sum, and h is kept unless an element k kept before it has
-    every facet value <= h's, i.e. h - k lies in the cone. That is exact: a
-    reducible h is reducible by a Hilbert basis element x with h - x a
-    nonzero point of the first orthant, so sum(x) < sum(h) and x was kept
+    nonzero parallelepiped point of the pulling triangulation (_triangulate);
+    they include the Hilbert basis. A simplex of volume v has v - 1 of them.
+    The cap bounds the sum of the volumes, taken before any point is
+    enumerated; past it, CapExceeded names the running total, in the
+    triangulation's order, at the first simplex over the cap. Then the pivot
+    walk (_pivot_walk) carries one adjugate from each simplex of volume above
+    1 to the next, and the coset closure of its columns (_coset_points) gives
+    the simplex's points on rays packed once (_ray_frame). Reduction follows
+    Normaliz (Bruns and Ichim, J. Algebra 2010): candidates are walked by
+    ascending coordinate sum, and h is kept unless an element k kept before
+    it has every facet value <= h's, i.e. h - k lies in the cone. That is
+    exact: a reducible h is reducible by a Hilbert basis element x with h - x
+    a nonzero point of the first orthant, so sum(x) < sum(h) and x was kept
     first, while two candidates of equal sum never reduce each other.
     Uniqueness comes with pointedness, which holds as the generators sit in
-    the first orthant. Facet values are packed (exactlat.packer) in fields
-    of W.bit_length() + 1 bits, so that test is one guarded subtraction: W,
-    the largest sum of the rays' values on one facet, bounds the values of
-    every candidate, a ray or sum lam_i r_i with 0 <= lam_i < 1. A key that
-    is negative or has a guard bit set is an IntegrityError.
+    the first orthant. Facet values are packed (exactlat.packer) in fields of
+    W.bit_length() + 1 bits, so that test is one guarded subtraction: W, the
+    largest sum of the rays' values on one facet, bounds the values of every
+    candidate, a ray or sum lam_i r_i with 0 <= lam_i < 1. A key that is
+    negative or has a guard bit set is an IntegrityError.
     """
     extreme = extreme_generators(cone, facets)
     rays = tuple(sorted(extreme))
     simplices = _triangulate(rays, facets)
     total = sum(vol for _, vol in simplices)
     if total > cap:
-        canonical = _triangulate(rays, facets, canonical=True)
-        reached = next(t for t in accumulate(vol for _, vol in canonical) if t > cap)
+        reached = next(t for t in accumulate(vol for _, vol in simplices) if t > cap)
         raise CapExceeded(f"parallelepiped budget {cap} exceeded at {reached} lattice points")
     points: set[tuple[int, ...]] = set()
     frame = _ray_frame(rays) if total > len(simplices) else None
@@ -645,16 +617,20 @@ class IdealSession:
                     return NormalityCertificate("not_normal", h, "hilbert")
         return NormalityCertificate("normal", None, "hilbert")
 
-    def equality(self, b_max: int) -> EqualityReport:
+    def equality(self, b_max: int | None = None) -> EqualityReport:
         """Which lattice points of bP are no sum of exactly b generators, for
-        1 <= b <= b_max, with bP read off the session's facets (in_dilation).
-        The generators must share one degree: else UnequalModuli names the
-        lex-first of least degree and of greatest degree."""
+        1 <= b <= b_max, with bP read off the session's facets (in_dilation);
+        b_max None is the largest Hilbert height. The generators must share
+        one degree, checked before any Hilbert basis is read: else
+        UnequalModuli names the lex-first of least degree and of greatest
+        degree."""
         vecs = self.ideal.exponents
         if self.degree is None:
             degrees = [sum(v) for v in vecs]
             first, second = (vecs[degrees.index(f(degrees))] for f in (min, max))
             raise UnequalModuli(first, second)
+        if b_max is None:
+            b_max = max(h[-1] for h in self.hilbert.elements)
         if b_max < 0:
             raise InvalidInstance("b_max must be nonnegative")
         return _equality_report(vecs, self.degree, b_max, self.in_dilation)
@@ -690,7 +666,7 @@ class IdealSession:
             return direct
         if self.classification.verdict is Verdict.NEITHER or self.degree is None:
             return direct
-        equality = self.equality(max(h[-1] for h in self.hilbert.elements))
+        equality = self.equality()
         passed = equality.passed and self.decomposition.holds
         quasi_verdict = "normal" if passed else "not_normal"
         if quasi_verdict != direct.verdict:

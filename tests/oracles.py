@@ -5,9 +5,8 @@ question from a Rees cone's facets (FacetSystem.contains, through
 IdealSession.in_dilation). These routes get there another way, by a double
 description of the lifted polytope's own cone on a pivot projection of its
 span, with the span's equations from an integer kernel basis. Pivot
-columns, kernel bases and `pivot_projector` read a forward Bareiss
-elimination of their own, where the library runs one Gauss-Jordan pass;
-`pivot_projector` also takes an adjugate of the pivot block.
+columns and kernel bases read a forward Bareiss elimination of their own,
+where the library runs one Gauss-Jordan pass.
 `exchange_failures` tests one pair of vector tuples and one coordinate at a
 time, where the library sweeps bitmasks over the family's positions, two
 per coordinate and value. `canonical` names a matroid's isomorphism class
@@ -129,24 +128,6 @@ def kernel_basis(rows) -> list[tuple[int, ...]]:
             x[pc] = -dot(a, column) if det > 0 else dot(a, column)
         basis.append(primitive(x))
     return basis
-
-
-def pivot_projector(rows):
-    """The pivot projection of normals onto span(rows) from the forward
-    echelon basis E: sgn(det E_P) adj(E_P) E b is a positive multiple of the
-    primitive normal w solving E_P w = E b. The reference for
-    `semigroup._pivot_projector`, which reads w off a Gauss-Jordan basis
-    with E_P = p*I instead."""
-    ech, pivots, _ = forward_bareiss(rows)
-    basis = ech[: len(pivots)]
-    adj, det = adjugate([[row[c] for c in pivots] for row in basis])
-    sgn = 1 if det > 0 else -1
-
-    def project(b):
-        eb = [sgn * dot(row, b) for row in basis]
-        return primitive(dot(a, eb) for a in adj)
-
-    return project
 
 
 def column_hnf_diagonal(mat) -> list[int]:

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from oracles import forward_bareiss, kernel_basis, pivot_columns, pivot_projector
+from oracles import forward_bareiss, kernel_basis, pivot_columns
 
 from reeskit.errors import IntegrityError, ZeroVector
 from reeskit.exactlat import (
@@ -19,7 +19,6 @@ from reeskit.exactlat import (
     primitive,
     rank,
 )
-from reeskit.semigroup import _pivot_projector
 
 
 def vsub(u, v):
@@ -261,55 +260,6 @@ class TestGaussJordan:
     def test_sign_times_last_pivot_is_the_determinant(self, rows):
         _, pivots, sign, p = _bareiss(rows)
         assert (sign * p if len(pivots) == len(rows) else 0) == det_oracle(rows)
-
-    @settings(max_examples=150)
-    @given(
-        matrices(5).flatmap(
-            lambda rows: st.tuples(
-                st.just(rows), st.lists(small_entry, min_size=len(rows[0]), max_size=len(rows[0]))
-            )
-        )
-    )
-    def test_projector_matches_the_adjugate_formula(self, case):
-        rows, b = case
-        assume(rank(rows) > 0)
-        try:
-            want = pivot_projector(rows)(b)
-        except ZeroVector:  # b is orthogonal to span(rows)
-            with pytest.raises(ZeroVector):
-                _pivot_projector(rows)(b)
-            return
-        assert _pivot_projector(rows)(b) == want
-
-    @settings(max_examples=150)
-    @given(
-        matrices(5).flatmap(
-            lambda rows: st.tuples(
-                st.just(rows),
-                st.lists(st.lists(small_entry, min_size=len(rows), max_size=len(rows)),
-                         max_size=3),
-                st.lists(small_entry, min_size=len(rows[0]), max_size=len(rows[0])),
-            )
-        )
-    )
-    def test_projector_depends_on_the_span_alone(self, case):
-        # the rows reversed plus integer combinations of them, and the
-        # rank-many echelon rows, span what the rows span: the Gauss-Jordan
-        # rows of a span are unique up to a factor that primitive removes
-        rows, coefficients, b = case
-        assume(rank(rows) > 0)
-        combos = [tuple(sum(c * row[j] for c, row in zip(cs, rows)) for j in range(len(b)))
-                  for cs in coefficients]
-        ech, pivots, _, _ = _bareiss(rows)
-        spans = (rows, rows[::-1] + combos, ech[: len(pivots)])
-        try:
-            want = _pivot_projector(rows)(b)
-        except ZeroVector:  # b is orthogonal to span(rows)
-            for other in spans[1:]:
-                with pytest.raises(ZeroVector):
-                    _pivot_projector(other)(b)
-            return
-        assert [_pivot_projector(other)(b) for other in spans[1:]] == [want, want]
 
     @pytest.mark.parametrize("call, rows, message", [
         (rank, ((1, 2), (3,)), "ragged rows"),

@@ -10,8 +10,9 @@ equal-degree files that are not bundled, `hilbert`/`normality` on four
 mixed-degree ideals that are not normal, `normality` on Veronese(3,50),
 `polymatroid-check` on Veronese(3,50) and Veronese(4,20), `analyze`,
 `hilbert` and `normality` on the wheel W4, `hilbert` past its
-parallelepiped cap on three instances, and `validate`/`polymatroid-check`
-on two families in 40,000 coordinates, so any such change fails here.
+parallelepiped cap on three instances, `ehrhart-check` past a cap on two
+mixed-degree ideals, and `validate`/`polymatroid-check` on two families in
+40,000 coordinates, so any such change fails here.
 Regenerate them only when a change to a report is intended.
 """
 
@@ -202,7 +203,7 @@ ENUMERATE_6_3_GOLDEN = (0, "d6a92f0fb3ca13456d7495197bd25002cc1fd2f8b8e78ff6167c
 # names the running total at the simplex that crossed it, so these pin the
 # order of the simplices, not only their set. (instance, --cap) -> (exit, sha256)
 CAP_GOLDEN = {
-    ("graphic_k4", 83): (3, "9c88b433bc44ff5cdc834d9ec4f95f12391ea406992b6ddcad13d152465fb8c4"),
+    ("graphic_k4", 83): (3, "c42ba0abb9b68b36a6173a11ab630873847a3f809ee445e22c2d0989daa901d5"),
     ("veronese_3_4", 1): (3, "ac6c4ac09b17a3d68a13cbb451fb126720dd58532fb264e5179663baed1e27e7"),
     ("transversal_12_123", 1): (3, "9d41b0ca23913a885b6986c9f4c4d03edf4149266bf5beab58598713a33d6dd8"),
 }
@@ -398,6 +399,20 @@ def test_enumerate_matroids_6_3_matches_golden(capsys):
 @pytest.mark.parametrize("name, cap", sorted(CAP_GOLDEN))
 def test_cap_exceeded_matches_golden(capsys, name, cap):
     assert _run(capsys, ["hilbert", f"bundled:{name}", "--cap", str(cap)]) == CAP_GOLDEN[name, cap]
+
+
+def test_ehrhart_check_tests_one_degree_before_the_cap(capsys, tmp_path):
+    """ehrhart-check tests the one-degree precondition before it reads the
+    Hilbert basis, so a cap the basis would cross still ends in the
+    UnequalModuli document, with or without --bmax."""
+    want = COMMAND_GOLDEN["ehrhart-check", "ideal_mixed_neither"]
+    for extra in (["--cap", "0"], ["--cap", "0", "--bmax", "1"]):
+        assert _run(capsys, ["ehrhart-check", "bundled:ideal_mixed_neither", *extra]) == want
+    path = tmp_path / "mixed_n3_v516.json"
+    payload = MIXED_FILES["mixed_n3_v516"]
+    path.write_text(json.dumps({"kind": "ideal", "name": "mixed_n3_v516", "payload": payload}))
+    got = _run(capsys, ["ehrhart-check", str(path), "--cap", "10"])
+    assert got == MIXED_GOLDEN["ehrhart-check", "mixed_n3_v516"]
 
 
 @pytest.mark.parametrize("name", sorted(EHRHART_GOLDEN))

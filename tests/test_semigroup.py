@@ -45,6 +45,7 @@ from reeskit.reescone import (
     rees_generators,
 )
 from reeskit.semigroup import (
+    DEFAULT_CAP,
     DilationCheck,
     EqualityReport,
     IdealSession,
@@ -118,7 +119,7 @@ def facet_tight_sets(generators) -> list[tuple]:
 
 def dd_triangulate(rays, memo, tight_sets=None) -> tuple[tuple, ...]:
     """The pulling triangulation with one double description and one rank
-    per face: the oracle for _triangulate, simplex order included."""
+    per face: the oracle for _triangulate's simplices."""
     hit = memo.get(rays)
     if hit is not None:
         return hit
@@ -141,7 +142,7 @@ def dd_triangulate(rays, memo, tight_sets=None) -> tuple[tuple, ...]:
 def dd_pulling(cone, fs):
     """dd_triangulate of the cone's extreme rays, its top facets taken from fs."""
     rays = tuple(sorted(extreme_generators(cone, fs)))
-    tight_sets = [tuple(r for r in rays if dot(b, r) == 0) for b in sorted(fs.normals())]
+    tight_sets = [tuple(r for r in rays if dot(b, r) == 0) for b in fs.normals()]
     return dd_triangulate(rays, {}, tight_sets)
 
 
@@ -350,30 +351,25 @@ def ray_simplices(rays, triangulation) -> list[tuple]:
     return [(tuple(r for i, r in enumerate(rays) if s >> i & 1), vol) for s, vol in triangulation]
 
 
-def triangulations(ideal):
-    """(cone, facet system, default-order and canonical-order triangulations),
-    each simplex unpacked into its rays."""
+def triangulation(ideal):
+    """(cone, facet system, _triangulate's triangulation), each simplex
+    unpacked into its rays."""
     cone = rees_generators(ideal)
     fs = facet_normals(cone)
     rays = tuple(sorted(extreme_generators(cone, fs)))
-    fast = ray_simplices(rays, _triangulate(rays, fs))
-    return cone, fs, fast, ray_simplices(rays, _triangulate(rays, fs, canonical=True))
+    return cone, fs, ray_simplices(rays, _triangulate(rays, fs))
 
 
 def assert_matches_oracle(ideal):
-    """The canonical order of _triangulate gives the double description
-    oracle's simplices in its order, each with its volume from heights equal
-    to |det|; the default order gives the same (simplex, volume) pairs as a
-    multiset. A simplex is compared as a set of rays: the order of the rays
-    inside one is not part of any output."""
-    cone, fs, fast, canonical = triangulations(ideal)
-    oracle = dd_pulling(cone, fs)
-    assert [frozenset(s) for s, _ in canonical] == [frozenset(s) for s in oracle], ideal
-    assert [vol for _, vol in canonical] == [
-        abs(determinant(s)) for s, _ in canonical
-    ], ideal
-    assert Counter(fast) == Counter(canonical), ideal
-    return canonical
+    """_triangulate gives the double description oracle's simplices, each
+    with its volume from heights equal to |det|, as a multiset of (ray set,
+    volume) pairs. The order of the simplices shows only in the cap message,
+    which is tested on its own; that of the rays inside one shows nowhere.
+    Returns the triangulation."""
+    cone, fs, simplices = triangulation(ideal)
+    oracle = Counter((frozenset(s), abs(determinant(s))) for s in dd_pulling(cone, fs))
+    assert Counter((frozenset(s), vol) for s, vol in simplices) == oracle, ideal
+    return simplices
 
 
 # The wheel W4: K5 without the edges 12 and 34; 2,734 simplices, 192 of
@@ -403,10 +399,10 @@ class TestTriangulation:
 
     def test_matches_oracle_on_the_wheel_w4(self):
         ideal = basis_monomial_ideal(graphic_matroid(5, W4_EDGES))
-        triangulation = assert_matches_oracle(ideal)
-        assert len(triangulation) == 2734
-        assert sum(vol > 1 for _, vol in triangulation) == 192
-        assert sum(vol for _, vol in triangulation) == 2946
+        simplices = assert_matches_oracle(ideal)
+        assert len(simplices) == 2734
+        assert sum(vol > 1 for _, vol in simplices) == 192
+        assert sum(vol for _, vol in simplices) == 2946
 
     # MIXED reaches a face whose cone normal has content 3 on its lattice,
     # so a height not divided by that content would be off by 3
@@ -422,23 +418,44 @@ class TestTriangulation:
         with pytest.raises(IntegrityError, match="from the pivot walk"):
             _coset_points(simplex, adj, det, vol, _ray_frame(simplex))
 
-    def test_cap_message_follows_the_canonical_order(self):
-        """Caps across W4's total volume: the message reports the running
-        total, in the oracle's simplex order, at the first simplex past the
-        cap, however the default order runs."""
-        ideal = basis_monomial_ideal(graphic_matroid(5, W4_EDGES))
-        cone = rees_generators(ideal)
-        fs = facet_normals(cone)
-        totals = list(accumulate(abs(determinant(s)) for s in dd_pulling(cone, fs)))
-        assert totals[-1] == 2946
-        for cap in [*range(0, 2946, 97), 2944, 2945]:
-            reached = next(t for t in totals if t > cap)
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(small_ideals(), mixed_degree_ideals()), st.data())
+    def test_cap_message_names_the_first_total_past_the_cap(self, ideal, data):
+        """For caps across [0, total): the message names the first running
+        total of _triangulate's sequence past the cap, which lies in
+        (cap, cap + largest volume]; at cap = total, hilbert_basis succeeds."""
+        cone, fs, simplices = triangulation(ideal)
+        volumes = [vol for _, vol in simplices]
+        totals = list(accumulate(volumes))
+        caps = data.draw(st.lists(st.integers(0, totals[-1] - 1), min_size=1, max_size=4))
+        for cap in caps:
             with pytest.raises(CapExceeded) as exc:
                 hilbert_basis(cone, fs, cap)
-            assert str(exc.value) == (
-                f"parallelepiped budget {cap} exceeded at {reached} lattice points"
-            )
-        assert hilbert_basis(cone, fs, 2946).parallelepiped_points == 2946
+            message = f"parallelepiped budget {cap} exceeded at "
+            assert str(exc.value).startswith(message), exc.value
+            reached = int(str(exc.value)[len(message):].removesuffix(" lattice points"))
+            assert reached == next(t for t in totals if t > cap), (ideal, cap)
+            assert cap < reached <= cap + max(volumes), (ideal, cap)
+        assert hilbert_basis(cone, fs, totals[-1]).parallelepiped_points == totals[-1]
+
+    @pytest.mark.parametrize("cap, trips", [(0, True), (83, True), (DEFAULT_CAP, False)])
+    def test_hilbert_basis_triangulates_once_per_call(self, monkeypatch, cap, trips):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return _triangulate(*args)
+
+        monkeypatch.setattr(semigroup, "_triangulate", counting)
+        k4 = analysis_ideal(realize(load_bundled("graphic_k4")).value)
+        cone = rees_generators(k4)
+        fs = facet_normals(cone)
+        if trips:
+            with pytest.raises(CapExceeded):
+                hilbert_basis(cone, fs, cap)
+        else:
+            hilbert_basis(cone, fs, cap)
+        assert len(calls) == 1
 
 
 def floor_points_oracle(simplex, vol):

@@ -17,7 +17,7 @@ from oracles import lifted_membership
 
 from reeskit import reescone, semigroup
 from reeskit.cli import main
-from reeskit.errors import CapExceeded
+from reeskit.errors import CapExceeded, UnequalModuli
 from reeskit.matroid import MonomialIdeal
 from reeskit.semigroup import IdealSession
 
@@ -215,3 +215,14 @@ class TestIdealSession:
             messages.append(str(exc.value))
         assert len(set(messages)) == 1
         assert len(hilbert) == 1
+
+    def test_equality_tests_one_degree_before_the_hilbert_basis(self, monkeypatch):
+        # no bound means the largest Hilbert height, read only once the
+        # generators are known to share one degree
+        hilbert = count_calls(monkeypatch, semigroup, "hilbert_basis")
+        with pytest.raises(UnequalModuli):
+            IdealSession(MIXED_QUASI, cap=0).equality()
+        assert hilbert == []
+        session = IdealSession(VERONESE_2_2)
+        top = max(h[-1] for h in session.hilbert.elements)
+        assert session.equality() == session.equality(top)
