@@ -5,14 +5,15 @@ it exhausts every lattice point of the cone, i.e. when the generators are an
 integral Hilbert basis. The Hilbert basis of the full lattice-point
 semigroup is computed by a pulling triangulation of the cone into simplicial
 subcones, whose faces are read off the cone's facets by intersecting ray
-bitmasks, so no face below the top runs a double description of its own; a
-simplex is such a bitmask too, unpacked into rays only when its volume is
-above 1. Each simplex comes with its normalized volume, a product of
-heights: the height of a face's apex over one of its facets, in the face's
-saturated lattice Z^dim & span(F), is <b, apex> / gcd <b, L_F> for the
-facet's cone normal b, and the recursion carries a Z-basis of each face's
-lattice down to its facets. Then one pivot walk takes the adjugate of each
-simplex of volume above 1 to the next by exchanging rays, and one coset
+bitmasks, so no face below the top runs a double description of its own. It
+is a DAG of faces, each built once with the number and total volume of its
+simplices, so a simplex, the bitmask of the apexes on a path down it, is
+listed only when its volume is above 1. Volumes are products of heights: the
+apex a of a face F has height <b, a> / gcd <b, L_F> over its facet of cone
+normal b, in L_F = Z^dim & span(F). The gcd is 1 when a ray r of F has
+<b, r> = 1, as r lies in L_F; only a face without such a ray builds a
+Z-basis of L_F, from its parent's. Then one pivot walk takes the adjugate of
+each simplex of volume above 1 to the next by exchanging rays, and one coset
 closure, on rays packed once per cone, reads the lattice points of the
 simplex's half-open fundamental parallelepiped off the adjugate's columns;
 the candidates are reduced to the irreducible ones in order of degree, each
@@ -241,12 +242,11 @@ def _split(basis, b):
     return abs(live[0][0]), sub
 
 
-def _triangulate(rays: tuple, fs: FacetSystem) -> tuple[tuple, ...]:
+def _triangulate(rays: tuple, fs: FacetSystem) -> tuple:
     """Pulling triangulation of the lex-sorted extreme rays of a cone with
-    the facet system fs, as (simplex, normalized volume) pairs, a simplex
-    being the bitmask of its rays: cone off the lex-smallest ray of each face
-    (its lowest bit) over every facet of the face that avoids it. The
-    subcones cover the cone, which is all downstream enumeration needs.
+    the facet system fs, as the root of a DAG of faces: cone off the
+    lex-smallest ray of each face (its lowest bit) over every facet of the
+    face that avoids it. The subcones cover the cone.
 
     Faces are bitmasks over the rays, and every facet G of the cone is the
     mask of the rays it contains (FacetSystem.tight_masks). The facets of a
@@ -256,39 +256,40 @@ def _triangulate(rays: tuple, fs: FacetSystem) -> tuple[tuple, ...]:
     depth k has dimension dim - k, so each of its facets has at least
     dim - k - 1 rays, and so has every meet containing one: maximality is
     tested only among the meets with that many rays. A simplicial face has
-    exactly its dim - k sets F - a left, so it needs no test of its own: its
-    lowest ray is pulled over the rest, down to the empty face. Faces recur
-    across facets, so each face is triangulated once. A face's facets are
-    taken in the order of the cone facets that first cut them out, so the
-    sequence of simplices, like their set, is fixed by rays and fs.
+    exactly its dim - k sets F - a left, so it needs no test of its own. A
+    face's facets are taken in the order of the cone facets that first cut
+    them out, so the sequence of simplices is fixed by rays and fs.
 
-    Volumes come from heights (as over the triangulations of Normaliz,
-    Bruns and Ichim, J. Algebra 2010), not from determinants. A face F
-    carries a Z-basis of its saturated lattice L_F = Z^dim & span(F), the
-    identity at the top. Pulling the apex a over a facet H of F with cone
-    normal b gives |det(s + a)| = h vol(s) in L_F for each simplex s of H,
-    where h is a's height over H in L_F: b restricted to L_F is g w with w
-    H's primitive functional on L_F and g = gcd <b, L_F>, so h = <b, a> / g.
-    For a face H not yet triangulated, _split gives g and a Z-basis of L_H =
-    L_F & b^perp; for one already triangulated, g alone, the gcd of <b, v>
-    over L_F's basis v. The empty face is one empty simplex of volume 1, so
-    a primitive ray has volume 1.
+    Each face is one node (count, volume, edges), built once: the number and
+    total volume of its simplices, and an edge (apex bit, height, facet node)
+    per facet pulled over, in order. A simplex is the mask of the apex bits
+    on a path down to the empty face's node (1, 1, ()), its volume the
+    product of their heights (as in Normaliz, Bruns and Ichim, J. Algebra
+    2010): pulling the apex a of F over a facet H with cone normal b scales
+    the volumes of H's simplices, in L_F = Z^dim & span(F), by h = <b, a> / g
+    for g = gcd <b, L_F>. A ray r of F with <b, r> = 1 lies in L_F, so g = 1;
+    only without one does F need a Z-basis of L_F: the identity at the top,
+    else built on first need by _split from that of the face that first
+    reached F. A facet H not yet reached takes g and its basis from one
+    _split, one already reached g alone, the gcd of <b, v> over L_F's basis.
     """
     dim = len(rays[0])
     normals = fs.normals()
     facets = fs.tight_masks(rays)
     slack = [fs.slack[r] for r in rays]
-    memo: dict[int, tuple] = {}
+    unit = [sum(1 << i for i, v in enumerate(col) if v == 1) for col in zip(*slack)]
+    nodes: dict[int, tuple] = {0: (1, 1, ())}
+    top = (1 << len(rays)) - 1
+    bases = {top: [tuple(int(i == k) for k in range(dim)) for i in range(dim)]}
+    parents: dict[int, tuple] = {}  # face -> (the face that first reached it, its cut)
 
-    def height(apex: int, j: int, g: int) -> int:
-        h, r = divmod(slack[apex][j], g)
-        if r:
-            raise IntegrityError(f"height {slack[apex][j]} not divisible by content {g}")
-        return h
+    def basis(face: int):
+        if face not in bases:
+            parent, j = parents[face]
+            bases[face] = _split(basis(parent), normals[j])[1]
+        return bases[face]
 
-    def pull(face: int, depth: int, basis) -> tuple:
-        if not face:
-            return ((0, 1),)
+    def pull(face: int, depth: int) -> tuple:
         low = face & -face
         apex = low.bit_length() - 1
         meets: dict[int, int] = {}  # F & G -> the index of the first such G
@@ -296,27 +297,48 @@ def _triangulate(rays: tuple, fs: FacetSystem) -> tuple[tuple, ...]:
             meet = face & mask
             if meet != face and meet.bit_count() >= dim - depth - 1:
                 meets.setdefault(meet, j)
-        pulled = [
-            (meet, j)
-            for meet, j in meets.items()
-            if not meet & low and not any(meet | other == other != meet for other in meets)
-        ]
-        out = []
-        for meet, j in pulled:
-            b = normals[j]
-            sub = memo.get(meet)
-            if sub is None:
-                g, sub_basis = _split(basis, b)
-                sub = pull(meet, depth + 1, sub_basis)
-            else:
-                g = gcd(*[sum(map(mul, b, v)) for v in basis])
-            h = height(apex, j, g)
-            out.extend((s | low, h * vol) for s, vol in sub)
-        memo[face] = simplices = tuple(out)
-        return simplices
+        edges, count, volume = [], 0, 0
+        for meet, j in meets.items():
+            if meet & low or any(meet | other == other != meet for other in meets):
+                continue
+            h = slack[apex][j]
+            if not face & unit[j]:
+                if meet in nodes:
+                    g = gcd(*[sum(map(mul, normals[j], v)) for v in basis(face)])
+                else:
+                    g, bases[meet] = _split(basis(face), normals[j])
+                h, r = divmod(h, g)
+                if r:
+                    raise IntegrityError(f"height {slack[apex][j]} not divisible by content {g}")
+            if meet not in nodes:
+                parents[meet] = face, j
+                pull(meet, depth + 1)
+            edges.append((low, h, nodes[meet]))
+            count, volume = count + nodes[meet][0], volume + h * nodes[meet][1]
+        nodes[face] = node = (count, volume, tuple(edges))
+        return node
 
-    identity = [tuple(int(i == k) for k in range(dim)) for i in range(dim)]
-    return pull((1 << len(rays)) - 1, 0, identity)
+    return pull(top, 0)
+
+
+def _nonunimodular(node: tuple, mask: int = 0, scale: int = 1):
+    """(simplex mask, volume times scale) of each simplex of a _triangulate
+    node whose volume times scale is above 1, in order."""
+    if not node[2]:
+        yield mask, scale
+    for low, h, sub in node[2]:
+        if scale * h > 1 or sub[1] > sub[0]:
+            yield from _nonunimodular(sub, mask | low, scale * h)
+
+
+def _reached(node: tuple, cap: int, scale: int = 1, run: int = 0) -> int:
+    """The first running total past cap, from run on, of a _triangulate
+    node's simplex volumes times scale, in order; their sum must pass cap."""
+    for _, h, sub in node[2]:
+        if run + scale * h * sub[1] > cap:
+            return _reached(sub, cap, scale * h, run)
+        run += scale * h * sub[1]
+    return run + scale
 
 
 def hilbert_basis(
@@ -325,20 +347,21 @@ def hilbert_basis(
     """Irreducible generating set of (lattice points of the cone, +).
 
     Candidates are the primitive extreme generators together with every
-    nonzero parallelepiped point of the pulling triangulation (_triangulate);
-    they include the Hilbert basis. A simplex of volume v has v - 1 of them.
-    The cap bounds the sum of the volumes, taken before any point is
-    enumerated; past it, CapExceeded names the running total, in the
-    triangulation's order, at the first simplex over the cap. Then the pivot
-    walk (_pivot_walk) carries one adjugate from each simplex of volume above
-    1 to the next, and the coset closure of its columns (_coset_points) gives
-    the simplex's points on rays packed once (_ray_frame). Reduction follows
-    Normaliz (Bruns and Ichim, J. Algebra 2010): candidates are walked by
-    ascending coordinate sum, and h is kept unless an element k kept before
-    it has every facet value <= h's, i.e. h - k lies in the cone. That is
-    exact: a reducible h is reducible by a Hilbert basis element x with h - x
-    a nonzero point of the first orthant, so sum(x) < sum(h) and x was kept
-    first, while two candidates of equal sum never reduce each other.
+    nonzero parallelepiped point of the pulling triangulation, a DAG of faces
+    (_triangulate); they include the Hilbert basis. A simplex of volume v has
+    v - 1 of them. The cap bounds the sum of the volumes, read off the root
+    before any point is enumerated; past it, CapExceeded names the running
+    total, in the triangulation's order, at the first simplex over the cap
+    (_reached). Then the pivot walk (_pivot_walk) carries one adjugate from
+    each simplex of volume above 1 (_nonunimodular) to the next, and the coset
+    closure of its columns (_coset_points) gives the simplex's points on rays
+    packed once (_ray_frame); those of volume 1 have none and go unlisted.
+    Reduction follows Normaliz (Bruns and Ichim, J. Algebra 2010): candidates
+    are walked by ascending coordinate sum, and h is kept unless an element k
+    kept before it has every facet value <= h's, i.e. h - k lies in the cone.
+    That is exact: a reducible h is reducible by a Hilbert basis element x
+    with h - x a nonzero point of the first orthant, so sum(x) < sum(h) and x
+    was kept first, while two candidates of equal sum never reduce each other.
     Uniqueness comes with pointedness, which holds as the generators sit in
     the first orthant. Facet values are packed (exactlat.packer) in fields of
     W.bit_length() + 1 bits, so that test is one guarded subtraction: W, the
@@ -348,14 +371,13 @@ def hilbert_basis(
     """
     extreme = extreme_generators(cone, facets)
     rays = tuple(sorted(extreme))
-    simplices = _triangulate(rays, facets)
-    total = sum(vol for _, vol in simplices)
+    count, total, _ = root = _triangulate(rays, facets)
     if total > cap:
-        reached = next(t for t in accumulate(vol for _, vol in simplices) if t > cap)
+        reached = _reached(root, cap)
         raise CapExceeded(f"parallelepiped budget {cap} exceeded at {reached} lattice points")
     points: set[tuple[int, ...]] = set()
-    frame = _ray_frame(rays) if total > len(simplices) else None
-    for walked in _pivot_walk(rays, simplices):
+    frame = _ray_frame(rays) if total > count else None
+    for walked in _pivot_walk(rays, _nonunimodular(root)):
         points.update(_coset_points(*walked, frame))
     candidates = set(extreme) | points
     bound = max(map(sum, zip(*(facets.slack[r] for r in rays))))
@@ -372,9 +394,7 @@ def hilbert_basis(
         else:
             elements.append(h)
             kept.append(x)
-    return HilbertBasisResult(
-        tuple(sorted(elements)), len(simplices), total, len(candidates)
-    )
+    return HilbertBasisResult(tuple(sorted(elements)), count, total, len(candidates))
 
 
 def _slice_count(lo, hi, total) -> int:

@@ -51,10 +51,13 @@ from reeskit.semigroup import (
     IdealSession,
     _coset_points,
     _equality_report,
+    _nonunimodular,
     _pivot_walk,
     _ray_frame,
+    _reached,
     _slice_count,
     _slice_keys,
+    _split,
     _triangulate,
     hilbert_basis,
 )
@@ -345,9 +348,18 @@ def small_ideals(draw):
     return MonomialIdeal(n, tuple(sorted(vecs)))
 
 
+def flatten(node, mask=0, scale=1):
+    """(simplex mask, volume) of every simplex of a _triangulate node, in
+    order: the sequence the DAG stands for."""
+    if not node[2]:
+        yield mask, scale
+    for low, h, sub in node[2]:
+        yield from flatten(sub, mask | low, scale * h)
+
+
 def ray_simplices(rays, triangulation) -> list[tuple]:
-    """_triangulate's (simplex mask, volume) pairs with each mask unpacked
-    into its rays, lex-ascending."""
+    """(simplex mask, volume) pairs, as flatten lists them, with each mask
+    unpacked into its rays, lex-ascending."""
     return [(tuple(r for i, r in enumerate(rays) if s >> i & 1), vol) for s, vol in triangulation]
 
 
@@ -357,7 +369,7 @@ def triangulation(ideal):
     cone = rees_generators(ideal)
     fs = facet_normals(cone)
     rays = tuple(sorted(extreme_generators(cone, fs)))
-    return cone, fs, ray_simplices(rays, _triangulate(rays, fs))
+    return cone, fs, ray_simplices(rays, flatten(_triangulate(rays, fs)))
 
 
 def assert_matches_oracle(ideal):
@@ -438,13 +450,15 @@ class TestTriangulation:
             assert cap < reached <= cap + max(volumes), (ideal, cap)
         assert hilbert_basis(cone, fs, totals[-1]).parallelepiped_points == totals[-1]
 
+    # _triangulate builds the face DAG; hilbert_basis reads the counts, the
+    # cap's running total and the walk's simplices off its one root
     @pytest.mark.parametrize("cap, trips", [(0, True), (83, True), (DEFAULT_CAP, False)])
     def test_hilbert_basis_triangulates_once_per_call(self, monkeypatch, cap, trips):
-        calls = []
+        roots = []
 
         def counting(*args):
-            calls.append(args)
-            return _triangulate(*args)
+            roots.append(_triangulate(*args))
+            return roots[-1]
 
         monkeypatch.setattr(semigroup, "_triangulate", counting)
         k4 = analysis_ideal(realize(load_bundled("graphic_k4")).value)
@@ -454,8 +468,46 @@ class TestTriangulation:
             with pytest.raises(CapExceeded):
                 hilbert_basis(cone, fs, cap)
         else:
-            hilbert_basis(cone, fs, cap)
-        assert len(calls) == 1
+            result = hilbert_basis(cone, fs, cap)
+            assert (result.simplices, result.parallelepiped_points) == roots[0][:2]
+        assert len(roots) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(small_ideals(), mixed_degree_ideals()))
+    @example(MIXED)
+    @example(basis_monomial_ideal(graphic_matroid(5, W4_EDGES)))
+    def test_dag_totals_match_its_flattened_sequence(self, ideal):
+        """The root's simplex count and total volume, the simplices of volume
+        above 1 it lists and the running totals it descends to are those of
+        the flattened sequence, and hilbert_basis reports the same counts."""
+        cone = rees_generators(ideal)
+        fs = facet_normals(cone)
+        root = _triangulate(tuple(sorted(extreme_generators(cone, fs))), fs)
+        flat = list(flatten(root))
+        assert root[:2] == (len(flat), sum(vol for _, vol in flat))
+        assert list(_nonunimodular(root)) == [(s, vol) for s, vol in flat if vol > 1]
+        totals = list(accumulate(vol for _, vol in flat))
+        for before, total in zip([0, *totals], totals):
+            assert _reached(root, before) == _reached(root, total - 1) == total
+        result = hilbert_basis(cone, fs)
+        assert (result.simplices, result.parallelepiped_points) == root[:2]
+
+    def test_unit_slack_rays_spare_the_lattice_bases(self, monkeypatch):
+        """A ray of slack 1 on a face's cut makes its content 1, so W4 builds
+        no lattice basis; MIXED has a face whose cut has content 3, which
+        takes its lattice basis, and still gets dd_pulling's |det|."""
+        contents = []
+
+        def counting(basis, b):
+            g, sub = _split(basis, b)
+            contents.append(g)
+            return g, sub
+
+        monkeypatch.setattr(semigroup, "_split", counting)
+        assert len(triangulation(basis_monomial_ideal(graphic_matroid(5, W4_EDGES)))[2]) == 2734
+        assert contents == []
+        assert_matches_oracle(MIXED)
+        assert 3 in contents
 
 
 def floor_points_oracle(simplex, vol):
@@ -479,13 +531,14 @@ def floor_points_oracle(simplex, vol):
 
 
 def walked(ideal):
-    """The rays of the ideal's Rees cone, its triangulation, and what the
-    pivot walk yields over it."""
+    """The rays of the ideal's Rees cone, its triangulation's simplices, and
+    what the pivot walk yields over those of volume above 1, as
+    hilbert_basis feeds it."""
     cone = rees_generators(ideal)
     fs = facet_normals(cone)
     rays = tuple(sorted(extreme_generators(cone, fs)))
-    simplices = _triangulate(rays, fs)
-    return rays, simplices, list(_pivot_walk(rays, simplices))
+    root = _triangulate(rays, fs)
+    return rays, list(flatten(root)), list(_pivot_walk(rays, _nonunimodular(root)))
 
 
 def assert_walk_matches_oracle(ideal) -> list[int]:
@@ -684,7 +737,7 @@ def reduction_oracle(cone, fs):
     rays = tuple(sorted(extreme_generators(cone, fs)))
     candidates = set(rays)
     frame = _ray_frame(rays)
-    for walk in _pivot_walk(rays, _triangulate(rays, fs)):
+    for walk in _pivot_walk(rays, flatten(_triangulate(rays, fs))):
         candidates |= _coset_points(*walk, frame)
     normals = fs.normals()
     elements, kept_values = [], []
