@@ -15,9 +15,10 @@ import json
 import sys
 import time
 from functools import cache
+from math import comb
 
 from . import jsonio
-from .errors import CapExceeded, ParseError, ReesKitError, TheoremCounterexample
+from .errors import CapExceeded, InvalidInstance, ParseError, ReesKitError, TheoremCounterexample
 from .matroid import (ENUMERATION_CAP, Matroid, basis_monomial_ideal, enumerate_matroids,
                       matroid_classes)
 from .polymatroid import (
@@ -67,28 +68,35 @@ class _Invalid(Exception):
     neither corpus's _failures nor main's generic branch can catch it."""
 
 
-def _session(args, named: bool = False, kinds=jsonio.KINDS):
-    """(instance, session): the instance args names, read once, and an
-    IdealSession on the ideal it feeds into cone analysis. A kind outside
-    kinds is not validated here and gets None. An invalid instance raises
-    _Invalid, its document naming kind and name when named."""
-    instance = jsonio.load_instance(args.instance)
-    if instance.kind not in kinds:
-        return instance, None
+def _valid(instance, view, named: bool = False):
+    """view(value) for instance's validated value. An instance that fails
+    validation, or whose value view refuses (a rank-0 matroid has no
+    nonconstant generator), raises _Invalid, naming kind and name when named."""
     outcome = jsonio.realize(instance)
-    if not outcome.ok:
-        payload = {"error": "invalid_instance", "witness": outcome.witness}
-        if named:
-            payload.update(kind=instance.kind, name=instance.name)
-        raise _Invalid(payload)
-    return instance, IdealSession(jsonio.analysis_ideal(outcome.value), args.cap)
+    try:
+        if outcome.ok:
+            return view(outcome.value)
+        witness = outcome.witness
+    except InvalidInstance as exc:
+        witness = {"error": type(exc).__name__, "detail": str(exc)}
+    payload = {"error": "invalid_instance", "witness": witness}
+    if named:
+        payload.update(kind=instance.kind, name=instance.name)
+    raise _Invalid(payload)
 
 
-def _matroid_bases(session: IdealSession) -> PolymatroidBases:
-    """A matroid's indicator vectors as polymatroid bases, unwalked: the
-    exchange walk that validated its bases is the one they would take."""
-    vectors = session.ideal.exponents
-    return PolymatroidBases(session.ideal.n, sum(vectors[0]), vectors)
+def _session(args, named: bool = False):
+    """(instance, session): the instance args names, read once, and an
+    IdealSession on the ideal it feeds into cone analysis (see _valid)."""
+    instance = jsonio.load_instance(args.instance)
+    return instance, IdealSession(_valid(instance, jsonio.analysis_ideal, named), args.cap)
+
+
+def _matroid_bases(m: Matroid) -> PolymatroidBases:
+    """A matroid's indicator vectors, lex-sorted, as polymatroid bases, unwalked:
+    the exchange walk that validated its bases is the one they would take."""
+    ground = range(1, m.n + 1)
+    return PolymatroidBases(m.n, m.d, sorted(tuple(int(e in b) for e in ground) for b in m.bases))
 
 
 def _divisions(bases: PolymatroidBases):
@@ -111,7 +119,7 @@ def cmd_validate(args) -> tuple[dict, int]:
     outcome = jsonio.realize(instance)
     payload = {"valid": outcome.ok, "kind": instance.kind, "name": instance.name}
     if outcome.ok:
-        payload["normalized"] = outcome.value.to_json()
+        payload["normalized"] = outcome.value
     else:
         payload["witness"] = outcome.witness
     return payload, 0 if outcome.ok else 1
@@ -122,14 +130,14 @@ def cmd_analyze(args) -> tuple[dict, int]:
     payload = {
         "name": instance.name,
         "kind": instance.kind,
-        "ideal": session.ideal.to_json(),
-        "generators": [list(g) for g in session.cone.generators],
-        "facets": session.facets.to_json(),
-        "classification": session.classification.to_json(),
+        "ideal": session.ideal,
+        "generators": session.cone.generators,
+        "facets": session.facets,
+        "classification": session.classification,
     }
     try:
-        payload["hilbert"] = session.hilbert.to_json()
-        payload["normality"] = session.certificate.to_json()
+        payload["hilbert"] = session.hilbert
+        payload["normality"] = session.certificate
     except CapExceeded as exc:
         notice = {"error": "cap_exceeded", "detail": str(exc)}
         payload.setdefault("hilbert", notice)
@@ -140,61 +148,62 @@ def cmd_analyze(args) -> tuple[dict, int]:
 def cmd_rees_facets(args) -> tuple[dict, int]:
     instance, session = _session(args)
     cone, fs = session.cone, session.facets
-    run_oracle = args.oracle or len(cone.generators) <= ORACLE_CAP
-    if run_oracle:
-        oracle = facet_normals_oracle(cone, cap=max(ORACLE_CAP, len(cone.generators)))
+    g = len(cone.generators)
+    run_oracle = args.oracle or g <= ORACLE_CAP
+    if run_oracle:  # --oracle lifts the oracle's own cap, so its subsets count against --cap
+        if g > ORACLE_CAP and (subsets := comb(g, cone.dim - 1)) > args.cap:
+            raise CapExceeded(f"the oracle's {subsets} subsets of {cone.dim - 1} of the "
+                              f"{g} generators exceed the cap {args.cap}")
+        oracle = facet_normals_oracle(cone, cap=max(ORACLE_CAP, g))
         if oracle != fs:
             return {"error": "integrity", "detail": "oracle disagrees with the engine",
-                    "facets": fs.to_json(), "oracle": oracle.to_json()}, 1
-    return {"name": instance.name, "generators": [list(g) for g in cone.generators],
-            "facets": fs.to_json(), "oracle_checked": run_oracle}, 0
+                    "facets": fs, "oracle": oracle}, 1
+    return {"name": instance.name, "generators": cone.generators,
+            "facets": fs, "oracle_checked": run_oracle}, 0
 
 
 def cmd_classify(args) -> tuple[dict, int]:
     instance, session = _session(args)
     result = session.classification
-    return ({"name": instance.name, "facets": session.facets.to_json(),
-             "classification": result.to_json()}, 1 if result.verdict is Verdict.NEITHER else 0)
+    return ({"name": instance.name, "facets": session.facets,
+             "classification": result}, 1 if result.verdict is Verdict.NEITHER else 0)
 
 
 def cmd_hilbert(args) -> tuple[dict, int]:
     instance, session = _session(args)
-    return {"name": instance.name, "generators": [list(g) for g in session.cone.generators],
-            "facets": session.facets.to_json(), "hilbert": session.hilbert.to_json()}, 0
+    return {"name": instance.name, "generators": session.cone.generators,
+            "facets": session.facets, "hilbert": session.hilbert}, 0
 
 
 def cmd_normality(args) -> tuple[dict, int]:
     instance, session = _session(args)
     cert = session.certificate
-    return ({"name": instance.name, "certificate": cert.to_json()},
-            0 if cert.verdict == "normal" else 1)
+    return {"name": instance.name, "certificate": cert}, 0 if cert.verdict == "normal" else 1
 
 
 def cmd_ehrhart_check(args) -> tuple[dict, int]:
     instance, session = _session(args)
     report = session.equality(args.bmax)
-    return {"name": instance.name, "equality": report.to_json()}, 0 if report.passed else 1
+    return {"name": instance.name, "equality": report}, 0 if report.passed else 1
 
 
 def cmd_polymatroid_check(args) -> tuple[dict, int]:
-    instance, session = _session(args, kinds=("matroid",))
+    instance = jsonio.load_instance(args.instance)
     if instance.kind == "matroid":
-        got = _matroid_bases(session)
+        got = _valid(instance, _matroid_bases)
     else:
         got = check_polymatroid_bases(instance.n, instance.vectors)
     if not isinstance(got, PolymatroidBases):
-        return {"name": instance.name, "valid": False, "witness": got.to_json()}, 1
+        return {"name": instance.name, "valid": False, "witness": got}, 1
     divisions = [{"coordinate": i, "ok": w is None, **({} if w is None else {"witness": w})}
                  for i, w in _divisions(got)]
     sym = symmetric_exchange_violations(got)
     payload = {
         "name": instance.name,
         "valid": True,
-        "bases": got.to_json(),
+        "bases": got,
         "division_closure": divisions,
-        "symmetric_exchange_violations": [
-            {"vec_a": list(a), "vec_b": list(c), "index": i} for a, c, i in sym
-        ],
+        "symmetric_exchange_violations": [{"vec_a": a, "vec_b": c, "index": i} for a, c, i in sym],
     }
     return payload, 1 if any(not d["ok"] for d in divisions) or sym else 0
 
@@ -261,7 +270,7 @@ def cmd_corpus(args) -> tuple[dict, int]:
                 if orbit[bases] is m:
                     mi = Matroid.unchecked(n, d, bases)
                     for code, got in (bad if mi == m else _failures(mi, bad, args)).items():
-                        failures[code].append({"instance": name, "matroid": mi.to_json(), **got})
+                        failures[code].append({"instance": name, "matroid": mi, **got})
     reports = []
     for code, found in failures.items():
         found.sort(key=lambda f: f["instance"])
@@ -279,18 +288,18 @@ def _run_check(code: str, m, session: IdealSession, args):
     """None when the check passes on matroid m, else a failure payload."""
     if code == "T3.6":
         report = verify_basis_facet_shape(m, session.facets)
-        return None if report.holds else {"violations": [list(v) for v in report.violations]}
+        return None if report.holds else {"violations": report.violations}
     if code == "C3.9":
         cert = session.normality
-        return None if cert.verdict == "normal" else {"certificate": cert.to_json()}
+        return None if cert.verdict == "normal" else {"certificate": cert}
     if code == "P3.7":
         report = session.equality(args.bmax)
-        return None if report.passed else {"equality": report.to_json()}
+        return None if report.passed else {"equality": report}
     if code == "T2.2":
         report = session.decomposition
-        return None if report.holds else {"decomposition": report.to_json()}
+        return None if report.holds else {"decomposition": report}
     if code == "L3.10":
-        witness = next((w for _, w in _divisions(_matroid_bases(session)) if w is not None), None)
+        witness = next((w for _, w in _divisions(_matroid_bases(m)) if w is not None), None)
         return None if witness is None else {"witness": witness}
     raise ParseError(f"unknown check {code!r}")
 
@@ -301,15 +310,14 @@ def cmd_enumerate_matroids(args) -> tuple[dict, int]:
     if not 1 <= args.d <= args.n:
         raise ParseError(f"d must lie in 1..{args.n}, got {args.d}")
     found = enumerate_matroids(args.n, args.d)
-    return {"n": args.n, "d": args.d, "count": len(found),
-            "matroids": [m.to_json() for m in found]}, 0
+    return {"n": args.n, "d": args.d, "count": len(found), "matroids": found}, 0
 
 
 def cmd_instances(args) -> tuple[dict, int]:
     if args.show:
         instance = jsonio.load_bundled(args.show)
         key = "bases" if instance.kind == "matroid" else "exponents"
-        payload = {"n": instance.n, key: [list(v) for v in instance.vectors]}
+        payload = {"n": instance.n, key: instance.vectors}
         if instance.kind == "polymatroid":
             payload["polymatroid"] = True
         return {"kind": instance.kind, "name": instance.name, "payload": payload}, 0
@@ -368,7 +376,7 @@ def _parser(only: str | None = None) -> argparse.ArgumentParser:
     if p := add("rees-facets", cmd_rees_facets, "facet system of the Rees cone"):
         p.add_argument("--oracle", action="store_true",
                        help="force the brute-force cross-check (auto below "
-                       f"{ORACLE_CAP + 1} generators)")
+                       f"{ORACLE_CAP + 1} generators; past that its subsets count against --cap)")
     add("classify", cmd_classify, "ideal / quasi_ideal / neither")
     add("hilbert", cmd_hilbert, "Hilbert basis of the cone's lattice points")
     add("normality", cmd_normality, "two-route normality certificate")

@@ -98,9 +98,10 @@ class Record:
 
     to_json writes the names in _json, in order, or every field when _json
     is None; _json may also name a property or a class constant. A record
-    becomes its own to_json, an Enum its value, a tuple a list (a tuple of
-    tuples a list of lists). A name whose value is None is left out; 0,
-    False and () are kept. Class constants such as _json must be
+    becomes its own to_json, an Enum its value, a tuple a list (of lists for
+    a tuple of tuples, of their to_json for a tuple of records). A name whose
+    value is None is left out; 0, False and () are kept. jsonio.dumps writes
+    a record as its to_json. Class constants such as _json must be
     unannotated, or they would become fields."""
 
     _uncompared = ()
@@ -149,8 +150,10 @@ class Record:
             v = getattr(self, name)
             if v is None:
                 continue
-            if type(v) is tuple:  # one list call per row, not one call per entry
-                v = [list(e) for e in v] if v and type(v[0]) is tuple else list(v)
+            if type(v) is tuple:  # one call per row, not one call per entry
+                row = v[0] if v else None
+                v = ([list(e) for e in v] if type(row) is tuple else
+                     [e.to_json() for e in v] if isinstance(row, Record) else list(v))
             elif isinstance(v, Record):
                 v = v.to_json()
             elif isinstance(v, Enum):

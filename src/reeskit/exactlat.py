@@ -4,7 +4,7 @@ Everything here runs on arbitrary-precision Python ints, with no division
 that is not exact. Elimination over Q is one fraction-free Gauss-Jordan
 pass, _bareiss, so not even Fractions are needed: rank, determinant and
 adjugate read it, as does the double description's seed. Ranks mod 2 have
-their own echelon on bitmasks. No floating point anywhere: results feed
+their own XOR basis on bitmasks. No floating point anywhere: results feed
 normality certificates, so approximation is not an option.
 """
 
@@ -121,20 +121,16 @@ def parity_mask(row) -> int:
     return sum((e & 1) << c for c, e in enumerate(row))
 
 
-def echelon_mod_2(masks) -> dict[int, int]:
-    """Reduced row echelon form over GF(2) of rows given as parity masks:
-    pivot column -> the one row with a 1 there, 0 at every other pivot
-    column. Its size is the rank mod 2."""
-    echelon: dict[int, int] = {}
+def rank_mod_2(masks) -> int:
+    """Rank over GF(2) of rows given as parity masks: the size of an XOR
+    basis keyed by each kept row's lowest set bit. A row is reduced by the
+    kept row of its lowest bit until it is zero or its lowest bit is new."""
+    basis: dict[int, int] = {}
     for v in masks:
-        for c, w in echelon.items():
-            if v >> c & 1:
-                v ^= w
-        if v:
-            pc = (v & -v).bit_length() - 1
-            for c, w in echelon.items():
-                if w >> pc & 1:
-                    echelon[c] = w ^ v
-            echelon[pc] = v
-    return echelon
-
+        while v:
+            low = v & -v
+            if low not in basis:
+                basis[low] = v
+                break
+            v ^= basis[low]
+    return len(basis)

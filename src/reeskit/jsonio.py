@@ -9,8 +9,10 @@ is a bare payload, in which case the kind is inferred and the name defaults
 to the file stem. Integers beyond 53 bits travel as ASCII decimal strings
 both ways so nothing downstream ever rounds, up to the interpreter's digit
 limit (4,300): past it an input is a ParseError, a result CapExceeded. dumps
-is the one writer: it gives json.dumps's bytes at indent=2 with sorted keys,
-in one walk of its own, and the CLI's text form is rendered from its document.
+is the one writer: a caller puts records and tuples into a document as they
+are, and dumps writes json.dumps's bytes at indent=2 with sorted keys, each
+record as its Record.to_json, in one walk of its own. The CLI's text form is
+rendered from its document.
 """
 
 from __future__ import annotations
@@ -48,9 +50,9 @@ def decode_int(v) -> int:
 
 def dumps(payload) -> str:
     """json.dumps(payload, indent=2, sort_keys=True) + "\\n" with each int
-    beyond 53 bits written as its decimal string, in one walk: with an
-    indent, json runs its pure-Python encoder, which is slower. Dict keys
-    must be strings."""
+    beyond 53 bits written as its decimal string and each record as its
+    to_json, in one walk: with an indent, json runs its pure-Python encoder,
+    which is slower. Dict keys must be strings."""
     out: list[str] = []
     try:
         _write(payload, out, "\n")
@@ -76,6 +78,8 @@ def _write(obj, out: list[str], pad: str) -> None:
             _write(v, out, inner)
             sep = ","
         out.append(pad + close)
+    elif isinstance(obj, Record):
+        _write(obj.to_json(), out, pad)
     else:
         out.append(json.dumps(obj))  # null, true, false, an empty container
 

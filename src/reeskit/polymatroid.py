@@ -15,6 +15,7 @@ memory follow the coordinates used, not n.
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
+from operator import attrgetter
 
 from .errors import (
     EmptyInput,
@@ -36,16 +37,12 @@ class PolymatroidBases(Record):
     n: int
     d: int
     vectors: tuple[tuple[int, ...], ...]
+    polymatroid = True
+    _json = ("n", "exponents", "polymatroid")
+    exponents = property(attrgetter("vectors"))
 
     def __post_init__(self):
         object.__setattr__(self, "vectors", tuple(map(tuple, self.vectors)))
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "exponents": [list(v) for v in self.vectors],
-            "polymatroid": True,
-        }
 
 
 class ExchangeFailure(Record):

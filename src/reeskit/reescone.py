@@ -22,7 +22,7 @@ from math import gcd
 
 from .errors import CapExceeded, DegenerateCone, IntegrityError, Record
 from .exactlat import _bareiss, adjugate, determinant, dot, primitive, rank
-from .exactlat import echelon_mod_2, parity_mask
+from .exactlat import parity_mask, rank_mod_2
 from .matroid import Matroid, MonomialIdeal, basis_monomial_ideal
 
 ORACLE_CAP = 12
@@ -211,7 +211,7 @@ def _facet_system(dim: int, normals, generators) -> FacetSystem:
 
     A normal b != 0 annihilates its tight set, so the tight set's rank over Q
     is at most dim - 1, and at least its rank mod 2: a rank mod 2 of dim - 1
-    (echelon_mod_2 on parity masks) certifies the rank, and only a lower one
+    (rank_mod_2 on parity masks) certifies the rank, and only a lower one
     falls back to the exact rank()."""
     gens = _distinct_rows(primitive(g) for g in generators)
     parity = [parity_mask(g) for g in gens]
@@ -223,7 +223,7 @@ def _facet_system(dim: int, normals, generators) -> FacetSystem:
         if any(v < 0 for v in values):
             raise IntegrityError(f"normal {b} cuts off a generator")
         tight = [k for k, v in enumerate(values) if v == 0]
-        if len(echelon_mod_2(parity[k] for k in tight)) != dim - 1 and (
+        if rank_mod_2(parity[k] for k in tight) != dim - 1 and (
             rank([gens[k] for k in tight]) != dim - 1
         ):
             raise IntegrityError(f"normal {b} is not tight on a rank-{dim - 1} subset")

@@ -38,7 +38,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import accumulate
 from math import comb, gcd
-from operator import mul
+from operator import attrgetter, mul
 
 from .errors import (
     CapExceeded,
@@ -72,19 +72,15 @@ class HilbertBasisResult(Record):
     simplices: int
     parallelepiped_points: int
     candidates: int
+    _json = ("elements", "method")
 
+    @property
     def method(self) -> dict:
         return {
             "algorithm": "triangulation+parallelepiped",
             "simplices": self.simplices,
             "parallelepiped_points": self.parallelepiped_points,
             "candidates": self.candidates,
-        }
-
-    def to_json(self) -> dict:
-        return {
-            "elements": [list(h) for h in self.elements],
-            "method": self.method(),
         }
 
 
@@ -95,12 +91,11 @@ class NormalityCertificate(Record):
 
 
 def _pivot_walk(rays, simplices):
-    """(simplex, adj, det, vol) for each (mask, vol) in simplices with vol
-    above 1, in their order: the simplex's rays in slot order, R the matrix
-    with those rays as columns, det = |det R| and adj = sgn(det R) adj(R),
-    so adj R = det I.
+    """(simplex, adj, det, vol) for each (mask, vol) in simplices, in their
+    order: the simplex's rays in slot order, R the matrix with those rays as
+    columns, det = |det R| and adj = sgn(det R) adj(R), so adj R = det I.
 
-    adjugate runs once, on the first such simplex; each later one is reached
+    adjugate runs once, on the first simplex; each later one is reached
     by integer pivoting (the exchange of lrs, Avis 2000, after Edmonds 1967).
     Bringing in a ray r with w = adj r over a leaving slot k with w_k != 0,
     its sign taken as w_k's so that w_k > 0, gives the determinant w_k, keeps
@@ -112,8 +107,6 @@ def _pivot_walk(rays, simplices):
     """
     mask = adj = det = 0
     for target, vol in simplices:
-        if vol < 2:
-            continue
         if not mask:
             mask, slots = target, [i for i in range(len(rays)) if target >> i & 1]
             adj, det = adjugate([list(coords) for coords in zip(*(rays[i] for i in slots))])
@@ -459,10 +452,15 @@ class EqualityReport(Record):
     degree: int
     b_max: int
     dilations: tuple[DilationCheck, ...]
+    _json = ("degree", "b_max", "dilations", "passed", "semidecision")
 
     @property
     def passed(self) -> bool:
         return all(not d.failures for d in self.dilations)
+
+    @property
+    def semidecision(self) -> str:
+        return f"checked dilations 1..{self.b_max} only"
 
     @property
     def first_witness(self):
@@ -472,15 +470,10 @@ class EqualityReport(Record):
         return None
 
     def to_json(self) -> dict:
-        out = {
-            "degree": self.degree,
-            "b_max": self.b_max,
-            "dilations": [d.to_json() for d in self.dilations],
-            "passed": self.passed,
-            "semidecision": f"checked dilations 1..{self.b_max} only",
-        }
-        w = self.first_witness
-        if w is not None:
+        """The rule's JSON, with first_witness, when there is one, as
+        {"b", "point"} in place of its (b, point) pair."""
+        out = super().to_json()
+        if (w := self.first_witness) is not None:
             out["first_witness"] = {"b": w[0], "point": list(w[1])}
         return out
 
@@ -527,6 +520,9 @@ class DecompositionReport(Record):
 
     verdict: Verdict
     statuses: tuple[ElementStatus, ...]
+    _json = ("classification", "elements", "holds", "violations")
+    classification = property(attrgetter("verdict"))
+    elements = property(attrgetter("statuses"))
 
     @property
     def holds(self) -> bool:
@@ -535,14 +531,6 @@ class DecompositionReport(Record):
     @property
     def violations(self) -> tuple[tuple[int, ...], ...]:
         return tuple(s.element for s in self.statuses if not s.ok)
-
-    def to_json(self) -> dict:
-        return {
-            "classification": self.verdict.value,
-            "elements": [s.to_json() for s in self.statuses],
-            "holds": self.holds,
-            "violations": [list(v) for v in self.violations],
-        }
 
 
 class IdealSession:

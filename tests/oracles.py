@@ -18,7 +18,7 @@ walks a box slice point by point as tuples, where the library counts the
 slice in closed form and walks it, when it must, as packed keys. `encode`
 applies the 53-bit integer rule as a separate pass over a payload, where
 `jsonio.dumps` applies it in the same walk that writes the document.
-`record_json` writes eleven record classes' JSON field by field, as each
+`record_json` writes fifteen record classes' JSON key by key, as each
 class once did by hand, where the library applies one rule in
 `Record.to_json`.
 """
@@ -33,7 +33,8 @@ from reeskit import matroid, polymatroid
 from reeskit.matroid import Matroid, MonomialIdeal, _exchange_watch, _walk, check_basis_exchange
 from reeskit.reescone import ConeClassification, FacetSystem, ReesCone, ShapeReport
 from reeskit.reescone import _distinct_rows, _dual_extreme_rays
-from reeskit.semigroup import DilationCheck, ElementStatus, NormalityCertificate
+from reeskit.semigroup import (DecompositionReport, DilationCheck, ElementStatus, EqualityReport,
+                               HilbertBasisResult, NormalityCertificate)
 
 
 def box_slice_points(lo, hi, total):
@@ -307,10 +308,13 @@ def encode(obj):
 
 
 def record_json(record) -> dict:
-    """record's JSON, written out field by field for each of the eleven
-    record classes whose JSON follows one rule: each field under its own
-    name, a tuple as a list, a nested record by its own JSON, an enum by its
-    value and None left out. The reference for `errors.Record.to_json`."""
+    """record's JSON, written out key by key for each of the fifteen record
+    classes whose JSON follows one rule: each name in the class's _json
+    (each field when it has none) under its own name, a tuple as a list, a
+    nested record by its own JSON, an enum by its value and None left out.
+    The last four are the bodies their classes wrote by hand before their
+    renamed and computed keys became properties. The reference for
+    `errors.Record.to_json`."""
     r, cls = record, type(record)
     if cls is Matroid:
         return {"n": r.n, "bases": [list(b) for b in r.bases]}
@@ -365,4 +369,35 @@ def record_json(record) -> dict:
         }
     if cls is ElementStatus:
         return {"element": list(r.element), "kind": r.kind, "ok": r.ok}
+    if cls is HilbertBasisResult:
+        return {
+            "elements": [list(h) for h in r.elements],
+            "method": {
+                "algorithm": "triangulation+parallelepiped",
+                "simplices": r.simplices,
+                "parallelepiped_points": r.parallelepiped_points,
+                "candidates": r.candidates,
+            },
+        }
+    if cls is EqualityReport:
+        out = {
+            "degree": r.degree,
+            "b_max": r.b_max,
+            "dilations": [record_json(d) for d in r.dilations],
+            "passed": all(not d.failures for d in r.dilations),
+            "semidecision": f"checked dilations 1..{r.b_max} only",
+        }
+        failing = [d for d in r.dilations if d.failures]
+        if failing:
+            out["first_witness"] = {"b": failing[0].b, "point": list(failing[0].failures[0])}
+        return out
+    if cls is DecompositionReport:
+        return {
+            "classification": r.verdict.value,
+            "elements": [record_json(s) for s in r.statuses],
+            "holds": all(s.ok for s in r.statuses),
+            "violations": [list(s.element) for s in r.statuses if not s.ok],
+        }
+    if cls is polymatroid.PolymatroidBases:
+        return {"n": r.n, "exponents": [list(v) for v in r.vectors], "polymatroid": True}
     raise TypeError(f"no field-by-field JSON for {cls.__qualname__}")

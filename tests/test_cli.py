@@ -18,7 +18,7 @@ from test_acceptance import Budget
 from reeskit import cli, jsonio, polymatroid
 from reeskit.cli import main
 from reeskit.errors import ReesKitError
-from reeskit.matroid import basis_monomial_ideal, enumerate_matroids, matroid_classes
+from reeskit.matroid import Matroid, basis_monomial_ideal, enumerate_matroids, matroid_classes
 from reeskit.polymatroid import check_polymatroid_bases
 from reeskit.semigroup import IdealSession
 
@@ -240,6 +240,26 @@ class TestReesFacets:
         assert code == 0
         assert doc["oracle_checked"] is False
 
+    def test_forced_oracle_charges_its_subsets_to_the_cap(self, capsys):
+        # veronese_3_4: 18 generators in dimension 4, so C(18, 3) = 816 subsets
+        code, doc, _ = run_json(capsys, "rees-facets", "bundled:veronese_3_4", "--oracle",
+                                "--cap", "816")
+        assert code == 0
+        assert doc["oracle_checked"] is True
+        code, doc, _ = run_json(capsys, "rees-facets", "bundled:veronese_3_4", "--oracle",
+                                "--cap", "815")
+        assert code == 3
+        assert doc == {"error": "cap_exceeded", "detail": "the oracle's 816 subsets of 3 "
+                       "of the 18 generators exceed the cap 815"}
+
+    def test_forced_oracle_past_the_cap_ends_before_enumerating(self, capsys):
+        # graphic_k4: C(22, 6) = 74,613 subsets, about 20 s of minors
+        with Budget(1.0):
+            code, doc, _ = run_json(capsys, "rees-facets", "bundled:graphic_k4", "--oracle",
+                                    "--cap", "74612")
+        assert code == 3
+        assert doc["error"] == "cap_exceeded"
+
 
 class TestEhrhartCheck:
     def test_failing_ideal(self, capsys):
@@ -290,14 +310,13 @@ class TestPolymatroidCheck:
         assert code == 0
 
     def test_matroid_bases_are_what_the_walk_returns(self):
-        # every labelled matroid on at most 5 elements: the record built
-        # without a second walk is the one the walk returns
+        # every labelled matroid on at most 5 elements, and the rank-0 ones:
+        # the record built without a second walk is the one the walk returns
         for n in range(1, 6):
-            for d in range(1, n + 1):
-                for m in enumerate_matroids(n, d):
-                    session = IdealSession(basis_monomial_ideal(m))
-                    want = check_polymatroid_bases(n, session.ideal.exponents)
-                    assert cli._matroid_bases(session) == want
+            for m in (Matroid(n, 0, ((),)), *(m for d in range(1, n + 1)
+                                                for m in enumerate_matroids(n, d))):
+                vectors = [[int(e in b) for e in range(1, n + 1)] for b in m.bases]
+                assert cli._matroid_bases(m) == check_polymatroid_bases(n, vectors)
 
     def test_matroid_bases_are_walked_once(self, capsys, monkeypatch):
         # u_2_4: check_basis_exchange validates it; then four divisions and
@@ -593,6 +612,41 @@ class TestInvalidInstance:
     def test_not_caught_as_a_library_error(self):
         # so corpus's per-check net and main's generic branch never see it
         assert not issubclass(cli._Invalid, ReesKitError)
+
+
+# A valid family whose one member is the zero vector: a rank-0 matroid and a
+# degree-0 polymatroid. Each validates, but gives cone analysis no
+# nonconstant generator.
+ZERO_FAMILIES = {
+    "matroid": {"n": 2, "bases": [[]]},
+    "polymatroid": {"n": 2, "exponents": [[0, 0]], "polymatroid": True},
+}
+NO_GENERATOR = {"error": "invalid_instance", "witness": {
+    "error": "InvalidInstance", "detail": "the zero exponent vector is not allowed"}}
+
+
+class TestZeroFamilies:
+    @pytest.mark.parametrize("kind", sorted(ZERO_FAMILIES))
+    @pytest.mark.parametrize("command", ["validate", "analyze", "rees-facets", "classify",
+                                         "hilbert", "normality", "ehrhart-check",
+                                         "polymatroid-check"])
+    def test_one_document_per_command(self, capsys, tmp_path, kind, command):
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(ZERO_FAMILIES[kind]))
+        code, doc, _ = run_json(capsys, command, str(path))
+        if command == "validate":
+            assert (code, doc) == (0, {"valid": True, "kind": kind, "name": "zero",
+                                       "normalized": ZERO_FAMILIES[kind]})
+        elif command == "polymatroid-check":  # the same report for both kinds
+            bases = {"n": 2, "exponents": [[0, 0]], "polymatroid": True}
+            assert (code, doc) == (0, {"name": "zero", "valid": True, "bases": bases,
+                                       "division_closure": [],
+                                       "symmetric_exchange_violations": []})
+        else:
+            want = dict(NO_GENERATOR)
+            if command == "analyze":
+                want.update(kind=kind, name="zero")
+            assert (code, doc) == (1, want)
 
 
 DIGIT_LIMITED = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),

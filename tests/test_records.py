@@ -121,14 +121,18 @@ def test_record_fields_are_the_annotated_names():
             cls(*fields, "exchange_failure")
 
 
-# The classes whose JSON is Record.to_json's rule, as against the four that
-# rename a field or add computed keys.
+# The classes whose JSON the field-by-field reference writes. Each takes
+# Record.to_json's rule; a renamed or computed key is a property named in its
+# _json, and EqualityReport alone adds to the rule, to write first_witness.
 RULE_CLASSES = (
     matroid.Matroid, matroid.ExchangeFailure, matroid.MonomialIdeal,
     polymatroid.ExchangeFailure, reescone.ReesCone, reescone.FacetSystem,
     reescone.ConeClassification, reescone.ShapeReport, semigroup.NormalityCertificate,
-    semigroup.DilationCheck, semigroup.ElementStatus,
+    semigroup.DilationCheck, semigroup.ElementStatus, semigroup.HilbertBasisResult,
+    semigroup.EqualityReport, semigroup.DecompositionReport, polymatroid.PolymatroidBases,
 )
+STATUSES = (SAMPLES[semigroup.ElementStatus],
+            semigroup.ElementStatus((1, 1, 2), "dilation", False))
 RULE_RECORDS = [
     *(SAMPLES[cls] for cls in RULE_CLASSES),
     semigroup.NormalityCertificate("normal", None, "hilbert"),
@@ -136,13 +140,20 @@ RULE_RECORDS = [
     reescone.ConeClassification(Verdict.IDEAL),
     reescone.ConeClassification(Verdict.NEITHER, (1, 2, -3)),
     reescone.ShapeReport(2, 1, SESSION.facets, ((2, 0, -1),), ("a note",)),
+    semigroup.HilbertBasisResult((), 0, 0, 0),
+    semigroup.EqualityReport(2, 3, (semigroup.DilationCheck(1, 3, ()),
+                                    semigroup.DilationCheck(2, 6, ((1, 3), (2, 2))),
+                                    semigroup.DilationCheck(3, 9, ((3, 3),)))),
+    semigroup.EqualityReport(2, 0, ()),
+    semigroup.DecompositionReport(Verdict.QUASI_IDEAL, STATUSES),
+    semigroup.DecompositionReport(Verdict.NEITHER, ()),
+    polymatroid.PolymatroidBases(2, 0, ((0, 0),)),
 ]
 
 
 def test_only_the_rule_classes_take_record_to_json():
     own = {c for c in SAMPLES if "to_json" in c.__dict__}
-    assert own == {semigroup.HilbertBasisResult, semigroup.EqualityReport,
-                   semigroup.DecompositionReport, polymatroid.PolymatroidBases}
+    assert own == {semigroup.EqualityReport}  # to write first_witness as {"b", "point"}
 
 
 @pytest.mark.parametrize("record", RULE_RECORDS, ids=lambda r: type(r).__name__)
@@ -150,6 +161,13 @@ def test_to_json_follows_the_field_by_field_reference(record):
     got, want = record.to_json(), record_json(record)
     assert got == want and list(got) == list(want)  # same key order too
     assert jsonio.dumps(got) == jsonio.dumps(want)
+
+
+@pytest.mark.parametrize("record", [*SAMPLES.values(), *RULE_RECORDS],
+                         ids=lambda r: type(r).__name__)
+def test_dumps_writes_a_record_as_its_to_json(record):
+    assert jsonio.dumps(record) == jsonio.dumps(record.to_json())
+    assert jsonio.dumps({"r": (record,)}) == jsonio.dumps({"r": [record.to_json()]})
 
 
 def test_to_json_leaves_out_none_only():

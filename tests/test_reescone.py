@@ -11,7 +11,7 @@ from oracles import ConeMembership, kernel_basis, pivot_columns
 from reeskit import reescone
 from reeskit.errors import CapExceeded, DegenerateCone, IntegrityError
 from reeskit.jsonio import analysis_ideal, bundled_names, load_bundled, realize
-from reeskit.exactlat import dot, echelon_mod_2, parity_mask, primitive, rank
+from reeskit.exactlat import dot, parity_mask, primitive, rank, rank_mod_2
 from reeskit.matroid import (
     MonomialIdeal,
     basis_monomial_ideal,
@@ -317,8 +317,8 @@ def _relaxation_escapes(normals, dropped, dim: int) -> bool:
 
 
 
-def rank_mod_2(rows) -> int:
-    return len(echelon_mod_2(map(parity_mask, rows)))
+def parity_rank(rows) -> int:
+    return rank_mod_2(map(parity_mask, rows))
 
 
 class TestRankCertificate:
@@ -340,7 +340,7 @@ class TestRankCertificate:
         return calls
 
     def test_low_rank_mod_2_falls_back_to_the_exact_rank(self, monkeypatch):
-        assert rank_mod_2(self.CYCLE) == 2 and rank(self.CYCLE) == 3
+        assert parity_rank(self.CYCLE) == 2 and rank(self.CYCLE) == 3
         calls = self.recorded_ranks(monkeypatch)
         fs = reescone._facet_system(4, [(0, 0, 0, 1)], (*self.CYCLE, (0, 0, 0, 1)))
         assert fs.unit_normals == (4,)
@@ -368,7 +368,7 @@ class TestRankCertificate:
             for b, c in combinations(normals, 2)
             if rank([g for g in tight(b) if g in tight(c)]) == cone.dim - 2
         )
-        assert rank_mod_2(tight(ridge)) == rank(tight(ridge)) == cone.dim - 2
+        assert parity_rank(tight(ridge)) == rank(tight(ridge)) == cone.dim - 2
         monkeypatch.setattr(reescone, "_dual_extreme_rays", lambda gens, dim: [*normals, ridge])
         with pytest.raises(IntegrityError, match="not tight on a rank"):
             facet_normals(cone)
