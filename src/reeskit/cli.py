@@ -330,11 +330,8 @@ class _Parser(argparse.ArgumentParser):
     main answers them with a JSON document like any other parse error.
     Subcommand parsers are built with the same class."""
 
-    quiet = False  # set on a one-command parser, whose errors main re-parses
-
     def error(self, message):
-        if not self.quiet:
-            self.print_usage(sys.stderr)
+        self.print_usage(sys.stderr)
         raise ParseError(message)
 
 
@@ -343,22 +340,22 @@ COMMANDS = ("validate", "analyze", "rees-facets", "classify", "hilbert", "normal
 
 
 def _parser(only: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every command or, given `only`, a quiet one of that
-    command alone; parse_args leaves either unchanged, so each is built once
-    per process, by _command_parser, and reused."""
+    """The parser of every command or, given `only`, one of that command
+    alone, whose usage line lists every command as the full parser's does;
+    parse_args leaves either unchanged, so each is built once per process,
+    by _command_parser, and reused."""
     parser = _Parser(
         prog="reeskit",
         description="Exact Rees-cone analysis of monomial ideals, matroids, "
         "and discrete polymatroids.",
     )
-    parser.quiet = only is not None
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command",
+                                metavar=only and "{" + ",".join(COMMANDS) + "}")
 
     def add(name, handler, help_, instance=True):
         if only not in (None, name):
             return None
         p = sub.add_parser(name, help=help_)
-        p.quiet = parser.quiet
         p.set_defaults(handler=handler)
         if instance:
             p.add_argument(
@@ -407,15 +404,9 @@ _command_parser = cache(_parser)
 
 
 def _parse(argv) -> argparse.Namespace:
-    """argv parsed by the named command's own parser, or by the full parser
-    when argv names no command or its parser rejects it: so a usage error
-    prints exactly what the full parser prints."""
-    if argv and argv[0] in COMMANDS:
-        try:
-            return _command_parser(argv[0]).parse_args(argv)
-        except ParseError:
-            pass
-    parser = _command_parser(None)
+    """argv parsed by the named command's own parser, usage errors included,
+    or by the full parser when argv names no command."""
+    parser = _command_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     if not hasattr(args, "handler"):
         parser.print_help(sys.stderr)

@@ -77,8 +77,8 @@ class MethodDisagreement(IntegrityError):
 class TheoremCounterexample(ReesKitError):
     """A checked structural theorem failed on a concrete instance.
 
-    Carries the check code and a JSON-ready witness payload so the finding
-    survives into reports instead of being swallowed.
+    Carries the check code and a witness payload that jsonio.dumps writes,
+    so the finding survives into reports instead of being swallowed.
     """
 
     def __init__(self, check, witness):

@@ -100,7 +100,7 @@ class Instance(Record):
 class ValidationOutcome(Record):
     ok: bool
     value: object | None = None
-    witness: dict | None = None
+    witness: dict | Record | None = None
 
 
 def _payload_kind(payload: dict) -> str:
@@ -161,8 +161,9 @@ def load_instance(source: str) -> Instance:
 def realize(instance: Instance) -> ValidationOutcome:
     """Turn a parsed instance into its validated domain object.
 
-    Exchange-style violations and structural InvalidInstance errors come
-    back as witness payloads; only wire-format problems raise.
+    An exchange-style violation comes back as its ExchangeFailure record and
+    a structural InvalidInstance error as an {"error", "detail"} payload;
+    only wire-format problems raise.
     """
     try:
         if instance.kind == "matroid":
@@ -178,7 +179,7 @@ def realize(instance: Instance) -> ValidationOutcome:
         )
     if isinstance(got, (Matroid, PolymatroidBases, MonomialIdeal)):
         return ValidationOutcome(True, value=got)
-    return ValidationOutcome(False, witness=got.to_json())
+    return ValidationOutcome(False, witness=got)
 
 
 def analysis_ideal(value) -> MonomialIdeal:

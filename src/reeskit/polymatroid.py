@@ -178,7 +178,7 @@ def divide_by_variable(f: PolymatroidBases, i: int) -> PolymatroidBases:
     The result must again be a discrete polymatroid base set; if the
     re-validation ever failed that would contradict the closure property
     this operation relies on, so the failure is raised as a
-    TheoremCounterexample instead of being returned quietly.
+    TheoremCounterexample rather than returned as a witness.
     """
     if i < 1 or i > f.n:
         raise InvalidInstance(f"coordinate {i} not in 1..{f.n}")
@@ -187,10 +187,7 @@ def divide_by_variable(f: PolymatroidBases, i: int) -> PolymatroidBases:
         raise VariableAbsent(f"no base uses coordinate {i}")
     got = check_polymatroid_bases(f.n, kept)
     if isinstance(got, ExchangeFailure):
-        raise TheoremCounterexample(
-            "L3.10",
-            {"input": f.to_json(), "coordinate": i, "witness": got.to_json()},
-        )
+        raise TheoremCounterexample("L3.10", {"input": f, "coordinate": i, "witness": got})
     return got
 
 

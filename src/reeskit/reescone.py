@@ -17,8 +17,10 @@ instances. All arithmetic is exact.
 from __future__ import annotations
 
 from enum import Enum
+from functools import reduce
 from itertools import combinations
 from math import gcd
+from operator import and_
 
 from .errors import CapExceeded, DegenerateCone, IntegrityError, Record
 from .exactlat import _bareiss, adjugate, determinant, dot, primitive, rank
@@ -104,16 +106,21 @@ class FacetSystem(Record):
     slack: the facet-generator value matrix, computed once per cone (as in
     Normaliz, Bruns and Ichim, J. Algebra 2010): for each distinct primitive
     generator g of the cone the facets were found for, the tuple of <b, g>
-    over b in normals(), in that order (empty when not given). It takes no
-    part in equality, so facet systems found by different routes compare
-    equal.
+    over b in normals(), in that order (empty when not given).
+    rays: the lex-sorted primitive generators that span extreme rays.
+    masks: for each normal, in normals() order, the bitmask of the rays it
+    is tight on, bit i for rays[i].
+    The last three take no part in equality, so facet systems found by
+    different routes compare equal.
     """
 
     dim: int
     unit_normals: tuple[int, ...]
     ell_normals: tuple[tuple[int, ...], ...]
     slack: dict = None
-    _uncompared = ("slack",)
+    rays: tuple[tuple[int, ...], ...] = ()
+    masks: tuple[int, ...] = ()
+    _uncompared = ("slack", "rays", "masks")
     _json = ("unit_normals", "ell_normals")
 
     def __post_init__(self):
@@ -125,12 +132,6 @@ class FacetSystem(Record):
     def normals(self) -> tuple[tuple[int, ...], ...]:
         """Unit normals e_i in index order, then the ell-normals."""
         return self._normals
-
-    def tight_masks(self, gens) -> list[int]:
-        """For each normal, in normals() order, the bitmask of the positions
-        in gens (primitive generators of the cone) that it is tight on."""
-        columns = zip(*(self.slack[g] for g in gens))
-        return [sum(1 << j for j, v in enumerate(col) if v == 0) for col in columns]
 
     def contains(self, point) -> bool:
         if len(point) != self.dim:
@@ -207,15 +208,21 @@ def _dual_extreme_rays(ineqs, dim: int) -> list[tuple[int, ...]]:
 def _facet_system(dim: int, normals, generators) -> FacetSystem:
     """Check and split the normals; each normal's values on the distinct
     primitive generators are computed once, serve every check, and are kept
-    per generator in normals() order as the system's slack.
+    per generator in normals() order as the system's slack, and its tight
+    set on the extreme rays as its mask.
 
     A normal b != 0 annihilates its tight set, so the tight set's rank over Q
     is at most dim - 1, and at least its rank mod 2: a rank mod 2 of dim - 1
     (rank_mod_2 on parity masks) certifies the rank, and only a lower one
-    falls back to the exact rank()."""
+    falls back to the exact rank().
+
+    The minimal face of a generator g is cut out by the facets g is tight
+    on, and it is spanned by the generators tight on all of them. So g spans
+    an extreme ray iff the meet of the tight sets that hold g (every
+    generator when there is none) is g alone."""
     gens = _distinct_rows(primitive(g) for g in generators)
     parity = [parity_mask(g) for g in gens]
-    units, ells, columns = [], [], {}
+    units, ells, columns, tight_sets = [], [], {}, []
     for b in normals:
         if gcd(*b) != 1:
             raise IntegrityError(f"normal {b} is not primitive")
@@ -227,6 +234,7 @@ def _facet_system(dim: int, normals, generators) -> FacetSystem:
             rank([gens[k] for k in tight]) != dim - 1
         ):
             raise IntegrityError(f"normal {b} is not tight on a rank-{dim - 1} subset")
+        tight_sets.append(sum(1 << k for k in tight))
         u = _unit_index(b)
         if u is not None:
             units.append(u)
@@ -239,7 +247,12 @@ def _facet_system(dim: int, normals, generators) -> FacetSystem:
     ells.sort()
     order = [_unit(i - 1, dim) for i in units] + ells
     slack = dict(zip(gens, zip(*(columns[b] for b in order))))
-    return FacetSystem(dim, tuple(units), tuple(ells), slack)
+    every = (1 << len(gens)) - 1
+    rays = sorted(g for k, g in enumerate(gens) if 1 << k == reduce(
+        and_, (t for t in tight_sets if t >> k & 1), every))
+    masks = [sum(1 << i for i, v in enumerate(col) if v == 0)
+             for col in zip(*map(slack.get, rays))]
+    return FacetSystem(dim, tuple(units), tuple(ells), slack, tuple(rays), tuple(masks))
 
 
 def facet_normals(cone: ReesCone) -> FacetSystem:
@@ -328,27 +341,3 @@ def verify_basis_facet_shape(m: Matroid, facets: FacetSystem) -> ShapeReport:
             + ", ".join(f"e_{i}" for i in missing)
         )
     return ShapeReport(m.n, m.d, facets, tuple(violations), tuple(notes))
-
-
-def extreme_generators(cone: ReesCone, fs: FacetSystem):
-    """Primitive generators that span extreme rays, distinct, in input order.
-
-    The minimal face of a primitive generator p is cut out by the facets p
-    is tight on, and it is spanned by the generators tight on all of them.
-    So p spans an extreme ray iff no other distinct primitive generator is
-    tight on every facet p is tight on. Each facet is the bitmask of the
-    generators it contains (FacetSystem.tight_masks), and p's minimal face is
-    the meet of the masks of its facets (every generator when p is tight on
-    none).
-    """
-    gens = _distinct_rows(primitive(g) for g in cone.generators)
-    facets = fs.tight_masks(gens)
-    out = []
-    for j, p in enumerate(gens):
-        face = (1 << len(gens)) - 1
-        for mask in facets:
-            if mask >> j & 1:
-                face &= mask
-        if face == 1 << j:
-            out.append(p)
-    return tuple(out)

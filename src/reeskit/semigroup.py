@@ -57,7 +57,6 @@ from .reescone import (
     ReesCone,
     Verdict,
     classify,
-    extreme_generators,
     facet_normals,
     rees_generators,
 )
@@ -235,14 +234,14 @@ def _split(basis, b):
     return abs(live[0][0]), sub
 
 
-def _triangulate(rays: tuple, fs: FacetSystem) -> tuple:
-    """Pulling triangulation of the lex-sorted extreme rays of a cone with
-    the facet system fs, as the root of a DAG of faces: cone off the
-    lex-smallest ray of each face (its lowest bit) over every facet of the
-    face that avoids it. The subcones cover the cone.
+def _triangulate(fs: FacetSystem) -> tuple:
+    """Pulling triangulation of a cone with the facet system fs over its
+    lex-sorted extreme rays fs.rays, as the root of a DAG of faces: cone off
+    the lex-smallest ray of each face (its lowest bit) over every facet of
+    the face that avoids it. The subcones cover the cone.
 
     Faces are bitmasks over the rays, and every facet G of the cone is the
-    mask of the rays it contains (FacetSystem.tight_masks). The facets of a
+    mask of the rays it contains (FacetSystem.masks). The facets of a
     face F are the inclusion-maximal proper sets among the F & G: each facet
     of F is a face of the cone, so it is the intersection of the cone facets
     containing it, and one of those does not contain F. A face reached at
@@ -251,7 +250,7 @@ def _triangulate(rays: tuple, fs: FacetSystem) -> tuple:
     tested only among the meets with that many rays. A simplicial face has
     exactly its dim - k sets F - a left, so it needs no test of its own. A
     face's facets are taken in the order of the cone facets that first cut
-    them out, so the sequence of simplices is fixed by rays and fs.
+    them out, so the sequence of simplices is fixed by fs.
 
     Each face is one node (count, volume, edges), built once: the number and
     total volume of its simplices, and an edge (apex bit, height, facet node)
@@ -266,9 +265,7 @@ def _triangulate(rays: tuple, fs: FacetSystem) -> tuple:
     reached F. A facet H not yet reached takes g and its basis from one
     _split, one already reached g alone, the gcd of <b, v> over L_F's basis.
     """
-    dim = len(rays[0])
-    normals = fs.normals()
-    facets = fs.tight_masks(rays)
+    rays, dim, normals = fs.rays, fs.dim, fs.normals()
     slack = [fs.slack[r] for r in rays]
     unit = [sum(1 << i for i, v in enumerate(col) if v == 1) for col in zip(*slack)]
     nodes: dict[int, tuple] = {0: (1, 1, ())}
@@ -286,7 +283,7 @@ def _triangulate(rays: tuple, fs: FacetSystem) -> tuple:
         low = face & -face
         apex = low.bit_length() - 1
         meets: dict[int, int] = {}  # F & G -> the index of the first such G
-        for j, mask in enumerate(facets):
+        for j, mask in enumerate(fs.masks):
             meet = face & mask
             if meet != face and meet.bit_count() >= dim - depth - 1:
                 meets.setdefault(meet, j)
@@ -334,12 +331,11 @@ def _reached(node: tuple, cap: int, scale: int = 1, run: int = 0) -> int:
     return run + scale
 
 
-def hilbert_basis(
-    cone: ReesCone, facets: FacetSystem, cap: int = DEFAULT_CAP
-) -> HilbertBasisResult:
-    """Irreducible generating set of (lattice points of the cone, +).
+def hilbert_basis(facets: FacetSystem, cap: int = DEFAULT_CAP) -> HilbertBasisResult:
+    """Irreducible generating set of (lattice points of the cone, +), for the
+    cone with the facet system facets.
 
-    Candidates are the primitive extreme generators together with every
+    Candidates are the extreme rays (facets.rays) together with every
     nonzero parallelepiped point of the pulling triangulation, a DAG of faces
     (_triangulate); they include the Hilbert basis. A simplex of volume v has
     v - 1 of them. The cap bounds the sum of the volumes, read off the root
@@ -362,9 +358,8 @@ def hilbert_basis(
     candidate, a ray or sum lam_i r_i with 0 <= lam_i < 1. A key that is
     negative or has a guard bit set is an IntegrityError.
     """
-    extreme = extreme_generators(cone, facets)
-    rays = tuple(sorted(extreme))
-    count, total, _ = root = _triangulate(rays, facets)
+    rays = facets.rays
+    count, total, _ = root = _triangulate(facets)
     if total > cap:
         reached = _reached(root, cap)
         raise CapExceeded(f"parallelepiped budget {cap} exceeded at {reached} lattice points")
@@ -372,7 +367,7 @@ def hilbert_basis(
     frame = _ray_frame(rays) if total > count else None
     for walked in _pivot_walk(rays, _nonunimodular(root)):
         points.update(_coset_points(*walked, frame))
-    candidates = set(extreme) | points
+    candidates = set(rays) | points
     bound = max(map(sum, zip(*(facets.slack[r] for r in rays))))
     pack, guard = packer(facets.normals(), bound.bit_length() + 1)
     elements, kept = [], []
@@ -445,6 +440,13 @@ class DilationCheck(Record):
     failures: tuple[tuple[int, ...], ...]
 
 
+class DilationWitness(Record):
+    """A lattice point of bP that is no sum of exactly b generators."""
+
+    b: int
+    point: tuple[int, ...]
+
+
 class EqualityReport(Record):
     """Which lattice points of bP are no sum of exactly b generators, for
     1 <= b <= b_max? A semidecision: silence below the bound only."""
@@ -452,7 +454,7 @@ class EqualityReport(Record):
     degree: int
     b_max: int
     dilations: tuple[DilationCheck, ...]
-    _json = ("degree", "b_max", "dilations", "passed", "semidecision")
+    _json = ("degree", "b_max", "dilations", "passed", "semidecision", "first_witness")
 
     @property
     def passed(self) -> bool:
@@ -463,19 +465,11 @@ class EqualityReport(Record):
         return f"checked dilations 1..{self.b_max} only"
 
     @property
-    def first_witness(self):
+    def first_witness(self) -> DilationWitness | None:
         for d in self.dilations:
             if d.failures:
-                return d.b, d.failures[0]
+                return DilationWitness(d.b, d.failures[0])
         return None
-
-    def to_json(self) -> dict:
-        """The rule's JSON, with first_witness, when there is one, as
-        {"b", "point"} in place of its (b, point) pair."""
-        out = super().to_json()
-        if (w := self.first_witness) is not None:
-            out["first_witness"] = {"b": w[0], "point": list(w[1])}
-        return out
 
 
 def _equality_report(vertices, degree: int, b_max: int, in_dilation) -> EqualityReport:
@@ -566,7 +560,7 @@ class IdealSession:
     @cached_property
     def _hilbert(self) -> HilbertBasisResult | CapExceeded:
         try:
-            return hilbert_basis(self.cone, self.facets, self.cap)
+            return hilbert_basis(self.facets, self.cap)
         except CapExceeded as exc:
             return exc
 

@@ -33,8 +33,8 @@ from reeskit import matroid, polymatroid
 from reeskit.matroid import Matroid, MonomialIdeal, _exchange_watch, _walk, check_basis_exchange
 from reeskit.reescone import ConeClassification, FacetSystem, ReesCone, ShapeReport
 from reeskit.reescone import _distinct_rows, _dual_extreme_rays
-from reeskit.semigroup import (DecompositionReport, DilationCheck, ElementStatus, EqualityReport,
-                               HilbertBasisResult, NormalityCertificate)
+from reeskit.semigroup import (DecompositionReport, DilationCheck, DilationWitness, ElementStatus,
+                               EqualityReport, HilbertBasisResult, NormalityCertificate)
 
 
 def box_slice_points(lo, hi, total):
@@ -367,6 +367,8 @@ def record_json(record) -> dict:
             "points": r.points,
             "failures": [list(a) for a in r.failures],
         }
+    if cls is DilationWitness:
+        return {"b": r.b, "point": list(r.point)}
     if cls is ElementStatus:
         return {"element": list(r.element), "kind": r.kind, "ok": r.ok}
     if cls is HilbertBasisResult:

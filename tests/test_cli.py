@@ -786,8 +786,8 @@ class TestFormatAndTrailer:
 class TestParserReuse:
     def test_one_parser_built_on_the_first_call(self):
         # the full parser is the one entry after an unknown command, and the
-        # argv it parses later (none, unknown, rejected by a command's own
-        # parser) reuse it: only that command's parser is added
+        # argv it parses later (none, unknown) reuse it; a known command's
+        # argv, rejected or not, adds only that command's parser
         script = (
             "import contextlib, io\n"
             "from reeskit import cli\n"
@@ -866,8 +866,8 @@ class TestOneCommandParser:
         assert got == run_any(capsys, argv)
 
     def test_built_once_per_command_and_the_full_parser_only_on_need(self):
-        # two known commands that parse: their two parsers and no full one;
-        # a rejected argv then adds the full parser, once
+        # two known commands: their two parsers and no full one, also when
+        # their own parsers reject an argv
         script = (
             "import contextlib, io\n"
             "from reeskit import cli\n"
@@ -884,7 +884,7 @@ class TestOneCommandParser:
         )
         proc = subprocess.run([sys.executable, "-c", "import sys\n" + script],
                               capture_output=True, text=True, check=True)
-        assert proc.stdout.split() == ["2", "3", "3"]
+        assert proc.stdout.split() == ["2", "2", "2"]
 
 
 # Successive main() calls in one process, as a batch caller makes them:

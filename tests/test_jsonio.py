@@ -117,7 +117,7 @@ class TestRealize:
         inst = jsonio.parse_instance('{"n": 4, "bases": [[1, 2], [3, 4]]}')
         out = jsonio.realize(inst)
         assert not out.ok
-        assert out.witness["error"] == "exchange_failure"
+        assert out.witness.error == "exchange_failure"
 
     def test_structural_error_is_witness(self):
         inst = jsonio.parse_instance('{"n": 2, "bases": [[1], [1, 2]]}')

@@ -42,6 +42,8 @@ def samples() -> dict[type, Record]:
         SESSION.normality,
         semigroup.DilationCheck(2, 3, ((1, 1),)),
         SESSION.equality(2),
+        semigroup.IdealSession(matroid.MonomialIdeal(2, ((2, 0), (0, 2)))).equality(1)
+        .first_witness,
         status,
         semigroup.DecompositionReport(Verdict.IDEAL, (status,)),
     ]
@@ -57,7 +59,7 @@ def rebuilt(record: Record) -> Record:
 
 def test_every_record_class_has_a_sample():
     assert set(SAMPLES) == set(Record.__subclasses__())
-    assert len(SAMPLES) == 17
+    assert len(SAMPLES) == 18
 
 
 @pytest.mark.parametrize("cls", sorted(SAMPLES, key=lambda c: (c.__module__, c.__name__)),
@@ -97,11 +99,12 @@ FIELDS = {
     "polymatroid.ExchangeFailure": ("vec_a", "vec_b", "index"),
     "polymatroid.PolymatroidBases": ("n", "d", "vectors"),
     "reescone.ConeClassification": ("verdict", "offending_normal"),
-    "reescone.FacetSystem": ("dim", "unit_normals", "ell_normals", "slack"),
+    "reescone.FacetSystem": ("dim", "unit_normals", "ell_normals", "slack", "rays", "masks"),
     "reescone.ReesCone": ("n", "generators"),
     "reescone.ShapeReport": ("n", "d", "facets", "violations", "notes"),
     "semigroup.DecompositionReport": ("verdict", "statuses"),
     "semigroup.DilationCheck": ("b", "points", "failures"),
+    "semigroup.DilationWitness": ("b", "point"),
     "semigroup.ElementStatus": ("element", "kind", "ok"),
     "semigroup.EqualityReport": ("degree", "b_max", "dilations"),
     "semigroup.HilbertBasisResult": ("elements", "simplices", "parallelepiped_points",
@@ -123,13 +126,14 @@ def test_record_fields_are_the_annotated_names():
 
 # The classes whose JSON the field-by-field reference writes. Each takes
 # Record.to_json's rule; a renamed or computed key is a property named in its
-# _json, and EqualityReport alone adds to the rule, to write first_witness.
+# _json.
 RULE_CLASSES = (
     matroid.Matroid, matroid.ExchangeFailure, matroid.MonomialIdeal,
     polymatroid.ExchangeFailure, reescone.ReesCone, reescone.FacetSystem,
     reescone.ConeClassification, reescone.ShapeReport, semigroup.NormalityCertificate,
-    semigroup.DilationCheck, semigroup.ElementStatus, semigroup.HilbertBasisResult,
-    semigroup.EqualityReport, semigroup.DecompositionReport, polymatroid.PolymatroidBases,
+    semigroup.DilationCheck, semigroup.DilationWitness, semigroup.ElementStatus,
+    semigroup.HilbertBasisResult, semigroup.EqualityReport, semigroup.DecompositionReport,
+    polymatroid.PolymatroidBases,
 )
 STATUSES = (SAMPLES[semigroup.ElementStatus],
             semigroup.ElementStatus((1, 1, 2), "dilation", False))
@@ -141,6 +145,7 @@ RULE_RECORDS = [
     reescone.ConeClassification(Verdict.NEITHER, (1, 2, -3)),
     reescone.ShapeReport(2, 1, SESSION.facets, ((2, 0, -1),), ("a note",)),
     semigroup.HilbertBasisResult((), 0, 0, 0),
+    semigroup.DilationWitness(3, (0, 3, 3)),
     semigroup.EqualityReport(2, 3, (semigroup.DilationCheck(1, 3, ()),
                                     semigroup.DilationCheck(2, 6, ((1, 3), (2, 2))),
                                     semigroup.DilationCheck(3, 9, ((3, 3),)))),
@@ -152,8 +157,7 @@ RULE_RECORDS = [
 
 
 def test_only_the_rule_classes_take_record_to_json():
-    own = {c for c in SAMPLES if "to_json" in c.__dict__}
-    assert own == {semigroup.EqualityReport}  # to write first_witness as {"b", "point"}
+    assert not [c for c in SAMPLES if "to_json" in c.__dict__]
 
 
 @pytest.mark.parametrize("record", RULE_RECORDS, ids=lambda r: type(r).__name__)
@@ -237,8 +241,9 @@ def test_facet_slack_is_left_out_of_equality():
     fs = SESSION.facets
     bare = reescone.FacetSystem(fs.dim, fs.unit_normals, fs.ell_normals)
     assert fs.slack and bare.slack == {}
+    assert fs.rays and fs.masks and bare.rays == bare.masks == ()
     assert bare == fs and hash(bare) == hash(fs)
-    assert "slack" not in repr(fs)
+    assert not any(f in repr(fs) for f in ("slack", "rays", "masks"))
     assert bare.normals() == fs.normals()
 
 

@@ -26,7 +26,6 @@ from reeskit.reescone import (
     Verdict,
     basis_rees_cone,
     classify,
-    extreme_generators,
     facet_normals,
     facet_normals_oracle,
     rees_generators,
@@ -426,7 +425,7 @@ class TestShapeReport:
 
 def rank_extreme_generators(cone, fs):
     """Primitive generators lying on a rank-(dim-1) set of facets: one rank
-    per generator, the oracle for extreme_generators."""
+    per generator, the oracle for FacetSystem.rays."""
     normals = fs.normals()
     out = []
     for p in dict.fromkeys(tuple(primitive(g)) for g in cone.generators):
@@ -435,10 +434,23 @@ def rank_extreme_generators(cone, fs):
     return tuple(out)
 
 
+def assert_rays_and_masks(cone, fs):
+    """fs.rays are the rank oracle's extreme generators in lex order, and
+    fs.masks[j] has bit i set iff the j-th normal is tight on fs.rays[i]."""
+    assert fs.rays == tuple(sorted(rank_extreme_generators(cone, fs))), cone
+    normals = fs.normals()
+    assert len(fs.masks) == len(normals)
+    for b, mask in zip(normals, fs.masks):
+        assert mask == sum(1 << i for i, r in enumerate(fs.rays) if dot(b, r) == 0), (b, cone)
+
+
 def assert_extreme_matches_rank(ideal):
+    """assert_rays_and_masks on the facet systems of both routes, the
+    oracle's within its cap."""
     cone = rees_generators(ideal)
-    fs = facet_normals(cone)
-    assert extreme_generators(cone, fs) == rank_extreme_generators(cone, fs), ideal
+    assert_rays_and_masks(cone, facet_normals(cone))
+    if len(cone.generators) <= ORACLE_CAP:
+        assert_rays_and_masks(cone, facet_normals_oracle(cone))
 
 
 @st.composite
@@ -469,14 +481,15 @@ class TestExtremeGenerators:
     @given(ideals_with_inner_generators())
     def test_matches_rank_oracle_with_inner_generators(self, ideal):
         cone = rees_generators(ideal)
-        assert len(extreme_generators(cone, facet_normals(cone))) < len(cone.generators)
+        assert len(facet_normals(cone).rays) < len(cone.generators)
         assert_extreme_matches_rank(ideal)
 
-    def test_keeps_input_order(self):
+    def test_lex_order_without_repeats(self):
         # (1, 1, 1) is the midpoint of (2, 0, 1) and (0, 2, 1); repeats go
         cone = ReesCone(2, ((0, 1, 0), (1, 0, 0), (2, 0, 1), (1, 1, 1), (0, 2, 1), (2, 0, 1)))
-        extreme = extreme_generators(cone, facet_normals(cone))
-        assert extreme == ((0, 1, 0), (1, 0, 0), (2, 0, 1), (0, 2, 1))
+        fs = facet_normals(cone)
+        assert fs.rays == ((0, 1, 0), (0, 2, 1), (1, 0, 0), (2, 0, 1))
+        assert facet_normals_oracle(cone).rays == fs.rays
 
     def test_roundtrip(self):
         rng = random.Random(99)
@@ -484,10 +497,9 @@ class TestExtremeGenerators:
             ideal = random_ideal(rng)
             cone = rees_generators(ideal)
             fs = facet_normals(cone)
-            ext = extreme_generators(cone, fs)
-            assert set(ext) <= set(cone.generators)
-            rebuilt = ReesCone(cone.n, tuple(sorted(ext)))
-            assert facet_normals(rebuilt) == fs
+            assert set(fs.rays) <= set(cone.generators)
+            rebuilt = facet_normals(ReesCone(cone.n, fs.rays))
+            assert rebuilt == fs and rebuilt.rays == fs.rays
 
 
 def assert_slack_is_the_value_matrix(cone, fs):

@@ -39,7 +39,6 @@ from reeskit.polymatroid import veronese_bases
 from reeskit.reescone import (
     ORACLE_CAP,
     _dual_extreme_rays,
-    extreme_generators,
     facet_normals,
     facet_normals_oracle,
     rees_generators,
@@ -47,6 +46,7 @@ from reeskit.reescone import (
 from reeskit.semigroup import (
     DEFAULT_CAP,
     DilationCheck,
+    DilationWitness,
     EqualityReport,
     IdealSession,
     _coset_points,
@@ -142,9 +142,9 @@ def dd_triangulate(rays, memo, tight_sets=None) -> tuple[tuple, ...]:
     return simplices
 
 
-def dd_pulling(cone, fs):
+def dd_pulling(fs):
     """dd_triangulate of the cone's extreme rays, its top facets taken from fs."""
-    rays = tuple(sorted(extreme_generators(cone, fs)))
+    rays = fs.rays
     tight_sets = [tuple(r for r in rays if dot(b, r) == 0) for b in fs.normals()]
     return dd_triangulate(rays, {}, tight_sets)
 
@@ -158,7 +158,7 @@ def adjugate_points(simplex, frame=None):
     return _coset_points(simplex, adj, det, det, frame or _ray_frame(simplex))
 
 
-def all_pairs_reduction(cone, fs):
+def all_pairs_reduction(fs):
     """Hilbert basis by reducing every candidate against every other one.
 
     The candidates are those of hilbert_basis: the extreme generators and the
@@ -166,9 +166,8 @@ def all_pairs_reduction(cone, fs):
     description oracle's. h is kept iff no other candidate c leaves h - c in
     the cone. Returns (lex-sorted elements, number of candidates).
     """
-    extreme = extreme_generators(cone, fs)
-    candidates = set(extreme)
-    for s in dd_pulling(cone, fs):
+    candidates = set(fs.rays)
+    for s in dd_pulling(fs):
         if abs(determinant(s)) > 1:
             candidates |= adjugate_points(s)
     candidates = sorted(candidates)
@@ -247,13 +246,13 @@ def semigroup_member(point, cone) -> bool:
 class TestHilbertBasis:
     def test_frozen_principal(self):
         cone = rees_generators(PRINCIPAL)
-        hb = hilbert_basis(cone, facet_normals(cone))
+        hb = hilbert_basis(facet_normals(cone))
         assert hb.elements == ((1, 0), (1, 1))
         assert hb.simplices == 1 and hb.candidates == 2
 
     def test_frozen_two_squares(self):
         cone = rees_generators(TWO_SQUARES)
-        hb = hilbert_basis(cone, facet_normals(cone))
+        hb = hilbert_basis(facet_normals(cone))
         assert hb.elements == (
             (0, 1, 0),
             (0, 2, 1),
@@ -278,7 +277,7 @@ class TestHilbertBasis:
             ideals.append(basis_monomial_ideal(m))
         for ideal in ideals:
             cone = rees_generators(ideal)
-            hb = hilbert_basis(cone, facet_normals(cone))
+            hb = hilbert_basis(facet_normals(cone))
             assert list(hb.elements) == brute_irreducibles(cone), ideal
 
     def test_generates_box_lattice_points(self):
@@ -287,7 +286,7 @@ class TestHilbertBasis:
         for ideal in (TWO_SQUARES, MIXED):
             cone = rees_generators(ideal)
             fs = facet_normals(cone)
-            hb = hilbert_basis(cone, fs)
+            hb = hilbert_basis(fs)
             bound = (4,) * cone.dim
             for p in box_points(bound):
                 if fs.contains(p):
@@ -297,7 +296,7 @@ class TestHilbertBasis:
         for ideal in (TWO_SQUARES, MIXED):
             cone = rees_generators(ideal)
             fs = facet_normals(cone)
-            hb = hilbert_basis(cone, fs)
+            hb = hilbert_basis(fs)
             for h in hb.elements:
                 for other in hb.elements:
                     if other == h:
@@ -310,7 +309,7 @@ class TestHilbertBasis:
     def test_cap(self):
         cone = rees_generators(TWO_SQUARES)
         with pytest.raises(CapExceeded):
-            hilbert_basis(cone, facet_normals(cone), cap=1)
+            hilbert_basis(facet_normals(cone), cap=1)
 
     def test_same_basis_from_the_oracle_facet_system(self):
         # hilbert_basis reads the generators' facet values from the facet
@@ -318,23 +317,23 @@ class TestHilbertBasis:
         for name in bundled_names():
             cone = rees_generators(analysis_ideal(realize(load_bundled(name)).value))
             if len(cone.generators) <= ORACLE_CAP:
-                oracle = hilbert_basis(cone, facet_normals_oracle(cone))
-                assert hilbert_basis(cone, facet_normals(cone)) == oracle, name
+                oracle = hilbert_basis(facet_normals_oracle(cone))
+                assert hilbert_basis(facet_normals(cone)) == oracle, name
 
     @settings(max_examples=40, deadline=None)
     @given(mixed_degree_ideals())
     def test_same_basis_from_the_oracle_facet_system_on_mixed_degrees(self, ideal):
         cone = rees_generators(ideal)
         oracle = facet_normals_oracle(cone, cap=len(cone.generators))
-        assert hilbert_basis(cone, oracle) == hilbert_basis(cone, facet_normals(cone))
+        assert hilbert_basis(oracle) == hilbert_basis(facet_normals(cone))
 
     @settings(max_examples=60, deadline=None)
     @given(mixed_degree_ideals())
     def test_matches_all_pairs_reduction(self, ideal):
         cone = rees_generators(ideal)
         fs = facet_normals(cone)
-        hb = hilbert_basis(cone, fs)
-        elements, candidates = all_pairs_reduction(cone, fs)
+        hb = hilbert_basis(fs)
+        elements, candidates = all_pairs_reduction(fs)
         assert list(hb.elements) == elements
         assert hb.candidates == candidates
 
@@ -364,12 +363,10 @@ def ray_simplices(rays, triangulation) -> list[tuple]:
 
 
 def triangulation(ideal):
-    """(cone, facet system, _triangulate's triangulation), each simplex
-    unpacked into its rays."""
-    cone = rees_generators(ideal)
-    fs = facet_normals(cone)
-    rays = tuple(sorted(extreme_generators(cone, fs)))
-    return cone, fs, ray_simplices(rays, flatten(_triangulate(rays, fs)))
+    """(facet system, _triangulate's triangulation), each simplex unpacked
+    into its rays."""
+    fs = facet_normals(rees_generators(ideal))
+    return fs, ray_simplices(fs.rays, flatten(_triangulate(fs)))
 
 
 def assert_matches_oracle(ideal):
@@ -378,8 +375,8 @@ def assert_matches_oracle(ideal):
     volume) pairs. The order of the simplices shows only in the cap message,
     which is tested on its own; that of the rays inside one shows nowhere.
     Returns the triangulation."""
-    cone, fs, simplices = triangulation(ideal)
-    oracle = Counter((frozenset(s), abs(determinant(s))) for s in dd_pulling(cone, fs))
+    fs, simplices = triangulation(ideal)
+    oracle = Counter((frozenset(s), abs(determinant(s))) for s in dd_pulling(fs))
     assert Counter((frozenset(s), vol) for s, vol in simplices) == oracle, ideal
     return simplices
 
@@ -436,19 +433,19 @@ class TestTriangulation:
         """For caps across [0, total): the message names the first running
         total of _triangulate's sequence past the cap, which lies in
         (cap, cap + largest volume]; at cap = total, hilbert_basis succeeds."""
-        cone, fs, simplices = triangulation(ideal)
+        fs, simplices = triangulation(ideal)
         volumes = [vol for _, vol in simplices]
         totals = list(accumulate(volumes))
         caps = data.draw(st.lists(st.integers(0, totals[-1] - 1), min_size=1, max_size=4))
         for cap in caps:
             with pytest.raises(CapExceeded) as exc:
-                hilbert_basis(cone, fs, cap)
+                hilbert_basis(fs, cap)
             message = f"parallelepiped budget {cap} exceeded at "
             assert str(exc.value).startswith(message), exc.value
             reached = int(str(exc.value)[len(message):].removesuffix(" lattice points"))
             assert reached == next(t for t in totals if t > cap), (ideal, cap)
             assert cap < reached <= cap + max(volumes), (ideal, cap)
-        assert hilbert_basis(cone, fs, totals[-1]).parallelepiped_points == totals[-1]
+        assert hilbert_basis(fs, totals[-1]).parallelepiped_points == totals[-1]
 
     # _triangulate builds the face DAG; hilbert_basis reads the counts, the
     # cap's running total and the walk's simplices off its one root
@@ -466,9 +463,9 @@ class TestTriangulation:
         fs = facet_normals(cone)
         if trips:
             with pytest.raises(CapExceeded):
-                hilbert_basis(cone, fs, cap)
+                hilbert_basis(fs, cap)
         else:
-            result = hilbert_basis(cone, fs, cap)
+            result = hilbert_basis(fs, cap)
             assert (result.simplices, result.parallelepiped_points) == roots[0][:2]
         assert len(roots) == 1
 
@@ -482,14 +479,14 @@ class TestTriangulation:
         the flattened sequence, and hilbert_basis reports the same counts."""
         cone = rees_generators(ideal)
         fs = facet_normals(cone)
-        root = _triangulate(tuple(sorted(extreme_generators(cone, fs))), fs)
+        root = _triangulate(fs)
         flat = list(flatten(root))
         assert root[:2] == (len(flat), sum(vol for _, vol in flat))
         assert list(_nonunimodular(root)) == [(s, vol) for s, vol in flat if vol > 1]
         totals = list(accumulate(vol for _, vol in flat))
         for before, total in zip([0, *totals], totals):
             assert _reached(root, before) == _reached(root, total - 1) == total
-        result = hilbert_basis(cone, fs)
+        result = hilbert_basis(fs)
         assert (result.simplices, result.parallelepiped_points) == root[:2]
 
     def test_unit_slack_rays_spare_the_lattice_bases(self, monkeypatch):
@@ -504,7 +501,7 @@ class TestTriangulation:
             return g, sub
 
         monkeypatch.setattr(semigroup, "_split", counting)
-        assert len(triangulation(basis_monomial_ideal(graphic_matroid(5, W4_EDGES)))[2]) == 2734
+        assert len(triangulation(basis_monomial_ideal(graphic_matroid(5, W4_EDGES)))[1]) == 2734
         assert contents == []
         assert_matches_oracle(MIXED)
         assert 3 in contents
@@ -536,8 +533,8 @@ def walked(ideal):
     hilbert_basis feeds it."""
     cone = rees_generators(ideal)
     fs = facet_normals(cone)
-    rays = tuple(sorted(extreme_generators(cone, fs)))
-    root = _triangulate(rays, fs)
+    rays = fs.rays
+    root = _triangulate(fs)
     return rays, list(flatten(root)), list(_pivot_walk(rays, _nonunimodular(root)))
 
 
@@ -724,20 +721,20 @@ class TestCosetWalk:
 
         monkeypatch.setattr(semigroup, "_ray_frame", frame)
         cone = rees_generators(ideal)
-        result = hilbert_basis(cone, facet_normals(cone))
+        result = hilbert_basis(facet_normals(cone))
         assert len(built) == frames
         assert (result.parallelepiped_points > result.simplices) == bool(frames)
 
 
-def reduction_oracle(cone, fs):
+def reduction_oracle(fs):
     """The degree-ordered reduction on unpacked facet values: the candidates
     of hilbert_basis, each kept unless an element kept before it is <= it in
     every one of its dot products with the facet normals. Returns the
     lex-sorted elements."""
-    rays = tuple(sorted(extreme_generators(cone, fs)))
+    rays = fs.rays
     candidates = set(rays)
     frame = _ray_frame(rays)
-    for walk in _pivot_walk(rays, flatten(_triangulate(rays, fs))):
+    for walk in _pivot_walk(rays, flatten(_triangulate(fs))):
         candidates |= _coset_points(*walk, frame)
     normals = fs.normals()
     elements, kept_values = [], []
@@ -752,7 +749,7 @@ def reduction_oracle(cone, fs):
 def assert_reduction_matches(ideal):
     cone = rees_generators(ideal)
     fs = facet_normals(cone)
-    assert hilbert_basis(cone, fs).elements == reduction_oracle(cone, fs), ideal
+    assert hilbert_basis(fs).elements == reduction_oracle(fs), ideal
 
 
 class TestPackedReduction:
@@ -797,7 +794,7 @@ class TestPackedReduction:
         monkeypatch.setattr(semigroup, "_coset_points", lambda *walk: {point})
         cone = rees_generators(TWO_SQUARES)
         with pytest.raises(IntegrityError, match="facet value outside"):
-            hilbert_basis(cone, facet_normals(cone))
+            hilbert_basis(facet_normals(cone))
 
 
 class TestSemigroupMember:
@@ -1085,7 +1082,7 @@ class TestEhrhartEquality:
     def test_two_squares_fails_at_one(self):
         report = IdealSession(TWO_SQUARES).equality(3)
         assert not report.passed
-        assert report.first_witness == (1, (1, 1))
+        assert report.first_witness == DilationWitness(1, (1, 1))
 
     def test_report_json(self):
         doc = IdealSession(TWO_SQUARES).equality(1).to_json()
@@ -1110,7 +1107,7 @@ class TestEhrhartEquality:
             ((1, 1, 1, 1),),
             ((1, 1, 1, 3), (1, 2, 2, 1), (2, 1, 2, 1), (2, 2, 1, 1)),
         ]
-        assert report.first_witness == (2, (1, 1, 1, 1))
+        assert report.first_witness == DilationWitness(2, (1, 1, 1, 1))
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
