@@ -2,10 +2,10 @@
 
 Everything here runs on arbitrary-precision Python ints, with no division
 that is not exact. Elimination over Q is one fraction-free Gauss-Jordan
-pass, _bareiss, so not even Fractions are needed: rank, determinant and
-adjugate read it, as does the double description's seed. Ranks mod 2 have
-their own XOR basis on bitmasks. No floating point anywhere: results feed
-normality certificates, so approximation is not an option.
+pass, _bareiss, so not even Fractions are needed: rank and adjugate read
+it, as do the double description's seed and the facet oracle. Ranks mod 2
+have their own XOR basis on bitmasks. No floating point anywhere: results
+feed normality certificates, so approximation is not an option.
 """
 
 from __future__ import annotations
@@ -86,14 +86,6 @@ def _bareiss(rows):
 
 def rank(rows) -> int:
     return len(_bareiss(rows)[1])
-
-
-def determinant(rows) -> int:
-    m = [tuple(r) for r in rows]
-    if any(len(r) != len(m) for r in m):
-        raise ValueError("determinant of a non-square matrix")
-    _, pivots, sign, p = _bareiss(m)
-    return sign * p if len(pivots) == len(m) else 0
 
 
 def adjugate(rows):

@@ -23,7 +23,7 @@ from math import gcd
 from operator import and_
 
 from .errors import CapExceeded, DegenerateCone, IntegrityError, Record
-from .exactlat import _bareiss, adjugate, determinant, dot, primitive, rank
+from .exactlat import _bareiss, adjugate, dot, primitive, rank
 from .exactlat import parity_mask, rank_mod_2
 from .matroid import Matroid, MonomialIdeal, basis_monomial_ideal
 
@@ -103,10 +103,9 @@ class FacetSystem(Record):
     unit_normals: ascending 1-based indices i with e_i a facet normal.
     ell_normals: lex-sorted primitive normals with nonnegative leading
     entries and last entry <= -1.
-    slack: the facet-generator value matrix, computed once per cone (as in
-    Normaliz, Bruns and Ichim, J. Algebra 2010): for each distinct primitive
-    generator g of the cone the facets were found for, the tuple of <b, g>
-    over b in normals(), in that order (empty when not given).
+    slack: the facet-ray value matrix, computed once per cone (as in
+    Normaliz, Bruns and Ichim, J. Algebra 2010): slack[i] is the tuple of
+    <b, rays[i]> over b in normals(), in that order (empty when not given).
     rays: the lex-sorted primitive generators that span extreme rays.
     masks: for each normal, in normals() order, the bitmask of the rays it
     is tight on, bit i for rays[i].
@@ -117,15 +116,13 @@ class FacetSystem(Record):
     dim: int
     unit_normals: tuple[int, ...]
     ell_normals: tuple[tuple[int, ...], ...]
-    slack: dict = None
+    slack: tuple[tuple[int, ...], ...] = ()
     rays: tuple[tuple[int, ...], ...] = ()
     masks: tuple[int, ...] = ()
     _uncompared = ("slack", "rays", "masks")
     _json = ("unit_normals", "ell_normals")
 
     def __post_init__(self):
-        if self.slack is None:
-            object.__setattr__(self, "slack", {})
         units = tuple(_unit(i - 1, self.dim) for i in self.unit_normals)
         object.__setattr__(self, "_normals", units + self.ell_normals)
 
@@ -207,9 +204,9 @@ def _dual_extreme_rays(ineqs, dim: int) -> list[tuple[int, ...]]:
 
 def _facet_system(dim: int, normals, generators) -> FacetSystem:
     """Check and split the normals; each normal's values on the distinct
-    primitive generators are computed once, serve every check, and are kept
-    per generator in normals() order as the system's slack, and its tight
-    set on the extreme rays as its mask.
+    primitive generators are computed once and serve every check. Those on
+    the extreme rays are kept, per ray in normals() order, as the system's
+    slack, and each normal's tight set on the rays as its mask.
 
     A normal b != 0 annihilates its tight set, so the tight set's rank over Q
     is at most dim - 1, and at least its rank mod 2: a rank mod 2 of dim - 1
@@ -246,12 +243,12 @@ def _facet_system(dim: int, normals, generators) -> FacetSystem:
     units.sort()
     ells.sort()
     order = [_unit(i - 1, dim) for i in units] + ells
-    slack = dict(zip(gens, zip(*(columns[b] for b in order))))
+    rows = dict(zip(gens, zip(*(columns[b] for b in order))))
     every = (1 << len(gens)) - 1
     rays = sorted(g for k, g in enumerate(gens) if 1 << k == reduce(
         and_, (t for t in tight_sets if t >> k & 1), every))
-    masks = [sum(1 << i for i, v in enumerate(col) if v == 0)
-             for col in zip(*map(slack.get, rays))]
+    slack = tuple(map(rows.get, rays))
+    masks = [sum(1 << i for i, v in enumerate(col) if v == 0) for col in zip(*slack)]
     return FacetSystem(dim, tuple(units), tuple(ells), slack, tuple(rays), tuple(masks))
 
 
@@ -266,9 +263,9 @@ def facet_normals_oracle(cone: ReesCone, cap: int = ORACLE_CAP) -> FacetSystem:
     """Brute-force facet enumeration, independent of the incremental engine.
 
     Every subset of dim-1 generators of full rank spans a candidate
-    hyperplane; its primitive normal is kept iff one orientation puts the
-    whole generator set on the nonnegative side. Exponential in the
-    generator count, hence the cap.
+    hyperplane, read off one _bareiss pass; its primitive normal is kept
+    iff one orientation puts the whole generator set on the nonnegative
+    side. Exponential in the generator count, hence the cap.
     """
     gens = _distinct_rows(cone.generators)
     if len(gens) > cap:
@@ -278,15 +275,13 @@ def facet_normals_oracle(cone: ReesCone, cap: int = ORACLE_CAP) -> FacetSystem:
         raise DegenerateCone(f"generators span rank {rank(gens)} < {dim}")
     normals = set()
     for combo in combinations(gens, dim - 1):
-        w = []
-        sign = 1
-        for k in range(dim):
-            minor = [[g[i] for i in range(dim) if i != k] for g in combo]
-            w.append(sign * determinant(minor))
-            sign = -sign
-        if not any(w):
+        rows, pivots, _, p = _bareiss(combo)
+        if len(pivots) < dim - 1:
             continue
-        w = primitive(w)
+        # row i ends as p e_pivots[i] + rows[i][c] e_c, c the one free column
+        c = next(k for k in range(dim) if k not in pivots)
+        entry = dict(zip(pivots, (-row[c] for row in rows)))
+        w = primitive(entry.get(k, p) for k in range(dim))
         values = [dot(w, g) for g in gens]
         if any(v > 0 for v in values) and any(v < 0 for v in values):
             continue

@@ -86,7 +86,7 @@ class HilbertBasisResult(Record):
 class NormalityCertificate(Record):
     verdict: str  # "normal" | "not_normal"
     witness: tuple[int, ...] | None
-    method: str  # "hilbert" | "quasi_ehrhart" | "both"
+    method: str  # "hilbert" | "both"
 
 
 def _pivot_walk(rays, simplices):
@@ -247,8 +247,8 @@ def _triangulate(fs: FacetSystem) -> tuple:
     containing it, and one of those does not contain F. A face reached at
     depth k has dimension dim - k, so each of its facets has at least
     dim - k - 1 rays, and so has every meet containing one: maximality is
-    tested only among the meets with that many rays. A simplicial face has
-    exactly its dim - k sets F - a left, so it needs no test of its own. A
+    tested only among the meets with that many rays. On a simplicial face
+    that leaves exactly its dim - k sets F - a, and the test keeps each. A
     face's facets are taken in the order of the cone facets that first cut
     them out, so the sequence of simplices is fixed by fs.
 
@@ -265,8 +265,7 @@ def _triangulate(fs: FacetSystem) -> tuple:
     reached F. A facet H not yet reached takes g and its basis from one
     _split, one already reached g alone, the gcd of <b, v> over L_F's basis.
     """
-    rays, dim, normals = fs.rays, fs.dim, fs.normals()
-    slack = [fs.slack[r] for r in rays]
+    rays, dim, normals, slack = fs.rays, fs.dim, fs.normals(), fs.slack
     unit = [sum(1 << i for i, v in enumerate(col) if v == 1) for col in zip(*slack)]
     nodes: dict[int, tuple] = {0: (1, 1, ())}
     top = (1 << len(rays)) - 1
@@ -368,7 +367,7 @@ def hilbert_basis(facets: FacetSystem, cap: int = DEFAULT_CAP) -> HilbertBasisRe
     for walked in _pivot_walk(rays, _nonunimodular(root)):
         points.update(_coset_points(*walked, frame))
     candidates = set(rays) | points
-    bound = max(map(sum, zip(*(facets.slack[r] for r in rays))))
+    bound = max(map(sum, zip(*facets.slack)))
     pack, guard = packer(facets.normals(), bound.bit_length() + 1)
     elements, kept = [], []
     for h in sorted(candidates, key=sum):

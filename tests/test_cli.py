@@ -253,7 +253,7 @@ class TestReesFacets:
                        "of the 18 generators exceed the cap 815"}
 
     def test_forced_oracle_past_the_cap_ends_before_enumerating(self, capsys):
-        # graphic_k4: C(22, 6) = 74,613 subsets, about 20 s of minors
+        # graphic_k4: C(22, 6) = 74,613 subsets, about 3 s of eliminations
         with Budget(1.0):
             code, doc, _ = run_json(capsys, "rees-facets", "bundled:graphic_k4", "--oracle",
                                     "--cap", "74612")

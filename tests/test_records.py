@@ -240,7 +240,7 @@ def test_unchecked_skips_post_init():
 def test_facet_slack_is_left_out_of_equality():
     fs = SESSION.facets
     bare = reescone.FacetSystem(fs.dim, fs.unit_normals, fs.ell_normals)
-    assert fs.slack and bare.slack == {}
+    assert len(fs.slack) == len(fs.rays) and bare.slack == ()
     assert fs.rays and fs.masks and bare.rays == bare.masks == ()
     assert bare == fs and hash(bare) == hash(fs)
     assert not any(f in repr(fs) for f in ("slack", "rays", "masks"))

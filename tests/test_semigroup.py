@@ -26,7 +26,7 @@ from reeskit.errors import (
     PreconditionFailed,
     UnequalModuli,
 )
-from reeskit.exactlat import adjugate, determinant, dot, packer, rank
+from reeskit.exactlat import _bareiss, adjugate, dot, packer, rank
 from reeskit.jsonio import analysis_ideal, bundled_names, load_bundled, realize
 from reeskit.matroid import (
     MonomialIdeal,
@@ -78,6 +78,12 @@ V516 = MonomialIdeal(
 
 def vsub(u, v):
     return tuple(a - b for a, b in zip(u, v))
+
+
+def determinant(rows) -> int:
+    """Sign times last pivot of one _bareiss pass; 0 for a singular matrix."""
+    _, pivots, sign, p = _bareiss(rows)
+    return sign * p if len(pivots) == len(rows) else 0
 
 
 def box_points(bound):
