@@ -27,7 +27,8 @@ def packer(rows, width: int):
     values on the rows in width-bit fields, and guard sets each field's top
     bit. pack is linear, so exact with negative entries. For x, y packed from
     values below 2**(width - 1), ((y | guard) - x) & guard == guard iff x <= y
-    fieldwise, as no borrow crosses a field (SWAR, Lamport, CACM 1975)."""
+    fieldwise, as no borrow crosses a field (SWAR, Lamport, CACM 1975), and
+    then x <= y as integers, with equality iff the values are equal."""
     cols = [sum(e << width * j for j, e in enumerate(col)) for col in zip(*rows)]
     guard = sum(1 << width * j + width - 1 for j in range(len(rows)))
     return (lambda v: sum(map(mul, v, cols))), guard

@@ -263,9 +263,9 @@ def facet_normals_oracle(cone: ReesCone, cap: int = ORACLE_CAP) -> FacetSystem:
     """Brute-force facet enumeration, independent of the incremental engine.
 
     Every subset of dim-1 generators of full rank spans a candidate
-    hyperplane, read off one _bareiss pass; its primitive normal is kept
-    iff one orientation puts the whole generator set on the nonnegative
-    side. Exponential in the generator count, hence the cap.
+    hyperplane, read off one _bareiss pass and tested once: its primitive
+    normal is kept iff one orientation puts the whole generator set on the
+    nonnegative side. Exponential in the generator count, hence the cap.
     """
     gens = _distinct_rows(cone.generators)
     if len(gens) > cap:
@@ -273,7 +273,7 @@ def facet_normals_oracle(cone: ReesCone, cap: int = ORACLE_CAP) -> FacetSystem:
     dim = cone.dim
     if rank(gens) < dim:
         raise DegenerateCone(f"generators span rank {rank(gens)} < {dim}")
-    normals = set()
+    normals, tried = set(), set()
     for combo in combinations(gens, dim - 1):
         rows, pivots, _, p = _bareiss(combo)
         if len(pivots) < dim - 1:
@@ -282,12 +282,14 @@ def facet_normals_oracle(cone: ReesCone, cap: int = ORACLE_CAP) -> FacetSystem:
         c = next(k for k in range(dim) if k not in pivots)
         entry = dict(zip(pivots, (-row[c] for row in rows)))
         w = primitive(entry.get(k, p) for k in range(dim))
+        if w in tried:
+            continue
+        opposite = tuple(-e for e in w)
+        tried.update((w, opposite))
         values = [dot(w, g) for g in gens]
         if any(v > 0 for v in values) and any(v < 0 for v in values):
             continue
-        if all(v <= 0 for v in values):
-            w = tuple(-e for e in w)
-        normals.add(w)
+        normals.add(opposite if all(v <= 0 for v in values) else w)
     return _facet_system(dim, sorted(normals), tuple(gens))
 
 

@@ -14,11 +14,11 @@ normal b, in L_F = Z^dim & span(F). The gcd is 1 when a ray r of F has
 <b, r> = 1, as r lies in L_F; only a face without such a ray builds a
 Z-basis of L_F, from its parent's. Then one pivot walk takes the adjugate of
 each simplex of volume above 1 to the next by exchanging rays, and one coset
-closure, on rays packed once per cone, reads the lattice points of the
-simplex's half-open fundamental parallelepiped off the adjugate's columns;
-the candidates are reduced to the irreducible ones in order of degree, each
-against the irreducibles already kept, on facet values packed into one int
-per candidate. A Hilbert basis element is irreducible, so it lies in the
+closure reads the lattice points of the simplex's half-open fundamental
+parallelepiped off the adjugate's columns, each as one int key packing its
+facet values and coordinates; the candidates are reduced to the irreducible
+ones in order of key, each against the irreducibles already kept by one
+guarded subtraction. A Hilbert basis element is irreducible, so it lies in the
 subsemigroup the generators span iff it is one of them. Dilation equality
 compares bP with the b-fold sumset of the vertices, kept as packed ints: for
 an ideal generated in one degree d, a lies in bP iff (a, b) lies in the Rees
@@ -141,48 +141,34 @@ def _pivot_walk(rays, simplices):
         yield tuple(rays[i] for i in slots), adj, det, vol
 
 
-def _ray_frame(rays):
-    """(width, weights, lows, packed) to pack the parallelepiped points of any
-    simplex of rays in one int each: coordinate j offset by lows[j], the sum
-    of its negative entries, in fields of W.bit_length() + 1 bits for W the
-    largest sum of |r_j| on one coordinate, and packed maps each ray to its int."""
-    coords = list(zip(*rays))
-    spans = [sum(map(abs, row)) for row in coords]
-    width = max(spans).bit_length() + 1
-    weights = [1 << width * j for j in range(len(coords))]  # packer's, without its identity rows
-    lows = [(sum(row) - span) // 2 for row, span in zip(coords, spans)]
-    return width, weights, lows, {r: sum(map(mul, r, weights)) for r in rays}
-
-
-def _coset_points(simplex, adj, det: int, vol: int, frame) -> set[tuple[int, ...]]:
-    """Nonzero lattice points of {sum lam_i r_i : 0 <= lam_i < 1}, for the
-    simplex's rays r_i in slot order, adj R = det I with det > 0, vol its
-    volume from heights, and a _ray_frame of its rays or more to pack them.
+def _coset_points(simplex, adj, det: int, vol: int, keys) -> set[int]:
+    """Keys of the nonzero lattice points of {sum lam_i r_i : 0 <= lam_i < 1},
+    for the simplex's rays r_i in slot order, adj R = det I with det > 0, vol
+    its volume from heights, and keys mapping its rays, or more, to their
+    keys under a linear packing that is injective on the points.
 
     The points are (sum c_i r_i) / det for c in the group G of order det
     that the columns of adj generate mod det. G is grown column by column:
     the subgroup H found so far is stepped by a column a, layer after layer,
-    until a step lands back inside H. A step adds a to c and
-    g = (sum a_i r_i) / det to the point, then subtracts r_i for each c_i
-    that wrapped past det, so a point costs O(m) additions and no division.
-    det != vol, a g that is not a lattice point, or a group of order other
-    than det is an IntegrityError.
+    until a step lands back inside H. A step adds a to c and the key of
+    g = (sum a_i r_i) / det, sum a_i key(r_i) / det exactly as the packing is
+    Z-linear, to the point's, then subtracts key(r_i) for each c_i that
+    wrapped past det, so a point costs O(m) additions and no division. The
+    zero point's key is 0. det != vol, a g that is not a lattice point, or a
+    group of order other than det is an IntegrityError.
     """
     if det != vol:
         raise IntegrityError(f"simplex volume {vol} from heights, {det} from the pivot walk")
-    width, weights, lows, packed = frame
     coords = list(zip(*simplex))
-    rays = [packed[r] for r in simplex]
-    zero = -sum(map(mul, lows, weights))
-    group, seen = [((0,) * len(simplex), zero)], {zero}
+    rays = [keys[r] for r in simplex]
+    group, seen = [((0,) * len(simplex), 0)], {0}
     for column in zip(*adj):
         if len(group) == det:
             break
         a = [e % det for e in column]
-        sums = [sum(map(mul, a, row)) for row in coords]
-        if any(map(det.__rmod__, sums)):
+        if any(sum(map(mul, a, row)) % det for row in coords):
             raise IntegrityError(f"adjugate column {list(column)} gives no lattice point")
-        g = sum(map(mul, map(det.__rfloordiv__, sums), weights))
+        g = sum(map(mul, a, rays)) // det
         layer = group
         while layer:
             stepped = []
@@ -201,8 +187,7 @@ def _coset_points(simplex, adj, det: int, vol: int, frame) -> set[tuple[int, ...
             layer = stepped
     if len(seen) != det:
         raise IntegrityError(f"coset closure gave {len(seen)} of {det} cosets")
-    mask, fields = (1 << width) - 1, [(width * j, lo) for j, lo in enumerate(lows)]
-    return {tuple([(q >> s & mask) + lo for s, lo in fields]) for q in seen if q != zero}
+    return seen - {0}
 
 
 def _split(basis, b):
@@ -342,46 +327,48 @@ def hilbert_basis(facets: FacetSystem, cap: int = DEFAULT_CAP) -> HilbertBasisRe
     total, in the triangulation's order, at the first simplex over the cap
     (_reached). Then the pivot walk (_pivot_walk) carries one adjugate from
     each simplex of volume above 1 (_nonunimodular) to the next, and the coset
-    closure of its columns (_coset_points) gives the simplex's points on rays
-    packed once (_ray_frame); those of volume 1 have none and go unlisted.
-    Reduction follows Normaliz (Bruns and Ichim, J. Algebra 2010): candidates
-    are walked by ascending coordinate sum, and h is kept unless an element k
-    kept before it has every facet value <= h's, i.e. h - k lies in the cone.
-    That is exact: a reducible h is reducible by a Hilbert basis element x
-    with h - x a nonzero point of the first orthant, so sum(x) < sum(h) and x
-    was kept first, while two candidates of equal sum never reduce each other.
-    Uniqueness comes with pointedness, which holds as the generators sit in
-    the first orthant. Facet values are packed (exactlat.packer) in fields of
-    W.bit_length() + 1 bits, so that test is one guarded subtraction: W, the
-    largest sum of the rays' values on one facet, bounds the values of every
-    candidate, a ray or sum lam_i r_i with 0 <= lam_i < 1. A key that is
-    negative or has a guard bit set is an IntegrityError.
+    closure of its columns (_coset_points) gives the keys of the simplex's
+    points; those of volume 1 have none and go unlisted. A key
+    (exactlat.packer) holds a point's facet values, then its coordinates, in
+    fields of W.bit_length() + 1 bits: W, the largest sum of the rays' values
+    on one facet or coordinate, bounds that field on every candidate, a ray
+    or sum lam_i r_i with 0 <= lam_i < 1. Rays are packed once, and only the
+    kept keys are decoded. Reduction follows Normaliz (Bruns and Ichim,
+    J. Algebra 2010): candidates are walked by ascending key, and h is kept
+    unless a key k kept before it is <= h's in every field (one guarded
+    subtraction), i.e. h - k lies in the cone. That is exact: a reducible h
+    is reducible by a Hilbert basis element x with h - x a nonzero point of
+    the cone, so every field of h - x is >= 0, x's key is below h's and x
+    was kept first. Uniqueness comes with pointedness, which holds as the
+    generators sit in the first orthant. A key that is negative or has a
+    guard bit set is an IntegrityError.
     """
-    rays = facets.rays
+    rays, dim, normals = facets.rays, facets.dim, facets.normals()
     count, total, _ = root = _triangulate(facets)
     if total > cap:
         reached = _reached(root, cap)
         raise CapExceeded(f"parallelepiped budget {cap} exceeded at {reached} lattice points")
-    points: set[tuple[int, ...]] = set()
-    frame = _ray_frame(rays) if total > count else None
+    bound = max(map(sum, (*zip(*facets.slack), *zip(*rays))))
+    width = bound.bit_length() + 1
+    identity = [[int(i == k) for k in range(dim)] for i in range(dim)]
+    pack, guard = packer([*normals, *identity], width)
+    keys = {r: pack(r) for r in rays}
+    candidates = set(keys.values())
     for walked in _pivot_walk(rays, _nonunimodular(root)):
-        points.update(_coset_points(*walked, frame))
-    candidates = set(rays) | points
-    bound = max(map(sum, zip(*facets.slack)))
-    pack, guard = packer(facets.normals(), bound.bit_length() + 1)
-    elements, kept = [], []
-    for h in sorted(candidates, key=sum):
-        x = pack(h)
+        candidates.update(_coset_points(*walked, keys))
+    kept = []
+    for x in sorted(candidates):
         if x < 0 or x & guard:
-            raise IntegrityError(f"candidate {list(h)} has a facet value outside 0..{bound}")
+            raise IntegrityError(f"candidate key {x} has a field outside 0..{bound}")
         top = x | guard
         for k in kept:
             if (top - k) & guard == guard:
                 break
         else:
-            elements.append(h)
             kept.append(x)
-    return HilbertBasisResult(tuple(sorted(elements)), count, total, len(candidates))
+    low, mask = width * len(normals), (1 << width) - 1
+    elements = sorted(tuple([(x >> low + width * i) & mask for i in range(dim)]) for x in kept)
+    return HilbertBasisResult(tuple(elements), count, total, len(candidates))
 
 
 def _slice_count(lo, hi, total) -> int:

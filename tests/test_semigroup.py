@@ -53,7 +53,6 @@ from reeskit.semigroup import (
     _equality_report,
     _nonunimodular,
     _pivot_walk,
-    _ray_frame,
     _reached,
     _slice_count,
     _slice_keys,
@@ -155,13 +154,25 @@ def dd_pulling(fs):
     return dd_triangulate(rays, {}, tight_sets)
 
 
-def adjugate_points(simplex, frame=None):
+def identity_packer(rays, slack: int = 0):
+    """pack on the identity rows, in fields slack bits wider than those that
+    pack every point of a parallelepiped of rays injectively: a coordinate
+    of such a point is below the sum of |r_j| on it in absolute value."""
+    width = max(sum(map(abs, col)) for col in zip(*rays)).bit_length() + 1
+    return slice_packer(len(rays[0]), width + slack)[0]
+
+
+def ray_keys(rays, pack):
+    return {r: pack(r) for r in rays}
+
+
+def adjugate_points(simplex, pack):
     """_coset_points of a simplex given as its rays, with adjugate standing
-    in for the pivot walk, packed in the frame given or its own."""
+    in for the pivot walk, on the rays' keys under pack."""
     adj, det = adjugate([list(coords) for coords in zip(*simplex)])
     if det < 0:
         adj, det = [[-e for e in row] for row in adj], -det
-    return _coset_points(simplex, adj, det, det, frame or _ray_frame(simplex))
+    return _coset_points(simplex, adj, det, det, ray_keys(simplex, pack))
 
 
 def all_pairs_reduction(fs):
@@ -169,13 +180,14 @@ def all_pairs_reduction(fs):
 
     The candidates are those of hilbert_basis: the extreme generators and the
     parallelepiped points of the same triangulation, here the double
-    description oracle's. h is kept iff no other candidate c leaves h - c in
-    the cone. Returns (lex-sorted elements, number of candidates).
+    description oracle's, enumerated by floor_points_oracle. h is kept iff
+    no other candidate c leaves h - c in the cone. Returns (lex-sorted
+    elements, number of candidates).
     """
     candidates = set(fs.rays)
     for s in dd_pulling(fs):
-        if abs(determinant(s)) > 1:
-            candidates |= adjugate_points(s)
+        if (vol := abs(determinant(s))) > 1:
+            candidates |= floor_points_oracle(s, vol)
     candidates = sorted(candidates)
     elements = [
         h
@@ -431,7 +443,7 @@ class TestTriangulation:
         # volume 3 from heights for a simplex of determinant 2
         ((simplex, adj, det, vol),) = _pivot_walk(((2, 0), (0, 1)), [(0b11, 3)])
         with pytest.raises(IntegrityError, match="from the pivot walk"):
-            _coset_points(simplex, adj, det, vol, _ray_frame(simplex))
+            _coset_points(simplex, adj, det, vol, ray_keys(simplex, identity_packer(simplex)))
 
     @settings(max_examples=80, deadline=None)
     @given(st.one_of(small_ideals(), mixed_degree_ideals()), st.data())
@@ -546,15 +558,17 @@ def walked(ideal):
 
 def assert_walk_matches_oracle(ideal) -> list[int]:
     """On every simplex of volume above 1, the coset closure of the pivot
-    walk's adjugate gives the floor oracle's points, packed in the simplex's
-    own frame or in the cone's; returns those volumes."""
+    walk's adjugate gives the keys of the floor oracle's points, packed in
+    fields wide enough for the simplex or for the whole cone; returns those
+    volumes."""
     volumes = []
     rays, _, walk = walked(ideal)
-    frame = _ray_frame(rays)
+    cone_pack = identity_packer(rays)
     for simplex, adj, det, vol in walk:
         want = floor_points_oracle(simplex, vol)
-        assert _coset_points(simplex, adj, det, vol, _ray_frame(simplex)) == want, (ideal, simplex)
-        assert _coset_points(simplex, adj, det, vol, frame) == want, (ideal, simplex)
+        for pack in (identity_packer(simplex), cone_pack):
+            keys = _coset_points(simplex, adj, det, vol, ray_keys(rays, pack))
+            assert keys == set(map(pack, want)), (ideal, simplex)
         volumes.append(vol)
     return volumes
 
@@ -666,8 +680,8 @@ class TestCosetWalk:
     def test_matches_floor_oracle_on_mixed_degree_ideals(self, ideal):
         assert_walk_matches_oracle(ideal)
 
-    # rays with negative entries: each coordinate's field is offset by its
-    # least value on the parallelepiped
+    # rays with negative entries: the keys are linear, so they stay
+    # injective on the parallelepiped
     @settings(max_examples=100, deadline=None)
     @given(integer_simplices())
     @example((((1, 1), (1, -1)), 2))
@@ -676,15 +690,17 @@ class TestCosetWalk:
     def test_matches_floor_oracle_on_integer_simplices(self, case):
         simplex, vol = case
         want = floor_points_oracle(simplex, vol)
-        assert adjugate_points(simplex) == want
-        # a frame of more rays, with wider fields and lower offsets
-        negated = tuple(tuple(-e for e in r) for r in simplex)
-        assert adjugate_points(simplex, _ray_frame(simplex + negated)) == want
+        for slack in (0, 5):  # the simplex's own fields, and wider ones
+            pack = identity_packer(simplex, slack)
+            assert adjugate_points(simplex, pack) == set(map(pack, want))
 
     def test_examples(self):
         # (1, 1) / 2 is the one nonzero point of ((1, 1), (1, -1))
-        assert adjugate_points(((1, 1), (1, -1))) == {(1, 0)}
-        assert adjugate_points(((1, 0, 0), (0, 1, 0), (1, 1, 3))) == {(1, 1, 1), (1, 1, 2)}
+        pack = identity_packer(((1, 1), (1, -1)))
+        assert adjugate_points(((1, 1), (1, -1)), pack) == {pack((1, 0))}
+        simplex = ((1, 0, 0), (0, 1, 0), (1, 1, 3))
+        pack = identity_packer(simplex)
+        assert adjugate_points(simplex, pack) == {pack((1, 1, 1)), pack((1, 1, 2))}
 
     # diag(2, 2) has adj diag(2, 2), whose columns generate a group of order
     # 4 mod 4; each of these generates a smaller one, so misses a coset
@@ -692,56 +708,35 @@ class TestCosetWalk:
         "adj", [[[2, 0], [0, 0]], [[0, 0], [0, 2]], [[2, 2], [0, 0]], [[0, 0], [0, 0]]]
     )
     def test_closure_missing_a_coset_is_an_integrity_error(self, adj):
-        assert _coset_points(SQUARE, [[2, 0], [0, 2]], 4, 4, _ray_frame(SQUARE)) == {
-            (1, 0), (0, 1), (1, 1)
+        pack = identity_packer(SQUARE)
+        keys = ray_keys(SQUARE, pack)
+        assert _coset_points(SQUARE, [[2, 0], [0, 2]], 4, 4, keys) == {
+            pack((1, 0)), pack((0, 1)), pack((1, 1))
         }
         with pytest.raises(IntegrityError, match="coset closure"):
-            _coset_points(SQUARE, adj, 4, 4, _ray_frame(SQUARE))
+            _coset_points(SQUARE, adj, 4, 4, keys)
 
     def test_column_off_the_lattice_is_an_integrity_error(self):
         # (1, 0) mod 4 steps diag(2, 2) by (1/2, 0), not a lattice point
+        keys = ray_keys(SQUARE, identity_packer(SQUARE))
         with pytest.raises(IntegrityError, match="no lattice point"):
-            _coset_points(SQUARE, [[1, 0], [0, 2]], 4, 4, _ray_frame(SQUARE))
+            _coset_points(SQUARE, [[1, 0], [0, 2]], 4, 4, keys)
 
     def test_volume_mismatch_is_an_integrity_error(self):
+        keys = ray_keys(SQUARE, identity_packer(SQUARE))
         with pytest.raises(IntegrityError, match="from the pivot walk"):
-            _coset_points(SQUARE, [[2, 0], [0, 2]], 4, 6, _ray_frame(SQUARE))
-
-    # the rays are packed once per cone, and not at all when every simplex
-    # is unimodular
-    @pytest.mark.parametrize(
-        "ideal, frames",
-        [
-            (TWO_SQUARES, 1),
-            (basis_monomial_ideal(graphic_matroid(5, W4_EDGES)), 1),
-            (basis_monomial_ideal(uniform_matroid(4, 2)), 0),
-            (PRINCIPAL, 0),
-        ],
-    )
-    def test_rays_are_packed_once_per_cone(self, monkeypatch, ideal, frames):
-        built = []
-
-        def frame(rays):
-            built.append(rays)
-            return _ray_frame(rays)
-
-        monkeypatch.setattr(semigroup, "_ray_frame", frame)
-        cone = rees_generators(ideal)
-        result = hilbert_basis(facet_normals(cone))
-        assert len(built) == frames
-        assert (result.parallelepiped_points > result.simplices) == bool(frames)
+            _coset_points(SQUARE, [[2, 0], [0, 2]], 4, 6, keys)
 
 
 def reduction_oracle(fs):
     """The degree-ordered reduction on unpacked facet values: the candidates
-    of hilbert_basis, each kept unless an element kept before it is <= it in
-    every one of its dot products with the facet normals. Returns the
-    lex-sorted elements."""
-    rays = fs.rays
-    candidates = set(rays)
-    frame = _ray_frame(rays)
-    for walk in _pivot_walk(rays, flatten(_triangulate(fs))):
-        candidates |= _coset_points(*walk, frame)
+    of hilbert_basis, here enumerated by floor_points_oracle on each simplex
+    of the same triangulation, each kept unless an element kept before it is
+    <= it in every one of its dot products with the facet normals. Returns
+    the lex-sorted elements."""
+    candidates = set(fs.rays)
+    for simplex, vol in ray_simplices(fs.rays, flatten(_triangulate(fs))):
+        candidates |= floor_points_oracle(simplex, vol)
     normals = fs.normals()
     elements, kept_values = [], []
     for h in sorted(candidates, key=sum):
@@ -792,14 +787,52 @@ class TestPackedReduction:
         px, py = pack(x), pack(y)
         assert px >= 0 and not px & guard
         assert (((py | guard) - px) & guard == guard) == all(map(le, x, y))
+        # so fieldwise order implies integer order, strict unless x == y
+        if all(map(le, x, y)):
+            assert px <= py and (px == py) == (x == y)
 
-    # TWO_SQUARES has the facet normals e_1, e_2, e_3 and (1, 1, -2), and
-    # the sums of its extreme rays' values on them are at most 3
-    @pytest.mark.parametrize("point", [(1, -1, 0), (0, 0, 1), (-1, 3, 0), (5, 0, 0)])
-    def test_value_outside_the_bound_is_an_integrity_error(self, monkeypatch, point):
-        monkeypatch.setattr(semigroup, "_coset_points", lambda *walk: {point})
+    # the coset closure steps keys and only kept keys are decoded, so no
+    # candidate but a ray is packed, on cones with and without simplices of
+    # volume above 1
+    @pytest.mark.parametrize(
+        "ideal",
+        [
+            TWO_SQUARES,
+            basis_monomial_ideal(graphic_matroid(5, W4_EDGES)),
+            basis_monomial_ideal(uniform_matroid(4, 2)),
+            PRINCIPAL,
+        ],
+    )
+    def test_one_packer_packs_each_ray_once(self, monkeypatch, ideal):
+        packers, packed = [], []
+
+        def counted(rows, width):
+            pack, guard = packer(rows, width)
+            packers.append(rows)
+            return (lambda v: packed.append(v) or pack(v)), guard
+
+        monkeypatch.setattr(semigroup, "packer", counted)
+        fs = facet_normals(rees_generators(ideal))
+        hilbert_basis(fs)
+        assert len(packers) == 1
+        assert sorted(packed) == sorted(fs.rays)
+
+    # TWO_SQUARES has the facet normals e_1, e_2, e_3 and (1, 1, -2), then
+    # the identity rows, and the sums of its extreme rays' values on each are
+    # at most 3: keys have seven fields of 3 bits, each with guard bit 4
+    @pytest.mark.parametrize(
+        "key",
+        [
+            pytest.param(-1, id="point0"),  # negative
+            pytest.param(4, id="point1"),  # 4 on e_1
+            pytest.param(4 << 12, id="point2"),  # 4 as the first coordinate
+            pytest.param(4 << 18, id="point3"),  # 4 as the last coordinate
+        ],
+    )
+    def test_value_outside_the_bound_is_an_integrity_error(self, monkeypatch, key):
+        monkeypatch.setattr(semigroup, "_coset_points", lambda *walk: {key})
         cone = rees_generators(TWO_SQUARES)
-        with pytest.raises(IntegrityError, match="facet value outside"):
+        with pytest.raises(IntegrityError, match="field outside"):
             hilbert_basis(facet_normals(cone))
 
 
