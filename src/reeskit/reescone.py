@@ -106,7 +106,8 @@ class FacetSystem(Record):
     slack: the facet-ray value matrix, computed once per cone (as in
     Normaliz, Bruns and Ichim, J. Algebra 2010): slack[i] is the tuple of
     <b, rays[i]> over b in normals(), in that order (empty when not given).
-    rays: the lex-sorted primitive generators that span extreme rays.
+    rays: the primitive generators that span extreme rays, in pulling order:
+    units first, then the rays on more facets, then lex.
     masks: for each normal, in normals() order, the bitmask of the rays it
     is tight on, bit i for rays[i].
     The last three take no part in equality, so facet systems found by
@@ -206,7 +207,8 @@ def _facet_system(dim: int, normals, generators) -> FacetSystem:
     """Check and split the normals; each normal's values on the distinct
     primitive generators are computed once and serve every check. Those on
     the extreme rays are kept, per ray in normals() order, as the system's
-    slack, and each normal's tight set on the rays as its mask.
+    slack, and each normal's tight set on the rays as its mask. The most
+    constrained rays come first, after the units, so W4 pulls unimodularly.
 
     A normal b != 0 annihilates its tight set, so the tight set's rank over Q
     is at most dim - 1, and at least its rank mod 2: a rank mod 2 of dim - 1
@@ -245,8 +247,9 @@ def _facet_system(dim: int, normals, generators) -> FacetSystem:
     order = [_unit(i - 1, dim) for i in units] + ells
     rows = dict(zip(gens, zip(*(columns[b] for b in order))))
     every = (1 << len(gens)) - 1
-    rays = sorted(g for k, g in enumerate(gens) if 1 << k == reduce(
-        and_, (t for t in tight_sets if t >> k & 1), every))
+    rays = sorted((g for k, g in enumerate(gens) if 1 << k == reduce(
+        and_, (t for t in tight_sets if t >> k & 1), every)),
+        key=lambda g: (g.count(0) != dim - 1, -rows[g].count(0), g))
     slack = tuple(map(rows.get, rays))
     masks = [sum(1 << i for i, v in enumerate(col) if v == 0) for col in zip(*slack)]
     return FacetSystem(dim, tuple(units), tuple(ells), slack, tuple(rays), tuple(masks))

@@ -4,17 +4,19 @@ The semigroup generated by a Rees cone's generators is normal exactly when
 it exhausts every lattice point of the cone, i.e. when the generators are an
 integral Hilbert basis. The Hilbert basis of the full lattice-point
 semigroup is computed by a pulling triangulation of the cone into simplicial
-subcones, whose faces are read off the cone's facets by intersecting ray
-bitmasks, so no face below the top runs a double description of its own. It
-is a DAG of faces, each built once with the number and total volume of its
-simplices, so a simplex, the bitmask of the apexes on a path down it, is
-listed only when its volume is above 1. Volumes are products of heights: the
-apex a of a face F has height <b, a> / gcd <b, L_F> over its facet of cone
-normal b, in L_F = Z^dim & span(F). The gcd is 1 when a ray r of F has
+subcones, in the rays' pulling order, whose faces are read off the cone's
+facets by intersecting ray bitmasks, so no face below the top runs a double
+description of its own. It is a DAG of faces, each built once with the
+number and total volume of its simplices, so a simplex, the bitmask of the
+apexes on a path down it, is listed only when its volume is above 1, and
+below a face reached by steps of height 1 alone only once, as it has the
+points of the face's simplex it extends. Volumes are products of heights:
+the apex a of a face F has height <b, a> / gcd <b, L_F> over its facet of
+cone normal b, in L_F = Z^dim & span(F). The gcd is 1 when a ray r of F has
 <b, r> = 1, as r lies in L_F; only a face without such a ray builds a
 Z-basis of L_F, from its parent's. Then one pivot walk takes the adjugate of
-each simplex of volume above 1 to the next by exchanging rays, and one coset
-closure reads the lattice points of the simplex's half-open fundamental
+each listed simplex to the next by exchanging rays, and one coset closure
+reads the lattice points of the simplex's half-open fundamental
 parallelepiped off the adjugate's columns, each as one int key packing its
 facet values and coordinates; the candidates are reduced to the irreducible
 ones in order of key, each against the irreducibles already kept by one
@@ -221,9 +223,9 @@ def _split(basis, b):
 
 def _triangulate(fs: FacetSystem) -> tuple:
     """Pulling triangulation of a cone with the facet system fs over its
-    lex-sorted extreme rays fs.rays, as the root of a DAG of faces: cone off
-    the lex-smallest ray of each face (its lowest bit) over every facet of
-    the face that avoids it. The subcones cover the cone.
+    extreme rays fs.rays, as the root of a DAG of faces: cone off the first
+    ray of each face in the pulling order of fs.rays (its lowest bit) over
+    every facet of the face that avoids it. The subcones cover the cone.
 
     Faces are bitmasks over the rays, and every facet G of the cone is the
     mask of the rays it contains (FacetSystem.masks). The facets of a
@@ -295,14 +297,20 @@ def _triangulate(fs: FacetSystem) -> tuple:
     return pull(top, 0)
 
 
-def _nonunimodular(node: tuple, mask: int = 0, scale: int = 1):
+def _nonunimodular(node: tuple, mask: int = 0, scale: int = 1, shared=None):
     """(simplex mask, volume times scale) of each simplex of a _triangulate
-    node whose volume times scale is above 1, in order."""
+    node whose volume times scale is above 1, in order, but below a face
+    reached by steps of height 1 alone only once: such a step, apex a over a
+    facet H of F, has L_F = L_H + Za, so it adds no parallelepiped point."""
+    shared = set() if shared is None else shared
     if not node[2]:
         yield mask, scale
     for low, h, sub in node[2]:
-        if scale * h > 1 or sub[1] > sub[0]:
-            yield from _nonunimodular(sub, mask | low, scale * h)
+        if scale * h > 1:
+            yield from _nonunimodular(sub, mask | low, scale * h, shared)
+        elif sub[1] > sub[0] and id(sub) not in shared:
+            shared.add(id(sub))
+            yield from _nonunimodular(sub, mask | low, 1, shared)
 
 
 def _reached(node: tuple, cap: int, scale: int = 1, run: int = 0) -> int:
@@ -326,9 +334,9 @@ def hilbert_basis(facets: FacetSystem, cap: int = DEFAULT_CAP) -> HilbertBasisRe
     before any point is enumerated; past it, CapExceeded names the running
     total, in the triangulation's order, at the first simplex over the cap
     (_reached). Then the pivot walk (_pivot_walk) carries one adjugate from
-    each simplex of volume above 1 (_nonunimodular) to the next, and the coset
-    closure of its columns (_coset_points) gives the keys of the simplex's
-    points; those of volume 1 have none and go unlisted. A key
+    each listed simplex of volume above 1 (_nonunimodular) to the next, and
+    the coset closure of its columns (_coset_points) gives the keys of the
+    simplex's points; those of volume 1 have none and go unlisted. A key
     (exactlat.packer) holds a point's facet values, then its coordinates, in
     fields of W.bit_length() + 1 bits: W, the largest sum of the rays' values
     on one facet or coordinate, bounds that field on every candidate, a ray
@@ -340,8 +348,9 @@ def hilbert_basis(facets: FacetSystem, cap: int = DEFAULT_CAP) -> HilbertBasisRe
     is reducible by a Hilbert basis element x with h - x a nonzero point of
     the cone, so every field of h - x is >= 0, x's key is below h's and x
     was kept first. Uniqueness comes with pointedness, which holds as the
-    generators sit in the first orthant. A key that is negative or has a
-    guard bit set is an IntegrityError.
+    generators sit in the first orthant. A key that is negative, has a guard
+    bit set or, once kept, is not the key of its decoded point is an
+    IntegrityError.
     """
     rays, dim, normals = facets.rays, facets.dim, facets.normals()
     count, total, _ = root = _triangulate(facets)
@@ -366,9 +375,12 @@ def hilbert_basis(facets: FacetSystem, cap: int = DEFAULT_CAP) -> HilbertBasisRe
                 break
         else:
             kept.append(x)
-    low, mask = width * len(normals), (1 << width) - 1
-    elements = sorted(tuple([(x >> low + width * i) & mask for i in range(dim)]) for x in kept)
-    return HilbertBasisResult(tuple(elements), count, total, len(candidates))
+    low, mask, elements = width * len(normals), (1 << width) - 1, []
+    for x in kept:
+        elements.append(tuple([(x >> low + width * i) & mask for i in range(dim)]))
+        if pack(elements[-1]) != x:
+            raise IntegrityError(f"candidate key {x} is not the key of a lattice point")
+    return HilbertBasisResult(tuple(sorted(elements)), count, total, len(candidates))
 
 
 def _slice_count(lo, hi, total) -> int:

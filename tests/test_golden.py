@@ -9,10 +9,10 @@ every bundled instance and on one family that is not a matroid, plus
 equal-degree files that are not bundled, `hilbert`/`normality` on four
 mixed-degree ideals that are not normal, `normality` on Veronese(3,50),
 `polymatroid-check` on Veronese(3,50) and Veronese(4,20), `analyze`,
-`hilbert` and `normality` on the wheel W4, `hilbert` past its
-parallelepiped cap on three instances, `ehrhart-check` past a cap on two
-mixed-degree ideals, and `validate`/`polymatroid-check` on two families in
-40,000 coordinates, so any such change fails here.
+`hilbert` and `normality` on the wheel W4, `hilbert` on the wheel W5,
+`hilbert` past its parallelepiped cap on three instances, `ehrhart-check`
+past a cap on two mixed-degree ideals, and `validate`/`polymatroid-check`
+on two families in 40,000 coordinates, so any such change fails here.
 Regenerate them only when a change to a report is intended.
 """
 
@@ -257,13 +257,13 @@ MIXED_FILES = {
     },
 }
 MIXED_GOLDEN = {
-    ("hilbert", "mixed_n3_a"): (0, "fe7b782dd0a1ba97a80460aeffc2de5b69e6681d141f58e56a8e2f0539df1522"),
+    ("hilbert", "mixed_n3_a"): (0, "d7c2a4e220cf29781fcdd3fc9b77aef94f944c2838dabb384a050cf44e6bc550"),
     ("normality", "mixed_n3_a"): (1, "e0f1f18538a0c9289cdcbae47fa9802e7f16b595b1d042cb3af11a05fa37a452"),
-    ("hilbert", "mixed_n3_b"): (0, "85b7390e307822d16a401ddffab5830c577d4474ea235c439e18c1f53f0cd47f"),
+    ("hilbert", "mixed_n3_b"): (0, "a85c91a198a83d00ca81b2c934dadb2d30d2588056038913a3bcaac54fc91d6c"),
     ("normality", "mixed_n3_b"): (1, "ce74b4d60ac0bd860da29757fd3a7372795e5262a09cdbdd53a9f9b21f18decc"),
-    ("hilbert", "mixed_n4"): (0, "f01f78edbc8d0b5f940200ff78ab42003154e10bffff2d2a9c9d7529171b4db4"),
+    ("hilbert", "mixed_n4"): (0, "81e61eea9bb7e8fc08d0ec3d747e9a7ec0821e274b97c29660eb76ff8d4ce40d"),
     ("normality", "mixed_n4"): (1, "dbba5a34b87ca1956aff76d8240711f2b0d4c1d8732a483eeb85f5441f360114"),
-    ("hilbert", "mixed_n3_v516"): (0, "21ed21549d6394f5839679690dc2c1278f5797a20a9a8e931e18c54050bb6741"),
+    ("hilbert", "mixed_n3_v516"): (0, "98478fd2b6875fdcf26c3f9447549fe4ade88ab0f71e09b0646531a8b31b7153"),
     ("normality", "mixed_n3_v516"): (1, "6b1ba7ed2bf85f7defeec9f92cd407af2a568daa019e45a24e390cf63e85bea7"),
     ("ehrhart-check", "mixed_n3_a"): (1, "46286642e9c4b62427be501ebec7aad08bb532cfda3032f8aaac67d484d4bc29"),
     ("ehrhart-check", "mixed_n3_b"): (1, "239fdd982199f7e98f41a47143a5f30a71eb576ad34bb98eb4d293ac9030426a"),
@@ -273,8 +273,9 @@ MIXED_GOLDEN = {
 
 # analyze, hilbert and normality on the wheel W4 (K5 without the edges 12 and
 # 34; edges 13, 14, 15, 23, 24, 25, 35, 45 as elements 1..8): the 45 spanning
-# trees, lex-sorted. Its triangulation has 2,734 simplices, 192 of volume
-# above 1, and normality is certified by both routes. command -> (exit, sha256)
+# trees, lex-sorted. Its triangulation is unimodular, 2,946 simplices, so the
+# Hilbert basis is its 53 rays, and normality is certified by both routes.
+# command -> (exit, sha256)
 W4_BASES = [
     [1, 2, 3, 4], [1, 2, 3, 5], [1, 2, 3, 6], [1, 2, 4, 6], [1, 2, 4, 7], [1, 2, 4, 8],
     [1, 2, 5, 6], [1, 2, 5, 7], [1, 2, 5, 8], [1, 2, 6, 7], [1, 2, 6, 8], [1, 3, 4, 5],
@@ -286,10 +287,39 @@ W4_BASES = [
     [3, 5, 6, 7], [3, 5, 7, 8], [3, 6, 7, 8],
 ]
 W4_GOLDEN = {
-    "analyze": (0, "2512564dd965aae28a8ab108c477561ab20abd2105c7f31d5136e9340d21d9e9"),
-    "hilbert": (0, "6560ea77fad792e1116c0905cc5b2e84fba7961488407e1da4a54fe85f60b8ba"),
+    "analyze": (0, "d6c192238846e873f4e75819d94d2a56d9a405fc5b4f3ecce0c1ff80f14d16ed"),
+    "hilbert": (0, "e764e8d60c20b08121f5a0d618522dae90cc8eed38725be060f03e3b5c4da914"),
     "normality": (0, "3e633fcc82c1f68c439ddead7ca08bcba151c6eec9736b748211c3556636dff4"),
 }
+
+# hilbert on the wheel W5 (hub 0, rim 1-2-3-4-5-1; its edges, vertex pairs
+# in lex order, as elements 1..10): 121 spanning trees, 131 generators in
+# dimension 11, 102,026 simplices of total volume 109,585. (exit, sha256)
+W5_EDGES = ((0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 5), (2, 3), (3, 4), (4, 5))
+W5_GOLDEN = (0, "c7085d38088affade271326f2d94349503ad86befdadaffbe01c7bfaa79d51b0")
+
+
+def spanning_trees(vertices: int, edges) -> list[list[int]]:
+    """The spanning trees of a connected graph as lex-sorted sets of 1-based
+    edge indices: the sets of vertices - 1 edges that close no cycle."""
+    trees = []
+    for tree in itertools.combinations(range(len(edges)), vertices - 1):
+        root = list(range(vertices))
+
+        def find(x: int) -> int:
+            while root[x] != x:
+                x = root[x]
+            return x
+
+        for i in tree:
+            a, b = find(edges[i][0]), find(edges[i][1])
+            if a == b:
+                break
+            root[a] = b
+        else:
+            trees.append([i + 1 for i in tree])
+    return trees
+
 
 # normality on Veronese(3,50): 1,326 generators, a normal ideal certified by
 # both routes. (exit, sha256)
@@ -449,6 +479,15 @@ def test_wheel_w4_matches_golden(capsys, tmp_path, command):
     payload = {"n": 8, "bases": W4_BASES}
     path.write_text(json.dumps({"kind": "matroid", "name": "wheel_w4", "payload": payload}))
     assert _run(capsys, [command, str(path)]) == W4_GOLDEN[command]
+
+
+def test_wheel_w5_hilbert_matches_golden(capsys, tmp_path):
+    bases = spanning_trees(6, W5_EDGES)
+    assert len(bases) == 121
+    path = tmp_path / "wheel_w5.json"
+    payload = {"n": len(W5_EDGES), "bases": bases}
+    path.write_text(json.dumps({"kind": "matroid", "name": "wheel_w5", "payload": payload}))
+    assert _run(capsys, ["hilbert", str(path)]) == W5_GOLDEN
 
 
 @pytest.mark.parametrize("command, name", sorted(WIDE_GOLDEN))

@@ -434,11 +434,19 @@ def rank_extreme_generators(cone, fs):
     return tuple(out)
 
 
+def pulling_key(r, normals):
+    """The pulling order on rays: coordinate units first, then the rays on
+    more facets, then lex."""
+    unit = r.count(0) == len(r) - 1 and 1 in r
+    return not unit, -sum(dot(b, r) == 0 for b in normals), r
+
+
 def assert_rays_and_masks(cone, fs):
-    """fs.rays are the rank oracle's extreme generators in lex order, and
-    fs.masks[j] has bit i set iff the j-th normal is tight on fs.rays[i]."""
-    assert fs.rays == tuple(sorted(rank_extreme_generators(cone, fs))), cone
+    """fs.rays are the rank oracle's extreme generators in the pulling order,
+    and fs.masks[j] has bit i set iff the j-th normal is tight on fs.rays[i]."""
     normals = fs.normals()
+    want = sorted(rank_extreme_generators(cone, fs), key=lambda r: pulling_key(r, normals))
+    assert fs.rays == tuple(want), cone
     assert len(fs.masks) == len(normals)
     for b, mask in zip(normals, fs.masks):
         assert mask == sum(1 << i for i, r in enumerate(fs.rays) if dot(b, r) == 0), (b, cone)
@@ -484,11 +492,12 @@ class TestExtremeGenerators:
         assert len(facet_normals(cone).rays) < len(cone.generators)
         assert_extreme_matches_rank(ideal)
 
-    def test_lex_order_without_repeats(self):
-        # (1, 1, 1) is the midpoint of (2, 0, 1) and (0, 2, 1); repeats go
+    def test_pulling_order_without_repeats(self):
+        # (1, 1, 1) is the midpoint of (2, 0, 1) and (0, 2, 1); repeats go;
+        # the units come first, and (0, 2, 1) precedes (2, 0, 1) by lex alone
         cone = ReesCone(2, ((0, 1, 0), (1, 0, 0), (2, 0, 1), (1, 1, 1), (0, 2, 1), (2, 0, 1)))
         fs = facet_normals(cone)
-        assert fs.rays == ((0, 1, 0), (0, 2, 1), (1, 0, 0), (2, 0, 1))
+        assert fs.rays == ((0, 1, 0), (1, 0, 0), (0, 2, 1), (2, 0, 1))
         assert facet_normals_oracle(cone).rays == fs.rays
 
     def test_roundtrip(self):

@@ -38,6 +38,7 @@ from reeskit.matroid import (
 from reeskit.polymatroid import veronese_bases
 from reeskit.reescone import (
     ORACLE_CAP,
+    FacetSystem,
     _dual_extreme_rays,
     facet_normals,
     facet_normals_oracle,
@@ -127,7 +128,9 @@ def facet_tight_sets(generators) -> list[tuple]:
 
 def dd_triangulate(rays, memo, tight_sets=None) -> tuple[tuple, ...]:
     """The pulling triangulation with one double description and one rank
-    per face: the oracle for _triangulate's simplices."""
+    per face, pulling each face's first ray: the oracle for _triangulate's
+    simplices. A face's rays keep the order of rays, so every face pulls in
+    the one order the cone's rays are listed in."""
     hit = memo.get(rays)
     if hit is not None:
         return hit
@@ -141,17 +144,38 @@ def dd_triangulate(rays, memo, tight_sets=None) -> tuple[tuple, ...]:
             sub + (apex,)
             for tight in (tight_sets or facet_tight_sets(rays))
             if apex not in tight
-            for sub in dd_triangulate(tuple(sorted(tight)), memo)
+            for sub in dd_triangulate(tuple(tight), memo)
         )
     memo[rays] = simplices
     return simplices
 
 
 def dd_pulling(fs):
-    """dd_triangulate of the cone's extreme rays, its top facets taken from fs."""
+    """dd_triangulate of the cone's extreme rays in the order of fs.rays, its
+    top facets taken from fs."""
     rays = fs.rays
     tight_sets = [tuple(r for r in rays if dot(b, r) == 0) for b in fs.normals()]
     return dd_triangulate(rays, {}, tight_sets)
+
+
+def lex_permuted(fs):
+    """fs with its rays in lex order, their slack rows and mask bits permuted
+    alike: the same cone, pulled in lex order."""
+    order = sorted(range(len(fs.rays)), key=fs.rays.__getitem__)
+    rays, slack = (tuple(seq[i] for i in order) for seq in (fs.rays, fs.slack))
+    masks = tuple(sum(1 << k for k, i in enumerate(order) if m >> i & 1) for m in fs.masks)
+    return FacetSystem(fs.dim, fs.unit_normals, fs.ell_normals, slack, rays, masks)
+
+
+def facet_system(ideal, lex: bool = False):
+    """The facet system of the ideal's Rees cone, lex_permuted if lex."""
+    fs = facet_normals(rees_generators(ideal))
+    return lex_permuted(fs) if lex else fs
+
+
+def is_subsequence(short, long) -> bool:
+    rest = iter(long)
+    return all(x in rest for x in short)
 
 
 def identity_packer(rays, slack: int = 0):
@@ -376,31 +400,32 @@ def flatten(node, mask=0, scale=1):
 
 def ray_simplices(rays, triangulation) -> list[tuple]:
     """(simplex mask, volume) pairs, as flatten lists them, with each mask
-    unpacked into its rays, lex-ascending."""
+    unpacked into its rays, in the order of rays."""
     return [(tuple(r for i, r in enumerate(rays) if s >> i & 1), vol) for s, vol in triangulation]
 
 
-def triangulation(ideal):
+def triangulation(ideal, lex: bool = False):
     """(facet system, _triangulate's triangulation), each simplex unpacked
     into its rays."""
-    fs = facet_normals(rees_generators(ideal))
+    fs = facet_system(ideal, lex)
     return fs, ray_simplices(fs.rays, flatten(_triangulate(fs)))
 
 
-def assert_matches_oracle(ideal):
+def assert_matches_oracle(ideal, lex: bool = False):
     """_triangulate gives the double description oracle's simplices, each
     with its volume from heights equal to |det|, as a multiset of (ray set,
     volume) pairs. The order of the simplices shows only in the cap message,
     which is tested on its own; that of the rays inside one shows nowhere.
     Returns the triangulation."""
-    fs, simplices = triangulation(ideal)
+    fs, simplices = triangulation(ideal, lex)
     oracle = Counter((frozenset(s), abs(determinant(s))) for s in dd_pulling(fs))
     assert Counter((frozenset(s), vol) for s, vol in simplices) == oracle, ideal
     return simplices
 
 
-# The wheel W4: K5 without the edges 12 and 34; 2,734 simplices, 192 of
-# volume above 1.
+# The wheel W4: K5 without the edges 12 and 34. Its triangulation is
+# unimodular, 2,946 simplices; pulled in lex order it has 2,734 simplices,
+# 192 of volume above 1.
 W4_EDGES = ((1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5), (3, 5), (4, 5))
 
 
@@ -427,9 +452,27 @@ class TestTriangulation:
     def test_matches_oracle_on_the_wheel_w4(self):
         ideal = basis_monomial_ideal(graphic_matroid(5, W4_EDGES))
         simplices = assert_matches_oracle(ideal)
+        assert len(simplices) == sum(vol for _, vol in simplices) == 2946
+        # the total volume is the same in any order, the simplices are not
+        simplices = assert_matches_oracle(ideal, lex=True)
         assert len(simplices) == 2734
         assert sum(vol > 1 for _, vol in simplices) == 192
         assert sum(vol for _, vol in simplices) == 2946
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(small_ideals(), mixed_degree_ideals()))
+    @example(MIXED)
+    def test_matches_oracle_in_lex_order(self, ideal):
+        assert_matches_oracle(ideal, lex=True)
+
+    def test_the_wheel_w4_is_unimodular(self):
+        """W4's triangulation certifies normality alone: every simplex has
+        volume 1, so no simplex is walked and the Hilbert basis is the rays."""
+        fs = facet_system(basis_monomial_ideal(graphic_matroid(5, W4_EDGES)))
+        assert list(_nonunimodular(_triangulate(fs))) == []
+        result = hilbert_basis(fs)
+        assert result.simplices == result.parallelepiped_points == 2946
+        assert result.elements == tuple(sorted(fs.rays))
 
     # MIXED reaches a face whose cone normal has content 3 on its lattice,
     # so a height not divided by that content would be off by 3
@@ -500,7 +543,7 @@ class TestTriangulation:
         root = _triangulate(fs)
         flat = list(flatten(root))
         assert root[:2] == (len(flat), sum(vol for _, vol in flat))
-        assert list(_nonunimodular(root)) == [(s, vol) for s, vol in flat if vol > 1]
+        assert is_subsequence(_nonunimodular(root), [(s, vol) for s, vol in flat if vol > 1])
         totals = list(accumulate(vol for _, vol in flat))
         for before, total in zip([0, *totals], totals):
             assert _reached(root, before) == _reached(root, total - 1) == total
@@ -519,7 +562,9 @@ class TestTriangulation:
             return g, sub
 
         monkeypatch.setattr(semigroup, "_split", counting)
-        assert len(triangulation(basis_monomial_ideal(graphic_matroid(5, W4_EDGES)))[1]) == 2734
+        w4 = basis_monomial_ideal(graphic_matroid(5, W4_EDGES))
+        assert len(triangulation(w4)[1]) == 2946
+        assert len(triangulation(w4, lex=True)[1]) == 2734
         assert contents == []
         assert_matches_oracle(MIXED)
         assert 3 in contents
@@ -545,24 +590,23 @@ def floor_points_oracle(simplex, vol):
     return points
 
 
-def walked(ideal):
+def walked(ideal, lex: bool = False):
     """The rays of the ideal's Rees cone, its triangulation's simplices, and
-    what the pivot walk yields over those of volume above 1, as
+    what the pivot walk yields over those _nonunimodular lists, as
     hilbert_basis feeds it."""
-    cone = rees_generators(ideal)
-    fs = facet_normals(cone)
+    fs = facet_system(ideal, lex)
     rays = fs.rays
     root = _triangulate(fs)
     return rays, list(flatten(root)), list(_pivot_walk(rays, _nonunimodular(root)))
 
 
-def assert_walk_matches_oracle(ideal) -> list[int]:
+def assert_walk_matches_oracle(ideal, lex: bool = False) -> list[int]:
     """On every simplex of volume above 1, the coset closure of the pivot
     walk's adjugate gives the keys of the floor oracle's points, packed in
     fields wide enough for the simplex or for the whole cone; returns those
     volumes."""
     volumes = []
-    rays, _, walk = walked(ideal)
+    rays, _, walk = walked(ideal, lex)
     cone_pack = identity_packer(rays)
     for simplex, adj, det, vol in walk:
         want = floor_points_oracle(simplex, vol)
@@ -573,15 +617,17 @@ def assert_walk_matches_oracle(ideal) -> list[int]:
     return volumes
 
 
-def assert_walk_adjugates(ideal) -> int:
-    """The pivot walk yields each simplex of volume above 1, in the
-    triangulation's order, with adj R = det I and det its volume; returns
-    how many it yields."""
-    rays, simplices, walk = walked(ideal)
+def assert_walk_adjugates(ideal, lex: bool = False) -> int:
+    """The pivot walk yields simplices of volume above 1 in the
+    triangulation's order, each face reached by steps of height 1 alone
+    once, with adj R = det I and det its volume; returns how many it
+    yields."""
+    rays, simplices, walk = walked(ideal, lex)
     expected = [(s, vol) for s, vol in ray_simplices(rays, simplices) if vol > 1]
-    assert [(frozenset(s), vol) for s, _, _, vol in walk] == [
-        (frozenset(s), vol) for s, vol in expected
-    ]
+    assert is_subsequence(
+        [(frozenset(s), vol) for s, _, _, vol in walk],
+        [(frozenset(s), vol) for s, vol in expected],
+    )
     for simplex, adj, det, vol in walk:
         m = len(simplex)
         assert det == vol
@@ -607,9 +653,11 @@ class TestPivotWalk:
         k4 = analysis_ideal(realize(load_bundled("graphic_k4")).value)
         assert assert_walk_adjugates(k4) == 6
 
+    # in lex order W4 has 192 simplices of volume above 1; 124 are walked,
+    # the rest share a face reached by steps of height 1 alone
     def test_adjugates_on_the_wheel_w4(self):
         w4 = basis_monomial_ideal(graphic_matroid(5, W4_EDGES))
-        assert assert_walk_adjugates(w4) == 192
+        assert assert_walk_adjugates(w4, lex=True) == 124
 
     def test_adjugates_on_mixed_n3_v516(self):
         assert assert_walk_adjugates(V516)
@@ -622,7 +670,8 @@ class TestPivotWalk:
             return adjugate(rows)
 
         monkeypatch.setattr(semigroup, "adjugate", counted)
-        assert len(walked(basis_monomial_ideal(graphic_matroid(5, W4_EDGES)))[2]) == 192
+        w4 = basis_monomial_ideal(graphic_matroid(5, W4_EDGES))
+        assert len(walked(w4, lex=True)[2]) == 124
         assert len(calls) == 1
 
     def test_leaving_slot_of_zero_weight_is_an_integrity_error(self):
@@ -667,11 +716,14 @@ class TestCosetWalk:
                     assert_walk_matches_oracle(basis_monomial_ideal(m))
 
     def test_matches_floor_oracle_on_the_wheel_w4(self):
-        volumes = assert_walk_matches_oracle(basis_monomial_ideal(graphic_matroid(5, W4_EDGES)))
-        assert Counter(volumes) == {2: 172, 3: 20}
+        w4 = basis_monomial_ideal(graphic_matroid(5, W4_EDGES))
+        volumes = assert_walk_matches_oracle(w4, lex=True)
+        assert Counter(volumes) == {2: 104, 3: 20}
 
+    # the simplex of volume 516 is one of the lex order's
     def test_matches_floor_oracle_on_mixed_n3_v516(self):
-        assert 516 in assert_walk_matches_oracle(V516)
+        assert 516 in assert_walk_matches_oracle(V516, lex=True)
+        assert assert_walk_matches_oracle(V516)
 
     @settings(max_examples=60, deadline=None)
     @given(mixed_degree_ideals())
@@ -792,8 +844,9 @@ class TestPackedReduction:
             assert px <= py and (px == py) == (x == y)
 
     # the coset closure steps keys and only kept keys are decoded, so no
-    # candidate but a ray is packed, on cones with and without simplices of
-    # volume above 1
+    # candidate is packed but the rays, and each kept key's decoded point
+    # once more to check it, on cones with and without simplices of volume
+    # above 1
     @pytest.mark.parametrize(
         "ideal",
         [
@@ -813,9 +866,9 @@ class TestPackedReduction:
 
         monkeypatch.setattr(semigroup, "packer", counted)
         fs = facet_normals(rees_generators(ideal))
-        hilbert_basis(fs)
+        result = hilbert_basis(fs)
         assert len(packers) == 1
-        assert sorted(packed) == sorted(fs.rays)
+        assert Counter(packed) == Counter(fs.rays) + Counter(result.elements)
 
     # TWO_SQUARES has the facet normals e_1, e_2, e_3 and (1, 1, -2), then
     # the identity rows, and the sums of its extreme rays' values on each are
@@ -834,6 +887,68 @@ class TestPackedReduction:
         cone = rees_generators(TWO_SQUARES)
         with pytest.raises(IntegrityError, match="field outside"):
             hilbert_basis(facet_normals(cone))
+
+    # 8 on e_1 carries into a 1 on e_2 with no guard bit set: the key 8 is
+    # kept and decodes to (0, 0, 0), whose key is 0; unchecked, it is
+    # reported as a Hilbert element
+    def test_carry_into_the_next_field_is_an_integrity_error(self, monkeypatch):
+        monkeypatch.setattr(semigroup, "_coset_points", lambda *walk: {8})
+        cone = rees_generators(TWO_SQUARES)
+        with pytest.raises(IntegrityError, match="candidate key 8 is not the key"):
+            hilbert_basis(facet_normals(cone))
+
+
+def walk_keys(rays, simplices) -> set[int]:
+    """The coset closure's keys over the pivot walk of simplices, under
+    identity_packer(rays)."""
+    keys = ray_keys(rays, identity_packer(rays))
+    return set().union(*(_coset_points(*w, keys) for w in _pivot_walk(rays, simplices)))
+
+
+TRANSVERSAL = analysis_ideal(realize(load_bundled("transversal_12_123")).value)
+
+
+class TestPullingOrder:
+    """The elements are the same in any pulling order, and walking each face
+    reached by steps of height 1 alone once loses no candidate."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(small_ideals(), mixed_degree_ideals()))
+    @example(MIXED)
+    @example(V516)
+    def test_lex_order_gives_the_same_elements(self, ideal):
+        fs = facet_system(ideal)
+        assert hilbert_basis(lex_permuted(fs)).elements == hilbert_basis(fs).elements, ideal
+
+    def test_lex_order_gives_the_same_elements_on_bundled_instances(self):
+        for name in bundled_names():
+            fs = facet_system(analysis_ideal(realize(load_bundled(name)).value))
+            assert hilbert_basis(lex_permuted(fs)).elements == hilbert_basis(fs).elements, name
+
+    # each example skips a simplex of volume above 1: W4 in lex order walks
+    # 124 of 192, the transversal matroid 1 of 2, the last two 1 of 2 and
+    # 2 of 3
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(small_ideals(), mixed_degree_ideals()), st.booleans())
+    @example(basis_monomial_ideal(graphic_matroid(5, W4_EDGES)), True)
+    @example(TRANSVERSAL, False)
+    @example(MonomialIdeal(3, ((1, 1, 2), (3, 3, 0), (4, 2, 1))), True)
+    @example(MonomialIdeal(4, ((1, 4, 1, 4), (2, 0, 3, 1), (4, 2, 1, 1))), False)
+    def test_shared_walk_gives_the_unshared_candidates(self, ideal, lex):
+        fs = facet_system(ideal, lex)
+        root = _triangulate(fs)
+        unshared = [(s, vol) for s, vol in flatten(root) if vol > 1]
+        shared = list(_nonunimodular(root))
+        assert is_subsequence(shared, unshared)
+        assert walk_keys(fs.rays, shared) == walk_keys(fs.rays, unshared), ideal
+
+    def test_sharing_skips_simplices(self):
+        w4 = basis_monomial_ideal(graphic_matroid(5, W4_EDGES))
+        cases = [(w4, True, 124, 192), (TRANSVERSAL, False, 1, 2)]
+        for ideal, lex, walked_count, above_1 in cases:
+            root = _triangulate(facet_system(ideal, lex))
+            assert len(list(_nonunimodular(root))) == walked_count
+            assert sum(vol > 1 for _, vol in flatten(root)) == above_1
 
 
 class TestSemigroupMember:
