@@ -4,9 +4,14 @@ The semigroup generated by a Rees cone's generators is normal exactly when
 it exhausts every lattice point of the cone, i.e. when the generators are an
 integral Hilbert basis. The Hilbert basis of the full lattice-point
 semigroup is computed by a pulling triangulation of the cone into simplicial
-subcones, in the rays' pulling order, whose faces are read off the cone's
-facets by intersecting ray bitmasks, so no face below the top runs a double
-description of its own. It is a DAG of faces, each built once with the
+subcones, in the rays' pulling order. Each face, a ray bitmask, reads its
+facets off its parent's, so none below the top runs a double description: a
+ridge lies in exactly two facets, so those of a facet H of F are the maximal
+H & K, K another facet of F. A simplicial face keeps just its facet that
+avoids its apex, so none below it builds a list, and a list goes once its
+face's node is built. H is pulled over in the order of the first cone facet
+to cut it out of F, the lowest bit of Z(H) & ~Z(F), Z(M) the cone facets
+tight on all of M. It is a DAG of faces, each built once with the
 number and total volume of its simplices, so a simplex, the bitmask of the
 apexes on a path down it, is listed only when its volume is above 1, and
 below a face reached by steps of height 1 alone only once, as it has the
@@ -227,17 +232,23 @@ def _triangulate(fs: FacetSystem) -> tuple:
     ray of each face in the pulling order of fs.rays (its lowest bit) over
     every facet of the face that avoids it. The subcones cover the cone.
 
-    Faces are bitmasks over the rays, and every facet G of the cone is the
-    mask of the rays it contains (FacetSystem.masks). The facets of a
-    face F are the inclusion-maximal proper sets among the F & G: each facet
-    of F is a face of the cone, so it is the intersection of the cone facets
-    containing it, and one of those does not contain F. A face reached at
-    depth k has dimension dim - k, so each of its facets has at least
-    dim - k - 1 rays, and so has every meet containing one: maximality is
-    tested only among the meets with that many rays. On a simplicial face
-    that leaves exactly its dim - k sets F - a, and the test keeps each. A
-    face's facets are taken in the order of the cone facets that first cut
-    them out, so the sequence of simplices is fixed by fs.
+    Faces are bitmasks over the rays; the top face's facets are the cone's,
+    fs.masks. A face H first reached as a facet of F takes its facets from
+    F's: each ridge of a polyhedral cone lies in exactly two of its facets
+    (Ziegler, Lectures on Polytopes), so the facets of H are the maximal
+    sets among the H & K, for the other facets K of F. At depth k, H has
+    dimension dim - k - 1, so only meets of at least dim - k - 2 rays are
+    tested, from the largest down, each against those already kept. A
+    simplicial face, of as many rays as its dimension, keeps only its one
+    facet that avoids its apex a, itself minus a, so no face below it builds
+    a list. A face's list is dropped as soon as its node is built.
+
+    Facets are pulled over in the order of the cone facets that first cut
+    them out, which fixes the sequence of simplices: with Z(M) the mask of
+    the cone facets tight on every ray of M (off the zeros of fs.slack, and
+    kept for faces of over dim rays), the first to cut H out of F is the
+    lowest bit of Z(H) & ~Z(F) = Z(H) & ~Z({a}), as a cone facet holding H
+    and a holds F. It may index below the facet K of F that H came from.
 
     Each face is one node (count, volume, edges), built once: the number and
     total volume of its simplices, and an edge (apex bit, height, facet node)
@@ -254,10 +265,12 @@ def _triangulate(fs: FacetSystem) -> tuple:
     """
     rays, dim, normals, slack = fs.rays, fs.dim, fs.normals(), fs.slack
     unit = [sum(1 << i for i, v in enumerate(col) if v == 1) for col in zip(*slack)]
+    tight = [sum(1 << j for j, v in enumerate(row) if not v) for row in slack]
     nodes: dict[int, tuple] = {0: (1, 1, ())}
     top = (1 << len(rays)) - 1
     bases = {top: [tuple(int(i == k) for k in range(dim)) for i in range(dim)]}
     parents: dict[int, tuple] = {}  # face -> (the face that first reached it, its cut)
+    cuts = {0: (1 << len(normals)) - 1}  # face -> Z(face)
 
     def basis(face: int):
         if face not in bases:
@@ -265,36 +278,53 @@ def _triangulate(fs: FacetSystem) -> tuple:
             bases[face] = _split(basis(parent), normals[j])[1]
         return bases[face]
 
-    def pull(face: int, depth: int) -> tuple:
+    def cut(face: int, apex: int) -> int:
+        """The first cone facet that holds face and not the ray apex."""
+        z = cuts.get(face)
+        if z is None:
+            z, rest = cuts[0], face
+            while rest:
+                z, rest = z & tight[(rest & -rest).bit_length() - 1], rest & rest - 1
+            if face.bit_count() > dim:
+                cuts[face] = z
+        z &= ~tight[apex]
+        return (z & -z).bit_length() - 1
+
+    def ridges(face: int, facets, least: int) -> list[int]:
+        meets = {m for k in facets if (m := face & k) != face and m.bit_count() >= least}
+        kept: list[int] = []
+        for meet in sorted(meets, key=int.bit_count, reverse=True):
+            for k in kept:
+                if meet | k == k:
+                    break
+            else:
+                kept.append(meet)
+        return kept
+
+    def pull(face: int, depth: int, facets) -> tuple:
         low = face & -face
-        apex = low.bit_length() - 1
-        meets: dict[int, int] = {}  # F & G -> the index of the first such G
-        for j, mask in enumerate(fs.masks):
-            meet = face & mask
-            if meet != face and meet.bit_count() >= dim - depth - 1:
-                meets.setdefault(meet, j)
-        edges, count, volume = [], 0, 0
-        for meet, j in meets.items():
-            if meet & low or any(meet | other == other != meet for other in meets):
-                continue
+        apex, edges, count, volume = low.bit_length() - 1, [], 0, 0
+        for j, sub in sorted((cut(k, apex), k) for k in facets if not k & low):
             h = slack[apex][j]
             if not face & unit[j]:
-                if meet in nodes:
+                if sub in nodes:
                     g = gcd(*[sum(map(mul, normals[j], v)) for v in basis(face)])
                 else:
-                    g, bases[meet] = _split(basis(face), normals[j])
+                    g, bases[sub] = _split(basis(face), normals[j])
                 h, r = divmod(h, g)
                 if r:
                     raise IntegrityError(f"height {slack[apex][j]} not divisible by content {g}")
-            if meet not in nodes:
-                parents[meet] = face, j
-                pull(meet, depth + 1)
-            edges.append((low, h, nodes[meet]))
-            count, volume = count + nodes[meet][0], volume + h * nodes[meet][1]
+            if sub not in nodes:
+                parents[sub] = face, j
+                least = dim - depth - 2
+                simplicial = sub.bit_count() == least + 1
+                pull(sub, depth + 1, [sub & sub - 1] if simplicial else ridges(sub, facets, least))
+            edges.append((low, h, nodes[sub]))
+            count, volume = count + nodes[sub][0], volume + h * nodes[sub][1]
         nodes[face] = node = (count, volume, tuple(edges))
         return node
 
-    return pull(top, 0)
+    return pull(top, 0, fs.masks)
 
 
 def _nonunimodular(node: tuple, mask: int = 0, scale: int = 1, shared=None):

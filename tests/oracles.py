@@ -20,21 +20,26 @@ applies the 53-bit integer rule as a separate pass over a payload, where
 `jsonio.dumps` applies it in the same walk that writes the document.
 `record_json` writes fifteen record classes' JSON key by key, as each
 class once did by hand, where the library applies one rule in
-`Record.to_json`.
+`Record.to_json`. `scan_triangulate` finds each face's facets among its
+meets with every facet of the cone, where the library reads them off the
+facets of the face that first reached it; `dag_form` lays a face DAG out
+as a list, so two DAGs compare in time linear in their nodes.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations
+from math import gcd
+from operator import mul
 
-from reeskit.errors import DegenerateCone, InvalidInstance
+from reeskit.errors import DegenerateCone, IntegrityError, InvalidInstance
 from reeskit.exactlat import adjugate, dot, primitive
 from reeskit import matroid, polymatroid
 from reeskit.matroid import Matroid, MonomialIdeal, _exchange_watch, _walk, check_basis_exchange
 from reeskit.reescone import ConeClassification, FacetSystem, ReesCone, ShapeReport
 from reeskit.reescone import _distinct_rows, _dual_extreme_rays
 from reeskit.semigroup import (DecompositionReport, DilationCheck, DilationWitness, ElementStatus,
-                               EqualityReport, HilbertBasisResult, NormalityCertificate)
+                               EqualityReport, HilbertBasisResult, NormalityCertificate, _split)
 
 
 def box_slice_points(lo, hi, total):
@@ -403,3 +408,83 @@ def record_json(record) -> dict:
     if cls is polymatroid.PolymatroidBases:
         return {"n": r.n, "exponents": [list(v) for v in r.vectors], "polymatroid": True}
     raise TypeError(f"no field-by-field JSON for {cls.__qualname__}")
+
+
+def scan_triangulate(fs: FacetSystem) -> tuple:
+    """The root of the pulling triangulation's face DAG, as
+    `semigroup._triangulate` returns it, with each face's facets found by
+    scanning every facet of the cone. The reference for `_triangulate`.
+
+    The facets of a face F are the inclusion-maximal proper sets among the
+    F & G, for G each cone facet's ray mask (FacetSystem.masks): each facet
+    of F is a face of the cone, so it is the intersection of the cone
+    facets containing it, and one of those does not contain F. A face at
+    depth k has dimension dim - k, so each of its facets has at least
+    dim - k - 1 rays, and so has every meet containing one: maximality is
+    tested only among the meets with that many rays. Each facet keeps the
+    first cone facet that cuts it out of F, and the facets are pulled over
+    in that order. Heights and lattice bases are as in `_triangulate`."""
+    rays, dim, normals, slack = fs.rays, fs.dim, fs.normals(), fs.slack
+    unit = [sum(1 << i for i, v in enumerate(col) if v == 1) for col in zip(*slack)]
+    nodes: dict[int, tuple] = {0: (1, 1, ())}
+    top = (1 << len(rays)) - 1
+    bases = {top: [tuple(int(i == k) for k in range(dim)) for i in range(dim)]}
+    parents: dict[int, tuple] = {}  # face -> (the face that first reached it, its cut)
+
+    def basis(face: int):
+        if face not in bases:
+            parent, j = parents[face]
+            bases[face] = _split(basis(parent), normals[j])[1]
+        return bases[face]
+
+    def pull(face: int, depth: int) -> tuple:
+        low = face & -face
+        apex = low.bit_length() - 1
+        meets: dict[int, int] = {}  # F & G -> the index of the first such G
+        for j, mask in enumerate(fs.masks):
+            meet = face & mask
+            if meet != face and meet.bit_count() >= dim - depth - 1:
+                meets.setdefault(meet, j)
+        edges, count, volume = [], 0, 0
+        for meet, j in meets.items():
+            if meet & low or any(meet | other == other != meet for other in meets):
+                continue
+            h = slack[apex][j]
+            if not face & unit[j]:
+                if meet in nodes:
+                    g = gcd(*[sum(map(mul, normals[j], v)) for v in basis(face)])
+                else:
+                    g, bases[meet] = _split(basis(face), normals[j])
+                h, r = divmod(h, g)
+                if r:
+                    raise IntegrityError(f"height {slack[apex][j]} not divisible by content {g}")
+            if meet not in nodes:
+                parents[meet] = face, j
+                pull(meet, depth + 1)
+            edges.append((low, h, nodes[meet]))
+            count, volume = count + nodes[meet][0], volume + h * nodes[meet][1]
+        nodes[face] = node = (count, volume, tuple(edges))
+        return node
+
+    return pull(top, 0)
+
+
+def dag_form(root) -> list[tuple]:
+    """The nodes of a face DAG below root, each once, in the order their
+    builds finish (depth first, in edge order), as (count, volume, edges)
+    with each edge's node replaced by its index in the list. Equal forms
+    are equal nested tuples, shared alike; the form is built in time linear
+    in the nodes and edges, where comparing the nested tuples walks every
+    path."""
+    index: dict[int, int] = {}
+    form: list[tuple] = []
+
+    def visit(node) -> int:
+        if id(node) not in index:
+            edges = tuple((low, h, visit(sub)) for low, h, sub in node[2])
+            index[id(node)] = len(form)
+            form.append((node[0], node[1], edges))
+        return index[id(node)]
+
+    visit(root)
+    return form

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
 from collections import Counter
-from itertools import accumulate, combinations_with_replacement, islice, product
+from itertools import accumulate, combinations, combinations_with_replacement, islice, product
 from math import comb
 from operator import le
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -12,11 +15,14 @@ from hypothesis import strategies as st
 from oracles import (
     box_slice_points,
     column_hnf_diagonal,
+    dag_form,
     ehrhart_points,
     lifted_membership,
+    scan_triangulate,
     span_projection,
 )
 from test_acceptance import Budget
+from test_session import equigenerated_ideals
 
 from reeskit import semigroup
 from reeskit.errors import (
@@ -568,6 +574,96 @@ class TestTriangulation:
         assert contents == []
         assert_matches_oracle(MIXED)
         assert 3 in contents
+
+
+def benchmark_workloads():
+    """perfbench/workloads.py, loaded from its file: the benchmark's fixed
+    instance sets."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)  # its dataclass looks itself up there
+    return module
+
+
+def assert_matches_scan(ideal):
+    """_triangulate's DAG is the one scan_triangulate builds by scanning
+    every cone facet per face: the same nodes, heights, edge order, counts
+    and volumes, shared alike."""
+    fs = facet_system(ideal)
+    assert dag_form(_triangulate(fs)) == dag_form(scan_triangulate(fs)), ideal
+
+
+# The wheel W5: hub 1, rim 2-3-4-5-6-2.
+W5_EDGES = ((1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 3), (2, 6), (3, 4), (4, 5), (5, 6))
+
+
+class TestFacetSearch:
+    """Each face reads its facets off those of the face that first reached
+    it; scan_triangulate, which meets each face with every cone facet, is
+    the oracle."""
+
+    def test_matches_scan_on_bundled_instances(self):
+        for name in bundled_names():
+            assert_matches_scan(analysis_ideal(realize(load_bundled(name)).value))
+
+    def test_matches_scan_on_the_benchmark_cones(self):
+        """The twelve ideals of lowdim_hilbert's pool and the five
+        Veronese-type cones of polymatroid_dilation."""
+        workloads = benchmark_workloads()
+        pool = workloads.lowdim_pool()
+        bounds = workloads.polymatroid_bounds()
+        assert (len(pool), len(bounds)) == (12, 5)
+        for n, gens in pool:
+            assert_matches_scan(MonomialIdeal(n, tuple(gens)))
+        for u in bounds:
+            assert_matches_scan(MonomialIdeal(len(u), tuple(workloads.veronese_type(u))))
+
+    @pytest.mark.parametrize("vertices, edges", [
+        pytest.param(5, W4_EDGES, id="wheel_w4"),
+        pytest.param(5, tuple(combinations(range(1, 6), 2)), id="k5"),
+        pytest.param(6, W5_EDGES, id="wheel_w5"),
+    ])
+    def test_matches_scan_on_graphic_cones(self, vertices, edges):
+        assert_matches_scan(basis_monomial_ideal(graphic_matroid(vertices, edges)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(equigenerated_ideals(), mixed_degree_ideals()))
+    @example(MIXED)
+    def test_matches_scan_on_random_ideals(self, ideal):
+        assert_matches_scan(ideal)
+
+    def test_the_wheel_w4_cuts_ridges_below_their_parents_cut(self):
+        """On W4 the first cone facet to cut a ridge R = H & K out of a
+        pulled facet H of F is, on some of H's edges, below the first to cut
+        K out of F, so an edge's cut cannot be taken from K."""
+        fs = facet_system(basis_monomial_ideal(graphic_matroid(5, W4_EDGES)))
+
+        def facets(face):
+            meets = {face & g for g in fs.masks} - {face}
+            return [m for m in meets if not any(m | o == o != m for o in meets)]
+
+        def first(face, facet):
+            return min(j for j, g in enumerate(fs.masks) if face & g == facet)
+
+        seen, pairs, below, stack = set(), 0, 0, [(1 << len(fs.rays)) - 1]
+        while stack:
+            face = stack.pop()
+            if face in seen or not face:
+                continue
+            seen.add(face)
+            around = facets(face)
+            for h in around:
+                if h & (face & -face):  # holds F's apex
+                    continue
+                pulled = [r for r in facets(h) if not r & (h & -h)]
+                for k in around:
+                    if k != h and h & k in pulled:
+                        pairs += 1
+                        below += first(h, h & k) < first(face, k)
+                stack.append(h)
+        assert len(seen) == 775  # every node of W4's DAG but the empty face's
+        assert (pairs, below) == (2631, 403)
 
 
 def floor_points_oracle(simplex, vol):
