@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -15,11 +16,12 @@ from hypothesis import strategies as st
 from oracles import canonical, labelled_walk
 from test_acceptance import Budget
 
-from reeskit import cli, jsonio, polymatroid
+from reeskit import cli, jsonio, polymatroid, semigroup
 from reeskit.cli import main
 from reeskit.errors import ReesKitError
 from reeskit.matroid import Matroid, basis_monomial_ideal, enumerate_matroids, matroid_classes
 from reeskit.polymatroid import check_polymatroid_bases
+from reeskit.reescone import FacetSystem
 from reeskit.semigroup import IdealSession
 
 
@@ -153,6 +155,27 @@ class TestValidate:
         assert code == 0
         assert doc == {"kind": "matroid", "name": "big", "valid": True,
                        "normalized": {"n": shown, "bases": [[1], [2]]}}
+
+    @pytest.mark.parametrize("payload, error, detail", [
+        ({"n": 0, "exponents": [[1]]}, "InvalidInstance", "need at least one variable"),
+        ({"n": 2, "exponents": [[1, 0, 0]]}, "InvalidInstance",
+         "exponent vector (1, 0, 0) has dimension != 2"),
+        ({"n": 2, "exponents": [[1, -1]]}, "InvalidInstance",
+         "exponent vector (1, -1) has a negative entry"),
+        ({"n": 2, "exponents": []}, "EmptyInput", "need at least one generator"),
+        ({"n": 2, "exponents": [[1]], "polymatroid": True}, "InvalidInstance",
+         "vector (1,) has dimension != 2"),
+        ({"n": 0, "exponents": [[1]], "polymatroid": True}, "InvalidInstance",
+         "need at least one coordinate"),
+    ], ids=["ideal_n0", "ideal_long_row", "ideal_negative", "ideal_empty",
+            "polymatroid_short_row", "polymatroid_n0"])
+    def test_invalid_family_is_a_witness(self, capsys, tmp_path, payload, error, detail):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(payload))
+        code, doc, _ = run_json(capsys, "validate", str(p))
+        kind = "polymatroid" if "polymatroid" in payload else "ideal"
+        assert (code, doc) == (1, {"kind": kind, "name": "bad", "valid": False,
+                                   "witness": {"error": error, "detail": detail}})
 
 
 class TestClassify:
@@ -553,6 +576,11 @@ class TestInstances:
         assert code == 0
         assert doc["payload"] == {"n": 1, "bases": [[1]]}
 
+    def test_show_polymatroid(self, capsys):
+        code, doc, _ = run_json(capsys, "instances", "--show", "veronese_2_2")
+        assert (code, doc) == (0, {"kind": "polymatroid", "name": "veronese_2_2", "payload": {
+            "n": 2, "exponents": [[0, 2], [1, 1], [2, 0]], "polymatroid": True}})
+
     def test_show_unknown(self, capsys):
         code, doc, _ = run_json(capsys, "instances", "--show", "missing")
         assert code == 2
@@ -713,6 +741,74 @@ class TestHandlers:
         assert isinstance(doc, dict) and type(code) is int
         assert main(argv) == code
         assert capsys.readouterr().out == jsonio.dumps(doc)
+
+
+def refute_l310(n, vectors):
+    """Stands in for check_polymatroid_bases inside reeskit.polymatroid, where
+    only the L3.10 division and veronese_bases reach it: every family fails."""
+    vecs = sorted(map(tuple, vectors))
+    return polymatroid.ExchangeFailure(vecs[0], vecs[-1], 1)
+
+
+class TestForcedFailures:
+    """The documents of failures no real input reaches: a counterexample to
+    L3.10, two normality routes that disagree, and a facet oracle that
+    disagrees with the engine. Each is one document, exit 1."""
+
+    # argv -> sha256 of stdout, with every L3.10 division refuted
+    L310 = {
+        ("polymatroid-check", "bundled:veronese_2_3"):
+            "9754da878b6e6c92dcc463b1a7f1f95f070ebe97260227cbbd6a2b182536b3b9",
+        ("polymatroid-check", "bundled:u_2_3"):
+            "b6f234c91ddebb4d2ad620879d3382dd0e6491261c7c68d7ac8c7f87d8d6fd23",
+        ("corpus", "3", "--checks", "L3.10"):
+            "80d187248013ba3f9dbb5380d0f29d539cf974464bc2bdb1b8a8148914785206",
+    }
+
+    @pytest.mark.parametrize("argv", sorted(L310), ids=" ".join)
+    def test_l310_counterexample(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr("reeskit.polymatroid.check_polymatroid_bases", refute_l310)
+        code, out, _ = run(capsys, *argv)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (1, self.L310[argv])
+        doc = json.loads(out)
+        if argv[0] == "corpus":
+            found = doc["reports"][0]["failures"]
+        else:
+            found = [d for d in doc["division_closure"] if not d["ok"]]
+            assert len(found) == len(doc["division_closure"]) == doc["bases"]["n"]
+        for f in found:
+            assert list(f["witness"]) == ["coordinate", "input", "witness"]
+            assert f["witness"]["witness"]["error"] == "exchange_failure"
+
+    @pytest.mark.parametrize("command", ["normality", "analyze"])
+    def test_method_disagreement(self, capsys, monkeypatch, command):
+        # veronese_2_2 is normal by the Hilbert route; the equality route
+        # is made to find one point of P that is no generator
+        def one_failure(vecs, degree, b_max, in_dilation):
+            return semigroup.EqualityReport(degree, b_max,
+                                            (semigroup.DilationCheck(1, 1, ((1, 1),)),))
+
+        monkeypatch.setattr(semigroup, "_equality_report", one_failure)
+        code, out, _ = run(capsys, command, "bundled:veronese_2_2")
+        assert (code, out) == (1, jsonio.dumps({
+            "error": "MethodDisagreement",
+            "detail": "hilbert route says normal, equality route says not_normal on "
+                      "{'n': 2, 'exponents': [[0, 2], [1, 1], [2, 0]]}"}))
+
+    def test_facet_oracle_disagreement(self, capsys, monkeypatch):
+        oracle = cli.facet_normals_oracle
+
+        def drops_a_unit(cone, cap):
+            fs = oracle(cone, cap=cap)
+            return FacetSystem(fs.dim, fs.unit_normals[1:], fs.ell_normals)
+
+        monkeypatch.setattr("reeskit.cli.facet_normals_oracle", drops_a_unit)
+        code, out, _ = run(capsys, "rees-facets", "bundled:u_2_3")
+        ells = [[0, 1, 1, -1], [1, 0, 1, -1], [1, 1, 0, -1], [1, 1, 1, -2]]
+        assert (code, out) == (1, jsonio.dumps({
+            "error": "integrity", "detail": "oracle disagrees with the engine",
+            "facets": {"unit_normals": [1, 2, 3, 4], "ell_normals": ells},
+            "oracle": {"unit_normals": [2, 3, 4], "ell_normals": ells}}))
 
 
 class TestFormatAndTrailer:

@@ -565,6 +565,10 @@ class TestReesConeValidation:
             ReesCone(1, ((1, 2),))  # last coordinate must be 0 or 1
         with pytest.raises(DegenerateCone):
             ReesCone(1, ((-1, 0),))
+        with pytest.raises(DegenerateCone, match="ambient dimension must be at least 2"):
+            ReesCone(0, ((1,),))
+        with pytest.raises(DegenerateCone, match="the zero vector is not a generator"):
+            ReesCone(1, ((0, 0),))
 
     def test_degenerate(self):
         cone = ReesCone(1, ((1, 0),))
