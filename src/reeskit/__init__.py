@@ -13,7 +13,6 @@ from .errors import (
     ParseError,
     PreconditionFailed,
     ReesKitError,
-    TheoremCounterexample,
 )
 from .matroid import (
     Matroid,
@@ -34,7 +33,6 @@ from .reescone import (
     ConeClassification,
     FacetSystem,
     ReesCone,
-    ShapeReport,
     Verdict,
     basis_rees_cone,
     classify,
@@ -72,8 +70,6 @@ __all__ = [
     "PreconditionFailed",
     "ReesCone",
     "ReesKitError",
-    "ShapeReport",
-    "TheoremCounterexample",
     "Verdict",
     "basis_monomial_ideal",
     "basis_rees_cone",

@@ -18,7 +18,7 @@ from functools import cache
 from math import comb
 
 from . import jsonio
-from .errors import CapExceeded, InvalidInstance, ParseError, ReesKitError, TheoremCounterexample
+from .errors import CapExceeded, InvalidInstance, ParseError, ReesKitError
 from .matroid import (ENUMERATION_CAP, Matroid, basis_monomial_ideal, enumerate_matroids,
                       matroid_classes)
 from .polymatroid import (
@@ -106,12 +106,9 @@ def _divisions(bases: PolymatroidBases):
     for i in range(1, bases.n + 1):
         if all(v[i - 1] == 0 for v in bases.vectors):
             continue
-        try:
-            divide_by_variable(bases, i)
-        except TheoremCounterexample as exc:
-            yield i, exc.witness
-        else:
-            yield i, None
+        got = divide_by_variable(bases, i)
+        yield i, (None if isinstance(got, PolymatroidBases)
+                  else {"input": bases, "coordinate": i, "witness": got})
 
 
 def cmd_validate(args) -> tuple[dict, int]:
@@ -287,8 +284,8 @@ def cmd_corpus(args) -> tuple[dict, int]:
 def _run_check(code: str, m, session: IdealSession, args):
     """None when the check passes on matroid m, else a failure payload."""
     if code == "T3.6":
-        report = verify_basis_facet_shape(m, session.facets)
-        return None if report.holds else {"violations": report.violations}
+        violations = verify_basis_facet_shape(m, session.facets)
+        return {"violations": violations} if violations else None
     if code == "C3.9":
         cert = session.normality
         return None if cert.verdict == "normal" else {"certificate": cert}

@@ -74,19 +74,6 @@ class MethodDisagreement(IntegrityError):
     """Two independent certification routes returned different verdicts."""
 
 
-class TheoremCounterexample(ReesKitError):
-    """A checked structural theorem failed on a concrete instance.
-
-    Carries the check code and a witness payload that jsonio.dumps writes,
-    so the finding survives into reports instead of being swallowed.
-    """
-
-    def __init__(self, check, witness):
-        self.check = check
-        self.witness = witness
-        super().__init__(f"{check}: counterexample {witness!r}")
-
-
 class Record:
     """Base of the package's frozen value records, in place of dataclasses,
     whose import and generated code cost more start-up than most commands'

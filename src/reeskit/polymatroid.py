@@ -9,7 +9,9 @@ one exchange walk: `check_polymatroid_bases` runs it on lex-sorted vectors,
 with the reverse step required too. It reads a family as bitmasks over its
 positions, per coordinate some vector uses and value in that column, and
 tests all c against one (a, i) in a few mask operations; its work and
-memory follow the coordinates used, not n.
+memory follow the coordinates used, not n. `divide_by_variable` returns,
+as `check_polymatroid_bases` does, the bases or the ExchangeFailure, which
+would refute L3.10 (base sets closed under dividing by a variable).
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .errors import (
     IntegrityError,
     InvalidInstance,
     Record,
-    TheoremCounterexample,
     UnequalModuli,
     VariableAbsent,
 )
@@ -172,23 +173,16 @@ def check_polymatroid_bases(n: int, vectors):
     return PolymatroidBases(n, d, tuple(vecs))
 
 
-def divide_by_variable(f: PolymatroidBases, i: int) -> PolymatroidBases:
-    """Drop one unit of coordinate i from every base that has it.
-
-    The result must again be a discrete polymatroid base set; if the
-    re-validation ever failed that would contradict the closure property
-    this operation relies on, so the failure is raised as a
-    TheoremCounterexample rather than returned as a witness.
-    """
+def divide_by_variable(f: PolymatroidBases, i: int) -> PolymatroidBases | ExchangeFailure:
+    """Drop one unit of coordinate i from every base that has it, and
+    validate the result as check_polymatroid_bases does: L3.10 says it is
+    again a base set, so an ExchangeFailure would refute it."""
     if i < 1 or i > f.n:
         raise InvalidInstance(f"coordinate {i} not in 1..{f.n}")
     kept = [a[:i - 1] + (a[i - 1] - 1,) + a[i:] for a in f.vectors if a[i - 1] >= 1]
     if not kept:
         raise VariableAbsent(f"no base uses coordinate {i}")
-    got = check_polymatroid_bases(f.n, kept)
-    if isinstance(got, ExchangeFailure):
-        raise TheoremCounterexample("L3.10", {"input": f, "coordinate": i, "witness": got})
-    return got
+    return check_polymatroid_bases(f.n, kept)
 
 
 def symmetric_exchange_violations(f: PolymatroidBases) -> list[tuple]:

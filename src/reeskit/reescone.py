@@ -308,36 +308,8 @@ def classify(fs: FacetSystem) -> ConeClassification:
     return ConeClassification(Verdict.QUASI_IDEAL)
 
 
-class ShapeReport(Record):
-    """Facet shape audit for a matroid basis Rees cone.
-
-    Expected shape: units, plus 0/1-leading normals with last entry in
-    [-d, -1]. Anything else lands in violations. notes records oddities
-    that are not violations, like coordinate units missing from the facet
-    list (which happens for n = 1).
-    """
-
-    n: int
-    d: int
-    facets: FacetSystem
-    violations: tuple[tuple[int, ...], ...]
-    notes: tuple[str, ...]
-    _json = ("n", "d", "facets", "violations", "notes", "holds")
-
-    @property
-    def holds(self) -> bool:
-        return not self.violations
-
-
-def verify_basis_facet_shape(m: Matroid, facets: FacetSystem) -> ShapeReport:
-    """Shape audit of the facets of m's basis Rees cone."""
-    violations = [b for b in facets.ell_normals
-                  if any(e not in (0, 1) for e in b[:-1]) or not (-m.d <= b[-1] <= -1)]
-    notes = []
-    missing = [i for i in range(1, m.n + 2) if i not in facets.unit_normals]
-    if missing:
-        notes.append(
-            "coordinate units absent from the facet list: "
-            + ", ".join(f"e_{i}" for i in missing)
-        )
-    return ShapeReport(m.n, m.d, facets, tuple(violations), tuple(notes))
+def verify_basis_facet_shape(m: Matroid, facets: FacetSystem) -> tuple[tuple[int, ...], ...]:
+    """The ell-normals of m's basis Rees cone outside T3.6's shape (0/1
+    leading entries, last entry in [-d, -1]), lex-sorted; () when it holds."""
+    return tuple(b for b in facets.ell_normals
+                 if any(e not in (0, 1) for e in b[:-1]) or not -m.d <= b[-1] <= -1)

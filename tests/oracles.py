@@ -36,7 +36,7 @@ from reeskit.errors import DegenerateCone, IntegrityError, InvalidInstance
 from reeskit.exactlat import adjugate, dot, primitive
 from reeskit import matroid, polymatroid
 from reeskit.matroid import Matroid, MonomialIdeal, _exchange_watch, _walk, check_basis_exchange
-from reeskit.reescone import ConeClassification, FacetSystem, ReesCone, ShapeReport
+from reeskit.reescone import ConeClassification, FacetSystem, ReesCone
 from reeskit.reescone import _distinct_rows, _dual_extreme_rays
 from reeskit.semigroup import (DecompositionReport, DilationCheck, DilationWitness, ElementStatus,
                                EqualityReport, HilbertBasisResult, NormalityCertificate, _split)
@@ -351,15 +351,6 @@ def record_json(record) -> dict:
         if r.offending_normal is not None:
             out["offending_normal"] = list(r.offending_normal)
         return out
-    if cls is ShapeReport:
-        return {
-            "n": r.n,
-            "d": r.d,
-            "facets": record_json(r.facets),
-            "violations": [list(v) for v in r.violations],
-            "notes": list(r.notes),
-            "holds": r.holds,
-        }
     if cls is NormalityCertificate:
         out: dict = {"verdict": r.verdict}
         if r.witness is not None:

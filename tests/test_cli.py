@@ -21,7 +21,7 @@ from reeskit.cli import main
 from reeskit.errors import ReesKitError
 from reeskit.matroid import Matroid, basis_monomial_ideal, enumerate_matroids, matroid_classes
 from reeskit.polymatroid import check_polymatroid_bases
-from reeskit.reescone import FacetSystem
+from reeskit.reescone import FacetSystem, facet_normals
 from reeskit.semigroup import IdealSession
 
 
@@ -779,6 +779,21 @@ class TestForcedFailures:
         for f in found:
             assert list(f["witness"]) == ["coordinate", "input", "witness"]
             assert f["witness"]["witness"]["error"] == "exchange_failure"
+
+    def test_t36_violation(self, capsys, monkeypatch):
+        # every cone gains the normal (2, 0, .., 0, -1), whose leading 2 is
+        # outside T3.6's shape
+        def facets(session):
+            fs = facet_normals(session.cone)
+            bad = (2,) + (0,) * (fs.dim - 2) + (-1,)
+            return FacetSystem(fs.dim, fs.unit_normals, fs.ell_normals + (bad,))
+
+        monkeypatch.setattr(IdealSession, "facets", property(facets))
+        code, out, _ = run(capsys, "corpus", "3", "--checks", "T3.6")
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (
+            1, "beb219dbdc26cb31533053b0df18da8f97becceabca32c42cac3ef32a5054c53")
+        for f in json.loads(out)["reports"][0]["failures"]:
+            assert f["violations"] == [[2, *[0] * (f["matroid"]["n"] - 1), -1]]
 
     @pytest.mark.parametrize("command", ["normality", "analyze"])
     def test_method_disagreement(self, capsys, monkeypatch, command):

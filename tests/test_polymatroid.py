@@ -12,6 +12,7 @@ from oracles import first_exchange_failure as tuple_first_failure
 from oracles import symmetric_exchange_violations as tuple_symmetric_violations
 from test_acceptance import Budget
 
+from reeskit import polymatroid
 from reeskit.errors import (
     EmptyInput,
     InvalidInstance,
@@ -117,6 +118,12 @@ class TestDivide:
         got = check_polymatroid_bases(2, ((1, 1),))
         with pytest.raises(InvalidInstance):
             divide_by_variable(got, 3)
+
+    def test_failure_is_returned(self, monkeypatch):
+        # what would refute L3.10 is the witness check_polymatroid_bases gives
+        v, witness = veronese_bases(2, 3), ExchangeFailure((0, 2), (2, 0), 1)
+        monkeypatch.setattr(polymatroid, "check_polymatroid_bases", lambda n, vecs: witness)
+        assert divide_by_variable(v, 1) is witness
 
     def test_closure_over_small_corpus(self):
         # dividing never breaks the exchange property

@@ -35,9 +35,6 @@ def samples() -> dict[type, Record]:
         SESSION.cone,
         SESSION.facets,
         SESSION.classification,
-        reescone.verify_basis_facet_shape(
-            u32, reescone.facet_normals(reescone.basis_rees_cone(u32))
-        ),
         SESSION.hilbert,
         SESSION.normality,
         semigroup.DilationCheck(2, 3, ((1, 1),)),
@@ -59,7 +56,7 @@ def rebuilt(record: Record) -> Record:
 
 def test_every_record_class_has_a_sample():
     assert set(SAMPLES) == set(Record.__subclasses__())
-    assert len(SAMPLES) == 18
+    assert len(SAMPLES) == 17
 
 
 @pytest.mark.parametrize("cls", sorted(SAMPLES, key=lambda c: (c.__module__, c.__name__)),
@@ -101,7 +98,6 @@ FIELDS = {
     "reescone.ConeClassification": ("verdict", "offending_normal"),
     "reescone.FacetSystem": ("dim", "unit_normals", "ell_normals", "slack", "rays", "masks"),
     "reescone.ReesCone": ("n", "generators"),
-    "reescone.ShapeReport": ("n", "d", "facets", "violations", "notes"),
     "semigroup.DecompositionReport": ("verdict", "statuses"),
     "semigroup.DilationCheck": ("b", "points", "failures"),
     "semigroup.DilationWitness": ("b", "point"),
@@ -130,7 +126,7 @@ def test_record_fields_are_the_annotated_names():
 RULE_CLASSES = (
     matroid.Matroid, matroid.ExchangeFailure, matroid.MonomialIdeal,
     polymatroid.ExchangeFailure, reescone.ReesCone, reescone.FacetSystem,
-    reescone.ConeClassification, reescone.ShapeReport, semigroup.NormalityCertificate,
+    reescone.ConeClassification, semigroup.NormalityCertificate,
     semigroup.DilationCheck, semigroup.DilationWitness, semigroup.ElementStatus,
     semigroup.HilbertBasisResult, semigroup.EqualityReport, semigroup.DecompositionReport,
     polymatroid.PolymatroidBases,
@@ -143,7 +139,6 @@ RULE_RECORDS = [
     semigroup.NormalityCertificate("not_normal", (1, 1, 1), "both"),
     reescone.ConeClassification(Verdict.IDEAL),
     reescone.ConeClassification(Verdict.NEITHER, (1, 2, -3)),
-    reescone.ShapeReport(2, 1, SESSION.facets, ((2, 0, -1),), ("a note",)),
     semigroup.HilbertBasisResult((), 0, 0, 0),
     semigroup.DilationWitness(3, (0, 3, 3)),
     semigroup.EqualityReport(2, 3, (semigroup.DilationCheck(1, 3, ()),

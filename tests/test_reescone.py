@@ -406,21 +406,19 @@ class TestRankOne:
             assert facet_normals(basis_rees_cone(uniform_matroid(n, 1))) == expected
 
 
-class TestShapeReport:
+class TestFacetShape:
     def test_holds_on_small_corpus(self):
         for n in range(1, 5):
             for d in range(1, n + 1):
                 for m in enumerate_matroids(n, d):
-                    rep = verify_basis_facet_shape(m, facet_normals(basis_rees_cone(m)))
-                    assert rep.holds, (m, rep.to_json())
-                    assert rep.violations == ()
+                    assert verify_basis_facet_shape(m, facet_normals(basis_rees_cone(m))) == (), m
 
-    def test_json(self):
-        m = uniform_matroid(2, 1)
-        rep = verify_basis_facet_shape(m, facet_normals(basis_rees_cone(m)))
-        doc = rep.to_json()
-        assert doc["holds"] is True
-        assert doc["n"] == 2 and doc["d"] == 1
+    def test_returns_the_normals_outside_the_shape(self):
+        # d = 1: a leading 2, and a last entry below -d, are each outside
+        ells = ((0, 1, -1), (1, 1, -2), (2, 0, -1))
+        got = verify_basis_facet_shape(uniform_matroid(2, 1), FacetSystem(3, (1, 2, 3), ells))
+        assert got == ((1, 1, -2), (2, 0, -1))
+        assert verify_basis_facet_shape(uniform_matroid(2, 2), FacetSystem(3, (), ells[:2])) == ()
 
 
 def rank_extreme_generators(cone, fs):
