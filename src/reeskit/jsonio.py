@@ -49,10 +49,10 @@ def decode_int(v) -> int:
 
 
 def dumps(payload) -> str:
-    """json.dumps(payload, indent=2, sort_keys=True) + "\\n" with each int
-    beyond 53 bits written as its decimal string and each record as its
-    to_json, in one walk: with an indent, json runs its pure-Python encoder,
-    which is slower. Dict keys must be strings."""
+    """json.dumps(payload, indent=2, sort_keys=True) + "\\n", in one walk, as
+    an indent selects json's slower pure-Python encoder: an int past 53 bits
+    as its decimal string, a record as its to_json, and a list of plain ints
+    (no bool) within 53 bits in one join. Dict keys must be strings."""
     out: list[str] = []
     try:
         _write(payload, out, "\n")
@@ -67,6 +67,9 @@ def _write(obj, out: list[str], pad: str) -> None:
         out.append(_quote(obj))
     elif isinstance(obj, int) and not isinstance(obj, bool):
         out.append(int.__repr__(obj) if -_BIG < obj < _BIG else f'"{obj}"')
+    elif (obj and isinstance(obj, (list, tuple)) and set(map(type, obj)) <= {int}
+          and -_BIG < min(obj) and max(obj) < _BIG):
+        out.append(f"[{pad}  " + f",{pad}  ".join(map(int.__repr__, obj)) + f"{pad}]")
     elif obj and isinstance(obj, (dict, list, tuple)):
         inner = pad + "  "
         if isinstance(obj, dict):

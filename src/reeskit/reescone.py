@@ -20,7 +20,7 @@ from enum import Enum
 from functools import reduce
 from itertools import combinations
 from math import gcd
-from operator import and_
+from operator import and_, mul
 
 from .errors import CapExceeded, DegenerateCone, IntegrityError, Record
 from .exactlat import _bareiss, adjugate, dot, primitive, rank
@@ -172,7 +172,9 @@ def _dual_extreme_rays(ineqs, dim: int) -> list[tuple[int, ...]]:
 
     # bit k of a mask is the k-th row cut: the seed rows, then the rest in order
     for k, a in enumerate((row for idx, row in enumerate(rows) if idx not in seed), dim):
-        vals = [dot(a, r) for r in rays]
+        if len(a) != dim:
+            raise ValueError(f"dimension mismatch: {len(a)} vs {dim}")
+        vals = [sum(map(mul, a, r)) for r in rays]
         pos = [t for t, v in enumerate(vals) if v > 0]
         neg = [t for t, v in enumerate(vals) if v < 0]
         new_rays, new_masks = [], []
@@ -205,10 +207,11 @@ def _dual_extreme_rays(ineqs, dim: int) -> list[tuple[int, ...]]:
 
 def _facet_system(dim: int, normals, generators) -> FacetSystem:
     """Check and split the normals; each normal's values on the distinct
-    primitive generators are computed once and serve every check. Those on
-    the extreme rays are kept, per ray in normals() order, as the system's
-    slack, and each normal's tight set on the rays as its mask. The most
-    constrained rays come first, after the units, so W4 pulls unimodularly.
+    primitive generators are summed once, inline after one length check of
+    each normal and generator, and serve every check. Those on the extreme
+    rays are kept, per ray in normals() order, as the system's slack, and
+    each normal's tight set on the rays as its mask. The most constrained
+    rays come first, after the units, so W4 pulls unimodularly.
 
     A normal b != 0 annihilates its tight set, so the tight set's rank over Q
     is at most dim - 1, and at least its rank mod 2: a rank mod 2 of dim - 1
@@ -220,13 +223,17 @@ def _facet_system(dim: int, normals, generators) -> FacetSystem:
     an extreme ray iff the meet of the tight sets that hold g (every
     generator when there is none) is g alone."""
     gens = _distinct_rows(primitive(g) for g in generators)
+    if any(len(g) != dim for g in gens):
+        raise ValueError(f"dimension mismatch: a generator not of dimension {dim}")
     parity = [parity_mask(g) for g in gens]
     units, ells, columns, tight_sets = [], [], {}, []
     for b in normals:
         if gcd(*b) != 1:
             raise IntegrityError(f"normal {b} is not primitive")
-        values = [dot(b, g) for g in gens]
-        if any(v < 0 for v in values):
+        if len(b) != dim:
+            raise ValueError(f"dimension mismatch: {len(b)} vs {dim}")
+        values = [sum(map(mul, b, g)) for g in gens]
+        if min(values, default=0) < 0:
             raise IntegrityError(f"normal {b} cuts off a generator")
         tight = [k for k, v in enumerate(values) if v == 0]
         if rank_mod_2(parity[k] for k in tight) != dim - 1 and (

@@ -23,17 +23,17 @@ Z-basis of L_F, from its parent's. Then one pivot walk takes the adjugate of
 each listed simplex to the next by exchanging rays, and one coset closure
 reads the lattice points of the simplex's half-open fundamental
 parallelepiped off the adjugate's columns, each as one int key packing its
-facet values and coordinates; the candidates are reduced to the irreducible
-ones in order of key, each against the irreducibles already kept by one
-guarded subtraction. A Hilbert basis element is irreducible, so it lies in the
-subsemigroup the generators span iff it is one of them. Dilation equality
-compares bP with the b-fold sumset of the vertices, kept as packed ints: for
-an ideal generated in one degree d, a lies in bP iff (a, b) lies in the Rees
-cone and |a| = b*d, so bP lies on a box slice, which is counted in closed
-form first. A slice the sumset fills is bP; any other is walked as packed
-keys, and only its points outside the sumset are read off the facets the
-session already holds. An ideal of several degrees is padded to its top
-degree D first, each v to (v, D - |v|), so every dilation is read off the
+facet values, coordinates and degree; by key, so by degree, each is reduced
+against the irreducibles kept of at most half its degree (a sum of them has
+one), by one guarded subtraction each. A Hilbert basis element is irreducible,
+so it lies in the subsemigroup the generators span iff it is one of them.
+Dilation equality compares bP with the b-fold sumset of the vertices, kept as
+packed ints: for an ideal generated in one degree d, a lies in bP iff (a, b)
+lies in the Rees cone and |a| = b*d, so bP lies on a box slice, which is
+counted in closed form first. A slice the sumset fills is bP; any other is
+walked as packed keys, and only its points outside the sumset are read off the
+facets the session already holds. An ideal of several degrees is padded to its
+top degree D first, each v to (v, D - |v|), so every dilation is read off the
 facets of a Rees cone. Integer arithmetic throughout.
 
 An IdealSession builds each of these artefacts for one ideal at most once
@@ -370,17 +370,20 @@ def hilbert_basis(facets: FacetSystem, cap: int = DEFAULT_CAP) -> HilbertBasisRe
     (exactlat.packer) holds a point's facet values, then its coordinates, in
     fields of W.bit_length() + 1 bits: W, the largest sum of the rays' values
     on one facet or coordinate, bounds that field on every candidate, a ray
-    or sum lam_i r_i with 0 <= lam_i < 1. Rays are packed once, and only the
-    kept keys are decoded. Reduction follows Normaliz (Bruns and Ichim,
-    J. Algebra 2010): candidates are walked by ascending key, and h is kept
-    unless a key k kept before it is <= h's in every field (one guarded
-    subtraction), i.e. h - k lies in the cone. That is exact: a reducible h
-    is reducible by a Hilbert basis element x with h - x a nonzero point of
-    the cone, so every field of h - x is >= 0, x's key is below h's and x
-    was kept first. Uniqueness comes with pointedness, which holds as the
-    generators sit in the first orthant. A key that is negative, has a guard
-    bit set or, once kept, is not the key of its decoded point is an
-    IntegrityError.
+    or sum lam_i r_i with 0 <= lam_i < 1. An unguarded top field holds the
+    degree, the value on the sum of the normals, positive off 0 as the cone
+    is pointed; packing stays linear, so ray keys, the coset closure and the
+    key check carry it. Rays are packed once, and only the kept keys are
+    decoded. Reduction follows Normaliz (Bruns and Ichim, J. Algebra 2010):
+    candidates are walked by ascending key, so by degree, and h is kept
+    unless a kept key k of at most half h's degree, where the ascending scan
+    stops, is <= h's in every guarded field (one guarded subtraction), i.e.
+    h - k lies in the cone. That is exact: a reducible h is a sum of two or
+    more Hilbert basis elements, so one, x, has at most half h's degree, and
+    h - x, a nonzero point of the cone, is >= 0 in every field; x was kept
+    first. Uniqueness comes with pointedness, which holds as the generators
+    sit in the first orthant. A key that is negative, has a guard bit set
+    or, once kept, is not the key of its decoded point is an IntegrityError.
     """
     rays, dim, normals = facets.rays, facets.dim, facets.normals()
     count, total, _ = root = _triangulate(facets)
@@ -390,7 +393,10 @@ def hilbert_basis(facets: FacetSystem, cap: int = DEFAULT_CAP) -> HilbertBasisRe
     bound = max(map(sum, (*zip(*facets.slack), *zip(*rays))))
     width = bound.bit_length() + 1
     identity = [[int(i == k) for k in range(dim)] for i in range(dim)]
-    pack, guard = packer([*normals, *identity], width)
+    grading = [sum(column) for column in zip(*normals)]
+    pack, guard = packer([*normals, *identity, grading], width)
+    shift = width * (len(normals) + dim)
+    guard &= (1 << shift) - 1
     keys = {r: pack(r) for r in rays}
     candidates = set(keys.values())
     for walked in _pivot_walk(rays, _nonunimodular(root)):
@@ -399,8 +405,11 @@ def hilbert_basis(facets: FacetSystem, cap: int = DEFAULT_CAP) -> HilbertBasisRe
     for x in sorted(candidates):
         if x < 0 or x & guard:
             raise IntegrityError(f"candidate key {x} has a field outside 0..{bound}")
-        top = x | guard
+        top, limit = x | guard, ((x >> shift) // 2 + 1) << shift
         for k in kept:
+            if k >= limit:
+                kept.append(x)
+                break
             if (top - k) & guard == guard:
                 break
         else:

@@ -24,6 +24,10 @@ class once did by hand, where the library applies one rule in
 meets with every facet of the cone, where the library reads them off the
 facets of the face that first reached it; `dag_form` lays a face DAG out
 as a list, so two DAGs compare in time linear in their nodes.
+`all_pairs_hilbert_basis` reduces the Hilbert candidates in order of a key
+whose top field is the last coordinate, each against every key kept before
+it, where the library keys them by degree first and stops at half the
+candidate's degree.
 """
 
 from __future__ import annotations
@@ -32,14 +36,16 @@ from itertools import combinations, permutations
 from math import gcd
 from operator import mul
 
-from reeskit.errors import DegenerateCone, IntegrityError, InvalidInstance
-from reeskit.exactlat import adjugate, dot, primitive
+from reeskit.errors import CapExceeded, DegenerateCone, IntegrityError, InvalidInstance
+from reeskit.exactlat import adjugate, dot, packer, primitive
 from reeskit import matroid, polymatroid
 from reeskit.matroid import Matroid, MonomialIdeal, _exchange_watch, _walk, check_basis_exchange
 from reeskit.reescone import ConeClassification, FacetSystem, ReesCone
 from reeskit.reescone import _distinct_rows, _dual_extreme_rays
-from reeskit.semigroup import (DecompositionReport, DilationCheck, DilationWitness, ElementStatus,
-                               EqualityReport, HilbertBasisResult, NormalityCertificate, _split)
+from reeskit.semigroup import (DEFAULT_CAP, DecompositionReport, DilationCheck, DilationWitness,
+                               ElementStatus, EqualityReport, HilbertBasisResult,
+                               NormalityCertificate, _coset_points, _nonunimodular, _pivot_walk,
+                               _reached, _split, _triangulate)
 
 
 def box_slice_points(lo, hi, total):
@@ -479,3 +485,39 @@ def dag_form(root) -> list[tuple]:
 
     visit(root)
     return form
+
+
+def all_pairs_hilbert_basis(fs: FacetSystem, cap: int = DEFAULT_CAP) -> HilbertBasisResult:
+    """`semigroup.hilbert_basis` without the degree field or its bound: the
+    same triangulation, walk and coset closure give the same candidates,
+    packed on the facet normals and the identity rows alone, and each
+    candidate, by ascending key, is tested against every key kept before
+    it. A reducer x of h has every field of h - x >= 0, so x's key
+    is below h's here too. The reference for `hilbert_basis`'s half-degree
+    bound; past cap it raises the same CapExceeded."""
+    rays, dim, normals = fs.rays, fs.dim, fs.normals()
+    count, total, _ = root = _triangulate(fs)
+    if total > cap:
+        reached = _reached(root, cap)
+        raise CapExceeded(f"parallelepiped budget {cap} exceeded at {reached} lattice points")
+    bound = max(map(sum, (*zip(*fs.slack), *zip(*rays))))
+    width = bound.bit_length() + 1
+    identity = [[int(i == k) for k in range(dim)] for i in range(dim)]
+    pack, guard = packer([*normals, *identity], width)
+    keys = {r: pack(r) for r in rays}
+    candidates = set(keys.values())
+    for walked in _pivot_walk(rays, _nonunimodular(root)):
+        candidates.update(_coset_points(*walked, keys))
+    kept = []
+    for x in sorted(candidates):
+        if x < 0 or x & guard:
+            raise IntegrityError(f"candidate key {x} has a field outside 0..{bound}")
+        top = x | guard
+        if not any((top - k) & guard == guard for k in kept):
+            kept.append(x)
+    low, mask, elements = width * len(normals), (1 << width) - 1, []
+    for x in kept:
+        elements.append(tuple([(x >> low + width * i) & mask for i in range(dim)]))
+        if pack(elements[-1]) != x:
+            raise IntegrityError(f"candidate key {x} is not the key of a lattice point")
+    return HilbertBasisResult(tuple(sorted(elements)), count, total, len(candidates))

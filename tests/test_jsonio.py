@@ -65,6 +65,13 @@ class TestDumps:
         )
     )
     @example({"a": {}, "b": [], "c": (), "d": [[]], "e": {"f": [True, False, None]}})
+    # lists of ints written in one join, and those at its edges that are not
+    @example([2**53 - 1, -(2**53) + 1])
+    @example([2**53, 1])
+    @example([-(2**53), 1])
+    @example([True, 1])
+    @example([1, None])
+    @example((1, 2))
     def test_matches_json_dumps_of_encode(self, payload):
         """The writer gives json.dumps's bytes for indent=2, sort_keys=True,
         with the 53-bit rule applied in the same walk."""

@@ -258,6 +258,29 @@ class TestEmptyDual:
         assert all(primitive(r) == r and dot(a, r) >= 0 for r in rays for a in rows)
 
 
+class TestDimensionChecks:
+    """Facet values are sums of products, which stop at the shorter vector,
+    so a row, normal or generator of the wrong length is a ValueError, not
+    a silently truncated value."""
+
+    def test_a_long_row_past_the_seed(self):
+        with pytest.raises(ValueError, match="dimension mismatch: 4 vs 3"):
+            reescone._dual_extreme_rays([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1, 1)], 3)
+
+    def test_a_short_row_leaves_the_rows_degenerate(self):
+        with pytest.raises(DegenerateCone, match="rows span rank 2 < 3"):
+            reescone._dual_extreme_rays([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1)], 3)
+
+    def test_a_short_normal(self):
+        gens = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        with pytest.raises(ValueError, match="dimension mismatch: 2 vs 3"):
+            reescone._facet_system(3, [(1, 0, 0), (0, 1)], gens)
+
+    def test_a_short_generator(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            reescone._facet_system(3, [(1, 0, 0)], [(1, 0, 0), (0, 1)])
+
+
 class TestFacetSystemProperties:
     def test_normals_are_valid_and_tight(self):
         # each normal is nonnegative on all generators and tight on a

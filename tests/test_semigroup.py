@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import (
+    all_pairs_hilbert_basis,
     box_slice_points,
     column_hnf_diagonal,
     dag_form,
@@ -968,7 +969,8 @@ class TestPackedReduction:
 
     # TWO_SQUARES has the facet normals e_1, e_2, e_3 and (1, 1, -2), then
     # the identity rows, and the sums of its extreme rays' values on each are
-    # at most 3: keys have seven fields of 3 bits, each with guard bit 4
+    # at most 3: keys have seven fields of 3 bits, each with guard bit 4,
+    # under the unguarded degree field, from bit 21
     @pytest.mark.parametrize(
         "key",
         [
@@ -992,6 +994,73 @@ class TestPackedReduction:
         cone = rees_generators(TWO_SQUARES)
         with pytest.raises(IntegrityError, match="candidate key 8 is not the key"):
             hilbert_basis(facet_normals(cone))
+
+    # 4609 holds the facet values (1, 0, 0, 1) and the coordinates (1, 0, 0)
+    # of the ray (1, 0, 0), but degree 0 where the ray's is 2, the sum of the
+    # normals being (2, 2, -1): it is kept first, reduces the ray, and
+    # decodes to the ray, whose key is 4609 + (2 << 21)
+    def test_degree_field_off_its_point_is_an_integrity_error(self, monkeypatch):
+        monkeypatch.setattr(semigroup, "_coset_points", lambda *walk: {4609})
+        cone = rees_generators(TWO_SQUARES)
+        with pytest.raises(IntegrityError, match="candidate key 4609 is not the key"):
+            hilbert_basis(facet_normals(cone))
+
+
+# The only candidate below (2, 4, 2, 2) in every facet value, other than
+# itself, is the Hilbert basis element (1, 2, 1, 1), of exactly half its
+# degree: a bound that admits only reducers of less than half the degree
+# keeps it.
+HALF = MonomialIdeal(3, ((0, 4, 0), (1, 1, 2), (3, 0, 1)))
+
+
+def assert_matches_all_pairs(ideal):
+    """hilbert_basis gives the all-pairs reduction's elements and the same
+    simplices, parallelepiped points and candidates."""
+    fs = facet_system(ideal)
+    assert hilbert_basis(fs) == all_pairs_hilbert_basis(fs), ideal
+
+
+class TestHalfDegreeBound:
+    """Candidates are reduced in degree order, each only against the kept
+    elements of at most half its degree; all_pairs_hilbert_basis, which
+    tests each against every element kept before it, is the oracle."""
+
+    def test_matches_all_pairs_on_bundled_instances(self):
+        for name in bundled_names():
+            assert_matches_all_pairs(analysis_ideal(realize(load_bundled(name)).value))
+
+    def test_matches_all_pairs_on_the_benchmark_pool(self):
+        pool = benchmark_workloads().lowdim_pool()
+        assert len(pool) == 12
+        for n, gens in pool:
+            assert_matches_all_pairs(MonomialIdeal(n, tuple(gens)))
+
+    @pytest.mark.parametrize("vertices, edges", [
+        pytest.param(5, tuple(combinations(range(1, 6), 2)), id="k5"),
+        pytest.param(6, W5_EDGES, id="wheel_w5"),
+    ])
+    def test_matches_all_pairs_on_graphic_cones(self, vertices, edges):
+        assert_matches_all_pairs(basis_monomial_ideal(graphic_matroid(vertices, edges)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(equigenerated_ideals(), mixed_degree_ideals()))
+    @example(MIXED)
+    @example(V516)
+    def test_matches_all_pairs_on_random_ideals(self, ideal):
+        assert_matches_all_pairs(ideal)
+
+    def test_a_reducer_of_exactly_half_the_degree(self):
+        fs = facet_system(HALF)
+        grading = [sum(column) for column in zip(*fs.normals())]
+        x, h = (2, 4, 2, 2), (1, 2, 1, 1)
+        candidates = set(fs.rays)
+        for simplex, vol in ray_simplices(fs.rays, flatten(_triangulate(fs))):
+            candidates |= floor_points_oracle(simplex, vol)
+        assert [c for c in candidates if c != x and fs.contains(vsub(x, c))] == [h]
+        assert dot(grading, x) == 2 * dot(grading, h)
+        elements = hilbert_basis(fs).elements
+        assert h in elements and x not in elements
+        assert_matches_all_pairs(HALF)
 
 
 def walk_keys(rays, simplices) -> set[int]:
