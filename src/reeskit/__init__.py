@@ -51,39 +51,6 @@ from .semigroup import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CapExceeded",
-    "ConeClassification",
-    "DegenerateCone",
-    "EqualityReport",
-    "FacetSystem",
-    "HilbertBasisResult",
-    "IdealSession",
-    "IntegrityError",
-    "InvalidInstance",
-    "Matroid",
-    "MethodDisagreement",
-    "MonomialIdeal",
-    "NormalityCertificate",
-    "ParseError",
-    "PolymatroidBases",
-    "PreconditionFailed",
-    "ReesCone",
-    "ReesKitError",
-    "Verdict",
-    "basis_monomial_ideal",
-    "basis_rees_cone",
-    "check_basis_exchange",
-    "check_polymatroid_bases",
-    "classify",
-    "divide_by_variable",
-    "enumerate_matroids",
-    "facet_normals",
-    "facet_normals_oracle",
-    "graphic_matroid",
-    "hilbert_basis",
-    "rees_generators",
-    "uniform_matroid",
-    "veronese_bases",
-    "verify_basis_facet_shape",
-]
+# every name imported above from the package's modules: the API is listed once
+__all__ = sorted(k for k, v in globals().items()
+                 if getattr(v, "__module__", "").startswith("reeskit."))

@@ -40,7 +40,7 @@ def primitive(v) -> tuple[int, ...]:
     Signs are preserved; only the common positive factor is removed, so the
     result generates the same ray. The empty vector counts as zero.
     """
-    vec = tuple(int(e) for e in v)
+    vec = tuple(map(int, v))
     g = gcd(*vec)
     if g == 0:
         raise ZeroVector("the zero vector has no primitive form")
@@ -114,16 +114,22 @@ def parity_mask(row) -> int:
     return sum((e & 1) << c for c, e in enumerate(row))
 
 
-def rank_mod_2(masks) -> int:
-    """Rank over GF(2) of rows given as parity masks: the size of an XOR
-    basis keyed by each kept row's lowest set bit. A row is reduced by the
-    kept row of its lowest bit until it is zero or its lowest bit is new."""
-    basis: dict[int, int] = {}
-    for v in masks:
+def rank_mod_2(masks) -> tuple[int, int]:
+    """(rank, dependency) over GF(2) of rows given as parity masks: the size
+    of an XOR basis keyed by each kept row's lowest set bit, and the mask of
+    the first input rows found to XOR to 0, or 0. A row is reduced by the
+    kept row of its lowest bit until it is zero or its lowest bit is new;
+    each kept row carries the mask of the input rows it sums."""
+    basis, first = {}, 0
+    for i, v in enumerate(masks):
+        rows = 1 << i
         while v:
             low = v & -v
             if low not in basis:
-                basis[low] = v
+                basis[low] = v, rows
                 break
-            v ^= basis[low]
-    return len(basis)
+            u, sums = basis[low]
+            v, rows = v ^ u, rows ^ sums
+        else:
+            first = first or rows
+    return len(basis), first

@@ -236,7 +236,7 @@ def _facet_system(dim: int, normals, generators) -> FacetSystem:
         if min(values, default=0) < 0:
             raise IntegrityError(f"normal {b} cuts off a generator")
         tight = [k for k, v in enumerate(values) if v == 0]
-        if rank_mod_2(parity[k] for k in tight) != dim - 1 and (
+        if rank_mod_2(parity[k] for k in tight)[0] != dim - 1 and (
             rank([gens[k] for k in tight]) != dim - 1
         ):
             raise IntegrityError(f"normal {b} is not tight on a rank-{dim - 1} subset")

@@ -19,11 +19,13 @@ points of the face's simplex it extends. Volumes are products of heights:
 the apex a of a face F has height <b, a> / gcd <b, L_F> over its facet of
 cone normal b, in L_F = Z^dim & span(F). The gcd is 1 when a ray r of F has
 <b, r> = 1, as r lies in L_F; only a face without such a ray builds a
-Z-basis of L_F, from its parent's. Then one pivot walk takes the adjugate of
-each listed simplex to the next by exchanging rays, and one coset closure
-reads the lattice points of the simplex's half-open fundamental
-parallelepiped off the adjugate's columns, each as one int key packing its
-facet values, coordinates and degree; by key, so by degree, each is reduced
+Z-basis of L_F, from its parent's. A listed simplex of volume 2 has one
+point, half the sum of the rays in the one dependency of their parity
+masks. One pivot walk takes the adjugate of each listed simplex of volume
+above 2 to the next by exchanging rays, and one coset closure reads the
+lattice points of its half-open fundamental parallelepiped off the
+adjugate's columns. Each point is one int key packing its facet values,
+coordinates and degree; by key, so by degree, each is reduced
 against the irreducibles kept of at most half its degree (a sum of them has
 one), by one guarded subtraction each. A Hilbert basis element is irreducible,
 so it lies in the subsemigroup the generators span iff it is one of them.
@@ -56,7 +58,7 @@ from .errors import (
     Record,
     UnequalModuli,
 )
-from .exactlat import adjugate, packer
+from .exactlat import adjugate, packer, parity_mask, rank_mod_2
 from .matroid import MonomialIdeal
 from .reescone import (
     ConeClassification,
@@ -195,6 +197,23 @@ def _coset_points(simplex, adj, det: int, vol: int, keys) -> set[int]:
     if len(seen) != det:
         raise IntegrityError(f"coset closure gave {len(seen)} of {det} cosets")
     return seen - {0}
+
+
+def _halved(mask: int, parity, keys) -> int:
+    """The key of the one nonzero parallelepiped point of a simplex of volume
+    2, the mask of its rays, with parity and keys each ray's parity mask and
+    key by index. Z^dim / L has order 2, so the rays mod 2 have rank dim - 1
+    and one dependency S: the point is (sum_S r_i) / 2, a lattice point as
+    the rows of S XOR to 0, of key (sum_S key(r_i)) / 2 as packing is linear.
+    Another rank mod 2 is an IntegrityError."""
+    slots = []
+    while mask:
+        slots.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    rank, dependency = rank_mod_2([parity[i] for i in slots])
+    if rank != len(slots) - 1:
+        raise IntegrityError(f"simplex of volume 2 has rank {rank} mod 2, not {len(slots) - 1}")
+    return sum(keys[i] for k, i in enumerate(slots) if dependency >> k & 1) >> 1
 
 
 def _split(basis, b):
@@ -363,10 +382,11 @@ def hilbert_basis(facets: FacetSystem, cap: int = DEFAULT_CAP) -> HilbertBasisRe
     v - 1 of them. The cap bounds the sum of the volumes, read off the root
     before any point is enumerated; past it, CapExceeded names the running
     total, in the triangulation's order, at the first simplex over the cap
-    (_reached). Then the pivot walk (_pivot_walk) carries one adjugate from
-    each listed simplex of volume above 1 (_nonunimodular) to the next, and
-    the coset closure of its columns (_coset_points) gives the keys of the
-    simplex's points; those of volume 1 have none and go unlisted. A key
+    (_reached). A simplex of volume 1 has no point and goes unlisted
+    (_nonunimodular); one of volume 2 has its point's key read off its rays
+    mod 2 (_halved), with parity masks built once per ray, at the first; the
+    pivot walk (_pivot_walk) carries one adjugate through the rest, and the
+    coset closure of its columns (_coset_points) gives their points. A key
     (exactlat.packer) holds a point's facet values, then its coordinates, in
     fields of W.bit_length() + 1 bits: W, the largest sum of the rays' values
     on one facet or coordinate, bounds that field on every candidate, a ray
@@ -397,9 +417,19 @@ def hilbert_basis(facets: FacetSystem, cap: int = DEFAULT_CAP) -> HilbertBasisRe
     pack, guard = packer([*normals, *identity, grading], width)
     shift = width * (len(normals) + dim)
     guard &= (1 << shift) - 1
-    keys = {r: pack(r) for r in rays}
-    candidates = set(keys.values())
-    for walked in _pivot_walk(rays, _nonunimodular(root)):
+    packed = list(map(pack, rays))
+    keys, candidates = dict(zip(rays, packed)), set(packed)
+
+    def above_2():  # adding the point of each simplex of volume 2 on the way
+        parity = None
+        for mask, vol in _nonunimodular(root):
+            if vol > 2:
+                yield mask, vol
+            else:
+                parity = parity or list(map(parity_mask, rays))
+                candidates.add(_halved(mask, parity, packed))
+
+    for walked in _pivot_walk(rays, above_2()):
         candidates.update(_coset_points(*walked, keys))
     kept = []
     for x in sorted(candidates):

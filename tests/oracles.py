@@ -27,7 +27,9 @@ as a list, so two DAGs compare in time linear in their nodes.
 `all_pairs_hilbert_basis` reduces the Hilbert candidates in order of a key
 whose top field is the last coordinate, each against every key kept before
 it, where the library keys them by degree first and stops at half the
-candidate's degree.
+candidate's degree. Its candidates come from `walked_points`, which sends
+every simplex through the pivot walk and the coset closure, where the
+library reads each simplex of volume 2 off its rays mod 2.
 """
 
 from __future__ import annotations
@@ -487,14 +489,26 @@ def dag_form(root) -> list[tuple]:
     return form
 
 
+def walked_points(rays, root, keys):
+    """(simplex mask, volume, keys of its nonzero parallelepiped points) for
+    each simplex that `_nonunimodular` lists below root, volume 2 included,
+    each sent through `_pivot_walk` and `_coset_points` with keys mapping
+    rays to their keys. The reference for `semigroup._halved`, which reads a
+    simplex of volume 2 off its rays' parity masks instead."""
+    simplices = list(_nonunimodular(root))
+    for (mask, vol), walked in zip(simplices, _pivot_walk(rays, simplices)):
+        yield mask, vol, _coset_points(*walked, keys)
+
+
 def all_pairs_hilbert_basis(fs: FacetSystem, cap: int = DEFAULT_CAP) -> HilbertBasisResult:
-    """`semigroup.hilbert_basis` without the degree field or its bound: the
-    same triangulation, walk and coset closure give the same candidates,
-    packed on the facet normals and the identity rows alone, and each
-    candidate, by ascending key, is tested against every key kept before
-    it. A reducer x of h has every field of h - x >= 0, so x's key
+    """`semigroup.hilbert_basis` without the degree field or its bound, and
+    with every simplex walked: the same triangulation, and the walk and coset
+    closure of every listed simplex (walked_points), give the same
+    candidates, packed on the facet normals and the identity rows alone, and
+    each candidate, by ascending key, is tested against every key kept
+    before it. A reducer x of h has every field of h - x >= 0, so x's key
     is below h's here too. The reference for `hilbert_basis`'s half-degree
-    bound; past cap it raises the same CapExceeded."""
+    bound and its kernel mod 2; past cap it raises the same CapExceeded."""
     rays, dim, normals = fs.rays, fs.dim, fs.normals()
     count, total, _ = root = _triangulate(fs)
     if total > cap:
@@ -506,8 +520,8 @@ def all_pairs_hilbert_basis(fs: FacetSystem, cap: int = DEFAULT_CAP) -> HilbertB
     pack, guard = packer([*normals, *identity], width)
     keys = {r: pack(r) for r in rays}
     candidates = set(keys.values())
-    for walked in _pivot_walk(rays, _nonunimodular(root)):
-        candidates.update(_coset_points(*walked, keys))
+    for _, _, points in walked_points(rays, root, keys):
+        candidates.update(points)
     kept = []
     for x in sorted(candidates):
         if x < 0 or x & guard:

@@ -303,7 +303,21 @@ def parity_matrices():
 
 
 def parity_rank(rows) -> int:
-    return rank_mod_2(map(parity_mask, rows))
+    return rank_mod_2(map(parity_mask, rows))[0]
+
+
+def xor_basis_rank(masks) -> int:
+    """The rank alone, from an XOR basis that records nothing else: the
+    reference for rank_mod_2's rank."""
+    basis: dict[int, int] = {}
+    for v in masks:
+        while v:
+            low = v & -v
+            if low not in basis:
+                basis[low] = v
+                break
+            v ^= basis[low]
+    return len(basis)
 
 
 class TestKernelModTwo:
@@ -318,7 +332,7 @@ class TestKernelModTwo:
         nc = len(rows[0])
         masks = [parity_mask(row) for row in rows]
         assert masks == [sum(1 << c for c, e in enumerate(row) if e % 2) for row in rows]
-        r = rank_mod_2(masks)
+        r = rank_mod_2(masks)[0]
         kernel = [
             x
             for x in itertools.product((0, 1), repeat=nc)
@@ -334,8 +348,29 @@ class TestKernelModTwo:
 
         assert len(span(masks)) == 2**r
 
+    @settings(max_examples=200)
+    @given(parity_matrices())
+    @example([[0, 0, 0], [0, 0, 0]])  # the zero row alone is the dependency
+    @example([[1, 1, 0], [0, 1, 1], [1, 0, 1], [1, 1, 1]])  # the 3-cycle, then a free row
+    @example([[1, 0], [0, 1]])  # independent: no dependency
+    def test_first_dependency_xors_to_zero(self, rows):
+        """The rows the dependency names XOR to 0 and end at the first row
+        that depends on those before it, and the rank is the reference's."""
+        masks = [parity_mask(row) for row in rows]
+        r, dependency = rank_mod_2(masks)
+        assert r == xor_basis_rank(masks)
+        named = [m for i, m in enumerate(masks) if dependency >> i & 1]
+        xor = 0
+        for m in named:
+            xor ^= m
+        assert xor == 0
+        assert (dependency == 0) == (r == len(masks))
+        if dependency:
+            last = dependency.bit_length() - 1
+            assert xor_basis_rank(masks[:last]) == last  # independent before the last
+
     def test_rank_zero_and_full_rank(self):
-        assert rank_mod_2([]) == 0
+        assert rank_mod_2([])[0] == 0
         assert parity_mask([2, -4, 0]) == 0 and parity_mask([-1, 2, 3]) == 0b101
         assert parity_rank([[2, -4, 0], [0, 0, 0]]) == 0
         assert parity_rank([[1, 1, 0], [0, -1, 1], [1, 0, 2]]) == 3

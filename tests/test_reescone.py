@@ -340,7 +340,7 @@ def _relaxation_escapes(normals, dropped, dim: int) -> bool:
 
 
 def parity_rank(rows) -> int:
-    return rank_mod_2(map(parity_mask, rows))
+    return rank_mod_2(map(parity_mask, rows))[0]
 
 
 class TestRankCertificate:

@@ -21,6 +21,7 @@ from oracles import (
     lifted_membership,
     scan_triangulate,
     span_projection,
+    walked_points,
 )
 from test_acceptance import Budget
 from test_session import equigenerated_ideals
@@ -33,7 +34,7 @@ from reeskit.errors import (
     PreconditionFailed,
     UnequalModuli,
 )
-from reeskit.exactlat import _bareiss, adjugate, dot, packer, rank
+from reeskit.exactlat import _bareiss, adjugate, dot, packer, parity_mask, rank
 from reeskit.jsonio import analysis_ideal, bundled_names, load_bundled, realize
 from reeskit.matroid import (
     MonomialIdeal,
@@ -59,6 +60,7 @@ from reeskit.semigroup import (
     IdealSession,
     _coset_points,
     _equality_report,
+    _halved,
     _nonunimodular,
     _pivot_walk,
     _reached,
@@ -967,6 +969,14 @@ class TestPackedReduction:
         assert len(packers) == 1
         assert Counter(packed) == Counter(fs.rays) + Counter(result.elements)
 
+    @staticmethod
+    def inject(monkeypatch, key):
+        """Every simplex's points are the one key, whether it is walked or,
+        as TWO_SQUARES's one simplex of volume above 1 is, of volume 2 and
+        read off its rays mod 2."""
+        monkeypatch.setattr(semigroup, "_coset_points", lambda *walk: {key})
+        monkeypatch.setattr(semigroup, "_halved", lambda *simplex: key)
+
     # TWO_SQUARES has the facet normals e_1, e_2, e_3 and (1, 1, -2), then
     # the identity rows, and the sums of its extreme rays' values on each are
     # at most 3: keys have seven fields of 3 bits, each with guard bit 4,
@@ -981,7 +991,7 @@ class TestPackedReduction:
         ],
     )
     def test_value_outside_the_bound_is_an_integrity_error(self, monkeypatch, key):
-        monkeypatch.setattr(semigroup, "_coset_points", lambda *walk: {key})
+        self.inject(monkeypatch, key)
         cone = rees_generators(TWO_SQUARES)
         with pytest.raises(IntegrityError, match="field outside"):
             hilbert_basis(facet_normals(cone))
@@ -990,7 +1000,7 @@ class TestPackedReduction:
     # kept and decodes to (0, 0, 0), whose key is 0; unchecked, it is
     # reported as a Hilbert element
     def test_carry_into_the_next_field_is_an_integrity_error(self, monkeypatch):
-        monkeypatch.setattr(semigroup, "_coset_points", lambda *walk: {8})
+        self.inject(monkeypatch, 8)
         cone = rees_generators(TWO_SQUARES)
         with pytest.raises(IntegrityError, match="candidate key 8 is not the key"):
             hilbert_basis(facet_normals(cone))
@@ -1000,7 +1010,7 @@ class TestPackedReduction:
     # normals being (2, 2, -1): it is kept first, reduces the ray, and
     # decodes to the ray, whose key is 4609 + (2 << 21)
     def test_degree_field_off_its_point_is_an_integrity_error(self, monkeypatch):
-        monkeypatch.setattr(semigroup, "_coset_points", lambda *walk: {4609})
+        self.inject(monkeypatch, 4609)
         cone = rees_generators(TWO_SQUARES)
         with pytest.raises(IntegrityError, match="candidate key 4609 is not the key"):
             hilbert_basis(facet_normals(cone))
@@ -1013,41 +1023,61 @@ class TestPackedReduction:
 HALF = MonomialIdeal(3, ((0, 4, 0), (1, 1, 2), (3, 0, 1)))
 
 
-def assert_matches_all_pairs(ideal):
+def assert_matches_all_pairs(ideal, lex: bool = False) -> int:
     """hilbert_basis gives the all-pairs reduction's elements and the same
-    simplices, parallelepiped points and candidates."""
-    fs = facet_system(ideal)
+    simplices, parallelepiped points and candidates, the oracle walking
+    every simplex; and on each simplex of volume 2, _halved gives the one
+    key that the walk and the coset closure give. Returns the number of
+    simplices of volume 2."""
+    fs = facet_system(ideal, lex)
+    rays = fs.rays
+    pack = identity_packer(rays)
+    packed, parity = [pack(r) for r in rays], [parity_mask(r) for r in rays]
+    twos = 0
+    for mask, vol, points in walked_points(rays, _triangulate(fs), dict(zip(rays, packed))):
+        if vol == 2:
+            assert points == {_halved(mask, parity, packed)}, (ideal, mask)
+            twos += 1
     assert hilbert_basis(fs) == all_pairs_hilbert_basis(fs), ideal
+    return twos
 
 
 class TestHalfDegreeBound:
     """Candidates are reduced in degree order, each only against the kept
     elements of at most half its degree; all_pairs_hilbert_basis, which
-    tests each against every element kept before it, is the oracle."""
+    tests each against every element kept before it, is the oracle. It
+    walks every simplex, so it is also the oracle of the kernel mod 2 that
+    reads a simplex of volume 2."""
 
     def test_matches_all_pairs_on_bundled_instances(self):
+        twos = 0
         for name in bundled_names():
-            assert_matches_all_pairs(analysis_ideal(realize(load_bundled(name)).value))
+            twos += assert_matches_all_pairs(analysis_ideal(realize(load_bundled(name)).value))
+        assert twos > 0
 
     def test_matches_all_pairs_on_the_benchmark_pool(self):
+        """The twelve ideals of lowdim_hilbert's pool, which list 35
+        simplices of volume above 1."""
         pool = benchmark_workloads().lowdim_pool()
         assert len(pool) == 12
-        for n, gens in pool:
-            assert_matches_all_pairs(MonomialIdeal(n, tuple(gens)))
+        assert sum(assert_matches_all_pairs(MonomialIdeal(n, tuple(gens))) for n, gens in pool) == 3
 
-    @pytest.mark.parametrize("vertices, edges", [
-        pytest.param(5, tuple(combinations(range(1, 6), 2)), id="k5"),
-        pytest.param(6, W5_EDGES, id="wheel_w5"),
+    @pytest.mark.parametrize("vertices, edges, lex, twos", [
+        pytest.param(5, tuple(combinations(range(1, 6), 2)), False, 8203, id="k5"),
+        pytest.param(6, W5_EDGES, False, 7419, id="wheel_w5"),
+        pytest.param(5, W4_EDGES, True, 104, id="wheel_w4_lex"),
     ])
-    def test_matches_all_pairs_on_graphic_cones(self, vertices, edges):
-        assert_matches_all_pairs(basis_monomial_ideal(graphic_matroid(vertices, edges)))
+    def test_matches_all_pairs_on_graphic_cones(self, vertices, edges, lex, twos):
+        ideal = basis_monomial_ideal(graphic_matroid(vertices, edges))
+        assert assert_matches_all_pairs(ideal, lex) == twos
 
     @settings(max_examples=60, deadline=None)
-    @given(st.one_of(equigenerated_ideals(), mixed_degree_ideals()))
-    @example(MIXED)
-    @example(V516)
-    def test_matches_all_pairs_on_random_ideals(self, ideal):
-        assert_matches_all_pairs(ideal)
+    @given(st.one_of(equigenerated_ideals(), mixed_degree_ideals()), st.booleans())
+    @example(TWO_SQUARES, False)
+    @example(MIXED, False)
+    @example(V516, True)
+    def test_matches_all_pairs_on_random_ideals(self, ideal, lex):
+        assert_matches_all_pairs(ideal, lex)
 
     def test_a_reducer_of_exactly_half_the_degree(self):
         fs = facet_system(HALF)
@@ -1061,6 +1091,52 @@ class TestHalfDegreeBound:
         elements = hilbert_basis(fs).elements
         assert h in elements and x not in elements
         assert_matches_all_pairs(HALF)
+
+
+class TestVolumeTwoKernel:
+    """A simplex of volume 2 is read off the kernel of its rays mod 2, not
+    walked; the walk and the coset closure of every simplex are the oracle."""
+
+    def test_matches_the_walk_on_the_polymatroid_cones(self):
+        """The five Veronese-type cones of polymatroid_dilation, which list
+        74 simplices of volume above 1."""
+        workloads = benchmark_workloads()
+        ideals = [MonomialIdeal(len(u), tuple(workloads.veronese_type(u)))
+                  for u in workloads.polymatroid_bounds()]
+        assert len(ideals) == 5
+        assert sum(map(assert_matches_all_pairs, ideals)) == 45
+
+    def test_unimodular_simplex_reported_of_volume_2_is_an_integrity_error(self, monkeypatch):
+        """PRINCIPAL's one simplex, its rays (1, 0) and (1, 1), has volume 1:
+        its masks mod 2 have full rank and no dependency."""
+        fs = facet_normals(rees_generators(PRINCIPAL))
+        assert _triangulate(fs)[:2] == (1, 1)
+        monkeypatch.setattr(semigroup, "_nonunimodular", lambda root: iter([(0b11, 2)]))
+        with pytest.raises(IntegrityError, match="rank 2 mod 2, not 1"):
+            hilbert_basis(fs)
+
+    def test_rank_below_dim_minus_1_is_an_integrity_error(self):
+        # SQUARE has volume 4: both rays are even, so rank 0 mod 2
+        with pytest.raises(IntegrityError, match="rank 0 mod 2, not 1"):
+            _halved(0b11, [parity_mask(r) for r in SQUARE], [1, 2])
+
+    # parity masks are built once per ray, and only on a cone with a simplex
+    # of volume 2: W4 is unimodular, TWO_SQUARES has one of volume 2, V516
+    # none, and K5 8,203
+    @pytest.mark.parametrize("ideal, masks", [
+        pytest.param(basis_monomial_ideal(graphic_matroid(5, W4_EDGES)), 0, id="wheel_w4"),
+        pytest.param(TWO_SQUARES, 4, id="two_squares"),
+        pytest.param(V516, 0, id="v516"),
+        pytest.param(basis_monomial_ideal(graphic_matroid(5, tuple(combinations(range(1, 6), 2)))),
+                     135, id="k5"),
+    ])
+    def test_parity_masks_once_per_ray_and_only_when_needed(self, monkeypatch, ideal, masks):
+        calls = []
+        monkeypatch.setattr(semigroup, "parity_mask", lambda r: calls.append(r) or parity_mask(r))
+        fs = facet_normals(rees_generators(ideal))
+        hilbert_basis(fs)
+        assert len(calls) == masks
+        assert calls in ([], list(fs.rays))
 
 
 def walk_keys(rays, simplices) -> set[int]:
