@@ -72,14 +72,13 @@ def _valid(instance, view, named: bool = False):
     """view(value) for instance's validated value. An instance that fails
     validation, or whose value view refuses (a rank-0 matroid has no
     nonconstant generator), raises _Invalid, naming kind and name when named."""
-    outcome = jsonio.realize(instance)
+    got = jsonio.realize(instance)
     try:
-        if outcome.ok:
-            return view(outcome.value)
-        witness = outcome.witness
+        if isinstance(got, jsonio.VALUES):
+            return view(got)
     except InvalidInstance as exc:
-        witness = {"error": type(exc).__name__, "detail": str(exc)}
-    payload = {"error": "invalid_instance", "witness": witness}
+        got = {"error": type(exc).__name__, "detail": str(exc)}
+    payload = {"error": "invalid_instance", "witness": got}
     if named:
         payload.update(kind=instance.kind, name=instance.name)
     raise _Invalid(payload)
@@ -113,13 +112,10 @@ def _divisions(bases: PolymatroidBases):
 
 def cmd_validate(args) -> tuple[dict, int]:
     instance = jsonio.load_instance(args.instance)
-    outcome = jsonio.realize(instance)
-    payload = {"valid": outcome.ok, "kind": instance.kind, "name": instance.name}
-    if outcome.ok:
-        payload["normalized"] = outcome.value
-    else:
-        payload["witness"] = outcome.witness
-    return payload, 0 if outcome.ok else 1
+    got = jsonio.realize(instance)
+    valid = isinstance(got, jsonio.VALUES)
+    return {"valid": valid, "kind": instance.kind, "name": instance.name,
+            "normalized" if valid else "witness": got}, 0 if valid else 1
 
 
 def cmd_analyze(args) -> tuple[dict, int]:
@@ -313,8 +309,7 @@ def cmd_enumerate_matroids(args) -> tuple[dict, int]:
 def cmd_instances(args) -> tuple[dict, int]:
     if args.show:
         instance = jsonio.load_bundled(args.show)
-        key = "bases" if instance.kind == "matroid" else "exponents"
-        payload = {"n": instance.n, key: instance.vectors}
+        payload = {"n": instance.n, jsonio.KINDS[instance.kind][0]: instance.vectors}
         if instance.kind == "polymatroid":
             payload["polymatroid"] = True
         return {"kind": instance.kind, "name": instance.name, "payload": payload}, 0

@@ -78,10 +78,11 @@ class Record:
     """Base of the package's frozen value records, in place of dataclasses,
     whose import and generated code cost more start-up than most commands'
     work. The fields are the names annotated in the class body, in order,
-    given by position or keyword; a class attribute of the same name is a
-    default. __post_init__, if the class has one, runs last and may normalise
-    through object.__setattr__. ==, hash and repr go by class and fields, less
-    those named in _uncompared. Attributes cannot be assigned or deleted.
+    given by position only; a class attribute of the same name is the default
+    of a trailing field left out. __post_init__, if the class has one, runs
+    last and may normalise through object.__setattr__. ==, hash and repr go
+    by class and fields, less those named in _uncompared. Attributes cannot
+    be assigned or deleted.
 
     to_json writes the names in _json, in order, or every field when _json
     is None; _json may also name a property or a class constant. A record
@@ -99,13 +100,12 @@ class Record:
         cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
         cls._key = attrgetter(*(f for f in cls._fields if f not in cls._uncompared))
 
-    def __init__(self, *args, **kwargs):
+    def __init__(self, *args):
         fields = self._fields
-        if kwargs or len(args) != len(fields):  # keywords, then defaults, fill the rest
-            args += tuple(kwargs.pop(f) if f in kwargs else getattr(type(self), f)
-                          for f in fields[len(args):])
-            if kwargs or len(args) > len(fields):
+        if len(args) != len(fields):  # defaults fill the trailing fields
+            if len(args) > len(fields):
                 raise TypeError(f"{type(self).__name__} has the fields {fields}")
+            args += tuple(getattr(type(self), f) for f in fields[len(args):])
         for name, value in zip(fields, args):  # self.__dict__ would slow every read
             object.__setattr__(self, name, value)
         if self.__post_init__:

@@ -4,15 +4,17 @@ Wire formats, all 1-indexed:
   matroid      {"n": int, "bases": [[int, ...], ...]}
   ideal        {"n": int, "exponents": [[int, ...], ...]}
   polymatroid  same as ideal plus "polymatroid": true
-An instance file either wraps one of these as {"kind", "name", "payload"} or
-is a bare payload, in which case the kind is inferred and the name defaults
-to the file stem. Integers beyond 53 bits travel as ASCII decimal strings
-both ways so nothing downstream ever rounds, up to the interpreter's digit
-limit (4,300): past it an input is a ParseError, a result CapExceeded. dumps
-is the one writer: a caller puts records and tuples into a document as they
-are, and dumps writes json.dumps's bytes at indent=2 with sorted keys, each
-record as its Record.to_json, in one walk of its own. The CLI's text form is
-rendered from its document.
+KINDS maps each kind to its payload key and its (n, vectors) validator. An
+instance file either wraps a payload as {"kind", "name", "payload"} or is a
+bare payload; the kind is inferred from the payload's keys only when "kind" is
+absent, and the name defaults to the file stem. realize returns an instance's
+validated value, one of VALUES, or what refutes it. Integers beyond 53 bits
+travel as ASCII decimal strings both ways so nothing downstream ever rounds,
+up to the interpreter's digit limit (4,300): past it an input is a ParseError,
+a result CapExceeded. dumps is the one writer: a caller puts records and
+tuples into a document as they are, and dumps writes json.dumps's bytes at
+indent=2 with sorted keys, each record as its Record.to_json, in one walk of
+its own. The CLI's text form is rendered from its document.
 """
 
 from __future__ import annotations
@@ -29,7 +31,12 @@ _BIG = 1 << 53
 _TOO_LONG = ("is past the interpreter's digit limit: 4,300 digits, unless the "
              "PYTHONINTMAXSTRDIGITS environment variable sets another")
 
-KINDS = ("matroid", "ideal", "polymatroid")
+KINDS = {
+    "matroid": ("bases", check_basis_exchange),
+    "ideal": ("exponents", MonomialIdeal),
+    "polymatroid": ("exponents", check_polymatroid_bases),
+}
+VALUES = (Matroid, MonomialIdeal, PolymatroidBases)
 
 
 def decode_int(v) -> int:
@@ -100,20 +107,16 @@ class Instance(Record):
     vectors: tuple[tuple[int, ...], ...]  # bases or exponent rows, as given
 
 
-class ValidationOutcome(Record):
-    ok: bool
-    value: object | None = None
-    witness: dict | Record | None = None
-
-
 def _payload_kind(payload: dict) -> str:
-    if "bases" in payload:
-        return "matroid"
-    if payload.get("polymatroid") is True:
+    """The first kind whose key payload has, where "polymatroid": true makes
+    any kind but a matroid a polymatroid."""
+    kind = next((kind for kind, (key, _) in KINDS.items() if key in payload), None)
+    if kind != "matroid" and payload.get("polymatroid") is True:
         return "polymatroid"
-    if "exponents" in payload:
-        return "ideal"
-    raise ParseError("payload has neither 'bases' nor 'exponents'")
+    if kind is None:
+        keys = dict.fromkeys(key for key, _ in KINDS.values())
+        raise ParseError(f"payload has neither {' nor '.join(map(repr, keys))}")
+    return kind
 
 
 def parse_instance(text: str, default_name: str = "instance") -> Instance:
@@ -130,19 +133,17 @@ def parse_instance(text: str, default_name: str = "instance") -> Instance:
         if not isinstance(payload, dict):
             raise ParseError("'payload' must be a JSON object")
         name = doc.get("name", default_name)
-        kind = doc.get("kind", _payload_kind(payload))
+        kind = doc["kind"] if "kind" in doc else _payload_kind(payload)
     else:
-        payload = doc
-        name = default_name
-        kind = _payload_kind(payload)
-    if kind not in KINDS:
-        raise ParseError(f"unknown kind {kind!r}; expected one of {KINDS}")
+        payload, name, kind = doc, default_name, _payload_kind(doc)
+    if not isinstance(kind, str) or kind not in KINDS:
+        raise ParseError(f"unknown kind {kind!r}; expected one of {tuple(KINDS)}")
     if not isinstance(name, str):
         raise ParseError("'name' must be a string")
     if "n" not in payload:
         raise ParseError("payload is missing 'n'")
     n = decode_int(payload["n"])
-    key = "bases" if kind == "matroid" else "exponents"
+    key = KINDS[kind][0]
     if key not in payload:
         raise ParseError(f"payload of kind {kind!r} is missing {key!r}")
     rows = _decode_vector_list(payload[key], key)
@@ -161,28 +162,14 @@ def load_instance(source: str) -> Instance:
     return parse_instance(text, default_name=os.path.splitext(os.path.basename(source))[0])
 
 
-def realize(instance: Instance) -> ValidationOutcome:
-    """Turn a parsed instance into its validated domain object.
-
-    An exchange-style violation comes back as its ExchangeFailure record and
-    a structural InvalidInstance error as an {"error", "detail"} payload;
-    only wire-format problems raise.
-    """
+def realize(instance: Instance):
+    """A parsed instance's validated value, one of VALUES, or what refutes it:
+    its ExchangeFailure record, or {"error", "detail"} for an InvalidInstance.
+    Only wire-format problems raise."""
     try:
-        if instance.kind == "matroid":
-            got = check_basis_exchange(instance.n, instance.vectors)
-        elif instance.kind == "polymatroid":
-            got = check_polymatroid_bases(instance.n, instance.vectors)
-        else:
-            got = MonomialIdeal(instance.n, instance.vectors)
+        return KINDS[instance.kind][1](instance.n, instance.vectors)
     except InvalidInstance as exc:
-        return ValidationOutcome(
-            False,
-            witness={"error": type(exc).__name__, "detail": str(exc)},
-        )
-    if isinstance(got, (Matroid, PolymatroidBases, MonomialIdeal)):
-        return ValidationOutcome(True, value=got)
-    return ValidationOutcome(False, witness=got)
+        return {"error": type(exc).__name__, "detail": str(exc)}
 
 
 def analysis_ideal(value) -> MonomialIdeal:

@@ -47,7 +47,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import accumulate
 from math import comb, gcd
-from operator import attrgetter, mul
+from operator import mul
 
 from .errors import (
     CapExceeded,
@@ -579,19 +579,17 @@ class DecompositionReport(Record):
     structural decomposition of a quasi-ideal normalization, so callers
     treat violations as counterexamples."""
 
-    verdict: Verdict
-    statuses: tuple[ElementStatus, ...]
+    classification: Verdict
+    elements: tuple[ElementStatus, ...]
     _json = ("classification", "elements", "holds", "violations")
-    classification = property(attrgetter("verdict"))
-    elements = property(attrgetter("statuses"))
 
     @property
     def holds(self) -> bool:
-        return all(s.ok for s in self.statuses)
+        return all(s.ok for s in self.elements)
 
     @property
     def violations(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(s.element for s in self.statuses if not s.ok)
+        return tuple(s.element for s in self.elements if not s.ok)
 
 
 class IdealSession:

@@ -399,10 +399,10 @@ def record_json(record) -> dict:
         return out
     if cls is DecompositionReport:
         return {
-            "classification": r.verdict.value,
-            "elements": [record_json(s) for s in r.statuses],
-            "holds": all(s.ok for s in r.statuses),
-            "violations": [list(s.element) for s in r.statuses if not s.ok],
+            "classification": r.classification.value,
+            "elements": [record_json(s) for s in r.elements],
+            "holds": all(s.ok for s in r.elements),
+            "violations": [list(s.element) for s in r.elements if not s.ok],
         }
     if cls is polymatroid.PolymatroidBases:
         return {"n": r.n, "exponents": [list(v) for v in r.vectors], "polymatroid": True}

@@ -120,7 +120,7 @@ def test_criterion_02_oracle_agreement():
     with Budget(120.0):
         checked = 0
         for name in bundled_names():
-            ideal = analysis_ideal(realize(load_bundled(name)).value)
+            ideal = analysis_ideal(realize(load_bundled(name)))
             cone = rees_generators(ideal)
             if len(cone.generators) > 12:
                 continue
@@ -188,7 +188,7 @@ def test_criterion_06_decomposition(corpus5):
         assert report.holds, "the non-normal control must still decompose"
         checked = 1
         for name in bundled_names():
-            ideal = analysis_ideal(realize(load_bundled(name)).value)
+            ideal = analysis_ideal(realize(load_bundled(name)))
             fs = facet_normals(rees_generators(ideal))
             if classify(fs).verdict is Verdict.NEITHER:
                 continue
@@ -219,7 +219,7 @@ def test_criterion_08_pipeline_agreement(corpus5):
         compared = 0
         ideals = [basis_monomial_ideal(m) for _, m in corpus5]
         for name in bundled_names():
-            ideals.append(analysis_ideal(realize(load_bundled(name)).value))
+            ideals.append(analysis_ideal(realize(load_bundled(name))))
         for ideal in ideals:
             fs = facet_normals(rees_generators(ideal))
             if classify(fs).verdict is Verdict.NEITHER:
@@ -243,7 +243,7 @@ def test_criterion_09_polymatroid_suite(corpus5):
             for _, m in corpus5
         ]
         for name in bundled_names():
-            value = realize(load_bundled(name)).value
+            value = realize(load_bundled(name))
             if isinstance(value, PolymatroidBases):
                 families.append(value)
         divisions = 0
@@ -262,7 +262,7 @@ def test_criterion_09_polymatroid_suite(corpus5):
                 assert IdealSession(MonomialIdeal(n, vb.vectors)).normality.verdict == "normal"
                 normal_checked += 1
         for name in bundled_names():
-            value = realize(load_bundled(name)).value
+            value = realize(load_bundled(name))
             if hasattr(value, "bases"):
                 ideal = basis_monomial_ideal(value)
                 assert IdealSession(ideal).normality.verdict == "normal", name

@@ -137,6 +137,18 @@ class TestValidate:
             assert doc["error"] == "parse"
             assert doc["detail"] == f"no bundled instance named {name!r}"
 
+    @pytest.mark.parametrize("doc, detail", [
+        ({"kind": "matroid", "payload": {"n": 2}}, "payload of kind 'matroid' is missing 'bases'"),
+        ({"kind": "bogus", "payload": {"n": 1}},
+         "unknown kind 'bogus'; expected one of ('matroid', 'ideal', 'polymatroid')"),
+    ], ids=["missing_key", "unknown_kind"])
+    def test_explicit_kind_is_not_inferred(self, capsys, tmp_path, doc, detail):
+        # the kind is inferred from the payload's keys only when none is given
+        p = tmp_path / "kinded.json"
+        p.write_text(json.dumps(doc))
+        code, got, _ = run_json(capsys, "validate", str(p))
+        assert (code, got) == (2, {"error": "parse", "detail": detail})
+
     def test_polymatroid_instance(self, capsys):
         code, doc, _ = run_json(capsys, "validate", "bundled:transversal_12_123")
         assert code == 0
@@ -711,6 +723,72 @@ class TestMalformedInput:
             # a CLI user can set the environment variable, not call the function
             assert "PYTHONINTMAXSTRDIGITS" in doc["detail"]
             assert "sys.set_int_max_str_digits" not in doc["detail"]
+
+
+# Families that fail validation, each by one structural fault; the exchange
+# failure of a matroid is pinned in test_golden (not_a_matroid).
+INVALID_FAMILIES = {
+    "matroid_unequal_sizes": {"n": 3, "bases": [[1, 2], [3]]},
+    "polymatroid_exchange_failure": {"n": 2, "exponents": [[2, 0], [0, 2]], "polymatroid": True},
+    "polymatroid_unequal_moduli": {"n": 2, "exponents": [[2, 0], [0, 1]], "polymatroid": True},
+    "ideal_zero_vector": {"n": 2, "exponents": [[0, 0], [1, 1]]},
+    "ideal_negative_entry": {"n": 2, "exponents": [[1, -1]]},
+    "ideal_repeated_vector": {"n": 2, "exponents": [[1, 1], [1, 1]]},
+}
+
+
+class TestValidationDocuments:
+    """The bytes each command that validates an instance writes when it fails,
+    and those of showing a bundled instance, read back through its kind's key."""
+
+    # (command, family) -> (exit code, sha256 of stdout)
+    PINNED = {
+        ("validate", "matroid_unequal_sizes"):
+            (1, "4ac6364b0467950f83ac0ed24d162fddceb9c97c66d61332c348da2af8cd71ac"),
+        ("analyze", "matroid_unequal_sizes"):
+            (1, "4a8aeaebe951661ca9c583c6f2179bbf4b93341f1cc179023ebb6b14e22217c3"),
+        ("polymatroid-check", "matroid_unequal_sizes"):
+            (1, "7c291135794f7e289f0958971a7ee964af7e74a6450945ad4df81affd4f5f114"),
+        ("validate", "polymatroid_exchange_failure"):
+            (1, "3853cc88b416411c01fe1b9885bac78e311027390183e42a52859280b6b38ccb"),
+        ("analyze", "polymatroid_exchange_failure"):
+            (1, "0797a36a26091a37932b9b6cba7adf01e369d9be011453a3dec7bbac50414aaa"),
+        ("polymatroid-check", "polymatroid_exchange_failure"):
+            (1, "7e31b347dd18b6cadd248b7b5398a6d998d68fec8d143bdde6203c1d3acc2129"),
+        ("validate", "polymatroid_unequal_moduli"):
+            (1, "35105379f7840d39eedc40b4c3388f47e2f8741609ad55487a5a5ed9e0d9647a"),
+        ("analyze", "polymatroid_unequal_moduli"):
+            (1, "7ac98d5d7992ffacad55567475aea1d61c6c005737ef7b90ad0361d9ae34aa83"),
+        ("polymatroid-check", "polymatroid_unequal_moduli"):
+            (1, "417a6cb492cff7be94d438204d6d6882e692cef961a2cfcc73cc5cc8f6cce1ae"),
+        ("validate", "ideal_zero_vector"):
+            (1, "9f458ec4c02935aac4d053e4521547e2101163dece80cb9956074bb5ac82b639"),
+        ("analyze", "ideal_zero_vector"):
+            (1, "3140a35d05bea0834b291286f810b6e0841acb0ed8af083f4bfd108bebfc24c2"),
+        ("analyze", "ideal_negative_entry"):
+            (1, "8e9f286c0f4e86a9290e7b3b273543e8f6d5b951c453a3e22bf3bc15fc44523d"),
+        ("validate", "ideal_repeated_vector"):
+            (1, "b7ee44547030dd95b8fa6cf463cd47a34d8b80c49c5dca4b926e85d81eadf72c"),
+        ("analyze", "ideal_repeated_vector"):
+            (1, "f7fc6626fbf5cc6baef685fc2c5faa7dcb2880e200bb02ff00c4e352cc92ebde"),
+    }
+    # bundled name -> sha256 of `instances --show NAME`
+    SHOWN = {
+        "graphic_k4": "7640432b953ceb661679a230e556c4fbd7820e06429bc51acfc702d0abd5a6cc",
+        "veronese_3_2": "56f111e181bf3432e99fca9b11d8c1ed255933606031f53c86fd47113939c339",
+    }
+
+    @pytest.mark.parametrize("command, family", sorted(PINNED), ids="-".join)
+    def test_invalid_family(self, capsys, tmp_path, command, family):
+        path = tmp_path / f"{family}.json"
+        path.write_text(json.dumps(INVALID_FAMILIES[family]))
+        code, out, _ = run(capsys, command, str(path))
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == self.PINNED[command, family]
+
+    @pytest.mark.parametrize("name", sorted(SHOWN))
+    def test_show(self, capsys, name):
+        code, out, _ = run(capsys, "instances", "--show", name)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, self.SHOWN[name])
 
 
 class TestHandlers:

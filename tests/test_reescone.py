@@ -155,7 +155,7 @@ def wheel_w4():
 
 
 def bundled_cone(name: str) -> ReesCone:
-    return rees_generators(analysis_ideal(realize(load_bundled(name)).value))
+    return rees_generators(analysis_ideal(realize(load_bundled(name))))
 
 
 def large_random_ideal(rng: random.Random) -> MonomialIdeal:
@@ -379,7 +379,7 @@ class TestRankCertificate:
         """The sum of two facet normals that meet in a ridge is nonnegative
         on the cone and tight on the ridge alone, whose rank is dim - 2 both
         mod 2 and over Q."""
-        cone = rees_generators(analysis_ideal(realize(load_bundled("graphic_k4")).value))
+        cone = rees_generators(analysis_ideal(realize(load_bundled("graphic_k4"))))
         normals = reescone._dual_extreme_rays(cone.generators, cone.dim)
 
         def tight(b):
@@ -498,7 +498,7 @@ def ideals_with_inner_generators(draw):
 class TestExtremeGenerators:
     def test_matches_rank_oracle_on_bundled_instances(self):
         for name in bundled_names():
-            assert_extreme_matches_rank(analysis_ideal(realize(load_bundled(name)).value))
+            assert_extreme_matches_rank(analysis_ideal(realize(load_bundled(name))))
 
     def test_matches_rank_oracle_on_small_matroids(self):
         for n in range(1, 5):

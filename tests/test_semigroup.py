@@ -366,7 +366,7 @@ class TestHilbertBasis:
         # hilbert_basis reads the generators' facet values from the facet
         # system's slack; the oracle's system carries its own
         for name in bundled_names():
-            cone = rees_generators(analysis_ideal(realize(load_bundled(name)).value))
+            cone = rees_generators(analysis_ideal(realize(load_bundled(name))))
             if len(cone.generators) <= ORACLE_CAP:
                 oracle = hilbert_basis(facet_normals_oracle(cone))
                 assert hilbert_basis(facet_normals(cone)) == oracle, name
@@ -445,7 +445,7 @@ class TestTriangulation:
 
     def test_matches_oracle_on_bundled_instances(self):
         for name in bundled_names():
-            assert_matches_oracle(analysis_ideal(realize(load_bundled(name)).value))
+            assert_matches_oracle(analysis_ideal(realize(load_bundled(name))))
 
     def test_matches_oracle_on_small_matroids(self):
         for n in range(1, 5):
@@ -528,7 +528,7 @@ class TestTriangulation:
             return roots[-1]
 
         monkeypatch.setattr(semigroup, "_triangulate", counting)
-        k4 = analysis_ideal(realize(load_bundled("graphic_k4")).value)
+        k4 = analysis_ideal(realize(load_bundled("graphic_k4")))
         cone = rees_generators(k4)
         fs = facet_normals(cone)
         if trips:
@@ -608,7 +608,7 @@ class TestFacetSearch:
 
     def test_matches_scan_on_bundled_instances(self):
         for name in bundled_names():
-            assert_matches_scan(analysis_ideal(realize(load_bundled(name)).value))
+            assert_matches_scan(analysis_ideal(realize(load_bundled(name))))
 
     def test_matches_scan_on_the_benchmark_cones(self):
         """The twelve ideals of lowdim_hilbert's pool and the five
@@ -749,7 +749,7 @@ def integer_simplices(draw):
 
 class TestPivotWalk:
     def test_adjugates_on_k4(self):
-        k4 = analysis_ideal(realize(load_bundled("graphic_k4")).value)
+        k4 = analysis_ideal(realize(load_bundled("graphic_k4")))
         assert assert_walk_adjugates(k4) == 6
 
     # in lex order W4 has 192 simplices of volume above 1; 124 are walked,
@@ -804,7 +804,7 @@ class TestCosetWalk:
         volumes = []
         for name in bundled_names():
             volumes += assert_walk_matches_oracle(
-                analysis_ideal(realize(load_bundled(name)).value)
+                analysis_ideal(realize(load_bundled(name)))
             )
         assert volumes
 
@@ -907,7 +907,7 @@ def assert_reduction_matches(ideal):
 class TestPackedReduction:
     def test_matches_oracle_on_bundled_instances(self):
         for name in bundled_names():
-            assert_reduction_matches(analysis_ideal(realize(load_bundled(name)).value))
+            assert_reduction_matches(analysis_ideal(realize(load_bundled(name))))
 
     def test_matches_oracle_on_small_matroids(self):
         for n in range(1, 5):
@@ -1052,7 +1052,7 @@ class TestHalfDegreeBound:
     def test_matches_all_pairs_on_bundled_instances(self):
         twos = 0
         for name in bundled_names():
-            twos += assert_matches_all_pairs(analysis_ideal(realize(load_bundled(name)).value))
+            twos += assert_matches_all_pairs(analysis_ideal(realize(load_bundled(name))))
         assert twos > 0
 
     def test_matches_all_pairs_on_the_benchmark_pool(self):
@@ -1146,7 +1146,7 @@ def walk_keys(rays, simplices) -> set[int]:
     return set().union(*(_coset_points(*w, keys) for w in _pivot_walk(rays, simplices)))
 
 
-TRANSVERSAL = analysis_ideal(realize(load_bundled("transversal_12_123")).value)
+TRANSVERSAL = analysis_ideal(realize(load_bundled("transversal_12_123")))
 
 
 class TestPullingOrder:
@@ -1163,7 +1163,7 @@ class TestPullingOrder:
 
     def test_lex_order_gives_the_same_elements_on_bundled_instances(self):
         for name in bundled_names():
-            fs = facet_system(analysis_ideal(realize(load_bundled(name)).value))
+            fs = facet_system(analysis_ideal(realize(load_bundled(name))))
             assert hilbert_basis(lex_permuted(fs)).elements == hilbert_basis(fs).elements, name
 
     # each example skips a simplex of volume above 1: W4 in lex order walks
@@ -1294,7 +1294,7 @@ class TestIsNormal:
 
     def test_lookup_matches_membership_dp_on_bundled_instances(self):
         for name in bundled_names():
-            assert_lookup_matches_dp(analysis_ideal(realize(load_bundled(name)).value))
+            assert_lookup_matches_dp(analysis_ideal(realize(load_bundled(name))))
 
     @settings(max_examples=60, deadline=None)
     @given(small_ideals())
@@ -1570,7 +1570,7 @@ class TestPackedSumset:
     def test_matches_tuple_sumset_on_bundled_instances(self):
         checked = 0
         for name in bundled_names():
-            ideal = analysis_ideal(realize(load_bundled(name)).value)
+            ideal = analysis_ideal(realize(load_bundled(name)))
             if len({sum(v) for v in ideal.exponents}) == 1:
                 assert_sumset_matches(ideal, 4)
                 checked += 1
@@ -1668,7 +1668,7 @@ class TestDecomposition:
         # points of the polytope, via plain search over b-tuples
         report = IdealSession(basis_monomial_ideal(uniform_matroid(3, 2))).decomposition
         gens = basis_monomial_ideal(uniform_matroid(3, 2)).exponents
-        for status in report.statuses:
+        for status in report.elements:
             if status.kind != "dilation":
                 continue
             a, b = status.element[:-1], status.element[-1]
