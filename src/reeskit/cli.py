@@ -69,9 +69,10 @@ class _Invalid(Exception):
 
 
 def _valid(instance, view, named: bool = False):
-    """view(value) for instance's validated value. An instance that fails
-    validation, or whose value view refuses (a rank-0 matroid has no
-    nonconstant generator), raises _Invalid, naming kind and name when named."""
+    """view(value) for instance's validated value: how _session and
+    polymatroid-check read every kind. An instance that fails validation, or
+    whose value view refuses (a rank-0 matroid has no nonconstant generator),
+    raises _Invalid, naming kind and name when named."""
     got = jsonio.realize(instance)
     try:
         if isinstance(got, jsonio.VALUES):
@@ -91,11 +92,18 @@ def _session(args, named: bool = False):
     return instance, IdealSession(_valid(instance, jsonio.analysis_ideal, named), args.cap)
 
 
-def _matroid_bases(m: Matroid) -> PolymatroidBases:
-    """A matroid's indicator vectors, lex-sorted, as polymatroid bases, unwalked:
-    the exchange walk that validated its bases is the one they would take."""
-    ground = range(1, m.n + 1)
-    return PolymatroidBases(m.n, m.d, sorted(tuple(int(e in b) for e in ground) for b in m.bases))
+def _bases(value):
+    """A validated value's polymatroid bases, or the ExchangeFailure refuting an
+    ideal's exponents, each family walked once: a matroid's indicator vectors
+    come lex-sorted and unwalked, as its validating walk is the one they would
+    take, and an ideal of unequal degrees raises UnequalModuli."""
+    if isinstance(value, Matroid):
+        ground = range(1, value.n + 1)
+        return PolymatroidBases(value.n, value.d,
+                                sorted(tuple(int(e in b) for e in ground) for b in value.bases))
+    if isinstance(value, PolymatroidBases):
+        return value
+    return check_polymatroid_bases(value.n, value.exponents)
 
 
 def _divisions(bases: PolymatroidBases):
@@ -182,10 +190,7 @@ def cmd_ehrhart_check(args) -> tuple[dict, int]:
 
 def cmd_polymatroid_check(args) -> tuple[dict, int]:
     instance = jsonio.load_instance(args.instance)
-    if instance.kind == "matroid":
-        got = _valid(instance, _matroid_bases)
-    else:
-        got = check_polymatroid_bases(instance.n, instance.vectors)
+    got = _valid(instance, _bases)
     if not isinstance(got, PolymatroidBases):
         return {"name": instance.name, "valid": False, "witness": got}, 1
     divisions = [{"coordinate": i, "ok": w is None, **({} if w is None else {"witness": w})}
@@ -292,7 +297,7 @@ def _run_check(code: str, m, session: IdealSession, args):
         report = session.decomposition
         return None if report.holds else {"decomposition": report}
     if code == "L3.10":
-        witness = next((w for _, w in _divisions(_matroid_bases(m)) if w is not None), None)
+        witness = next((w for _, w in _divisions(_bases(m)) if w is not None), None)
         return None if witness is None else {"witness": witness}
     raise ParseError(f"unknown check {code!r}")
 

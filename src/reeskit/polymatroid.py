@@ -145,17 +145,6 @@ def _exchange_failures(family, symmetric: bool = False):
             yield ia, ic, i
 
 
-def first_exchange_failure(vectors):
-    """The first (a, c, i), walking `vectors` in the order given, with
-    a_i > c_i and no j with a_j < c_j putting a - e_i + e_j among them; None
-    if there is none. i is 1-indexed, and the caller's order decides which
-    witness comes first."""
-    family = [{i: e for i, e in enumerate(v, 1) if e} for v in vectors]
-    for ia, ic, i in _exchange_failures(family):
-        return vectors[ia], vectors[ic], i
-    return None
-
-
 def check_polymatroid_bases(n: int, vectors):
     """Validate the exchange property, returning PolymatroidBases or a witness."""
     if n < 1:
@@ -167,9 +156,9 @@ def check_polymatroid_bases(n: int, vectors):
     for v in vecs:
         if sum(v) != d:
             raise UnequalModuli(vecs[0], v)
-    bad = first_exchange_failure(vecs)
-    if bad is not None:
-        return ExchangeFailure(*bad)
+    family = [{i: e for i, e in enumerate(v, 1) if e} for v in vecs]
+    for ia, ic, i in _exchange_failures(family):  # the first failure is the witness
+        return ExchangeFailure(vecs[ia], vecs[ic], i)
     return PolymatroidBases(n, d, tuple(vecs))
 
 

@@ -351,7 +351,7 @@ class TestPolymatroidCheck:
             for m in (Matroid(n, 0, ((),)), *(m for d in range(1, n + 1)
                                                 for m in enumerate_matroids(n, d))):
                 vectors = [[int(e in b) for e in range(1, n + 1)] for b in m.bases]
-                assert cli._matroid_bases(m) == check_polymatroid_bases(n, vectors)
+                assert cli._bases(m) == check_polymatroid_bases(n, vectors)
 
     def test_matroid_bases_are_walked_once(self, capsys, monkeypatch):
         # u_2_4: check_basis_exchange validates it; then four divisions and
@@ -361,12 +361,28 @@ class TestPolymatroidCheck:
         assert code == 0
         assert len(walks) == 5
 
+    @pytest.mark.parametrize("kind", ["polymatroid", "ideal"])
+    def test_other_kinds_are_walked_once(self, capsys, monkeypatch, tmp_path, kind):
+        # Veronese(3, 2): one walk validates it, then three divisions and the
+        # symmetric walk; neither kind's bases are walked a second time
+        exps = jsonio.load_bundled("veronese_3_2").vectors
+        path = tmp_path / "v.json"
+        path.write_text(json.dumps({"kind": kind, "payload": {"n": 3, "exponents": exps}}))
+        walks = count_polymatroid_walks(monkeypatch)
+        code, _, _ = run(capsys, "polymatroid-check", str(path))
+        assert (code, len(walks)) == (0, 5)
+
     def test_invalid_vectors(self, capsys, tmp_path):
+        # a polymatroid that fails exchange is an invalid instance; the same
+        # vectors as an ideal are valid, just not polymatroid bases
+        witness = {"error": "exchange_failure", "vec_a": [0, 2], "vec_b": [2, 0], "index": 2}
         p = tmp_path / "gap.json"
         p.write_text('{"n": 2, "exponents": [[2, 0], [0, 2]], "polymatroid": true}')
         code, doc, _ = run_json(capsys, "polymatroid-check", str(p))
-        assert code == 1
-        assert doc["valid"] is False
+        assert (code, doc) == (1, {"error": "invalid_instance", "witness": witness})
+        p.write_text('{"n": 2, "exponents": [[2, 0], [0, 2]]}')
+        code, doc, _ = run_json(capsys, "polymatroid-check", str(p))
+        assert (code, doc) == (1, {"name": "gap", "valid": False, "witness": witness})
 
 
 class TestCorpus:
@@ -628,26 +644,50 @@ BAD_MATROID = {"kind": "matroid", "name": "bad_m",
                "payload": {"n": 4, "bases": [[1, 2], [3, 4]]}}
 EXCHANGE_FAILURE = {"basis_a": [1, 2], "basis_b": [3, 4], "element": 1,
                     "error": "exchange_failure"}
+# one invalid instance of each kind -> the witness its document carries
+BAD_INSTANCES = [
+    (BAD_MATROID, EXCHANGE_FAILURE),
+    ({"kind": "polymatroid", "name": "bad_p",
+      "payload": {"n": 2, "exponents": [[2, 0], [0, 1]], "polymatroid": True}},
+     {"error": "UnequalModuli", "detail": "vectors (0, 1) and (2, 0) have different moduli"}),
+    ({"kind": "ideal", "name": "bad_i", "payload": {"n": 2, "exponents": [[1, 1], [1, 1]]}},
+     {"error": "InvalidInstance", "detail": "exponent vectors must be pairwise distinct"}),
+]
+ANALYSING = ["analyze", "rees-facets", "classify", "hilbert", "normality", "ehrhart-check",
+             "polymatroid-check"]
 
 
 class TestInvalidInstance:
     """Every command that analyses an instance reads it once and answers an
     invalid one with the same document, through one path."""
 
-    @pytest.mark.parametrize("command", ["analyze", "rees-facets", "classify", "hilbert",
-                                         "normality", "ehrhart-check", "polymatroid-check"])
+    @pytest.mark.parametrize("command", ANALYSING)
     def test_one_document_and_one_read(self, capsys, monkeypatch, tmp_path, command):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(BAD_MATROID))
         reads = []
         load = jsonio.load_instance
         monkeypatch.setattr(jsonio, "load_instance", lambda src: reads.append(src) or load(src))
-        code, out, _ = run(capsys, command, str(path))
-        want = {"error": "invalid_instance", "witness": EXCHANGE_FAILURE}
-        if command == "analyze":  # analyze alone names the instance
-            want.update(kind="matroid", name="bad_m")
-        assert (code, out) == (1, jsonio.dumps(want))
-        assert reads == [str(path)]
+        for instance, witness in BAD_INSTANCES:
+            path.write_text(json.dumps(instance))
+            code, out, _ = run(capsys, command, str(path))
+            want = {"error": "invalid_instance", "witness": witness}
+            if command == "analyze":  # analyze alone names the instance
+                want.update(kind=instance["kind"], name=instance["name"])
+            assert (code, out) == (1, jsonio.dumps(want)), instance["name"]
+        assert reads == [str(path)] * len(BAD_INSTANCES)
+
+    @pytest.mark.parametrize("command", ANALYSING)
+    def test_every_command_writes_validates_witness(self, capsys, tmp_path, command):
+        # each family validate refuses gets its witness from every command
+        for family, payload in INVALID_FAMILIES.items():
+            path = tmp_path / f"{family}.json"
+            path.write_text(json.dumps(payload))
+            _, refuted, _ = run_json(capsys, "validate", str(path))
+            code, doc, _ = run_json(capsys, command, str(path))
+            want = {"error": "invalid_instance", "witness": refuted["witness"]}
+            if command == "analyze":
+                want.update(kind=refuted["kind"], name=family)
+            assert (code, doc) == (1, want), family
 
     def test_not_caught_as_a_library_error(self):
         # so corpus's per-check net and main's generic branch never see it
@@ -734,6 +774,7 @@ INVALID_FAMILIES = {
     "ideal_zero_vector": {"n": 2, "exponents": [[0, 0], [1, 1]]},
     "ideal_negative_entry": {"n": 2, "exponents": [[1, -1]]},
     "ideal_repeated_vector": {"n": 2, "exponents": [[1, 1], [1, 1]]},
+    "ideal_no_variables": {"n": 0, "exponents": [[]]},
 }
 
 
@@ -754,23 +795,31 @@ class TestValidationDocuments:
         ("analyze", "polymatroid_exchange_failure"):
             (1, "0797a36a26091a37932b9b6cba7adf01e369d9be011453a3dec7bbac50414aaa"),
         ("polymatroid-check", "polymatroid_exchange_failure"):
-            (1, "7e31b347dd18b6cadd248b7b5398a6d998d68fec8d143bdde6203c1d3acc2129"),
+            (1, "060b91ea66f09adcd80590a697dd5b77088458323ee36cd64778de3994a41ed9"),
         ("validate", "polymatroid_unequal_moduli"):
             (1, "35105379f7840d39eedc40b4c3388f47e2f8741609ad55487a5a5ed9e0d9647a"),
         ("analyze", "polymatroid_unequal_moduli"):
             (1, "7ac98d5d7992ffacad55567475aea1d61c6c005737ef7b90ad0361d9ae34aa83"),
         ("polymatroid-check", "polymatroid_unequal_moduli"):
-            (1, "417a6cb492cff7be94d438204d6d6882e692cef961a2cfcc73cc5cc8f6cce1ae"),
+            (1, "3e6699bc5795d421b34cf3abc17d06c1de258cfc59e78a02f32b79b8249e649b"),
         ("validate", "ideal_zero_vector"):
             (1, "9f458ec4c02935aac4d053e4521547e2101163dece80cb9956074bb5ac82b639"),
         ("analyze", "ideal_zero_vector"):
             (1, "3140a35d05bea0834b291286f810b6e0841acb0ed8af083f4bfd108bebfc24c2"),
+        ("polymatroid-check", "ideal_zero_vector"):
+            (1, "50dce03d7a40ca1edaa52b36fd0996376ba9f5ef41299765206e702806267c64"),
         ("analyze", "ideal_negative_entry"):
             (1, "8e9f286c0f4e86a9290e7b3b273543e8f6d5b951c453a3e22bf3bc15fc44523d"),
+        ("polymatroid-check", "ideal_negative_entry"):
+            (1, "79b30954217536a16907e7e53b542ffe4e89c7f3bb21d95e5a08a729057cb13f"),
         ("validate", "ideal_repeated_vector"):
             (1, "b7ee44547030dd95b8fa6cf463cd47a34d8b80c49c5dca4b926e85d81eadf72c"),
         ("analyze", "ideal_repeated_vector"):
             (1, "f7fc6626fbf5cc6baef685fc2c5faa7dcb2880e200bb02ff00c4e352cc92ebde"),
+        ("polymatroid-check", "ideal_repeated_vector"):
+            (1, "2df92aa7517e5aa6dc6a2f2ba4ec9acfc749401844674e55c2f9e7f2868f989b"),
+        ("polymatroid-check", "ideal_no_variables"):
+            (1, "88f943333c824ac524836a490c9ce2325976cf8512e3c9507f984ef759ef53c4"),
     }
     # bundled name -> sha256 of `instances --show NAME`
     SHOWN = {

@@ -130,7 +130,7 @@ COMMAND_GOLDEN = {
     ("normality", "veronese_3_4"): (0, "499ad70f7d4db997ce9a4c7f81c40c9c854945ad8b3ea5710951d3229f2a1051"),
     ("polymatroid-check", "graphic_k3"): (0, "d10ded27b55865735d2f73fc8a412c0b45b4e8cf1913845bdf6ab6c7a821ca44"),
     ("polymatroid-check", "graphic_k4"): (0, "416f750764346a7a02e0cef3a3887b6489a64b01dec8555ef35e40568f95c0a7"),
-    ("polymatroid-check", "ideal_mixed_neither"): (1, "2b945e88a63823ecf9be207358e14ed627a46f8e27b055ba8d0110e1eb0c2878"),
+    ("polymatroid-check", "ideal_mixed_neither"): (1, "120e14d5b1503507ab80a837fe6c8b4662e0add7ed64342942d3d4f45aadddca"),
     ("polymatroid-check", "ideal_principal"): (0, "83bb39818f5a176988341797ef04acdd1ec0eaadf37cc356a77da6d0d19e8a9b"),
     ("polymatroid-check", "ideal_two_squares"): (1, "6447166886d48efe779e8ea0e658d307c5d548bff1e199fec4c9007f637c42f1"),
     ("polymatroid-check", "not_a_matroid"): (1, "dca78e7fd6fc745867c6117361b2e5804c53faeafb904310aafa2f26ce83c1af"),

@@ -26,7 +26,6 @@ from reeskit.polymatroid import (
     _exchange_failures,
     check_polymatroid_bases,
     divide_by_variable,
-    first_exchange_failure,
     symmetric_exchange_violations,
     veronese_bases,
 )
@@ -163,6 +162,12 @@ class TestSymmetricExchange:
         ]
 
 
+def first_exchange_failure(vectors):
+    """The plain walk's first triple on vectors in the order given, or None:
+    the witness check_polymatroid_bases takes on its lex-sorted vectors."""
+    return next(iter(walk_triples(vectors)), None)
+
+
 class TestFirstExchangeFailure:
     def test_walks_in_the_order_given(self):
         assert first_exchange_failure([(0, 2), (2, 0)]) == ((0, 2), (2, 0), 2)
@@ -261,6 +266,15 @@ def walk_triples(vectors):
     """The plain walk on vectors, its positions read back as vectors."""
     family = [{i: e for i, e in enumerate(v, 1) if e} for v in vectors]
     return [(vectors[a], vectors[c], i) for a, c, i in _exchange_failures(family)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(gap_families())
+def test_check_witnesses_the_first_failure_on_sorted_vectors(family):
+    n, vectors = family
+    first = tuple_first_failure(sorted(vectors))
+    got = check_polymatroid_bases(n, vectors)
+    assert got == ExchangeFailure(*first) if first else isinstance(got, PolymatroidBases)
 
 
 @settings(max_examples=300, deadline=None)
